@@ -3,14 +3,11 @@
 Runs the semi-naive engine on transitive closure (chain),
 same-generation (tree), the skewed-fanout join, the wide-DAG
 multi-component closure, and the coarse-grained component workload
-with three plan backends — compiled plans under the greedy planner,
-compiled plans under the cost-based planner, and the legacy dict-based
-interpreter (``use_plans=False``) — then writes ``BENCH_engine.json``:
-one row per (workload, configuration) with
+under both planners — greedy and cost-based — then writes
+``BENCH_engine.json``: one row per (workload, configuration) with
 ``label``/``n``/``facts``/``inferences``/``seconds`` plus per-workload
-wall-time speedups (``legacy/greedy``, the historical trajectory
-metric, and ``greedy/cost`` for the planner comparison), so successive
-PRs leave a comparable perf record.
+wall-time speedups (``greedy/cost`` for the planner comparison), so
+successive PRs leave a comparable perf record.
 
 ``tc_chain``, ``same_generation``, and ``wide_dag`` additionally carry
 execution-mode rows — ``columnar`` (batch-at-a-time over interned
@@ -108,15 +105,14 @@ from repro.workloads.synthetic import (
 BACKENDS = (
     (
         "greedy",
-        {"use_plans": True, "planner": "greedy", "jobs": 1, "exec": "columnar",
+        {"planner": "greedy", "jobs": 1, "exec": "columnar",
          "partitions": 1},
     ),
     (
         "cost",
-        {"use_plans": True, "planner": "cost", "jobs": 1, "exec": "columnar",
+        {"planner": "cost", "jobs": 1, "exec": "columnar",
          "partitions": 1},
     ),
-    ("legacy", {"use_plans": False, "jobs": 1, "partitions": 1}),
 )
 
 #: Execution-mode rows: the greedy configuration batch-at-a-time over
@@ -125,12 +121,12 @@ BACKENDS = (
 EXEC_BACKENDS = (
     (
         "columnar",
-        {"use_plans": True, "planner": "greedy", "jobs": 1, "exec": "columnar",
+        {"planner": "greedy", "jobs": 1, "exec": "columnar",
          "partitions": 1},
     ),
     (
         "tuple",
-        {"use_plans": True, "planner": "greedy", "jobs": 1, "exec": "tuple",
+        {"planner": "greedy", "jobs": 1, "exec": "tuple",
          "partitions": 1},
     ),
 )
@@ -140,13 +136,12 @@ EXEC_BACKENDS = (
 JOBS_BACKENDS = (
     (
         "jobs1",
-        {"use_plans": True, "planner": "greedy", "jobs": 1, "exec": "columnar",
+        {"planner": "greedy", "jobs": 1, "exec": "columnar",
          "partitions": 1},
     ),
     (
         "jobs2",
         {
-            "use_plans": True,
             "planner": "greedy",
             "jobs": 2,
             "backend": "thread",
@@ -162,7 +157,6 @@ PROC_BACKENDS = (
     (
         "proc2",
         {
-            "use_plans": True,
             "planner": "greedy",
             "jobs": 2,
             "backend": "process",
@@ -173,7 +167,6 @@ PROC_BACKENDS = (
     (
         "proc4",
         {
-            "use_plans": True,
             "planner": "greedy",
             "jobs": 4,
             "backend": "process",
@@ -195,7 +188,6 @@ PART_BACKENDS = (
     (
         "part2",
         {
-            "use_plans": True,
             "planner": "greedy",
             "jobs": 1,
             "backend": "process",
@@ -206,7 +198,6 @@ PART_BACKENDS = (
     (
         "part4",
         {
-            "use_plans": True,
             "planner": "greedy",
             "jobs": 1,
             "backend": "process",
@@ -894,7 +885,7 @@ def run(
     speedups: Dict[str, float] = {}
     ok = True
     series = Series(
-        "engine: planners, legacy interpreter, and execution backends"
+        "engine: planners, execution modes, and execution backends"
     )
     selected = workloads()
     churn_selected = only is None or "churn" in only
@@ -953,18 +944,13 @@ def run(
                 )
                 ok = False
         notes = [name + ":"]
-        if "legacy" in results:
-            greedy, legacy, cost = (
-                results["greedy"], results["legacy"], results["cost"],
-            )
-            speedups[name] = (
-                legacy.seconds / greedy.seconds if greedy.seconds else float("inf")
-            )
+        if "cost" in results:
+            greedy, cost = results["greedy"], results["cost"]
             speedups[f"{name}/cost_vs_greedy"] = (
                 greedy.seconds / cost.seconds if cost.seconds else float("inf")
             )
             notes.append(
-                f"{speedups[name]:.2f}x vs legacy, cost planner "
+                f"cost planner "
                 f"{speedups[f'{name}/cost_vs_greedy']:.2f}x vs greedy "
                 f"({cost.replans} replans)"
             )

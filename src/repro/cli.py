@@ -204,6 +204,7 @@ def _print_stats(stats) -> None:
         ("scc_batches_shipped", stats.scc_batches_shipped),
         ("backend_retries", stats.backend_retries),
         ("backend_fallbacks", stats.backend_fallbacks),
+        ("columnar_fallbacks", stats.columnar_fallbacks),
         ("partition_rounds", stats.partition_rounds),
         ("partition_skew", f"{stats.partition_skew:.2f}"),
         ("seconds", f"{stats.seconds:.4f}"),

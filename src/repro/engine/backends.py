@@ -173,7 +173,6 @@ class ComponentSpec:
     rules: Tuple[Rule, ...]
     recursive: bool
     mode: str
-    use_plans: bool
     planner: Optional[str]
     max_iterations: Optional[int]
     max_facts: Optional[int]
@@ -196,7 +195,6 @@ class ComponentSpec:
             rules=tuple(task.rules),
             recursive=task.recursive,
             mode=scheduler.mode,
-            use_plans=scheduler.use_plans,
             planner=scheduler.planner,
             max_iterations=scheduler.max_iterations,
             max_facts=scheduler.max_facts,
@@ -297,14 +295,13 @@ def evaluate_component(spec: ComponentSpec) -> ComponentResult:
     run = ComponentRun(
         task,
         mode=spec.mode,
-        use_plans=spec.use_plans,
         planner=spec.planner,
         max_iterations=spec.max_iterations,
         max_facts=spec.max_facts,
         max_seconds=spec.max_seconds,
         recorder=recorder,
         fact_base=spec.fact_base,
-        cache=_worker_cache(spec.planner) if spec.use_plans else None,
+        cache=_worker_cache(spec.planner),
         exec_mode=spec.exec_mode,
         # Partitioning inside a pool worker stays serial: a daemonic
         # worker cannot spawn its own process group, and nested thread

@@ -86,6 +86,8 @@ def decode_rows(terms, rows) -> List[tuple]:
     """
     if not rows:
         return []
+    if not rows[0]:
+        return [()] * len(rows)  # nullary: there are no columns to zip
     return list(zip(*([terms[i] for i in col] for col in zip(*rows))))
 
 

@@ -61,12 +61,7 @@ from repro.datalog.rules import Rule
 from repro.datalog.terms import Constant, Term
 from repro.engine.columnar import decode_rows, execute_columnar, resolve_exec
 from repro.engine.database import Database, FactTuple, Relation
-from repro.engine.joins import (
-    candidates,
-    instantiate_head,
-    join_rule,
-    relation_from_tuples,
-)
+from repro.engine.joins import candidates, relation_from_tuples
 from repro.engine.unify import match, match_term
 from repro.engine.partition import make_partition_executor, resolve_partitions
 from repro.engine.plan import PlanCache
@@ -126,12 +121,11 @@ class IncrementalSession:
     DRed restorations, ``facts`` added).  ``session.stats`` accumulates
     across the initial evaluation and every pass.
 
-    ``planner``/``jobs``/``backend``/``use_plans``/``exec``/
-    ``partitions`` mirror
+    ``planner``/``jobs``/``backend``/``exec``/``partitions`` mirror
     :func:`~repro.engine.seminaive.seminaive_eval`; the parallel knobs
     apply to the initial materialization (maintenance passes are
     sequential — affected components are usually few), and the planner
-    and plan/interpreter choice govern every maintenance join.
+    governs every maintenance join.
     ``partitions > 1`` additionally hash-splits the forward delta of
     each insert-maintenance round through the serial partition
     executor — same emissions in partition order, counted in
@@ -163,7 +157,6 @@ class IncrementalSession:
         planner: Optional[str] = None,
         jobs: Optional[int] = None,
         backend=None,
-        use_plans: bool = True,
         exec: Optional[str] = None,
         partitions: Optional[int] = None,
         record_provenance: bool = False,
@@ -172,7 +165,6 @@ class IncrementalSession:
         max_seconds: Optional[float] = None,
     ):
         self.program = program
-        self.use_plans = use_plans
         #: Maintenance joins run through the columnar kernel when the
         #: mode (parameter, else ``$REPRO_EXEC``) says so and the plan
         #: is eligible; the tuple executor remains the per-call
@@ -188,7 +180,6 @@ class IncrementalSession:
         self._deadline: Optional[float] = None
         self._edb = edb.copy() if edb is not None else Database()
         self._edb_keys = EdbKeyView(self._edb)
-        self._cache: Optional[PlanCache] = None
         self.jobs = jobs
         self.backend = backend
         self.partitions = resolve_partitions(partitions)
@@ -205,12 +196,11 @@ class IncrementalSession:
         # Component structure (shared with the evaluators): tasks in
         # topological evaluation order, and the owning task per IDB sig.
         structure = SCCScheduler(
-            program, mode="seminaive", use_plans=use_plans,
+            program, mode="seminaive",
             planner=planner, jobs=1, backend="serial",
         )
         self.planner = structure.planner
-        if use_plans:
-            self._cache = PlanCache(self.planner or "greedy")
+        self._cache = PlanCache(self.planner)
         self._tasks: List[ComponentTask] = structure.tasks
         self._sig_task: Dict[Signature, ComponentTask] = {
             sig: task for task in self._tasks for sig in task.sigs
@@ -229,7 +219,7 @@ class IncrementalSession:
                 self.program, self._edb,
                 max_iterations=max_iterations, max_facts=max_facts,
                 max_seconds=self.max_seconds,
-                use_plans=use_plans, planner=planner, jobs=jobs, backend=backend,
+                planner=planner, jobs=jobs, backend=backend,
             )
             self.database = result.database
             self._edb_keys = result.edb_keys
@@ -250,7 +240,7 @@ class IncrementalSession:
                 self.program, self._edb,
                 max_iterations=max_iterations, max_facts=max_facts,
                 max_seconds=self.max_seconds,
-                use_plans=use_plans, planner=planner, jobs=jobs, backend=backend,
+                planner=planner, jobs=jobs, backend=backend,
                 exec=self.exec_mode, partitions=self.partitions,
             )
             self._derivations = None
@@ -304,7 +294,6 @@ class IncrementalSession:
                 planner=self.planner,
                 jobs=self.jobs,
                 backend=self.backend,
-                use_plans=self.use_plans,
                 exec=self.exec_mode,
                 partitions=self.partitions,
                 max_iterations=self.max_iterations,
@@ -614,57 +603,47 @@ class IncrementalSession:
         stats: EvalStats,
         partition: bool = False,
     ) -> None:
-        """One rule execution appending head tuples (plans or interpreter).
+        """One rule execution appending head tuples.
 
         This is the single maintenance chokepoint the columnar mode
         routes through: eligible plans run batch-at-a-time and their
         interned rows are decoded back to term tuples (the delta
         bookkeeping above works on terms), with a per-call fallback to
-        the tuple executor — counters are identical either way.  With
+        the tuple executor — counters are identical either way, and
+        ``columnar_fallbacks`` counts the declines.  With
         ``partition=True`` (the forward delta fixpoint) and
         ``partitions > 1``, the delta is hash-split through the serial
         partition executor first; a decline falls through to the
         single-call paths untouched.
         """
-        if self._cache is not None:
-            plan = self._cache.plan(
-                rule, roles, stats, db=self.database, overrides=overrides
+        plan = self._cache.plan(
+            rule, roles, stats, db=self.database, overrides=overrides
+        )
+        before = len(emitted)
+        columnar = self.exec_mode == "columnar"
+        rows = None
+        if partition and self._partitioner is not None:
+            rows = self._partitioner.run(
+                plan, self.database, overrides, roles[0][0], stats, columnar
             )
-            before = len(emitted)
-            columnar = self.exec_mode == "columnar"
-            parted = None
-            if partition and self._partitioner is not None:
-                parted = self._partitioner.run(
-                    plan, self.database, overrides, roles[0][0], stats, columnar
-                )
-            rows = None
-            if parted is not None:
-                self._round_partitioned = True
-                rows = parted
-            elif columnar:
-                rows = execute_columnar(
-                    plan, self.database, overrides or None, stats
-                )
+        if rows is not None:
+            self._round_partitioned = True
+        elif columnar:
+            rows = execute_columnar(
+                plan, self.database, overrides or None, stats
+            )
             if rows is None:
-                plan.execute(
-                    self.database, overrides or None, emitted.append, stats
-                )
-            elif rows:
-                if columnar:
-                    emitted.extend(
-                        decode_rows(self.database.dictionary.terms, rows)
-                    )
-                else:
-                    emitted.extend(rows)
-            if plan.estimated_rows is not None:
-                stats.record_estimate(plan.estimated_rows, len(emitted) - before)
-        else:
-            join_rule(
-                self.database,
-                rule,
-                lambda bindings: emitted.append(instantiate_head(rule, bindings)),
-                dict(overrides) if overrides else None,
+                stats.columnar_fallbacks += 1
+        if rows is None:
+            plan.execute(
+                self.database, overrides or None, emitted.append, stats
             )
+        elif columnar:
+            emitted.extend(decode_rows(self.database.dictionary.terms, rows))
+        else:
+            emitted.extend(rows)
+        if plan.estimated_rows is not None:
+            stats.record_estimate(plan.estimated_rows, len(emitted) - before)
 
     def _guard_rounds(self, task: ComponentTask, rounds: int) -> None:
         if self.max_iterations is not None and rounds > self.max_iterations:
@@ -1066,7 +1045,6 @@ class IncrementalSession:
         run = ComponentRun(
             task,
             mode="seminaive",
-            use_plans=self.use_plans,
             planner=self.planner,
             max_iterations=self.max_iterations,
             max_facts=self.max_facts,

@@ -8,11 +8,11 @@ other evaluator and every program transformation against.
 
 The stratification and per-component driver live in the shared
 :class:`~repro.engine.scheduler.SCCScheduler`; this module is the thin
-frontend that selects ``mode="naive"``.  By default each rule is
-compiled once into a slot-based :class:`~repro.engine.plan.RulePlan`
-reused across all fixpoint rounds; ``use_plans=False`` selects the
-legacy dict-based interpreter (same fixpoint, same counters), kept for
-differential testing.
+frontend that selects ``mode="naive"``.  Each rule is compiled once
+into a slot-based :class:`~repro.engine.plan.RulePlan` reused across
+all fixpoint rounds.  :func:`naive_fixpoint_reference` below is the
+independent oracle: no scheduler, no plans, only
+:func:`~repro.engine.joins.join_rule`.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ def naive_eval(
     edb: Database,
     max_iterations: Optional[int] = None,
     max_facts: Optional[int] = None,
-    use_plans: bool = True,
     planner: Optional[str] = None,
     jobs: Optional[int] = None,
     backend=None,
@@ -53,11 +52,8 @@ def naive_eval(
     ``max_seconds`` arms the per-component wall-clock watchdog, and
     ``exec`` picks columnar or tuple plan execution (see
     :func:`repro.engine.seminaive.seminaive_eval` for all the knobs).
-    Naive mode keeps tuple-at-a-time fixpoints internally (it is the
-    oracle); ``exec`` still controls the non-recursive passes.
     ``partitions`` is accepted for interface parity but naive fixpoints
-    ignore it — there is no delta to split, and the oracle stays
-    maximally simple.
+    ignore it — there is no delta to split.
     """
     db = edb.copy()
     stats = EvalStats()
@@ -67,7 +63,6 @@ def naive_eval(
     scheduler = SCCScheduler(
         program,
         mode="naive",
-        use_plans=use_plans,
         planner=planner,
         jobs=jobs,
         backend=backend,

@@ -16,9 +16,8 @@ body instance behind every head emission.  Facts derived in round
 recorded derivations are acyclic and height-minimal round-wise —
 exactly the trees the paper's inductions walk.  Recording is
 *canonical* (per fact: lowest rule, then lexicographically smallest
-body instance), so the compiled path, the legacy interpreter path
-(``use_plans=False``), either planner, and any ``jobs`` count all
-record identical trees.
+body instance), so either planner, every backend, and any ``jobs``
+count all record identical trees.
 
 Trees are also how a library user audits an answer ("why is 7
 reachable?"), so the module doubles as the provenance feature of the
@@ -237,7 +236,6 @@ def provenance_eval(
     edb: Database,
     max_iterations: Optional[int] = None,
     max_facts: Optional[int] = None,
-    use_plans: bool = True,
     planner: Optional[str] = None,
     jobs: Optional[int] = None,
     backend=None,
@@ -247,16 +245,14 @@ def provenance_eval(
 
     Facts derived in round ``r`` of their component record bodies from
     rounds ``< r`` (the synchronous schedule), so recorded derivations
-    are acyclic and height-minimal round-wise.  ``use_plans``/
+    are acyclic and height-minimal round-wise.
     ``planner``/``jobs``/``backend`` mirror
     :func:`~repro.engine.seminaive.seminaive_eval`; every combination
     derives the same fixpoint, the same counters, and — because
     recording is canonical — the same derivation trees (under the
     process backend, workers record into private recorders whose
     derivations return with the component results and merge at the
-    batch barrier).  ``stats.provenance_plan_ratio`` reports how much
-    of the run used compiled plans (1.0, or 0.0 under
-    ``use_plans=False``).
+    batch barrier).
     """
     db = edb.copy()
     stats = EvalStats()
@@ -273,7 +269,6 @@ def provenance_eval(
     scheduler = SCCScheduler(
         program,
         mode="seminaive",
-        use_plans=use_plans,
         planner=planner,
         jobs=jobs,
         backend=backend,

@@ -303,7 +303,6 @@ class CompiledQuery:
         return SCCScheduler(
             program,
             mode="seminaive",
-            use_plans=c.use_plans,
             planner=c.planner,
             jobs=c.jobs,
             backend=c.backend,
@@ -312,7 +311,7 @@ class CompiledQuery:
             max_seconds=c.max_seconds,
             exec=c.exec_mode,
             partitions=c.partitions,
-            cache=PlanCache(c.planner or "greedy") if c.use_plans else None,
+            cache=PlanCache(c.planner or "greedy"),
         )
 
     def _snapshot_edb_sizes(self, edb: Database) -> None:
@@ -478,8 +477,8 @@ class QueryCompiler:
         answer.answers        # raw Term tuples
         answer.strategy       # "factored" | "counting" | "magic" | ...
 
-    ``planner``/``jobs``/``backend``/``use_plans``/``exec``/
-    ``partitions`` mirror the evaluator knobs (``partitions`` splits
+    ``planner``/``jobs``/``backend``/``exec``/``partitions`` mirror
+    the evaluator knobs (``partitions`` splits
     delta rounds inside the rewritten program's recursive components —
     rarely useful for point queries, always counter-identical);
     ``use_instance_checks`` enables instance-level (EDB-reading)
@@ -494,7 +493,6 @@ class QueryCompiler:
         planner: Optional[str] = None,
         jobs: Optional[int] = None,
         backend: Optional[str] = None,
-        use_plans: bool = True,
         exec: Optional[str] = None,
         partitions: Optional[int] = None,
         use_instance_checks: bool = False,
@@ -508,7 +506,6 @@ class QueryCompiler:
         self.planner = planner
         self.jobs = jobs
         self.backend = backend
-        self.use_plans = use_plans
         self.exec_mode = resolve_exec(exec)
         self.partitions = resolve_partitions(partitions)
         self.use_instance_checks = use_instance_checks
@@ -584,7 +581,6 @@ class QueryCompiler:
             db, eval_stats = seminaive_eval(
                 self.program,
                 edb,
-                use_plans=self.use_plans,
                 planner=self.planner,
                 jobs=self.jobs,
                 backend=self.backend,

@@ -1,21 +1,22 @@
 """The shared SCC evaluation core behind every bottom-up evaluator.
 
 The paper states its cost model in terms of semi-naive bottom-up
-evaluation of the SCC-stratified program, but historically each driver
-(`naive_eval`, `seminaive_eval`, `provenance_eval`) re-implemented its
-own whole-program fixpoint loop.  This module extracts the shared
-layer: :class:`SCCScheduler` owns the predicate dependency graph
-traversal, groups strongly connected components into **topological
-depth batches**, and runs one :class:`ComponentRun` — a per-component
-fixpoint — for each component.  The evaluator frontends differ only in
-the *mode* of that per-component fixpoint:
+evaluation of the SCC-stratified program.  This module is the one
+place that evaluation is written down: :class:`SCCScheduler` owns the
+predicate dependency graph traversal, groups strongly connected
+components into **topological depth batches**, and runs one
+:class:`ComponentRun` — a per-component fixpoint — for each component.
+The evaluator frontends (`naive_eval`, `seminaive_eval`,
+`provenance_eval`) differ only in the *mode* of that per-component
+fixpoint, which one driver (:meth:`ComponentRun._fixpoint`) serves by
+changing which windows of the component's relations feed a rule's
+recursive body occurrences:
 
 * ``mode="seminaive"`` — the delta-decomposed iteration (the paper's
   evaluator; also used by ``provenance_eval`` with a derivation
   recorder attached);
 * ``mode="naive"`` — full re-evaluation of the component's rules every
-  round (the trivially-correct oracle, now quadratic per component
-  instead of per program).
+  round (trivially correct, quadratic per component).
 
 Depth batches are the parallelism unit: depth 0 holds components with
 no dependencies outside themselves, depth *d+1* holds components all
@@ -46,16 +47,14 @@ from repro.datalog.program import Program
 from repro.datalog.rules import Rule
 from repro.engine import faults
 from repro.engine.backends import make_backend
-from repro.engine.columnar import execute_columnar, resolve_exec
+from repro.engine.columnar import decode_rows, execute_columnar, resolve_exec
 from repro.engine.cost import resolve_planner
 from repro.engine.database import Database, FactTuple, Relation, RowTuple
-from repro.engine.joins import _resolve, instantiate_head, join_rule, relation_from_tuples
 from repro.engine.partition import make_partition_executor, resolve_partitions
 from repro.engine.plan import PlanCache, RoleSpec
 from repro.engine.stats import ComponentTimeout, EvalStats, NonTerminationError
 
 Signature = Tuple[str, int]
-FactKey = Tuple[str, int, FactTuple]
 
 #: Environment variable supplying the session-wide default worker count.
 JOBS_ENV = "REPRO_JOBS"
@@ -199,9 +198,8 @@ class SCCScheduler:
     ``recorder`` attaches plan-level provenance: a duck-typed object
     with ``start_round()`` / ``observe(sig, fact, rule_index, rule,
     body_keys)`` / ``commit(sig, fact)`` / ``fork()`` / ``absorb()``
-    (see :class:`repro.engine.provenance.DerivationRecorder`).  It is
-    only consulted on the semi-naive paths — provenance evaluation is
-    SCC-stratified semi-naive.
+    (see :class:`repro.engine.provenance.DerivationRecorder`).  A
+    recording run executes tuple-at-a-time, whatever ``exec`` says.
 
     ``backend`` selects how parallel depth batches execute: a name
     (``"serial"``/``"thread"``/``"process"``; ``None`` reads
@@ -223,7 +221,6 @@ class SCCScheduler:
         self,
         program: Program,
         mode: str = "seminaive",
-        use_plans: bool = True,
         planner: Optional[str] = None,
         jobs: Optional[int] = None,
         backend=None,
@@ -239,8 +236,7 @@ class SCCScheduler:
             raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
         self.program = program
         self.mode = mode
-        self.use_plans = use_plans
-        self.planner = resolve_planner(planner) if use_plans else None
+        self.planner = resolve_planner(planner)
         self.jobs = resolve_jobs(jobs)
         self.backend = make_backend(backend)
         self.exec_mode = resolve_exec(exec)
@@ -253,7 +249,7 @@ class SCCScheduler:
         #: runs compile into it instead of one private cache per run,
         #: so repeated evaluations of the same program (the per-query
         #: serving path) reuse compiled plans across calls.
-        self.cache = cache if use_plans else None
+        self.cache = cache
 
         self.graph = DependencyGraph(program)
         rules_by_head: Dict[Signature, List[Rule]] = {}
@@ -297,7 +293,6 @@ class SCCScheduler:
         return ComponentRun(
             task,
             mode=self.mode,
-            use_plans=self.use_plans,
             planner=self.planner,
             max_iterations=self.max_iterations,
             max_facts=self.max_facts,
@@ -356,17 +351,138 @@ class SCCScheduler:
             )
 
 
+#: The firing list of a rule that reads only full relations: one plan,
+#: no roles, no override views.
+_FULL = [((), ())]
+
+
+class _TermRows:
+    """Rows are term tuples, produced by :meth:`RulePlan.execute`.
+
+    The counter-level reference (``exec="tuple"``), and the only
+    representation a provenance recorder can observe or a nullary /
+    foreign-dictionary head relation can absorb.
+    """
+
+    __slots__ = ("db", "stats", "recorder")
+
+    #: What the partition executor is told to split and emit.
+    interned = False
+
+    def __init__(self, db: Database, stats: EvalStats, recorder=None):
+        self.db = db
+        self.stats = stats
+        self.recorder = recorder
+
+    def run(self, plan, overrides, rel: Relation, rule_index: int, rule: Rule):
+        """``(self, head facts)`` of one plan execution, duplicates kept."""
+        emitted: List[FactTuple] = []
+        recorder = self.recorder
+        if recorder is None:
+            plan.execute(self.db, overrides, emitted.append, self.stats)
+            return self, emitted
+        sig = rule.head.signature
+        known = rel.tuples
+
+        def on_match(head, body_keys):
+            emitted.append(head)
+            if head not in known:
+                recorder.observe(sig, head, rule_index, rule, body_keys)
+
+        plan.execute(self.db, overrides, None, self.stats, on_match=on_match)
+        return self, emitted
+
+    def novel(self, rel: Relation, emitted) -> Set[FactTuple]:
+        return set(emitted) - rel.tuples
+
+    def absorb(self, sig: Signature, rel: Relation, fresh, budget=None) -> None:
+        """Add ``fresh``; ``budget`` (if any) is checked after every fact."""
+        recorder = self.recorder
+        stats = self.stats
+        for fact in fresh:
+            rel.add(fact)
+            stats.record_fact(sig)
+            if recorder is not None:
+                recorder.commit(sig, fact)
+            if budget is not None:
+                budget(stats)
+
+
+class _InternedRows:
+    """Rows are interned id tuples, produced by the batch kernel.
+
+    Dedup is int-row set difference against the head's column set and
+    absorption is a columnar bulk append: nothing is decoded back to
+    terms during the fixpoint.  A call the kernel declines (ineligible
+    plan, a source outside the run's dictionary) falls back to the
+    tuple executor — the counters are identical either way, and
+    ``columnar_fallbacks`` says how often it happened.
+
+    In a fixpoint the fallback's facts are interned, so the round's
+    delta stays in the row world.  A ``single_pass`` (non-recursive)
+    component has no next round to feed: there a fallback batch, and
+    the batch of a head that cannot take row appends (nullary, or on a
+    foreign dictionary), is handed to the term representation instead.
+    """
+
+    __slots__ = ("db", "stats", "terms", "single_pass")
+
+    interned = True
+
+    def __init__(self, db: Database, stats: EvalStats, single_pass: bool):
+        self.db = db
+        self.stats = stats
+        self.terms = _TermRows(db, stats)
+        self.single_pass = single_pass
+
+    def run(self, plan, overrides, rel: Relation, rule_index: int, rule: Rule):
+        """``(representation, batch)`` of one plan execution."""
+        db = self.db
+        rows = execute_columnar(plan, db, overrides, self.stats)
+        if rows is None:
+            self.stats.columnar_fallbacks += 1
+            batch = self.terms.run(plan, overrides, rel, rule_index, rule)
+            if self.single_pass:
+                return batch
+            intern = db.dictionary.intern
+            return self, [tuple(intern(t) for t in fact) for fact in batch[1]]
+        if self.single_pass and (
+            rel.arity == 0 or rel.dictionary is not db.dictionary
+        ):
+            return self.terms, decode_rows(db.dictionary.terms, rows)
+        return self, rows
+
+    def novel(self, rel: Relation, emitted) -> Set[RowTuple]:
+        return set(emitted) - rel.col_set()
+
+    def absorb(self, sig: Signature, rel: Relation, fresh, budget=None) -> None:
+        """Bulk-append ``fresh`` — or, under a per-fact ``budget``, add
+        row by row so the limit trips on the same count as term rows."""
+        stats = self.stats
+        if budget is None:
+            rows = list(fresh)
+            rel.append_rows(rows, fresh)
+            stats.record_facts(sig, len(rows))
+            return
+        terms = self.db.dictionary.terms
+        for row in fresh:
+            rel.add_row(tuple(terms[i] for i in row), row)
+            stats.record_fact(sig)
+            budget(stats)
+
+
 class ComponentRun:
     """The fixpoint of one SCC — the unit of work the scheduler schedules.
 
-    Dispatches on the component shape and the scheduler's mode:
+    One driver (:meth:`_fixpoint`) serves every component shape and
+    mode; they differ only in which windows feed a rule's recursive
+    body occurrences:
 
-    * non-recursive component → one pass over its rules;
-    * recursive, ``mode="seminaive"`` → delta-decomposed iteration
-      (compiled plans by default, the legacy dict interpreter under
-      ``use_plans=False``);
-    * recursive, ``mode="naive"`` → full re-evaluation of the
-      component's rules every round until no new facts.
+    * non-recursive component → no recursive occurrence, one round;
+    * recursive, ``mode="seminaive"`` → ``delta``/``old`` log windows,
+      one plan per recursive occurrence (the paper's evaluator);
+    * recursive, ``mode="naive"`` → the full relations, every rule
+      every round, until a round adds nothing.
 
     ``max_iterations`` bounds the fixpoint rounds of any *single*
     component (a divergence guard — a diverging component exceeds any
@@ -390,7 +506,6 @@ class ComponentRun:
     __slots__ = (
         "task",
         "mode",
-        "use_plans",
         "cache",
         "recorder",
         "max_iterations",
@@ -402,14 +517,12 @@ class ComponentRun:
         "exec_mode",
         "partitions",
         "partition_backend",
-        "_partition_executor",
     )
 
     def __init__(
         self,
         task: ComponentTask,
         mode: str = "seminaive",
-        use_plans: bool = True,
         planner: Optional[str] = None,
         max_iterations: Optional[int] = None,
         max_facts: Optional[int] = None,
@@ -423,10 +536,9 @@ class ComponentRun:
     ):
         self.task = task
         self.mode = mode
-        self.use_plans = use_plans
-        if cache is None and use_plans:
+        if cache is None:
             cache = PlanCache(planner or "greedy")
-        self.cache = cache if use_plans else None
+        self.cache = cache
         self.recorder = recorder
         self.max_iterations = max_iterations
         self.max_facts = max_facts
@@ -434,9 +546,10 @@ class ComponentRun:
         self.fact_base = fact_base
         self.rounds = 0
         self._deadline: Optional[float] = None
-        #: "columnar" routes compiled-plan execution through the batch
-        #: kernel (repro.engine.columnar); anything else — and every
-        #: provenance or interpreter run — stays tuple-at-a-time.
+        #: "columnar" runs rule bodies through the batch kernel
+        #: (repro.engine.columnar) over interned rows wherever the
+        #: component allows it (see :meth:`_rows`); anything else stays
+        #: tuple-at-a-time.
         self.exec_mode = exec_mode
         #: Intra-component delta partitioning (repro.engine.partition):
         #: with partitions > 1 the semi-naive rounds hash-split their
@@ -446,7 +559,6 @@ class ComponentRun:
         #: sequential emission stream its recorder observes).
         self.partitions = partitions
         self.partition_backend = partition_backend
-        self._partition_executor = None
 
     # -- budget guards --------------------------------------------------
 
@@ -480,7 +592,7 @@ class ComponentRun:
                 self.fact_base + stats.facts,
             )
 
-    # -- dispatch ---------------------------------------------------------
+    # -- entry point ------------------------------------------------------
 
     def execute(self, db: Database, stats: EvalStats) -> None:
         faults.fire("component")
@@ -488,207 +600,111 @@ class ComponentRun:
             # Per-component wall clock: the watchdog is armed at execute
             # time (not construction) so pool queueing doesn't count.
             self._deadline = time.monotonic() + self.max_seconds
-        if self.recorder is not None:
-            # Source the provenance backend ratio where the work runs:
-            # every component of one evaluation uses the same backend,
-            # so the stat barriers' inference-weighted blend reduces to
-            # this value (and stays exact if the backends ever mix).
-            stats.provenance_plan_ratio = 1.0 if self.cache is not None else 0.0
+        partitioner = None
         if (
             self.partitions > 1
             and self.task.recursive
             and self.mode == "seminaive"
             and self.recorder is None
-            and self.cache is not None
         ):
             # Partitioning engages only where a delta exists to split:
             # the semi-naive fixpoint of a recursive component, without
             # a provenance recorder (which needs the single sequential
-            # emission stream) and with compiled plans (the partition
-            # key comes from the compiled join order).
-            self._partition_executor = make_partition_executor(
+            # emission stream).
+            partitioner = make_partition_executor(
                 self.partitions,
                 self.partition_backend,
                 self.exec_mode,
                 self.cache.planner,
             )
         try:
-            if (
-                self.exec_mode == "columnar"
-                and self.recorder is None
-                and self.cache is not None
-            ):
-                # Adopt (or mint) the database's term dictionary lazily so
-                # every caller that builds a ComponentRun directly — the
-                # process-backend worker, incremental recomputes — gets the
-                # columnar path without its own setup step.
-                db.ensure_dictionary()
-                if not self.task.recursive:
-                    self._eval_once_columnar(db, stats)
-                elif self.mode == "naive":
-                    self._eval_naive(db, stats)
-                else:
-                    self._eval_seminaive_columnar(db, stats)
-                return
-            if not self.task.recursive:
-                self._eval_once(db, stats)
-            elif self.mode == "naive":
-                self._eval_naive(db, stats)
-            elif self.cache is not None:
-                self._eval_seminaive_plans(db, stats)
-            else:
-                self._eval_seminaive_interpreted(db, stats)
+            self._fixpoint(db, stats, self._rows(db, stats), partitioner)
         finally:
-            if self._partition_executor is not None:
-                self._partition_executor.close()
-                self._partition_executor = None
+            if partitioner is not None:
+                partitioner.close()
 
-    # -- provenance plumbing ----------------------------------------------
+    def _rows(self, db: Database, stats: EvalStats):
+        """The row representation of this run, picked once.
 
-    def _interpreted_body_keys(self, rule: Rule, bindings) -> Tuple[FactKey, ...]:
-        """Ground body fact keys under ``bindings`` (interpreter path)."""
-        keys = []
-        for literal in rule.body:
-            args = tuple(_resolve(arg, bindings) for arg in literal.args)
-            keys.append((literal.predicate, literal.arity, args))
-        return tuple(keys)
-
-    # -- non-recursive: one pass -------------------------------------------
-
-    def _eval_once(self, db: Database, stats: EvalStats) -> None:
-        """Single pass for a non-recursive component."""
-        recorder = self.recorder
-        self._begin_round(stats)
-        if recorder is not None:
-            recorder.start_round()
-        for rule_index, rule in enumerate(self.task.rules):
-            sig = rule.head.signature
-            rel = db.relation(*sig)
-
-            if self.cache is not None:
-                emitted: List[FactTuple] = []
-                plan = self.cache.plan(rule, (), stats, db=db)
-                if recorder is not None:
-                    def on_match(head, body_keys, sig=sig, rel=rel,
-                                 rule=rule, idx=rule_index, emitted=emitted):
-                        emitted.append(head)
-                        if head not in rel.tuples:
-                            recorder.observe(sig, head, idx, rule, body_keys)
-
-                    plan.execute(db, None, None, stats, on_match=on_match)
-                else:
-                    plan.execute(db, None, emitted.append, stats)
-                if plan.estimated_rows is not None:
-                    stats.record_estimate(plan.estimated_rows, len(emitted))
-                stats.inferences += len(emitted)
-                for fact in emitted:
-                    if rel.add(fact):
-                        stats.record_fact(sig)
-                        if recorder is not None:
-                            recorder.commit(sig, fact)
-                        self._check_facts(stats)
-            else:
-                emitted = []
-
-                def on_match(bindings, rule=rule, idx=rule_index,
-                             sig=sig, rel=rel, emitted=emitted):
-                    stats.inferences += 1
-                    fact = instantiate_head(rule, bindings)
-                    emitted.append(fact)
-                    if recorder is not None and fact not in rel.tuples:
-                        recorder.observe(
-                            sig, fact, idx, rule,
-                            self._interpreted_body_keys(rule, bindings),
-                        )
-
-                join_rule(db, rule, on_match)
-                for fact in emitted:
-                    if rel.add(fact):
-                        stats.record_fact(sig)
-                        if recorder is not None:
-                            recorder.commit(sig, fact)
-                        self._check_facts(stats)
-
-    # -- non-recursive: one pass, columnar ----------------------------------
-
-    def _eval_once_columnar(self, db: Database, stats: EvalStats) -> None:
-        """Single columnar pass for a non-recursive component.
-
-        Per rule: run the batch kernel (falling back to the tuple
-        executor for ineligible plans — counters are identical either
-        way), then decode only the rows that are actually new.
+        Interned rows need no recorder watching term-level matches and,
+        in a fixpoint, every head relation of the component to take row
+        appends (arity above zero, on the database's term dictionary):
+        a round's delta must be readable as rows in the next.  Naive
+        fixpoints stay on term rows — they are the in-engine oracle
+        the columnar kernel is checked against.
         """
-        dictionary = db.dictionary
-        terms = dictionary.terms
-        self._begin_round(stats)
-        for rule in self.task.rules:
-            sig = rule.head.signature
-            rel = db.relation(*sig)
-            plan = self.cache.plan(rule, (), stats, db=db)
-            rows = execute_columnar(plan, db, None, stats)
-            if rows is None:
-                emitted: List[FactTuple] = []
-                plan.execute(db, None, emitted.append, stats)
-                if plan.estimated_rows is not None:
-                    stats.record_estimate(plan.estimated_rows, len(emitted))
-                stats.inferences += len(emitted)
-                for fact in emitted:
-                    if rel.add(fact):
-                        stats.record_fact(sig)
-                        self._check_facts(stats)
-                continue
-            if plan.estimated_rows is not None:
-                stats.record_estimate(plan.estimated_rows, len(rows))
-            stats.inferences += len(rows)
-            if not rows:
-                continue
-            if rel.arity > 0 and rel.dictionary is dictionary:
-                seen = rel.col_set()
-                if self.max_facts is None:
-                    # Bulk absorption (no limit to trip mid-batch).
-                    novel: List[RowTuple] = []
-                    pending: Set[RowTuple] = set()
-                    for row in rows:
-                        if row not in seen and row not in pending:
-                            pending.add(row)
-                            novel.append(row)
-                    if novel:
-                        rel.append_rows(novel)
-                        stats.record_facts(sig, len(novel))
-                else:
-                    # Fact budget set: add one at a time so the limit
-                    # trips on exactly the same fact as the tuple path.
-                    for row in rows:
-                        if row not in seen:
-                            rel.add_row(tuple(terms[i] for i in row), row)
-                            stats.record_fact(sig)
-                            self._check_facts(stats)
-            else:
-                # Head relation outside this run's dictionary (or
-                # nullary): decode and take the plain tuple adds.
-                for row in rows:
-                    fact = tuple(terms[i] for i in row)
-                    if rel.add(fact):
-                        stats.record_fact(sig)
-                        self._check_facts(stats)
+        recursive = self.task.recursive
+        if (
+            self.exec_mode == "columnar"
+            and self.recorder is None
+            and not (recursive and self.mode == "naive")
+        ):
+            # Adopt (or mint) the database's term dictionary lazily so
+            # every caller that builds a ComponentRun directly — the
+            # process-backend worker, incremental recomputes — gets the
+            # columnar path without its own setup step.
+            dictionary = db.ensure_dictionary()
+            if not recursive or all(
+                sig[1] > 0 and db.relation(*sig).dictionary is dictionary
+                for sig in self.task.sigs
+            ):
+                return _InternedRows(db, stats, single_pass=not recursive)
+        return _TermRows(db, stats, self.recorder)
 
-    # -- recursive: semi-naive on compiled plans ----------------------------
+    def _delta_variants(self, rule: Rule) -> List[Tuple[RoleSpec, list]]:
+        """One delta decomposition per recursive occurrence of ``rule``.
 
-    def _eval_seminaive_plans(self, db: Database, stats: EvalStats) -> None:
-        """Semi-naive iteration for one recursive component (compiled plans).
-
-        Neither deltas nor "old" relations are ever materialized: at
-        round ``t`` a component relation's append-only log holds the
-        facts through ``t-1`` in derivation order, so *delta* (new at
-        ``t-1``) is the log slice ``[delta_start:len]`` and *old*
-        (through ``t-2``) is the prefix ``[0:delta_start]`` — both
-        zero-copy :class:`~repro.engine.database.RelationView` windows.
+        For recursive occurrences at body positions ``i1 < ... < im``,
+        variant ``j`` reads the *delta* at ``ij``, the *old* relation at
+        later occurrences, and the full relation (no override) before
+        it.  Each variant is ``(roles, binding)``: the plan-cache role
+        spec, and ``(position, role, signature)`` triples from which a
+        round builds its override views.
         """
-        rules = self.task.rules
+        scc_set = self.task.sigs
+        positions = [
+            i for i, lit in enumerate(rule.body) if lit.signature in scc_set
+        ]
+        variants = []
+        for j in range(len(positions)):
+            roles = tuple(
+                (pos, "delta" if k == j else "old")
+                for k, pos in enumerate(positions)
+                if k >= j
+            )
+            binding = [
+                (pos, role, rule.body[pos].signature) for pos, role in roles
+            ]
+            variants.append((roles, binding))
+        return variants
+
+    # -- the fixpoint -------------------------------------------------------
+
+    def _fixpoint(self, db: Database, stats: EvalStats, rows, partitioner) -> None:
+        """Rounds of rule firings until a round derives nothing new.
+
+        In semi-naive mode neither deltas nor "old" relations are ever
+        materialized: at round ``t`` a component relation's append-only
+        log holds the facts through ``t-1`` in derivation order, so
+        *delta* (new at ``t-1``) is the log slice ``[delta_start:len]``
+        and *old* (through ``t-2``) is the prefix ``[0:delta_start]`` —
+        both zero-copy :class:`~repro.engine.database.RelationView`
+        windows.  Naive mode and non-recursive components read the full
+        relations instead.  A fixpoint appends nothing mid-round: every
+        rule of a round sees exactly "through ``t-1``", and the round's
+        novel rows are absorbed at its end with one budget check per
+        relation.  A non-recursive component is a single round whose
+        rules never read its heads, so each rule's batch is absorbed as
+        it arrives, with the fact budget checked per fact.
+        """
         scc_set = self.task.sigs
         cache = self.cache
         recorder = self.recorder
-        partitioner = self._partition_executor
+        recursive = self.task.recursive
+        seminaive = self.mode == "seminaive"
+        budget = None
+        if not recursive and self.max_facts is not None:
+            budget = self._check_facts
         rels: Dict[Signature, Relation] = {
             sig: db.relation(*sig) for sig in scc_set
         }
@@ -697,421 +713,106 @@ class ComponentRun:
         # delta_start marks the log offset where the current delta begins.
         delta_start: Dict[Signature, int] = {sig: 0 for sig in scc_set}
 
-        # One delta decomposition per recursive occurrence per rule; each
-        # (rule, roles) pair is compiled once by the cache and fetched per
-        # round (the refetch is what the plan_cache_hits counter measures).
-        # Rules with no recursive body literal have no entry; they fire
-        # only in the first round (see the dispatch below).
-        variants: Dict[Rule, List[Tuple[RoleSpec, List[Tuple[int, str, Signature]]]]] = {}
-        for rule in rules:
-            positions = [
-                i for i, lit in enumerate(rule.body) if lit.signature in scc_set
-            ]
-            if not positions:
-                continue
-            rule_variants = []
-            for j, _ in enumerate(positions):
-                roles = tuple(
-                    (other, "delta" if k == j else "old")
-                    for k, other in enumerate(positions)
-                    if k >= j
-                )
-                binding = [
-                    (pos, role, rule.body[pos].signature) for pos, role in roles
-                ]
-                rule_variants.append((roles, binding))
-            variants[rule] = rule_variants
-
-        first_round = True
-        while True:
-            self._begin_round(stats)
-            round_partitioned = False
-            if recorder is not None:
-                recorder.start_round()
-            # Log lengths at round start; nothing is appended mid-round, so
-            # views and the full relations both expose exactly "through t-1".
-            stop = {sig: len(rels[sig]) for sig in scc_set}
-            delta_views = {
-                sig: rels[sig].view(delta_start[sig], stop[sig]) for sig in scc_set
-            }
-            old_views = {
-                sig: rels[sig].view(0, delta_start[sig]) for sig in scc_set
-            }
-            new: Dict[Signature, Set[FactTuple]] = {sig: set() for sig in scc_set}
-
-            for rule_index, rule in enumerate(rules):
-                sig = rule.head.signature
-                emitted: List[FactTuple] = []
-                if recorder is not None:
-                    full = rels[sig].tuples
-                    fresh = new[sig]
-
-                    def emit(head, body_keys, sig=sig, rule=rule,
-                             idx=rule_index, full=full, fresh=fresh,
-                             emitted=emitted):
-                        emitted.append(head)
-                        if head not in full:
-                            fresh.add(head)
-                            recorder.observe(sig, head, idx, rule, body_keys)
-
-                    run_plan = lambda plan, overrides: plan.execute(
-                        db, overrides, None, stats, on_match=emit
-                    )
-                else:
-                    run_plan = lambda plan, overrides, emit=emitted.append: (
-                        plan.execute(db, overrides, emit, stats)
-                    )
-
-                rule_variants = variants.get(rule)
-                if rule_variants is None:
-                    # Rules with no recursive body literal fire only once, in
-                    # the first round (their input never changes afterwards).
-                    if first_round:
-                        plan = cache.plan(rule, (), stats, db=db)
-                        run_plan(plan, None)
-                        if plan.estimated_rows is not None:
-                            stats.record_estimate(plan.estimated_rows, len(emitted))
-                else:
-                    for roles, binding in rule_variants:
-                        overrides = {
-                            pos: delta_views[body_sig]
-                            if role == "delta"
-                            else old_views[body_sig]
-                            for pos, role, body_sig in binding
-                        }
-                        # Re-fetching the plan every round is what lets the
-                        # cost planner notice cardinality drift and re-plan.
-                        plan = cache.plan(
-                            rule, roles, stats, db=db, overrides=overrides
-                        )
-                        before = len(emitted)
-                        parted = None
-                        if partitioner is not None:
-                            # roles[0] is the variant's delta occurrence.
-                            # The plan was fetched (and its estimate is
-                            # recorded) exactly once with the full-delta
-                            # overrides, so plan-cache counters match
-                            # partitions=1; the partitions' emissions
-                            # concatenate in partition order below.
-                            parted = partitioner.run(
-                                plan, db, overrides, roles[0][0], stats, False
-                            )
-                        if parted is None:
-                            run_plan(plan, overrides)
-                        else:
-                            emitted.extend(parted)
-                            round_partitioned = True
-                        if plan.estimated_rows is not None:
-                            stats.record_estimate(
-                                plan.estimated_rows, len(emitted) - before
-                            )
-                if emitted:
-                    stats.inferences += len(emitted)
-                    if recorder is None:
-                        new[sig] |= set(emitted) - rels[sig].tuples
-
-            changed = False
-            if round_partitioned:
-                stats.partition_rounds += 1
-            # Advance: delta becomes old (a log-offset bump); full absorbs new.
-            for sig in scc_set:
-                delta_start[sig] = stop[sig]
-            for sig in scc_set:
-                fresh = new[sig]
-                if fresh:
-                    changed = True
-                    rel = rels[sig]
-                    for fact in fresh:
-                        if rel.add(fact):
-                            stats.record_fact(sig)
-                            if recorder is not None:
-                                recorder.commit(sig, fact)
-                    self._check_facts(stats)
-            first_round = False
-            if not changed:
-                break
-
-    # -- recursive: semi-naive, columnar -------------------------------------
-
-    def _eval_seminaive_columnar(self, db: Database, stats: EvalStats) -> None:
-        """Semi-naive iteration with batch-at-a-time rule bodies.
-
-        Structurally identical to :meth:`_eval_seminaive_plans` — same
-        delta decomposition, same per-round plan refetch, same
-        round-end absorption — but the working currency is interned
-        rows: rule bodies run through
-        :func:`~repro.engine.columnar.execute_columnar` (falling back
-        per call to the tuple executor, whose emitted facts are then
-        interned), dedup is int-row set difference against the head's
-        column set, and only genuinely novel rows are decoded back to
-        terms.  Counters match the tuple path bit for bit.
-        """
-        dictionary = db.dictionary
-        rules = self.task.rules
-        scc_set = self.task.sigs
-        cache = self.cache
-        partitioner = self._partition_executor
-        rels: Dict[Signature, Relation] = {
-            sig: db.relation(*sig) for sig in scc_set
-        }
-        if any(
-            sig[1] == 0 or rels[sig].dictionary is not dictionary
-            for sig in scc_set
-        ):
-            # A nullary or foreign-dictionary head cannot take row
-            # appends; run the whole component down the tuple path.
-            self._eval_seminaive_plans(db, stats)
-            return
-        intern = dictionary.intern
-        delta_start: Dict[Signature, int] = {sig: 0 for sig in scc_set}
-
-        variants: Dict[Rule, List[Tuple[RoleSpec, List[Tuple[int, str, Signature]]]]] = {}
-        for rule in rules:
-            positions = [
-                i for i, lit in enumerate(rule.body) if lit.signature in scc_set
-            ]
-            if not positions:
-                continue
-            rule_variants = []
-            for j, _ in enumerate(positions):
-                roles = tuple(
-                    (other, "delta" if k == j else "old")
-                    for k, other in enumerate(positions)
-                    if k >= j
-                )
-                binding = [
-                    (pos, role, rule.body[pos].signature) for pos, role in roles
-                ]
-                rule_variants.append((roles, binding))
-            variants[rule] = rule_variants
-
-        first_round = True
-        while True:
-            self._begin_round(stats)
-            round_partitioned = False
-            stop = {sig: len(rels[sig]) for sig in scc_set}
-            delta_views = {
-                sig: rels[sig].view(delta_start[sig], stop[sig]) for sig in scc_set
-            }
-            old_views = {
-                sig: rels[sig].view(0, delta_start[sig]) for sig in scc_set
-            }
-            new: Dict[Signature, Set[RowTuple]] = {sig: set() for sig in scc_set}
-
-            for rule in rules:
-                sig = rule.head.signature
-                emitted: List[RowTuple] = []
-                rule_variants = variants.get(rule)
-                if rule_variants is None:
-                    if first_round:
-                        plan = cache.plan(rule, (), stats, db=db)
-                        rows = execute_columnar(plan, db, None, stats)
-                        if rows is None:
-                            # Ineligible plan or source: tuple oracle,
-                            # then intern its output into the row world.
-                            facts: List[FactTuple] = []
-                            plan.execute(db, None, facts.append, stats)
-                            rows = [
-                                tuple(intern(t) for t in fact) for fact in facts
-                            ]
-                        emitted = rows
-                        if plan.estimated_rows is not None:
-                            stats.record_estimate(plan.estimated_rows, len(emitted))
-                else:
-                    for roles, binding in rule_variants:
-                        overrides = {
-                            pos: delta_views[body_sig]
-                            if role == "delta"
-                            else old_views[body_sig]
-                            for pos, role, body_sig in binding
-                        }
-                        plan = cache.plan(
-                            rule, roles, stats, db=db, overrides=overrides
-                        )
-                        before = len(emitted)
-                        rows = None
-                        if partitioner is not None:
-                            # roles[0] is the variant's delta occurrence;
-                            # the executor pre-checks columnar capability
-                            # so partitions never mix execution modes.
-                            rows = partitioner.run(
-                                plan, db, overrides, roles[0][0], stats, True
-                            )
-                            if rows is not None:
-                                round_partitioned = True
-                        if rows is None:
-                            rows = execute_columnar(plan, db, overrides, stats)
-                        if rows is None:
-                            facts = []
-                            plan.execute(db, overrides, facts.append, stats)
-                            rows = [
-                                tuple(intern(t) for t in fact) for fact in facts
-                            ]
-                        if emitted:
-                            emitted.extend(rows)
-                        else:
-                            # The common single-variant case adopts the
-                            # kernel's fresh list instead of copying it.
-                            emitted = rows
-                        if plan.estimated_rows is not None:
-                            stats.record_estimate(
-                                plan.estimated_rows, len(emitted) - before
-                            )
-                if emitted:
-                    stats.inferences += len(emitted)
-                    prev = new[sig]
-                    if prev:
-                        prev |= set(emitted) - rels[sig].col_set()
-                    else:
-                        new[sig] = set(emitted) - rels[sig].col_set()
-
-            changed = False
-            if round_partitioned:
-                stats.partition_rounds += 1
-            for sig in scc_set:
-                delta_start[sig] = stop[sig]
-            for sig in scc_set:
-                fresh = new[sig]
-                if fresh:
-                    changed = True
-                    rows_list = list(fresh)
-                    rels[sig].append_rows(rows_list, fresh)
-                    stats.record_facts(sig, len(rows_list))
-                    self._check_facts(stats)
-            first_round = False
-            if not changed:
-                break
-
-    # -- recursive: semi-naive via the legacy interpreter --------------------
-
-    def _eval_seminaive_interpreted(self, db: Database, stats: EvalStats) -> None:
-        """Semi-naive iteration via the legacy dict-based interpreter.
-
-        Reference implementation for the differential fuzz tests: same
-        decomposition as :meth:`_eval_seminaive_plans`, executed through
-        :func:`repro.engine.joins.join_rule` with per-round materialized
-        delta relations.
-        """
-        rules = self.task.rules
-        scc_set = self.task.sigs
-        recorder = self.recorder
-        old: Dict[Signature, Relation] = {
-            sig: relation_from_tuples(sig[0], sig[1], ()) for sig in scc_set
-        }
-        # Facts of the component present before the first round seed the delta,
-        # so magic seeds and facts from earlier strata drive round one.
-        delta: Dict[Signature, Set[FactTuple]] = {
-            sig: set(db.relation(*sig).tuples) for sig in scc_set
-        }
-
-        recursive_positions: Dict[Rule, List[int]] = {
-            rule: [i for i, lit in enumerate(rule.body) if lit.signature in scc_set]
-            for rule in rules
-        }
+        # Per rule, the plans it fires in a round as (roles, binding)
+        # pairs.  A rule with recursive occurrences fires its delta
+        # variants every round.  Any other rule reads only full
+        # relations (_FULL): every round in naive mode, but only in the
+        # first round in semi-naive mode — its input never changes
+        # afterwards.  Each (rule, roles) pair is compiled once by the
+        # cache and re-fetched per round: the refetch is what the
+        # plan_cache_hits counter measures, and what lets the cost
+        # planner notice cardinality drift and re-plan.
+        firings = []
+        windowed = seminaive and recursive
+        for rule_index, rule in enumerate(self.task.rules):
+            variants = self._delta_variants(rule) if windowed else None
+            firings.append(
+                (rule_index, rule, rule.head.signature, variants or _FULL,
+                 bool(variants) or not seminaive)
+            )
 
         first_round = True
         while True:
             self._begin_round(stats)
             if recorder is not None:
                 recorder.start_round()
-            delta_rels = {
-                sig: relation_from_tuples(sig[0], sig[1], facts)
-                for sig, facts in delta.items()
-            }
-            new: Dict[Signature, Set[FactTuple]] = {sig: set() for sig in scc_set}
+            round_partitioned = False
+            if windowed:
+                stop = {sig: len(rels[sig]) for sig in scc_set}
+                delta_views = {
+                    sig: rels[sig].view(delta_start[sig], stop[sig])
+                    for sig in scc_set
+                }
+                old_views = {
+                    sig: rels[sig].view(0, delta_start[sig]) for sig in scc_set
+                }
+            new: Dict[Signature, set] = {}
 
-            for rule_index, rule in enumerate(rules):
-                sig = rule.head.signature
-                positions = recursive_positions[rule]
-
-                def on_match(bindings, rule=rule, sig=sig, idx=rule_index):
-                    stats.inferences += 1
-                    fact = instantiate_head(rule, bindings)
-                    if fact not in db.relation(*sig).tuples:
-                        new[sig].add(fact)
-                        if recorder is not None:
-                            recorder.observe(
-                                sig, fact, idx, rule,
-                                self._interpreted_body_keys(rule, bindings),
-                            )
-
-                if not positions:
-                    # Rules with no recursive body literal fire only once, in
-                    # the first round (their input never changes afterwards).
-                    if first_round:
-                        join_rule(db, rule, on_match)
+            for rule_index, rule, sig, variants, every_round in firings:
+                if not (every_round or first_round):
                     continue
-                for j, pos in enumerate(positions):
-                    overrides: Dict[int, Optional[Relation]] = {}
-                    for k, other in enumerate(positions):
-                        if k < j:
-                            overrides[other] = None  # full relation via db
-                        elif k == j:
-                            overrides[other] = delta_rels[rule.body[other].signature]
-                        else:
-                            overrides[other] = old[rule.body[other].signature]
-                    join_rule(db, rule, on_match, overrides)
-
-            changed = False
-            # Advance: old absorbs the previous delta; full absorbs the new facts.
-            for sig in scc_set:
-                for fact in delta[sig]:
-                    old[sig].add(fact)
-            for sig in scc_set:
-                fresh = new[sig]
-                delta[sig] = fresh
-                if fresh:
-                    changed = True
-                    rel = db.relation(*sig)
-                    for fact in fresh:
-                        if rel.add(fact):
-                            stats.record_fact(sig)
-                            if recorder is not None:
-                                recorder.commit(sig, fact)
-                    self._check_facts(stats)
-            first_round = False
-            if not changed:
-                break
-
-    # -- recursive: per-component naive rounds --------------------------------
-
-    def _eval_naive(self, db: Database, stats: EvalStats) -> None:
-        """Naive fixpoint for one recursive component.
-
-        Every component rule is re-evaluated over the full database each
-        round until a round adds nothing — quadratically redundant, but
-        trivially correct, which is exactly why ``naive_eval`` is the
-        oracle the rest of the suite is checked against.  (Provenance
-        runs on the semi-naive schedule; ``recorder`` is unused here.
-        ``partitions`` is also ignored: naive rounds have no delta to
-        split, and the oracle stays maximally simple.)
-        """
-        rules = self.task.rules
-        cache = self.cache
-        while True:
-            self._begin_round(stats)
-            new_facts: List[Tuple[Signature, FactTuple]] = []
-            for rule in rules:
-                sig = rule.head.signature
-                if cache is not None:
-                    emitted: List[FactTuple] = []
-                    plan = cache.plan(rule, (), stats, db=db)
-                    plan.execute(db, None, emitted.append, stats)
+                rel = rels[sig]
+                emitted: list = []
+                batch_rows = rows
+                for roles, binding in variants:
+                    overrides = None
+                    if binding:
+                        overrides = {
+                            pos: delta_views[body_sig]
+                            if role == "delta"
+                            else old_views[body_sig]
+                            for pos, role, body_sig in binding
+                        }
+                    plan = cache.plan(
+                        rule, roles, stats, db=db, overrides=overrides
+                    )
+                    out = None
+                    if partitioner is not None and roles:
+                        # roles[0] is the variant's delta occurrence.  The
+                        # plan was fetched (and its estimate is recorded)
+                        # exactly once with the full-delta overrides, so
+                        # plan-cache counters match partitions=1; the
+                        # partitions' emissions come back concatenated in
+                        # partition order.
+                        out = partitioner.run(
+                            plan, db, overrides, roles[0][0], stats, rows.interned
+                        )
+                        if out is not None:
+                            round_partitioned = True
+                    if out is None:
+                        batch_rows, out = rows.run(
+                            plan, overrides, rel, rule_index, rule
+                        )
                     if plan.estimated_rows is not None:
-                        stats.record_estimate(plan.estimated_rows, len(emitted))
-                    stats.inferences += len(emitted)
-                    new_facts.extend((sig, fact) for fact in emitted)
+                        stats.record_estimate(plan.estimated_rows, len(out))
+                    if emitted:
+                        emitted.extend(out)
+                    else:
+                        # The common single-variant case adopts the
+                        # fresh list instead of copying it.
+                        emitted = out
+                if not emitted:
+                    continue
+                stats.inferences += len(emitted)
+                fresh = batch_rows.novel(rel, emitted)
+                if not fresh:
+                    continue
+                if not recursive:
+                    batch_rows.absorb(sig, rel, fresh, budget)
+                elif sig in new:
+                    new[sig] |= fresh
                 else:
-                    def on_match(bindings, rule=rule, sig=sig):
-                        stats.inferences += 1
-                        new_facts.append((sig, instantiate_head(rule, bindings)))
+                    new[sig] = fresh
 
-                    join_rule(db, rule, on_match)
-            changed = False
-            for sig, fact in new_facts:
-                if db.relation(*sig).add(fact):
-                    stats.record_fact(sig)
-                    changed = True
-                    self._check_facts(stats)
-            if not changed:
+            if round_partitioned:
+                stats.partition_rounds += 1
+            if windowed:
+                # Advance: delta becomes old (a log-offset bump).
+                delta_start = stop
+            for sig, fresh in new.items():
+                rows.absorb(sig, rels[sig], fresh)
+                self._check_facts(stats)
+            first_round = False
+            if not new:
                 break
+

@@ -17,12 +17,11 @@ one delta rule per occurrence ``ij``, reading
 
 The traversal, batching, and per-component fixpoints all live in the
 shared :class:`~repro.engine.scheduler.SCCScheduler`; this module is
-the thin frontend that selects ``mode="seminaive"``.  Two execution
-backends share the decomposition: compiled slot-based
-:class:`~repro.engine.plan.RulePlan`\\ s (the default) and the legacy
-dict-based interpreter from :mod:`repro.engine.joins`
-(``use_plans=False``), kept as the reference implementation for
-differential testing.
+the thin frontend that selects ``mode="seminaive"``.  Rule bodies run
+as compiled slot-based :class:`~repro.engine.plan.RulePlan`\\ s; the
+dict-based interpreter in :mod:`repro.engine.joins` survives only as
+the plan-free oracle behind
+:func:`~repro.engine.naive.naive_fixpoint_reference`.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ def seminaive_eval(
     edb: Database,
     max_iterations: Optional[int] = None,
     max_facts: Optional[int] = None,
-    use_plans: bool = True,
     planner: Optional[str] = None,
     jobs: Optional[int] = None,
     backend=None,
@@ -56,9 +54,6 @@ def seminaive_eval(
     programs (used by the Counting experiments in Section 6.4):
     ``max_iterations`` caps the fixpoint rounds of any single SCC and
     ``max_facts`` caps total derived facts.
-    ``use_plans=False`` runs the legacy interpreter instead of compiled
-    plans (same fixpoint, same counters; used by the differential fuzz
-    tests).
 
     ``planner`` selects the join-order strategy for compiled plans:
     ``"greedy"`` (the deterministic syntactic heuristic) or ``"cost"``
@@ -108,7 +103,6 @@ def seminaive_eval(
     scheduler = SCCScheduler(
         program,
         mode="seminaive",
-        use_plans=use_plans,
         planner=planner,
         jobs=jobs,
         backend=backend,

@@ -305,7 +305,6 @@ class DatalogServer:
             planner=session.planner,
             jobs=session.jobs,
             backend=session.backend,
-            use_plans=session.use_plans,
             exec=session.exec_mode,
             partitions=session.partitions,
             max_iterations=session.max_iterations,

@@ -96,12 +96,15 @@ class EvalStats:
     actually observed; :meth:`planner_accuracy` summarizes them).
 
     The SCC scheduler adds ``scc_count`` (components with rules that
-    were actually evaluated), ``scc_parallel_batches`` (topological
+    were actually evaluated) and ``scc_parallel_batches`` (topological
     depth batches holding two or more such components — the batches
-    where ``jobs > 1`` can overlap work), and
-    ``provenance_plan_ratio`` (fraction of inferences that ran through
-    compiled plans during a provenance-recording evaluation: 1.0 on
-    the plan path, 0.0 on the legacy interpreter path).
+    where ``jobs > 1`` can overlap work).
+
+    Columnar execution adds ``columnar_fallbacks``: rule executions the
+    batch kernel declined (ineligible plan, a source outside the run's
+    term dictionary) and the tuple executor ran instead.  The counters
+    above are identical either way; a non-zero value names a perf
+    cliff, not an error.
 
     Incremental view maintenance (:mod:`repro.engine.incremental`)
     adds ``incr_rounds`` (delta fixpoint rounds run by maintenance
@@ -138,7 +141,7 @@ class EvalStats:
     scc_count: int = 0
     scc_parallel_batches: int = 0
     scc_batches_shipped: int = 0
-    provenance_plan_ratio: float = 0.0
+    columnar_fallbacks: int = 0
     incr_rounds: int = 0
     rederived: int = 0
     backend_retries: int = 0
@@ -178,17 +181,6 @@ class EvalStats:
         )
         return total / len(self.estimated_vs_actual)
 
-    @staticmethod
-    def _blend_ratio(a: "EvalStats", b: "EvalStats") -> float:
-        """``provenance_plan_ratio`` combined, weighted by inferences."""
-        total = a.inferences + b.inferences
-        if not total:
-            return 0.0
-        return (
-            a.provenance_plan_ratio * a.inferences
-            + b.provenance_plan_ratio * b.inferences
-        ) / total
-
     def merge(self, other: "EvalStats") -> "EvalStats":
         """A new stats object accumulating ``self`` then ``other``.
 
@@ -209,7 +201,6 @@ class EvalStats:
         batch order, so the totals are identical to the sequential
         schedule.
         """
-        self.provenance_plan_ratio = EvalStats._blend_ratio(self, other)
         self.facts += other.facts
         self.inferences += other.inferences
         self.iterations += other.iterations
@@ -221,6 +212,7 @@ class EvalStats:
         self.scc_count += other.scc_count
         self.scc_parallel_batches += other.scc_parallel_batches
         self.scc_batches_shipped += other.scc_batches_shipped
+        self.columnar_fallbacks += other.columnar_fallbacks
         self.incr_rounds += other.incr_rounds
         self.rederived += other.rederived
         self.backend_retries += other.backend_retries

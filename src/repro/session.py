@@ -72,8 +72,6 @@ class DeductiveDatabase:
     wall-clock watchdog on materialized sessions (``None`` defers to
     ``REPRO_TIMEOUT``): a runaway maintenance fixpoint rolls back with
     :class:`~repro.engine.stats.MaintenanceError` instead of hanging.
-    ``use_plans=False`` drops to the legacy dict-based interpreter —
-    the differential-testing escape hatch, not a production setting.
     """
 
     def __init__(
@@ -82,7 +80,6 @@ class DeductiveDatabase:
         planner: Optional[str] = None,
         jobs: Optional[int] = None,
         backend: Optional[str] = None,
-        use_plans: bool = True,
         exec: Optional[str] = None,
         partitions: Optional[int] = None,
         max_seconds: Optional[float] = None,
@@ -103,7 +100,6 @@ class DeductiveDatabase:
         self._planner = planner
         self._jobs = jobs
         self._backend = backend
-        self._use_plans = use_plans
         self._exec = exec
         self._partitions = partitions
         self._max_seconds = max_seconds
@@ -250,7 +246,6 @@ class DeductiveDatabase:
                 planner=self._planner,
                 jobs=self._jobs,
                 backend=self._backend,
-                use_plans=self._use_plans,
                 exec=self._exec,
                 partitions=self._partitions,
                 use_instance_checks=self._use_instance_checks,
@@ -318,7 +313,6 @@ class DeductiveDatabase:
         kwargs.setdefault("planner", self._planner)
         kwargs.setdefault("jobs", self._jobs)
         kwargs.setdefault("backend", self._backend)
-        kwargs.setdefault("use_plans", self._use_plans)
         kwargs.setdefault("exec", self._exec)
         kwargs.setdefault("partitions", self._partitions)
         kwargs.setdefault("max_seconds", self._max_seconds)

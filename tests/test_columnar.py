@@ -290,6 +290,18 @@ def test_incremental_columnar_batch_churn_matches_scratch():
     assert session.query("t(1, Y)") == {(y,) for y in range(2, 8)}
 
 
+def test_incremental_columnar_keeps_nullary_heads():
+    """Kernel rows of a nullary head are ``()``: decoding must keep them."""
+    from repro.engine.incremental import IncrementalSession
+
+    assert decode_rows([], [(), ()]) == [(), ()]
+    program = parse_program("hop(X, Z) :- e(X, Y), e(Y, Z).\nany :- hop(X, Y).")
+    session = IncrementalSession(program, chain_edb(1), exec="columnar")
+    assert not session.holds("any")
+    session.insert([("e", (1, 2))])
+    assert session.holds("any")
+
+
 # ---------------------------------------------------------------------------
 # Concurrent snapshot vs. drain (the serving layer's read-side race)
 # ---------------------------------------------------------------------------

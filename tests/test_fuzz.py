@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.pipeline import optimize
 from repro.datalog.parser import parse_literal, parse_program
-from repro.engine.naive import naive_eval
+from repro.engine.naive import naive_eval, naive_fixpoint_reference
 from repro.engine.seminaive import seminaive_eval
 from repro.workloads.synthetic import (
     random_edb,
@@ -76,19 +76,24 @@ def test_unconstrained_programs_never_lose_answers(
 def test_all_backends_match_interpreter_seminaive(program_seed, edb_seed, n):
     """Six-way differential test for the compiled-plan executor.
 
-    The legacy dict-based ``join_rule`` interpreter
-    (``use_plans=False``), the greedy slot-based plans (the default),
-    the cost-based planner (``planner="cost"``, statistics-driven join
-    order with drift re-planning), the parallel SCC scheduler on each
-    execution backend (``jobs=2`` with ``serial``, ``thread``, and
-    ``process`` executors — the last shipping picklable component
-    specs to worker processes that recompile plans locally) must
-    derive identical fixpoints — same database, same facts/inferences/
-    iterations counters — on randomized programs and databases.
+    The greedy slot-based plans (the default), the cost-based planner
+    (``planner="cost"``, statistics-driven join order with drift
+    re-planning), the parallel SCC scheduler on each execution backend
+    (``jobs=2`` with ``serial``, ``thread``, and ``process`` executors
+    — the last shipping picklable component specs to worker processes
+    that recompile plans locally) must derive the fixpoint of the
+    scheduler-free ``join_rule`` interpreter
+    (``naive_fixpoint_reference``), with the facts/inferences/
+    iterations counters of the serial greedy tuple-at-a-time run, on
+    randomized programs and databases.
     """
     program = random_program(program_seed)
     edb = random_edb(edb_seed, n=n)
-    db_interp, stats_interp = seminaive_eval(program, edb, use_plans=False)
+    db_interp, _ = naive_fixpoint_reference(program, edb)
+    db_tuple, stats_interp = seminaive_eval(
+        program, edb, planner="greedy", exec="tuple"
+    )
+    assert db_tuple == db_interp, f"tuple mode diverged on seed {program_seed}"
     db_greedy, stats_greedy = seminaive_eval(program, edb, planner="greedy")
     db_cost, stats_cost = seminaive_eval(program, edb, planner="cost")
     plan_runs = [stats_greedy, stats_cost]
@@ -108,7 +113,6 @@ def test_all_backends_match_interpreter_seminaive(program_seed, edb_seed, n):
         assert stats_plan.iterations == stats_interp.iterations
         assert stats_plan.plans_compiled > 0
         assert stats_plan.scc_count == stats_interp.scc_count
-    assert stats_interp.plans_compiled == 0
     assert stats_greedy.replans == 0  # greedy plans are never invalidated
 
 
@@ -130,8 +134,9 @@ def test_multi_component_programs_agree_across_executors(
     predicates (shared EDB) puts two recursive components in the same
     depth batch — the shape where ``thread`` stages writes and
     ``process`` actually ships component specs to worker processes —
-    and all executors must still match the sequential interpreter
-    bit-for-bit on facts/inferences/iterations.
+    and all executors must still derive the scheduler-free reference
+    fixpoint and match the sequential tuple-at-a-time run bit-for-bit
+    on facts/inferences/iterations.
     """
     from repro.datalog.program import Program
 
@@ -140,7 +145,8 @@ def test_multi_component_programs_agree_across_executors(
         + list(random_program(q_seed, predicate="q").rules)
     )
     edb = random_edb(edb_seed, n=n)
-    db_ref, stats_ref = seminaive_eval(program, edb, use_plans=False)
+    db_ref, _ = naive_fixpoint_reference(program, edb)
+    _, stats_ref = seminaive_eval(program, edb, jobs=1, exec="tuple")
     for backend in ("serial", "thread", "process"):
         db, stats = seminaive_eval(program, edb, jobs=2, backend=backend)
         assert db == db_ref, f"{backend} diverged on seeds {p_seed}/{q_seed}"
@@ -337,7 +343,8 @@ def test_all_backends_match_interpreter_naive(program_seed, edb_seed, n):
     """Same four-way differential property for the naive evaluator."""
     program = random_program(program_seed)
     edb = random_edb(edb_seed, n=n)
-    db_interp, stats_interp = naive_eval(program, edb, use_plans=False)
+    db_interp, _ = naive_fixpoint_reference(program, edb)
+    _, stats_interp = naive_eval(program, edb, planner="greedy", exec="tuple")
     for label, kwargs in (
         ("greedy", {"planner": "greedy"}),
         ("cost", {"planner": "cost"}),
@@ -360,18 +367,17 @@ def test_all_backends_match_interpreter_naive(program_seed, edb_seed, n):
 def test_provenance_backends_record_identical_trees(program_seed, edb_seed, n):
     """Provenance is canonical: every backend records the same trees.
 
-    Beyond the fixpoint/counter agreement, the plan path, the legacy
-    interpreter path, the cost planner, and the parallel scheduler must
-    record the exact same ``(rule, body fact keys)`` per derived fact —
-    derivation recording is canonicalized, not enumeration-order
-    dependent.
+    Beyond the fixpoint/counter agreement, the serial greedy run, the
+    cost planner, and the parallel scheduler must record the exact
+    same ``(rule, body fact keys)`` per derived fact — derivation
+    recording is canonicalized, not enumeration-order dependent.
     """
     from repro.engine.provenance import provenance_eval
 
     program = random_program(program_seed)
     edb = random_edb(edb_seed, n=n)
-    base = provenance_eval(program, edb, use_plans=False)
-    assert base.stats.provenance_plan_ratio == 0.0
+    base = provenance_eval(program, edb, planner="greedy", jobs=1)
+    assert base.database == naive_fixpoint_reference(program, edb)[0]
     for kwargs in (
         {},
         {"planner": "cost"},
@@ -385,7 +391,6 @@ def test_provenance_backends_record_identical_trees(program_seed, edb_seed, n):
         )
         assert prov.stats.facts == base.stats.facts
         assert prov.stats.inferences == base.stats.inferences
-        assert prov.stats.provenance_plan_ratio == 1.0
 
 
 def test_compiled_plans_match_interpreter_compound_terms():
@@ -418,8 +423,9 @@ def test_compiled_plans_match_interpreter_compound_terms():
 
     for evaluator in (seminaive_eval, naive_eval):
         db_plan, stats_plan = evaluator(program, edb, max_iterations=30)
-        db_interp, stats_interp = evaluator(
-            program, edb, max_iterations=30, use_plans=False
+        db_interp, _ = naive_fixpoint_reference(program, edb, max_iterations=30)
+        _, stats_interp = evaluator(
+            program, edb, max_iterations=30, exec="tuple"
         )
         assert db_plan == db_interp
         assert stats_plan.facts == stats_interp.facts
@@ -482,10 +488,10 @@ def test_incremental_scripts_match_scratch(program_seed, edb_seed, script_seed, 
 
     One random program, one random EDB, one random script of EDB
     inserts and deletes.  Sessions under every maintenance
-    configuration — compiled plans (greedy and cost planners), the
-    legacy interpreter, the parallel scheduler, and provenance
-    recording — absorb the script; each must end bit-identical to a
-    from-scratch ``seminaive_eval`` on the final EDB, and the
+    configuration — greedy and cost planners, tuple-at-a-time
+    execution, the parallel scheduler, and provenance recording —
+    absorb the script; each must end bit-identical to the
+    scheduler-free reference fixpoint of the final EDB, and the
     provenance session's derivations must equal a from-scratch
     ``provenance_eval``'s.  (The process backend and ``jobs`` matrix is
     exercised deterministically in ``tests/test_incremental.py``.)
@@ -500,7 +506,7 @@ def test_incremental_scripts_match_scratch(program_seed, edb_seed, script_seed, 
     sessions = [
         IncrementalSession(program, edb),
         IncrementalSession(program, edb, planner="cost"),
-        IncrementalSession(program, edb, use_plans=False),
+        IncrementalSession(program, edb, exec="tuple"),
         IncrementalSession(program, edb, jobs=2, backend="thread"),
         IncrementalSession(program, edb, record_provenance=True),
     ]
@@ -526,8 +532,8 @@ def test_incremental_scripts_match_scratch(program_seed, edb_seed, script_seed, 
             edb.remove_fact(*update)
             for session in sessions:
                 session.delete([update])
-    ref, _ = seminaive_eval(program, edb)
-    labels = ("greedy", "cost", "interpreter", "jobs2", "provenance")
+    ref, _ = naive_fixpoint_reference(program, edb)
+    labels = ("greedy", "cost", "tuple", "jobs2", "provenance")
     for label, session in zip(labels, sessions):
         assert session.database == ref, (
             f"incremental {label} diverged on seeds "

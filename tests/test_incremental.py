@@ -15,6 +15,7 @@ import pytest
 from repro.datalog.parser import parse_program
 from repro.engine.database import Database, Relation
 from repro.engine.incremental import IncrementalSession
+from repro.engine.naive import naive_fixpoint_reference
 from repro.engine.provenance import provenance_eval
 from repro.engine.seminaive import seminaive_eval
 from repro.session import DeductiveDatabase
@@ -166,10 +167,10 @@ class TestDelete:
 
 
 class TestMixedScripts:
-    @pytest.mark.parametrize("use_plans", [True, False])
-    def test_mixed_script_matches_scratch(self, use_plans):
+    @pytest.mark.parametrize("exec_mode", ["columnar", "tuple"])
+    def test_mixed_script_matches_scratch(self, exec_mode):
         edb = churn_edb(24, width=2)
-        session = IncrementalSession(LAYERED, edb, use_plans=use_plans)
+        session = IncrementalSession(LAYERED, edb, exec=exec_mode)
         rng = random.Random(5)
         for step in range(30):
             if rng.random() < 0.5:
@@ -187,6 +188,8 @@ class TestMixedScripts:
                 session.delete([("e", edge)])
                 edb.remove_fact("e", edge)
             assert_matches_scratch(session, edb, LAYERED)
+        # ... and the end state equals the scheduler-free, plan-free oracle.
+        assert session.database == naive_fixpoint_reference(LAYERED, edb)[0]
 
     def test_churn_script_generator_round_trip(self):
         # The benchmark's script generator against the benchmark's EDB.
@@ -212,7 +215,7 @@ class TestKnobDeterminism:
         [
             {"planner": "greedy"},
             {"planner": "cost"},
-            {"use_plans": False},
+            {"exec": "tuple"},
             {"jobs": 2, "backend": "serial"},
             {"jobs": 2, "backend": "thread"},
             {"jobs": 2, "backend": "process"},
@@ -230,7 +233,7 @@ class TestKnobDeterminism:
             else:
                 session.delete([(pred, args)])
                 final_edb.remove_fact(pred, args)
-        ref, _ = seminaive_eval(LAYERED, final_edb)
+        ref, _ = naive_fixpoint_reference(LAYERED, final_edb)
         assert session.database == ref, f"diverged under {kwargs}"
 
 

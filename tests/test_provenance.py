@@ -4,9 +4,11 @@ import pytest
 
 from repro.datalog.parser import parse_literal, parse_program
 from repro.engine.database import Database
+from repro.engine.naive import naive_fixpoint_reference
 from repro.engine.provenance import DerivationTree, explain, provenance_eval
 from repro.engine.seminaive import seminaive_eval
 from repro.engine.stats import NonTerminationError
+from repro.engine.unify import match
 from repro.workloads.graphs import chain_edb
 
 TC = parse_program("t(X, Y) :- e(X, Y).\nt(X, Y) :- e(X, W), t(W, Y).")
@@ -96,18 +98,38 @@ class TestExplain:
         assert node.rule is not None and not node.rule.body
 
 
+def assert_derivations_sound(result):
+    """Every recorded ``(rule, body keys)`` is a rule instance over the
+    database: the body facts hold, in source order, and instantiate the
+    head to exactly the recorded fact."""
+    for (name, arity, args), (rule, body_keys) in result.derivations.items():
+        assert len(body_keys) == len(rule.body)
+        bindings = {}
+        for literal, (body_name, body_arity, body_args) in zip(rule.body, body_keys):
+            assert (body_name, body_arity) == literal.signature
+            assert result.database.has_fact(body_name, body_args)
+            bindings = match(literal, body_args, bindings)
+            assert bindings is not None
+        assert rule.head.signature == (name, arity)
+        assert match(rule.head, args, bindings) is not None
+
+
 class TestPlanProvenance:
-    """Plan-level provenance: compiled plans vs. the legacy interpreter."""
+    """Plan-level provenance: canonical trees on every configuration."""
 
     def _assert_identical(self, program, edb, **kwargs):
-        legacy = provenance_eval(program, edb, use_plans=False)
+        base = provenance_eval(program, edb, planner="greedy", jobs=1)
         plans = provenance_eval(program, edb, **kwargs)
-        assert plans.database == legacy.database
-        # same roots, same per-fact rule + body keys
-        assert plans.derivations == legacy.derivations
-        assert plans.stats.facts == legacy.stats.facts
-        assert plans.stats.inferences == legacy.stats.inferences
-        return legacy, plans
+        # the fixpoint against the scheduler-free, plan-free oracle
+        assert plans.database == naive_fixpoint_reference(program, edb)[0]
+        # same roots, same per-fact rule + body keys as serial/greedy
+        assert plans.derivations == base.derivations
+        assert_derivations_sound(plans)
+        # recording changes no counter of the tuple-mode evaluator
+        _, stats = seminaive_eval(program, edb, exec="tuple")
+        assert plans.stats.facts == stats.facts
+        assert plans.stats.inferences == stats.inferences
+        return base, plans
 
     def test_identical_trees_on_tc_chain(self):
         self._assert_identical(TC, chain_edb(8))
@@ -133,14 +155,6 @@ class TestPlanProvenance:
 
         result = optimize(three_rule_tc_program(), parse_query("t(0, Y)"))
         self._assert_identical(result.simplified.program, chain_edb(5))
-
-    def test_plan_ratio_reported(self):
-        assert provenance_eval(TC, chain_edb(4)).stats.provenance_plan_ratio == 1.0
-        assert (
-            provenance_eval(TC, chain_edb(4), use_plans=False)
-            .stats.provenance_plan_ratio
-            == 0.0
-        )
 
     def test_edb_keys_are_lazy(self):
         """EDB membership is answered by the relations, not a flat copy."""

@@ -13,8 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.dependency import DependencyGraph, strongly_connected_components
 from repro.datalog.parser import parse_program
-from repro.engine.database import Database
-from repro.engine.naive import naive_eval
+from repro.datalog.terms import Constant
+from repro.engine.database import Database, Relation
+from repro.engine.intern import TermDictionary
+from repro.engine.naive import naive_eval, naive_fixpoint_reference
 from repro.engine.scheduler import (
     JOBS_ENV,
     SCCScheduler,
@@ -22,7 +24,7 @@ from repro.engine.scheduler import (
     resolve_jobs,
 )
 from repro.engine.seminaive import seminaive_eval
-from repro.engine.stats import EvalStats
+from repro.engine.stats import EvalStats, NonTerminationError
 from repro.workloads.graphs import chain_edb
 from repro.workloads.synthetic import (
     random_edb,
@@ -292,8 +294,94 @@ class TestSchedulerStats:
         assert merged.scc_count == 4
 
     def test_absorb_accumulates(self):
-        a = EvalStats(facts=2, inferences=4, provenance_plan_ratio=1.0)
-        b = EvalStats(facts=3, inferences=4, provenance_plan_ratio=0.0)
+        a = EvalStats(facts=2, inferences=4, columnar_fallbacks=1)
+        b = EvalStats(facts=3, inferences=4, columnar_fallbacks=2)
         a.absorb(b)
         assert a.facts == 5 and a.inferences == 8
-        assert a.provenance_plan_ratio == pytest.approx(0.5)
+        assert a.columnar_fallbacks == 3
+
+
+SINGLE_PASS = parse_program(
+    """
+    hop(X, Z) :- e(X, Y), e(Y, Z).
+    any :- hop(X, Y).
+    """
+)
+
+# One SCC {live/1, on/0}: the nullary ``on`` gates the recursion.
+GATED = parse_program(
+    """
+    live(X) :- seed(X).
+    live(Y) :- live(X), e(X, Y), on.
+    on :- live(X), trigger(X).
+    """
+)
+
+TC = parse_program(
+    """
+    t(X, Y) :- e(X, Y).
+    t(X, Y) :- e(X, Z), t(Z, Y).
+    """
+)
+
+#: shape -> (evaluator, program with a nullary head, a head of it that
+#: the foreign-dictionary variant pre-seeds, plain program for budgets)
+SHAPES = {
+    "non-recursive": (seminaive_eval, SINGLE_PASS, ("hop", (7, 9)), SINGLE_PASS),
+    "semi-naive": (seminaive_eval, GATED, ("live", (3,)), TC),
+    "naive": (naive_eval, GATED, ("live", (3,)), TC),
+}
+
+
+def gated_edb(foreign_head=None) -> Database:
+    """A chain with a seed and a trigger; optionally one head relation
+    pre-seeded on a term dictionary that is not the database's."""
+    edb = chain_edb(12)
+    edb.add_fact("seed", (0,))
+    edb.add_fact("trigger", (0,))
+    if foreign_head is not None:
+        name, args = foreign_head
+        edb.ensure_dictionary()
+        rel = Relation(name, len(args), TermDictionary())
+        rel.add(tuple(Constant(a) for a in args))
+        edb.relations[(name, len(args))] = rel
+    return edb
+
+
+class TestFixpointDriverBranches:
+    """The branches the one fixpoint driver keeps, in both exec modes."""
+
+    @pytest.mark.parametrize("head", ["nullary", "foreign"])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_non_appendable_heads_agree_across_exec_modes(self, shape, head):
+        evaluate, program, foreign_head, _ = SHAPES[shape]
+        edb = gated_edb(foreign_head if head == "foreign" else None)
+        ref_db, _ = naive_fixpoint_reference(program, edb)
+        by_mode = {}
+        for mode in ("tuple", "columnar"):
+            db, stats = evaluate(program, edb, exec=mode)
+            assert db == ref_db, f"{shape}/{head}: exec={mode} diverged"
+            by_mode[mode] = (
+                stats.facts, stats.inferences, stats.iterations, stats.probes
+            )
+        assert by_mode["columnar"] == by_mode["tuple"]
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_fact_budget_trips_identically_across_exec_modes(self, shape):
+        evaluate, _, _, program = SHAPES[shape]
+        payloads = {}
+        for mode in ("tuple", "columnar"):
+            with pytest.raises(NonTerminationError) as raised:
+                evaluate(program, chain_edb(20), max_facts=7, exec=mode)
+            payloads[mode] = (raised.value.facts, raised.value.iterations)
+        assert payloads["columnar"] == payloads["tuple"]
+        assert payloads["tuple"][0] > 7
+
+    def test_kernel_declines_are_counted(self):
+        """A foreign-dictionary source makes the kernel decline the
+        call; the tuple fallback derives the same facts and says so."""
+        edb = gated_edb(("hop", (7, 9)))
+        _, columnar = seminaive_eval(SINGLE_PASS, edb, exec="columnar")
+        _, tuple_mode = seminaive_eval(SINGLE_PASS, edb, exec="tuple")
+        assert columnar.columnar_fallbacks == 1  # any :- hop(X, Y).
+        assert tuple_mode.columnar_fallbacks == 0
