@@ -12,12 +12,14 @@ from __future__ import annotations
 from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.datalog.literals import Literal
 from repro.datalog.rules import Rule
-from repro.datalog.terms import Constant, Term
+from repro.datalog.terms import Constant, Term, Variable, term_variables
 from repro.engine.intern import TermDictionary
+from repro.engine.unify import match_term
 
 FactTuple = Tuple[Term, ...]
 Signature = Tuple[str, int]
@@ -27,6 +29,60 @@ RowTuple = Tuple[int, ...]
 #: Lock stand-in for relations without a dictionary: those never have
 #: columnar structures, so there is no cross-thread drain to exclude.
 _NO_LOCK = nullcontext()
+
+
+def _classify(pattern: Sequence[Term]):
+    """Split a goal's argument tuple into selection and projection.
+
+    Returns ``(ground, outputs, repeats, residual)``: ``ground`` pairs
+    each ground argument with its position (σ by equality), ``outputs``
+    are the positions where a variable first occurs (π, in answer
+    order), ``repeats`` pairs each later occurrence with that first
+    position (σ between two columns).  ``residual`` is ``None`` unless
+    some argument is a non-ground compound; then it lists *every*
+    non-ground ``(position, argument)`` for :func:`_match_rows`, and
+    ``outputs``/``repeats`` are unused.
+    """
+    ground: List[Tuple[int, Term]] = []
+    first: Dict[Variable, int] = {}
+    repeats: List[Tuple[int, int]] = []
+    nonground: List[Tuple[int, Term]] = []
+    compound = False
+    for p, arg in enumerate(pattern):
+        if arg.is_ground():
+            ground.append((p, arg))
+            continue
+        nonground.append((p, arg))
+        if not isinstance(arg, Variable):
+            compound = True
+        elif arg in first:
+            repeats.append((p, first[arg]))
+        else:
+            first[arg] = p
+    if compound:
+        return ground, (), (), nonground
+    return ground, tuple(first.values()), repeats, None
+
+
+def _match_rows(
+    rows: Iterable[Sequence[Term]], residual: List[Tuple[int, Term]]
+) -> Set[FactTuple]:
+    """Unify each row with the non-ground arguments of a pattern.
+
+    The one read that still needs a unifier: a partially ground
+    compound (``p([a | T], T)``) binds variables inside stored terms.
+    ``residual`` pairs a row position with the pattern argument there.
+    """
+    variables = term_variables(arg for _, arg in residual)
+    answers: Set[FactTuple] = set()
+    for row in rows:
+        bindings: Dict[Variable, Term] = {}
+        for p, arg in residual:
+            if not match_term(arg, row[p], bindings):
+                break
+        else:
+            answers.add(tuple(bindings[v] for v in variables))
+    return answers
 
 
 @dataclass(frozen=True)
@@ -227,6 +283,95 @@ class Relation:
         else:
             self._index_hits[positions] = self._index_hits.get(positions, 0) + 1
         return index
+
+    def select(
+        self, pattern: Sequence[Term], once: bool = False
+    ) -> Set[FactTuple]:
+        """σ/π read: the bindings of ``pattern``'s variables over the facts.
+
+        ``pattern`` is a goal's argument tuple.  It is classified once
+        (:func:`_classify`): a ground argument is an equality on its
+        position, the first occurrence of a variable an output column,
+        a repeated variable an equality between two positions; only a
+        pattern holding a non-ground compound still unifies per row.
+        Returns the set of value tuples of the pattern's variables in
+        first-occurrence order — ``{()}``/``set()`` for a ground
+        pattern — exactly the answers a per-row ``match`` would give.
+
+        A stored relation is read in the tuple world: pending columnar
+        rows are flushed on first read and ground positions probe the
+        persistent :meth:`lookup` index, so repeated reads pay for the
+        index once.  ``once=True`` promises the relation is discarded
+        after this read (a query overlay's answer relation): rows that
+        exist only as interned columns are then selected *there* —
+        constants compared as ids by a column scan, no index built,
+        only the output columns decoded, nothing flushed.
+        """
+        ground, outputs, repeats, residual = _classify(pattern)
+        if once and self._pending_n:
+            return self._select_columns(ground, outputs, repeats, residual)
+        facts = self._tuples if once else self.tuples
+        if len(ground) == len(pattern):
+            return {()} if tuple(pattern) in facts else set()
+        rows: Iterable[FactTuple] = facts
+        if ground and once:
+            for p, term in ground:
+                rows = [fact for fact in rows if fact[p] == term]
+        elif ground:
+            rows = self.lookup(
+                tuple(p for p, _ in ground), tuple(term for _, term in ground)
+            )
+        for p, q in repeats:
+            rows = [fact for fact in rows if fact[p] == fact[q]]
+        if residual is not None:
+            return _match_rows(rows, residual)
+        if not outputs:
+            return {()} if rows else set()
+        if len(outputs) == 1:
+            p = outputs[0]
+            return {(fact[p],) for fact in rows}
+        if outputs == tuple(range(self.arity)):
+            return set(rows)
+        return set(map(itemgetter(*outputs), rows))
+
+    def _select_columns(self, ground, outputs, repeats, residual) -> Set[FactTuple]:
+        """:meth:`select` over the interned columns (``once`` reads).
+
+        Syncs the columns exactly where a flush would have — one
+        :meth:`ensure_columns` — and decodes nothing but the output
+        columns of the surviving rows (whole rows when they must be
+        unified with a partially ground argument).
+        """
+        dictionary = self.dictionary
+        cols = self.ensure_columns()
+        keep: Optional[List[int]] = None
+        for p, term in ground:
+            ident = dictionary.lookup(term)
+            if ident is None:
+                return set()
+            col = cols[p]
+            if keep is None:
+                keep = [i for i, v in enumerate(col) if v == ident]
+            else:
+                keep = [i for i in keep if col[i] == ident]
+        for p, q in repeats:
+            a, b = cols[p], cols[q]
+            rows = range(len(a)) if keep is None else keep
+            keep = [i for i in rows if a[i] == b[i]]
+        if residual is not None:
+            outputs = range(self.arity)  # the rare path unifies whole rows
+        if not outputs:
+            return {()} if keep is None or keep else set()
+        terms = dictionary.terms
+        if keep is None:
+            decoded = [[terms[v] for v in cols[p]] for p in outputs]
+        else:
+            decoded = [
+                [terms[col[i]] for i in keep] for col in (cols[p] for p in outputs)
+            ]
+        if residual is not None:
+            return _match_rows(zip(*decoded), residual)
+        return set(zip(*decoded))
 
     def scan(self) -> Set[FactTuple]:
         """The tuples, for full-scan iteration (no copy)."""
@@ -976,10 +1121,34 @@ class Database:
         return self.relation(predicate, len(wrapped)).add(wrapped)
 
     def add_facts(self, predicate: str, tuples: Iterable[Sequence]) -> int:
-        """Bulk insert; returns the number of new facts."""
+        """Bulk insert; returns the number of new facts.
+
+        Same checks per row as :meth:`add_fact`, but the relation is
+        resolved once per arity and each distinct plain value is
+        wrapped into one shared :class:`Constant` for the whole call.
+        """
         added = 0
+        wrap: Dict[object, Term] = {}
+        rels: Dict[int, Relation] = {}
         for args in tuples:
-            if self.add_fact(predicate, args):
+            fact = []
+            for a in args:
+                if isinstance(a, Term):
+                    if not a.is_ground():
+                        raise ValueError(f"fact argument {a} is not ground")
+                else:
+                    # Keyed with the type: 1, 1.0 and True hash alike
+                    # but must not share one wrapper.
+                    key = (a.__class__, a)
+                    term = wrap.get(key)
+                    if term is None:
+                        term = wrap[key] = Constant(a)
+                    a = term
+                fact.append(a)
+            rel = rels.get(len(fact))
+            if rel is None:
+                rel = rels[len(fact)] = self.relation(predicate, len(fact))
+            if rel.add(tuple(fact)):
                 added += 1
         return added
 
@@ -1029,25 +1198,19 @@ class Database:
     def signatures(self) -> List[Signature]:
         return list(self.relations)
 
-    def query(self, goal: Literal) -> Set[Tuple[Term, ...]]:
+    def query(self, goal: Literal, once: bool = False) -> Set[Tuple[Term, ...]]:
         """All bindings of ``goal``'s variables against stored facts.
 
         Returns the set of tuples of values taken by the goal's
         variables, in first-occurrence order.  A ground goal returns
-        ``{()}`` if it holds and ``set()`` otherwise.
+        ``{()}`` if it holds and ``set()`` otherwise.  ``once`` is
+        :meth:`Relation.select`'s: the database is discarded after
+        this read.
         """
-        from repro.engine.unify import match
-
         rel = self.relations.get(goal.signature)
         if rel is None:
             return set()
-        goal_vars = goal.variables()
-        answers: Set[Tuple[Term, ...]] = set()
-        for fact in rel:
-            bindings = match(goal, fact, {})
-            if bindings is not None:
-                answers.add(tuple(bindings[v] for v in goal_vars))
-        return answers
+        return rel.select(goal.args, once)
 
     # ------------------------------------------------------------------
     # Combination and copying
@@ -1185,6 +1348,14 @@ class Database:
 
     def __repr__(self) -> str:
         return f"Database({self.total_facts()} facts, {len(self.relations)} relations)"
+
+
+def unwrap_rows(rows: Iterable[Sequence[Term]]) -> Set[Tuple]:
+    """Answer rows with constants unwrapped to plain Python values."""
+    return {
+        tuple([t.value if isinstance(t, Constant) else t for t in row])
+        for row in rows
+    }
 
 
 def load_program_facts(program, db: Database) -> int:

@@ -60,7 +60,7 @@ from repro.datalog.program import Program
 from repro.datalog.rules import Rule
 from repro.datalog.terms import Constant, Term
 from repro.engine.columnar import decode_rows, execute_columnar, resolve_exec
-from repro.engine.database import Database, FactTuple, Relation
+from repro.engine.database import Database, FactTuple, Relation, unwrap_rows
 from repro.engine.joins import candidates, relation_from_tuples
 from repro.engine.unify import match, match_term
 from repro.engine.partition import make_partition_executor, resolve_partitions
@@ -268,10 +268,7 @@ class IncrementalSession:
         :meth:`repro.session.DeductiveDatabase.ask`.
         """
         goal = parse_query(query) if isinstance(query, str) else query
-        return {
-            tuple(t.value if isinstance(t, Constant) else t for t in row)
-            for row in self.database.query(goal)
-        }
+        return unwrap_rows(self.database.query(goal))
 
     def holds(self, query: Union[str, Literal]) -> bool:
         """True when a ground query holds in the materialized database."""

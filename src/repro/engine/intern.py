@@ -22,7 +22,7 @@ C-level ints instead of calling Python-level ``Term.__hash__``.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.datalog.terms import Term
 
@@ -61,6 +61,15 @@ class TermDictionary:
                 self.terms.append(term)
                 self._ids[term] = ident
         return ident
+
+    def lookup(self, term: Term) -> Optional[int]:
+        """The id of ``term`` if it was ever interned, else ``None``.
+
+        The read-side counterpart of :meth:`intern`: never allocates,
+        so selecting on a constant no stored fact mentions leaves the
+        dictionary untouched (and answers "no rows" from the miss).
+        """
+        return self._ids.get(term)
 
     def __getstate__(self):
         # Ship only the decode table; ``_ids`` rebuilds lazily on the

@@ -43,15 +43,19 @@ Proposition 5.3 performs on a seed constant.
   them, so fall back to full evaluation plus filtering.
 
 **Answers.**  Repeated variables and partially-ground (function-term)
-goal arguments are handled by *post-filtering*: the compiled program
-answers the canonical goal, each row is rebuilt into a full-arity tuple
-and matched against the actual goal — exactly
-:meth:`repro.engine.database.Database.query` semantics, including
-``{()}``/``set()`` for ground goals.  The plain-magic program's
+goal arguments are handled by *post-selection*: the compiled program
+answers the canonical goal into the overlay's ``query`` relation, and
+that relation is read once with
+:meth:`repro.engine.database.Relation.select`, the pattern being the
+actual goal's arguments at the positions the ``query`` head carries —
+exactly :meth:`repro.engine.database.Database.query` semantics,
+including ``{()}``/``set()`` for ground goals, as σ/π over the interned
+columns the fixpoint left behind (no per-row unification unless the
+goal holds a partially-ground term).  The plain-magic program's
 ``query`` head spans *all* canonical variables (not just the free
 ones): magic evaluation also derives goal-predicate facts for the
-*other* bound values its subqueries reached, and only the full-row
-match keeps them out of the answer set.  The factored and counting
+*other* bound values its subqueries reached, and only the selection on
+the bound columns keeps them out of the answer set.  The factored and counting
 heads stay free-only — their answer relations are pinned to the seed
 by the theorem certificate, resp. the ``NIL`` index term.
 
@@ -70,7 +74,7 @@ counting divergences (the new data may terminate).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, Optional, Set, Tuple, Union
 
 from repro.analysis.adornment import (
     Adornment,
@@ -88,14 +92,13 @@ from repro.datalog.program import Program
 from repro.datalog.terms import NIL, Term, Variable
 from repro.datalog.validate import ensure_no_reserved_names
 from repro.engine.columnar import resolve_exec
-from repro.engine.database import Database
+from repro.engine.database import Database, unwrap_rows
 from repro.engine.partition import resolve_partitions
 from repro.engine.plan import PlanCache
 from repro.engine.scheduler import SCCScheduler
 from repro.engine.seminaive import seminaive_eval
 from repro.engine.stats import EvalStats, NonTerminationError
 from repro.datalog.rules import Rule
-from repro.engine.unify import match
 from repro.transforms.counting import counting, counting_diverges, refine_counting
 from repro.transforms.magic import QUERY_PREDICATE, magic_sets
 
@@ -129,12 +132,7 @@ class QueryAnswer:
 
     def values(self) -> Set[Tuple]:
         """Answers with constants unwrapped to plain Python values."""
-        from repro.datalog.terms import Constant
-
-        return {
-            tuple(t.value if isinstance(t, Constant) else t for t in row)
-            for row in self.answers
-        }
+        return unwrap_rows(self.answers)
 
 
 def _recursive_adorned_predicate(adorned) -> Optional[str]:
@@ -208,21 +206,17 @@ class CompiledQuery:
         # and magic evaluation derives ``p@ad`` facts for *other* magic
         # values (subquery bindings) that must not surface as answers
         # for the actual seed.  The serving query head therefore carries
-        # every canonical variable and ``_project`` matches whole rows
-        # against the actual goal.  The factored and counting rewrites
-        # constrain answers to the seed themselves (the theorem
+        # every canonical variable and ``_run`` selects whole rows with
+        # the actual goal's arguments.  The factored and counting
+        # rewrites constrain answers to the seed themselves (the theorem
         # certificate, resp. the ``NIL`` index term) and keep the
         # free-only head.
-        self._magic_program, self._magic_query_head = self._full_head_magic(
-            canonical
-        )
+        self._magic_program = self._full_head_magic(canonical)
         free_positions = tuple(adornment.free_positions())
         self.strategy = "magic"
         self.program = self._magic_program
-        self.query_head = self._magic_query_head
         self.row_positions: Tuple[int, ...] = tuple(range(arity))
         self.seed = self.magic.seed
-        self.counting_result = None
 
         if (
             self.report is not None
@@ -234,7 +228,6 @@ class CompiledQuery:
             simplified, _ = simplify_factored(factored)
             self.strategy = "factored"
             self.program = simplified.program
-            self.query_head = self.magic.query_head
             self.row_positions = free_positions
             self.certified_by = self.report.certified_by
             self.instance_certified = compiler.use_instance_checks
@@ -251,7 +244,7 @@ class CompiledQuery:
 
     # -- compilation helpers ------------------------------------------
 
-    def _full_head_magic(self, canonical: Literal) -> Tuple[Program, Literal]:
+    def _full_head_magic(self, canonical: Literal) -> Program:
         """The magic program with ``query`` spanning all canonical vars.
 
         Only the answer rule changes; every magic/modified rule is
@@ -265,7 +258,7 @@ class CompiledQuery:
             else rule
             for rule in self.magic.program.rules
         ]
-        return Program(rules), full_head
+        return Program(rules)
 
     def _counting_applies(self, adornment: Adornment) -> bool:
         """Counting: certified right-linear unit program, some binding.
@@ -292,9 +285,7 @@ class CompiledQuery:
             return False
         if counting_diverges(result):
             return False
-        self.counting_result = result
         self.program = result.program
-        self.query_head = result.query_head
         self.seed = result.seed
         return True
 
@@ -347,15 +338,15 @@ class CompiledQuery:
             scheduler.max_iterations = budget_iterations
             scheduler.max_facts = budget_facts
             try:
-                raw = self._run(
+                return self._run(
                     scheduler,
                     self.seed.predicate,
                     (*bound_args, NIL),
-                    self.counting_result.query_head,
+                    goal,
+                    self.row_positions,
                     edb,
                     stats,
                 )
-                return self._project(goal, raw, self.row_positions)
             except NonTerminationError:
                 # Cyclic data: remember until the next EDB change and
                 # serve this (and subsequent) queries via magic.
@@ -365,24 +356,24 @@ class CompiledQuery:
         if self.strategy == "counting":
             if self._magic_scheduler is None:
                 self._magic_scheduler = self._make_scheduler(self._magic_program)
-            raw = self._run(
+            return self._run(
                 self._magic_scheduler,
                 self.magic.seed.predicate,
                 bound_args,
-                self._magic_query_head,
+                goal,
+                tuple(range(self.arity)),
                 edb,
                 stats,
             )
-            return self._project(goal, raw, tuple(range(self.arity)))
-        raw = self._run(
+        return self._run(
             self.scheduler,
             self.seed.predicate,
             bound_args,
-            self.query_head,
+            goal,
+            self.row_positions,
             edb,
             stats,
         )
-        return self._project(goal, raw, self.row_positions)
 
     def effective_strategy(self) -> str:
         if self.strategy == "counting" and self.counting_diverged:
@@ -416,11 +407,12 @@ class CompiledQuery:
         scheduler: SCCScheduler,
         seed_predicate: str,
         seed_args: Tuple[Term, ...],
-        query_head: Literal,
+        goal: Literal,
+        row_positions: Tuple[int, ...],
         edb: Database,
         stats: EvalStats,
     ) -> Set[Tuple[Term, ...]]:
-        """One scheduler pass into a throwaway overlay database.
+        """One scheduler pass into a throwaway overlay, then the read.
 
         The overlay shares the EDB relation objects by reference — the
         rewritten program only ever writes generated-name relations, so
@@ -429,42 +421,25 @@ class CompiledQuery:
         also shares the EDB's term dictionary, so a columnar run probes
         the shared columns directly instead of rebuilding them per
         query into a foreign dictionary.
+
+        The ``query`` relation's columns are the canonical variables at
+        ``row_positions`` — every position for the plain-magic head,
+        the free positions for the factored/counting heads (whose bound
+        slots are pinned to the seed by construction).  Selecting it
+        with the actual goal's arguments at those positions is the
+        whole answer step: repeated variables, partially-ground
+        function terms *and* the bound filter for magic rows, with
+        ``Database.query`` semantics, read once where the fixpoint
+        left the rows.
         """
         db = Database(edb.dictionary)
         db.relations.update(edb.relations)
         db.add_fact(seed_predicate, seed_args)
         scheduler.run(db, stats)
-        return db.query(query_head)
-
-    def _project(
-        self,
-        goal: Literal,
-        raw: Set[Tuple[Term, ...]],
-        row_positions: Tuple[int, ...],
-    ) -> Set[Tuple[Term, ...]]:
-        """Rebuild full-arity tuples and match them against the goal.
-
-        ``raw`` rows bind the canonical variables at ``row_positions``
-        in order — every position for the plain-magic head, the free
-        positions for the factored/counting heads (whose bound slots
-        are pinned to the seed by construction and filled from the
-        actual goal here).  The match step implements repeated
-        variables, partially-ground function terms, *and* the bound
-        filter for magic rows, exactly like ``Database.query``.
-        """
-        bound_pos = self.adornment.bound_positions()
-        goal_vars = goal.variables()
-        answers: Set[Tuple[Term, ...]] = set()
-        for row in raw:
-            full: List[Optional[Term]] = [None] * self.arity
-            for i in bound_pos:
-                full[i] = goal.args[i]
-            for value, i in zip(row, row_positions):
-                full[i] = value
-            bindings = match(goal, tuple(full), {})
-            if bindings is not None:
-                answers.add(tuple(bindings[v] for v in goal_vars))
-        return answers
+        answer = Literal(
+            QUERY_PREDICATE, tuple(goal.args[i] for i in row_positions)
+        )
+        return db.query(answer, once=True)
 
 
 class QueryCompiler:
@@ -591,7 +566,7 @@ class QueryCompiler:
                 max_seconds=self.max_seconds,
             )
             stats.absorb(eval_stats)
-            answers = db.query(goal)
+            answers = db.query(goal, once=True)
             stats.seconds = time.perf_counter() - begin
             return QueryAnswer(
                 goal=goal,

@@ -47,8 +47,7 @@ from typing import Optional, Set, Tuple, Union
 
 from repro.datalog.literals import Literal
 from repro.datalog.parser import parse_query
-from repro.datalog.terms import Constant
-from repro.engine.database import Database
+from repro.engine.database import Database, unwrap_rows
 from repro.engine.stats import EvalStats
 
 
@@ -114,10 +113,7 @@ class ReadView:
         :meth:`IncrementalSession.query`.
         """
         goal = parse_query(query) if isinstance(query, str) else query
-        return {
-            tuple(t.value if isinstance(t, Constant) else t for t in row)
-            for row in self.database.query(goal)
-        }
+        return unwrap_rows(self.database.query(goal))
 
     def holds(self, query: Union[str, Literal]) -> bool:
         """True when a ground query holds in this view."""

@@ -85,7 +85,15 @@ def match_term(pattern: Term, fact: Term, bindings: Dict[Variable, Term]) -> boo
 
     ``fact`` must be ground.  Mutates ``bindings``; on failure the
     caller must discard them (the evaluators copy before matching).
+
+    Compound terms are hash-consed, so a ground pattern that is the
+    very object stored in the fact matches without a walk (a shared
+    n-element list is one comparison, not n frames).  Identity is only
+    a *positive* shortcut: distinct objects still fall through to the
+    structural comparison below.
     """
+    if pattern is fact:
+        return True
     if isinstance(pattern, Variable):
         bound = bindings.get(pattern)
         if bound is None:

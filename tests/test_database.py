@@ -1,11 +1,15 @@
 """Unit tests for relations and databases."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.datalog.literals import Literal
 from repro.datalog.parser import parse_literal, parse_program
-from repro.datalog.terms import Constant, Variable
+from repro.datalog.terms import Compound, Constant, Variable, make_list
+from repro.engine import database as database_module
 from repro.engine.database import Database, Relation, load_program_facts
+from repro.engine.intern import TermDictionary
+from repro.engine.unify import match
 
 from tests.conftest import answer_values
 
@@ -141,6 +145,251 @@ class TestDatabase:
         b = a.copy()
         b.add_fact("e", (3, 4))
         assert a.total_facts() == 1
+
+
+class TestAddFacts:
+    def test_counts_only_new_facts(self):
+        db = Database()
+        assert db.add_facts("e", [(1, 2), (1, 2), (2, 3)]) == 2
+        assert db.add_facts("e", [(2, 3), (3, 4)]) == 1
+        assert db.total_facts() == 3
+
+    def test_distinct_values_share_one_wrapper(self):
+        db = Database()
+        db.add_facts("e", [(i, i + 1) for i in range(50)])
+        wrappers = {}
+        for fact in db.get("e", 2):
+            for term in fact:
+                assert wrappers.setdefault(term.value, term) is term
+
+    def test_wrapping_keeps_the_value_type(self):
+        # 1, 1.0 and True are equal and hash alike: the per-call memo
+        # must not hand one's wrapper to another.
+        db = Database()
+        db.add_facts("v", [(1, 1.0, True)])
+        ((a, b, c),) = db.get("v", 3).tuples
+        assert (type(a.value), type(b.value), type(c.value)) == (int, float, bool)
+
+    def test_checks_stay_per_row(self):
+        db = Database()
+        with pytest.raises(ValueError, match="not ground"):
+            db.add_facts("e", [(1, 2), (Variable("X"), 3)])
+        assert db.total_facts() == 1  # rows before the bad one landed
+        db.add_facts("e", [(Constant(7), make_list([Constant(8)]))])
+        assert db.has_fact("e", (7, make_list([Constant(8)])))
+
+    def test_mixed_arities_go_to_their_own_relations(self):
+        db = Database()
+        assert db.add_facts("p", [(1,), (1, 2), (2,)]) == 3
+        assert len(db.get("p", 1)) == 2 and len(db.get("p", 2)) == 1
+
+    def test_interning_stays_lazy(self):
+        db = Database()
+        dictionary = db.ensure_dictionary()
+        db.add_facts("e", [(1, 2), (2, 3)])
+        assert len(dictionary) == 0
+
+
+# ----------------------------------------------------------------------
+# Relation.select against the per-row match loop it replaced
+# ----------------------------------------------------------------------
+
+_ATOMS = [Constant(v) for v in (0, 1, 2, "a")]
+_GROUND = _ATOMS + [
+    Compound("f", (_ATOMS[0],)),
+    Compound("f", (_ATOMS[1],)),
+    make_list([_ATOMS[0], _ATOMS[1]]),
+    make_list([_ATOMS[1]]),
+    Compound("g", (Compound("f", (_ATOMS[0],)), _ATOMS[3])),
+]
+_X, _Y, _T = Variable("X"), Variable("Y"), Variable("T")
+_PARTIAL = [
+    Compound("f", (_X,)),
+    Compound("g", (_Y, _ATOMS[3])),
+    Compound("g", (Compound("f", (_X,)), _X)),
+    make_list([_X], _T),
+    make_list([_ATOMS[0], _Y]),
+]
+#: constants no stored fact ever mentions
+_ABSENT = [Constant("nowhere"), Compound("f", (Constant("nowhere"),))]
+
+_pattern_arg = st.one_of(
+    st.sampled_from(_GROUND),
+    st.sampled_from(_GROUND + _ABSENT),
+    st.sampled_from([_X, _Y]),
+    st.sampled_from([_X, _Y, _T]),
+    st.sampled_from(_PARTIAL),
+)
+
+
+def match_loop(facts, pattern):
+    """The read as it was before ``select``: unify every row."""
+    goal = Literal("r", pattern)
+    goal_vars = goal.variables()
+    answers = set()
+    for fact in facts:
+        bindings = match(goal, fact, {})
+        if bindings is not None:
+            answers.add(tuple(bindings[v] for v in goal_vars))
+    return answers
+
+
+def build_relation(arity, facts, layout):
+    """``facts`` stored the way ``layout`` names.
+
+    ``plain``: no dictionary (the tuple world only).  ``tuples``: a
+    dictionary attached, every row added tuple-side.  ``pending``:
+    every row columnar-only, as a columnar fixpoint leaves a derived
+    relation.  ``mixed``: a tuple-side prefix, a columnar-only rest.
+    """
+    facts = sorted(facts, key=str)
+    if layout == "plain" or arity == 0:
+        rel = Relation("r", arity, None if layout == "plain" else TermDictionary())
+        for fact in facts:
+            rel.add(fact)
+        return rel
+    dictionary = TermDictionary()
+    rel = Relation("r", arity, dictionary)
+    split = {"tuples": len(facts), "pending": 0, "mixed": len(facts) // 2}[layout]
+    for fact in facts[:split]:
+        rel.add(fact)
+    rel.append_rows(
+        [tuple(dictionary.intern(t) for t in fact) for fact in facts[split:]]
+    )
+    return rel
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_select_equals_the_match_loop(data):
+    arity = data.draw(st.integers(0, 3), label="arity")
+    facts = data.draw(
+        st.sets(
+            st.tuples(*[st.sampled_from(_GROUND)] * arity), max_size=12
+        ),
+        label="facts",
+    )
+    pattern = data.draw(st.tuples(*[_pattern_arg] * arity), label="pattern")
+    expected = match_loop(facts, pattern)
+    for layout in ("plain", "tuples", "pending", "mixed"):
+        for once in (False, True):
+            where = f"{layout}, once={once}"
+            rel = build_relation(arity, facts, layout)
+            interned = len(rel.dictionary) if rel.dictionary is not None else 0
+            pending = rel._pending_n
+            assert rel.select(pattern, once) == expected, where
+            if rel.dictionary is not None:
+                # reads never allocate ids
+                assert len(rel.dictionary) == interned, where
+            if once:
+                assert rel._pending_n == pending, where  # nothing flushed
+                assert not rel._indexes and not rel._col_indexes, where
+            assert rel.tuples == facts, where  # the relation is unharmed
+            assert rel.select(pattern) == expected, where  # and reads again
+
+            db = Database(rel.dictionary)
+            db.relations[("r", arity)] = build_relation(arity, facts, layout)
+            assert db.query(Literal("r", pattern), once) == expected, where
+    assert Database().query(Literal("missing", pattern)) == set()
+
+
+class TestSelect:
+    def test_ground_and_repeated_patterns_never_unify(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("match_term entered")
+
+        monkeypatch.setattr(database_module, "match_term", boom)
+        for layout in ("plain", "tuples", "pending", "mixed"):
+            for once in (False, True):
+                rel = build_relation(
+                    2, {(a, b) for a in _GROUND[:5] for b in _GROUND[3:7]}, layout
+                )
+                assert len(rel.select((_X, _Y), once)) == 20
+                assert rel.select((_X, _X), once) == {(_GROUND[3],), (_GROUND[4],)}
+                assert rel.select((_GROUND[4], _Y), once) == {
+                    (b,) for b in _GROUND[3:7]
+                }
+                assert rel.select((_GROUND[4], _GROUND[6]), once) == {()}
+                assert rel.select((_GROUND[6], _GROUND[4]), once) == set()
+
+    def test_stored_reads_flush_once_and_reuse_the_index(self):
+        rel = build_relation(2, {(a, b) for a in _ATOMS for b in _ATOMS}, "pending")
+        assert rel._pending_n == 16
+        assert len(rel.select((_ATOMS[0], _Y))) == 4
+        assert rel._pending_n == 0 and (0,) in rel._indexes
+        assert len(rel.select((_ATOMS[1], _Y))) == 4
+        assert rel._index_hits[(0,)] == 1  # second read probed, not rebuilt
+
+    def test_once_reads_sync_columns_exactly_where_a_flush_would(self, monkeypatch):
+        calls = []
+        original = Relation.ensure_columns
+        monkeypatch.setattr(
+            Relation, "ensure_columns",
+            lambda self: calls.append(self.name) or original(self),
+        )
+        monkeypatch.setattr(
+            Relation, "col_set", lambda self: pytest.fail("col_set on a read")
+        )
+        monkeypatch.setattr(
+            Relation, "col_index", lambda self, p: pytest.fail("col_index on a read")
+        )
+        pending = build_relation(2, {(a, b) for a in _ATOMS for b in _ATOMS}, "pending")
+        settled = build_relation(2, {(a, b) for a in _ATOMS for b in _ATOMS}, "tuples")
+        calls.clear()
+        pending.select((_ATOMS[0], _Y), once=True)
+        assert calls == ["r"]  # as _flush did: once, because rows were pending
+        calls.clear()
+        settled.select((_ATOMS[0], _Y), once=True)
+        settled.select((_ATOMS[0], _Y))
+        assert calls == []  # nothing pending: the columns are not touched
+
+    def test_racing_first_reads_of_a_shared_relation(self):
+        """Readers of one frozen relation (a pinned view) race its first
+        read: the flush and the index builds must not tear an answer."""
+        import sys
+        import threading
+
+        values = [Constant(i) for i in range(40)]
+        facts = {(a, b) for a in values for b in values if a != b}
+        expected = {v: {(b,) for a, b in facts if a == v} for v in values}
+        failures = []
+
+        def reader(rel, offset):
+            try:
+                for k in range(len(values)):
+                    v = values[(k + offset) % len(values)]
+                    if rel.select((v, _Y)) != expected[v]:
+                        failures.append(("bound-first", v))
+                    if rel.select((_X, v)) != expected[v]:  # symmetric facts
+                        failures.append(("bound-second", v))
+                if len(rel.select((_X, _Y))) != len(facts):
+                    failures.append(("free", offset))
+            except Exception as exc:  # a torn structure shows as any error
+                failures.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(5):
+                rel = build_relation(2, facts, "pending")
+                threads = [
+                    threading.Thread(target=reader, args=(rel, 5 * i), daemon=True)
+                    for i in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+
+    def test_nullary_relation(self):
+        rel = Relation("flag", 0)
+        assert rel.select(()) == set() and rel.select((), once=True) == set()
+        rel.add(())
+        assert rel.select(()) == {()} and rel.select((), once=True) == {()}
 
 
 class TestLoadProgramFacts:

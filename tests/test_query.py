@@ -195,6 +195,42 @@ class TestGoalAudit:
         answer = compiler.ask("pmem(X, [3, 0, 3])", pmem_edb(4))
         assert answer.values() == {(0,), (3,)}
 
+    def test_long_bound_list_answers_without_unifying(self, monkeypatch):
+        """Regression: ``pmem(X, [0, ..., 999])`` raised RecursionError.
+
+        The answer step re-matched the ground list against itself once
+        per answer row, one Python frame per list cell.  The read is a
+        selection now: an all-ground-or-variable goal never enters
+        ``match_term``, whatever the list length (a count, not a
+        timing).
+        """
+        from importlib import import_module
+
+        from repro.engine import database, incremental, joins
+
+        # ``repro.engine.unify`` the attribute is the re-exported function
+        unify = import_module("repro.engine.unify")
+        entered = []
+        original = unify.match_term
+
+        def counting(pattern, fact, bindings):
+            entered.append(pattern)
+            return original(pattern, fact, bindings)
+
+        for module in (unify, database, joins, incremental):
+            monkeypatch.setattr(module, "match_term", counting)
+        n = 2000
+        db = DeductiveDatabase()
+        db.rules(str(pmem_program()))
+        db.facts("p", [(i,) for i in range(0, n, 2)])
+        goal = "pmem(X, [" + ", ".join(map(str, range(n))) + "])"
+        assert db.ask(goal) == {(i,) for i in range(0, n, 2)}
+        report = db.ask(goal, explain=True)  # the cached form as well
+        assert report.strategy == "factored"
+        assert len(report.answers) == n // 2
+        assert db.ask("pmem(1998, [" + ", ".join(map(str, range(n))) + "])") == {()}
+        assert entered == []
+
     @pytest.mark.parametrize(
         "goal",
         [

@@ -51,6 +51,57 @@ class TestMatch:
         assert match(lit, (Constant(2),), pre) is not None
 
 
+def _uninterned(functor, args):
+    """A compound equal to ``Compound(functor, args)`` but a distinct
+    object: built while its hash-consing table entry is set aside."""
+    args = tuple(args)
+    shared = Compound(functor, args)
+    del Compound._intern[(functor, args)]
+    try:
+        twin = Compound(functor, args)
+    finally:
+        Compound._intern[(functor, args)] = shared
+    assert twin is not shared and twin == shared
+    return twin
+
+
+class TestMatchIdentityFastPath:
+    """``pattern is fact`` is a positive shortcut, never a negative one."""
+
+    def test_shared_ground_list_matches_without_a_walk(self):
+        # One frame regardless of length: the old structural walk needs
+        # a Python frame per cell and dies long before 5000.
+        big = make_list([Constant(i) for i in range(5000)])
+        bindings = {}
+        assert match_term(big, big, bindings)
+        assert bindings == {}
+
+    def test_equal_but_distinct_compounds_still_match(self):
+        shared = make_list([Constant(1), Constant(2)])
+        twin = _uninterned(shared.functor, shared.args)
+        assert match_term(shared, twin, {})
+        assert match_term(twin, shared, {})
+
+    def test_distinct_unequal_compounds_still_fail(self):
+        a = make_list([Constant(1), Constant(2)])
+        b = make_list([Constant(1), Constant(3)])
+        assert not match_term(a, b, {})
+        assert not match_term(a, Constant(1), {})
+
+    def test_identity_inside_a_nonground_pattern(self):
+        tail = make_list([Constant(2), Constant(3)])
+        pattern = Compound(".", (Variable("H"), tail))
+        fact = Compound(".", (Constant(1), tail))
+        bindings = {}
+        assert match_term(pattern, fact, bindings)
+        assert bindings == {Variable("H"): Constant(1)}
+
+    def test_identical_constant(self):
+        c = Constant("a")
+        assert match_term(c, c, {})
+        assert match_term(c, Constant("a"), {})
+
+
 class TestUnify:
     def test_symmetric_success(self):
         a = parse_literal("p(X, 1)")
