@@ -105,6 +105,12 @@ class RuleClassification:
     free_exit: Optional[ConjunctiveQuery] = None
     left_occurrences: Tuple[Literal, ...] = ()
     right_occurrence: Optional[Literal] = None
+    #: Body literals outside ``right(Ȳ)`` that the rule, as ordered,
+    #: evaluates *after* its right-linear occurrence (filled in by
+    #: :func:`classify_program`).  The class itself is order-blind, but
+    #: the left-to-right Magic rule for that occurrence is built from
+    #: what precedes it, so these are missing from it.
+    behind_right: Tuple[Literal, ...] = ()
     reason: str = ""
 
 
@@ -322,6 +328,20 @@ def classify_rule(
     )
 
 
+def _behind_right(rc: RuleClassification, written: int) -> Tuple[Literal, ...]:
+    """The bound-side literals ordered after ``rc``'s right-linear occurrence.
+
+    ``written`` is the length of the body before standard form appended
+    its ``equal``/``list`` atoms: those restate arguments of the
+    ``p``-literals themselves and are behind nothing.
+    """
+    if rc.right_occurrence is None:
+        return ()
+    body = rc.rule.body[:written]
+    after = body[body.index(rc.right_occurrence) + 1 :]
+    return tuple(lit for lit in after if lit not in rc.free.body)
+
+
 def _permute_literal(literal: Literal, permutation: Sequence[int]) -> Literal:
     return literal.with_args(tuple(literal.args[i] for i in permutation))
 
@@ -401,6 +421,8 @@ def classify_program(
             ),
         )
         if result.ok:
+            for rc, rule in zip(classifications, rules):
+                rc.behind_right = _behind_right(rc, len(rule.body))
             return result
         if best is None:
             best = result  # report the identity permutation's diagnosis

@@ -74,6 +74,36 @@ class FactorabilityReport:
         return None
 
 
+def _magic_program_is_the_papers(
+    classification: ProgramClassification, reasons: List[str]
+) -> bool:
+    """The precondition all three theorems share.
+
+    The program is RLC-stable (Definition 4.4), and its Magic program
+    is the one the theorems speak of: the Magic rule for a right-linear
+    occurrence ``p(V̄, Ȳ)`` carries the whole bound side of the rule —
+    ``first(X̄, V̄)``, or ``left(X̄)``, the left occurrences and
+    ``center(Ū, V̄)``.  With a left-to-right SIP that means nothing but
+    ``right(Ȳ)`` is ordered after the occurrence.  A filter on the
+    bound arguments left behind it (``p(X, W), e(W, Y), r(Y)`` asked
+    with ``Y`` bound) is absent from the Magic rule, the factored
+    program turns the extra magic facts into answers, and the query is
+    answered for goals the filter rejects.
+    """
+    if not classification.is_rlc_stable():
+        reasons.append("not RLC-stable")
+        return False
+    for rc in classification.recursive_rules:
+        if rc.behind_right:
+            behind = ", ".join(str(lit) for lit in rc.behind_right)
+            reasons.append(
+                f"[{behind}] follows the right-linear occurrence in {rc.rule}: "
+                "its Magic rule would omit it"
+            )
+            return False
+    return True
+
+
 def _single_exit(classification: ProgramClassification) -> Optional[RuleClassification]:
     exits = classification.exit_rules
     if len(exits) != 1:
@@ -87,8 +117,7 @@ def is_selection_pushing(
     """Definition 4.6 on a classified RLC-stable program."""
     reasons = reasons if reasons is not None else []
     contained, equivalent = _containment_tests(edb)
-    if not classification.is_rlc_stable():
-        reasons.append("not RLC-stable")
+    if not _magic_program_is_the_papers(classification, reasons):
         return False
     exit_rule = _single_exit(classification)
     assert exit_rule is not None
@@ -136,8 +165,7 @@ def is_symmetric(
     """Definition 4.7: only combined recursive rules, shared middles."""
     reasons = reasons if reasons is not None else []
     contained, equivalent = _containment_tests(edb)
-    if not classification.is_rlc_stable():
-        reasons.append("not RLC-stable")
+    if not _magic_program_is_the_papers(classification, reasons):
         return False
     recursive = classification.recursive_rules
     if not recursive or any(
@@ -169,8 +197,7 @@ def is_answer_propagating(
     """Definition 4.8: the combination of both previous sets of conditions."""
     reasons = reasons if reasons is not None else []
     contained, equivalent = _containment_tests(edb)
-    if not classification.is_rlc_stable():
-        reasons.append("not RLC-stable")
+    if not _magic_program_is_the_papers(classification, reasons):
         return False
     exit_rule = _single_exit(classification)
     assert exit_rule is not None

@@ -37,18 +37,34 @@ variable.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 from repro.datalog.rules import Rule
 from repro.engine import faults
 from repro.engine.database import Database, FactTuple, Relation
 from repro.engine.plan import PlanCache
 from repro.engine.stats import EvalStats
+
+# ``concurrent.futures`` and ``multiprocessing`` (with ``socket``,
+# ``tempfile``, ``logging`` and ``subprocess`` behind them) cost every
+# ``import repro`` about 20 ms and only a pool with ``jobs > 1`` needs
+# them: they are imported where an executor is created.  The names
+# this module used to bind at import time stay importable from it.
+_LAZY_NAMES = ("BrokenExecutor", "ProcessPoolExecutor", "ThreadPoolExecutor")
+
+
+def __getattr__(name: str):
+    if name in _LAZY_NAMES:
+        import concurrent.futures
+
+        return getattr(concurrent.futures, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 Signature = Tuple[str, int]
 
@@ -441,6 +457,8 @@ class ThreadBackend(ExecutorBackend):
             for i in idxs:
                 work(i)
 
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(
             max_workers=min(scheduler.jobs, len(submissions))
         ) as executor:
@@ -517,6 +535,9 @@ class ProcessBackend(ExecutorBackend):
             return self._pool
         if self._pool is not None:
             self._pool.shutdown(wait=True)
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         self._pool = ProcessPoolExecutor(
             max_workers=workers,
             mp_context=multiprocessing.get_context(self.start_method),
@@ -533,6 +554,8 @@ class ProcessBackend(ExecutorBackend):
             self._pool_workers = 0
 
     def run_batch(self, scheduler, batch, db: Database, stats: EvalStats) -> None:
+        from concurrent.futures import BrokenExecutor
+
         attempt = 0
         while True:
             try:
@@ -600,6 +623,8 @@ class ProcessBackend(ExecutorBackend):
             # worker dies, *every* unfinished future reports the broken
             # pool, but a NonTerminationError that also surfaced is the
             # actual cause and retrying cannot fix it.
+            from concurrent.futures import BrokenExecutor
+
             for exc in errors:
                 if not isinstance(exc, BrokenExecutor):
                     raise exc

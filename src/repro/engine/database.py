@@ -10,6 +10,7 @@ time and not just as counters.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -85,6 +86,63 @@ def _match_rows(
     return answers
 
 
+def _fill_buckets(index: Dict, owned: Optional[Set], items) -> None:
+    """Append each ``(item, key)`` of ``items`` to the bucket ``index[key]``.
+
+    The one place index buckets grow, and so the one place that keeps
+    :meth:`Relation.copy` honest.  A copy shares bucket *lists* with
+    its original (each side has its own ``dict`` of them); from then on
+    both sides carry an ``owned`` set — the keys whose bucket that side
+    created or replaced since the share — and a bucket outside it is
+    **replaced** by an extended list, never appended to, so the other
+    side keeps reading the list it was handed.  ``owned`` is ``None``
+    for an index no copy shares: every bucket is appended to in place.
+    """
+    if owned is None:
+        for item, key in items:
+            bucket = index.get(key)
+            if bucket is None:
+                index[key] = [item]
+            else:
+                bucket.append(item)
+        return
+    for item, key in items:
+        bucket = index.get(key)
+        if bucket is None:
+            index[key] = [item]
+        elif key in owned:
+            bucket.append(item)
+            continue
+        else:
+            index[key] = bucket + [item]
+        owned.add(key)
+
+
+def _keyed_facts(facts: Iterable[FactTuple], positions: Tuple[int, ...]):
+    """``(fact, tuple-index key)`` pairs, lazily: the key is always a tuple."""
+    if len(positions) == 1:
+        p = positions[0]
+        return ((fact, (fact[p],)) for fact in facts)
+    project = itemgetter(*positions)
+    return ((fact, project(fact)) for fact in facts)
+
+
+def _without(seq, gone: List[int]):
+    """``seq`` (a list or an array) minus the ascending positions ``gone``.
+
+    Copies the runs between them slice by slice: one C-level copy of
+    the survivors and one interpreter step per removed position.
+    """
+    out = seq[: gone[0]]
+    start = gone[0] + 1
+    for i in gone[1:]:
+        if i > start:
+            out += seq[start:i]
+        start = i + 1
+    out += seq[start:]
+    return out
+
+
 @dataclass(frozen=True)
 class RelationStatistics:
     """A cheap snapshot of one relation's runtime statistics.
@@ -138,12 +196,14 @@ class Relation:
         "_pending_n",
         "_indexes",
         "_index_hits",
+        "_owned",
         "_carried_distinct",
         "dictionary",
         "_cols",
         "_colset",
         "_colset_n",
         "_col_indexes",
+        "_col_owned",
         "_last_rows",
         "_pending_rows",
     )
@@ -161,6 +221,11 @@ class Relation:
         self._pending_n = 0
         self._indexes: Dict[Tuple[int, ...], Dict[FactTuple, List[FactTuple]]] = {}
         self._index_hits: Dict[Tuple[int, ...], int] = {}
+        # Copy-on-write bookkeeping: positions -> the keys whose bucket
+        # this relation may append to in place.  An index has an entry
+        # only once copy() shared its buckets with another relation;
+        # see _fill_buckets for the ownership rule.
+        self._owned: Dict[Tuple[int, ...], Set[FactTuple]] = {}
         # Distinct-key counts inherited through copy() for indexes the
         # copy chose not to materialize; live indexes take precedence.
         self._carried_distinct: Dict[Tuple[int, ...], int] = {}
@@ -171,6 +236,8 @@ class Relation:
         self._colset_n = 0
         # positions -> (int-keyed index of row positions, watermark).
         self._col_indexes: Dict[Tuple[int, ...], Tuple[Dict, int]] = {}
+        # The int indexes' counterpart of _owned.
+        self._col_owned: Dict[Tuple[int, ...], Set] = {}
         # (lo, hi, rows): the row tuples of the most recent bulk append,
         # kept so the next round's delta scan over exactly that span can
         # reuse them instead of re-zipping column slices.  Columns are
@@ -222,11 +289,15 @@ class Relation:
             )
             self._logrows.extend(decoded)
             self._tuples.update(decoded)
-            for positions, index in self._indexes.items():
-                for fact in decoded:
-                    key = tuple(fact[i] for i in positions)
-                    index.setdefault(key, []).append(fact)
+            self._index_facts(decoded)
             self._pending_n = 0
+
+    def _index_facts(self, facts: Sequence[FactTuple]) -> None:
+        """Enter newly logged ``facts`` into every live tuple index."""
+        for positions, index in self._indexes.items():
+            _fill_buckets(
+                index, self._owned.get(positions), _keyed_facts(facts, positions)
+            )
 
     def add(self, fact: FactTuple) -> bool:
         """Insert ``fact``; returns True if it was new."""
@@ -238,9 +309,8 @@ class Relation:
             return False
         self._tuples.add(fact)
         self._logrows.append(fact)
-        for positions, index in self._indexes.items():
-            key = tuple(fact[i] for i in positions)
-            index.setdefault(key, []).append(fact)
+        if self._indexes:
+            self._index_facts((fact,))
         return True
 
     def __contains__(self, fact: FactTuple) -> bool:
@@ -272,9 +342,7 @@ class Relation:
         index = self._indexes.get(positions)
         if index is None:
             index = {}
-            for fact in self.tuples:
-                k = tuple(fact[i] for i in positions)
-                index.setdefault(k, []).append(fact)
+            _fill_buckets(index, None, _keyed_facts(self.tuples, positions))
             # Publish the hit counter before the index: a concurrent
             # reader (parallel SCC batch probing a shared lower-stratum
             # relation) that sees the index must also see its counter.
@@ -503,38 +571,33 @@ class Relation:
             return entry[0]
         if entry is None:
             index: Dict = {}
-            self._fill_col_index(index, cols, positions, 0, n)
+            self._fill_col_index(index, None, cols, positions, 0, n)
             self._col_indexes[positions] = (index, n)
             return index
         with self._sync_lock():
             index, m = self._col_indexes[positions]
             if m < n:
-                self._fill_col_index(index, cols, positions, m, n)
+                self._fill_col_index(
+                    index, self._col_owned.get(positions), cols, positions, m, n
+                )
                 self._col_indexes[positions] = (index, n)
         return index
 
     @staticmethod
     def _fill_col_index(
-        index: Dict, cols: List[array], positions: Tuple[int, ...], m: int, n: int
+        index: Dict,
+        owned: Optional[Set],
+        cols: List[array],
+        positions: Tuple[int, ...],
+        m: int,
+        n: int,
     ) -> None:
         """Append row positions ``m:n`` of ``cols`` into an int index."""
         if len(positions) == 1:
-            col = cols[positions[0]]
-            for i in range(m, n):
-                bucket = index.get(col[i])
-                if bucket is None:
-                    index[col[i]] = [i]
-                else:
-                    bucket.append(i)
+            keys = cols[positions[0]][m:n]
         else:
-            pcols = [cols[p] for p in positions]
-            for i in range(m, n):
-                key = tuple(col[i] for col in pcols)
-                bucket = index.get(key)
-                if bucket is None:
-                    index[key] = [i]
-                else:
-                    bucket.append(i)
+            keys = zip(*(cols[p][m:n] for p in positions))
+        _fill_buckets(index, owned, zip(range(m, n), keys))
 
     def add_row(self, fact: FactTuple, row: RowTuple) -> None:
         """Append a fact known to be novel, with its interned row.
@@ -552,9 +615,8 @@ class Relation:
         position = len(self._logrows)
         self._tuples.add(fact)
         self._logrows.append(fact)
-        for positions, index in self._indexes.items():
-            key = tuple(fact[i] for i in positions)
-            index.setdefault(key, []).append(fact)
+        if self._indexes:
+            self._index_facts((fact,))
         if cols is None:
             return
         for col, value in zip(cols, row):
@@ -562,14 +624,23 @@ class Relation:
         if self._colset is not None and self._colset_n == position:
             self._colset.add(row)
             self._colset_n = position + 1
+        self._index_rows((row,), position)
+
+    def _index_rows(self, rows: Sequence[RowTuple], position: int) -> None:
+        """Enter ``rows``, logged from ``position``, into every int index
+        synced up to there; a lagging one catches up on its next probe."""
         for positions, (index, watermark) in self._col_indexes.items():
             if watermark != position:
                 continue
-            key = row[positions[0]] if len(positions) == 1 else tuple(
-                row[p] for p in positions
+            # keys as col_index() makes them: a bare id for one
+            # position, an id tuple otherwise
+            keys = map(itemgetter(*positions), rows)
+            _fill_buckets(
+                index,
+                self._col_owned.get(positions),
+                zip(range(position, position + len(rows)), keys),
             )
-            index.setdefault(key, []).append(position)
-            self._col_indexes[positions] = (index, position + 1)
+            self._col_indexes[positions] = (index, position + len(rows))
 
     def append_rows(
         self, rows: List[RowTuple], rowset: Optional[Set[RowTuple]] = None
@@ -604,21 +675,21 @@ class Relation:
         if self._colset is not None and self._colset_n == position:
             self._colset.update(rows if rowset is None else rowset)
             self._colset_n = position + len(rows)
-        for positions, (index, watermark) in self._col_indexes.items():
-            if watermark != position:
-                continue
-            if len(positions) == 1:
-                p = positions[0]
-                for i, row in enumerate(rows, position):
-                    index.setdefault(row[p], []).append(i)
-            else:
-                for i, row in enumerate(rows, position):
-                    key = tuple(row[p] for p in positions)
-                    index.setdefault(key, []).append(i)
-            self._col_indexes[positions] = (index, position + len(rows))
+        self._index_rows(rows, position)
         buffered.extend(rows)
         self._last_rows = (position, position + len(rows), rows)
         self._pending_n += len(rows)
+
+    def release_delta_rows(self) -> None:
+        """Drop the row list :meth:`append_rows` kept for the next round.
+
+        Called when a fixpoint over this relation ends: no next round
+        will scan that span, and the list — half the relation where the
+        last productive round was the widest — is a *young* container
+        the cyclic collector re-walks at every young collection until
+        it ages, whoever's allocations trigger them.
+        """
+        self._last_rows = None
 
     def distinct_count(self, positions: Tuple[int, ...]) -> Optional[int]:
         """Distinct keys in the index on ``positions``, if one exists.
@@ -752,10 +823,12 @@ class Relation:
         self.dictionary = dictionary
         self._indexes = {}
         self._index_hits = {}
+        self._owned = {}
         self._carried_distinct = dict(distinct)
         self._colset = None
         self._colset_n = 0
         self._col_indexes = {}
+        self._col_owned = {}
         self._last_rows = None
         self._pending_rows = []
         if log is None:
@@ -779,10 +852,16 @@ class Relation:
         over-delete/prune step).  The insertion log is compacted to the
         survivors in their original order, so subsequent semi-naive
         maintenance passes keep slicing valid :meth:`view` windows.
-        Live indexes are *repaired*, not dropped: only the buckets the
-        doomed facts project into are filtered, so the per-deletion
-        cost scales with the deletion (times the bucket sizes), never
-        with the relation — churny maintenance keeps its hot indexes.
+
+        Where the columns cover the log the doomed rows are found *by
+        id* — one pass comparing int rows, no term hashed outside the
+        doomed facts themselves — and log, columns and row set are
+        compacted at those positions; without complete columns the log
+        is searched by term.  Live tuple indexes are *repaired*, not
+        dropped: only the buckets the doomed facts project into are
+        filtered (and replaced, so buckets a copy shares stay intact).
+        Int indexes hold row positions, which compaction shifts; they
+        are dropped and rebuilt on their next probe.
 
         Must not be called while an evaluation holds views over this
         relation: view bounds are log offsets and compaction moves them.
@@ -791,36 +870,42 @@ class Relation:
         if not doomed:
             return 0
         self._tuples -= doomed
-        old_log = self._logrows
-        self._logrows = [fact for fact in old_log if fact not in doomed]
+        log = self._logrows
         cols = self._cols
-        if cols is not None:
-            # Compact the columns in step with the log: the columnized
-            # prefix keeps its surviving rows in order (they precede
-            # any surviving un-columnized suffix), so row i of the new
-            # columns still describes the new log's row i.  Row-position
-            # structures are dropped wholesale — compaction shifts the
-            # positions they point at.
-            covered = len(cols[0])
-            keep = [
-                i for i in range(covered) if old_log[i] not in doomed
-            ]
-            self._cols = [
-                array("q", (col[i] for i in keep)) for col in cols
-            ]
-        self._colset = None
-        self._colset_n = 0
+        covered = 0 if cols is None else len(cols[0])
+        if covered == len(log):
+            ident = self.dictionary.lookup
+            rows = {tuple(map(ident, fact)) for fact in doomed}
+            gone = [i for i, row in enumerate(zip(*cols)) if row in rows]
+        else:
+            rows = None
+            gone = [i for i, fact in enumerate(log) if fact in doomed]
+        self._logrows = _without(log, gone)
+        # Row i of the columns still describes row i of the log: the
+        # columnized prefix loses exactly its doomed rows.
+        inside = gone[: bisect_left(gone, covered)]
+        if inside:
+            self._cols = [_without(col, inside) for col in cols]
+        if rows is not None and self._colset is not None and self._colset_n == covered:
+            self._colset -= rows
+            self._colset_n = len(self._logrows)
+        else:
+            self._colset = None
+            self._colset_n = 0
         self._col_indexes.clear()
+        self._col_owned.clear()
         self._last_rows = None
         for positions, index in self._indexes.items():
-            touched = {tuple(fact[i] for i in positions) for fact in doomed}
-            for key in touched:
+            owned = self._owned.get(positions)
+            for key in {key for _, key in _keyed_facts(doomed, positions)}:
                 bucket = index.get(key)
                 if bucket is None:
                     continue
                 survivors = [fact for fact in bucket if fact not in doomed]
                 if survivors:
                     index[key] = survivors
+                    if owned is not None:
+                        owned.add(key)
                 else:
                     del index[key]
         return len(doomed)
@@ -835,12 +920,20 @@ class Relation:
         return RelationView(self, start, stop)
 
     def copy(self) -> "Relation":
-        """An independent copy sharing no mutable state.
+        """A copy that behaves as if it shared no mutable state.
 
-        Indexes that were reused at least once since being built are
-        carried over (bucket lists are copied, the immutable tuples are
-        shared); indexes built but never probed again are dropped, so a
-        copy does not pay to maintain them on subsequent inserts.
+        Facts, log and columns are copied container by container.
+        Indexes are carried **copy-on-write**: the copy gets its own
+        ``dict`` per index and the two sides share the bucket lists,
+        under the ownership rule of :func:`_fill_buckets` (from here on
+        either side replaces, rather than appends to, a bucket it has
+        not created since) — so a copy costs a handful of C-level
+        container copies and no per-bucket work, and what either side
+        writes afterwards is invisible to the other.  Every int index
+        is carried, at its watermark; a tuple index is carried if it
+        was reused at least once since being built, and dropped (the
+        copy does not pay to maintain it on inserts) if it was built
+        but never probed again.
 
         Statistics always survive the copy: distinct-key counts of
         dropped indexes are retained as carried estimates, so
@@ -864,18 +957,19 @@ class Relation:
             cols = self._cols
             if cols is not None:
                 dup._cols = [col[:] for col in cols]
-            for positions, entry in list(self._col_indexes.items()):
-                # Int indexes are rebuilt lazily on the copy; their
-                # distinct-key counts survive as statistics (same counts a
-                # tuple index on the same positions would report).
-                dup._carried_distinct[positions] = len(entry[0])
+            for positions, (index, watermark) in list(self._col_indexes.items()):
+                dup._col_indexes[positions] = (dict(index), watermark)
+                self._col_owned[positions] = set()
+                dup._col_owned[positions] = set()
             for positions, hits in list(self._index_hits.items()):
                 index = self._indexes.get(positions)
                 if index is None:
                     continue  # counter published ahead of a mid-build index
                 if hits > 0:
-                    dup._indexes[positions] = {k: list(v) for k, v in index.items()}
+                    dup._indexes[positions] = dict(index)
                     dup._index_hits[positions] = hits
+                    self._owned[positions] = set()
+                    dup._owned[positions] = set()
                 else:
                     dup._carried_distinct[positions] = len(index)
         return dup

@@ -61,10 +61,9 @@ from repro.datalog.rules import Rule
 from repro.datalog.terms import Constant, Term
 from repro.engine.columnar import decode_rows, execute_columnar, resolve_exec
 from repro.engine.database import Database, FactTuple, Relation, unwrap_rows
-from repro.engine.joins import candidates, relation_from_tuples
-from repro.engine.unify import match, match_term
+from repro.engine.joins import relation_from_tuples
 from repro.engine.partition import make_partition_executor, resolve_partitions
-from repro.engine.plan import PlanCache
+from repro.engine.plan import ExistencePlan, PlanCache
 from repro.engine.provenance import (
     DerivationRecorder,
     DerivationTree,
@@ -201,6 +200,11 @@ class IncrementalSession:
         )
         self.planner = structure.planner
         self._cache = PlanCache(self.planner)
+        #: Re-derivation probes, compiled on first use and kept for the
+        #: session: a rule's head-bound existence plan never changes.
+        self._existence: Dict[Rule, ExistencePlan] = {}
+        #: Dirty closures by changed-signature set (see _dirty_closure).
+        self._closures: Dict[frozenset, Set[Signature]] = {}
         self._tasks: List[ComponentTask] = structure.tasks
         self._sig_task: Dict[Signature, ComponentTask] = {
             sig: task for task in self._tasks for sig in task.sigs
@@ -399,10 +403,18 @@ class IncrementalSession:
         component transitively reachable from them — is *detached*:
         each relation in it is swapped for a copy-on-write
         :meth:`Relation.copy` and the batch mutates only the copies
-        (the cost scales with the affected cone, not the database; the
-        frozen originals are what concurrently pinned read views keep
-        seeing), along with the provenance store in provenance mode.
-        Any failure during
+        (the frozen originals are what concurrently pinned read views
+        keep seeing), along with the provenance store in provenance
+        mode.  A detach is a few C-level container copies per relation
+        — fact set, log, columns, one ``dict`` per index, the bucket
+        lists shared — so its cost is the closure's size at ``memcpy``
+        speed; everything after it is paid per changed fact: buckets
+        are replaced where the batch writes, over-deletion and the
+        forward delta follow the delta, re-derivation probes one
+        candidate at a time.  What still scans a whole relation is the
+        prune of a delete (one pass over its interned rows, and the
+        rebuild of its int indexes, whose row positions compaction
+        shifts).  Any failure during
         maintenance — :class:`NonTerminationError`, a
         :class:`ComponentTimeout` from the wall-clock watchdog, a
         process-backend worker loss, an injected fault — rolls the
@@ -457,9 +469,12 @@ class IncrementalSession:
         removed: Dict[Signature, List[FactTuple]] = {}
         for sig, rows in updates.items():
             base = self._edb.get(*sig)
-            for fact in rows:
-                if base is not None and base.remove_facts((fact,)):
-                    removed.setdefault(sig, []).append(fact)
+            if base is None:
+                continue
+            present = [fact for fact in dict.fromkeys(rows) if fact in base]
+            if present:
+                base.remove_facts(present)
+                removed[sig] = present
         if removed:
             if self._derivations is None:
                 self._dred(removed, pass_stats)
@@ -506,26 +521,32 @@ class IncrementalSession:
         component that (transitively) reads one — a single pass over
         the tasks suffices because they are in topological order, so a
         downstream reader is visited after the component that dirtied
-        its input.
+        its input.  The answer depends on the program and ``changed``
+        alone, so it is computed once per distinct ``changed`` (callers
+        only read the returned set).
         """
-        dirty = set(changed)
-        for task in self._tasks:
-            if task.sigs & dirty or any(
-                lit.signature in dirty
-                for rule in task.rules
-                for lit in rule.body
-            ):
-                dirty |= task.sigs
+        key = frozenset(changed)
+        dirty = self._closures.get(key)
+        if dirty is None:
+            dirty = set(changed)
+            for task in self._tasks:
+                if task.sigs & dirty or any(
+                    lit.signature in dirty
+                    for rule in task.rules
+                    for lit in rule.body
+                ):
+                    dirty |= task.sigs
+            self._closures[key] = dirty
         return dirty
 
     def _begin_undo(self, changed: Set[Signature]):
         """Detach everything a batch over ``changed`` could touch.
 
         Copy-on-write: every relation in the dirty closure is replaced
-        by an independent :meth:`Relation.copy` and the batch mutates
-        only the copies, so the *original* objects stay frozen forever.
-        That buys two things at the same cost the old compact undo
-        snapshots paid:
+        by a :meth:`Relation.copy` (own containers, shared index
+        buckets that whoever writes first replaces) and the batch
+        mutates only the copies, so the *original* objects stay frozen
+        forever.  That buys two things:
 
         - rollback is a pointer swap back to the untouched originals
           (which keep their hot indexes — the old restore path lost
@@ -967,52 +988,47 @@ class IncrementalSession:
                 continue
             stats.incr_rounds += 1
             for sig, doomed in own_deleted.items():
-                head_rules = [
-                    r for r in task.rules if r.head.signature == sig
-                ]
                 rel = self.database.relation(*sig)
+                # Bound once per pass: add() updates the probed indexes
+                # and fact sets in place, so later candidates see the
+                # facts restored before them.
+                probes = []
+                for rule in task.rules:
+                    if rule.head.signature == sig:
+                        plan = self._existence_plan(rule)
+                        sources = plan.bind(self.database)
+                        if sources is not None:
+                            probes.append((plan, sources))
                 for fact in doomed:
-                    for rule in head_rules:
-                        if self._has_surviving_derivation(rule, fact, stats):
-                            if rel.add(fact):
-                                stats.record_fact(sig)
-                            break
+                    if self._has_surviving_derivation(probes, fact, stats):
+                        if rel.add(fact):
+                            stats.record_fact(sig)
             self._component_delta_fixpoint(task, {}, dict(pre), stats)
             for sig, before in pre.items():
                 stats.rederived += len(self.database.relation(*sig)) - before
 
-    def _has_surviving_derivation(
-        self, rule: Rule, fact: FactTuple, stats: EvalStats
-    ) -> bool:
-        """True when ``rule`` derives ``fact`` from the pruned database.
+    def _existence_plan(self, rule: Rule) -> ExistencePlan:
+        plan = self._existence.get(rule)
+        if plan is None:
+            plan = self._existence[rule] = ExistencePlan(rule)
+        return plan
 
-        The candidate's head binds the rule's head variables, so this
-        is a *bounded* existence probe (early exit on the first
-        witness), not a full rule evaluation — the standard DRed
-        re-derivation step, one candidate at a time.
+    @staticmethod
+    def _has_surviving_derivation(probes, fact: FactTuple, stats: EvalStats) -> bool:
+        """True when some rule derives ``fact`` from the pruned database.
+
+        ``probes`` pairs each rule for the fact's signature, compiled
+        head-bound (:class:`~repro.engine.plan.ExistencePlan`), with
+        the containers it probes (rules over a missing relation derive
+        nothing and are left out).  The candidate binds the head's
+        variables, so this is a *bounded* existence probe (early exit
+        on the first witness), not a rule evaluation — the standard
+        DRed re-derivation step, one candidate at a time.
         """
-        bindings = match(rule.head, fact, {})
-        if bindings is None:
-            return False
-        body = rule.body
-
-        def satisfiable(index: int, env) -> bool:
-            if index == len(body):
+        for plan, sources in probes:
+            if plan.holds(sources, fact, stats):
+                stats.inferences += 1
                 return True
-            literal = body[index]
-            stats.probes += 1
-            for cand in candidates(self.database, literal, env, None):
-                nested = dict(env)
-                if all(
-                    match_term(p, v, nested)
-                    for p, v in zip(literal.args, cand)
-                ) and satisfiable(index + 1, nested):
-                    return True
-            return False
-
-        if satisfiable(0, bindings):
-            stats.inferences += 1
-            return True
         return False
 
     # ------------------------------------------------------------------

@@ -51,11 +51,12 @@ environment variable (default 1 — today's unpartitioned path).
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from array import array
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 from repro.engine.database import Database, FactTuple, Relation, RelationView, RowTuple
 from repro.engine.plan import K_SLOT, O_STORE, RulePlan
@@ -466,6 +467,9 @@ class ThreadPartitionExecutor(PartitionExecutor):
     ) -> list:
         prewarm_sources(plan, db, overrides, columnar)
         if self._pool is None:
+            # Imported where a pool is created: see repro.engine.backends.
+            from concurrent.futures import ThreadPoolExecutor
+
             self._pool = ThreadPoolExecutor(max_workers=self.nparts)
         work = [bucket for bucket in buckets if bucket]
         locals_ = [EvalStats() for _ in work]
@@ -611,6 +615,8 @@ class ProcessPartitionExecutor(PartitionExecutor):
 
     def _ensure_workers(self) -> List[tuple]:
         if self._workers is None:
+            import multiprocessing
+
             ctx = multiprocessing.get_context()
             workers = []
             for _ in range(self.nparts):

@@ -203,15 +203,68 @@ class LiteralStep:
         return f"LiteralStep({self.name}/{self.arity}, {mode})"
 
 
-def _join_order(body: Sequence[Literal], roles: Mapping[int, str]) -> List[int]:
+def _compile_step(
+    literal: Literal, role: Optional[int], var_slots: Dict[Variable, int]
+) -> LiteralStep:
+    """Compile one body literal given the variables bound before it.
+
+    ``var_slots`` holds the slots written by earlier steps (and by the
+    head, for an :class:`ExistencePlan`); first-occurrence variables of
+    this literal are allocated slots in it.
+    """
+    prior = set(var_slots)  # variables bound by earlier steps
+    key_positions: List[int] = []
+    builders: List[Tuple[int, object]] = []
+    post: List[Tuple[int, int, object]] = []
+    for pos, arg in enumerate(literal.args):
+        if arg.is_ground():
+            key_positions.append(pos)
+            builders.append((K_CONST, arg))
+        elif type(arg) is Variable:
+            if arg in prior:
+                key_positions.append(pos)
+                builders.append((K_SLOT, var_slots[arg]))
+            elif arg in var_slots:
+                # repeated variable within this literal
+                post.append((pos, O_CHECK, var_slots[arg]))
+            else:
+                slot = len(var_slots)
+                var_slots[arg] = slot
+                post.append((pos, O_STORE, slot))
+        else:  # compound containing variables
+            if all(v in prior for v in arg.variables()):
+                key_positions.append(pos)
+                builders.append((K_TEMPLATE, _compile_template(arg, var_slots)))
+            else:
+                post.append((pos, O_MATCH, _compile_pattern(arg, var_slots)))
+    const_key: Optional[FactTuple] = None
+    if builders and all(tag == K_CONST for tag, _ in builders):
+        const_key = tuple(payload for _, payload in builders)
+    return LiteralStep(
+        name=literal.predicate,
+        arity=literal.arity,
+        role=role,
+        key_positions=tuple(key_positions),
+        key_builders=tuple(builders) if builders else None,
+        const_key=const_key,
+        all_bound=literal.arity > 0 and len(key_positions) == literal.arity,
+        post_ops=tuple(post),
+    )
+
+
+def _join_order(
+    body: Sequence[Literal], roles: Mapping[int, str], bound: Sequence[Variable] = ()
+) -> List[int]:
     """Greedy bound-first ordering of the body.
 
     Repeatedly picks the literal with the most bound argument
     positions; ties prefer the semi-naive delta occurrence (the
     smallest relation), then constant selectivity, then source order.
+    ``bound`` names variables already bound before the body starts
+    (the head's, for an :class:`ExistencePlan`).
     """
     remaining = list(range(len(body)))
-    bound: set = set()
+    bound = set(bound)
     order: List[int] = []
     while remaining:
         best_idx = remaining[0]
@@ -282,54 +335,12 @@ class RulePlan:
         )
         self.estimated_rows = estimated_rows
         var_slots: Dict[Variable, int] = {}
-        steps: List[LiteralStep] = []
-        for idx in self.order:
-            literal = rule.body[idx]
-            prior = set(var_slots)  # variables bound by earlier steps
-            key_positions: List[int] = []
-            builders: List[Tuple[int, object]] = []
-            post: List[Tuple[int, int, object]] = []
-            for pos, arg in enumerate(literal.args):
-                if arg.is_ground():
-                    key_positions.append(pos)
-                    builders.append((K_CONST, arg))
-                elif type(arg) is Variable:
-                    if arg in prior:
-                        key_positions.append(pos)
-                        builders.append((K_SLOT, var_slots[arg]))
-                    elif arg in var_slots:
-                        # repeated variable within this literal
-                        post.append((pos, O_CHECK, var_slots[arg]))
-                    else:
-                        slot = len(var_slots)
-                        var_slots[arg] = slot
-                        post.append((pos, O_STORE, slot))
-                else:  # compound containing variables
-                    if all(v in prior for v in arg.variables()):
-                        key_positions.append(pos)
-                        builders.append(
-                            (K_TEMPLATE, _compile_template(arg, var_slots))
-                        )
-                    else:
-                        post.append(
-                            (pos, O_MATCH, _compile_pattern(arg, var_slots))
-                        )
-            const_key: Optional[FactTuple] = None
-            if builders and all(tag == K_CONST for tag, _ in builders):
-                const_key = tuple(payload for _, payload in builders)
-            steps.append(
-                LiteralStep(
-                    name=literal.predicate,
-                    arity=literal.arity,
-                    role=idx if idx in roles_map else None,
-                    key_positions=tuple(key_positions),
-                    key_builders=tuple(builders) if builders else None,
-                    const_key=const_key,
-                    all_bound=literal.arity > 0
-                    and len(key_positions) == literal.arity,
-                    post_ops=tuple(post),
-                )
+        steps = [
+            _compile_step(
+                rule.body[idx], idx if idx in roles_map else None, var_slots
             )
+            for idx in self.order
+        ]
         self.var_slots = var_slots
         self.num_slots = len(var_slots)
         self.steps = tuple(steps)
@@ -603,6 +614,128 @@ class RulePlan:
 
     def __repr__(self) -> str:
         return f"RulePlan({self.rule}, order={self.order}, slots={self.num_slots})"
+
+
+def _key_function(builders) -> Callable[[List[Optional[Term]]], FactTuple]:
+    """A callable building one step's probe key from the slots."""
+    if all(tag == K_SLOT for tag, _ in builders):
+        if len(builders) == 1:
+            only = builders[0][1]
+            return lambda slots: (slots[only],)
+        return itemgetter(*[payload for _, payload in builders])
+
+    def key(slots):
+        return tuple(
+            [
+                payload if tag == K_CONST
+                else slots[payload] if tag == K_SLOT
+                else _build(payload, slots)
+                for tag, payload in builders
+            ]
+        )
+
+    return key
+
+
+class ExistencePlan:
+    """A rule compiled to answer "does this head fact have a derivation?".
+
+    The head-bound adornment of the rule, which is what DRed's
+    re-derivation step asks of every over-deleted fact: the candidate
+    fact writes the head's variables, the body is ordered bound-first
+    from there (:func:`_join_order`), each literal is compiled to the
+    same :class:`LiteralStep` a :class:`RulePlan` uses — probe
+    positions, key, per-candidate slot writes — and :meth:`holds`
+    returns at the first witness instead of enumerating them.
+
+    Compiled once per rule; :meth:`bind` resolves the steps to the raw
+    containers they probe (an index ``dict``, a fact ``set``), which
+    :class:`~repro.engine.database.Relation` updates in place on
+    ``add`` — so one binding serves a whole pass of candidates and
+    each sees the facts restored before it.
+    """
+
+    __slots__ = ("rule", "head", "steps", "keys", "num_slots")
+
+    def __init__(self, rule: Rule):
+        self.rule = rule
+        var_slots: Dict[Variable, int] = {}
+        self.head = tuple(
+            _compile_pattern(arg, var_slots) for arg in rule.head.args
+        )
+        self.steps = tuple(
+            _compile_step(rule.body[idx], None, var_slots)
+            for idx in _join_order(rule.body, {}, tuple(var_slots))
+        )
+        self.keys = tuple(
+            None if step.key_builders is None else _key_function(step.key_builders)
+            for step in self.steps
+        )
+        self.num_slots = len(var_slots)
+
+    def bind(self, db: Database) -> Optional[List[object]]:
+        """Per step, the container it probes in ``db``.
+
+        ``None`` when a body relation does not exist: nothing can be
+        derived through this rule.
+        """
+        sources: List[object] = []
+        for step in self.steps:
+            rel = db.get(step.name, step.arity)
+            if rel is None:
+                return None
+            if step.key_builders is None:
+                sources.append(rel.scan())
+            elif step.all_bound:
+                sources.append(rel.fact_set())
+            else:
+                sources.append(rel.ensure_index(step.key_positions))
+        return sources
+
+    def holds(self, sources: List[object], fact: FactTuple, stats) -> bool:
+        """True when the rule derives ``fact`` from the bound relations.
+
+        Counts one probe per literal visited, like the plan executor.
+        """
+        slots: List[Optional[Term]] = [None] * self.num_slots
+        for node, value in zip(self.head, fact):
+            if not _match(node, value, slots):
+                return False
+        return self._satisfy(0, sources, slots, stats)
+
+    def _satisfy(self, i: int, sources, slots, stats) -> bool:
+        if i == len(self.steps):
+            return True
+        stats.probes += 1
+        step = self.steps[i]
+        candidates = sources[i]
+        key = self.keys[i]
+        if key is not None:
+            if step.all_bound:
+                return key(slots) in candidates and self._satisfy(
+                    i + 1, sources, slots, stats
+                )
+            candidates = candidates.get(key(slots))
+            if candidates is None:
+                return False
+        post = step.post_ops
+        for fact in candidates:
+            for pos, tag, payload in post:
+                value = fact[pos]
+                if tag == O_STORE:
+                    slots[payload] = value
+                elif tag == O_CHECK:
+                    if slots[payload] != value:
+                        break
+                elif not _match(payload, value, slots):
+                    break
+            else:
+                if self._satisfy(i + 1, sources, slots, stats):
+                    return True
+        return False
+
+    def __repr__(self) -> str:
+        return f"ExistencePlan({self.rule}, steps={list(self.steps)})"
 
 
 class PlanCache:

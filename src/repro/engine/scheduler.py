@@ -815,4 +815,6 @@ class ComponentRun:
             first_round = False
             if not new:
                 break
+        for rel in rels.values():
+            rel.release_delta_rows()
 

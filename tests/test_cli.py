@@ -513,3 +513,47 @@ class TestOptimizeEvaluate:
     def test_optimize_rejects_bad_jobs(self, program_file, capsys):
         assert main(["optimize", program_file, "t(1, Y)", "--jobs", "0"]) == 2
         assert "jobs" in capsys.readouterr().err
+
+
+class TestImportHygiene:
+    """``import repro`` pays for no pool machinery.
+
+    ``multiprocessing`` and ``concurrent.futures`` (with ``socket``,
+    ``tempfile``, ``logging`` and ``subprocess`` behind them) are a
+    sixth of the package's import time and only ``jobs > 1`` /
+    ``partitions > 1`` ever start a pool: they are imported where an
+    executor is created.  Checked in a fresh interpreter at default
+    knobs, after the import and after a whole ``repro run``.
+    """
+
+    CHECK = """
+import sys
+
+def pools():
+    return [m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules]
+
+import repro
+assert not pools(), f"import repro loaded {pools()}"
+from repro.cli import main
+assert main(["run", sys.argv[1], "t(1, Y)", "--facts", sys.argv[2]]) == 0
+assert not pools(), f"repro run loaded {pools()}"
+from repro.engine.backends import BrokenExecutor  # the name stays importable
+assert pools() == ["concurrent.futures"], pools()
+"""
+
+    def test_fresh_interpreter_loads_no_pool_modules(self, program_file, facts_file):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-c", self.CHECK, program_file, facts_file],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        assert sorted(done.stdout.decode().split()) == ["2", "3", "4"]

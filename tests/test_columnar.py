@@ -182,6 +182,19 @@ def test_remove_facts_invalidates_row_cache():
     assert rel._last_rows is None, "compaction shifts the cached span"
 
 
+def test_finished_fixpoint_releases_row_cache():
+    """No relation leaves an evaluation still holding a round's row list.
+
+    The cache serves the *next* round's delta scan; after the last one
+    it only pins a young list (the widest round's, on a tree) that every
+    later young collection of the cyclic GC has to walk.
+    """
+    db, _ = seminaive_eval(TC, chain_edb(6), exec="columnar")
+    rel = db.relation("t", 2)
+    assert rel._pending_n, "rows were bulk-appended, so the cache was in use"
+    assert all(r._last_rows is None for r in db.relations.values())
+
+
 # ---------------------------------------------------------------------------
 # Kernel semantics
 # ---------------------------------------------------------------------------

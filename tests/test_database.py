@@ -403,3 +403,173 @@ class TestLoadProgramFacts:
         program = parse_program("t(X) :- m(X).")
         db = Database()
         assert load_program_facts(program, db) == 0
+
+
+# ---------------------------------------------------------------------------
+# Copy-on-write index buckets (Relation.copy shares them; see _fill_buckets)
+# ---------------------------------------------------------------------------
+
+INDEXED = ((0,), (1,), (0, 1))
+
+
+def rebuilt(keyed):
+    index = {}
+    for item, key in keyed:
+        index.setdefault(key, []).append(item)
+    return index
+
+
+def assert_equals_a_rebuild(rel, where=""):
+    """Every index, the columns and the row set of ``rel`` say what a
+    rebuild from ``rel``'s own log says — without syncing anything, so
+    lagging watermarks are checked as they are."""
+    log = list(rel._logrows)
+    assert rel._tuples == set(log) and len(log) == len(rel._tuples), where
+    for positions, index in rel._indexes.items():
+        want = rebuilt((f, tuple(f[p] for p in positions)) for f in log)
+        assert index.keys() == want.keys(), (where, positions)
+        for key, bucket in index.items():  # built from a set: any order
+            assert sorted(bucket, key=str) == sorted(want[key], key=str), (where, key)
+    cols = rel._cols
+    if cols is None:
+        assert not rel._col_indexes and rel._colset is None, where
+        return
+    rows = list(zip(*cols)) + list(rel._pending_rows)
+    assert len(rows) == len(set(rows)), where
+    if rel._pending_n:  # columnar-only rows: the columns run ahead of the log
+        assert len(rows) == len(log) + rel._pending_n, where
+    else:  # or lag it, until the next sync
+        assert len(rows) <= len(log), where
+    ident = rel.dictionary.intern
+    covered = min(len(rows), len(log))
+    assert rows[:covered] == [tuple(map(ident, f)) for f in log[:covered]], where
+    if rel._colset is not None:
+        assert rel._colset == set(rows[: rel._colset_n]), where
+    for positions, (index, watermark) in rel._col_indexes.items():
+        keys = [r[positions[0]] if len(positions) == 1 else tuple(r[p] for p in positions)
+                for r in rows[:watermark]]
+        assert index == rebuilt(enumerate(keys)), (where, positions, watermark)
+
+
+def assert_reads_equal_a_rebuild(rel, where=""):
+    """The same through the public readers, which sync as they go."""
+    log = list(rel._log)
+    for positions in INDEXED:
+        want = rebuilt((f, tuple(f[p] for p in positions)) for f in log)
+        for key, bucket in want.items():
+            assert sorted(rel.lookup(positions, key), key=str) == sorted(bucket, key=str), where
+    if rel.dictionary is not None:  # else: the tuple world only
+        rows = [tuple(map(rel.dictionary.intern, f)) for f in log]
+        for positions in INDEXED:
+            keys = [r[positions[0]] if len(positions) == 1 else tuple(r[p] for p in positions)
+                    for r in rows]
+            assert rel.col_index(positions) == rebuilt(enumerate(keys)), (where, positions)
+        assert rel.col_set() == set(rows), where
+    assert_equals_a_rebuild(rel, where)
+
+
+_fact = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
+    lambda pair: tuple(Constant(v) for v in pair)
+)
+_facts = st.lists(_fact, max_size=6)
+_step = st.one_of(
+    st.tuples(st.sampled_from(["add", "add_row", "append_rows", "remove_facts"]),
+              st.integers(0, 5), _facts),
+    st.tuples(st.sampled_from(["copy", "read"]), st.integers(0, 5), st.just([])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(initial=st.lists(_fact, max_size=15), layout=st.sampled_from(["tuples", "pending", "mixed"]),
+       warm=st.lists(st.sampled_from(INDEXED), max_size=3),
+       steps=st.lists(_step, max_size=25))
+def test_copies_share_buckets_but_never_each_others_writes(initial, layout, warm, steps):
+    """Whatever the sides of a ``copy()`` do afterwards — the copy, the
+    copy's copy, the original that keeps being written, the original
+    that is frozen — each one's indexes stay a function of its own log."""
+    frozen = build_relation(2, set(initial), layout)
+    for positions in warm:  # live, hot tuple indexes and int indexes
+        frozen.lookup(positions, ())
+        frozen.lookup(positions, ())
+        frozen.col_index(positions)
+    if warm:
+        frozen.col_set()
+    frozen_log = None
+    sides = [frozen.copy()]
+    sides.append(sides[0].copy())
+    dictionary = frozen.dictionary
+    for n, (kind, target, facts) in enumerate(steps):
+        side = sides[target % len(sides)]
+        where = f"step {n}: {kind} on side {target % len(sides)}"
+        if kind == "copy":
+            if len(sides) < 5:
+                sides.append(side.copy())
+        elif kind == "read":
+            assert_reads_equal_a_rebuild(side, where)
+            assert_reads_equal_a_rebuild(frozen, where)  # a pinned view reads too
+        elif kind == "add":
+            for fact in facts:
+                side.add(fact)
+        elif kind == "add_row":
+            for fact in facts:
+                if fact not in side.tuples:
+                    side.add_row(fact, tuple(map(dictionary.intern, fact)))
+        elif kind == "append_rows":
+            rows = dict.fromkeys(tuple(map(dictionary.intern, f)) for f in facts)
+            side.append_rows([row for row in rows if row not in side.col_set()])
+        else:
+            side.remove_facts(facts)
+        for i, each in enumerate(sides):
+            assert_equals_a_rebuild(each, f"{where}, checking side {i}")
+        assert_equals_a_rebuild(frozen, f"{where}, checking the frozen original")
+        if frozen_log is None:
+            frozen_log = list(frozen._log)
+        assert frozen._log == frozen_log, where
+    for i, each in enumerate([frozen, *sides]):
+        assert_reads_equal_a_rebuild(each, f"at the end, side {i - 1}")
+    assert frozen.tuples == set(initial)
+
+
+@pytest.mark.parametrize(
+    "batch, nth",
+    [
+        # 1st component boundary: over-delete; 2nd: the forward delta of
+        # _rederive, after the prune and the restorations
+        ({"deletes": [("e", (2, 3)), ("e", (0, 4))]}, 2),
+        # the forward delta of an insert, after the new facts went into
+        # the detached base relations' live indexes
+        ({"inserts": [("e", (2, 9)), ("e", (9, 3))]}, 1),
+    ],
+    ids=["mid-rederive", "mid-insert"],
+)
+@pytest.mark.parametrize("exec_mode", ["tuple", "columnar"])
+def test_rollback_leaves_indexes_equal_to_a_rebuild(batch, nth, exec_mode):
+    """A batch that dies half way has written only to its detached
+    copies — buckets replaced, never appended to in place — so the
+    originals rollback swaps back in still index exactly their facts."""
+    from repro.engine import faults
+    from repro.engine.incremental import IncrementalSession
+    from repro.engine.seminaive import seminaive_eval
+    from repro.engine.stats import MaintenanceError
+
+    program = parse_program("t(X, Y) :- e(X, Y).\nt(X, Y) :- e(X, W), t(W, Y).")
+    edb = Database.from_dict({"e": [(i, i + 1) for i in range(8)] + [(0, 4), (2, 6)]})
+    session = IncrementalSession(program, edb, exec=exec_mode)
+    session.insert([("e", (8, 9))])  # indexes are live and hot before the batch
+    session.delete([("e", (8, 9))])
+    before = {sig: set(rel.tuples) for sig, rel in session.database.relations.items()}
+    originals = dict(session.database.relations)
+    faults.install(faults.parse_faults(f"component:raise:{nth}"))
+    try:
+        with pytest.raises(MaintenanceError):
+            session.apply_batch(**batch)
+    finally:
+        faults.clear()
+    assert session.database.relations == originals  # the same objects
+    for db in (session.database, session.edb):
+        for sig, rel in db.relations.items():
+            assert_reads_equal_a_rebuild(rel, f"{sig} after rollback")
+    assert {sig: rel.tuples for sig, rel in session.database.relations.items()} == before
+    session.apply_batch(**batch)  # and the batch still applies
+    scratch, _ = seminaive_eval(program, session.edb)
+    assert session.database == scratch

@@ -206,7 +206,7 @@ class TestGoalAudit:
         """
         from importlib import import_module
 
-        from repro.engine import database, incremental, joins
+        from repro.engine import database, joins
 
         # ``repro.engine.unify`` the attribute is the re-exported function
         unify = import_module("repro.engine.unify")
@@ -217,7 +217,7 @@ class TestGoalAudit:
             entered.append(pattern)
             return original(pattern, fact, bindings)
 
-        for module in (unify, database, joins, incremental):
+        for module in (unify, database, joins):
             monkeypatch.setattr(module, "match_term", counting)
         n = 2000
         db = DeductiveDatabase()

@@ -165,3 +165,88 @@ class TestReport:
         assert not report.factorable
         assert report.certified_by is None
         assert report.reasons
+
+
+class TestBoundSideFilterBehindTheRecursiveCall:
+    """A wrong answer the benchmark's oracle found (perf/README.md).
+
+    ``rewrite_many`` seed 0, case ``random_105``: asked with only the
+    last argument bound, the second rule is right-linear with
+    ``first = e0(W, Y), r0(Y)`` — but its body, as the SIP orders it,
+    is ``e0(W, Y), p(X, W), r0(Y)``: the filter ``r0(Y)`` on the *bound*
+    argument sits behind the recursive call, so the Magic rule
+    ``m_p(W) :- m_p(Y), e0(W, Y)`` omits it.  "Theorem 4.1" certified
+    the program all the same, and the factored program — where every
+    magic fact's answers are the query's — answered ``{0, 2, 3, 6}``
+    although ``r0(2)`` fails and the program derives no ``p(_, 2)``.
+    """
+
+    TEXT = """
+        p(X, Y) :- p(X, U), e2(U, V), p(V, Y).
+        p(X, Y) :- p(X, W), e0(W, Y), r0(Y).
+        p(X, Y) :- p(X, U), e2(U, V), p(V, Y).
+        p(X, Y) :- e2(X, Y), r2(Y).
+    """
+    EDB = {
+        "e0": [(0, 2), (0, 4), (0, 6), (0, 7), (2, 1), (2, 7), (3, 2), (3, 7),
+               (4, 0), (4, 5), (4, 6), (4, 7), (6, 4), (7, 1)],
+        "e2": [(0, 4), (0, 6), (0, 7), (2, 1), (2, 6), (2, 7), (3, 5), (3, 6),
+               (5, 5), (5, 7), (6, 3), (6, 4)],
+        "r0": [(0,), (1,), (4,), (5,), (6,), (7,)],
+        "r2": [(0,), (1,), (3,), (4,), (5,), (6,), (7,)],
+    }
+
+    def ask(self, query):
+        from repro.session import DeductiveDatabase
+
+        db = DeductiveDatabase()
+        db.rules(self.TEXT)
+        for predicate, rows in self.EDB.items():
+            db.facts(predicate, rows)
+        return db.ask(query, explain=True)
+
+    def unrewritten(self, query):
+        from repro.engine.database import Database, unwrap_rows
+        from repro.engine.naive import naive_fixpoint_reference
+
+        db, _ = naive_fixpoint_reference(
+            parse_program(self.TEXT), Database.from_dict(self.EDB)
+        )
+        return unwrap_rows(db.query(parse_query(query)))
+
+    def test_ask_equals_the_unrewritten_program(self):
+        assert self.unrewritten("p(V0, 2)") == set()
+        for query in ("p(V0, 2)", "p(V0, 7)", "p(V0, 5)", "p(3, V1)", "p(3, 2)"):
+            assert self.ask(query).answers == self.unrewritten(query), query
+
+    def test_last_bound_form_is_not_certified(self):
+        report = self.ask("p(V0, 2)")
+        assert report.strategy == "magic" and report.certified_by is None
+        classification = classify(parse_program(self.TEXT), parse_query("p(V0, 2)"))
+        reasons = []
+        assert classification.is_rlc_stable()
+        assert not is_selection_pushing(classification, reasons=reasons)
+        assert any("r0(Y)" in r and "Magic rule" in r for r in reasons)
+
+    def test_first_bound_form_still_factors(self):
+        # bound first, the same rule is left-linear and r0(Y) belongs to
+        # last(U, Y): nothing is behind a right-linear occurrence
+        assert self.ask("p(3, V1)").certified_by == "Theorem 4.1 (selection-pushing)"
+
+    def test_filter_written_first_keeps_the_certificate(self):
+        program = parse_program(
+            """
+            p(X, Y) :- r0(X), e0(X, W), p(W, Y).
+            p(X, Y) :- e2(X, Y).
+            """
+        )
+        classification = classify(program, parse_query("p(5, Y)"))
+        assert is_selection_pushing(classification)
+        behind = parse_program(
+            """
+            p(X, Y) :- e0(X, W), p(W, Y), r0(X).
+            p(X, Y) :- e2(X, Y).
+            """
+        )
+        classification = classify(behind, parse_query("p(5, Y)"))
+        assert not is_selection_pushing(classification)
