@@ -61,7 +61,7 @@ from repro.engine import (
     EvalStats,
     NonTerminationError,
     SCCScheduler,
-    resolve_jobs,
+    EngineConfig,
     naive_eval,
     seminaive_eval,
     topdown_eval,
@@ -142,7 +142,7 @@ __all__ = [
     "parse_query", "ParseError", "pretty_program", "pretty_rule",
     # engine
     "Database", "Relation", "EvalStats", "NonTerminationError",
-    "SCCScheduler", "resolve_jobs",
+    "SCCScheduler", "EngineConfig",
     "naive_eval", "seminaive_eval", "topdown_eval", "TopDownResult",
     # analysis
     "adorn", "AdornedProgram", "Adornment", "adornment_from_query",

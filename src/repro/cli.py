@@ -41,6 +41,7 @@ from repro.core.pipeline import optimize
 from repro.datalog.parser import parse_literal, parse_program, parse_query
 from repro.datalog.program import Program
 from repro.datalog.validate import validate_program
+from repro.engine.config import EngineConfig
 from repro.engine.database import Database, load_program_facts
 from repro.engine.provenance import explain as explain_fact
 from repro.engine.seminaive import seminaive_eval
@@ -92,21 +93,12 @@ def cmd_optimize(args) -> int:
     # Resolve the engine knobs up front: a bad --jobs/--backend (or a
     # stage name evaluate_stage rejects) must fail before any printing
     # or evaluation, not halfway through.
-    jobs = _checked_jobs(args)
-    backend = _checked_backend(args)
-    exec_mode = _checked_exec(args)
-    partitions = _checked_partitions(args)
+    config = _engine_config(args)
     result = optimize(program, goal)
     if args.evaluate is not None:
         edb = _load_edb(args.facts)
         answers, stats = result.evaluate_stage(
-            args.evaluate,
-            edb,
-            planner=args.planner,
-            jobs=jobs,
-            backend=backend,
-            exec=exec_mode,
-            partitions=partitions,
+            args.evaluate, edb, config=config
         )
         _print_answers(answers)
         print(
@@ -133,49 +125,21 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def _checked_jobs(args) -> int:
-    """Validate --jobs / $REPRO_JOBS up front for a clean CLI error."""
-    from repro.engine.scheduler import resolve_jobs
-
-    return resolve_jobs(args.jobs)
-
-
-def _checked_backend(args) -> str:
-    """Validate --backend / $REPRO_BACKEND up front for a clean CLI error."""
-    from repro.engine.backends import resolve_backend
-
-    return resolve_backend(args.backend)
-
-
-def _checked_exec(args) -> str:
-    """Validate --exec / $REPRO_EXEC up front for a clean CLI error."""
-    from repro.engine.columnar import resolve_exec
-
-    return resolve_exec(args.exec)
-
-
-def _checked_partitions(args) -> int:
-    """Validate --partitions / $REPRO_PARTITIONS up front."""
-    from repro.engine.partition import resolve_partitions
-
-    return resolve_partitions(args.partitions)
+def _engine_config(args) -> EngineConfig:
+    """The command's flags over ``$REPRO_*`` over the defaults, checked
+    up front so a bad knob is a clean CLI error before anything runs."""
+    return EngineConfig.resolve(
+        **{name: getattr(args, name, None) for _, name, *_ in _ENGINE_FLAGS}
+    )
 
 
 def cmd_run(args) -> int:
     program = _load_program(args.program)
     goal = parse_query(args.query)
     edb = _load_edb(args.facts)
-    jobs = _checked_jobs(args)
-    backend = _checked_backend(args)
+    config = _engine_config(args)
     result = optimize(program, goal)
-    answers, stats = result.answers(
-        edb,
-        planner=args.planner,
-        jobs=jobs,
-        backend=backend,
-        exec=_checked_exec(args),
-        partitions=_checked_partitions(args),
-    )
+    answers, stats = result.answers(edb, config=config)
     strategy = "factored" if result.simplified is not None else "magic"
     _print_answers(answers)
     print(
@@ -184,12 +148,14 @@ def cmd_run(args) -> int:
         file=sys.stderr,
     )
     if args.stats:
-        _print_stats(stats)
+        _print_stats(config, stats)
     return 0
 
 
-def _print_stats(stats) -> None:
-    """The full counter dump behind ``repro run --stats``."""
+def _print_stats(config: EngineConfig, stats) -> None:
+    """The knobs the run resolved to and its full counter dump
+    (``repro run --stats``)."""
+    print(f"-- config: {config}", file=sys.stderr)
     print("-- stats:", file=sys.stderr)
     rows = [
         ("facts", stats.facts),
@@ -221,14 +187,7 @@ def cmd_query(args) -> int:
     ensure_no_reserved_names(program)
     goal = parse_query(args.query)
     edb = _load_edb(args.facts)
-    compiler = QueryCompiler(
-        program,
-        planner=args.planner,
-        jobs=_checked_jobs(args),
-        backend=_checked_backend(args),
-        exec=_checked_exec(args),
-        partitions=_checked_partitions(args),
-    )
+    compiler = QueryCompiler(program, config=_engine_config(args))
     answer = compiler.ask(goal, edb)
     _print_answers(answer.values())
     certified = f" ({answer.certified_by})" if answer.certified_by else ""
@@ -252,14 +211,8 @@ def cmd_explain(args) -> int:
     program = _load_program(args.program)
     edb = _load_edb(args.facts)
     fact = parse_literal(args.fact)
-    jobs = _checked_jobs(args)
-    backend = _checked_backend(args)
-    _checked_exec(args)  # validated; provenance evaluation is tuple-mode
-    _checked_partitions(args)  # validated; provenance runs unpartitioned
     try:
-        tree = explain_fact(
-            program, edb, fact, planner=args.planner, jobs=jobs, backend=backend
-        )
+        tree = explain_fact(program, edb, fact, config=_engine_config(args))
     except KeyError:
         print(f"{fact} is not derivable", file=sys.stderr)
         return 1
@@ -360,13 +313,7 @@ def _serve_session(args, program, edb):
     from repro.engine.journal import Journal, recover_session
 
     knobs = dict(
-        planner=args.planner,
-        jobs=_checked_jobs(args),
-        backend=_checked_backend(args),
-        exec=_checked_exec(args),
-        partitions=_checked_partitions(args),
-        record_provenance=args.provenance,
-        max_seconds=args.timeout,
+        config=_engine_config(args), record_provenance=args.provenance
     )
     if args.journal and os.path.exists(args.journal):
         session, journal, replayed = recover_session(
@@ -483,13 +430,8 @@ def cmd_recover(args) -> int:
         program,
         args.journal,
         edb,
-        planner=args.planner,
-        jobs=_checked_jobs(args),
-        backend=_checked_backend(args),
-        exec=_checked_exec(args),
-        partitions=_checked_partitions(args),
+        config=_engine_config(args),
         record_provenance=args.provenance,
-        max_seconds=args.timeout,
     )
     journal.close()
     print(
@@ -504,49 +446,61 @@ def cmd_recover(args) -> int:
     return 0
 
 
-def _add_engine_options(parser) -> None:
-    """Evaluation knobs shared by the evaluating commands."""
-    parser.add_argument(
-        "--planner",
-        choices=["greedy", "cost"],
-        default=None,
-        help="join-order strategy (default: $REPRO_PLANNER or greedy)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="evaluate up to N independent SCCs concurrently "
-        "(default: $REPRO_JOBS or 1; answers are identical)",
-    )
-    parser.add_argument(
+#: (CLI flag, the :class:`EngineConfig` field it sets, metavar, help).
+_ENGINE_FLAGS = (
+    ("--planner", "planner", "NAME", "join-order strategy: greedy or cost"),
+    ("--jobs", "jobs", "N", "evaluate up to N independent SCCs concurrently"),
+    (
         "--backend",
-        default=None,
-        metavar="NAME",
-        help="execution backend for parallel SCC batches: serial, "
-        "thread, or process (default: $REPRO_BACKEND or thread; "
-        "answers are identical)",
-    )
-    parser.add_argument(
+        "backend",
+        "NAME",
+        "execution backend for parallel SCC batches: serial, thread, or "
+        "process",
+    ),
+    (
         "--exec",
-        default=None,
-        metavar="MODE",
-        help="plan execution mode: columnar (batch-at-a-time over "
-        "interned columns) or tuple (the tuple-at-a-time oracle) "
-        "(default: $REPRO_EXEC or columnar; answers and counters "
-        "are identical)",
-    )
-    parser.add_argument(
+        "exec",
+        "MODE",
+        "plan execution mode: columnar (batch-at-a-time over interned "
+        "columns) or tuple (the tuple-at-a-time oracle)",
+    ),
+    (
         "--partitions",
-        type=int,
-        default=None,
-        metavar="N",
-        help="hash-split each delta round inside recursive components "
-        "into N partitions run through the backend's executor "
-        "(default: $REPRO_PARTITIONS or 1; answers and counters "
-        "are identical)",
-    )
+        "partitions",
+        "N",
+        "hash-split each delta round inside recursive components into N "
+        "partitions run through the backend's executor",
+    ),
+    (
+        "--timeout",
+        "max_seconds",
+        "SECONDS",
+        "per-component wall-clock budget: a runaway fixpoint raises (and "
+        "an update rolls back) instead of hanging",
+    ),
+)
+
+
+def _add_engine_options(parser, timeout: bool = False) -> None:
+    """Evaluation knobs shared by the evaluating commands (``--timeout``
+    on ``serve`` and ``recover`` only).
+
+    Values stay text: :meth:`EngineConfig.resolve` parses and checks
+    them exactly like the ``$REPRO_*`` spelling.
+    """
+    for flag, name, metavar, text in _ENGINE_FLAGS:
+        if flag == "--timeout" and not timeout:
+            continue
+        knob = EngineConfig.__dataclass_fields__[name]
+        default = "unlimited" if knob.default is None else knob.default
+        parser.add_argument(
+            flag,
+            dest=name,
+            default=None,
+            metavar=metavar,
+            help=f"{text} (default: ${knob.metadata['env']} or {default}; "
+            f"answers and counters are identical)",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -639,15 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
         "command is rolled back",
     )
     p.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-component wall-clock budget: a runaway fixpoint "
-        "raises (and an update rolls back) instead of hanging "
-        "(default: $REPRO_TIMEOUT or unlimited)",
-    )
-    p.add_argument(
         "--workers",
         type=int,
         default=None,
@@ -669,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="socket mode: port to bind; 0 picks a free port, printed "
         "as 'listening on HOST:PORT' on stdout (default: 0)",
     )
-    _add_engine_options(p)
+    _add_engine_options(p, timeout=True)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
@@ -685,14 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="recover with derivation recording (must match the "
         "original serve run's setting)",
     )
-    p.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-component wall-clock budget during replay",
-    )
-    _add_engine_options(p)
+    _add_engine_options(p, timeout=True)
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("validate", help="lint a program")
@@ -714,9 +652,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except ValueError as exc:
-        # Bad knob values (--jobs 0, --backend bogus, malformed
-        # $REPRO_JOBS/$REPRO_PLANNER/$REPRO_BACKEND, unsafe rules) are
-        # user errors, not tracebacks.
+        # Bad knob values (--jobs 0, --backend bogus, a malformed
+        # $REPRO_* variable) and unsafe rules are user errors, not
+        # tracebacks.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

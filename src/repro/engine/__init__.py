@@ -14,7 +14,8 @@ from repro.engine.stats import (
     MaintenanceError,
     NonTerminationError,
 )
-from repro.engine.cost import cost_join_order, estimate_fanout, is_guard, resolve_planner
+from repro.engine.config import EngineConfig
+from repro.engine.cost import cost_join_order, estimate_fanout, is_guard
 from repro.engine.plan import PlanCache, RulePlan, compile_rule
 from repro.engine.faults import (
     FaultInjected,
@@ -30,16 +31,12 @@ from repro.engine.backends import (
     SerialBackend,
     ThreadBackend,
     make_backend,
-    resolve_backend,
-    resolve_retries,
 )
 from repro.engine.scheduler import (
     ComponentRun,
     ComponentTask,
     SCCScheduler,
     component_depths,
-    resolve_jobs,
-    resolve_timeout,
 )
 from repro.engine.naive import naive_eval, naive_fixpoint_reference
 from repro.engine.seminaive import seminaive_eval
@@ -65,7 +62,7 @@ __all__ = [
     "cost_join_order",
     "estimate_fanout",
     "is_guard",
-    "resolve_planner",
+    "EngineConfig",
     "Substitution",
     "unify",
     "unify_terms",
@@ -82,8 +79,6 @@ __all__ = [
     "ComponentRun",
     "ComponentTask",
     "component_depths",
-    "resolve_jobs",
-    "resolve_timeout",
     "ComponentResult",
     "ComponentSpec",
     "ExecutorBackend",
@@ -91,8 +86,6 @@ __all__ = [
     "SerialBackend",
     "ThreadBackend",
     "make_backend",
-    "resolve_backend",
-    "resolve_retries",
     "naive_eval",
     "naive_fixpoint_reference",
     "seminaive_eval",

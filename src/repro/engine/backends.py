@@ -30,16 +30,14 @@ compute.  This module extracts the "how" into an
 Every backend derives the identical fixpoint with bit-identical
 ``facts``/``inferences``/``iterations`` counters for any job count —
 the differential fuzz suite (``tests/test_fuzz.py``) enforces this.
-Select a backend with the ``backend=`` parameter on the evaluators,
-``--backend`` on the CLI, or the ``REPRO_BACKEND`` environment
-variable.
+:class:`~repro.engine.config.EngineConfig` names the backend
+(``backend``) and the process backend's ``retries``.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:
@@ -47,6 +45,7 @@ if TYPE_CHECKING:
 
 from repro.datalog.rules import Rule
 from repro.engine import faults
+from repro.engine.config import EngineConfig
 from repro.engine.database import Database, FactTuple, Relation
 from repro.engine.plan import PlanCache
 from repro.engine.stats import EvalStats
@@ -68,22 +67,6 @@ def __getattr__(name: str):
 
 Signature = Tuple[str, int]
 
-#: Environment variable supplying the session-wide default backend.
-BACKEND_ENV = "REPRO_BACKEND"
-
-#: Recognized backend names, in documentation order.
-BACKEND_NAMES = ("serial", "thread", "process")
-
-#: The default when neither parameter nor environment chooses: threads,
-#: the historical behaviour of ``jobs > 1``.
-DEFAULT_BACKEND = "thread"
-
-#: Environment variable supplying the process backend's retry budget.
-RETRIES_ENV = "REPRO_RETRIES"
-
-#: Batch retries after worker loss before degrading to serial.
-DEFAULT_RETRIES = 2
-
 #: First retry back-off in seconds; doubles per subsequent attempt.
 RETRY_BACKOFF = 0.05
 
@@ -96,72 +79,12 @@ SMALL_COMPONENT_FACTS = 512
 SCC_BATCH_GROUP = 8
 
 
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Normalize a backend choice, honouring ``REPRO_BACKEND``.
-
-    ``None`` falls back to the environment (default ``"thread"``).
-    Unknown names raise ``ValueError`` so typos fail loudly instead of
-    silently running on the wrong executor — mirroring
-    :func:`repro.engine.scheduler.resolve_jobs`.
-    """
-    source = "backend"
-    if backend is None:
-        raw = os.environ.get(BACKEND_ENV, "").strip()
-        if not raw:
-            return DEFAULT_BACKEND
-        backend, source = raw, BACKEND_ENV
-    name = str(backend).strip().lower()
-    if name not in BACKEND_NAMES:
-        raise ValueError(
-            f"invalid {source}={backend!r}; expected one of "
-            f"{', '.join(BACKEND_NAMES)}"
-        )
-    return name
-
-
-def resolve_retries(retries: Optional[int] = None) -> int:
-    """Normalize the worker-loss retry budget, honouring ``REPRO_RETRIES``.
-
-    ``None`` falls back to the environment (default
-    :data:`DEFAULT_RETRIES`).  Anything that is not a non-negative
-    integer raises ``ValueError`` so typos fail loudly — the same
-    contract as :func:`resolve_backend`.  Zero means "never retry:
-    degrade to serial on the first worker loss".
-    """
-    source = "retries"
-    if retries is None:
-        raw = os.environ.get(RETRIES_ENV, "").strip()
-        if not raw:
-            return DEFAULT_RETRIES
-        retries, source = raw, RETRIES_ENV
-    try:
-        value = int(retries)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"invalid {source}={retries!r}; expected a non-negative integer"
-        ) from None
-    if value < 0:
-        raise ValueError(
-            f"invalid {source}={retries!r}; expected a non-negative integer"
-        )
-    return value
-
-
-def make_backend(backend=None) -> "ExecutorBackend":
-    """An :class:`ExecutorBackend` instance for ``backend``.
-
-    Accepts a name (resolved through :func:`resolve_backend`, so
-    ``None`` consults ``REPRO_BACKEND``) or an already-constructed
-    backend instance, which is passed through — the hook tests use to
-    inject a spawn-context :class:`ProcessBackend`.
-    """
-    if isinstance(backend, ExecutorBackend):
-        return backend
-    name = resolve_backend(backend)
-    if name == "serial":
+def make_backend(config: EngineConfig) -> "ExecutorBackend":
+    """The :class:`ExecutorBackend` that ``config.backend`` names."""
+    if config.backend == "serial":
         return SerialBackend()
-    if name == "process":
-        return ProcessBackend()
+    if config.backend == "process":
+        return ProcessBackend(retries=config.retries)
     return ThreadBackend()
 
 
@@ -177,7 +100,7 @@ class ComponentSpec:
     Compiled plans cannot cross a process boundary, so the spec carries
     what a worker needs to *recompile* them: the component's rules
     (structurally hashable, so a worker-side plan cache keyed on them
-    still hits), the evaluation knobs, and compact
+    still hits), the engine config, and compact
     :meth:`~repro.engine.database.Relation.snapshot` copies of exactly
     the signatures the component reads or writes — snapshots keep
     cardinality and distinct-key statistics, so a worker-side cost
@@ -189,15 +112,10 @@ class ComponentSpec:
     rules: Tuple[Rule, ...]
     recursive: bool
     mode: str
-    planner: Optional[str]
-    max_iterations: Optional[int]
-    max_facts: Optional[int]
-    max_seconds: Optional[float]
+    config: EngineConfig
     fact_base: int
     record: bool
     relations: Dict[Signature, Relation]
-    exec_mode: str = "tuple"
-    partitions: int = 1
 
     @classmethod
     def from_task(cls, scheduler, task, db: Database, fact_base: int) -> "ComponentSpec":
@@ -211,15 +129,14 @@ class ComponentSpec:
             rules=tuple(task.rules),
             recursive=task.recursive,
             mode=scheduler.mode,
-            planner=scheduler.planner,
-            max_iterations=scheduler.max_iterations,
-            max_facts=scheduler.max_facts,
-            max_seconds=scheduler.max_seconds,
+            # Partitioning inside a pool worker stays serial: a daemonic
+            # worker cannot spawn its own process group, and nested thread
+            # pools per component would oversubscribe.  Counters (including
+            # partition_rounds/partition_skew) are unchanged by mechanism.
+            config=replace(scheduler.config, backend="serial"),
             fact_base=fact_base,
             record=scheduler.recorder is not None,
             relations=db.snapshot(sorted(needed)).relations,
-            exec_mode=scheduler.exec_mode,
-            partitions=scheduler.partitions,
         )
 
     def fact_count(self) -> int:
@@ -251,7 +168,7 @@ class ComponentResult:
 #: rules, so sharing a cache across components changes no counter —
 #: but it is the hook that lets repeated shipments of the same rules
 #: (structural equality survives pickling) reuse compilations.
-_WORKER_CACHES: Dict[Optional[str], PlanCache] = {}
+_WORKER_CACHES: Dict[str, PlanCache] = {}
 
 
 def _init_worker() -> None:
@@ -273,10 +190,10 @@ def _init_worker() -> None:
     gc.freeze()
 
 
-def _worker_cache(planner: Optional[str]) -> PlanCache:
+def _worker_cache(planner: str) -> PlanCache:
     cache = _WORKER_CACHES.get(planner)
     if cache is None:
-        cache = _WORKER_CACHES[planner] = PlanCache(planner or "greedy")
+        cache = _WORKER_CACHES[planner] = PlanCache(planner)
     return cache
 
 
@@ -310,21 +227,11 @@ def evaluate_component(spec: ComponentSpec) -> ComponentResult:
     stats = EvalStats()
     run = ComponentRun(
         task,
+        spec.config,
         mode=spec.mode,
-        planner=spec.planner,
-        max_iterations=spec.max_iterations,
-        max_facts=spec.max_facts,
-        max_seconds=spec.max_seconds,
         recorder=recorder,
         fact_base=spec.fact_base,
-        cache=_worker_cache(spec.planner),
-        exec_mode=spec.exec_mode,
-        # Partitioning inside a pool worker stays serial: a daemonic
-        # worker cannot spawn its own process group, and nested thread
-        # pools per component would oversubscribe.  Counters (including
-        # partition_rounds/partition_skew) are unchanged by mechanism.
-        partitions=spec.partitions,
-        partition_backend="serial",
+        cache=_worker_cache(spec.config.planner),
     )
     run.execute(db, stats)
     deltas = {
@@ -359,7 +266,7 @@ def evaluate_component_batch(specs: List[ComponentSpec]) -> List[ComponentResult
 class ExecutorBackend:
     """How one depth batch's mutually independent components execute.
 
-    ``run_batch`` receives the owning scheduler (for knobs, the shared
+    ``run_batch`` receives the owning scheduler (for its config, the shared
     recorder, and :meth:`~repro.engine.scheduler.SCCScheduler.component_run`),
     the batch, the live database, and the run-wide stats.  It must
     leave ``db``/``stats`` exactly as the sequential schedule would —
@@ -460,7 +367,7 @@ class ThreadBackend(ExecutorBackend):
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(
-            max_workers=min(scheduler.jobs, len(submissions))
+            max_workers=min(scheduler.config.jobs, len(submissions))
         ) as executor:
             futures = [
                 executor.submit(work_group, idxs) for idxs in submissions
@@ -506,7 +413,7 @@ class ProcessBackend(ExecutorBackend):
     merge only after all futures succeed), so the batch is retried
     whole: the broken pool is discarded, the batch re-submitted after
     an exponential back-off, up to ``retries`` times
-    (:func:`resolve_retries` / ``REPRO_RETRIES``).  A batch that
+    (:attr:`EngineConfig.retries`).  A batch that
     exhausts its retries degrades gracefully to the serial backend —
     same results, no parallelism — so one flaky machine never fails an
     evaluation that can still run.  ``stats.backend_retries`` and
@@ -521,11 +428,11 @@ class ProcessBackend(ExecutorBackend):
     def __init__(
         self,
         start_method: Optional[str] = None,
-        retries: Optional[int] = None,
+        retries: int = EngineConfig.retries,
         backoff: float = RETRY_BACKOFF,
     ):
         self.start_method = start_method
-        self.retries = resolve_retries(retries)
+        self.retries = retries
         self.backoff = backoff
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_workers = 0
@@ -574,7 +481,7 @@ class ProcessBackend(ExecutorBackend):
     def _run_batch_once(
         self, scheduler, batch, db: Database, stats: EvalStats
     ) -> None:
-        pool = self._ensure_pool(min(scheduler.jobs, 61))  # 61: executor cap
+        pool = self._ensure_pool(min(scheduler.config.jobs, 61))  # 61: executor cap
         fact_base = stats.facts
         specs = [
             ComponentSpec.from_task(scheduler, task, db, fact_base)

@@ -36,7 +36,6 @@ caller runs the plan down the tuple path with identical statistics.
 
 from __future__ import annotations
 
-import os
 from operator import itemgetter
 from typing import List, Mapping, Optional
 
@@ -49,33 +48,6 @@ from repro.engine.plan import (
     O_STORE,
     RulePlan,
 )
-
-#: Environment variable consulted when no explicit ``exec=`` is given.
-EXEC_ENV = "REPRO_EXEC"
-EXEC_MODES = ("tuple", "columnar")
-DEFAULT_EXEC = "columnar"
-
-
-def resolve_exec(exec: Optional[str] = None) -> str:
-    """Resolve the execution mode: parameter, else $REPRO_EXEC, else default.
-
-    ``"columnar"`` (the default) runs compiled plans through the batch
-    kernel where possible; ``"tuple"`` forces the tuple-at-a-time
-    oracle everywhere.  Raises ``ValueError`` on anything else.
-    """
-    source = "exec"
-    value = exec
-    if value is None:
-        value = os.environ.get(EXEC_ENV)
-        source = EXEC_ENV
-        if value is None:
-            return DEFAULT_EXEC
-    if value not in EXEC_MODES:
-        raise ValueError(
-            f"invalid {source}={value!r}; expected one of {', '.join(EXEC_MODES)}"
-        )
-    return value
-
 
 def decode_rows(terms, rows) -> List[tuple]:
     """Decode interned rows back to term tuples, column-wise.

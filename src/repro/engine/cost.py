@@ -26,26 +26,18 @@ ordering treats them as unschedulable until every variable they
 mention is bound, regardless of statistics; guards that can never be
 bound go last, preserving the engine's existing failure behaviour.
 
-The knob that selects this planner is ``planner="cost"`` on the
-evaluators; :func:`resolve_planner` maps the default through the
-``REPRO_PLANNER`` environment variable so CI can run the whole suite
-under either planner.
+The knob that selects this planner is ``planner="cost"``
+(:class:`~repro.engine.config.EngineConfig`); ``REPRO_PLANNER`` lets CI
+run the whole suite under either planner.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.datalog.literals import Literal
 from repro.datalog.terms import Variable
 from repro.engine.database import RelationStatistics
-
-#: Planner names accepted by the evaluators.
-PLANNERS = ("greedy", "cost")
-
-#: Environment variable supplying the session-wide default planner.
-PLANNER_ENV = "REPRO_PLANNER"
 
 #: Comparison predicates: safe only once both sides are ground.
 COMPARISON_PREDICATES = frozenset(
@@ -58,22 +50,6 @@ NEGATION_PREFIXES = ("not_", "\\+")
 #: Selectivity credited to an all-bound filter step (a membership test
 #: or a guard): it can only shrink the frontier.
 FILTER_SELECTIVITY = 0.5
-
-
-def resolve_planner(planner: Optional[str] = None) -> str:
-    """Normalize a planner choice, honouring ``REPRO_PLANNER``.
-
-    ``None`` falls back to the environment (default ``"greedy"``);
-    anything outside :data:`PLANNERS` raises ``ValueError`` so typos
-    fail loudly rather than silently picking a default.
-    """
-    if planner is None:
-        planner = os.environ.get(PLANNER_ENV, "").strip() or "greedy"
-    if planner not in PLANNERS:
-        raise ValueError(
-            f"unknown planner {planner!r}; expected one of {PLANNERS}"
-        )
-    return planner
 
 
 def is_guard(literal: Literal) -> bool:

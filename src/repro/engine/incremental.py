@@ -52,6 +52,7 @@ the worked example and the induction behind that skip.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.datalog.literals import Literal
@@ -59,10 +60,11 @@ from repro.datalog.parser import parse_literal, parse_program, parse_query
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
 from repro.datalog.terms import Constant, Term
-from repro.engine.columnar import decode_rows, execute_columnar, resolve_exec
+from repro.engine.columnar import decode_rows, execute_columnar
+from repro.engine.config import EngineConfig
 from repro.engine.database import Database, FactTuple, Relation, unwrap_rows
 from repro.engine.joins import relation_from_tuples
-from repro.engine.partition import make_partition_executor, resolve_partitions
+from repro.engine.partition import make_partition_executor
 from repro.engine.plan import ExistencePlan, PlanCache
 from repro.engine.provenance import (
     DerivationRecorder,
@@ -72,12 +74,7 @@ from repro.engine.provenance import (
     provenance_eval,
 )
 from repro.engine import faults
-from repro.engine.scheduler import (
-    ComponentRun,
-    ComponentTask,
-    SCCScheduler,
-    resolve_timeout,
-)
+from repro.engine.scheduler import ComponentRun, ComponentTask, SCCScheduler
 from repro.engine.seminaive import seminaive_eval
 from repro.engine.stats import (
     ComponentTimeout,
@@ -120,16 +117,15 @@ class IncrementalSession:
     DRed restorations, ``facts`` added).  ``session.stats`` accumulates
     across the initial evaluation and every pass.
 
-    ``planner``/``jobs``/``backend``/``exec``/``partitions`` mirror
-    :func:`~repro.engine.seminaive.seminaive_eval`; the parallel knobs
-    apply to the initial materialization (maintenance passes are
-    sequential — affected components are usually few), and the planner
-    governs every maintenance join.
-    ``partitions > 1`` additionally hash-splits the forward delta of
-    each insert-maintenance round through the serial partition
+    ``config`` and/or keyword knobs are those of
+    :class:`~repro.engine.config.EngineConfig`, resolved once here
+    (:attr:`config`).  The parallel knobs apply to the initial
+    materialization (maintenance passes are sequential — affected
+    components are usually few), the planner governs every maintenance
+    join, and ``partitions > 1`` additionally hash-splits the forward
+    delta of each insert-maintenance round through the serial partition
     executor — same emissions in partition order, counted in
-    ``partition_rounds``/``partition_skew`` like the evaluators;
-    running maintenance partitions in parallel is future work.  For
+    ``partition_rounds``/``partition_skew`` like the evaluators.  For
     any knob combination the maintained database is bit-identical to a
     from-scratch evaluation on the final EDB.
 
@@ -142,8 +138,8 @@ class IncrementalSession:
     Every update is **atomic**: :meth:`apply_batch` (which
     ``insert``/``delete`` delegate to) snapshots the batch's dirty
     closure before mutating anything, and any maintenance failure —
-    non-termination, a wall-clock timeout (``max_seconds`` /
-    ``REPRO_TIMEOUT``), a lost worker, an injected fault — rolls the
+    non-termination, a wall-clock timeout (``max_seconds``), a lost
+    worker, an injected fault — rolls the
     session back to its pre-batch state and raises
     :class:`~repro.engine.stats.MaintenanceError`.
     """
@@ -153,40 +149,25 @@ class IncrementalSession:
         program: Program,
         edb: Optional[Database] = None,
         *,
-        planner: Optional[str] = None,
-        jobs: Optional[int] = None,
-        backend=None,
-        exec: Optional[str] = None,
-        partitions: Optional[int] = None,
         record_provenance: bool = False,
-        max_iterations: Optional[int] = None,
-        max_facts: Optional[int] = None,
-        max_seconds: Optional[float] = None,
+        config: Optional[EngineConfig] = None,
+        **knobs,
     ):
         self.program = program
-        #: Maintenance joins run through the columnar kernel when the
-        #: mode (parameter, else ``$REPRO_EXEC``) says so and the plan
-        #: is eligible; the tuple executor remains the per-call
-        #: fallback, with identical counters either way.
-        self.exec_mode = resolve_exec(exec)
+        self.config = config = EngineConfig.resolve(config, **knobs)
+        #: What maintenance passes run under: sequential, and with
+        #: serial partitioning whatever the backend — affected deltas
+        #: are usually small, and the serial executor keeps the counters
+        #: (and the parity argument) with no pool lifetime to manage.
+        self._maintenance = replace(config, jobs=1, backend="serial")
         self.record_provenance = record_provenance
-        self.max_iterations = max_iterations
-        self.max_facts = max_facts
-        self.max_seconds = resolve_timeout(max_seconds)
         #: Wall-clock deadline of the maintenance pass in flight (armed
         #: by :meth:`apply_batch`, checked at every delta-round
         #: boundary); ``None`` outside a pass or without a budget.
         self._deadline: Optional[float] = None
         self._edb = edb.copy() if edb is not None else Database()
         self._edb_keys = EdbKeyView(self._edb)
-        self.jobs = jobs
-        self.backend = backend
-        self.partitions = resolve_partitions(partitions)
-        #: Maintenance partitioning stays serial regardless of the
-        #: backend: affected deltas are usually small and the serial
-        #: executor keeps the counters (and the parity argument)
-        #: without any pool lifetime to manage per pass.
-        self._partitioner = make_partition_executor(self.partitions, "serial")
+        self._partitioner = make_partition_executor(self._maintenance)
         #: Set by :meth:`_run_rule` when a variant actually partitioned;
         #: the per-round loops fold it into ``partition_rounds``.
         self._round_partitioned = False
@@ -194,12 +175,8 @@ class IncrementalSession:
 
         # Component structure (shared with the evaluators): tasks in
         # topological evaluation order, and the owning task per IDB sig.
-        structure = SCCScheduler(
-            program, mode="seminaive",
-            planner=planner, jobs=1, backend="serial",
-        )
-        self.planner = structure.planner
-        self._cache = PlanCache(self.planner)
+        structure = SCCScheduler(program, self._maintenance)
+        self._cache = PlanCache(config.planner)
         #: Re-derivation probes, compiled on first use and kept for the
         #: session: a rule's head-bound existence plan never changes.
         self._existence: Dict[Rule, ExistencePlan] = {}
@@ -219,12 +196,7 @@ class IncrementalSession:
 
         self.stats = EvalStats()
         if record_provenance:
-            result = provenance_eval(
-                self.program, self._edb,
-                max_iterations=max_iterations, max_facts=max_facts,
-                max_seconds=self.max_seconds,
-                planner=planner, jobs=jobs, backend=backend,
-            )
+            result = provenance_eval(self.program, self._edb, config)
             self.database = result.database
             self._edb_keys = result.edb_keys
             self._derivations: Optional[
@@ -241,15 +213,11 @@ class IncrementalSession:
                     self._rdeps.setdefault(bk, set()).add(key)
         else:
             self.database, init_stats = seminaive_eval(
-                self.program, self._edb,
-                max_iterations=max_iterations, max_facts=max_facts,
-                max_seconds=self.max_seconds,
-                planner=planner, jobs=jobs, backend=backend,
-                exec=self.exec_mode, partitions=self.partitions,
+                self.program, self._edb, config
             )
             self._derivations = None
             self.stats.absorb(init_stats)
-        if self.exec_mode == "columnar" and not record_provenance:
+        if config.exec == "columnar" and not record_provenance:
             # Maintenance passes intern through the same dictionary the
             # initial evaluation used (minted here if the program was
             # trivial enough that no component ran).
@@ -291,15 +259,7 @@ class IncrementalSession:
             from repro.engine.query import QueryCompiler
 
             self._query_compiler = QueryCompiler(
-                self.program,
-                planner=self.planner,
-                jobs=self.jobs,
-                backend=self.backend,
-                exec=self.exec_mode,
-                partitions=self.partitions,
-                max_iterations=self.max_iterations,
-                max_facts=self.max_facts,
-                max_seconds=self.max_seconds,
+                self.program, config=self.config
             )
         return self._query_compiler
 
@@ -436,8 +396,8 @@ class IncrementalSession:
         start = time.perf_counter()
         pass_stats = EvalStats()
         undo = self._begin_undo(set(ins) | set(dels))
-        if self.max_seconds is not None:
-            self._deadline = time.monotonic() + self.max_seconds
+        if self.config.max_seconds is not None:
+            self._deadline = time.monotonic() + self.config.max_seconds
         phase = "delete"
         try:
             self._apply_deletes(dels, pass_stats)
@@ -638,7 +598,7 @@ class IncrementalSession:
             rule, roles, stats, db=self.database, overrides=overrides
         )
         before = len(emitted)
-        columnar = self.exec_mode == "columnar"
+        columnar = self.config.exec == "columnar"
         rows = None
         if partition and self._partitioner is not None:
             rows = self._partitioner.run(
@@ -664,17 +624,18 @@ class IncrementalSession:
             stats.record_estimate(plan.estimated_rows, len(emitted) - before)
 
     def _guard_rounds(self, task: ComponentTask, rounds: int) -> None:
-        if self.max_iterations is not None and rounds > self.max_iterations:
+        max_iterations = self.config.max_iterations
+        if max_iterations is not None and rounds > max_iterations:
             raise NonTerminationError(
                 f"incremental maintenance of component {sorted(task.sigs)} "
-                f"exceeded {self.max_iterations} rounds",
+                f"exceeded {max_iterations} rounds",
                 rounds,
                 self.database.total_facts(),
             )
         if self._deadline is not None and time.monotonic() > self._deadline:
             raise ComponentTimeout(
                 f"incremental maintenance of component {sorted(task.sigs)} "
-                f"exceeded its {self.max_seconds:g}s wall-clock budget",
+                f"exceeded its {self.config.max_seconds:g}s wall-clock budget",
                 rounds,
                 self.database.total_facts(),
             )
@@ -1056,19 +1017,7 @@ class IncrementalSession:
         """From-base fixpoint of one component over the current lower strata."""
         self._reset_component_to_base(task)
         run = ComponentRun(
-            task,
-            mode="seminaive",
-            planner=self.planner,
-            max_iterations=self.max_iterations,
-            max_facts=self.max_facts,
-            max_seconds=self.max_seconds,
-            recorder=recorder,
-            cache=self._cache,
-            exec_mode=self.exec_mode,
-            # Serial partitioning, like the pool workers: a maintenance
-            # recompute is one component deep inside a maintenance pass.
-            partitions=self.partitions,
-            partition_backend="serial",
+            task, self._maintenance, recorder=recorder, cache=self._cache
         )
         local = EvalStats()
         run.execute(self.database, local)

@@ -21,61 +21,30 @@ import time
 from typing import List, Optional, Tuple
 
 from repro.datalog.program import Program
+from repro.engine.config import EngineConfig
 from repro.engine.database import Database, load_program_facts
 from repro.engine.joins import instantiate_head, join_rule
-from repro.engine.scheduler import SCCScheduler
+from repro.engine.scheduler import evaluate
 from repro.engine.stats import EvalStats, NonTerminationError
 
 
 def naive_eval(
     program: Program,
     edb: Database,
-    max_iterations: Optional[int] = None,
-    max_facts: Optional[int] = None,
-    planner: Optional[str] = None,
-    jobs: Optional[int] = None,
-    backend=None,
-    max_seconds: Optional[float] = None,
-    exec: Optional[str] = None,
-    partitions: Optional[int] = None,
+    config: Optional[EngineConfig] = None,
+    **knobs,
 ) -> Tuple[Database, EvalStats]:
     """Evaluate ``program`` over ``edb`` to fixpoint, naively.
 
     Returns ``(database, stats)`` where the database holds EDB and all
-    derived facts.  ``max_iterations`` (per-SCC fixpoint rounds) and
-    ``max_facts`` (total derived facts) guard against the genuinely
-    diverging programs in the paper (Counting on left-linear rules) by
-    raising :class:`~repro.engine.stats.NonTerminationError`.
-    ``planner`` selects greedy or cost-based join ordering for compiled
-    plans, ``jobs`` evaluates independent SCCs concurrently, and
-    ``backend`` picks the executor those batches run on, and
-    ``max_seconds`` arms the per-component wall-clock watchdog, and
-    ``exec`` picks columnar or tuple plan execution (see
-    :func:`repro.engine.seminaive.seminaive_eval` for all the knobs).
-    ``partitions`` is accepted for interface parity but naive fixpoints
-    ignore it — there is no delta to split.
+    derived facts.  Takes the same ``config``/keyword knobs as
+    :func:`~repro.engine.seminaive.seminaive_eval`
+    (:class:`~repro.engine.config.EngineConfig`); the budgets guard
+    against the genuinely diverging programs in the paper (Counting on
+    left-linear rules) by raising
+    :class:`~repro.engine.stats.NonTerminationError`.
     """
-    db = edb.copy()
-    stats = EvalStats()
-    start = time.perf_counter()
-    stats.facts += load_program_facts(program, db)
-
-    scheduler = SCCScheduler(
-        program,
-        mode="naive",
-        planner=planner,
-        jobs=jobs,
-        backend=backend,
-        max_iterations=max_iterations,
-        max_facts=max_facts,
-        max_seconds=max_seconds,
-        exec=exec,
-        partitions=partitions,
-    )
-    scheduler.run(db, stats)
-
-    stats.seconds = time.perf_counter() - start
-    return db, stats
+    return evaluate(program, edb, "naive", config, knobs)
 
 
 def naive_fixpoint_reference(

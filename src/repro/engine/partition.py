@@ -44,55 +44,24 @@ by the owning scheduler's backend name:
   degrades the component to unpartitioned execution and counts a
   ``backend_fallbacks``.
 
-Select a partition count with the ``partitions=`` parameter on the
-evaluators, ``--partitions`` on the CLI, or the ``REPRO_PARTITIONS``
-environment variable (default 1 — today's unpartitioned path).
+:attr:`EngineConfig.partitions <repro.engine.config.EngineConfig>`
+sets the partition count (default 1 — the unpartitioned path).
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
 
+from repro.engine.config import EngineConfig
 from repro.engine.database import Database, FactTuple, Relation, RelationView, RowTuple
 from repro.engine.plan import K_SLOT, O_STORE, RulePlan
 from repro.engine.stats import EvalStats
 
 Signature = Tuple[str, int]
-
-#: Environment variable supplying the session-wide partition count.
-PARTITIONS_ENV = "REPRO_PARTITIONS"
-
-
-def resolve_partitions(partitions: Optional[int] = None) -> int:
-    """Normalize a partition-count choice, honouring ``REPRO_PARTITIONS``.
-
-    ``None`` falls back to the environment (default 1 — unpartitioned,
-    the deterministic reference path).  Anything that is not a positive
-    integer raises ``ValueError`` so typos fail loudly rather than
-    silently running unpartitioned — mirroring
-    :func:`repro.engine.scheduler.resolve_jobs` and
-    :func:`repro.engine.backends.resolve_backend`.
-    """
-    if partitions is None:
-        raw = os.environ.get(PARTITIONS_ENV, "").strip()
-        if not raw:
-            return 1
-        try:
-            partitions = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"invalid {PARTITIONS_ENV}={raw!r}; expected a positive integer"
-            ) from None
-    partitions = int(partitions)
-    if partitions < 1:
-        raise ValueError(f"partitions must be >= 1, got {partitions}")
-    return partitions
-
 
 # ----------------------------------------------------------------------
 # Partition-key selection and splitting
@@ -297,26 +266,23 @@ def prewarm_sources(
 
 
 def make_partition_executor(
-    partitions: int,
-    backend_name: str,
-    exec_mode: str = "tuple",
-    planner: Optional[str] = None,
+    config: EngineConfig,
 ) -> Optional["PartitionExecutor"]:
     """The partition executor for a component run, or ``None``.
 
-    ``None`` (``partitions <= 1``) means the run takes today's
+    ``None`` (``partitions == 1``) means the run takes the
     unpartitioned path with zero overhead.  The executor family
     follows the SCC-level backend name so one knob pair describes the
     whole execution: ``backend=process, partitions=4`` partitions with
     processes, everything else partitions with the cheaper mechanism.
     """
-    if partitions <= 1:
+    if config.partitions == 1:
         return None
-    if backend_name == "process":
-        return ProcessPartitionExecutor(partitions, exec_mode, planner)
-    if backend_name == "thread":
-        return ThreadPartitionExecutor(partitions)
-    return SerialPartitionExecutor(partitions)
+    if config.backend == "process":
+        return ProcessPartitionExecutor(config)
+    if config.backend == "thread":
+        return ThreadPartitionExecutor(config.partitions)
+    return SerialPartitionExecutor(config.partitions)
 
 
 class PartitionExecutor:
@@ -498,7 +464,7 @@ class ThreadPartitionExecutor(PartitionExecutor):
 # ----------------------------------------------------------------------
 
 
-def _partition_worker(conn, exec_mode: str, planner: Optional[str]) -> None:
+def _partition_worker(conn, config: EngineConfig) -> None:
     """Worker-process loop for :class:`ProcessPartitionExecutor`.
 
     Module-level so it imports cleanly under any multiprocessing start
@@ -514,10 +480,11 @@ def _partition_worker(conn, exec_mode: str, planner: Optional[str]) -> None:
     from repro.engine.columnar import decode_rows, execute_columnar
     from repro.engine.plan import PlanCache
 
+    columnar = config.exec == "columnar"
     db = Database()
-    if exec_mode == "columnar":
+    if columnar:
         db.ensure_dictionary()
-    cache = PlanCache(planner or "greedy")
+    cache = PlanCache(config.planner)
     scratch = EvalStats()
     while True:
         try:
@@ -546,13 +513,13 @@ def _partition_worker(conn, exec_mode: str, planner: Optional[str]) -> None:
                     part = _facts_partition(
                         name, arity, [log[i] for i in positions]
                     )
-                    if exec_mode == "columnar":
+                    if columnar:
                         part.dictionary = db.dictionary
                     overrides[pos] = part
             stats = EvalStats()
             plan = cache.plan(rule, roles, scratch, db=db, overrides=overrides)
             facts_out: Optional[List[FactTuple]] = None
-            if exec_mode == "columnar":
+            if columnar:
                 rows = execute_columnar(plan, db, overrides, stats)
                 if rows is not None:
                     facts_out = decode_rows(db.dictionary.terms, rows)
@@ -589,12 +556,9 @@ class ProcessPartitionExecutor(PartitionExecutor):
     the process backend's retry exhaustion story.
     """
 
-    def __init__(
-        self, partitions: int, exec_mode: str, planner: Optional[str]
-    ):
-        super().__init__(partitions)
-        self.exec_mode = exec_mode
-        self.planner = planner
+    def __init__(self, config: EngineConfig):
+        super().__init__(config.partitions)
+        self.config = config
         self._workers: Optional[List[tuple]] = None  # (Process, Connection)
         self._sent: Dict[Signature, int] = {}
         self._failed = False
@@ -623,7 +587,7 @@ class ProcessPartitionExecutor(PartitionExecutor):
                 parent_conn, child_conn = ctx.Pipe()
                 proc = ctx.Process(
                     target=_partition_worker,
-                    args=(child_conn, self.exec_mode, self.planner),
+                    args=(child_conn, self.config),
                     daemon=True,
                 )
                 proc.start()

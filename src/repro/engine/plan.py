@@ -40,6 +40,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 from repro.datalog.literals import Literal
 from repro.datalog.rules import Rule
 from repro.datalog.terms import Compound, Constant, Term, Variable
+from repro.engine.config import EngineConfig, check_knob
 from repro.engine.database import Database, FactTuple
 
 #: One override role: (body position, role tag such as "delta"/"old").
@@ -762,12 +763,10 @@ class PlanCache:
 
     def __init__(
         self,
-        planner: str = "greedy",
+        planner: str = EngineConfig.planner,
         drift_threshold: float = DEFAULT_DRIFT_THRESHOLD,
     ):
-        from repro.engine.cost import resolve_planner
-
-        self.planner = resolve_planner(planner)
+        self.planner = check_knob("planner", planner)
         self.drift_threshold = drift_threshold
         self._plans: Dict[
             Tuple[Rule, RoleSpec],

@@ -26,15 +26,15 @@ engine.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.datalog.literals import Literal
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
-from repro.engine.database import Database, FactTuple, load_program_facts
-from repro.engine.scheduler import SCCScheduler
+from repro.engine.config import EngineConfig
+from repro.engine.database import Database, FactTuple
+from repro.engine.scheduler import evaluate
 from repro.engine.stats import EvalStats
 
 Signature = Tuple[str, int]
@@ -234,52 +234,37 @@ class ProvenanceResult:
 def provenance_eval(
     program: Program,
     edb: Database,
-    max_iterations: Optional[int] = None,
-    max_facts: Optional[int] = None,
-    planner: Optional[str] = None,
-    jobs: Optional[int] = None,
-    backend=None,
-    max_seconds: Optional[float] = None,
+    config: Optional[EngineConfig] = None,
+    **knobs,
 ) -> ProvenanceResult:
     """SCC-stratified semi-naive fixpoint recording one derivation per fact.
 
     Facts derived in round ``r`` of their component record bodies from
     rounds ``< r`` (the synchronous schedule), so recorded derivations
-    are acyclic and height-minimal round-wise.
-    ``planner``/``jobs``/``backend`` mirror
-    :func:`~repro.engine.seminaive.seminaive_eval`; every combination
+    are acyclic and height-minimal round-wise.  ``config``/keyword
+    knobs are those of :func:`~repro.engine.seminaive.seminaive_eval`
+    (:class:`~repro.engine.config.EngineConfig`); every combination
     derives the same fixpoint, the same counters, and — because
     recording is canonical — the same derivation trees (under the
     process backend, workers record into private recorders whose
     derivations return with the component results and merge at the
     batch barrier).
     """
-    db = edb.copy()
-    stats = EvalStats()
-    start = time.perf_counter()
     edb_keys = EdbKeyView(edb)
     derivations: Dict[FactKey, Tuple[Optional[Rule], Tuple[FactKey, ...]]] = {}
-    stats.facts += load_program_facts(program, db)
     for rule in program.rules:
         if rule.is_fact():
             key = (rule.head.predicate, rule.head.arity, rule.head.args)
             if key not in edb_keys:
                 derivations.setdefault(key, (rule, ()))
-
-    scheduler = SCCScheduler(
+    db, stats = evaluate(
         program,
-        mode="seminaive",
-        planner=planner,
-        jobs=jobs,
-        backend=backend,
-        max_iterations=max_iterations,
-        max_facts=max_facts,
-        max_seconds=max_seconds,
+        edb,
+        "seminaive",
+        config,
+        knobs,
         recorder=DerivationRecorder(derivations, edb_keys),
     )
-    scheduler.run(db, stats)
-
-    stats.seconds = time.perf_counter() - start
     return ProvenanceResult(
         database=db, stats=stats, derivations=derivations, edb_keys=edb_keys
     )

@@ -91,9 +91,8 @@ from repro.datalog.parser import parse_query
 from repro.datalog.program import Program
 from repro.datalog.terms import NIL, Term, Variable
 from repro.datalog.validate import ensure_no_reserved_names
-from repro.engine.columnar import resolve_exec
+from repro.engine.config import EngineConfig
 from repro.engine.database import Database, unwrap_rows
-from repro.engine.partition import resolve_partitions
 from repro.engine.plan import PlanCache
 from repro.engine.scheduler import SCCScheduler
 from repro.engine.seminaive import seminaive_eval
@@ -290,20 +289,8 @@ class CompiledQuery:
         return True
 
     def _make_scheduler(self, program: Program) -> SCCScheduler:
-        c = self.compiler
-        return SCCScheduler(
-            program,
-            mode="seminaive",
-            planner=c.planner,
-            jobs=c.jobs,
-            backend=c.backend,
-            max_iterations=c.max_iterations,
-            max_facts=c.max_facts,
-            max_seconds=c.max_seconds,
-            exec=c.exec_mode,
-            partitions=c.partitions,
-            cache=PlanCache(c.planner or "greedy"),
-        )
+        config = self.compiler.config
+        return SCCScheduler(program, config, cache=PlanCache(config.planner))
 
     def _snapshot_edb_sizes(self, edb: Database) -> None:
         self.edb_sizes = {
@@ -332,14 +319,9 @@ class CompiledQuery:
             goal.args[i] for i in self.adornment.bound_positions()
         )
         if self.strategy == "counting" and not self.counting_diverged:
-            scheduler = self.scheduler
-            budget_iterations, budget_facts = self._counting_budget(edb)
-            saved = (scheduler.max_iterations, scheduler.max_facts)
-            scheduler.max_iterations = budget_iterations
-            scheduler.max_facts = budget_facts
             try:
                 return self._run(
-                    scheduler,
+                    self.scheduler.with_budget(*self._counting_budget(edb)),
                     self.seed.predicate,
                     (*bound_args, NIL),
                     goal,
@@ -351,8 +333,6 @@ class CompiledQuery:
                 # Cyclic data: remember until the next EDB change and
                 # serve this (and subsequent) queries via magic.
                 self.counting_diverged = True
-            finally:
-                scheduler.max_iterations, scheduler.max_facts = saved
         if self.strategy == "counting":
             if self._magic_scheduler is None:
                 self._magic_scheduler = self._make_scheduler(self._magic_program)
@@ -394,10 +374,10 @@ class CompiledQuery:
             for sig, rel in edb.relations.items()
             if sig not in c.idb_signatures
         )
-        iterations = c.max_iterations
+        iterations = c.config.max_iterations
         if iterations is None:
             iterations = max(100, 2 * total + 10)
-        facts = c.max_facts
+        facts = c.config.max_facts
         if facts is None:
             facts = max(1000, 20 * total)
         return iterations, facts
@@ -452,10 +432,9 @@ class QueryCompiler:
         answer.answers        # raw Term tuples
         answer.strategy       # "factored" | "counting" | "magic" | ...
 
-    ``planner``/``jobs``/``backend``/``exec``/``partitions`` mirror
-    the evaluator knobs (``partitions`` splits
-    delta rounds inside the rewritten program's recursive components —
-    rarely useful for point queries, always counter-identical);
+    ``config`` and/or keyword knobs are those of
+    :class:`~repro.engine.config.EngineConfig`, resolved (and rejected)
+    here, not on the first IDB query;
     ``use_instance_checks`` enables instance-level (EDB-reading)
     factorability certification, in which case entries are invalidated
     on every EDB change (:meth:`note_edb_change`).
@@ -465,28 +444,15 @@ class QueryCompiler:
         self,
         program: Program,
         *,
-        planner: Optional[str] = None,
-        jobs: Optional[int] = None,
-        backend: Optional[str] = None,
-        exec: Optional[str] = None,
-        partitions: Optional[int] = None,
         use_instance_checks: bool = False,
-        max_iterations: Optional[int] = None,
-        max_facts: Optional[int] = None,
-        max_seconds: Optional[float] = None,
+        config: Optional[EngineConfig] = None,
+        **knobs,
     ):
         ensure_no_reserved_names(program)
         self.program = program
         self.idb_signatures = frozenset(program.idb_signatures)
-        self.planner = planner
-        self.jobs = jobs
-        self.backend = backend
-        self.exec_mode = resolve_exec(exec)
-        self.partitions = resolve_partitions(partitions)
+        self.config = EngineConfig.resolve(config, **knobs)
         self.use_instance_checks = use_instance_checks
-        self.max_iterations = max_iterations
-        self.max_facts = max_facts
-        self.max_seconds = max_seconds
         self._entries: Dict[QueryKey, CompiledQuery] = {}
         self.compiles = 0
         self.cache_hits = 0
@@ -553,18 +519,7 @@ class QueryCompiler:
             # Base facts asserted for derived predicates: the renamed
             # rewrite would miss them.  Correctness first — evaluate in
             # full and filter (upper layers bridge this case away).
-            db, eval_stats = seminaive_eval(
-                self.program,
-                edb,
-                planner=self.planner,
-                jobs=self.jobs,
-                backend=self.backend,
-                exec=self.exec_mode,
-                partitions=self.partitions,
-                max_iterations=self.max_iterations,
-                max_facts=self.max_facts,
-                max_seconds=self.max_seconds,
-            )
+            db, eval_stats = seminaive_eval(self.program, edb, self.config)
             stats.absorb(eval_stats)
             answers = db.query(goal, once=True)
             stats.seconds = time.perf_counter() - begin

@@ -24,102 +24,47 @@ of whose dependencies live at depths ``<= d``.  Two components in the
 same batch share no dependency edge in either direction, so their
 **write sets are disjoint** (a component only writes head relations of
 its own SCC) and neither reads what the other writes.  With
-``jobs > 1`` (or ``REPRO_JOBS``) the scheduler hands a batch to its
-:class:`~repro.engine.backends.ExecutorBackend` (``backend=`` /
-``REPRO_BACKEND``): ``serial`` runs it in batch order, ``thread``
-overlaps components on a thread pool over staged relations, and
-``process`` ships declarative
+``jobs > 1`` the scheduler hands a batch to its
+:class:`~repro.engine.backends.ExecutorBackend`: ``serial`` runs it in
+batch order, ``thread`` overlaps components on a thread pool over
+staged relations, and ``process`` ships declarative
 :class:`~repro.engine.backends.ComponentSpec` work units to a process
 pool for real compute parallelism.  Every backend merges component
 results at the batch barrier in batch order, so
 ``facts``/``inferences``/``iterations`` are bit-identical for every
 backend and every ``jobs`` value; only wall time and scheduling vary.
+The knobs arrive as one :class:`~repro.engine.config.EngineConfig`.
 """
 
 from __future__ import annotations
 
-import os
+import copy
 import time
+from dataclasses import replace
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.analysis.dependency import DependencyGraph
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
 from repro.engine import faults
-from repro.engine.backends import make_backend
-from repro.engine.columnar import decode_rows, execute_columnar, resolve_exec
-from repro.engine.cost import resolve_planner
-from repro.engine.database import Database, FactTuple, Relation, RowTuple
-from repro.engine.partition import make_partition_executor, resolve_partitions
+from repro.engine.backends import ExecutorBackend, make_backend
+from repro.engine.columnar import decode_rows, execute_columnar
+from repro.engine.config import EngineConfig
+from repro.engine.database import (
+    Database,
+    FactTuple,
+    Relation,
+    RowTuple,
+    load_program_facts,
+)
+from repro.engine.partition import make_partition_executor
 from repro.engine.plan import PlanCache, RoleSpec
 from repro.engine.stats import ComponentTimeout, EvalStats, NonTerminationError
 
 Signature = Tuple[str, int]
 
-#: Environment variable supplying the session-wide default worker count.
-JOBS_ENV = "REPRO_JOBS"
-
-#: Environment variable supplying the session-wide watchdog budget.
-TIMEOUT_ENV = "REPRO_TIMEOUT"
-
 #: Fixpoint modes the scheduler knows how to drive.
 MODES = ("seminaive", "naive")
-
-
-def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Normalize a worker-count choice, honouring ``REPRO_JOBS``.
-
-    ``None`` falls back to the environment (default 1 — fully
-    sequential, the deterministic reference schedule).  Anything that
-    is not a positive integer raises ``ValueError`` so typos fail
-    loudly rather than silently running sequentially.
-    """
-    if jobs is None:
-        raw = os.environ.get(JOBS_ENV, "").strip()
-        if not raw:
-            return 1
-        try:
-            jobs = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"invalid {JOBS_ENV}={raw!r}; expected a positive integer"
-            ) from None
-    jobs = int(jobs)
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return jobs
-
-
-def resolve_timeout(max_seconds=None) -> Optional[float]:
-    """Normalize a watchdog budget, honouring ``REPRO_TIMEOUT``.
-
-    ``None`` falls back to the environment; an empty/unset environment
-    means no watchdog (the default).  The budget is per *component*
-    wall clock, checked at fixpoint round boundaries; a component that
-    exceeds it raises :class:`~repro.engine.stats.ComponentTimeout`.
-    Anything that is not a positive number of seconds raises
-    ``ValueError`` so typos fail loudly — mirroring
-    :func:`resolve_jobs`/:func:`repro.engine.backends.resolve_backend`.
-    """
-    source = "max_seconds"
-    if max_seconds is None:
-        raw = os.environ.get(TIMEOUT_ENV, "").strip()
-        if not raw:
-            return None
-        max_seconds, source = raw, TIMEOUT_ENV
-    try:
-        value = float(max_seconds)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"invalid {source}={max_seconds!r}; expected a positive number "
-            f"of seconds"
-        ) from None
-    if not value > 0:  # also rejects NaN
-        raise ValueError(
-            f"invalid {source}={max_seconds!r}; expected a positive number "
-            f"of seconds"
-        )
-    return value
 
 
 def component_depths(
@@ -195,55 +140,38 @@ class SCCScheduler:
     these per evaluation, then call :meth:`run` against a database that
     already holds the EDB and any program facts.
 
+    ``config`` carries every execution knob
+    (:class:`~repro.engine.config.EngineConfig`; ``None`` resolves the
+    defaults).  With ``jobs == 1`` the backend is never consulted —
+    every schedule is the sequential one.
+
     ``recorder`` attaches plan-level provenance: a duck-typed object
     with ``start_round()`` / ``observe(sig, fact, rule_index, rule,
     body_keys)`` / ``commit(sig, fact)`` / ``fork()`` / ``absorb()``
     (see :class:`repro.engine.provenance.DerivationRecorder`).  A
     recording run executes tuple-at-a-time, whatever ``exec`` says.
 
-    ``backend`` selects how parallel depth batches execute: a name
-    (``"serial"``/``"thread"``/``"process"``; ``None`` reads
-    ``REPRO_BACKEND``, defaulting to ``thread``) or a ready
-    :class:`~repro.engine.backends.ExecutorBackend` instance.  With
-    ``jobs == 1`` the backend is never consulted — every schedule is
-    the sequential one.
-
-    ``partitions`` adds data parallelism *inside* each recursive
-    component's fixpoint (``None`` reads ``REPRO_PARTITIONS``,
-    defaulting to 1): every round's delta is hash-partitioned and the
-    same compiled plan runs per partition, on a mechanism matching the
-    backend name (see :mod:`repro.engine.partition`).  Facts,
-    inferences, and iterations stay bit-identical to ``partitions=1``;
-    probes may differ.
+    ``executor`` is a ready
+    :class:`~repro.engine.backends.ExecutorBackend` to run parallel
+    batches on instead of the one ``config.backend`` names — the hook
+    tests use to inject a spawn-context or failing process backend.
     """
 
     def __init__(
         self,
         program: Program,
+        config: Optional[EngineConfig] = None,
         mode: str = "seminaive",
-        planner: Optional[str] = None,
-        jobs: Optional[int] = None,
-        backend=None,
-        max_iterations: Optional[int] = None,
-        max_facts: Optional[int] = None,
-        max_seconds: Optional[float] = None,
         recorder=None,
         cache: Optional[PlanCache] = None,
-        exec: Optional[str] = None,
-        partitions: Optional[int] = None,
+        executor: Optional[ExecutorBackend] = None,
     ):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
         self.program = program
         self.mode = mode
-        self.planner = resolve_planner(planner)
-        self.jobs = resolve_jobs(jobs)
-        self.backend = make_backend(backend)
-        self.exec_mode = resolve_exec(exec)
-        self.partitions = resolve_partitions(partitions)
-        self.max_iterations = max_iterations
-        self.max_facts = max_facts
-        self.max_seconds = resolve_timeout(max_seconds)
+        self.config = EngineConfig.resolve(config)
+        self.backend = executor or make_backend(self.config)
         self.recorder = recorder
         #: Optional shared plan cache: when set, sequential component
         #: runs compile into it instead of one private cache per run,
@@ -292,18 +220,23 @@ class SCCScheduler:
         """
         return ComponentRun(
             task,
+            self.config,
             mode=self.mode,
-            planner=self.planner,
-            max_iterations=self.max_iterations,
-            max_facts=self.max_facts,
-            max_seconds=self.max_seconds,
             recorder=recorder,
             fact_base=fact_base,
             cache=self.cache,
-            exec_mode=self.exec_mode,
-            partitions=self.partitions,
-            partition_backend=self.backend.name,
         )
+
+    def with_budget(
+        self, max_iterations: Optional[int], max_facts: Optional[int]
+    ) -> "SCCScheduler":
+        """This scheduler (same components, plan cache and backend)
+        under other iteration and fact budgets."""
+        clone = copy.copy(self)
+        clone.config = replace(
+            self.config, max_iterations=max_iterations, max_facts=max_facts
+        )
+        return clone
 
     def run(self, db: Database, stats: EvalStats) -> None:
         """Evaluate every component batch-by-batch into ``db``.
@@ -315,7 +248,7 @@ class SCCScheduler:
         the execution backend; its pooled resources are released when
         the run finishes.
         """
-        if self.exec_mode == "columnar":
+        if self.config.exec == "columnar":
             # Mint the run's term dictionary up front, before any
             # parallel batch: stages inherit it by reference, so
             # concurrent components never race to attach competing
@@ -326,7 +259,7 @@ class SCCScheduler:
             for batch in self.batches:
                 if len(batch) > 1:
                     stats.scc_parallel_batches += 1
-                if self.jobs == 1 or len(batch) == 1:
+                if self.config.jobs == 1 or len(batch) == 1:
                     for task in batch:
                         self.component_run(task, self.recorder).execute(db, stats)
                 else:
@@ -343,12 +276,42 @@ class SCCScheduler:
         *collectively* exceeds the budget raise exactly like the
         sequential schedule would (at most one batch later).
         """
-        if self.max_facts is not None and stats.facts > self.max_facts:
+        max_facts = self.config.max_facts
+        if max_facts is not None and stats.facts > max_facts:
             raise NonTerminationError(
-                f"evaluation exceeded {self.max_facts} facts",
+                f"evaluation exceeded {max_facts} facts",
                 stats.iterations,
                 stats.facts,
             )
+
+
+def evaluate(
+    program: Program,
+    edb: Database,
+    mode: str,
+    config: Optional[EngineConfig],
+    knobs: dict,
+    recorder=None,
+) -> Tuple[Database, EvalStats]:
+    """The body the evaluator frontends share: resolve, load, run, time.
+
+    ``knobs`` are the frontend's keyword arguments; a ``backend`` that
+    is a ready :class:`~repro.engine.backends.ExecutorBackend` runs the
+    parallel batches itself and contributes its name to the config.
+    """
+    executor = knobs.get("backend")
+    if isinstance(executor, ExecutorBackend):
+        knobs = {**knobs, "backend": executor.name}
+    else:
+        executor = None
+    config = EngineConfig.resolve(config, **knobs)
+    db = edb.copy()
+    stats = EvalStats()
+    start = time.perf_counter()
+    stats.facts += load_program_facts(program, db)
+    SCCScheduler(program, config, mode, recorder, executor=executor).run(db, stats)
+    stats.seconds = time.perf_counter() - start
+    return db, stats
 
 
 #: The firing list of a rule that reads only full relations: one plan,
@@ -484,16 +447,16 @@ class ComponentRun:
     * recursive, ``mode="naive"`` → the full relations, every rule
       every round, until a round adds nothing.
 
-    ``max_iterations`` bounds the fixpoint rounds of any *single*
+    ``config.max_iterations`` bounds the fixpoint rounds of any *single*
     component (a divergence guard — a diverging component exceeds any
     cap by itself, and the bound does not shrink as programs gain more
-    components); ``max_facts`` bounds the whole evaluation's derived
-    facts, with ``fact_base`` carrying the budget context into
+    components); ``config.max_facts`` bounds the whole evaluation's
+    derived facts, with ``fact_base`` carrying the budget context into
     parallel batches, where ``stats`` is component-local.
 
-    Construction takes the evaluation knobs explicitly (rather than a
-    scheduler) so the run is self-contained: the process execution
-    backend rebuilds one inside a worker from a declarative
+    Construction takes the config (rather than a scheduler) so the run
+    is self-contained: the process execution backend rebuilds one
+    inside a worker from a declarative
     :class:`~repro.engine.backends.ComponentSpec`, far from any
     scheduler object.  ``cache`` lets a worker supply its own
     :class:`~repro.engine.plan.PlanCache`; by default each run
@@ -501,74 +464,48 @@ class ComponentRun:
     component (grouped by head SCC), so either way exactly the same
     (rule, roles) pairs compile, and the cache is free to use from a
     worker thread or process.
+
+    With ``config.partitions > 1`` the semi-naive rounds hash-split
+    their deltas and run each partition on the mechanism
+    ``config.backend`` names (:mod:`repro.engine.partition`).
     """
 
     __slots__ = (
         "task",
+        "config",
         "mode",
         "cache",
         "recorder",
-        "max_iterations",
-        "max_facts",
-        "max_seconds",
         "fact_base",
         "rounds",
         "_deadline",
-        "exec_mode",
-        "partitions",
-        "partition_backend",
     )
 
     def __init__(
         self,
         task: ComponentTask,
+        config: EngineConfig,
         mode: str = "seminaive",
-        planner: Optional[str] = None,
-        max_iterations: Optional[int] = None,
-        max_facts: Optional[int] = None,
-        max_seconds: Optional[float] = None,
         recorder=None,
         fact_base: int = 0,
         cache: Optional[PlanCache] = None,
-        exec_mode: str = "tuple",
-        partitions: int = 1,
-        partition_backend: str = "serial",
     ):
         self.task = task
+        self.config = config
         self.mode = mode
-        if cache is None:
-            cache = PlanCache(planner or "greedy")
-        self.cache = cache
+        self.cache = cache if cache is not None else PlanCache(config.planner)
         self.recorder = recorder
-        self.max_iterations = max_iterations
-        self.max_facts = max_facts
-        self.max_seconds = max_seconds
         self.fact_base = fact_base
         self.rounds = 0
         self._deadline: Optional[float] = None
-        #: "columnar" runs rule bodies through the batch kernel
-        #: (repro.engine.columnar) over interned rows wherever the
-        #: component allows it (see :meth:`_rows`); anything else stays
-        #: tuple-at-a-time.
-        self.exec_mode = exec_mode
-        #: Intra-component delta partitioning (repro.engine.partition):
-        #: with partitions > 1 the semi-naive rounds hash-split their
-        #: deltas and run each partition on the mechanism named by
-        #: partition_backend.  Naive mode and provenance runs ignore it
-        #: (naive has no delta to split; provenance needs the single
-        #: sequential emission stream its recorder observes).
-        self.partitions = partitions
-        self.partition_backend = partition_backend
 
     # -- budget guards --------------------------------------------------
 
     def _check_facts(self, stats: EvalStats) -> None:
-        if (
-            self.max_facts is not None
-            and self.fact_base + stats.facts > self.max_facts
-        ):
+        max_facts = self.config.max_facts
+        if max_facts is not None and self.fact_base + stats.facts > max_facts:
             raise NonTerminationError(
-                f"evaluation exceeded {self.max_facts} facts",
+                f"evaluation exceeded {max_facts} facts",
                 stats.iterations,
                 self.fact_base + stats.facts,
             )
@@ -577,17 +514,18 @@ class ComponentRun:
         """Count one fixpoint round, guarding this component's budget."""
         stats.iterations += 1
         self.rounds += 1
-        if self.max_iterations is not None and self.rounds > self.max_iterations:
+        max_iterations = self.config.max_iterations
+        if max_iterations is not None and self.rounds > max_iterations:
             raise NonTerminationError(
                 f"component {sorted(self.task.sigs)} exceeded "
-                f"{self.max_iterations} iterations",
+                f"{max_iterations} iterations",
                 stats.iterations,
                 self.fact_base + stats.facts,
             )
         if self._deadline is not None and time.monotonic() > self._deadline:
             raise ComponentTimeout(
                 f"component {sorted(self.task.sigs)} exceeded its "
-                f"{self.max_seconds:g}s wall-clock budget",
+                f"{self.config.max_seconds:g}s wall-clock budget",
                 stats.iterations,
                 self.fact_base + stats.facts,
             )
@@ -596,13 +534,14 @@ class ComponentRun:
 
     def execute(self, db: Database, stats: EvalStats) -> None:
         faults.fire("component")
-        if self.max_seconds is not None:
+        config = self.config
+        if config.max_seconds is not None:
             # Per-component wall clock: the watchdog is armed at execute
             # time (not construction) so pool queueing doesn't count.
-            self._deadline = time.monotonic() + self.max_seconds
+            self._deadline = time.monotonic() + config.max_seconds
         partitioner = None
         if (
-            self.partitions > 1
+            config.partitions > 1
             and self.task.recursive
             and self.mode == "seminaive"
             and self.recorder is None
@@ -611,12 +550,7 @@ class ComponentRun:
             # the semi-naive fixpoint of a recursive component, without
             # a provenance recorder (which needs the single sequential
             # emission stream).
-            partitioner = make_partition_executor(
-                self.partitions,
-                self.partition_backend,
-                self.exec_mode,
-                self.cache.planner,
-            )
+            partitioner = make_partition_executor(config)
         try:
             self._fixpoint(db, stats, self._rows(db, stats), partitioner)
         finally:
@@ -635,7 +569,7 @@ class ComponentRun:
         """
         recursive = self.task.recursive
         if (
-            self.exec_mode == "columnar"
+            self.config.exec == "columnar"
             and self.recorder is None
             and not (recursive and self.mode == "naive")
         ):
@@ -703,7 +637,7 @@ class ComponentRun:
         recursive = self.task.recursive
         seminaive = self.mode == "seminaive"
         budget = None
-        if not recursive and self.max_facts is not None:
+        if not recursive and self.config.max_facts is not None:
             budget = self._check_facts
         rels: Dict[Signature, Relation] = {
             sig: db.relation(*sig) for sig in scc_set

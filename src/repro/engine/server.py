@@ -295,18 +295,7 @@ class DatalogServer:
     def _make_compiler(self):
         from repro.engine.query import QueryCompiler
 
-        session = self.session
-        return QueryCompiler(
-            session.program,
-            planner=session.planner,
-            jobs=session.jobs,
-            backend=session.backend,
-            exec=session.exec_mode,
-            partitions=session.partitions,
-            max_iterations=session.max_iterations,
-            max_facts=session.max_facts,
-            max_seconds=session.max_seconds,
-        )
+        return QueryCompiler(self.session.program, config=self.session.config)
 
     # -- lifecycle -----------------------------------------------------
 

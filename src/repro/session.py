@@ -30,6 +30,7 @@ from repro.datalog.program import Program
 from repro.datalog.rules import Rule
 from repro.datalog.terms import Constant, Term, Variable
 from repro.datalog.validate import ensure_no_reserved_names, reserved_name_reason
+from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.engine.incremental import IncrementalSession
 from repro.engine.query import QueryCompiler
@@ -51,38 +52,20 @@ class QueryReport:
 class DeductiveDatabase:
     """Rules + facts + an optimizing query interface.
 
-    ``planner`` selects the join-order strategy used when queries are
-    evaluated: ``"greedy"`` (deterministic, syntactic) or ``"cost"``
-    (statistics-driven with drift-triggered re-planning); ``None``
-    defers to the ``REPRO_PLANNER`` environment variable.  ``jobs``
-    evaluates independent SCCs of the compiled program concurrently
-    (``None`` defers to ``REPRO_JOBS``; answers and counters are
-    identical for every job count) and ``backend`` picks the executor
-    they run on — ``"serial"``, ``"thread"``, or ``"process"`` for
-    real multi-core parallelism (``None`` defers to
-    ``REPRO_BACKEND``).  ``exec`` selects how compiled plans run:
-    ``"columnar"`` (the default) batches interned rows through the
-    column kernel, ``"tuple"`` forces the tuple-at-a-time oracle —
-    answers and counters are identical either way (``None`` defers to
-    ``REPRO_EXEC``).  ``partitions`` hash-splits the delta rounds
-    *inside* recursive components of the compiled/materialized program
-    (``None`` defers to ``REPRO_PARTITIONS``; answers and counters are
-    identical for every partition count — see
-    :mod:`repro.engine.partition`).  ``max_seconds`` arms a per-component
-    wall-clock watchdog on materialized sessions (``None`` defers to
-    ``REPRO_TIMEOUT``): a runaway maintenance fixpoint rolls back with
-    :class:`~repro.engine.stats.MaintenanceError` instead of hanging.
+    ``config`` and/or keyword knobs (``planner=``, ``jobs=``,
+    ``backend=``, ``exec=``, ``partitions=``, ``max_seconds=``) are
+    those of :class:`~repro.engine.config.EngineConfig`, resolved (and
+    rejected) here; they govern :meth:`ask` and are the defaults of
+    :meth:`materialize`.  Answers and counters are identical for every
+    valid combination.
     """
 
     def __init__(
         self,
         use_instance_checks: bool = True,
-        planner: Optional[str] = None,
-        jobs: Optional[int] = None,
-        backend: Optional[str] = None,
-        exec: Optional[str] = None,
-        partitions: Optional[int] = None,
-        max_seconds: Optional[float] = None,
+        *,
+        config: Optional[EngineConfig] = None,
+        **knobs,
     ):
         self._rules: List = []
         self._program: Optional[Program] = None
@@ -97,12 +80,7 @@ class DeductiveDatabase:
         self._compiler: Optional[QueryCompiler] = None
         self._compiler_edb: Optional[Database] = None
         self._use_instance_checks = use_instance_checks
-        self._planner = planner
-        self._jobs = jobs
-        self._backend = backend
-        self._exec = exec
-        self._partitions = partitions
-        self._max_seconds = max_seconds
+        self._config = EngineConfig.resolve(config, **knobs)
 
     # ------------------------------------------------------------------
     # Loading
@@ -243,13 +221,8 @@ class DeductiveDatabase:
             program, edb_view = self._effective()
             self._compiler = QueryCompiler(
                 program,
-                planner=self._planner,
-                jobs=self._jobs,
-                backend=self._backend,
-                exec=self._exec,
-                partitions=self._partitions,
                 use_instance_checks=self._use_instance_checks,
-                max_seconds=self._max_seconds,
+                config=self._config,
             )
             self._compiler_edb = edb_view
         return self._compiler, self._compiler_edb
@@ -310,12 +283,7 @@ class DeductiveDatabase:
         :meth:`ask` (the stored relation becomes ``pred__base``); the
         session translates updates of such predicates transparently.
         """
-        kwargs.setdefault("planner", self._planner)
-        kwargs.setdefault("jobs", self._jobs)
-        kwargs.setdefault("backend", self._backend)
-        kwargs.setdefault("exec", self._exec)
-        kwargs.setdefault("partitions", self._partitions)
-        kwargs.setdefault("max_seconds", self._max_seconds)
+        kwargs.setdefault("config", self._config)
         program, edb_view = self._effective()
         bridged = {
             sig

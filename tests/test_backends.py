@@ -16,15 +16,14 @@ import pytest
 from repro.cli import main
 from repro.datalog.parser import parse_literal, parse_program, parse_term
 from repro.engine.backends import (
-    BACKEND_ENV,
     ComponentSpec,
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
     evaluate_component,
     make_backend,
-    resolve_backend,
 )
+from repro.engine.config import EngineConfig
 from repro.engine.database import Database, Relation
 from repro.engine.naive import naive_eval
 from repro.engine.provenance import provenance_eval
@@ -39,37 +38,12 @@ from repro.workloads.synthetic import (
 )
 
 
-class TestResolveBackend:
-    def test_default_is_thread(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert resolve_backend() == "thread"
-
-    def test_env_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "process")
-        assert resolve_backend() == "process"
-
-    def test_parameter_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "process")
-        assert resolve_backend("serial") == "serial"
-
-    def test_case_and_whitespace_are_forgiven(self):
-        assert resolve_backend("  Process ") == "process"
-
-    def test_bad_env_value_raises(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "bogus")
-        with pytest.raises(ValueError, match="REPRO_BACKEND"):
-            resolve_backend()
-
-    def test_bad_parameter_raises(self):
-        with pytest.raises(ValueError, match="bogus"):
-            resolve_backend("bogus")
-
-    def test_make_backend_passthrough_and_names(self):
-        backend = ProcessBackend()
-        assert make_backend(backend) is backend
-        assert isinstance(make_backend("serial"), SerialBackend)
-        assert isinstance(make_backend("thread"), ThreadBackend)
-        assert isinstance(make_backend("process"), ProcessBackend)
+def test_make_backend_follows_the_config():
+    # name parsing/validation lives in tests/test_config.py
+    assert isinstance(make_backend(EngineConfig(backend="serial")), SerialBackend)
+    assert isinstance(make_backend(EngineConfig(backend="thread")), ThreadBackend)
+    process = make_backend(EngineConfig(backend="process", retries=5))
+    assert isinstance(process, ProcessBackend) and process.retries == 5
 
 
 class TestCliBackendValidation:
@@ -110,7 +84,7 @@ class TestCliBackendValidation:
     def test_bad_backend_env_is_a_clean_error(
         self, program_file, facts_file, capsys, monkeypatch
     ):
-        monkeypatch.setenv(BACKEND_ENV, "gpu")
+        monkeypatch.setenv("REPRO_BACKEND", "gpu")
         code = main(["run", program_file, "t(1, Y)", "--facts", facts_file])
         assert code == 2
         err = capsys.readouterr().err
@@ -185,7 +159,9 @@ class TestComponentSpecRoundTrip:
     def _spec(self):
         program = wide_dag_program(2)
         edb = wide_dag_edb(2, 6)
-        scheduler = SCCScheduler(program, jobs=2, backend="process")
+        scheduler = SCCScheduler(
+            program, EngineConfig(jobs=2, backend="process")
+        )
         db = edb.copy()
         task = next(t for t in scheduler.tasks if t.recursive)
         return ComponentSpec.from_task(scheduler, task, db, fact_base=0), task

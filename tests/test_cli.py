@@ -75,6 +75,42 @@ class TestRun:
         assert main(["run", program_file, "t(1, Y)"]) == 0
         assert "0 answers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--jobs", "0", "error: invalid jobs='0'; expected a positive integer"),
+            ("--jobs", "2.5", "error: invalid jobs='2.5'; expected a positive integer"),
+            ("--exec", "bogus", "error: invalid exec='bogus'; expected one of columnar, tuple"),
+            ("--planner", "nope", "error: invalid planner='nope'; expected one of greedy, cost"),
+        ],
+    )
+    def test_bad_knob_is_one_error_line_and_exit_2(
+        self, program_file, facts_file, capsys, flag, value, message
+    ):
+        code = main(
+            ["run", program_file, "t(1, Y)", "--facts", facts_file, flag, value]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [message]
+
+    def test_stats_leads_with_the_resolved_config(
+        self, program_file, facts_file, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_PLANNER", "cost")  # environment knobs show too
+        monkeypatch.delenv("REPRO_EXEC", raising=False)
+        code = main(
+            ["run", program_file, "t(1, Y)", "--facts", facts_file,
+             "--stats", "--jobs", "2", "--backend", "serial"]
+        )
+        assert code == 0
+        lines = capsys.readouterr().err.splitlines()
+        first = lines.index("-- stats:") - 1
+        assert lines[first].startswith(
+            "-- config: planner=cost jobs=2 backend=serial exec=columnar "
+        )
+
 
 class TestValidate:
     def test_ok_program(self, program_file, capsys):

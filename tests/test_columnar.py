@@ -14,12 +14,7 @@ import pytest
 
 from repro.datalog.parser import parse_program, parse_term
 from repro.datalog.terms import Constant
-from repro.engine.columnar import (
-    DEFAULT_EXEC,
-    EXEC_ENV,
-    decode_rows,
-    resolve_exec,
-)
+from repro.engine.columnar import decode_rows
 from repro.engine.database import Database, Relation
 from repro.engine.intern import TermDictionary
 from repro.engine.seminaive import seminaive_eval
@@ -38,26 +33,6 @@ TC = parse_program(
     t(X, Y) :- e(X, Z), t(Z, Y).
     """
 )
-
-
-# ---------------------------------------------------------------------------
-# Mode resolution
-# ---------------------------------------------------------------------------
-
-
-def test_resolve_exec_parameter_env_default(monkeypatch):
-    monkeypatch.delenv(EXEC_ENV, raising=False)
-    assert resolve_exec() == DEFAULT_EXEC == "columnar"
-    assert resolve_exec("tuple") == "tuple"
-    monkeypatch.setenv(EXEC_ENV, "tuple")
-    assert resolve_exec() == "tuple"
-    # The explicit parameter beats the environment.
-    assert resolve_exec("columnar") == "columnar"
-    monkeypatch.setenv(EXEC_ENV, "bogus")
-    with pytest.raises(ValueError, match="REPRO_EXEC"):
-        resolve_exec()
-    with pytest.raises(ValueError, match="exec"):
-        resolve_exec("row-at-a-time")
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from repro.engine.cost import (
     cost_join_order,
     estimate_fanout,
     is_guard,
-    resolve_planner,
 )
 from repro.engine.database import Database, Relation, RelationStatistics
 from repro.engine.plan import PlanCache
@@ -250,19 +249,9 @@ def test_replans_counted_during_seminaive_evaluation():
 
 def test_rejects_unknown_planner():
     with pytest.raises(ValueError):
-        resolve_planner("selinger")
-    with pytest.raises(ValueError):
         PlanCache("selinger")
     with pytest.raises(ValueError):
         seminaive_eval(parse_program("p(1)."), Database(), planner="nope")
-
-
-def test_planner_env_default(monkeypatch):
-    monkeypatch.delenv("REPRO_PLANNER", raising=False)
-    assert resolve_planner(None) == "greedy"
-    monkeypatch.setenv("REPRO_PLANNER", "cost")
-    assert resolve_planner(None) == "cost"
-    assert resolve_planner("greedy") == "greedy"  # explicit beats env
 
 
 def test_skewed_fanout_counters_match_across_planners():

@@ -25,7 +25,6 @@ from repro.engine.backends import (
     BrokenExecutor,
     ProcessBackend,
     SerialBackend,
-    resolve_retries,
 )
 from repro.engine.database import Database
 from repro.engine.faults import (
@@ -37,7 +36,6 @@ from repro.engine.faults import (
 )
 from repro.engine.incremental import IncrementalSession
 from repro.engine.provenance import provenance_eval
-from repro.engine.scheduler import TIMEOUT_ENV, resolve_timeout
 from repro.engine.seminaive import seminaive_eval
 from repro.engine.stats import ComponentTimeout, MaintenanceError
 from repro.workloads.synthetic import wide_dag_edb, wide_dag_program
@@ -167,38 +165,6 @@ class TestFirePlan:
         faults.install(plan)
         with pytest.raises(FaultInjected):
             faults.fire("component")
-
-
-class TestKnobValidation:
-    """Satellite: new knobs fail as loudly as REPRO_BACKEND."""
-
-    @pytest.mark.parametrize("bad", ["abc", "0", "-1", "nan"])
-    def test_timeout_rejects_bad_values(self, bad):
-        with pytest.raises(ValueError, match="positive number of seconds"):
-            resolve_timeout(bad)
-
-    def test_timeout_env(self, monkeypatch):
-        monkeypatch.setenv(TIMEOUT_ENV, "2.5")
-        assert resolve_timeout() == 2.5
-        monkeypatch.setenv(TIMEOUT_ENV, "soon")
-        with pytest.raises(ValueError, match=TIMEOUT_ENV):
-            resolve_timeout()
-        monkeypatch.delenv(TIMEOUT_ENV)
-        assert resolve_timeout() is None
-
-    @pytest.mark.parametrize("bad", ["x", "-1", "1.5"])
-    def test_retries_rejects_bad_values(self, bad):
-        with pytest.raises(ValueError, match="non-negative integer"):
-            resolve_retries(bad)
-
-    def test_retries_env_and_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RETRIES", raising=False)
-        assert resolve_retries() == 2
-        monkeypatch.setenv("REPRO_RETRIES", "0")
-        assert resolve_retries() == 0
-        monkeypatch.setenv("REPRO_RETRIES", "many")
-        with pytest.raises(ValueError, match="REPRO_RETRIES"):
-            resolve_retries()
 
 
 class TestDifferentialFaultProperty:

@@ -16,14 +16,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
 from repro.datalog.parser import parse_program
+from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.engine.partition import (
-    PARTITIONS_ENV,
     ProcessPartitionExecutor,
     SerialPartitionExecutor,
     ThreadPartitionExecutor,
     make_partition_executor,
-    resolve_partitions,
     split_indices,
 )
 from repro.engine.seminaive import seminaive_eval
@@ -34,38 +33,17 @@ from repro.workloads.synthetic import (
 )
 
 
-class TestResolvePartitions:
-    def test_default_is_unpartitioned(self, monkeypatch):
-        monkeypatch.delenv(PARTITIONS_ENV, raising=False)
-        assert resolve_partitions() == 1
-
-    def test_explicit_value_wins(self, monkeypatch):
-        monkeypatch.setenv(PARTITIONS_ENV, "8")
-        assert resolve_partitions(2) == 2
-
-    def test_env_supplies_default(self, monkeypatch):
-        monkeypatch.setenv(PARTITIONS_ENV, " 3 ")
-        assert resolve_partitions() == 3
-
-    def test_bad_env_value_raises(self, monkeypatch):
-        monkeypatch.setenv(PARTITIONS_ENV, "many")
-        with pytest.raises(ValueError, match=PARTITIONS_ENV):
-            resolve_partitions()
-
-    @pytest.mark.parametrize("bad", [0, -1, -8])
-    def test_nonpositive_raises(self, bad):
-        with pytest.raises(ValueError, match="partitions"):
-            resolve_partitions(bad)
-
+class TestEvaluatorValidatesPartitions:
+    # value/environment parsing itself lives in tests/test_config.py
     def test_evaluator_validates(self):
         program = parse_program("t(X, Y) :- e(X, Y).")
         with pytest.raises(ValueError, match="partitions"):
             seminaive_eval(program, Database(), partitions=0)
 
     def test_evaluator_validates_env(self, monkeypatch):
-        monkeypatch.setenv(PARTITIONS_ENV, "junk")
+        monkeypatch.setenv("REPRO_PARTITIONS", "junk")
         program = parse_program("t(X, Y) :- e(X, Y).")
-        with pytest.raises(ValueError, match=PARTITIONS_ENV):
+        with pytest.raises(ValueError, match="REPRO_PARTITIONS"):
             seminaive_eval(program, Database())
 
 
@@ -182,12 +160,12 @@ class TestFallbacks:
 
 class TestExecutorSelection:
     def test_one_partition_is_none(self):
-        assert make_partition_executor(1, "process") is None
+        assert make_partition_executor(EngineConfig(backend="process")) is None
 
     def test_family_follows_backend_name(self):
-        assert type(make_partition_executor(2, "serial")) is SerialPartitionExecutor
-        assert type(make_partition_executor(2, "thread")) is ThreadPartitionExecutor
-        ex = make_partition_executor(2, "process")
+        assert type(make_partition_executor(EngineConfig(partitions=2, backend="serial"))) is SerialPartitionExecutor
+        assert type(make_partition_executor(EngineConfig(partitions=2, backend="thread"))) is ThreadPartitionExecutor
+        ex = make_partition_executor(EngineConfig(partitions=2, backend="process"))
         assert type(ex) is ProcessPartitionExecutor
         ex.close()
 
@@ -203,7 +181,7 @@ class TestProcessGroup:
         rel.add(("a",))
         rel.add(("b",))
         view = rel.view(0, 2)
-        ex = ProcessPartitionExecutor(2, "tuple", None)
+        ex = ProcessPartitionExecutor(EngineConfig(partitions=2, exec="tuple"))
 
         class BadPlan:
             steps = ()
@@ -226,7 +204,7 @@ class TestProcessGroup:
         db = Database()
         rel = db.relation("d", 1)
         rel.add(("a",))
-        ex = ProcessPartitionExecutor(2, "tuple", None)
+        ex = ProcessPartitionExecutor(EngineConfig(partitions=2, exec="tuple"))
         try:
             assert ex._declines(db, {0: rel})  # bare Relation, not a view
             from repro.engine.database import Relation
@@ -396,8 +374,8 @@ class TestPartitionsCLI:
     def test_bad_partitions_env_is_a_clean_error(
         self, program_file, facts_file, capsys, monkeypatch
     ):
-        monkeypatch.setenv(PARTITIONS_ENV, "gobs")
+        monkeypatch.setenv("REPRO_PARTITIONS", "gobs")
         code = main(["run", program_file, "t(0, Y)", "--facts", facts_file])
         assert code == 2
         err = capsys.readouterr().err
-        assert "error:" in err and PARTITIONS_ENV in err
+        assert "error:" in err and "REPRO_PARTITIONS" in err

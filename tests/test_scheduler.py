@@ -18,10 +18,8 @@ from repro.engine.database import Database, Relation
 from repro.engine.intern import TermDictionary
 from repro.engine.naive import naive_eval, naive_fixpoint_reference
 from repro.engine.scheduler import (
-    JOBS_ENV,
     SCCScheduler,
     component_depths,
-    resolve_jobs,
 )
 from repro.engine.seminaive import seminaive_eval
 from repro.engine.stats import EvalStats, NonTerminationError
@@ -236,29 +234,6 @@ class TestParallelEvaluation:
             seminaive_eval(program, edb, max_facts=budget, jobs=1)
         with pytest.raises(NonTerminationError):
             seminaive_eval(program, edb, max_facts=budget, jobs=2)
-
-
-class TestResolveJobs:
-    def test_default_is_sequential(self, monkeypatch):
-        monkeypatch.delenv(JOBS_ENV, raising=False)
-        assert resolve_jobs() == 1
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV, "3")
-        assert resolve_jobs() == 3
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV, "3")
-        assert resolve_jobs(2) == 2
-
-    def test_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV, "many")
-        with pytest.raises(ValueError):
-            resolve_jobs()
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            resolve_jobs(0)
 
 
 class TestStaging:
