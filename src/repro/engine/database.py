@@ -128,7 +128,7 @@ def _keyed_facts(facts: Iterable[FactTuple], positions: Tuple[int, ...]):
 
 
 def _without(seq, gone: List[int]):
-    """``seq`` (a list or an array) minus the ascending positions ``gone``.
+    """The list ``seq`` minus the ascending positions ``gone``.
 
     Copies the runs between them slice by slice: one C-level copy of
     the survivors and one interpreter step per removed position.
@@ -179,10 +179,10 @@ class Relation:
 
     When a :class:`~repro.engine.intern.TermDictionary` is attached
     (``dictionary``), the relation additionally maintains a columnar
-    image of the log: one ``array('q')`` of interned term ids per
-    attribute, extended lazily from a watermark by
-    :meth:`ensure_columns` so the tuple-side hot path (:meth:`add`)
-    never pays for it.  The columnar executor
+    image of the log: one list of interned term ids per attribute (the
+    dictionary's own int objects, never copies), extended lazily from
+    a watermark by :meth:`ensure_columns` so the tuple-side hot path
+    (:meth:`add`) never pays for it.  The columnar executor
     (:mod:`repro.engine.columnar`) reads the columns plus the
     int-keyed :meth:`col_index`/:meth:`col_set` accessors; row ``i``
     of the columns always describes ``_log[i]``.
@@ -231,7 +231,7 @@ class Relation:
         self._carried_distinct: Dict[Tuple[int, ...], int] = {}
         #: Shared term dictionary enabling the columnar image (or None).
         self.dictionary = dictionary
-        self._cols: Optional[List[array]] = None
+        self._cols: Optional[List[List[int]]] = None
         self._colset: Optional[Set[RowTuple]] = None
         self._colset_n = 0
         # positions -> (int-keyed index of row positions, watermark).
@@ -467,7 +467,7 @@ class Relation:
         dictionary = self.dictionary
         return _NO_LOCK if dictionary is None else dictionary._lock
 
-    def ensure_columns(self) -> Optional[List[array]]:
+    def ensure_columns(self) -> Optional[List[List[int]]]:
         """The per-attribute id columns, interned up to the current log.
 
         Returns ``None`` without an attached dictionary (or for a
@@ -478,7 +478,7 @@ class Relation:
         pays O(delta), not O(relation).  Extension runs under the
         dictionary's re-entrant lock: concurrent readers of a *shared*
         (non-growing) relation may race to columnize it first, and
-        in-place array appends must not interleave.
+        in-place column appends must not interleave.
         """
         dictionary = self.dictionary
         if dictionary is None or self.arity == 0:
@@ -507,7 +507,7 @@ class Relation:
         with dictionary._lock:
             cols = self._cols
             if cols is None:
-                cols = [array("q") for _ in range(self.arity)]
+                cols = [[] for _ in range(self.arity)]
             m = len(cols[0])
             if m < n:
                 intern = dictionary.intern
@@ -553,7 +553,7 @@ class Relation:
         Maps the interned projection — a bare id for a single-position
         index, an id tuple otherwise — to the list of row positions
         with that projection (``lookup`` by row keeps the probe loop on
-        array indexing instead of materializing row tuples).  Persistent
+        column indexing instead of materializing row tuples).  Persistent
         and watermark-extended like the tuple indexes, so repeated
         full-relation probes in a fixpoint stay O(delta) per round.
         A first build is published atomically (racing readers of a
@@ -587,7 +587,7 @@ class Relation:
     def _fill_col_index(
         index: Dict,
         owned: Optional[Set],
-        cols: List[array],
+        cols: List[List[int]],
         positions: Tuple[int, ...],
         m: int,
         n: int,
@@ -786,8 +786,10 @@ class Relation:
         # instead of the tuple log — the pickle memo serializes the
         # shared dictionary once per payload, and decoding shares one
         # term object per distinct value instead of one per occurrence.
-        # Like snapshot(), the sync lock pins the watermark so a
-        # concurrent columnar drain cannot tear the captured state.
+        # The columns travel packed, 8 bytes an id (array('q')), not
+        # as lists of int objects.  Like snapshot(), the sync lock pins
+        # the watermark so a concurrent columnar drain cannot tear the
+        # captured state.
         with self._sync_lock():
             if self._pending_rows:
                 self.ensure_columns()
@@ -803,7 +805,7 @@ class Relation:
                     None,
                     self._distinct_snapshot(),
                     self.dictionary,
-                    [col[:] for col in cols],
+                    [array("q", col) for col in cols],
                 )
             # No complete columnar image.  Pending rows only ever exist
             # columnar-side, so here the log is the complete story.
@@ -838,7 +840,7 @@ class Relation:
             self._logrows = []
             self._tuples = set()
             self._pending_n = len(cols[0]) if cols else 0
-            self._cols = list(cols)
+            self._cols = [col.tolist() for col in cols]
         else:
             self._logrows = list(log)
             self._tuples = set(self._logrows)

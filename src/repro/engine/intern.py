@@ -1,15 +1,17 @@
 """Term interning: ground terms to dense integer ids.
 
 Columnar execution (:mod:`repro.engine.columnar`) stores relations as
-per-attribute ``array('q')`` columns of integer ids instead of tuples
-of :class:`~repro.datalog.terms.Term` objects.  The mapping between
-the two worlds is a :class:`TermDictionary` shared by every relation
-of one :class:`~repro.engine.database.Database`: ``intern(term)``
-returns a dense id (allocating on first sight), and ``terms[i]``
-decodes it back.  Ids are append-only and never reused, so any copy,
-stage, snapshot, or pickled component spec can share the dictionary
-*by reference* (or by a one-shot pickle) — an id minted before the
-share keeps meaning the same term forever.
+per-attribute list columns of integer ids instead of tuples of
+:class:`~repro.datalog.terms.Term` objects.  The mapping between the
+two worlds is a :class:`TermDictionary` shared by every relation of
+one :class:`~repro.engine.database.Database`: ``intern(term)`` returns
+a dense id (allocating on first sight), and ``terms[i]`` decodes it
+back.  A column holds the very int objects ``intern`` returns — the
+dictionary owns one per term; columns, rows and indexes point at it.
+Ids are append-only and never reused, so any copy, stage, snapshot, or
+pickled component spec can share the dictionary *by reference* (or by
+a one-shot pickle) — an id minted before the share keeps meaning the
+same term forever.
 
 Interning happens at the relation boundary, for whole ground terms:
 a :class:`~repro.datalog.terms.Compound` interns as one opaque id

@@ -50,7 +50,6 @@ sets the partition count (default 1 — the unpartitioned path).
 
 from __future__ import annotations
 
-from array import array
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:
@@ -176,7 +175,7 @@ def _rows_partition(
     pending and is only decoded if a tuple fallback actually reads it.
     """
     rel = Relation(name, arity, dictionary)
-    rel._cols = [array("q", col) for col in zip(*rows)]
+    rel._cols = [list(col) for col in zip(*rows)]
     rel._pending_n = len(rows)
     return rel
 

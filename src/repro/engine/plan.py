@@ -317,6 +317,7 @@ class RulePlan:
         "_head_getter",
         "_body_ops",
         "_columnar",
+        "_kernel",
     )
 
     def __init__(
@@ -382,10 +383,13 @@ class RulePlan:
         # on_match hook; compiled lazily on first provenance execution
         # so plain evaluation pays nothing.
         self._body_ops: Optional[Tuple[Tuple[str, int, tuple], ...]] = None
-        # Columnar kernel (repro.engine.columnar), compiled lazily on
-        # the first columnar execution of this plan; False marks a plan
-        # the columnar path cannot run (it falls back to execute()).
+        # Columnar kernel (repro.engine.columnar): the static spec,
+        # compiled lazily on the first columnar execution of this plan
+        # (False marks a plan the columnar path cannot run — it falls
+        # back to execute()), and the generated batch function of the
+        # spec's shape, fetched when a call first reaches the batch.
         self._columnar = None
+        self._kernel = None
 
     def _emit_head_general(self, slots: List[Optional[Term]]) -> FactTuple:
         out: List[Term] = []

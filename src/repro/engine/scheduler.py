@@ -408,7 +408,7 @@ class _InternedRows:
             if self.single_pass:
                 return batch
             intern = db.dictionary.intern
-            return self, [tuple(intern(t) for t in fact) for fact in batch[1]]
+            return self, [tuple(map(intern, fact)) for fact in batch[1]]
         if self.single_pass and (
             rel.arity == 0 or rel.dictionary is not db.dictionary
         ):
