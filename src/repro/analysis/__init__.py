@@ -6,80 +6,36 @@ These are the compile-time tools the paper's Section 4-6 recognizers
 are built from.
 """
 
-from repro.analysis.dependency import DependencyGraph, strongly_connected_components
-from repro.analysis.adornment import (
-    Adornment,
-    adorn,
-    AdornedProgram,
-    adorned_name,
-    split_adorned_name,
-    adornment_from_query,
-)
-from repro.analysis.conjunctive import (
-    ConjunctiveQuery,
-    find_homomorphism,
-    cq_contained_in,
-    cq_equivalent,
-)
-from repro.analysis.standard_form import to_standard_form, StandardFormResult
-from repro.analysis.classify import (
-    RuleClass,
-    RuleClassification,
-    ProgramClassification,
-    classify_rule,
-    classify_program,
-)
-from repro.analysis.avgraph import AVGraph, is_one_sided, is_simple_one_sided, expand_rule
-from repro.analysis.uniform import (
-    uniformly_contained,
-    uniformly_equivalent,
-    minimize_program,
-    redundant_rules,
-    UniformUndecidedError,
-)
-from repro.analysis.isomorphism import programs_isomorphic, rules_isomorphic
-from repro.analysis.separable import (
-    SeparabilityReport,
-    is_separable,
-    is_reducible_separable,
-    shifting_variables,
-    fixed_variables,
-)
+from repro import _facade
 
-__all__ = [
-    "DependencyGraph",
-    "strongly_connected_components",
-    "Adornment",
-    "adorn",
-    "AdornedProgram",
-    "adorned_name",
-    "split_adorned_name",
-    "adornment_from_query",
-    "ConjunctiveQuery",
-    "find_homomorphism",
-    "cq_contained_in",
-    "cq_equivalent",
-    "to_standard_form",
-    "StandardFormResult",
-    "RuleClass",
-    "RuleClassification",
-    "ProgramClassification",
-    "classify_rule",
-    "classify_program",
-    "AVGraph",
-    "is_one_sided",
-    "is_simple_one_sided",
-    "expand_rule",
-    "SeparabilityReport",
-    "is_separable",
-    "is_reducible_separable",
-    "shifting_variables",
-    "fixed_variables",
-    "uniformly_contained",
-    "uniformly_equivalent",
-    "minimize_program",
-    "redundant_rules",
-    "UniformUndecidedError",
-    "programs_isomorphic",
-    "rules_isomorphic",
-]
+__getattr__, __dir__, __all__ = _facade(
+    __name__,
+    {
+        "dependency": ("DependencyGraph", "strongly_connected_components"),
+        "adornment": (
+            "Adornment", "adorn", "AdornedProgram", "adorned_name",
+            "split_adorned_name", "adornment_from_query",
+        ),
+        "conjunctive": (
+            "ConjunctiveQuery", "find_homomorphism", "cq_contained_in",
+            "cq_equivalent",
+        ),
+        "standard_form": ("to_standard_form", "StandardFormResult"),
+        "classify": (
+            "RuleClass", "RuleClassification", "ProgramClassification",
+            "classify_rule", "classify_program",
+        ),
+        "avgraph": (
+            "AVGraph", "is_one_sided", "is_simple_one_sided", "expand_rule",
+        ),
+        "uniform": (
+            "uniformly_contained", "uniformly_equivalent", "minimize_program",
+            "redundant_rules", "UniformUndecidedError",
+        ),
+        "isomorphism": ("programs_isomorphic", "rules_isomorphic"),
+        "separable": (
+            "SeparabilityReport", "is_separable", "is_reducible_separable",
+            "shifting_variables", "fixed_variables",
+        ),
+    },
+)

@@ -1,5 +1,10 @@
 """Benchmark harness utilities shared by the ``benchmarks/`` suite."""
 
-from repro.bench.harness import Measurement, Series, render_table, bench_scale
+from repro import _facade
 
-__all__ = ["Measurement", "Series", "render_table", "bench_scale"]
+__getattr__, __dir__, __all__ = _facade(
+    __name__,
+    {
+        "harness": ("Measurement", "Series", "render_table", "bench_scale"),
+    },
+)

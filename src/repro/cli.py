@@ -21,7 +21,7 @@ Commands
                commands.  ``--journal PATH`` write-ahead-logs every
                update for crash recovery; ``--strict`` makes script
                errors fatal instead of report-and-continue.
-``recover``    Replay a journal into a fresh session and dump the
+``recover``    Recover a journal into a fresh session and dump the
                recovered database as sorted Datalog facts — the
                verification half of crash recovery (two runs that must
                agree produce byte-identical dumps).
@@ -37,14 +37,16 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.core.pipeline import optimize
 from repro.datalog.parser import parse_literal, parse_program, parse_query
 from repro.datalog.program import Program
-from repro.datalog.validate import validate_program
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database, load_program_facts
-from repro.engine.provenance import explain as explain_fact
-from repro.engine.seminaive import seminaive_eval
+from repro.engine.stats import JournalError
+
+# Everything else a command runs — the optimizer pipeline, provenance,
+# the session/query stack, the journal, the server — is imported inside
+# that command: a fresh ``repro run`` or ``repro recover`` compiles only
+# the modules it executes (``tools/startup_costs.py`` lists them).
 
 
 def _load_program(path: str) -> Program:
@@ -62,6 +64,8 @@ def _load_edb(path: Optional[str]) -> Database:
 
 
 def cmd_classify(args) -> int:
+    from repro.core.pipeline import optimize
+
     program = _load_program(args.program)
     goal = parse_query(args.query)
     result = optimize(program, goal)
@@ -88,6 +92,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    from repro.core.pipeline import optimize
+
     program = _load_program(args.program)
     goal = parse_query(args.query)
     # Resolve the engine knobs up front: a bad --jobs/--backend (or a
@@ -134,6 +140,8 @@ def _engine_config(args) -> EngineConfig:
 
 
 def cmd_run(args) -> int:
+    from repro.core.pipeline import optimize
+
     program = _load_program(args.program)
     goal = parse_query(args.query)
     edb = _load_edb(args.facts)
@@ -201,6 +209,8 @@ def cmd_query(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from repro.datalog.validate import validate_program
+
     program = _load_program(args.program)
     report = validate_program(program)
     print(report)
@@ -208,6 +218,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    from repro.engine.provenance import explain as explain_fact
+
     program = _load_program(args.program)
     edb = _load_edb(args.facts)
     fact = parse_literal(args.fact)
@@ -574,8 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--journal",
         metavar="PATH",
         help="write-ahead journal: log each update (fsync'd) before "
-        "applying it; on restart, committed batches replay so the "
-        "session resumes exactly where it left off",
+        "applying it; on restart the committed batches are folded "
+        "into the base facts and evaluated once, so the session resumes "
+        "exactly where it left off",
     )
     p.add_argument(
         "--checkpoint-every",
@@ -583,7 +596,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="append an EDB checkpoint to the journal every N batches "
-        "(bounds replay time after a restart)",
+        "(bounds the journal's size and read time; a restart "
+        "evaluates once however many batches follow the checkpoint)",
     )
     p.add_argument(
         "--strict",
@@ -619,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "recover",
-        help="replay a journal and dump the recovered database",
+        help="recover a journal and dump the recovered database",
     )
     p.add_argument("program")
     p.add_argument("journal", help="journal file written by serve --journal")
@@ -651,10 +665,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError, JournalError) as exc:
         # Bad knob values (--jobs 0, --backend bogus, a malformed
-        # $REPRO_* variable) and unsafe rules are user errors, not
-        # tracebacks.
+        # $REPRO_* variable), unsafe rules, a program, facts or journal
+        # path that cannot be read and a file that is not a journal are
+        # user errors, not tracebacks.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

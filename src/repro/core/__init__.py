@@ -12,60 +12,30 @@
   factoring and simplification, with full provenance.
 """
 
-from repro.core.factoring import (
-    FactoredProgram,
-    factor_predicate,
-    factor_magic,
-    bound_name,
-    free_name,
-)
-from repro.core.theorems import (
-    FactorabilityReport,
-    check_factorability,
-    is_selection_pushing,
-    is_symmetric,
-    is_answer_propagating,
-)
-from repro.core.simplify import simplify_factored, SimplificationTrace
-from repro.core.reduction import (
-    static_argument_positions,
-    reduce_static_arguments,
-    ReductionResult,
-)
-from repro.core.undecidability import containment_gadget, GadgetPrograms
-from repro.core.nonunit import (
-    factor_inner,
-    inner_factoring_valid_on,
-    decouples_subgoals,
-    InnerFactoring,
-)
-from repro.core.section63 import rewrite_linear, NotLinearError
-from repro.core.pipeline import optimize, OptimizationResult
+from repro import _facade
 
-__all__ = [
-    "FactoredProgram",
-    "factor_predicate",
-    "factor_magic",
-    "bound_name",
-    "free_name",
-    "FactorabilityReport",
-    "check_factorability",
-    "is_selection_pushing",
-    "is_symmetric",
-    "is_answer_propagating",
-    "simplify_factored",
-    "SimplificationTrace",
-    "static_argument_positions",
-    "reduce_static_arguments",
-    "ReductionResult",
-    "containment_gadget",
-    "GadgetPrograms",
-    "factor_inner",
-    "inner_factoring_valid_on",
-    "decouples_subgoals",
-    "InnerFactoring",
-    "rewrite_linear",
-    "NotLinearError",
-    "optimize",
-    "OptimizationResult",
-]
+__getattr__, __dir__, __all__ = _facade(
+    __name__,
+    {
+        "factoring": (
+            "FactoredProgram", "factor_predicate", "factor_magic",
+            "bound_name", "free_name",
+        ),
+        "theorems": (
+            "FactorabilityReport", "check_factorability",
+            "is_selection_pushing", "is_symmetric", "is_answer_propagating",
+        ),
+        "simplify": ("simplify_factored", "SimplificationTrace"),
+        "reduction": (
+            "static_argument_positions", "reduce_static_arguments",
+            "ReductionResult",
+        ),
+        "undecidability": ("containment_gadget", "GadgetPrograms"),
+        "nonunit": (
+            "factor_inner", "inner_factoring_valid_on", "decouples_subgoals",
+            "InnerFactoring",
+        ),
+        "section63": ("rewrite_linear", "NotLinearError"),
+        "pipeline": ("optimize", "OptimizationResult"),
+    },
+)

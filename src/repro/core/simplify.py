@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.analysis.uniform import UniformUndecidedError, redundant_rules
 from repro.core.factoring import FactoredProgram
 from repro.datalog.literals import Literal
 from repro.datalog.program import Program
@@ -180,8 +181,6 @@ def _delete_uniformly_redundant(
     Sagiv [13] chase; programs with function symbols are skipped (the
     chase may diverge on them).
     """
-    from repro.analysis.uniform import UniformUndecidedError, redundant_rules
-
     try:
         removed = redundant_rules(program, max_iterations=100, max_facts=100_000)
     except UniformUndecidedError as err:

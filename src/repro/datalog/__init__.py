@@ -11,59 +11,27 @@ Sections 3-6, and Prolog-style list terms for Examples 1.2 and 4.6.
 Negation never appears in the paper and is not supported.
 """
 
-from repro.datalog.terms import (
-    Term,
-    Variable,
-    Constant,
-    Compound,
-    NIL,
-    make_list,
-    list_elements,
-    is_ground,
-    term_variables,
-    fresh_variable,
-)
-from repro.datalog.literals import Literal
-from repro.datalog.rules import Rule, Fact
-from repro.datalog.program import Program
-from repro.datalog.parser import (
-    parse_program,
-    parse_rule,
-    parse_literal,
-    parse_term,
-    parse_query,
-    ParseError,
-)
-from repro.datalog.pretty import pretty_term, pretty_literal, pretty_rule, pretty_program
-from repro.datalog.validate import validate_program, ValidationReport, Diagnostic, Severity
+from repro import _facade
 
-__all__ = [
-    "Term",
-    "Variable",
-    "Constant",
-    "Compound",
-    "NIL",
-    "make_list",
-    "list_elements",
-    "is_ground",
-    "term_variables",
-    "fresh_variable",
-    "Literal",
-    "Rule",
-    "Fact",
-    "Program",
-    "parse_program",
-    "parse_rule",
-    "parse_literal",
-    "parse_term",
-    "parse_query",
-    "ParseError",
-    "pretty_term",
-    "pretty_literal",
-    "pretty_rule",
-    "pretty_program",
-    "validate_program",
-    "ValidationReport",
-    "Diagnostic",
-    "Severity",
-]
+__getattr__, __dir__, __all__ = _facade(
+    __name__,
+    {
+        "terms": (
+            "Term", "Variable", "Constant", "Compound", "NIL", "make_list",
+            "list_elements", "is_ground", "term_variables", "fresh_variable",
+        ),
+        "literals": ("Literal",),
+        "rules": ("Rule", "Fact"),
+        "program": ("Program",),
+        "parser": (
+            "parse_program", "parse_rule", "parse_literal", "parse_term",
+            "parse_query", "ParseError",
+        ),
+        "pretty": (
+            "pretty_term", "pretty_literal", "pretty_rule", "pretty_program",
+        ),
+        "validate": (
+            "validate_program", "ValidationReport", "Diagnostic", "Severity",
+        ),
+    },
+)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.datalog.literals import Literal
+from repro.datalog.pretty import pretty_program
 from repro.datalog.rules import Rule
 
 Signature = Tuple[str, int]
@@ -145,8 +146,6 @@ class Program:
         return f"Program({len(self.rules)} rules)"
 
     def __str__(self) -> str:
-        from repro.datalog.pretty import pretty_program
-
         return pretty_program(self)
 
     # ------------------------------------------------------------------

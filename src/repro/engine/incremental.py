@@ -60,6 +60,7 @@ from repro.datalog.parser import parse_literal, parse_program, parse_query
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
 from repro.datalog.terms import Constant, Term
+from repro.datalog.validate import reserved_name_reason
 from repro.engine.columnar import decode_rows, execute_columnar
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database, FactTuple, Relation, unwrap_rows
@@ -98,6 +99,65 @@ def _wrap(args: Sequence) -> FactTuple:
         if not term.is_ground():
             raise ValueError(f"update argument {term} is not ground")
     return wrapped
+
+
+def _normalize_updates(facts: Updates) -> Dict[Signature, List[FactTuple]]:
+    """Any accepted update shape as ``{signature: [wrapped rows]}``."""
+    if isinstance(facts, str):
+        parsed = parse_program(facts)
+        for rule in parsed.rules:
+            if not rule.is_fact():
+                raise ValueError(f"updates must be ground facts, got {rule}")
+        pairs: Iterable[Tuple[str, Sequence]] = [
+            (r.head.predicate, r.head.args) for r in parsed.rules
+        ]
+    elif isinstance(facts, Mapping):
+        pairs = [
+            (pred, row) for pred, rows in facts.items() for row in rows
+        ]
+    else:
+        pairs = list(facts)
+    out: Dict[Signature, List[FactTuple]] = {}
+    for pred, args in pairs:
+        reason = reserved_name_reason(pred)
+        if reason is not None:
+            raise ValueError(
+                f"cannot update predicate {pred!r}: it {reason}"
+            )
+        wrapped = _wrap(args)
+        out.setdefault((pred, len(wrapped)), []).append(wrapped)
+    return out
+
+
+def fold_batches(
+    edb: Database, batches: Iterable[Tuple[Updates, Updates]]
+) -> None:
+    """Net a sequence of ``(inserts, deletes)`` batches into ``edb``.
+
+    The base-fact half of applying them one by one through
+    :meth:`IncrementalSession.apply_batch`, with no IDB to maintain:
+    per fact the last writer wins in batch order, a batch's deletes
+    precede its inserts, and deleting an absent fact or inserting a
+    present one changes nothing.  The IDB is a function of the EDB
+    alone, so a session started on the folded ``edb`` equals one that
+    maintained every batch — what journal recovery relies on.  Cost is
+    one pass over the batches plus one removal per touched relation,
+    whatever their number.
+    """
+    net: Dict[Signature, Dict[FactTuple, bool]] = {}
+    for inserts, deletes in batches:
+        for present, updates in ((False, deletes), (True, inserts)):
+            for sig, rows in _normalize_updates(updates).items():
+                net.setdefault(sig, {}).update(dict.fromkeys(rows, present))
+    for sig, facts in net.items():
+        base = edb.get(*sig)
+        if base is not None:
+            base.remove_facts(
+                [fact for fact, present in facts.items() if not present]
+            )
+        for fact, present in facts.items():
+            if present:
+                edb.relation(*sig).add(fact)
 
 
 class IncrementalSession:
@@ -299,33 +359,7 @@ class IncrementalSession:
     # ------------------------------------------------------------------
 
     def _normalize(self, facts: Updates) -> Dict[Signature, List[FactTuple]]:
-        if isinstance(facts, str):
-            parsed = parse_program(facts)
-            for rule in parsed.rules:
-                if not rule.is_fact():
-                    raise ValueError(f"updates must be ground facts, got {rule}")
-            pairs: Iterable[Tuple[str, Sequence]] = [
-                (r.head.predicate, r.head.args) for r in parsed.rules
-            ]
-        elif isinstance(facts, Mapping):
-            pairs = [
-                (pred, row) for pred, rows in facts.items() for row in rows
-            ]
-        else:
-            pairs = list(facts)
-        # Imported here: validate -> analysis -> engine at module scope.
-        from repro.datalog.validate import reserved_name_reason
-
-        out: Dict[Signature, List[FactTuple]] = {}
-        for pred, args in pairs:
-            reason = reserved_name_reason(pred)
-            if reason is not None:
-                raise ValueError(
-                    f"cannot update predicate {pred!r}: it {reason}"
-                )
-            wrapped = _wrap(args)
-            out.setdefault((pred, len(wrapped)), []).append(wrapped)
-        return out
+        return _normalize_updates(facts)
 
     def insert(self, facts: Updates) -> EvalStats:
         """Add EDB facts; maintain every affected IDB relation forward.

@@ -7,8 +7,9 @@ length-prefixed records.  ``repro serve --journal PATH`` appends every
 batch (fsync'd) **before** applying it — classic write-ahead logging —
 so a crash at any instant loses at most work the client was never told
 succeeded, and :func:`recover_session` rebuilds the exact maintained
-database (derivations included) by replaying the committed batches over
-the last checkpoint.
+database (derivations included) from the last checkpoint and the
+committed batches after it: all but the last folded into the EDB, one
+evaluation, the last one re-applied.
 
 File format
 -----------
@@ -36,10 +37,12 @@ deterministic: the fuzz suite holds recovered state bit-identical to a
 run that never crashed.
 
 A batch whose record *is* committed but whose apply failed pre-crash
-(and whose abort record was lost with the crash) re-fails
-deterministically during replay — :func:`recover_session` catches the
-:class:`~repro.engine.stats.MaintenanceError` and moves on, matching
-the rolled-back state the client observed.
+(and whose abort record was lost with the crash) can only be the last
+record of the file — the abort is the very next append.  That is why
+:func:`recover_session` re-applies exactly the last batch: it re-fails
+deterministically, the :class:`~repro.engine.stats.MaintenanceError` is
+caught, and the recovered state matches the rolled-back one the client
+observed.
 """
 
 from __future__ import annotations
@@ -55,8 +58,8 @@ from typing import List, Optional, Tuple
 from repro.engine import faults
 from repro.engine.database import Database
 from repro.engine.faults import FaultInjected
-from repro.engine.incremental import IncrementalSession
-from repro.engine.stats import MaintenanceError
+from repro.engine.incremental import IncrementalSession, fold_batches
+from repro.engine.stats import JournalError, MaintenanceError
 
 #: File magic: "Repro JourNal", format 1.
 MAGIC = b"RJN1"
@@ -71,16 +74,6 @@ _HEADER = struct.Struct(">II")  # payload length, CRC-32
 #: One batch as journaled: (inserts, deletes), each a list of
 #: (predicate, args) pairs in the session's ``Updates`` pair shape.
 BatchPairs = Tuple[list, list]
-
-
-class JournalError(RuntimeError):
-    """The journal file is not usable (bad magic, unreadable, ...).
-
-    Raised for damage that is *not* a torn tail: a torn tail is an
-    expected crash artifact that replay handles by stopping early,
-    while a wrong magic number or an unreadable file means this is not
-    (or no longer is) a journal and continuing would corrupt data.
-    """
 
 
 @dataclass
@@ -204,12 +197,18 @@ def replay_journal(path) -> JournalReplay:
 
     Validation failures mid-file stop the walk and mark the replay
     ``torn`` at that record's offset — the torn-tail contract — while a
-    missing or wrong magic header raises :class:`JournalError` (the
-    file was never a journal, there is nothing safe to replay).
+    short or wrong magic header raises :class:`JournalError` (the file
+    was never a journal, there is nothing safe to replay).  A zero-byte
+    file is an empty journal, as it is to :class:`Journal`.
     """
     with open(str(path), "rb") as fh:
         data = fh.read()
-    if len(data) < len(MAGIC) or data[: len(MAGIC)] != MAGIC:
+    if not data:
+        # Created but never written: the process died before the header
+        # reached the disk.  :class:`Journal` starts such a file afresh,
+        # so it replays as the empty journal it is about to become.
+        return JournalReplay()
+    if data[: len(MAGIC)] != MAGIC:
         raise JournalError(
             f"{path} is not a repro journal (missing {MAGIC!r} header)"
         )
@@ -262,29 +261,46 @@ def recover_session(
 
     The base EDB is the journal's last checkpoint when it has one,
     else ``edb`` (the same base facts the original run started from).
-    Committed batches replay through :meth:`IncrementalSession.apply_batch`
-    — a batch that deterministically re-fails (its abort record died
-    with the crash) is skipped, reproducing the rollback the original
-    run performed.  A torn tail is truncated, and the returned
-    :class:`Journal` is open for appending, so the caller continues
-    exactly where the crashed process left off.
+    Every committed batch but the last is *folded* into a private copy
+    of that base (:func:`~repro.engine.incremental.fold_batches`) — the
+    EDB a checkpoint record written at that point would hold — and the
+    session starts from it with one from-scratch evaluation.  Only the
+    last batch goes through :meth:`IncrementalSession.apply_batch`: it
+    is the one record whose abort can have died with the crash, and if
+    so it deterministically re-fails and is skipped, reproducing the
+    rollback the original run performed — and its abort record is
+    appended now, because once later batches follow it the record would
+    be folded, not re-tried.  A torn tail is truncated, and
+    the returned :class:`Journal` is open for appending, so the caller
+    continues exactly where the crashed process left off.
 
     Returns ``(session, journal, replayed)`` with ``replayed`` the
-    number of batches successfully re-applied.
+    number of batches the recovered state includes.
     """
     replay = replay_journal(path)
-    base = replay.checkpoint if replay.checkpoint is not None else edb
+    if replay.checkpoint is not None:
+        base = replay.checkpoint
+    else:
+        base = edb.copy() if edb is not None else Database()
+    folded, last = replay.batches[:-1], replay.batches[-1:]
+    fold_batches(base, folded)
     session = IncrementalSession(program, base, **session_kwargs)
-    replayed = 0
-    for inserts, deletes in replay.batches:
+    replayed = len(folded)
+    refailed = False
+    for inserts, deletes in last:
         try:
             session.apply_batch(
                 inserts=inserts or None, deletes=deletes or None
             )
             replayed += 1
         except MaintenanceError:
-            pass  # the original run rolled this batch back too
+            refailed = True  # the original run rolled this batch back too
     journal = Journal(path, fsync=fsync)
     if replay.torn:
         journal.truncate_tail(replay.tail_offset)
+    if refailed:
+        # Write the abort the crash swallowed: appends continue after
+        # this record, and the next recovery folds everything before its
+        # own last one without re-applying it.
+        journal.append_abort()
     return session, journal, replayed

@@ -41,6 +41,7 @@ from repro.datalog.literals import Literal
 from repro.datalog.rules import Rule
 from repro.datalog.terms import Compound, Constant, Term, Variable
 from repro.engine.config import EngineConfig, check_knob
+from repro.engine.cost import cost_join_order
 from repro.engine.database import Database, FactTuple
 
 #: One override role: (body position, role tag such as "delta"/"old").
@@ -852,8 +853,6 @@ class PlanCache:
         db: Database,
         overrides: Optional[Mapping[int, object]],
     ) -> RulePlan:
-        from repro.engine.cost import cost_join_order
-
         def stat_of(idx: int, literal: Literal):
             rel = overrides.get(idx) if overrides is not None else None
             if rel is None:

@@ -48,6 +48,7 @@ from typing import Optional, Set, Tuple, Union
 from repro.datalog.literals import Literal
 from repro.datalog.parser import parse_query
 from repro.engine.database import Database, unwrap_rows
+from repro.engine.query import QueryCompiler
 from repro.engine.stats import EvalStats
 
 
@@ -293,8 +294,6 @@ class DatalogServer:
         return answer.values()
 
     def _make_compiler(self):
-        from repro.engine.query import QueryCompiler
-
         return QueryCompiler(self.session.program, config=self.session.config)
 
     # -- lifecycle -----------------------------------------------------

@@ -77,6 +77,17 @@ class MaintenanceError(RuntimeError):
         return (type(self), (self.args[0], self.phase))
 
 
+class JournalError(RuntimeError):
+    """The journal file is not usable (bad magic, unreadable, ...).
+
+    Raised by :mod:`repro.engine.journal` for damage that is *not* a
+    torn tail: a torn tail is an expected crash artifact that replay
+    handles by stopping early, while a wrong magic number or an
+    unreadable file means this is not (or no longer is) a journal and
+    continuing would corrupt data.
+    """
+
+
 @dataclass
 class EvalStats:
     """Counters produced by one evaluator run.

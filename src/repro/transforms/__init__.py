@@ -4,24 +4,16 @@ The paper's core contribution (factoring) lives in :mod:`repro.core`;
 this package holds the transformations it composes with.
 """
 
-from repro.transforms.magic import MagicResult, magic_sets, magic_name
-from repro.transforms.counting import (
-    CountingResult,
-    counting,
-    delete_index_fields,
-    counting_diverges,
-    refine_counting,
-)
-from repro.transforms.supplementary import supplementary_magic_sets
+from repro import _facade
 
-__all__ = [
-    "MagicResult",
-    "magic_sets",
-    "magic_name",
-    "CountingResult",
-    "counting",
-    "delete_index_fields",
-    "counting_diverges",
-    "refine_counting",
-    "supplementary_magic_sets",
-]
+__getattr__, __dir__, __all__ = _facade(
+    __name__,
+    {
+        "magic": ("MagicResult", "magic_sets", "magic_name"),
+        "counting": (
+            "CountingResult", "counting", "delete_index_fields",
+            "counting_diverges", "refine_counting",
+        ),
+        "supplementary": ("supplementary_magic_sets",),
+    },
+)

@@ -404,6 +404,103 @@ class TestServeJournal:
         assert "t(" in dump1
 
 
+class TestPathErrors:
+    """A path that cannot be read, or is not what it should be, is one
+    ``error:`` line on stderr and exit code 2 — not a traceback."""
+
+    def check(self, capsys, argv, *expected):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        for text in expected:
+            assert text in lines[0]
+
+    @pytest.fixture
+    def journal_file(self, tmp_path, program_file, facts_file, capsys):
+        script = tmp_path / "serve.txt"
+        script.write_text("+ e(4, 5).\nquit\n")
+        path = str(tmp_path / "wal.rjn")
+        assert main(
+            [
+                "serve", program_file, "--facts", facts_file,
+                "--script", str(script), "--journal", path,
+            ]
+        ) == 0
+        capsys.readouterr()
+        return path
+
+    def test_recover_missing_journal(self, tmp_path, program_file, facts_file, capsys):
+        missing = str(tmp_path / "never-written.rjn")
+        self.check(
+            capsys,
+            ["recover", program_file, missing, "--facts", facts_file],
+            "never-written.rjn",
+        )
+
+    def test_recover_file_that_is_not_a_journal(
+        self, program_file, facts_file, capsys
+    ):
+        self.check(
+            capsys,
+            ["recover", program_file, facts_file, "--facts", facts_file],
+            "is not a repro journal",
+        )
+
+    def test_recover_unreadable_program(self, tmp_path, journal_file, facts_file, capsys):
+        self.check(
+            capsys,
+            ["recover", str(tmp_path / "no.dl"), journal_file, "--facts", facts_file],
+            "no.dl",
+        )
+
+    def test_recover_unreadable_facts(self, tmp_path, program_file, journal_file, capsys):
+        # a directory where a file should be: IsADirectoryError, not ENOENT
+        self.check(
+            capsys,
+            ["recover", program_file, journal_file, "--facts", str(tmp_path)],
+        )
+
+    def test_serve_journal_that_is_not_a_journal(
+        self, tmp_path, program_file, facts_file, capsys
+    ):
+        script = tmp_path / "serve.txt"
+        script.write_text("? t(1, Y)\nquit\n")
+        self.check(
+            capsys,
+            [
+                "serve", program_file, "--facts", facts_file,
+                "--script", str(script), "--journal", program_file,
+            ],
+            "is not a repro journal",
+        )
+
+    def test_serve_unreadable_program(self, tmp_path, facts_file, capsys):
+        self.check(
+            capsys,
+            [
+                "serve", str(tmp_path / "no.dl"), "--facts", facts_file,
+                "--journal", str(tmp_path / "wal.rjn"),
+            ],
+            "no.dl",
+        )
+
+    def test_recover_empty_journal_file_is_the_base_state(
+        self, tmp_path, program_file, facts_file, capsys
+    ):
+        """0 bytes: the crash beat the header to the disk (not an error)."""
+        empty = tmp_path / "empty.rjn"
+        empty.write_bytes(b"")
+        assert main(
+            ["recover", program_file, str(empty), "--facts", facts_file]
+        ) == 0
+        captured = capsys.readouterr()
+        assert "replayed 0 batches; 9 facts" in captured.err
+        assert "t(1, 4)." in captured.out
+
+
 class TestCrashRecovery:
     """kill -9 a journaled serve mid-stream; recovery must match a
     run that never crashed (the CI crash-recovery smoke)."""
@@ -552,15 +649,38 @@ class TestOptimizeEvaluate:
 
 
 class TestImportHygiene:
-    """``import repro`` pays for no pool machinery.
+    """A process imports what its command runs, and nothing lazily later.
 
-    ``multiprocessing`` and ``concurrent.futures`` (with ``socket``,
-    ``tempfile``, ``logging`` and ``subprocess`` behind them) are a
-    sixth of the package's import time and only ``jobs > 1`` /
-    ``partitions > 1`` ever start a pool: they are imported where an
-    executor is created.  Checked in a fresh interpreter at default
-    knobs, after the import and after a whole ``repro run``.
+    The packages are PEP 562 façades (``repro._facade``): importing one
+    imports none of its submodules, and ``cli`` imports the optimizer,
+    provenance, the session/query stack, the journal and the server
+    inside the command that needs them.  ``multiprocessing`` and
+    ``concurrent.futures`` (with ``socket``, ``tempfile``, ``logging``
+    and ``subprocess`` behind them) are imported where an executor is
+    created — only ``jobs > 1`` / ``partitions > 1`` ever start a pool.
+    All of it checked in fresh interpreters that write no bytecode, so
+    every import is a compile, as in the benchmark's container.
     """
+
+    @staticmethod
+    def fresh(code, *argv):
+        """Run ``code`` in a new interpreter; return its stdout lines."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        return done.stdout.decode().splitlines()
 
     CHECK = """
 import sys
@@ -578,18 +698,222 @@ assert pools() == ["concurrent.futures"], pools()
 """
 
     def test_fresh_interpreter_loads_no_pool_modules(self, program_file, facts_file):
+        assert sorted(self.fresh(self.CHECK, program_file, facts_file)) == ["2", "3", "4"]
+
+    PACKAGES = {
+        "repro": 94, "repro.analysis": 35, "repro.bench": 4, "repro.core": 25,
+        "repro.datalog": 28, "repro.engine": 48, "repro.transforms": 9,
+        "repro.workloads": 33,
+    }
+
+    def test_importing_the_packages_imports_no_module(self):
+        lines = self.fresh(
+            """
+import sys
+import repro
+print(sorted(m for m in sys.modules if m.startswith("repro.")))
+for package in sys.argv[1:]:
+    __import__(package)
+print(sorted(m for m in sys.modules if m.startswith("repro")))
+assert repro.engine is sys.modules["repro.engine"]  # after a bare import repro
+""",
+            *self.PACKAGES,
+        )
+        assert lines == ["[]", str(sorted(self.PACKAGES))]
+
+    def test_every_export_is_the_object_its_module_defines(self):
+        """``__all__``, ``dir()`` and ``import *`` are complete, and each
+        name is the one object the defining submodule holds — also the
+        two functions that share their module's name, whichever of
+        function and module was imported first."""
+        lines = self.fresh(
+            """
+import sys
+from importlib import import_module
+
+unify_module = import_module("repro.engine.unify")  # the module first ...
+import repro.engine, repro.transforms
+assert repro.engine.unify is unify_module.unify
+assert repro.transforms.counting.__name__ == "counting"  # ... the name first
+counting_module = import_module("repro.transforms.counting")
+assert repro.transforms.counting is counting_module.counting
+from repro.transforms import counting
+assert counting is counting_module.counting
+
+for package in sys.argv[1:]:
+    module = import_module(package)
+    star = {}
+    exec(f"from {package} import *", star)
+    assert len(set(module.__all__)) == len(module.__all__)
+    assert set(module.__all__) <= set(dir(module)), package
+    for name in module.__all__:
+        value = getattr(module, name)
+        assert star[name] is value and getattr(module, name) is value
+        home = getattr(value, "__module__", None)
+        if name != "__version__" and home is not None:
+            assert home.startswith("repro."), (package, name, home)
+            assert getattr(sys.modules[home], name) is value, (package, name)
+    print(package, len(module.__all__))
+try:
+    repro.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("a missing name must raise AttributeError")
+""",
+            *self.PACKAGES,
+        )
+        assert lines == [f"{name} {count}" for name, count in self.PACKAGES.items()]
+
+    LOADED = """
+import sys
+from repro.cli import main
+assert main(sys.argv[1:]) == 0
+print("LOADED", *sorted(m for m in sys.modules if m.startswith("repro.")))
+"""
+
+    def loaded(self, *argv):
+        (line,) = [l for l in self.fresh(self.LOADED, *argv) if l.startswith("LOADED")]
+        return set(line.split()[1:])
+
+    @staticmethod
+    def under(loaded, *prefixes):
+        return sorted(
+            m for m in loaded
+            if any(m == p or m.startswith(p + ".") for p in prefixes)
+        )
+
+    def test_recover_imports_no_optimizer_session_or_server(
+        self, tmp_path, program_file, facts_file, capsys
+    ):
+        script = tmp_path / "serve.txt"
+        script.write_text("+ e(4, 5).\n- e(1, 2).\n+ e(5, 6).\nquit\n")
+        journal = str(tmp_path / "wal.rjn")
+        assert main(
+            [
+                "serve", program_file, "--facts", facts_file,
+                "--script", str(script), "--journal", journal,
+            ]
+        ) == 0
+        capsys.readouterr()
+        loaded = self.loaded("recover", program_file, journal, "--facts", facts_file)
+        assert "repro.engine.journal" in loaded
+        assert self.under(
+            loaded, "repro.core", "repro.transforms", "repro.session",
+            "repro.workloads", "repro.bench", "repro.engine.query",
+            "repro.engine.server", "repro.engine.topdown", "repro.engine.naive",
+        ) == []
+        assert self.under(loaded, "repro.analysis") == [
+            "repro.analysis", "repro.analysis.dependency",
+        ]
+
+    def test_run_imports_no_session_journal_or_server(self, program_file, facts_file):
+        loaded = self.loaded("run", program_file, "t(1, Y)", "--facts", facts_file)
+        assert "repro.core.pipeline" in loaded
+        assert self.under(
+            loaded, "repro.session", "repro.workloads", "repro.bench",
+            "repro.engine.query", "repro.engine.server", "repro.engine.topdown",
+            "repro.engine.journal", "repro.engine.incremental",
+            "repro.engine.provenance",
+        ) == []
+
+    def test_ask_imports_nothing(self):
+        """``import repro.session`` is the whole import: not the first
+        ``ask()`` (rules, facts, answers printed) and not a second one
+        of another form adds a module."""
+        self.fresh(
+            """
+import sys
+import repro.session
+before = set(sys.modules)
+db = repro.session.DeductiveDatabase()
+db.rules("t(X, Y) :- e(X, Y). t(X, Y) :- e(X, Z), t(Z, Y).")
+db.facts("e", [(i, i + 1) for i in range(20)])
+assert len(db.ask("t(3, Y)")) == 17
+str(db.program); str(db.plan_summary("t(3, Y)"))
+first = set(sys.modules) - before
+assert not [m for m in first if m.startswith("repro")], sorted(first)
+before = set(sys.modules)
+assert len(db.ask("t(X, 9)")) == 9 and db.holds("t(0, 20)")
+assert set(sys.modules) == before, sorted(set(sys.modules) - before)
+"""
+        )
+
+    def test_no_request_after_listening_imports_anything(
+        self, program_file, facts_file, tmp_path
+    ):
+        """``serve`` has imported its whole request path when it prints
+        ``listening on``: the first read, write and ``stats`` add no
+        module to the process."""
+        lines = self.fresh(
+            """
+import os, socket, sys, threading
+
+class Tee:
+    def __init__(self):
+        self.text, self.ready = "", threading.Event()
+    def write(self, text):
+        self.text += text
+        if "listening on" in self.text and self.text.endswith("\\n"):
+            self.ready.set()
+    def flush(self):
+        pass
+
+def client():
+    code = 1
+    try:
+        assert tee.ready.wait(60)
+        host, _, port = tee.text.split("listening on ")[1].strip().rpartition(":")
+        with socket.create_connection((host, int(port)), timeout=30) as sock:
+            replies = sock.makefile("r", encoding="utf-8")
+            before = set(sys.modules)  # the client's own imports are in
+            for line in ("? t(1, Y)", "+ e(7, 8).", "- e(1, 2).", "? t(X, 8)", "stats"):
+                sock.sendall((line + "\\n").encode("utf-8"))
+                while True:
+                    reply = replies.readline()
+                    assert reply, "server closed the connection"
+                    if not reply.startswith("= "):
+                        break
+                assert reply.startswith("ok"), (line, reply)
+        print("NEW", *sorted(set(sys.modules) - before), file=sys.__stdout__, flush=True)
+        code = 0
+    finally:
+        os._exit(code)
+
+tee = sys.stdout = Tee()
+threading.Thread(target=client, daemon=True).start()
+from repro.cli import main
+main(["serve", sys.argv[1], "--facts", sys.argv[2], "--journal", sys.argv[3],
+      "--workers", "2", "--port", "0"])
+""",
+            program_file, facts_file, str(tmp_path / "wal.rjn"),
+        )
+        assert lines == ["NEW"]
+
+    def test_every_traced_entry_point_of_the_benchmark_resolves(self):
+        """``perf/layers.py`` wraps ``module.attr`` and ``Class.attr`` by
+        name; read its tables as data and resolve each row."""
+        import ast
         import os
-        import subprocess
-        import sys
+        from importlib import import_module
 
         import repro
 
-        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
-        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        done = subprocess.run(
-            [sys.executable, "-c", self.CHECK, program_file, facts_file],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        )
-        assert done.returncode == 0, done.stderr.decode()
-        assert sorted(done.stdout.decode().split()) == ["2", "3", "4"]
+        root = os.path.dirname(os.path.dirname(os.path.dirname(repro.__file__)))
+        with open(os.path.join(root, "perf", "layers.py")) as handle:
+            tree = ast.parse(handle.read())
+        tables = {
+            node.targets[0].id: ast.literal_eval(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and getattr(node.targets[0], "id", None)
+            in ("TIMED", "COUNTED", "SERVER_COUNTED")
+        }
+        assert sorted(tables) == ["COUNTED", "SERVER_COUNTED", "TIMED"]
+        rows = [row[:3] for table in tables.values() for row in table]
+        assert len(rows) > 50
+        for module_name, class_name, attr in rows:
+            owner = import_module(module_name)
+            if class_name is not None:
+                owner = getattr(owner, class_name)
+            assert callable(getattr(owner, attr)), (module_name, class_name, attr)

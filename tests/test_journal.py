@@ -10,14 +10,16 @@ final record.
 """
 
 import pickle
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.datalog.parser import parse_program
 from repro.engine import faults
 from repro.engine.database import Database
 from repro.engine.faults import FaultInjected, parse_faults
-from repro.engine.incremental import IncrementalSession
+from repro.engine.incremental import IncrementalSession, fold_batches
 from repro.engine.stats import MaintenanceError
 from repro.engine.journal import (
     MAGIC,
@@ -129,6 +131,31 @@ class TestRecordFormat:
         path = tmp_path / "wal.rjn"
         path.write_bytes(b"RJ")
         with pytest.raises(JournalError):
+            replay_journal(path)
+
+    def test_zero_byte_file_replays_as_the_empty_journal(self, tmp_path):
+        """Created, but the crash beat the header to the disk: `Journal`
+        starts such a file afresh, so replay must not refuse it."""
+        path = tmp_path / "wal.rjn"
+        path.write_bytes(b"")
+        replay = replay_journal(path)
+        assert replay.batches == [] and replay.checkpoint is None
+        assert not replay.torn and replay.tail_offset == 0
+        program = parse_program(TC_TEXT)
+        session, journal, replayed = recover_session(
+            program, path, Database.from_dict(BASE)
+        )
+        assert replayed == 0
+        assert_same_state(session, clean_session(batches=[]))
+        journal.append_batch(*SCRIPT[0])  # header written, appendable
+        journal.close()
+        assert replay_journal(path).batches == [SCRIPT[0]]
+
+    @pytest.mark.parametrize("head", [b"R", b"RJN", b"\x00\x00\x00\x00", b"RJN2" + b"B" * 9])
+    def test_short_or_garbage_header_still_raises(self, tmp_path, head):
+        path = tmp_path / "wal.rjn"
+        path.write_bytes(head)
+        with pytest.raises(JournalError, match="not a repro journal"):
             replay_journal(path)
 
     def test_crc_corruption_stops_replay_at_that_record(self, tmp_path):
@@ -351,6 +378,262 @@ class TestRecoveryMatrix:
         journal.close()
         clean = clean_session(SCRIPT[:replayed], **knobs)
         assert_same_state(recovered, clean)
+
+
+#: Programs the folded-recovery property runs over: linear recursion;
+#: two EDB predicates feeding non-recursive strata below and above a
+#: recursive one; non-linear recursion over a ground program rule (a
+#: fact no delete may take away).  ``mark`` is unknown to the first and
+#: the last, so their journals also carry facts no rule reads.
+FOLD_PROGRAMS = {
+    "tc": TC_TEXT,
+    "strata": """
+        hop2(X, Y) :- e(X, Z), e(Z, Y).
+        t(X, Y) :- e(X, Y).
+        t(X, Y) :- e(X, Z), t(Z, Y).
+        top(X) :- t(X, Y), mark(Y).
+    """,
+    "seeded": """
+        t(1, 2).
+        t(X, Y) :- e(X, Y).
+        t(X, Y) :- t(X, Z), t(Z, Y).
+    """,
+}
+FOLD_BASE = {"e": [(0, 1), (1, 2), (2, 3)], "mark": [(3,)]}
+
+_node = st.integers(0, 4)  # 25 edges: collisions are the point
+_fact = st.one_of(
+    st.tuples(st.just("e"), st.tuples(_node, _node)),
+    st.tuples(st.just("mark"), st.tuples(_node)),
+)
+_facts = st.lists(_fact, max_size=4)
+_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["batch"] * 5 + ["aborted", "checkpoint"]),
+        _facts,
+        _facts,
+    ),
+    max_size=8,
+)
+
+E01, E12, E44 = ("e", (0, 1)), ("e", (1, 2)), ("e", (4, 4))
+#: The cases the issue names, spelled out: duplicates, a delete of an
+#: absent fact, one fact on both sides of a batch, insert → delete →
+#: insert of one fact across batches, an aborted batch and a checkpoint
+#: mid-journal, a torn tail.
+NAMED_STEPS = [
+    ("batch", [E44, E44, ("mark", (0,))], [("e", (3, 0)), E01, E01]),
+    ("batch", [E12], [E12, E44]),
+    ("aborted", [("e", (2, 0)), ("mark", (2,))], [E12]),
+    ("batch", [E44], []),
+    ("checkpoint", [], []),
+    ("batch", [], [E44, ("mark", (3,))]),
+    ("aborted", [("e", (3, 4))], []),
+    ("batch", [E44, E01], [("e", (2, 3))]),
+]
+
+
+def write_journal(path, program, steps, torn=None, **knobs):
+    """Journal ``steps`` the way a server would have.
+
+    Returns the session that lived through them — every surviving batch
+    applied one by one, an ``aborted`` one journaled, compensated and
+    never applied — and the number of batches after the last
+    checkpoint.  ``torn`` leaves that many bytes (modulo its length,
+    at least one) of one more record at the end of the file.
+    """
+    model = IncrementalSession(program, Database.from_dict(FOLD_BASE), **knobs)
+    surviving = 0
+    with Journal(path, fsync=False) as journal:
+        for kind, inserts, deletes in steps:
+            if kind == "checkpoint":
+                journal.append_checkpoint(model.edb)
+                surviving = 0
+                continue
+            journal.append_batch(inserts, deletes)
+            if kind == "aborted":
+                journal.append_abort()
+                continue
+            model.apply_batch(inserts=inserts or None, deletes=deletes or None)
+            surviving += 1
+        if torn is not None:
+            clean = journal._fh.tell()
+            journal.append_batch([("e", (9, 9))], [("mark", (9,))])
+            keep = 1 + torn % (journal._fh.tell() - clean - 1)
+            journal.truncate_tail(clean + keep)
+    return model, surviving
+
+
+def recover_counting(program, path, edb=None, **knobs):
+    """``recover_session`` plus how often it called ``apply_batch``."""
+    calls = []
+    original = IncrementalSession.apply_batch
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(IncrementalSession, "apply_batch", counted)
+        session, journal, replayed = recover_session(
+            program, path, edb, fsync=False, **knobs
+        )
+    return session, journal, replayed, len(calls)
+
+
+class TestFoldedRecovery:
+    """Recovery folds the committed prefix into the EDB and evaluates
+    once; the state it reaches is the one stepwise maintenance reached
+    and the one a fresh evaluation of the final EDB reaches."""
+
+    @pytest.mark.parametrize("exec_mode", ["columnar", "tuple"])
+    @pytest.mark.parametrize("provenance", [False, True])
+    @settings(max_examples=25, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(FOLD_PROGRAMS)),
+        steps=_steps,
+        torn=st.none() | st.integers(0, 200),
+    )
+    def test_recovery_equals_stepwise_and_fresh(
+        self, provenance, exec_mode, name, steps, torn
+    ):
+        self.check(name, steps, torn, provenance, exec_mode)
+
+    @pytest.mark.parametrize("exec_mode", ["columnar", "tuple"])
+    @pytest.mark.parametrize("provenance", [False, True])
+    @pytest.mark.parametrize("name", sorted(FOLD_PROGRAMS))
+    @pytest.mark.parametrize("torn", [None, 7])
+    def test_the_named_cases(self, name, torn, provenance, exec_mode):
+        for stop in range(len(NAMED_STEPS) + 1):
+            self.check(name, NAMED_STEPS[:stop], torn, provenance, exec_mode)
+
+    @staticmethod
+    def check(name, steps, torn, provenance, exec_mode):
+        program = parse_program(FOLD_PROGRAMS[name])
+        knobs = dict(record_provenance=provenance, exec=exec_mode)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/wal.rjn"
+            model, surviving = write_journal(
+                path, program, steps, torn, **knobs
+            )
+            recovered, journal, replayed, applies = recover_counting(
+                program, path, Database.from_dict(FOLD_BASE), **knobs
+            )
+            journal.close()
+            assert not replay_journal(path).torn
+        assert applies <= 1
+        assert replayed == surviving
+        assert_same_state(recovered, model)
+        assert_same_state(
+            recovered, IncrementalSession(program, model.edb, **knobs)
+        )
+        assert (recovered._derivations is not None) == provenance
+
+    def test_fold_is_the_edb_half_of_apply_batch(self):
+        """Last writer wins per fact, a batch deletes before it inserts,
+        absent deletes and present inserts change nothing."""
+        edb = Database.from_dict(FOLD_BASE)
+        fold_batches(
+            edb,
+            [(ins, dels) for kind, ins, dels in NAMED_STEPS if kind == "batch"],
+        )
+        assert edb == Database.from_dict(
+            {"e": [(0, 1), (1, 2), (4, 4)], "mark": [(0,)]}
+        )
+
+    def test_aborted_batch_in_the_middle_never_reaches_the_fold(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.engine import journal as journal_module
+
+        folded = []
+
+        def spy(edb, batches):
+            folded.extend(batches)
+            return fold_batches(edb, batches)
+
+        monkeypatch.setattr(journal_module, "fold_batches", spy)
+        path = tmp_path / "wal.rjn"
+        poison = [("e", (100 + i, 101 + i)) for i in range(25)]
+        with Journal(path) as journal:
+            journal.append_batch(*SCRIPT[0])
+            journal.append_batch(poison, [])
+            journal.append_abort()
+            journal.append_batch(*SCRIPT[1])
+            journal.append_batch(*SCRIPT[2])
+        program = parse_program(TC_TEXT)
+        recovered, journal, replayed, applies = recover_counting(
+            program, path, Database.from_dict(BASE)
+        )
+        journal.close()
+        assert folded == [SCRIPT[0], SCRIPT[1]]
+        assert (replayed, applies) == (3, 1)
+        assert not recovered.edb.has_fact("e", (100, 101))
+        assert_same_state(recovered, clean_session())
+
+    def test_refailing_last_batch_gets_its_abort_written_back(self, tmp_path):
+        """Several batches fold, the last one blows the round budget
+        again (its abort died with the crash) and is skipped.  Recovery
+        appends that abort: the *next* recovery folds everything before
+        its own last record, and a record still lacking its abort there
+        would be folded in instead of re-tried."""
+        path = tmp_path / "wal.rjn"
+        program = parse_program(TC_TEXT)
+        knobs = dict(max_iterations=10)
+        poison = [("e", (100 + i, 101 + i)) for i in range(25)]
+        session = IncrementalSession(
+            program, Database.from_dict(BASE), **knobs
+        )
+        with Journal(path) as journal:
+            for inserts, deletes in SCRIPT[:2]:
+                journal.append_batch(inserts, deletes)
+                session.apply_batch(
+                    inserts=inserts or None, deletes=deletes or None
+                )
+            journal.append_batch(poison, [])
+            with pytest.raises(MaintenanceError):
+                session.apply_batch(inserts=poison)
+        recovered, journal, replayed, applies = recover_counting(
+            program, path, Database.from_dict(BASE), **knobs
+        )
+        assert (replayed, applies) == (2, 1)
+        assert_same_state(recovered, session)
+        assert replay_journal(path).batches == SCRIPT[:2]
+        # Serve on, crash again: the poisoned record is mid-journal now.
+        journal.append_batch(*SCRIPT[2])
+        recovered.apply_batch(deletes=SCRIPT[2][1])
+        journal.close()
+        again, journal, replayed, applies = recover_counting(
+            program, path, Database.from_dict(BASE), **knobs
+        )
+        journal.close()
+        assert (replayed, applies) == (3, 1)
+        assert_same_state(again, recovered)
+        assert not again.edb.has_fact("e", (100, 101))
+
+    def test_apply_batch_runs_once_however_long_the_journal(self, tmp_path):
+        path = tmp_path / "wal.rjn"
+        edges = set(BASE["e"])
+        with Journal(path, fsync=False) as journal:
+            for i in range(450):
+                new = [(10 + i, 11 + i), (10 + i, 12 + i), (i % 7, 10 + i)]
+                gone = [(10 + i - 3, 11 + i - 3)] if i % 3 == 2 else []
+                journal.append_batch(
+                    [("e", edge) for edge in new],
+                    [("e", edge) for edge in gone],
+                )
+                edges -= set(gone)
+                edges |= set(new)
+        program = parse_program(TC_TEXT)
+        recovered, journal, replayed, applies = recover_counting(
+            program, path, Database.from_dict(BASE)
+        )
+        journal.close()
+        assert (replayed, applies) == (450, 1)
+        assert_same_state(
+            recovered,
+            IncrementalSession(program, Database.from_dict({"e": edges})),
+        )
 
 
 class TestConcurrentCrashDrill:
