@@ -7,22 +7,23 @@ update.  :class:`IncrementalSession` owns a materialized
 :class:`~repro.engine.database.Database` for one program and maintains
 every IDB relation under EDB churn:
 
-* **Insertion** reuses the compiled-plan semi-naive machinery: the new
-  EDB facts seed the delta log of their relations, and the affected
-  strongly connected components (in the same topological order the
-  :class:`~repro.engine.scheduler.SCCScheduler` uses) continue their
-  fixpoints *forward* from the current state.  The per-round delta
-  decomposition generalizes the evaluator's: delta-capable positions
-  include changed **external** relations (EDB and lower strata) in the
-  first round, then only the component's own relations — each new
-  instantiation is enumerated exactly once, at its last new body fact.
+* **Insertion** is the evaluator resumed: the new EDB facts extend the
+  log of their relations, and the affected strongly connected
+  components (in the same topological order the
+  :class:`~repro.engine.scheduler.SCCScheduler` uses) have their
+  fixpoints continued *forward* from the current state by the
+  evaluator's own driver
+  (:meth:`~repro.engine.scheduler.ComponentRun.resume`).  Its delta
+  windows start at the log offsets of the new facts: changed
+  **external** relations (EDB and lower strata) are a delta in the
+  first round, then only the component's own relations are.
 * **Deletion** is DRed (delete–rederive, Gupta/Mumick/Subrahmanian):
   first *over-delete* — everything with at least one derivation
   through a deleted fact, propagated component by component through
   the dependency graph against the pre-deletion database — then prune,
   then *re-derive*: facts with an alternate derivation among the
   survivors are restored by one filtered pass per component followed
-  by the same forward delta fixpoint, seeded with the restorations.
+  by the same resumed fixpoint, seeded with the restorations.
   Facts still present in the EDB (or asserted as ground program rules)
   are never over-deleted — they carry their own support.
 
@@ -65,7 +66,6 @@ from repro.engine.columnar import decode_rows, execute_columnar
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database, FactTuple, Relation, unwrap_rows
 from repro.engine.joins import relation_from_tuples
-from repro.engine.partition import make_partition_executor
 from repro.engine.plan import ExistencePlan, PlanCache
 from repro.engine.provenance import (
     DerivationRecorder,
@@ -77,12 +77,7 @@ from repro.engine.provenance import (
 from repro.engine import faults
 from repro.engine.scheduler import ComponentRun, ComponentTask, SCCScheduler
 from repro.engine.seminaive import seminaive_eval
-from repro.engine.stats import (
-    ComponentTimeout,
-    EvalStats,
-    MaintenanceError,
-    NonTerminationError,
-)
+from repro.engine.stats import EvalStats, MaintenanceError
 
 Signature = Tuple[str, int]
 FactKey = Tuple[str, int, FactTuple]
@@ -182,12 +177,11 @@ class IncrementalSession:
     (:attr:`config`).  The parallel knobs apply to the initial
     materialization (maintenance passes are sequential — affected
     components are usually few), the planner governs every maintenance
-    join, and ``partitions > 1`` additionally hash-splits the forward
-    delta of each insert-maintenance round through the serial partition
-    executor — same emissions in partition order, counted in
-    ``partition_rounds``/``partition_skew`` like the evaluators.  For
-    any knob combination the maintained database is bit-identical to a
-    from-scratch evaluation on the final EDB.
+    join, and ``partitions > 1`` hash-splits the deltas of a resumed
+    fixpoint as it does the evaluator's, serially — same emissions in
+    partition order, counted in ``partition_rounds``/``partition_skew``.
+    For any knob combination the maintained database is bit-identical
+    to a from-scratch evaluation on the final EDB.
 
     ``record_provenance=True`` keeps one canonical derivation per
     derived fact (see :meth:`explain`), maintained to stay identical
@@ -197,11 +191,16 @@ class IncrementalSession:
 
     Every update is **atomic**: :meth:`apply_batch` (which
     ``insert``/``delete`` delegate to) snapshots the batch's dirty
-    closure before mutating anything, and any maintenance failure —
-    non-termination, a wall-clock timeout (``max_seconds``), a lost
-    worker, an injected fault — rolls the
-    session back to its pre-batch state and raises
-    :class:`~repro.engine.stats.MaintenanceError`.
+    closure before mutating anything, and any maintenance failure — a
+    lost worker, an injected fault, or one of the evaluator's budgets
+    exceeded — rolls the session back to its pre-batch state and raises
+    :class:`~repro.engine.stats.MaintenanceError`.  The budgets are the
+    evaluator's, enforced by its driver: ``max_iterations`` (rounds of
+    one component's over-deletion or resumed fixpoint),
+    ``max_seconds`` (wall clock of the whole pass, checked at every
+    round) and ``max_facts`` (facts the database holds beyond its EDB —
+    a batch is refused exactly when a from-scratch evaluation of its
+    post-state would be).
     """
 
     def __init__(
@@ -218,19 +217,16 @@ class IncrementalSession:
         #: What maintenance passes run under: sequential, and with
         #: serial partitioning whatever the backend — affected deltas
         #: are usually small, and the serial executor keeps the counters
-        #: (and the parity argument) with no pool lifetime to manage.
+        #: (and the parity argument) with no pool to start per component.
         self._maintenance = replace(config, jobs=1, backend="serial")
         self.record_provenance = record_provenance
         #: Wall-clock deadline of the maintenance pass in flight (armed
-        #: by :meth:`apply_batch`, checked at every delta-round
-        #: boundary); ``None`` outside a pass or without a budget.
+        #: by :meth:`apply_batch`, handed to every component run, which
+        #: checks it at each round); ``None`` outside a pass or without
+        #: a budget.
         self._deadline: Optional[float] = None
         self._edb = edb.copy() if edb is not None else Database()
         self._edb_keys = EdbKeyView(self._edb)
-        self._partitioner = make_partition_executor(self._maintenance)
-        #: Set by :meth:`_run_rule` when a variant actually partitioned;
-        #: the per-round loops fold it into ``partition_rounds``.
-        self._round_partitioned = False
         self._query_compiler = None
 
         # Component structure (shared with the evaluators): tasks in
@@ -448,6 +444,10 @@ class IncrementalSession:
             raise  # KeyboardInterrupt and friends propagate unwrapped
         finally:
             self._deadline = None
+        # The evaluator's driver counted the pass's rounds: they are
+        # incremental bookkeeping, not a full evaluation's iterations.
+        pass_stats.incr_rounds += pass_stats.iterations
+        pass_stats.iterations = 0
         pass_stats.seconds = time.perf_counter() - start
         self.stats.absorb(pass_stats)
         if self._query_compiler is not None:
@@ -606,175 +606,60 @@ class IncrementalSession:
         rel = self._edb.get(*sig)
         return rel is not None and fact in rel.tuples
 
-    def _run_rule(
-        self,
-        rule: Rule,
-        roles: Tuple[Tuple[int, str], ...],
-        overrides: Dict[int, object],
-        emitted: List[FactTuple],
-        stats: EvalStats,
-        partition: bool = False,
-    ) -> None:
-        """One rule execution appending head tuples.
+    def _component_run(
+        self, task: ComponentTask, stats: EvalStats, recorder=None
+    ) -> ComponentRun:
+        """The evaluator's run of ``task`` under this pass's budgets.
 
-        This is the single maintenance chokepoint the columnar mode
-        routes through: eligible plans run batch-at-a-time and their
-        interned rows are decoded back to term tuples (the delta
-        bookkeeping above works on terms), with a per-call fallback to
-        the tuple executor — counters are identical either way, and
-        ``columnar_fallbacks`` counts the declines.  With
-        ``partition=True`` (the forward delta fixpoint) and
-        ``partitions > 1``, the delta is hash-split through the serial
-        partition executor first; a decline falls through to the
-        single-call paths untouched.
+        The pass shares one wall-clock deadline, and ``fact_base`` is
+        set so that the run's ``max_facts`` guard counts what a
+        from-scratch evaluation counts — every fact the database holds
+        beyond its EDB (``stats.facts`` of them added by this pass).
         """
-        plan = self._cache.plan(
-            rule, roles, stats, db=self.database, overrides=overrides
+        fact_base = 0
+        if self.config.max_facts is not None:
+            fact_base = (
+                self.database.total_facts()
+                - self._edb.total_facts()
+                - stats.facts
+            )
+        return ComponentRun(
+            task,
+            self._maintenance,
+            recorder=recorder,
+            fact_base=fact_base,
+            cache=self._cache,
+            deadline=self._deadline,
         )
-        before = len(emitted)
-        columnar = self.config.exec == "columnar"
+
+    def _run_rule(
+        self, rule: Rule, pos: int, delta: Relation, stats: EvalStats
+    ) -> List[FactTuple]:
+        """Head tuples of ``rule`` with ``delta`` at body position ``pos``.
+
+        Over-deletion's rule runner.  Eligible plans run batch-at-a-time
+        and their interned rows are decoded back to term tuples (the
+        frontier bookkeeping works on terms), with a per-call fallback
+        to the tuple executor — counters are identical either way, and
+        ``columnar_fallbacks`` counts the declines.
+        """
+        overrides = {pos: delta}
+        plan = self._cache.plan(
+            rule, ((pos, "delta"),), stats, db=self.database, overrides=overrides
+        )
         rows = None
-        if partition and self._partitioner is not None:
-            rows = self._partitioner.run(
-                plan, self.database, overrides, roles[0][0], stats, columnar
-            )
-        if rows is not None:
-            self._round_partitioned = True
-        elif columnar:
-            rows = execute_columnar(
-                plan, self.database, overrides or None, stats
-            )
+        if self.config.exec == "columnar":
+            rows = execute_columnar(plan, self.database, overrides, stats)
             if rows is None:
                 stats.columnar_fallbacks += 1
         if rows is None:
-            plan.execute(
-                self.database, overrides or None, emitted.append, stats
-            )
-        elif columnar:
-            emitted.extend(decode_rows(self.database.dictionary.terms, rows))
+            emitted: List[FactTuple] = []
+            plan.execute(self.database, overrides, emitted.append, stats)
         else:
-            emitted.extend(rows)
+            emitted = decode_rows(self.database.dictionary.terms, rows)
         if plan.estimated_rows is not None:
-            stats.record_estimate(plan.estimated_rows, len(emitted) - before)
-
-    def _guard_rounds(self, task: ComponentTask, rounds: int) -> None:
-        max_iterations = self.config.max_iterations
-        if max_iterations is not None and rounds > max_iterations:
-            raise NonTerminationError(
-                f"incremental maintenance of component {sorted(task.sigs)} "
-                f"exceeded {max_iterations} rounds",
-                rounds,
-                self.database.total_facts(),
-            )
-        if self._deadline is not None and time.monotonic() > self._deadline:
-            raise ComponentTimeout(
-                f"incremental maintenance of component {sorted(task.sigs)} "
-                f"exceeded its {self.config.max_seconds:g}s wall-clock budget",
-                rounds,
-                self.database.total_facts(),
-            )
-
-    def _component_delta_fixpoint(
-        self,
-        task: ComponentTask,
-        external: Dict[Signature, int],
-        own_start: Dict[Signature, int],
-        stats: EvalStats,
-    ) -> None:
-        """Continue ``task``'s semi-naive fixpoint from the current state.
-
-        ``external`` maps changed non-component signatures to the log
-        offset where their new facts begin (consumed in the first round
-        only — external relations do not change while the component
-        runs); ``own_start`` maps component signatures to the offset
-        where *their* maintenance delta begins (facts appended since
-        the last fixpoint — inserted EDB facts or DRed restorations).
-
-        Per rule and per delta-capable body position (one whose
-        relation changed), one variant runs with the delta window at
-        that position and the **full** relations everywhere else.
-        Unlike the evaluator's old/delta split, an instantiation with
-        several new body facts is enumerated once per such position —
-        but the derived *fact set* is identical (relations are sets),
-        and the full relations keep their persistent hash indexes,
-        where an ``old`` window would re-index almost the entire
-        relation every round to dedupe a usually-tiny delta.
-        """
-        faults.fire("component")
-        db = self.database
-        scc_set = task.sigs
-        rels = {sig: db.relation(*sig) for sig in scc_set}
-        delta_start = {
-            sig: own_start.get(sig, len(rels[sig])) for sig in scc_set
-        }
-        has_internal = any(
-            lit.signature in scc_set
-            for rule in task.rules
-            for lit in rule.body
-        )
-        ext_views = {}
-        for sig, offset in external.items():
-            rel = db.relation(*sig)
-            ext_views[sig] = rel.view(offset, len(rel))
-
-        first_round = True
-        rounds = 0
-        while True:
-            rounds += 1
-            self._guard_rounds(task, rounds)
-            stats.incr_rounds += 1
-            self._round_partitioned = False
-            stop = {sig: len(rels[sig]) for sig in scc_set}
-            delta_views = {
-                sig: rels[sig].view(delta_start[sig], stop[sig])
-                for sig in scc_set
-            }
-            new: Dict[Signature, Set[FactTuple]] = {sig: set() for sig in scc_set}
-
-            for rule in task.rules:
-                head_sig = rule.head.signature
-                positions: List[Tuple[int, Signature, bool]] = []
-                for i, lit in enumerate(rule.body):
-                    s = lit.signature
-                    if s in scc_set:
-                        positions.append((i, s, True))
-                    elif first_round and s in ext_views:
-                        positions.append((i, s, False))
-                if not first_round:
-                    positions = [p for p in positions if p[2]]
-                if not positions:
-                    continue
-                emitted: List[FactTuple] = []
-                for pos_j, sig_j, internal_j in positions:
-                    delta = (
-                        delta_views[sig_j] if internal_j else ext_views[sig_j]
-                    )
-                    if len(delta) == 0:
-                        continue
-                    self._run_rule(
-                        rule, ((pos_j, "delta"),), {pos_j: delta},
-                        emitted, stats, partition=True,
-                    )
-                if emitted:
-                    stats.inferences += len(emitted)
-                    new[head_sig] |= set(emitted) - rels[head_sig].tuples
-
-            if self._round_partitioned:
-                stats.partition_rounds += 1
-            for sig in scc_set:
-                delta_start[sig] = stop[sig]
-            changed = False
-            for sig in scc_set:
-                fresh = new[sig]
-                if fresh:
-                    changed = True
-                    rel = rels[sig]
-                    for fact in fresh:
-                        if rel.add(fact):
-                            stats.record_fact(sig)
-            first_round = False
-            if not changed or not has_internal:
-                break
+            stats.record_estimate(plan.estimated_rows, len(emitted))
+        return emitted
 
     # ------------------------------------------------------------------
     # Insertion propagation (fact-level deltas)
@@ -787,29 +672,25 @@ class IncrementalSession:
 
         ``changed_start`` maps every changed signature to the log
         offset where its new facts begin; components are visited in
-        topological order, and a component that derives nothing new
-        adds no signatures, so propagation dies out as early as the
-        data allows.
+        topological order and each one a changed signature reaches has
+        its fixpoint resumed from those offsets
+        (:meth:`ComponentRun.resume`).  A component that derives
+        nothing new adds no signatures, so propagation dies out as
+        early as the data allows.
         """
+        db = self.database
         for task in self._tasks:
-            own = {
-                sig: changed_start[sig]
-                for sig in task.sigs
-                if sig in changed_start
-            }
-            external: Dict[Signature, int] = {}
-            for rule in task.rules:
-                for lit in rule.body:
-                    s = lit.signature
-                    if s not in task.sigs and s in changed_start:
-                        external[s] = changed_start[s]
-            if not own and not external:
+            if not any(sig in changed_start for sig in task.sigs) and not any(
+                lit.signature in changed_start
+                for rule in task.rules
+                for lit in rule.body
+            ):
                 continue
-            pre = {sig: len(self.database.relation(*sig)) for sig in task.sigs}
-            self._component_delta_fixpoint(task, external, own, stats)
-            for sig in task.sigs:
-                if len(self.database.relation(*sig)) > pre[sig]:
-                    changed_start.setdefault(sig, own.get(sig, pre[sig]))
+            pre = {sig: len(db.relation(*sig)) for sig in task.sigs}
+            self._component_run(task, stats).resume(db, stats, changed_start)
+            for sig, before in pre.items():
+                if len(db.relation(*sig)) > before:
+                    changed_start.setdefault(sig, before)
 
     # ------------------------------------------------------------------
     # DRed deletion (fact-level deltas)
@@ -859,15 +740,15 @@ class IncrementalSession:
             own_total = sum(
                 len(self.database.relation(*sig)) for sig in task.sigs
             )
-            rounds = 0
             if frontier:
                 faults.fire("component")
+                # Frontier rounds are counted and bounded (rounds per
+                # component, the pass's deadline) like the evaluator's.
+                guard = self._component_run(task, stats)
             while frontier:
                 if self._overdelete_saturated(task, deleted, own_total):
                     break
-                rounds += 1
-                self._guard_rounds(task, rounds)
-                stats.incr_rounds += 1
+                guard.begin_round(stats)
                 delta_rels = {
                     s: relation_from_tuples(
                         s[0], s[1], facts, self.database.dictionary
@@ -885,11 +766,7 @@ class IncrementalSession:
                         s = lit.signature
                         if s not in delta_rels:
                             continue
-                        emitted: List[FactTuple] = []
-                        self._run_rule(
-                            rule, ((i, "delta"),), {i: delta_rels[s]},
-                            emitted, stats,
-                        )
+                        emitted = self._run_rule(rule, i, delta_rels[s], stats)
                         stats.inferences += len(emitted)
                         for fact in emitted:
                             if (
@@ -998,7 +875,7 @@ class IncrementalSession:
                     if self._has_surviving_derivation(probes, fact, stats):
                         if rel.add(fact):
                             stats.record_fact(sig)
-            self._component_delta_fixpoint(task, {}, dict(pre), stats)
+            self._component_run(task, stats).resume(self.database, stats, pre)
             for sig, before in pre.items():
                 stats.rederived += len(self.database.relation(*sig)) - before
 
@@ -1050,16 +927,7 @@ class IncrementalSession:
     ) -> None:
         """From-base fixpoint of one component over the current lower strata."""
         self._reset_component_to_base(task)
-        run = ComponentRun(
-            task, self._maintenance, recorder=recorder, cache=self._cache
-        )
-        local = EvalStats()
-        run.execute(self.database, local)
-        # Maintenance rounds are incremental bookkeeping, not a full
-        # evaluation's iteration count.
-        local.incr_rounds = local.iterations
-        local.iterations = 0
-        stats.absorb(local)
+        self._component_run(task, stats, recorder).execute(self.database, stats)
 
     # ------------------------------------------------------------------
     # Provenance mode: component-granular recomputation

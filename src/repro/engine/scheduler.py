@@ -325,20 +325,32 @@ class _TermRows:
     The counter-level reference (``exec="tuple"``), and the only
     representation a provenance recorder can observe or a nullary /
     foreign-dictionary head relation can absorb.
+
+    With ``kernel`` an eligible plan runs through the batch kernel
+    instead and its rows are decoded to terms as they arrive (a decline
+    falls back to the tuple executor and counts a
+    ``columnar_fallbacks``).  Dedup and absorption stay on the term
+    side — ``rel.tuples`` and ``rel.add`` — so the head's
+    whole-relation row set is never asked for: what a resumed run
+    wants (:meth:`ComponentRun.resume`).
     """
 
-    __slots__ = ("db", "stats", "recorder")
+    __slots__ = ("db", "stats", "recorder", "interned")
 
-    #: What the partition executor is told to split and emit.
-    interned = False
-
-    def __init__(self, db: Database, stats: EvalStats, recorder=None):
+    def __init__(self, db: Database, stats: EvalStats, recorder=None, kernel=False):
         self.db = db
         self.stats = stats
         self.recorder = recorder
+        #: What the partition executor is told to split and emit.
+        self.interned = kernel
 
     def run(self, plan, overrides, rel: Relation, rule_index: int, rule: Rule):
         """``(self, head facts)`` of one plan execution, duplicates kept."""
+        if self.interned:
+            rows = execute_columnar(plan, self.db, overrides, self.stats)
+            if rows is not None:
+                return self, self.adopt(rows)
+            self.stats.columnar_fallbacks += 1
         emitted: List[FactTuple] = []
         recorder = self.recorder
         if recorder is None:
@@ -354,6 +366,12 @@ class _TermRows:
 
         plan.execute(self.db, overrides, None, self.stats, on_match=on_match)
         return self, emitted
+
+    def adopt(self, out) -> list:
+        """What the kernel or a partition executor emitted, as term facts."""
+        if self.interned:
+            return decode_rows(self.db.dictionary.terms, out)
+        return out
 
     def novel(self, rel: Relation, emitted) -> Set[FactTuple]:
         return set(emitted) - rel.tuples
@@ -415,6 +433,10 @@ class _InternedRows:
             return self.terms, decode_rows(db.dictionary.terms, rows)
         return self, rows
 
+    def adopt(self, out) -> list:
+        """A partition executor's emissions are already interned rows."""
+        return out
+
     def novel(self, rel: Relation, emitted) -> Set[RowTuple]:
         return set(emitted) - rel.col_set()
 
@@ -445,14 +467,20 @@ class ComponentRun:
     * recursive, ``mode="seminaive"`` → ``delta``/``old`` log windows,
       one plan per recursive occurrence (the paper's evaluator);
     * recursive, ``mode="naive"`` → the full relations, every rule
-      every round, until a round adds nothing.
+      every round, until a round adds nothing;
+    * :meth:`resume` (incremental maintenance) → ``delta`` windows that
+      start at given log offsets, the full relations everywhere else.
 
     ``config.max_iterations`` bounds the fixpoint rounds of any *single*
     component (a divergence guard — a diverging component exceeds any
     cap by itself, and the bound does not shrink as programs gain more
     components); ``config.max_facts`` bounds the whole evaluation's
     derived facts, with ``fact_base`` carrying the budget context into
-    parallel batches, where ``stats`` is component-local.
+    parallel batches, where ``stats`` is component-local, and into a
+    maintenance pass, whose database already holds derived facts.
+    ``deadline`` is a wall-clock deadline the caller armed (one
+    maintenance pass shares one across its components); without it
+    :meth:`execute` arms ``config.max_seconds`` per component.
 
     Construction takes the config (rather than a scheduler) so the run
     is self-contained: the process execution backend rebuilds one
@@ -489,6 +517,7 @@ class ComponentRun:
         recorder=None,
         fact_base: int = 0,
         cache: Optional[PlanCache] = None,
+        deadline: Optional[float] = None,
     ):
         self.task = task
         self.config = config
@@ -497,7 +526,7 @@ class ComponentRun:
         self.recorder = recorder
         self.fact_base = fact_base
         self.rounds = 0
-        self._deadline: Optional[float] = None
+        self._deadline = deadline
 
     # -- budget guards --------------------------------------------------
 
@@ -510,7 +539,7 @@ class ComponentRun:
                 self.fact_base + stats.facts,
             )
 
-    def _begin_round(self, stats: EvalStats) -> None:
+    def begin_round(self, stats: EvalStats) -> None:
         """Count one fixpoint round, guarding this component's budget."""
         stats.iterations += 1
         self.rounds += 1
@@ -533,26 +562,69 @@ class ComponentRun:
     # -- entry point ------------------------------------------------------
 
     def execute(self, db: Database, stats: EvalStats) -> None:
+        """Evaluate the component from its base facts to its fixpoint."""
         faults.fire("component")
-        config = self.config
-        if config.max_seconds is not None:
+        if self._deadline is None and self.config.max_seconds is not None:
             # Per-component wall clock: the watchdog is armed at execute
             # time (not construction) so pool queueing doesn't count.
-            self._deadline = time.monotonic() + config.max_seconds
+            self._deadline = time.monotonic() + self.config.max_seconds
+        self._drive(db, stats, self._rows(db, stats))
+
+    def resume(
+        self, db: Database, stats: EvalStats, since: Mapping[Signature, int]
+    ) -> None:
+        """Continue the fixpoint forward from facts appended since it closed.
+
+        Incremental maintenance's way into the driver.  ``since`` maps a
+        signature to the log offset where its not-yet-propagated facts
+        begin: for a relation of this component (inserted base facts,
+        DRed restorations) that is where the first round's delta starts
+        — a component relation not named has an empty one — and for a
+        changed relation of a lower stratum it is a delta read in the
+        first round only, since such a relation does not grow while the
+        component runs.  Signatures the component does not read are
+        ignored.  At least one round runs; the caller decides whether
+        anything reached the component at all.
+
+        Per rule and per body occurrence of a windowed relation, one
+        variant runs with the delta window at that occurrence and the
+        **full** relations everywhere else; a variant whose window is
+        empty is skipped.  Unlike :meth:`execute`'s old/delta split, an
+        instantiation with several new body facts is enumerated once
+        per such occurrence — but the derived *fact set* is identical
+        (relations are sets), and the full relations keep their
+        persistent hash indexes, where an ``old`` window would re-index
+        almost the entire relation every round to dedupe a usually-tiny
+        delta.
+
+        Rows are term rows fed by the batch kernel (:class:`_TermRows`):
+        interned absorption dedups against ``Relation.col_set()``, which
+        the copy-on-write detach of a maintenance batch does not carry,
+        and rebuilding it would cost the relation, not the delta.
+        """
+        faults.fire("component")
+        kernel = self.config.exec == "columnar" and self.recorder is None
+        if kernel:
+            db.ensure_dictionary()
+        self._drive(db, stats, _TermRows(db, stats, self.recorder, kernel), since)
+
+    def _drive(self, db: Database, stats: EvalStats, rows, seeds=None) -> None:
+        """Run the fixpoint, partitioned where a delta exists to split."""
+        config = self.config
         partitioner = None
         if (
             config.partitions > 1
-            and self.task.recursive
+            and (self.task.recursive or seeds is not None)
             and self.mode == "seminaive"
             and self.recorder is None
         ):
             # Partitioning engages only where a delta exists to split:
-            # the semi-naive fixpoint of a recursive component, without
-            # a provenance recorder (which needs the single sequential
-            # emission stream).
+            # the semi-naive fixpoint of a recursive component or any
+            # resumed one, without a provenance recorder (which needs
+            # the single sequential emission stream).
             partitioner = make_partition_executor(config)
         try:
-            self._fixpoint(db, stats, self._rows(db, stats), partitioner)
+            self._fixpoint(db, stats, rows, partitioner, seeds)
         finally:
             if partitioner is not None:
                 partitioner.close()
@@ -585,7 +657,9 @@ class ComponentRun:
                 return _InternedRows(db, stats, single_pass=not recursive)
         return _TermRows(db, stats, self.recorder)
 
-    def _delta_variants(self, rule: Rule) -> List[Tuple[RoleSpec, list]]:
+    def _delta_variants(
+        self, rule: Rule, seeds: Optional[Mapping[Signature, int]] = None
+    ) -> List[Tuple[RoleSpec, list]]:
         """One delta decomposition per recursive occurrence of ``rule``.
 
         For recursive occurrences at body positions ``i1 < ... < im``,
@@ -594,8 +668,18 @@ class ComponentRun:
         it.  Each variant is ``(roles, binding)``: the plan-cache role
         spec, and ``(position, role, signature)`` triples from which a
         round builds its override views.
+
+        A resumed run (``seeds``, see :meth:`resume`) has one variant
+        per occurrence of a component *or seeded* relation, reading the
+        delta there and full relations at every other position.
         """
         scc_set = self.task.sigs
+        if seeds is not None:
+            return [
+                (((pos, "delta"),), [(pos, "delta", lit.signature)])
+                for pos, lit in enumerate(rule.body)
+                if lit.signature in scc_set or lit.signature in seeds
+            ]
         positions = [
             i for i, lit in enumerate(rule.body) if lit.signature in scc_set
         ]
@@ -614,7 +698,9 @@ class ComponentRun:
 
     # -- the fixpoint -------------------------------------------------------
 
-    def _fixpoint(self, db: Database, stats: EvalStats, rows, partitioner) -> None:
+    def _fixpoint(
+        self, db: Database, stats: EvalStats, rows, partitioner, seeds=None
+    ) -> None:
         """Rounds of rule firings until a round derives nothing new.
 
         In semi-naive mode neither deltas nor "old" relations are ever
@@ -630,6 +716,11 @@ class ComponentRun:
         relation.  A non-recursive component is a single round whose
         rules never read its heads, so each rule's batch is absorbed as
         it arrives, with the fact budget checked per fact.
+
+        ``seeds`` (:meth:`resume`) are log offsets for the first delta
+        to start at, in place of 0.  Seeded relations outside the
+        component are windowed like its own; they do not grow, so the
+        offset bump that ends a round empties their delta for good.
         """
         scc_set = self.task.sigs
         cache = self.cache
@@ -645,7 +736,16 @@ class ComponentRun:
         # Facts present before the first round seed the delta (magic
         # seeds and facts from earlier strata drive round one);
         # delta_start marks the log offset where the current delta begins.
+        windows = rels
         delta_start: Dict[Signature, int] = {sig: 0 for sig in scc_set}
+        seeded = seeds is not None
+        if seeded:
+            read = {lit.signature for rule in self.task.rules for lit in rule.body}
+            windows = {sig: db.relation(*sig) for sig in read if sig in seeds}
+            windows.update(rels)
+            delta_start = {
+                sig: seeds.get(sig, len(rel)) for sig, rel in windows.items()
+            }
 
         # Per rule, the plans it fires in a round as (roles, binding)
         # pairs.  A rule with recursive occurrences fires its delta
@@ -655,30 +755,34 @@ class ComponentRun:
         # afterwards.  Each (rule, roles) pair is compiled once by the
         # cache and re-fetched per round: the refetch is what the
         # plan_cache_hits counter measures, and what lets the cost
-        # planner notice cardinality drift and re-plan.
+        # planner notice cardinality drift and re-plan.  A seeded run
+        # fires delta variants only: a rule none of whose occurrences
+        # is windowed has nothing new to read.
         firings = []
-        windowed = seminaive and recursive
+        windowed = seeded or (seminaive and recursive)
         for rule_index, rule in enumerate(self.task.rules):
-            variants = self._delta_variants(rule) if windowed else None
-            firings.append(
-                (rule_index, rule, rule.head.signature, variants or _FULL,
-                 bool(variants) or not seminaive)
-            )
+            variants = self._delta_variants(rule, seeds) if windowed else None
+            if variants or not seeded:
+                firings.append(
+                    (rule_index, rule, rule.head.signature, variants or _FULL,
+                     bool(variants) or not seminaive)
+                )
 
         first_round = True
         while True:
-            self._begin_round(stats)
+            self.begin_round(stats)
             if recorder is not None:
                 recorder.start_round()
             round_partitioned = False
             if windowed:
-                stop = {sig: len(rels[sig]) for sig in scc_set}
+                stop = {sig: len(rel) for sig, rel in windows.items()}
                 delta_views = {
-                    sig: rels[sig].view(delta_start[sig], stop[sig])
-                    for sig in scc_set
+                    sig: rel.view(delta_start[sig], stop[sig])
+                    for sig, rel in windows.items()
                 }
                 old_views = {
-                    sig: rels[sig].view(0, delta_start[sig]) for sig in scc_set
+                    sig: rel.view(0, delta_start[sig])
+                    for sig, rel in windows.items()
                 }
             new: Dict[Signature, set] = {}
 
@@ -691,6 +795,8 @@ class ComponentRun:
                 for roles, binding in variants:
                     overrides = None
                     if binding:
+                        if seeded and not len(delta_views[binding[0][2]]):
+                            continue  # nothing new at this occurrence
                         overrides = {
                             pos: delta_views[body_sig]
                             if role == "delta"
@@ -713,6 +819,7 @@ class ComponentRun:
                         )
                         if out is not None:
                             round_partitioned = True
+                            out = rows.adopt(out)
                     if out is None:
                         batch_rows, out = rows.run(
                             plan, overrides, rel, rule_index, rule

@@ -21,7 +21,11 @@ from repro.workloads.synthetic import (
     random_rlc_program,
 )
 
-from tests.conftest import oracle_answers
+from tests.conftest import (
+    assert_storage_matches_rebuild,
+    oracle_answers,
+    pin_storage,
+)
 
 
 @settings(max_examples=50, deadline=None)
@@ -495,6 +499,9 @@ def test_incremental_scripts_match_scratch(program_seed, edb_seed, script_seed, 
     provenance session's derivations must equal a from-scratch
     ``provenance_eval``'s.  (The process backend and ``jobs`` matrix is
     exercised deterministically in ``tests/test_incremental.py``.)
+    After every batch each session's storage — and a view pinned before
+    the batch — must equal a rebuild from its logs
+    (``assert_storage_matches_rebuild``).
     """
     import random
 
@@ -518,8 +525,7 @@ def test_incremental_scripts_match_scratch(program_seed, edb_seed, script_seed, 
             else:
                 update = (f"r{rng.randrange(3)}", (rng.randrange(n),))
             edb.add_fact(*update)
-            for session in sessions:
-                session.insert([update])
+            apply = "insert"
         else:
             stored = sorted(
                 (sig[0], tuple(t.value for t in fact))
@@ -530,8 +536,12 @@ def test_incremental_scripts_match_scratch(program_seed, edb_seed, script_seed, 
                 continue
             update = stored[rng.randrange(len(stored))]
             edb.remove_fact(*update)
-            for session in sessions:
-                session.delete([update])
+            apply = "delete"
+        for session in sessions:
+            pinned = pin_storage(session.database)
+            getattr(session, apply)([update])
+            assert_storage_matches_rebuild(session.database, pinned)
+            assert_storage_matches_rebuild(session.edb)
     ref, _ = naive_fixpoint_reference(program, edb)
     labels = ("greedy", "cost", "tuple", "jobs2", "provenance")
     for label, session in zip(labels, sessions):
@@ -685,7 +695,8 @@ def test_injected_faults_never_leave_intermediate_state(
     from-scratch fixpoint of the *pre-batch* EDB (fault fired, batch
     rolled back) or of the *post-batch* EDB (batch committed).  Never
     anything in between, and a faultless retry always reaches the
-    post-batch oracle.
+    post-batch oracle.  Committed or rolled back, the session's storage
+    and a view pinned before the batch equal a rebuild from their logs.
     """
     import random
 
@@ -725,6 +736,7 @@ def test_injected_faults_never_leave_intermediate_state(
         faults.install(
             faults.parse_faults(f"component:raise:{nth}")
         )
+        pinned = pin_storage(session.database)
         try:
             session.apply_batch(inserts=inserts, deletes=deletes or None)
         except MaintenanceError:
@@ -736,10 +748,14 @@ def test_injected_faults_never_leave_intermediate_state(
         else:
             # The batch finished before boundary ``nth`` was reached.
             assert session.database == post_oracle
+        assert_storage_matches_rebuild(session.database, pinned)
+        assert_storage_matches_rebuild(session.edb)
         faults.install(None)
         # A faultless retry always lands on the post-batch oracle
         # (re-applying a committed batch is idempotent).
+        pinned = pin_storage(session.database)
         session.apply_batch(inserts=inserts, deletes=deletes or None)
+        assert_storage_matches_rebuild(session.database, pinned)
         assert session.database == post_oracle, (
             f"retry diverged on seeds "
             f"{program_seed}/{edb_seed}/{batch_seed} nth={nth}"

@@ -478,3 +478,237 @@ class TestApplyBatch:
         session = IncrementalSession(TC, chain(3))
         with pytest.raises(TypeError):
             session.apply_batch(inserts=[42])  # not a (predicate, args) pair
+
+
+class TestFactBudget:
+    """``max_facts`` binds maintenance as it binds the evaluator: what
+    counts is every fact the database holds beyond its EDB."""
+
+    @pytest.mark.parametrize("exec_mode", ["columnar", "tuple"])
+    def test_insert_past_the_cap_rolls_back(self, exec_mode):
+        from repro.engine.stats import MaintenanceError, NonTerminationError
+
+        edb = chain(1)
+        session = IncrementalSession(TC, edb, max_facts=20, exec=exec_mode)
+        grown = [("e", (i, i + 1)) for i in range(1, 30)]
+        with pytest.raises(NonTerminationError):
+            seminaive_eval(TC, chain(30), max_facts=20)  # 465 facts
+        facts_before = session.stats.facts
+        with pytest.raises(MaintenanceError) as exc_info:
+            session.insert(grown)
+        assert exc_info.value.phase == "insert"
+        assert isinstance(exc_info.value.__cause__, NonTerminationError)
+        assert_matches_scratch(session, edb)
+        assert session.edb == edb
+        assert session.stats.facts == facts_before
+        # The session still answers, and takes a batch that fits: five
+        # edges close to 15 facts, a sixth would make it 21.
+        assert session.query("t(0, Y)") == {(1,)}
+        session.insert(grown[:4])
+        edb.add_facts("e", [args for _, args in grown[:4]])
+        assert_matches_scratch(session, edb)
+        with pytest.raises(MaintenanceError):
+            session.insert(grown[4:5])
+        assert_matches_scratch(session, edb)
+
+    @pytest.mark.parametrize("exec_mode", ["columnar", "tuple"])
+    def test_delete_whose_restorations_fit_succeeds(self, exec_mode):
+        """36 facts under a cap of 40: the delete over-deletes 14 and
+        restores 12 — counting restorations on top of the pre-batch 36
+        would refuse a batch that ends on 34."""
+        edb = chain(8)
+        edb.add_fact("e", (5, 7))
+        session = IncrementalSession(TC, edb, max_facts=40, exec=exec_mode)
+        stats = session.delete([("e", (6, 7))])
+        edb.remove_fact("e", (6, 7))
+        assert (stats.facts, stats.rederived) == (12, 12)
+        assert session.database == seminaive_eval(TC, edb, max_facts=40)[0]
+        # ... as does one that recomputes the component from its base.
+        doomed = [("e", (i, i + 1)) for i in range(1, 8)]
+        session.delete(doomed)
+        for _, args in doomed:
+            edb.remove_fact("e", args)
+        assert_matches_scratch(session, edb)
+
+    @pytest.mark.parametrize("exec_mode", ["columnar", "tuple"])
+    def test_cap_binds_a_non_recursive_stratum(self, exec_mode):
+        from repro.engine.stats import MaintenanceError, NonTerminationError
+
+        edb = chain(4)  # 10 t facts; r and s start empty
+        session = IncrementalSession(LAYERED, edb, max_facts=12, exec=exec_mode)
+        wide = [("sel", (i,)) for i in range(1, 5)]  # 10 r facts
+        with pytest.raises(MaintenanceError) as exc_info:
+            session.insert(wide)
+        assert isinstance(exc_info.value.__cause__, NonTerminationError)
+        assert_matches_scratch(session, edb, LAYERED)
+        session.insert(wide[:1])  # r(0, 1) and s(0): 12 facts
+        edb.add_fact("sel", (1,))
+        assert session.database == seminaive_eval(LAYERED, edb, max_facts=12)[0]
+
+
+SG = parse_program(
+    """
+    sg(X, Y) :- flat(X, Y).
+    sg(X, Y) :- up(X, Z), sg(Z, W), down(W, Y).
+    """
+)
+
+
+def shortcut_chain(sel=()):
+    db = chain(8)
+    db.add_facts("e", [(0, 4), (2, 6)])
+    db.add_facts("sel", [(v,) for v in sel])
+    return db
+
+
+def tree(flat):
+    """A binary tree of depth 3 as up(child, parent)/down(parent, child)."""
+    db = Database()
+    for child in range(1, 15):
+        db.add_fact("up", (child, (child - 1) // 2))
+        db.add_fact("down", ((child - 1) // 2, child))
+    db.add_facts("flat", flat)
+    return db
+
+
+def blocks(sel=()):
+    db = churn_edb(24, width=3)
+    db.add_facts("sel", [(v,) for v in sel])
+    return db
+
+
+def pairs(pred, *rows):
+    return [(pred, row) for row in rows]
+
+
+#: name -> (program, EDB and insert-only script, EDB and delete script,
+#: per insert pass (facts, inferences, incr_rounds) and its
+#: partition_rounds under partitions=2, per delete pass (facts,
+#: rederived)) — the counters a maintenance pass *determines*, recorded
+#: on the commit before maintenance moved onto the evaluator's driver.
+PINNED = {
+    "tc": (
+        TC,
+        shortcut_chain,
+        [
+            pairs("e", (8, 9), (9, 10)),
+            pairs("e", (1, 5)),
+            pairs("e", (10, 0)),
+            pairs("e", (20, 21), (21, 22), (22, 20)),
+            pairs("e", (0, 1)),
+        ],
+        blocks,
+        [
+            pairs("e", (1, 2)),
+            pairs("e", (3, 5), (9, 10)),
+            pairs("e", (17, 18), (18, 19)),
+            pairs("e", *[(i, i + 1) for i in range(10, 15)], (8, 9)),
+        ],
+        [(21, 23, 8), (1, 6, 1), (67, 95, 9), (12, 12, 4), (0, 0, 0)],
+        [8, 0, 8, 4, 0],
+        [(6, 6), (15, 15), (1, 1), (1, 1)],
+    ),
+    "sg": (
+        SG,
+        lambda: tree([(0, 0)]),
+        [
+            pairs("up", (15, 7), (16, 7)) + pairs("down", (7, 15), (7, 16)),
+            pairs("flat", (1, 2)),
+            pairs("up", (17, 8)) + pairs("down", (8, 17)),
+            pairs("flat", (3, 6), (6, 3)),
+        ],
+        lambda: tree([(0, 0), (1, 1), (1, 2), (2, 2), (3, 4), (4, 3)]),
+        [
+            pairs("flat", (1, 2)),
+            pairs("up", (3, 1)) + pairs("flat", (3, 4)),
+            pairs("flat", (0, 0)),
+        ],
+        [(8, 8, 2), (1, 1, 1), (7, 6, 2), (2, 2, 1)],
+        [2, 0, 1, 1],
+        [(21, 21), (0, 0), (32, 32)],
+    ),
+    "layered": (
+        LAYERED,
+        lambda: shortcut_chain(sel=(3, 6)),
+        [
+            pairs("e", (8, 9)) + pairs("sel", (9,)),
+            pairs("sel", (4,), (5,)),
+            pairs("e", (9, 0)),
+        ],
+        lambda: blocks(sel=(3, 6, 12)),
+        [
+            pairs("sel", (3,)),
+            pairs("e", (2, 3), (9, 10)),
+            pairs("e", (4, 5)) + pairs("sel", (12,)),
+        ],
+        [(23, 38, 9), (11, 18, 2), (80, 123, 10)],
+        [5, 2, 9],
+        [(3, 3), (8, 8), (7, 5)],
+    ),
+}
+
+
+class TestDeterminateCounters:
+    """What a pass determines did not move with the driver: fact sets
+    are checked everywhere; here the counters are, as literals."""
+
+    @pytest.mark.parametrize("exec_mode", ["columnar", "tuple"])
+    @pytest.mark.parametrize("partitions", [1, 2])
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_per_pass_counters_are_pinned(self, name, partitions, exec_mode):
+        program, ins_edb, inserts, del_edb, deletes, on_insert, split, on_delete = (
+            PINNED[name]
+        )
+        # knob-pinned: which deltas split depends on the join order
+        knobs = dict(partitions=partitions, exec=exec_mode, planner="greedy")
+        session = IncrementalSession(program, ins_edb(), **knobs)
+        passes = [session.insert(batch) for batch in inserts]
+        assert [
+            (s.facts, s.inferences, s.incr_rounds) for s in passes
+        ] == on_insert
+        assert [s.partition_rounds for s in passes] == (
+            split if partitions == 2 else [0] * len(split)
+        )
+        assert all(s.iterations == 0 for s in passes)
+        session = IncrementalSession(program, del_edb(), **knobs)
+        passes = [session.delete(batch) for batch in deletes]
+        assert [(s.facts, s.rederived) for s in passes] == on_delete
+
+    def test_component_boundaries_keep_their_order(self, monkeypatch):
+        """One mixed batch crosses nine component boundaries — three
+        over-deleting (before the prune), three re-deriving, three
+        propagating inserts — and a ``component:raise:N`` plan fires at
+        the N-th of them, in the phase it always did."""
+        from repro.engine import faults
+        from repro.engine.stats import MaintenanceError
+
+        batch = dict(
+            inserts=pairs("e", (7, 8)) + pairs("sel", (9,), (4,)),
+            deletes=pairs("e", (2, 3)) + pairs("sel", (6,)),
+        )
+        session = IncrementalSession(LAYERED, blocks(sel=(3, 6, 12)))
+        sizes = []
+        fire = faults.fire
+
+        def spy(site, *args):
+            if site == "component":
+                sizes.append(session.database.total_facts())
+            return fire(site, *args)
+
+        monkeypatch.setattr(faults, "fire", spy)
+        session.apply_batch(**batch)
+        monkeypatch.undo()
+        assert sizes == [137, 137, 137, 105, 101, 101, 108, 148, 160]
+        phases = []
+        try:
+            for nth in range(1, len(sizes) + 2):
+                session = IncrementalSession(LAYERED, blocks(sel=(3, 6, 12)))
+                faults.install(faults.parse_faults(f"component:raise:{nth}"))
+                try:
+                    session.apply_batch(**batch)
+                    phases.append(None)
+                except MaintenanceError as exc:
+                    phases.append(exc.phase)
+        finally:
+            faults.clear()
+        assert phases == ["delete"] * 6 + ["insert"] * 3 + [None]

@@ -14,10 +14,12 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.dependency import DependencyGraph, strongly_connected_components
 from repro.datalog.parser import parse_program
 from repro.datalog.terms import Constant
-from repro.engine.database import Database, Relation
+from repro.engine.config import EngineConfig
+from repro.engine.database import Database, Relation, load_program_facts
 from repro.engine.intern import TermDictionary
 from repro.engine.naive import naive_eval, naive_fixpoint_reference
 from repro.engine.scheduler import (
+    ComponentRun,
     SCCScheduler,
     component_depths,
 )
@@ -360,3 +362,157 @@ class TestFixpointDriverBranches:
         _, tuple_mode = seminaive_eval(SINGLE_PASS, edb, exec="tuple")
         assert columnar.columnar_fallbacks == 1  # any :- hop(X, Y).
         assert tuple_mode.columnar_fallbacks == 0
+
+
+#: Strata above a random recursive component ``p``: a mutual recursion
+#: (with a program fact), a non-recursive stratum, a nullary head, and
+#: a component that reads unary relations only.
+UPPER = parse_program(
+    """
+    a(X, Y) :- e0(X, Y).
+    a(X, Y) :- b(X, Z), p(Z, Y).
+    b(X, Y) :- a(X, Z), e1(Z, Y).
+    a(0, 0).
+    j(X, Y) :- a(X, Z), r0(Z), p(Z, Y).
+    some :- j(X, X).
+    idle(X) :- r1(X), r2(X).
+    """
+)
+
+RESUME_KNOBS = [
+    dict(exec=mode, partitions=partitions, planner=planner)
+    for mode in ("columnar", "tuple")
+    for partitions in (1, 2)
+    for planner in ("greedy", "cost")
+]
+
+
+def stratified(program_seed):
+    from repro.datalog.program import Program
+
+    return Program(list(random_program(program_seed).rules) + list(UPPER.rules))
+
+
+def reads(task):
+    return {lit.signature for rule in task.rules for lit in rule.body}
+
+
+def resume_reached(program, db, since, **knobs):
+    """Resume, in topological order, every component a signature of
+    ``since`` reaches (growing ``since`` by what each one derives);
+    returns the stats and the rounds each component ran."""
+    config = EngineConfig.resolve(None, **knobs)
+    stats, rounds = EvalStats(), {}
+    for task in SCCScheduler(program, config).tasks:
+        rounds[task.sigs] = 0
+        if not (task.sigs | reads(task)) & since.keys():
+            continue
+        before = {sig: len(db.relation(*sig)) for sig in task.sigs}
+        run = ComponentRun(task, config)
+        run.resume(db, stats, since)
+        rounds[task.sigs] = run.rounds
+        for sig, size in before.items():
+            if len(db.relation(*sig)) > size:
+                since.setdefault(sig, size)
+    return stats, rounds
+
+
+class TestResume:
+    """``ComponentRun.resume`` is ``execute`` continued, not a second
+    evaluator: same driver, other windows."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        program_seed=st.integers(0, 10_000),
+        edb_seed=st.integers(0, 10_000),
+        n=st.integers(3, 7),
+    )
+    def test_resume_from_offset_zero_is_execute(self, program_seed, edb_seed, n):
+        """With every relation's delta starting at log offset 0 a
+        resumed run enumerates every instantiation (once per body
+        occurrence, so only ``inferences`` may exceed ``execute``'s)."""
+        program = stratified(program_seed)
+        edb = random_edb(edb_seed, n=n)
+        for knobs in RESUME_KNOBS:
+            ref, ref_stats = seminaive_eval(program, edb, **knobs)
+            db = edb.copy()
+            loaded = load_program_facts(program, db)
+            since = {sig: 0 for task in SCCScheduler(program).tasks
+                     for sig in task.sigs | reads(task)}
+            stats, rounds = resume_reached(program, db, since, **knobs)
+            assert db == ref, f"diverged on {program_seed}/{edb_seed} {knobs}"
+            assert loaded + stats.facts == ref_stats.facts
+            assert stats.inferences >= ref_stats.inferences
+            assert all(rounds.values())
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        program_seed=st.integers(0, 10_000),
+        edb_seed=st.integers(0, 10_000),
+        split_seed=st.integers(0, 10_000),
+        n=st.integers(3, 7),
+    )
+    def test_evaluate_then_resume_is_evaluate(
+        self, program_seed, edb_seed, split_seed, n
+    ):
+        """Evaluate on EDB1, append EDB2 (binary relations only), resume
+        what it reaches: the reference fixpoint of EDB1 ∪ EDB2, with
+        ``facts`` the difference — and ``idle``, which reads only unary
+        relations, runs no round."""
+        import random
+
+        program = stratified(program_seed)
+        whole = random_edb(edb_seed, n=n)
+        rng = random.Random(split_seed)
+        first, later = Database(), []
+        for (name, arity), rel in sorted(whole.relations.items()):
+            for fact in sorted(rel.tuples, key=str):
+                if arity == 2 and rng.random() < 0.4:
+                    later.append((name, fact))
+                else:
+                    first.relation(name, arity).add(fact)
+        ref, _ = naive_fixpoint_reference(program, whole)
+        for knobs in RESUME_KNOBS:
+            db, _ = seminaive_eval(program, first, **knobs)
+            since = {}
+            for name, fact in later:
+                rel = db.relation(name, 2)
+                size = len(rel)
+                if rel.add(fact):
+                    since.setdefault((name, 2), size)
+            size = db.total_facts()
+            stats, rounds = resume_reached(program, db, since, **knobs)
+            assert db == ref, (
+                f"diverged on {program_seed}/{edb_seed}/{split_seed} {knobs}"
+            )
+            assert stats.facts == ref.total_facts() - size
+            assert rounds[frozenset({("idle", 1)})] == 0
+            assert stats.iterations == sum(rounds.values())
+
+    def test_session_resumes_only_what_a_change_reaches(self, monkeypatch):
+        """Through ``IncrementalSession``: a component runs iff it reads
+        a relation that grew; one no change reaches runs no round."""
+        from repro.engine.incremental import IncrementalSession
+
+        program = stratified(7)
+        session = IncrementalSession(program, random_edb(3, n=5))
+        tasks = SCCScheduler(program).tasks
+        resumed = []
+        resume = ComponentRun.resume
+
+        def spy(run, db, stats, since):
+            resumed.append(run.task.sigs)
+            return resume(run, db, stats, since)
+
+        monkeypatch.setattr(ComponentRun, "resume", spy)
+        for batch in ([("r0", (1,)), ("r0", (2,))], [("e1", (4, 0))], [("r2", (9,))]):
+            sizes = {sig: len(rel) for sig, rel in session.database.relations.items()}
+            del resumed[:]
+            stats = session.insert(batch)
+            grew = {
+                sig for sig, rel in session.database.relations.items()
+                if len(rel) > sizes.get(sig, 0)
+            }
+            assert resumed == [t.sigs for t in tasks if reads(t) & grew]
+            assert stats.incr_rounds >= len(resumed)
+        assert resumed == [frozenset({("idle", 1)})]

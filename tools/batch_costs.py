@@ -10,14 +10,16 @@ linear TC over eight blocks) against an in-process
   the batch's dirty closure;
 * **over-delete**, **prune** (``Relation.remove_facts``), **rederive**
   (the existence probes of ``_rederive``, its forward delta excluded);
-* **forward delta** — ``_component_delta_fixpoint``, for inserts and
-  for DRed's restorations;
+* **forward delta** — ``ComponentRun.resume``, the evaluator's driver
+  continuing a component's fixpoint, for inserts and for DRed's
+  restorations;
 * **rest** — normalising the update, base-relation bookkeeping, stats.
 
 Prints mean milliseconds per insert batch and per delete batch; the
 table in ``docs/incremental.md`` is this output.  ``--src`` times
 another checkout's ``src/`` (the parent commit, for the "before"
-column) on the same inputs.
+column) on the same inputs; a checkout from before maintenance ran on
+the evaluator's driver is timed at the session's own loop instead.
 
 Usage::
 
@@ -46,6 +48,7 @@ def main() -> int:
     from repro.datalog.parser import parse_program
     from repro.engine.database import Database, Relation
     from repro.engine.incremental import IncrementalSession
+    from repro.engine.scheduler import ComponentRun
 
     spent = dict.fromkeys(PHASES, 0.0)
     stack = []  # nested phases: a phase's time excludes the phases inside it
@@ -70,7 +73,11 @@ def main() -> int:
     timed(IncrementalSession, "_overdelete", "over-delete")
     timed(Relation, "remove_facts", "prune")
     timed(IncrementalSession, "_rederive", "rederive")
-    timed(IncrementalSession, "_component_delta_fixpoint", "forward delta")
+    if hasattr(ComponentRun, "resume"):
+        timed(ComponentRun, "resume", "forward delta")
+    else:  # an older checkout: the session's private delta loop
+        [loop] = [n for n in vars(IncrementalSession) if n.endswith("delta_fixpoint")]
+        timed(IncrementalSession, loop, "forward delta")
     timed(IncrementalSession, "apply_batch", "rest")
 
     inputs = workloads.GENERATORS["serve_rw"](args.seed, "full")
