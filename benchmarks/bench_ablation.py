@@ -4,16 +4,11 @@ A1 — Section 5 passes: how much of the E1 speedup does each stage of
 the simplifier contribute?  (raw factored → +tautology/projection
 passes → +uniform-equivalence deletion.)
 
-A2 — Magic variant: plain Magic Sets vs supplementary Magic Sets on
-the three-rule transitive closure (prefix sharing vs extra relations).
-
 A3 — SIP body ordering: the unit-preserving reorder in `adorn` versus
 naive left-to-right on a program written "backwards".
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.analysis.adornment import adorn
 from repro.bench.harness import Measurement, Series
@@ -23,9 +18,8 @@ from repro.core.simplify import simplify_factored
 from repro.datalog.parser import parse_program, parse_query
 from repro.engine.seminaive import seminaive_eval
 from repro.transforms.magic import magic_sets
-from repro.transforms.supplementary import supplementary_magic_sets
 from repro.workloads.examples import three_rule_tc_program
-from repro.workloads.graphs import chain_edb, random_digraph_edb
+from repro.workloads.graphs import chain_edb
 
 from benchmarks.conftest import scaled
 
@@ -67,38 +61,6 @@ def test_a1_simplifier_pass_ablation():
     assert rows[2].inferences <= rows[1].inferences <= rows[0].inferences
 
 
-def test_a2_supplementary_vs_plain_magic():
-    series = Series("A2: plain vs supplementary Magic Sets (3-rule TC)")
-    goal = parse_query("t(0, Y)")
-    adorned = adorn(three_rule_tc_program(), goal)
-    plain = magic_sets(adorned)
-    sup = supplementary_magic_sets(adorned)
-    for n in (scaled(15), scaled(30), scaled(60)):
-        edb = random_digraph_edb(n, 2 * n, seed=5)
-        plain_db, plain_stats = seminaive_eval(plain.program, edb)
-        sup_db, sup_stats = seminaive_eval(sup.program, edb)
-        assert plain.answers(plain_db) == sup.answers(sup_db)
-        series.add(
-            Measurement(
-                label="plain", n=n, facts=plain_stats.facts,
-                inferences=plain_stats.inferences, seconds=plain_stats.seconds,
-                answers=len(plain.answers(plain_db)),
-            )
-        )
-        series.add(
-            Measurement(
-                label="supplementary", n=n, facts=sup_stats.facts,
-                inferences=sup_stats.inferences, seconds=sup_stats.seconds,
-                answers=len(sup.answers(sup_db)),
-            )
-        )
-    series.note(
-        "supplementary shares prefixes across magic+modified rules but "
-        "materializes sup~ relations; factoring beats both (E1)"
-    )
-    series.show()
-
-
 def test_a3_sip_ordering():
     series = Series("A3: unit-preserving SIP reorder vs written order")
     # written "backwards": the recursive literal precedes its binder,
@@ -129,19 +91,3 @@ def test_a3_sip_ordering():
     assert len(result.adorned.adornments.get(("t", 2), {"x"})) <= 1
     series.note("the reorder keeps the program unit and factorable")
     series.show()
-
-
-@pytest.mark.benchmark(group="A2-magic-variants")
-def test_a2_timing_plain(benchmark):
-    goal = parse_query("t(0, Y)")
-    plain = magic_sets(adorn(three_rule_tc_program(), goal))
-    edb = random_digraph_edb(scaled(30), scaled(60), seed=5)
-    benchmark(lambda: seminaive_eval(plain.program, edb))
-
-
-@pytest.mark.benchmark(group="A2-magic-variants")
-def test_a2_timing_supplementary(benchmark):
-    goal = parse_query("t(0, Y)")
-    sup = supplementary_magic_sets(adorn(three_rule_tc_program(), goal))
-    edb = random_digraph_edb(scaled(30), scaled(60), seed=5)
-    benchmark(lambda: seminaive_eval(sup.program, edb))

@@ -55,7 +55,8 @@ def main() -> None:
     print("  " + ", ".join(parts))
     print(f"cost: {report.stats.facts} facts, {report.stats.inferences} inferences")
 
-    print("\ncompiled program:")
+    print("\ncompiled program (one per query form; ask() adds the seed "
+          "m_uses@bf(widget) as a fact):")
     print(db.compiled_program("uses(widget, P)"))
 
     print("\n=== query 2: same_level(rotor, Q)? — not factorable ===")

@@ -145,7 +145,6 @@ _MODULES = {
         "uniformly_contained", "uniformly_equivalent", "minimize_program",
     ),
     "analysis.isomorphism": ("programs_isomorphic",),
-    "transforms.supplementary": ("supplementary_magic_sets",),
     "workloads": (
         "chain_edb", "cycle_edb", "random_digraph_edb", "complete_edb",
         "tree_edb", "grid_edb", "pmem_program", "pmem_edb", "pmem_query",

@@ -3,8 +3,10 @@
 Commands
 --------
 
-``classify``   Report rule classification, one-sidedness, separability,
-               and factorability for a program + query.
+``classify``   Report each rule's class (and why classification fails),
+               a static-argument reduction if one applies, and the
+               factorability verdict for a program + query — the
+               analysis ``DeductiveDatabase.plan_summary`` prints too.
 ``optimize``   Print every stage of the optimization pipeline;
                ``--evaluate STAGE`` runs a named stage (original,
                magic, factored, simplified) over ``--facts``.
@@ -68,26 +70,7 @@ def cmd_classify(args) -> int:
 
     program = _load_program(args.program)
     goal = parse_query(args.query)
-    result = optimize(program, goal)
-    if result.classification is not None:
-        print("classification:")
-        for rc in result.classification.rules:
-            print(f"  {rc.rule_class.value:14s}  {rc.rule}")
-        if not result.classification.ok:
-            print(f"  reason: {result.classification.reason}")
-    if result.reduction is not None:
-        print(
-            f"static-argument reduction removed positions "
-            f"{list(result.reduction.removed_positions)}"
-        )
-    if result.report is not None and result.report.factorable:
-        print(f"factorable: yes — {result.report.certified_by}")
-    elif result.report is not None:
-        print("factorable: no")
-        for reason in result.report.reasons:
-            print(f"  - {reason}")
-    else:
-        print("factorable: not applicable")
+    print("\n".join(optimize(program, goal).describe()))
     return 0
 
 
@@ -148,10 +131,9 @@ def cmd_run(args) -> int:
     config = _engine_config(args)
     result = optimize(program, goal)
     answers, stats = result.answers(edb, config=config)
-    strategy = "factored" if result.simplified is not None else "magic"
     _print_answers(answers)
     print(
-        f"-- {len(answers)} answers via {strategy}; {stats.facts} facts, "
+        f"-- {len(answers)} answers via {result.strategy}; {stats.facts} facts, "
         f"{stats.inferences} inferences, {stats.seconds * 1000:.1f} ms",
         file=sys.stderr,
     )

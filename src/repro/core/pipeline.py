@@ -11,7 +11,7 @@ kept on the result for inspection, testing, and benchmarking.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.analysis.adornment import AdornedProgram, adorn, split_adorned_name
 from repro.analysis.classify import ProgramClassification, classify_program
@@ -60,12 +60,52 @@ class OptimizationResult:
             return self.factored.program
         return self.magic.program
 
+    @property
+    def strategy(self) -> str:
+        """``"factored"`` when :meth:`best_program` is a factored program,
+        else ``"magic"``."""
+        return "magic" if self.factored is None else "factored"
+
+    @property
+    def certified_by(self) -> Optional[str]:
+        """The theorem behind a factored :attr:`strategy`; ``None`` for
+        magic and for a forced, uncertified factoring."""
+        if self.factored is None or self.forced:
+            return None
+        return self.report.certified_by
+
+    def describe(self) -> List[str]:
+        """The analysis behind the decision, as printed lines: each
+        rule's class (and why classification failed), a Lemma 5.1
+        reduction, and the factorability verdict with its reasons."""
+        lines = []
+        if self.classification is not None:
+            lines.append("classification:")
+            for rc in self.classification.rules:
+                lines.append(f"  {rc.rule_class.value:14s}  {rc.rule}")
+            if not self.classification.ok:
+                lines.append(f"  reason: {self.classification.reason}")
+        if self.reduction is not None:
+            lines.append(
+                f"static-argument reduction removed positions "
+                f"{list(self.reduction.removed_positions)}"
+            )
+        if self.report is None:
+            lines.append("factorable: not applicable")
+        elif self.report.factorable:
+            lines.append(f"factorable: yes — {self.report.certified_by}")
+        else:
+            lines.append("factorable: no")
+            lines.extend(f"  - {reason}" for reason in self.report.reasons)
+        return lines
+
     def answers(
         self, edb: Database, evaluator=seminaive_eval, **kwargs
     ) -> Tuple[Set[Tuple], EvalStats]:
         """Evaluate the best program and read off the query answers."""
-        db, stats = evaluator(self.best_program(), edb, **kwargs)
-        return db.query(self.magic.query_head), stats
+        return self.evaluate_stage(
+            self.available_stages()[-1], edb, evaluator, **kwargs
+        )
 
     STAGES = ("original", "magic", "factored", "simplified")
 
@@ -100,13 +140,7 @@ class OptimizationResult:
         if stage == "original":
             db, stats = evaluator(self.original, edb, **kwargs)
             return db.query(self.goal), stats
-        programs = {
-            "magic": self.magic.program,
-            "factored": self.factored.program if self.factored else None,
-            "simplified": self.simplified.program if self.simplified else None,
-        }
-        program = programs[stage]
-        db, stats = evaluator(program, edb, **kwargs)
+        db, stats = evaluator(getattr(self, stage).program, edb, **kwargs)
         return db.query(self.magic.query_head), stats
 
 
@@ -133,6 +167,8 @@ def optimize(
     try_reduction: bool = True,
     force_factor: bool = False,
     use_uniform_equivalence: bool = True,
+    adornment: Optional[str] = None,
+    include_seed: bool = True,
 ) -> OptimizationResult:
     """Optimize ``program`` for the query ``goal``.
 
@@ -140,9 +176,15 @@ def optimize(
     (run-time) mode discussed after Example 4.3.  ``force_factor``
     factors even when no theorem certifies it — used to demonstrate the
     unsound results on Example 4.3's counterexample EDBs.
+
+    ``adornment`` and ``include_seed`` are those of :func:`adorn` and
+    :func:`magic_sets`: the query compiler decides once per query
+    *form*, on a canonical all-variable goal adorned with the form's
+    binding pattern and with the seed left out (and
+    ``try_reduction=False`` — Lemma 5.1 reads the goal's constants).
     """
-    adorned = adorn(program, goal)
-    magic = magic_sets(adorned)
+    adorned = adorn(program, goal, adornment=adornment)
+    magic = magic_sets(adorned, include_seed=include_seed)
 
     classification: Optional[ProgramClassification] = None
     report: Optional[FactorabilityReport] = None
@@ -171,7 +213,7 @@ def optimize(
                     original_goal=goal,
                     adornments={},
                 )
-                magic = magic_sets(working)
+                magic = magic_sets(working, include_seed=include_seed)
                 classification = classify_program(
                     reduction.program,
                     reduction.reduced_predicate,

@@ -14,7 +14,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence
 
 from repro.datalog.literals import Literal
 from repro.datalog.pretty import pretty_program
-from repro.datalog.rules import Rule
+from repro.datalog.rules import Rule, UnsafeRuleError
 
 Signature = Tuple[str, int]
 
@@ -156,7 +156,7 @@ class Program:
         """Raise ``ValueError`` on the first non-range-restricted rule."""
         for rule in self.rules:
             if not rule.is_range_restricted():
-                raise ValueError(f"rule is not range-restricted: {rule}")
+                raise UnsafeRuleError(f"rule is not range-restricted: {rule}")
 
     def uses_function_symbols(self) -> bool:
         """True if any rule contains a compound term.

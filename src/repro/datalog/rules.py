@@ -13,6 +13,11 @@ from repro.datalog.literals import Literal
 from repro.datalog.terms import Term, Variable, term_variables
 
 
+class UnsafeRuleError(ValueError):
+    """A rule is not range-restricted: evaluating it would bind a head
+    variable to nothing, so its answers are not finitely enumerable."""
+
+
 class Rule:
     """A Horn clause ``head :- b1, ..., bn`` (``n`` may be zero)."""
 

@@ -64,8 +64,8 @@ class ValidationReport:
 
 
 #: Prefixes of generated predicate names (magic / counting / answer
-#: predicates).  ``@`` (adornment separator) and ``~`` (supplementary
-#: separator) are reserved characters, and ``query`` is the generated
+#: predicates).  ``@`` (adornment separator) and ``~`` (kept for
+#: generated names) are reserved characters, and ``query`` is the generated
 #: answer predicate — user programs may use none of them, otherwise
 #: ``split_adorned_name`` mis-splits (a user ``p@bf`` would silently
 #: collide with the adorned version of ``p``) and rewrites can capture
@@ -81,7 +81,7 @@ def reserved_name_reason(predicate: str) -> Optional[str]:
         if ch in predicate:
             return (
                 f"contains {ch!r}, the separator used by generated "
-                "(adorned/magic/supplementary) predicate names"
+                "(adorned/magic) predicate names"
             )
     for prefix in RESERVED_PREFIXES:
         if predicate.startswith(prefix):

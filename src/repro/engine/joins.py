@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.datalog.literals import Literal
-from repro.datalog.rules import Rule
+from repro.datalog.rules import Rule, UnsafeRuleError
 from repro.datalog.terms import Compound, Constant, Term, Variable
 from repro.engine.database import Database, FactTuple, Relation
 from repro.engine.unify import match_term
@@ -110,7 +110,7 @@ def instantiate_head(rule: Rule, bindings: Dict[Variable, Term]) -> FactTuple:
     for arg in rule.head.args:
         value = _resolve(arg, bindings)
         if value is None:
-            raise ValueError(
+            raise UnsafeRuleError(
                 f"rule is not range-restricted; head variable unbound in {rule}"
             )
         args.append(value)

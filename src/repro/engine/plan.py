@@ -38,7 +38,7 @@ from operator import itemgetter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.datalog.literals import Literal
-from repro.datalog.rules import Rule
+from repro.datalog.rules import Rule, UnsafeRuleError
 from repro.datalog.terms import Compound, Constant, Term, Variable
 from repro.engine.config import EngineConfig, check_knob
 from repro.engine.cost import cost_join_order
@@ -402,7 +402,7 @@ class RulePlan:
             elif tag == H_TEMPLATE:
                 out.append(_build(payload, slots))
             else:
-                raise ValueError(
+                raise UnsafeRuleError(
                     f"rule is not range-restricted; head variable unbound in {self.rule}"
                 )
         return tuple(out)

@@ -24,11 +24,14 @@ simplifications still fire: Proposition 5.2 (anonymous-variable
 deletion) performs on the canonical seed variable exactly the deletion
 Proposition 5.3 performs on a seed constant.
 
-**Strategy selection** mirrors ``optimize`` and Section 6.4:
+**Strategy selection.**  The factoring decision is
+:func:`repro.core.pipeline.optimize`'s, asked once per form about the
+canonical seedless goal (without Lemma 5.1 reduction, which reads the
+goal's constants); serving adds Section 6.4's counting on top:
 
-* **factored** — classification succeeded and a Section 4/5 theorem
-  certifies factorability for a nontrivial adornment of the recursive
-  goal predicate: factor the magic program and simplify.
+* **factored** — ``optimize`` factored: classification succeeded and a
+  Section 4/5 theorem certifies factorability for a nontrivial
+  adornment of the recursive goal predicate.
 * **counting** — classification certifies a right-linear unit program
   with at least one bound position and the refined counting program has
   no syntactic self-loop: evaluate the counting rewrite under a
@@ -76,16 +79,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set, Tuple, Union
 
-from repro.analysis.adornment import (
-    Adornment,
+from repro.analysis.adornment import Adornment, adornment_from_query
+from repro.analysis.classify import RuleClass
+# Only ``optimize`` is called here; perf/layers.py wraps the other names
+# as attributes of this module (ROADMAP 5(a) removes the need).
+from repro.core.pipeline import (  # noqa: F401
     adorn,
-    adornment_from_query,
-    split_adorned_name,
+    check_factorability,
+    classify_program,
+    factor_magic,
+    magic_sets,
+    optimize,
+    simplify_factored,
 )
-from repro.analysis.classify import ProgramClassification, RuleClass, classify_program
-from repro.core.factoring import factor_magic
-from repro.core.simplify import simplify_factored
-from repro.core.theorems import FactorabilityReport, check_factorability
 from repro.datalog.literals import Literal
 from repro.datalog.parser import parse_query
 from repro.datalog.program import Program
@@ -97,9 +103,14 @@ from repro.engine.plan import PlanCache
 from repro.engine.scheduler import SCCScheduler
 from repro.engine.seminaive import seminaive_eval
 from repro.engine.stats import EvalStats, NonTerminationError
-from repro.datalog.rules import Rule
-from repro.transforms.counting import counting, counting_diverges, refine_counting
-from repro.transforms.magic import QUERY_PREDICATE, magic_sets
+from repro.datalog.rules import Rule, UnsafeRuleError
+from repro.transforms.counting import (
+    CountingResult,
+    counting,
+    counting_diverges,
+    refine_counting,
+)
+from repro.transforms.magic import QUERY_PREDICATE
 
 Signature = Tuple[str, int]
 QueryKey = Tuple[str, int, str]
@@ -134,21 +145,6 @@ class QueryAnswer:
         return unwrap_rows(self.answers)
 
 
-def _recursive_adorned_predicate(adorned) -> Optional[str]:
-    """The single recursive adorned predicate, if any (as in pipeline)."""
-    from repro.analysis.dependency import DependencyGraph
-
-    graph = DependencyGraph(adorned.program)
-    recursive = {
-        sig
-        for sig in graph.recursive_signatures()
-        if adorned.program.is_idb(sig)
-    }
-    if len(recursive) != 1:
-        return None
-    return next(iter(recursive))[0]
-
-
 class CompiledQuery:
     """One query form compiled to a rewritten program plus its scheduler.
 
@@ -171,33 +167,22 @@ class CompiledQuery:
         self.adornment = adornment
         self.instance_certified = False
         self.counting_diverged = False
-        self.certified_by: Optional[str] = None
         #: cardinalities of referenced EDB relations at compile time
         self.edb_sizes: Dict[Signature, int] = {}
 
-        program = compiler.program
         canonical = Literal(
             predicate, tuple(Variable(f"Qv{i}") for i in range(arity))
         )
-        self.adorned = adorn(program, canonical, adornment=str(adornment))
-        self.magic = magic_sets(self.adorned, include_seed=False)
-        self.classification: Optional[ProgramClassification] = None
-        self.report: Optional[FactorabilityReport] = None
-
-        recursive_predicate = _recursive_adorned_predicate(self.adorned)
-        if recursive_predicate is not None:
-            base, adn = split_adorned_name(recursive_predicate)
-            self.classification = classify_program(
-                self.adorned.program, recursive_predicate, adn
-            )
-            if self.classification.ok:
-                instance_edb = edb if compiler.use_instance_checks else None
-                self.report = check_factorability(
-                    self.classification, instance_edb
-                )
-
-        nontrivial = bool(adornment.bound_positions()) and bool(
-            adornment.free_positions()
+        #: the strategy decision, made where every caller's is; Lemma
+        #: 5.1 reduction is off because it reads the goal's constants,
+        #: which a per-form compile does not have
+        self.plan = optimize(
+            compiler.program,
+            canonical,
+            edb=edb if compiler.use_instance_checks else None,
+            try_reduction=False,
+            adornment=str(adornment),
+            include_seed=False,
         )
         # The plain-magic program must not use the paper's free-only
         # query rule here: with the seed omitted the canonical bound
@@ -211,29 +196,21 @@ class CompiledQuery:
         # certificate, resp. the ``NIL`` index term) and keep the
         # free-only head.
         self._magic_program = self._full_head_magic(canonical)
-        free_positions = tuple(adornment.free_positions())
-        self.strategy = "magic"
-        self.program = self._magic_program
-        self.row_positions: Tuple[int, ...] = tuple(range(arity))
-        self.seed = self.magic.seed
-
-        if (
-            self.report is not None
-            and self.report.factorable
-            and nontrivial
-            and self.magic.goal.predicate == recursive_predicate
-        ):
-            factored = factor_magic(self.magic)
-            simplified, _ = simplify_factored(factored)
-            self.strategy = "factored"
-            self.program = simplified.program
-            self.row_positions = free_positions
-            self.certified_by = self.report.certified_by
+        self.strategy = self.plan.strategy
+        self.certified_by = self.plan.certified_by
+        self.seed = self.plan.magic.seed
+        self.row_positions: Tuple[int, ...] = tuple(adornment.free_positions())
+        if self.strategy == "factored":
+            self.program = self.plan.best_program()
             self.instance_certified = compiler.use_instance_checks
-        elif self._counting_applies(adornment):
+        elif (counted := self._counting()) is not None:
             self.strategy = "counting"
-            self.row_positions = free_positions
             self.certified_by = "Section 6.4 (counting)"
+            self.program = counted.program
+            self.seed = counted.seed
+        else:
+            self.program = self._magic_program
+            self.row_positions = tuple(range(arity))
 
         self.scheduler = self._make_scheduler(self.program)
         #: Lazily built magic scheduler for the counting fallback.
@@ -247,7 +224,7 @@ class CompiledQuery:
         """The magic program with ``query`` spanning all canonical vars.
 
         Only the answer rule changes; every magic/modified rule is
-        shared with :attr:`magic` (which factoring consumes with the
+        shared with the plan's (which factoring consumes with the
         paper's free-only head).
         """
         full_head = Literal(QUERY_PREDICATE, canonical.args)
@@ -255,38 +232,36 @@ class CompiledQuery:
             Rule(full_head, rule.body)
             if rule.head.predicate == QUERY_PREDICATE
             else rule
-            for rule in self.magic.program.rules
+            for rule in self.plan.magic.program.rules
         ]
         return Program(rules)
 
-    def _counting_applies(self, adornment: Adornment) -> bool:
-        """Counting: certified right-linear unit program, some binding.
+    def _counting(self) -> Optional[CountingResult]:
+        """The refined counting rewrite, where it applies: a certified
+        right-linear unit program with some binding.
 
         The syntactically divergent case (a left-linear self-loop,
         Section 6.4) is rejected here; dynamic divergence on cyclic
         data is handled by the evaluation budget and the magic
         fallback.
         """
-        if self.classification is None or not self.classification.ok:
-            return False
-        if not adornment.bound_positions():
-            return False
+        classification = self.plan.classification
+        if classification is None or not classification.ok:
+            return None
+        if not self.adornment.bound_positions():
+            return None
         if any(
             rc.rule_class not in (RuleClass.EXIT, RuleClass.RIGHT_LINEAR)
-            for rc in self.classification.rules
+            for rc in classification.rules
         ):
-            return False
+            return None
         try:
             result = refine_counting(
-                counting(self.adorned, include_seed=False)
+                counting(self.plan.adorned, include_seed=False)
             )
         except ValueError:  # not a unit program
-            return False
-        if counting_diverges(result):
-            return False
-        self.program = result.program
-        self.seed = result.seed
-        return True
+            return None
+        return None if counting_diverges(result) else result
 
     def _make_scheduler(self, program: Program) -> SCCScheduler:
         config = self.compiler.config
@@ -338,7 +313,7 @@ class CompiledQuery:
                 self._magic_scheduler = self._make_scheduler(self._magic_program)
             return self._run(
                 self._magic_scheduler,
-                self.magic.seed.predicate,
+                self.plan.magic.seed.predicate,
                 bound_args,
                 goal,
                 tuple(range(self.arity)),
@@ -359,6 +334,11 @@ class CompiledQuery:
         if self.strategy == "counting" and self.counting_diverged:
             return "counting->magic"
         return self.strategy
+
+    def effective_program(self) -> Program:
+        """The program :meth:`ask` evaluates now: the magic fallback
+        once counting diverged, :attr:`program` otherwise."""
+        return self._magic_program if self.counting_diverged else self.program
 
     def _counting_budget(self, edb: Database) -> Tuple[Optional[int], Optional[int]]:
         """Data-sized budgets that trip quickly on divergent index growth.
@@ -481,6 +461,45 @@ class QueryCompiler:
 
     # -- serving ------------------------------------------------------
 
+    def entry(
+        self, goal: Literal, edb: Database
+    ) -> Tuple[Optional[CompiledQuery], bool]:
+        """The compiled entry :meth:`ask` runs for ``goal``'s query form,
+        and whether it came from the cache — compiled on first use and
+        again once the EDB drifted.
+
+        No entry when no rewrite serves the goal: an EDB predicate is
+        read from its relation, and base facts asserted for IDB
+        predicates (which the renamed rewrites would miss) force full
+        evaluation — upper layers bridge that case away.
+        """
+        if goal.signature not in self.idb_signatures:
+            arities = sorted(
+                a for name, a in self.idb_signatures if name == goal.predicate
+            )
+            if arities:
+                raise ValueError(
+                    f"query predicate {goal.predicate}/{goal.arity} is not "
+                    f"defined by the program ({goal.predicate} has "
+                    f"arity {', '.join(map(str, arities))})"
+                )
+            return None, False
+        if any(
+            (rel := edb.relations.get(sig)) is not None and len(rel)
+            for sig in self.idb_signatures
+        ):
+            return None, False
+        adornment = adornment_from_query(goal)
+        key: QueryKey = (goal.predicate, goal.arity, str(adornment))
+        entry = self._entries.get(key)
+        if entry is not None and not entry.drifted(edb):
+            self.cache_hits += 1
+            return entry, True
+        entry = CompiledQuery(self, goal.predicate, goal.arity, adornment, edb)
+        self._entries[key] = entry
+        self.compiles += 1
+        return entry, False
+
     def ask(self, goal: Union[str, Literal], edb: Database) -> QueryAnswer:
         """Answer ``goal`` against ``edb`` through the compiled path."""
         import time
@@ -489,72 +508,17 @@ class QueryCompiler:
             goal = parse_query(goal)
         stats = EvalStats()
         begin = time.perf_counter()
-        if goal.signature not in self.idb_signatures:
-            if any(name == goal.predicate for name, _ in self.idb_signatures):
-                arities = sorted(
-                    a for name, a in self.idb_signatures
-                    if name == goal.predicate
-                )
-                raise ValueError(
-                    f"query predicate {goal.predicate}/{goal.arity} is not "
-                    f"defined by the program ({goal.predicate} has "
-                    f"arity {', '.join(map(str, arities))})"
-                )
-            answers = edb.query(goal)
-            stats.seconds = time.perf_counter() - begin
-            return QueryAnswer(
-                goal=goal,
-                answers=answers,
-                strategy="edb",
-                certified_by=None,
-                stats=stats,
-                from_cache=False,
-            )
-        overlap = [
-            sig
-            for sig in self.idb_signatures
-            if (rel := edb.relations.get(sig)) is not None and len(rel)
-        ]
-        if overlap:
-            # Base facts asserted for derived predicates: the renamed
-            # rewrite would miss them.  Correctness first — evaluate in
-            # full and filter (upper layers bridge this case away).
-            db, eval_stats = seminaive_eval(self.program, edb, self.config)
-            stats.absorb(eval_stats)
-            answers = db.query(goal, once=True)
-            stats.seconds = time.perf_counter() - begin
-            return QueryAnswer(
-                goal=goal,
-                answers=answers,
-                strategy="materialize",
-                certified_by=None,
-                stats=stats,
-                from_cache=False,
-            )
-        adornment = adornment_from_query(goal)
-        key: QueryKey = (goal.predicate, goal.arity, str(adornment))
-        entry = self._entries.get(key)
-        from_cache = entry is not None
-        if entry is not None and entry.drifted(edb):
-            entry = None
-            from_cache = False
-        try:
-            if entry is None:
-                entry = CompiledQuery(
-                    self, goal.predicate, goal.arity, adornment, edb
-                )
-                self._entries[key] = entry
-                self.compiles += 1
-            else:
-                self.cache_hits += 1
-            answers = entry.ask(goal, edb, stats)
-        except ValueError as exc:
-            # An unsafe rewrite (e.g. ``pmem(1, L)`` or a variable left
-            # inside a partially-ground list argument) means the answer
-            # set is not finitely enumerable for this binding pattern.
-            # Report that in terms of the user's goal, not the
-            # generated rule that tripped the range-restriction check.
-            if "range-restricted" in str(exc):
+        certified_by = None
+        entry, from_cache = self.entry(goal, edb)
+        if entry is not None:
+            try:
+                answers = entry.ask(goal, edb, stats)
+            except UnsafeRuleError as exc:
+                # An unsafe rewrite (e.g. ``pmem(1, L)`` or a variable left
+                # inside a partially-ground list argument) means the answer
+                # set is not finitely enumerable for this binding pattern.
+                # Report that in terms of the user's goal, not the
+                # generated rule that tripped the range-restriction check.
                 raise ValueError(
                     f"goal {goal} is not answerable with this binding "
                     f"pattern: a goal variable (often one left inside a "
@@ -562,13 +526,22 @@ class QueryCompiler:
                     f"range over infinitely many values; bind that "
                     f"argument fully or query a finite form"
                 ) from exc
-            raise
+            strategy = entry.effective_strategy()
+            certified_by = entry.certified_by
+        elif goal.signature in self.idb_signatures:
+            strategy = "materialize"
+            db, eval_stats = seminaive_eval(self.program, edb, self.config)
+            stats.absorb(eval_stats)
+            answers = db.query(goal, once=True)
+        else:
+            strategy = "edb"
+            answers = edb.query(goal)
         stats.seconds = time.perf_counter() - begin
         return QueryAnswer(
             goal=goal,
             answers=answers,
-            strategy=entry.effective_strategy(),
-            certified_by=entry.certified_by,
+            strategy=strategy,
+            certified_by=certified_by,
             stats=stats,
             from_cache=from_cache,
         )

@@ -6,7 +6,8 @@ query is planned through the paper's pipeline — adornment, Magic Sets,
 factorability analysis, factoring, Section 5 simplification — and
 evaluated semi-naively; plans are cached per query *form* (predicate +
 binding pattern), so repeated queries with different constants reuse
-the compiled program.
+the compiled program, and :meth:`DeductiveDatabase.plan_summary`
+describes that same cached entry.
 
     db = DeductiveDatabase()
     db.rules(\"\"\"
@@ -21,9 +22,8 @@ the compiled program.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.pipeline import OptimizationResult, optimize
 from repro.datalog.literals import Literal
 from repro.datalog.parser import parse_program, parse_query
 from repro.datalog.program import Program
@@ -33,7 +33,7 @@ from repro.datalog.validate import ensure_no_reserved_names, reserved_name_reaso
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.engine.incremental import IncrementalSession
-from repro.engine.query import QueryCompiler
+from repro.engine.query import CompiledQuery, QueryCompiler
 from repro.engine.seminaive import seminaive_eval
 from repro.engine.stats import EvalStats
 
@@ -70,13 +70,9 @@ class DeductiveDatabase:
         self._rules: List = []
         self._program: Optional[Program] = None
         self._edb = Database()
-        #: legacy-pipeline plan cache keyed by (predicate, arity,
-        #: adornment string) — serves the introspection surface
-        #: (:meth:`compiled_program` / :meth:`plan_summary`)
-        self._plans: Dict[Tuple[str, int, str], OptimizationResult] = {}
-        #: the goal-directed serving path behind :meth:`ask`, built
-        #: lazily over the effective (bridged) program and dropped on
-        #: every mutation
+        #: the goal-directed serving path behind :meth:`ask` and the
+        #: introspection surface, built lazily over the effective
+        #: (bridged) program and dropped on every mutation
         self._compiler: Optional[QueryCompiler] = None
         self._compiler_edb: Optional[Database] = None
         self._use_instance_checks = use_instance_checks
@@ -104,7 +100,6 @@ class DeductiveDatabase:
             else:
                 self._rules.append(rule)
         self._program = None
-        self._plans.clear()
         self._invalidate_compiler()
         return self
 
@@ -183,31 +178,6 @@ class DeductiveDatabase:
     # ------------------------------------------------------------------
     # Querying
     # ------------------------------------------------------------------
-
-    def _plan(self, goal: Literal) -> OptimizationResult:
-        from repro.analysis.adornment import adornment_from_query
-
-        adornment = str(adornment_from_query(goal))
-        key = (goal.predicate, goal.arity, adornment)
-        plan = self._plans.get(key)
-        if plan is None or self._needs_replan(plan, goal):
-            program, edb_view = self._effective()
-            plan = optimize(
-                program,
-                goal,
-                edb=edb_view if self._use_instance_checks else None,
-            )
-            self._plans[key] = plan
-        return plan
-
-    def _needs_replan(self, plan: OptimizationResult, goal: Literal) -> bool:
-        """Replan when the cached plan's query constants differ.
-
-        The compiled magic seed embeds the constants, so a different
-        selection needs a fresh plan (the analysis outcome is shared
-        conceptually, but plans are cheap at rule scale).
-        """
-        return plan.goal != goal
 
     def _serving_compiler(self) -> Tuple[QueryCompiler, Database]:
         """The goal-directed compiler over the effective program.
@@ -298,35 +268,38 @@ class DeductiveDatabase:
     # Introspection
     # ------------------------------------------------------------------
 
+    def _entry(self, query: str) -> Tuple[Literal, Optional[CompiledQuery]]:
+        """The goal and the compiled entry :meth:`ask` runs for its
+        form (compiling it if this is the form's first use); no entry
+        for a goal read from a stored relation."""
+        goal = parse_query(query)
+        compiler, edb_view = self._serving_compiler()
+        return goal, compiler.entry(goal, edb_view)[0]
+
     def compiled_program(self, query: str) -> Program:
-        """The optimized program that would answer ``query``."""
-        return self._plan(parse_query(query)).best_program()
+        """The rewritten program :meth:`ask` evaluates for ``query``.
+
+        It is compiled per query form: the goal is canonical
+        (``Qv0, Qv1, ...``) and the seed is left out — ``ask`` adds it
+        as a fact carrying the query's constants.  Empty for a goal
+        read from a stored relation.
+        """
+        _, entry = self._entry(query)
+        return Program([]) if entry is None else entry.effective_program()
 
     def plan_summary(self, query: str) -> str:
-        """A human-readable account of the optimization decisions."""
-        plan = self._plan(parse_query(query))
-        lines = [f"query: {plan.goal}"]
-        if plan.reduction is not None:
-            lines.append(
-                f"static-argument reduction removed positions "
-                f"{list(plan.reduction.removed_positions)}"
-            )
-        if plan.classification is not None:
-            lines.append(
-                "classification: "
-                + ", ".join(
-                    rc.rule_class.value for rc in plan.classification.rules
-                )
-            )
-        if plan.report is not None and plan.report.certified_by:
-            lines.append(f"factorable: yes — {plan.report.certified_by}")
-        elif plan.report is not None:
-            lines.append("factorable: no — falling back to Magic Sets")
-        else:
-            lines.append("factorable: not applicable — Magic Sets only")
-        lines.append("compiled program:")
-        for rule in plan.best_program():
-            lines.append(f"  {rule}")
+        """A human-readable account of how :meth:`ask` answers ``query``."""
+        goal, entry = self._entry(query)
+        if entry is None:
+            return f"query: {goal}\nstrategy: edb — read from the stored relation"
+        lines = [
+            f"query: {goal}",
+            f"strategy: {entry.effective_strategy()} — "
+            f"{entry.certified_by or 'Magic Sets only'}",
+            *entry.plan.describe(),
+            "compiled program:",
+        ]
+        lines.extend(f"  {rule}" for rule in entry.effective_program())
         return "\n".join(lines)
 
 

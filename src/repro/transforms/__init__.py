@@ -14,6 +14,5 @@ __getattr__, __dir__, __all__ = _facade(
             "CountingResult", "counting", "delete_index_fields",
             "counting_diverges", "refine_counting",
         ),
-        "supplementary": ("supplementary_magic_sets",),
     },
 )

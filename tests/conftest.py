@@ -40,6 +40,35 @@ def tc_goal():
     return parse_query("t(0, Y)")
 
 
+def decision_corpus():
+    """The programs the strategy decision is pinned on, each with its
+    query forms: every ``*_program`` of ``workloads.examples`` and
+    ``random_rlc_program``/``random_program`` seeds 0–59, every IDB
+    predicate under every binding pattern — 524 forms.
+
+    Yields ``(name, program, [(predicate, arity, adornment), ...])``.
+    """
+    import inspect
+    from itertools import product
+
+    from repro.workloads import examples, synthetic
+
+    programs = [
+        (name, make())
+        for name, make in inspect.getmembers(examples, inspect.isfunction)
+        if name.endswith("_program") and make.__module__ == examples.__name__
+    ]
+    for seed in range(60):
+        programs.append((f"rlc{seed}", synthetic.random_rlc_program(seed)))
+        programs.append((f"rnd{seed}", synthetic.random_program(seed)))
+    for name, program in programs:
+        yield name, program, [
+            (predicate, arity, "".join(pattern))
+            for predicate, arity in sorted(program.idb_signatures)
+            for pattern in product("bf", repeat=arity)
+        ]
+
+
 def pin_storage(db: Database):
     """A ``Database.pin()`` of ``db`` with a copy of every log, for
     :func:`assert_storage_matches_rebuild` to compare after a batch."""

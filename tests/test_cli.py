@@ -701,8 +701,8 @@ assert pools() == ["concurrent.futures"], pools()
         assert sorted(self.fresh(self.CHECK, program_file, facts_file)) == ["2", "3", "4"]
 
     PACKAGES = {
-        "repro": 94, "repro.analysis": 35, "repro.bench": 4, "repro.core": 25,
-        "repro.datalog": 28, "repro.engine": 48, "repro.transforms": 9,
+        "repro": 93, "repro.analysis": 35, "repro.bench": 4, "repro.core": 25,
+        "repro.datalog": 28, "repro.engine": 48, "repro.transforms": 8,
         "repro.workloads": 33,
     }
 
@@ -815,6 +815,23 @@ print("LOADED", *sorted(m for m in sys.modules if m.startswith("repro.")))
             "repro.engine.query", "repro.engine.server", "repro.engine.topdown",
             "repro.engine.journal", "repro.engine.incremental",
             "repro.engine.provenance",
+        ) == []
+
+    def test_query_imports_the_decision_with_the_compiler(
+        self, program_file, facts_file
+    ):
+        """``engine/query.py`` imports ``core.pipeline`` (and with it
+        ``core.reduction``) at module level: the one strategy decision
+        arrives with the compiler, not with the first ``ask()``."""
+        loaded = self.loaded("query", program_file, "t(1, Y)", "--facts", facts_file)
+        assert self.under(loaded, "repro.core") == [
+            "repro.core", "repro.core.factoring", "repro.core.pipeline",
+            "repro.core.reduction", "repro.core.simplify", "repro.core.theorems",
+        ]
+        assert self.under(
+            loaded, "repro.session", "repro.workloads", "repro.bench",
+            "repro.engine.server", "repro.engine.topdown", "repro.engine.journal",
+            "repro.engine.incremental", "repro.engine.provenance",
         ) == []
 
     def test_ask_imports_nothing(self):

@@ -7,10 +7,16 @@ validation, and the adornment audit for repeated-variable and
 partially-ground function-term goals.
 """
 
+import zlib
+
 import pytest
 
+from repro.analysis.adornment import Adornment
 from repro.core.pipeline import optimize
+from repro.datalog.literals import Literal
 from repro.datalog.parser import parse_program, parse_query, parse_rule
+from repro.datalog.rules import UnsafeRuleError
+from repro.datalog.terms import Variable
 from repro.datalog.validate import (
     ensure_no_reserved_names,
     reserved_name_reason,
@@ -18,10 +24,12 @@ from repro.datalog.validate import (
 )
 from repro.engine.database import Database
 from repro.engine.incremental import IncrementalSession
-from repro.engine.query import QueryCompiler
+from repro.engine.query import CompiledQuery, QueryCompiler
 from repro.engine.seminaive import seminaive_eval
 from repro.session import DeductiveDatabase
 from repro.workloads.lists import pmem_edb, pmem_program, pmem_query
+
+from tests.conftest import decision_corpus
 
 TC_TEXT = """
     t(X, Y) :- e(X, Y).
@@ -249,6 +257,23 @@ class TestGoalAudit:
         # The generated-rule vocabulary must not leak.
         assert "m_" not in message and "f_" not in message
 
+    def test_unanswerable_form_is_recognised_by_type(self):
+        compiler = QueryCompiler(pmem_program())
+        with pytest.raises(ValueError, match="not answerable") as err:
+            compiler.ask("pmem(1, L)", pmem_edb(4))
+        assert isinstance(err.value.__cause__, UnsafeRuleError)
+        with pytest.raises(UnsafeRuleError):
+            parse_program("p(X, Y) :- q(X).").check_range_restricted()
+
+    def test_other_value_errors_are_not_rewritten(self, tc_compiler, monkeypatch):
+        def ask(self, goal, edb, stats):
+            raise ValueError("option text mentioning range-restricted rules")
+
+        monkeypatch.setattr(CompiledQuery, "ask", ask)
+        with pytest.raises(ValueError, match="option text") as err:
+            tc_compiler.ask("t(0, Y)", chain_edb(3))
+        assert "not answerable" not in str(err.value)
+
 
 class TestReservedNames:
     @pytest.mark.parametrize(
@@ -325,6 +350,48 @@ class TestStageValidation:
             assert answers == expected
 
 
+class TestOutcomeNames:
+    """``OptimizationResult`` names its own outcome; no caller
+    re-derives the label from which stages exist."""
+
+    def test_factored_names_its_theorem(self):
+        result = optimize(parse_program(TC_TEXT), parse_query("t(0, Y)"))
+        assert result.strategy == "factored"
+        assert result.certified_by == "Theorem 4.1 (selection-pushing)"
+        assert "factorable: yes — Theorem 4.1" in "\n".join(result.describe())
+
+    def test_certified_but_unfactored_is_magic(self):
+        # t@ff passes Theorem 4.1's test, but an all-free goal has
+        # nothing to factor: the outcome is magic, with no certificate.
+        result = optimize(parse_program(TC_TEXT), parse_query("t(X, Y)"))
+        assert result.report.factorable
+        assert (result.strategy, result.certified_by) == ("magic", None)
+
+    def test_unfactored_simplify_off_is_still_factored(self):
+        result = optimize(
+            parse_program(TC_TEXT), parse_query("t(0, Y)"), simplify=False
+        )
+        assert result.simplified is None and result.strategy == "factored"
+
+    def test_forced_factoring_carries_no_certificate(self):
+        from repro.workloads.examples import example_43_program
+
+        result = optimize(
+            example_43_program(), parse_query("p(5, Y)"), force_factor=True
+        )
+        assert result.strategy == "factored" and result.forced
+        assert result.certified_by is None
+        assert "factorable: no" in result.describe()
+
+    def test_answers_is_the_best_stage(self):
+        edb = chain_edb(4)
+        for query in ("t(0, Y)", "t(X, Y)"):
+            result = optimize(parse_program(TC_TEXT), parse_query(query))
+            best = result.available_stages()[-1]
+            assert result.answers(edb)[0] == result.evaluate_stage(best, edb)[0]
+            assert getattr(result, best).program is result.best_program()
+
+
 class TestSessionIntegration:
     def test_incremental_query_goal_matches_materialization(self):
         session = IncrementalSession(parse_program(TC_TEXT), chain_edb(4))
@@ -362,3 +429,189 @@ class TestSessionIntegration:
         assert db.explain("t(X, Y)").strategy == "magic"
         assert db.explain("e(0, Y)").strategy == "edb"
         assert db.ask("t(0, Y)") == {(1,), (2,), (3,)}
+
+
+
+#: What each (program, binding pattern) of ``decision_corpus`` compiles
+#: to, recorded on the commit before ``CompiledQuery`` handed its
+#: strategy decision to ``optimize``: ``F``actored (Theorem 4.1),
+#: ``C``ounting or ``M``agic, and the crc32 of the compiled program's
+#: text — one entry per form, in the corpus's order.
+DECISIONS = {
+    "example_43_program": "M:a3b091e1 M:8c915d8f M:c90a4656 M:e4274d00",
+    "example_44_program": "M:6a724fc4 M:03f61a2e M:ad2fa0b6 M:0ff69718",
+    "example_45_program": "M:2c67d77f M:d7b1cab1 M:194b973e M:4bc53c96",
+    "example_51_program": "M:a210fa03 M:3cf3124a M:7e67538c F:644f38b2 "
+    "M:7e1a1700 M:7eea211b M:fc54fa59 M:2f324cf4",
+    "example_52_program": "C:56b64252 M:dfa7e7cd F:dce70328 M:057c60d5 "
+    "M:03358193 F:428bfff6 M:803ea243 M:53e40aac",
+    "example_71_program": "M:cc9429ec M:c500a4ac M:019e5423 F:cf634b0e "
+    "M:e78c00f8 M:f0b21dff M:5e4cc5e9 M:2bac7e68",
+    "same_generation_program": "C:3ae43813 M:2ccfc1fd M:c81733d7 M:1e361e0a",
+    "three_rule_tc_program": "M:15afe56e F:11ba59a1 F:ff2c19aa M:79a3072d",
+    "rlc0": "M:fff010d3 F:063e4ea4 F:c884c92e M:a1e4e7f6",
+    "rnd0": "M:73f9d032 F:9b8d2e4d M:e815cc28 M:51e73255",
+    "rlc1": "C:1efc0ff0 F:57106a07 F:b94343be M:a72b8777",
+    "rnd1": "C:c205002f M:29e08ce3 M:659143d3 M:6be3cb92",
+    "rlc2": "C:caa1cffb F:eac8fd98 F:b77e744f M:4b8c2523",
+    "rnd2": "C:8af08684 M:b778d4b9 M:cc8187d1 M:17ca959d",
+    "rlc3": "M:0f09a747 F:1ce3020a F:60cedbea M:5ebbffd8",
+    "rnd3": "M:a4e68124 M:46df0b26 M:583aafd1 M:43865bde",
+    "rlc4": "M:d052f936 F:a1854394 F:dda89a74 M:916dc19e",
+    "rnd4": "C:cca6ea96 M:4f1340f6 M:ea6ce778 M:3a792532",
+    "rlc5": "M:f2bba708 F:b0f2cde6 F:f0d336aa M:5508e9b8",
+    "rnd5": "M:f2bba708 F:b0f2cde6 F:f0d336aa M:5508e9b8",
+    "rlc6": "M:e421906a F:33a091cc F:c064caee M:545d0b6d",
+    "rnd6": "M:827bd25f F:28c3d909 F:d9e219ad M:7517fe57",
+    "rlc7": "M:5d7e661a F:d33b32d8 F:1d81b552 M:8981dc78",
+    "rnd7": "M:575f3cb2 M:f27d912d M:edd69e53 M:fec410a3",
+    "rlc8": "M:19f477ee F:bc44fca4 F:8426d051 M:3068738c",
+    "rnd8": "C:aec32188 M:cc08ac44 M:dbf29e6a M:8b105782",
+    "rlc9": "M:08b369e3 F:692da6e9 F:e32bf8d6 M:dcab4344",
+    "rnd9": "M:9689983c M:bced880b M:505558da M:24d59213",
+    "rlc10": "M:1f527d20 F:58e80cc1 F:96528b4b M:0635d8e9",
+    "rnd10": "M:a6dc7259 M:c694af2c M:f7d51257 M:08c72aec",
+    "rlc11": "M:a8781b69 F:b68856b6 F:09d9578a M:8ebdad3f",
+    "rnd11": "M:a8781b69 F:b68856b6 F:09d9578a M:8ebdad3f",
+    "rlc12": "M:b7ed75f5 F:6ae987f6 F:36335613 M:f52d8e25",
+    "rnd12": "M:33c3ce89 F:12b9b883 F:9fd1ce2c M:3c06d88a",
+    "rlc13": "M:faa2c34d F:52b137f1 F:1290ccbd M:23591db8",
+    "rnd13": "M:f7be0aab M:87228333 M:cce437e7 M:c348d592",
+    "rlc14": "M:cd7e8089 F:026982d9 F:890384d4 M:7ceddeb6",
+    "rnd14": "C:0863545f M:ad402cd4 M:fbb1daf6 M:4f9a5775",
+    "rlc15": "C:3950f26f F:64678420 F:8a34ad99 M:643bdb27",
+    "rnd15": "C:d9157d37 M:8b1283d8 M:7cb72551 M:dc71d65f",
+    "rlc16": "M:40ea28bf F:8c5900a1 F:943f08f1 M:a7ffa45a",
+    "rnd16": "M:b9aaa7a6 M:e3ad2be6 M:0c04b6b3 M:d4fb37c1",
+    "rlc17": "M:cbf87293 F:f856c7b2 F:a48c1657 M:8bb19a7c",
+    "rnd17": "M:dbb7202b F:10be587a F:9dd62ed5 M:85ffe0ce",
+    "rlc18": "M:b34cacd1 F:f2c57f67 F:4d947e5b M:44d00bb9",
+    "rnd18": "M:5e48c203 M:96b08049 M:5a789591 M:20ec5ea9",
+    "rlc19": "C:05f3528b F:6f4b4402 F:81186dbb M:9a7b65df",
+    "rnd19": "C:05f3528b F:6f4b4402 F:81186dbb M:9a7b65df",
+    "rlc20": "C:0f1f00f5 F:1fd905df F:426f8c08 M:f54fc8f2",
+    "rnd20": "C:0f1f00f5 F:1fd905df F:426f8c08 M:f54fc8f2",
+    "rlc21": "M:77da1849 F:58ae2bdb F:2483f23b M:1e1da836",
+    "rnd21": "M:aa45024c M:75192479 M:65b0525d M:935f7348",
+    "rlc22": "M:3b9e8e6c F:6e1b545c F:12368dbc M:41c39dbb",
+    "rnd22": "M:6ec485eb M:8a064acc M:89d29806 M:178a1a7f",
+    "rlc23": "M:115794c0 F:1bcb2e64 F:177cc47d M:cc8b4a87",
+    "rnd23": "M:b8e3cd5c F:04ba2938 F:ee1e440a M:ed7abfba",
+    "rlc24": "M:58bd2d93 F:f2c57f67 F:4d947e5b M:bdc35c9c",
+    "rnd24": "M:df654b88 M:42fb5259 M:b01dcaeb M:8e68698c",
+    "rlc25": "M:42a2afde F:45534a7a F:b7fb496a M:77e792da",
+    "rnd25": "M:c0a520d2 M:72e63bd2 M:6c10efd1 M:3760a4a4",
+    "rlc26": "C:00350d2f F:2dc34685 F:7075cf52 M:9c032b30",
+    "rnd26": "C:74582955 M:a8b7fb36 M:bf728a42 M:1958d34c",
+    "rlc27": "M:52c1f0df F:8c5900a1 F:943f08f1 M:86d9da78",
+    "rnd27": "M:2a62a35b F:d8fd6c5f F:fafa94eb M:b5611f3b",
+    "rlc28": "C:15ddb885 F:1b36c872 F:468041a5 M:e6403f63",
+    "rnd28": "C:638cb160 M:43e60acc M:fe53d685 M:8097e8d5",
+    "rlc29": "M:e533661b F:a35cb47d F:86446085 M:30720362",
+    "rnd29": "M:0a5fbf26 M:41234488 M:0cbdb4fd M:47d86a08",
+    "rlc30": "M:b6251b84 F:ff80eca2 F:25eb8961 M:90257ce8",
+    "rnd30": "M:fe2320b9 F:e08780a8 M:f74c2dc5 M:b6efbae3",
+    "rlc31": "C:fff4ccd1 F:1dc7af52 F:f39486eb M:a323f4f1",
+    "rnd31": "C:c6085d35 M:729845db M:734c7afd M:932c7937",
+    "rlc32": "C:a9678edd F:b162f85c F:5f31d1e5 M:dd4fede9",
+    "rnd32": "C:e6089eb5 M:baccb8fc M:bbc4a63f M:00205d5f",
+    "rlc33": "M:0f09a747 F:1ce3020a F:60cedbea M:5ebbffd8",
+    "rnd33": "M:5b185bd9 F:308a4d93 F:2adc8989 M:124bb150",
+    "rlc34": "M:864c30ad F:7ef85673 F:a49333b0 M:683af232",
+    "rnd34": "M:864c30ad F:7ef85673 F:a49333b0 M:683af232",
+    "rlc35": "M:1a4736f9 F:a0f1166c F:360c62fa M:e30a6974",
+    "rnd35": "M:1a4736f9 F:a0f1166c F:360c62fa M:e30a6974",
+    "rlc36": "M:2d0107ba F:925b7588 F:4830104b M:20af8fe0",
+    "rnd36": "M:9f6edfb0 M:a63557f5 M:2ed934ed M:be48dad7",
+    "rlc37": "M:b1bfb706 F:75e31b40 F:4d6cbd23 M:b28c262c",
+    "rnd37": "M:b920652c M:5db56fe9 M:a64eb741 M:01f1969b",
+    "rlc38": "M:aec74929 F:58e80cc1 F:96528b4b M:86bbe493",
+    "rnd38": "M:11393058 M:ec5fc147 M:0720b81c M:4727cce3",
+    "rlc39": "M:0fbe5489 F:58ae2bdb F:2483f23b M:d941d414",
+    "rnd39": "C:e58c1687 M:117963cc M:54b91718 M:d011aed7",
+    "rlc40": "M:a6bf6bcf F:d33b32d8 F:1d81b552 M:93fa56cb",
+    "rnd40": "M:a470daff M:7d1c8407 M:6583a532 M:575082b8",
+    "rlc41": "M:8711ed29 F:b4f30f5e F:3ef55161 M:45955f16",
+    "rnd41": "M:b9b3eb41 M:ad8e4006 M:fe36f037 M:62911afa",
+    "rlc42": "M:a66f2567 F:dc1e4e49 F:2fda156b M:2f4ecc54",
+    "rnd42": "C:1c040c0e M:6c026909 M:5e0d3683 M:25400f28",
+    "rlc43": "M:24919a71 F:ac566d43 F:273c6b4e M:20ac8d87",
+    "rnd43": "M:fae3c74f M:ead52bc2 M:2ef13006 M:9c6f903d",
+    "rlc44": "M:8355b46c F:f2c57f67 F:4d947e5b M:68a26e8a",
+    "rnd44": "M:445591a0 M:d4b9f791 M:b852695c M:3718e8fd",
+    "rlc45": "M:f134ade4 F:96c26b15 F:8ea46345 M:c1702ac6",
+    "rnd45": "M:0dfdbd53 M:e80e3b2b M:07a7a67e M:87a6794e",
+    "rlc46": "C:d26c4436 F:434b5acf F:1efdd318 M:27457458",
+    "rnd46": "C:1e76b6b0 F:d4ac89bd M:a25e7339 M:4e7f2d10",
+    "rlc47": "M:fc3acd33 F:8f458ba5 F:23f961cf M:b108c449",
+    "rnd47": "M:0921e768 F:d2ea4de5 M:235941e2 M:bd3158af",
+    "rlc48": "M:1e426e6f F:61b85559 F:15a1e26f M:35498b4b",
+    "rnd48": "M:f64b771e M:1ee0e2d3 M:2141a0b0 M:4d2cd799",
+    "rlc49": "M:9b317992 F:063e4ea4 F:c884c92e M:27c7c639",
+    "rnd49": "M:b45cf466 M:c9bc3666 M:38028f3e M:9763b425",
+    "rlc50": "M:e927a960 F:76c2f4f7 F:b878737d M:1b7dccee",
+    "rnd50": "M:00b33194 M:fec5971c M:9d6ea9d5 M:fb221a70",
+    "rlc51": "C:c553e527 F:bd8845db F:53db6c62 M:0a82b735",
+    "rnd51": "C:3f3ebd87 M:15766b2f M:a0aa54f4 M:934a1d58",
+    "rlc52": "M:588381c5 F:8c5900a1 F:943f08f1 M:8f6953cf",
+    "rnd52": "M:53f4c323 M:5d34d0bb M:55b4be7b M:51c28a57",
+    "rlc53": "M:e8a85253 F:e7b995ac F:ffdf9dfc M:8af4dbe9",
+    "rnd53": "M:e8a85253 F:e7b995ac F:ffdf9dfc M:8af4dbe9",
+    "rlc54": "M:11b9f795 F:3d5b68af F:820a6993 M:478428af",
+    "rnd54": "M:17358fb1 M:d99a7f5f M:f33a4a8b M:4b2df6f1",
+    "rlc55": "M:9a606fd0 F:74ae34ad F:ffc432a0 M:629c6086",
+    "rnd55": "M:92b2376b M:efa5eaa4 M:4a756a60 M:70dc0ac5",
+    "rlc56": "M:a54dc6ba F:d80453a6 F:a4298a46 M:23f4e853",
+    "rnd56": "M:a54dc6ba F:d80453a6 F:a4298a46 M:23f4e853",
+    "rlc57": "M:344ba473 F:ec2a2cde F:67402ad3 M:ede2952c",
+    "rnd57": "M:1943d520 M:92a6184f M:afe89f75 M:c23aaac9",
+    "rlc58": "C:297e1861 F:19f6c71e F:f7a5eea7 M:1800819b",
+    "rnd58": "C:0714bf30 M:3f902b8d M:c8358d04 M:ab87bd52",
+    "rlc59": "M:e47223d3 F:942e125f F:ac4c3eaa M:09ef8831",
+    "rnd59": "C:07074f2a M:16fa2d04 M:4a2a5c0c M:02fc460a",
+}
+
+
+class TestDecisionDidNotMove:
+    LABELS = {
+        "F": ("factored", "Theorem 4.1 (selection-pushing)"),
+        "C": ("counting", "Section 6.4 (counting)"),
+        "M": ("magic", None),
+    }
+
+    def test_every_form_compiles_to_the_pinned_decision(self):
+        """...and to what ``optimize`` says about the same canonical,
+        seedless goal: factoring has one author, serving adds counting."""
+        forms = 0
+        for name, program, program_forms in decision_corpus():
+            compiler = QueryCompiler(program)
+            pinned = DECISIONS[name].split()
+            assert len(pinned) == len(program_forms), name
+            for (predicate, arity, adornment), want in zip(program_forms, pinned):
+                entry = CompiledQuery(
+                    compiler, predicate, arity, Adornment(adornment), Database()
+                )
+                text = str(entry.program)
+                assert (
+                    entry.strategy,
+                    entry.certified_by,
+                    f"{zlib.crc32(text.encode()):08x}",
+                ) == (*self.LABELS[want[0]], want[2:]), (name, predicate, adornment)
+
+                result = optimize(
+                    program,
+                    Literal(predicate, tuple(Variable(f"Qv{i}") for i in range(arity))),
+                    try_reduction=False,
+                    adornment=adornment,
+                    include_seed=False,
+                )
+                if entry.strategy == "counting":
+                    assert result.strategy == "magic"
+                else:
+                    assert (result.strategy, result.certified_by) == (
+                        entry.strategy, entry.certified_by,
+                    )
+                if entry.strategy == "factored":
+                    assert str(result.best_program()) == text
+                forms += 1
+        assert forms == 524

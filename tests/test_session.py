@@ -107,3 +107,117 @@ class TestIntrospection:
         db.facts("flat", [(0, 0)])
         summary = db.plan_summary("sg(1, Y)")
         assert "Magic Sets" in summary
+
+
+class TestExplanationIsOfTheProgramThatRan:
+    """``plan_summary``/``compiled_program`` read the compiled entry
+    ``ask`` runs for the form — one cache, one compile, one story."""
+
+    @staticmethod
+    def strategy_of(summary):
+        """(strategy, certificate or None) off the summary's second line."""
+        strategy, _, rest = (
+            summary.splitlines()[1].removeprefix("strategy: ").partition(" — ")
+        )
+        gloss = ("Magic Sets only", "read from the stored relation")
+        return strategy, None if rest in gloss else rest
+
+    @staticmethod
+    def run_compiled(db, query):
+        """Evaluate ``compiled_program`` from scratch on the stored facts
+        plus the goal's seed fact, and select ``query`` as ``_run`` does."""
+        from repro.datalog.literals import Literal
+        from repro.datalog.parser import parse_query
+        from repro.datalog.terms import NIL
+        from repro.engine.database import unwrap_rows
+        from repro.engine.seminaive import seminaive_eval
+
+        goal = parse_query(query)
+        compiler, edb_view = db._serving_compiler()
+        entry, cached = compiler.entry(goal, edb_view)
+        assert cached
+        program = db.compiled_program(query)
+        assert list(program) == list(entry.effective_program())
+        bound = tuple(goal.args[i] for i in entry.adornment.bound_positions())
+        if entry.effective_strategy() == "counting":
+            seed, rows = (entry.seed.predicate, (*bound, NIL)), entry.row_positions
+        elif entry.effective_strategy() == "counting->magic":
+            seed, rows = (entry.plan.magic.seed.predicate, bound), range(goal.arity)
+        else:
+            seed, rows = (entry.seed.predicate, bound), entry.row_positions
+        edb = edb_view.copy()
+        edb.add_fact(*seed)
+        result, _ = seminaive_eval(program, edb)
+        return unwrap_rows(
+            result.query(Literal("query", tuple(goal.args[i] for i in rows)))
+        )
+
+    def test_summary_names_what_ask_ran_on_every_corpus_form(self):
+        import random
+
+        from tests.conftest import decision_corpus
+
+        seen = set()
+        for index, (name, program, forms) in enumerate(decision_corpus()):
+            rng = random.Random(index)
+            db = DeductiveDatabase()
+            db.rules(str(program))
+            for predicate, arity in sorted(program.edb_signatures):
+                db.facts(
+                    predicate,
+                    {tuple(rng.randrange(5) for _ in range(arity)) for _ in range(9)},
+                )
+            for predicate, arity, adornment in forms:
+                query = "%s(%s)" % (
+                    predicate,
+                    ", ".join(
+                        str(rng.randrange(5)) if mark == "b" else f"V{i}"
+                        for i, mark in enumerate(adornment)
+                    ),
+                )
+                before = db.plan_summary(query)
+                compiles = db._compiler.compiles
+                report = db.ask(query, explain=True)
+                assert db._compiler.compiles == compiles, (name, query)
+                told = (report.strategy, report.certified_by)
+                assert self.strategy_of(db.plan_summary(query)) == told, (name, query)
+                # only a divergence discovered by that very ask may
+                # separate the earlier summary from it
+                if report.strategy != "counting->magic":
+                    assert self.strategy_of(before) == told, (name, query)
+                assert self.run_compiled(db, query) == report.answers, (name, query)
+                seen.add(report.strategy)
+        assert seen == {"factored", "counting", "counting->magic", "magic"}
+
+    @pytest.mark.parametrize("example", ["example_51_program", "example_52_program"])
+    def test_lemma_51_forms_say_magic_and_why(self, example):
+        from repro.workloads import examples
+
+        db = DeductiveDatabase()
+        db.rules(str(getattr(examples, example)()))
+        summary = db.plan_summary("p(5, 6, U)")
+        report = db.ask("p(5, 6, U)", explain=True)
+        assert self.strategy_of(summary) == ("magic", None)
+        assert (report.strategy, report.certified_by) == ("magic", None)
+        assert "  reason: " in summary and "reduction" not in summary
+        assert db._compiler.compiles == 1 and db._compiler.cache_hits == 1
+
+    def test_edb_goal(self, reach_db):
+        summary = reach_db.plan_summary("edge(1, Y)")
+        assert self.strategy_of(summary) == ("edb", None)
+        assert reach_db.explain("edge(1, Y)").strategy == "edb"
+        assert len(reach_db.compiled_program("edge(1, Y)")) == 0
+        with pytest.raises(ValueError, match="arity 2"):
+            reach_db.plan_summary("reach(1)")
+
+    def test_bridged_mixed_predicate(self):
+        db = DeductiveDatabase()
+        db.rules("likes(X, Z) :- friend(X, Y), likes(Y, Z).")
+        db.facts("friend", [("ann", "bo"), ("bo", "cy")])
+        db.fact("likes", "cy", "jazz")
+        summary = db.plan_summary("likes(ann, Z)")
+        report = db.ask("likes(ann, Z)", explain=True)
+        assert self.strategy_of(summary) == (report.strategy, report.certified_by)
+        assert "likes__base" in summary  # the bridge rule is part of what runs
+        assert self.run_compiled(db, "likes(ann, Z)") == report.answers == {("jazz",)}
+        assert db._compiler.compiles == 1
