@@ -26,6 +26,7 @@ from repro.core.simplify import SimplificationTrace, simplify_factored
 from repro.core.theorems import FactorabilityReport, check_factorability
 from repro.datalog.literals import Literal
 from repro.datalog.program import Program
+from repro.engine.arena import arena
 from repro.engine.database import Database
 from repro.engine.seminaive import seminaive_eval
 from repro.engine.stats import EvalStats
@@ -138,10 +139,15 @@ class OptimizationResult:
                 f"{', '.join(available)}"
             )
         if stage == "original":
-            db, stats = evaluator(self.original, edb, **kwargs)
-            return db.query(self.goal), stats
-        db, stats = evaluator(getattr(self, stage).program, edb, **kwargs)
-        return db.query(self.magic.query_head), stats
+            program, head = self.original, self.goal
+        else:
+            program, head = getattr(self, stage).program, self.magic.query_head
+        # The evaluated copy is read once and dropped: an ask()'s overlay.
+        with arena(edb.total_facts()):
+            db, stats = evaluator(program, edb, **kwargs)
+            answers = db.query(head)
+            del db
+        return answers, stats
 
 
 def _recursive_adorned_predicate(

@@ -278,6 +278,7 @@ def execute_columnar(
     db: Database,
     overrides: Optional[Mapping[int, object]],
     stats=None,
+    capable: Optional[set] = None,
 ) -> Optional[List[RowTuple]]:
     """Run ``plan`` batch-at-a-time; the interned head rows, in order.
 
@@ -288,6 +289,11 @@ def execute_columnar(
     returns the emitted head rows (duplicates preserved — the caller
     counts ``inferences`` from the length), updating ``stats.probes``
     exactly as the tuple executor would have.
+
+    ``capable`` is the calling run's memory of the plans whose sources
+    passed the capability check: which relations a plan reads, and on
+    which dictionary they sit, is fixed for one fixpoint over one
+    database, so there the check runs once per plan, not once per call.
     """
     kernel = plan._columnar
     if kernel is None:
@@ -300,39 +306,47 @@ def execute_columnar(
         return None
 
     steps = plan.steps
-    # Pure capability pass: resolve every step's source exactly like the
-    # executor will, but touch nothing.  A missing source is *capable*
-    # (both paths early-return identically); an incompatible one is not.
-    sources = []
-    for step in steps:
-        rel = None
-        if step.role is not None and overrides is not None:
-            rel = overrides.get(step.role)
-        if rel is None:
-            rel = db.get(step.name, step.arity)
-        if rel is not None and (
-            step.arity == 0
-            or getattr(rel, "dictionary", None) is not dictionary
-        ):
-            return None
-        sources.append(rel)
+    if capable is None or plan not in capable:
+        # Pure capability pass: resolve every step's source exactly like
+        # the executor will, but touch nothing.  A missing source is
+        # *capable* (both paths early-return identically).
+        for step in steps:
+            rel = None
+            if step.role is not None and overrides is not None:
+                rel = overrides.get(step.role)
+            if rel is None:
+                rel = db.get(step.name, step.arity)
+            if rel is not None and (
+                step.arity == 0
+                or getattr(rel, "dictionary", None) is not dictionary
+            ):
+                return None
+        if capable is not None:
+            capable.add(plan)
 
     intern = dictionary.intern
     counting = stats is not None
     shape, consts, head_consts, entry = kernel
 
     # Per-step resolution, mirroring RulePlan.execute: the same early
-    # returns and constant-key probes, in the same order.  Each generated
-    # step gets one tuple, laid out as :data:`_RESOLVED` names it plus
-    # the step's interned key constants.
+    # returns and constant-key probes, in the same order — an empty
+    # delta at the first step ends the call here.  Each generated step
+    # gets one tuple, laid out as :data:`_RESOLVED` names it plus the
+    # step's interned key constants.
     resolved: List[tuple] = []
     rows: List[RowTuple] = [()]
     span = None  # the entry scan's (cols, lo, hi) when its rows are not cached
-    for j, ((kind, _, _), rel) in enumerate(zip(shape[0], sources)):
+    for j, step in enumerate(steps):
+        rel = None
+        if step.role is not None and overrides is not None:
+            rel = overrides.get(step.role)
         if rel is None:
-            return []
+            rel = db.get(step.name, step.arity)
+            if rel is None:
+                return []
         if len(rel) == 0:
             return []
+        kind = shape[0][j][0]
         if kind == S_SCAN:
             if type(rel) is RelationView:
                 parent = rel.relation
@@ -358,8 +372,8 @@ def execute_columnar(
                 cols = rel.relation.ensure_columns()
             else:
                 cols = rel.ensure_columns()
-            keys = [intern(term) for term in consts[j]]
-            resolved.append((cols, rel.col_index(steps[j].key_positions).get, *keys))
+            keys = consts[j] and [intern(term) for term in consts[j]]
+            resolved.append((cols, rel.col_index(step.key_positions).get, *keys))
         elif kind == S_GROUND:
             # Ground literal: its truth is fixed for the whole run.
             if counting:
@@ -368,10 +382,10 @@ def execute_columnar(
             if key not in rel.col_set():
                 return []
         elif kind == S_EXISTS:
-            keys = [intern(term) for term in consts[j]]
+            keys = consts[j] and [intern(term) for term in consts[j]]
             resolved.append((rel.col_set(), *keys))
         else:  # S_BUCKET: constant-only filter, one bucket for the run.
-            key_positions = steps[j].key_positions
+            key_positions = step.key_positions
             if counting:
                 stats.probes += 1
             if len(key_positions) == 1:
@@ -398,7 +412,9 @@ def execute_columnar(
     run = plan._kernel
     if run is None:
         run = plan._kernel = kernel_function(shape)
-    rows, n = run(rows, resolved, [intern(term) for term in head_consts])
+    rows, n = run(
+        rows, resolved, head_consts and [intern(term) for term in head_consts]
+    )
     if counting:
         # One tuple-mode run(i) entry per partial row reaching each
         # step; an emptied batch adds 0, like the pruned recursion.

@@ -661,7 +661,8 @@ class Relation:
         hashes already stored in its entries instead of rehashing
         every tuple.
         """
-        if not rows:
+        n = len(rows)
+        if not n:
             return
         buffered = self._pending_rows
         if not buffered and (
@@ -674,11 +675,12 @@ class Relation:
         position = len(self._cols[0]) + len(buffered)
         if self._colset is not None and self._colset_n == position:
             self._colset.update(rows if rowset is None else rowset)
-            self._colset_n = position + len(rows)
-        self._index_rows(rows, position)
+            self._colset_n = position + n
+        if self._col_indexes:
+            self._index_rows(rows, position)
         buffered.extend(rows)
-        self._last_rows = (position, position + len(rows), rows)
-        self._pending_n += len(rows)
+        self._last_rows = (position, position + n, rows)
+        self._pending_n += n
 
     def release_delta_rows(self) -> None:
         """Drop the row list :meth:`append_rows` kept for the next round.

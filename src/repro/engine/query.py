@@ -97,6 +97,7 @@ from repro.datalog.parser import parse_query
 from repro.datalog.program import Program
 from repro.datalog.terms import NIL, Term, Variable
 from repro.datalog.validate import ensure_no_reserved_names
+from repro.engine.arena import arena
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database, unwrap_rows
 from repro.engine.plan import PlanCache
@@ -289,46 +290,51 @@ class CompiledQuery:
     # -- evaluation ---------------------------------------------------
 
     def ask(self, goal: Literal, edb: Database, stats: EvalStats) -> Set[Tuple[Term, ...]]:
-        """Evaluate the compiled program for one concrete goal."""
+        """Evaluate the compiled program for one concrete goal; every
+        overlay :meth:`_run` builds on the way — an abandoned counting
+        attempt's included — is released inside the arena."""
         bound_args = tuple(
             goal.args[i] for i in self.adornment.bound_positions()
         )
-        if self.strategy == "counting" and not self.counting_diverged:
-            try:
+        # no base facts sit on IDB predicates here (QueryCompiler.entry)
+        total = edb.total_facts()
+        with arena(total):
+            if self.strategy == "counting" and not self.counting_diverged:
+                try:
+                    return self._run(
+                        self.scheduler.with_budget(*self._counting_budget(total)),
+                        self.seed.predicate,
+                        (*bound_args, NIL),
+                        goal,
+                        self.row_positions,
+                        edb,
+                        stats,
+                    )
+                except NonTerminationError:
+                    # Cyclic data: remember until the next EDB change and
+                    # serve this (and subsequent) queries via magic.
+                    self.counting_diverged = True
+            if self.strategy == "counting":
+                if self._magic_scheduler is None:
+                    self._magic_scheduler = self._make_scheduler(self._magic_program)
                 return self._run(
-                    self.scheduler.with_budget(*self._counting_budget(edb)),
-                    self.seed.predicate,
-                    (*bound_args, NIL),
+                    self._magic_scheduler,
+                    self.plan.magic.seed.predicate,
+                    bound_args,
                     goal,
-                    self.row_positions,
+                    tuple(range(self.arity)),
                     edb,
                     stats,
                 )
-            except NonTerminationError:
-                # Cyclic data: remember until the next EDB change and
-                # serve this (and subsequent) queries via magic.
-                self.counting_diverged = True
-        if self.strategy == "counting":
-            if self._magic_scheduler is None:
-                self._magic_scheduler = self._make_scheduler(self._magic_program)
             return self._run(
-                self._magic_scheduler,
-                self.plan.magic.seed.predicate,
+                self.scheduler,
+                self.seed.predicate,
                 bound_args,
                 goal,
-                tuple(range(self.arity)),
+                self.row_positions,
                 edb,
                 stats,
             )
-        return self._run(
-            self.scheduler,
-            self.seed.predicate,
-            bound_args,
-            goal,
-            self.row_positions,
-            edb,
-            stats,
-        )
 
     def effective_strategy(self) -> str:
         if self.strategy == "counting" and self.counting_diverged:
@@ -340,24 +346,19 @@ class CompiledQuery:
         once counting diverged, :attr:`program` otherwise."""
         return self._magic_program if self.counting_diverged else self.program
 
-    def _counting_budget(self, edb: Database) -> Tuple[Optional[int], Optional[int]]:
+    def _counting_budget(self, total: int) -> Tuple[Optional[int], Optional[int]]:
         """Data-sized budgets that trip quickly on divergent index growth.
 
         User-supplied budgets (``max_iterations``/``max_facts`` on the
         compiler) take precedence; otherwise the path-term depth cannot
-        usefully exceed the EDB size on terminating data, so a small
-        multiple of it bounds both dimensions.
+        usefully exceed the EDB size (``total`` facts) on terminating
+        data, so a small multiple of it bounds both dimensions.
         """
-        c = self.compiler
-        total = sum(
-            len(rel)
-            for sig, rel in edb.relations.items()
-            if sig not in c.idb_signatures
-        )
-        iterations = c.config.max_iterations
+        config = self.compiler.config
+        iterations = config.max_iterations
         if iterations is None:
             iterations = max(100, 2 * total + 10)
-        facts = c.config.max_facts
+        facts = config.max_facts
         if facts is None:
             facts = max(1000, 20 * total)
         return iterations, facts
@@ -530,9 +531,11 @@ class QueryCompiler:
             certified_by = entry.certified_by
         elif goal.signature in self.idb_signatures:
             strategy = "materialize"
-            db, eval_stats = seminaive_eval(self.program, edb, self.config)
-            stats.absorb(eval_stats)
-            answers = db.query(goal, once=True)
+            with arena(edb.total_facts()):
+                db, eval_stats = seminaive_eval(self.program, edb, self.config)
+                stats.absorb(eval_stats)
+                answers = db.query(goal, once=True)
+                del db  # released inside the arena, like an overlay
         else:
             strategy = "edb"
             answers = edb.query(goal)

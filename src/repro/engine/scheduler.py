@@ -54,6 +54,7 @@ from repro.engine.database import (
     Database,
     FactTuple,
     Relation,
+    RelationView,
     RowTuple,
     load_program_facts,
 )
@@ -335,7 +336,7 @@ class _TermRows:
     wants (:meth:`ComponentRun.resume`).
     """
 
-    __slots__ = ("db", "stats", "recorder", "interned")
+    __slots__ = ("db", "stats", "recorder", "interned", "capable")
 
     def __init__(self, db: Database, stats: EvalStats, recorder=None, kernel=False):
         self.db = db
@@ -343,11 +344,15 @@ class _TermRows:
         self.recorder = recorder
         #: What the partition executor is told to split and emit.
         self.interned = kernel
+        #: Plans the kernel found capable in this run (execute_columnar).
+        self.capable: set = set()
 
     def run(self, plan, overrides, rel: Relation, rule_index: int, rule: Rule):
         """``(self, head facts)`` of one plan execution, duplicates kept."""
         if self.interned:
-            rows = execute_columnar(plan, self.db, overrides, self.stats)
+            rows = execute_columnar(
+                plan, self.db, overrides, self.stats, self.capable
+            )
             if rows is not None:
                 return self, self.adopt(rows)
             self.stats.columnar_fallbacks += 1
@@ -406,7 +411,7 @@ class _InternedRows:
     foreign dictionary), is handed to the term representation instead.
     """
 
-    __slots__ = ("db", "stats", "terms", "single_pass")
+    __slots__ = ("db", "stats", "terms", "single_pass", "capable")
 
     interned = True
 
@@ -415,11 +420,12 @@ class _InternedRows:
         self.stats = stats
         self.terms = _TermRows(db, stats)
         self.single_pass = single_pass
+        self.capable: set = set()  # as _TermRows.capable
 
     def run(self, plan, overrides, rel: Relation, rule_index: int, rule: Rule):
         """``(representation, batch)`` of one plan execution."""
         db = self.db
-        rows = execute_columnar(plan, db, overrides, self.stats)
+        rows = execute_columnar(plan, db, overrides, self.stats, self.capable)
         if rows is None:
             self.stats.columnar_fallbacks += 1
             batch = self.terms.run(plan, overrides, rel, rule_index, rule)
@@ -727,9 +733,8 @@ class ComponentRun:
         recorder = self.recorder
         recursive = self.task.recursive
         seminaive = self.mode == "seminaive"
-        budget = None
-        if not recursive and self.config.max_facts is not None:
-            budget = self._check_facts
+        capped = self.config.max_facts is not None
+        budget = self._check_facts if capped and not recursive else None
         rels: Dict[Signature, Relation] = {
             sig: db.relation(*sig) for sig in scc_set
         }
@@ -769,93 +774,97 @@ class ComponentRun:
                 )
 
         first_round = True
-        while True:
-            self.begin_round(stats)
-            if recorder is not None:
-                recorder.start_round()
-            round_partitioned = False
-            if windowed:
-                stop = {sig: len(rel) for sig, rel in windows.items()}
-                delta_views = {
-                    sig: rel.view(delta_start[sig], stop[sig])
-                    for sig, rel in windows.items()
-                }
-                old_views = {
-                    sig: rel.view(0, delta_start[sig])
-                    for sig, rel in windows.items()
-                }
-            new: Dict[Signature, set] = {}
+        try:
+            while True:
+                self.begin_round(stats)
+                if recorder is not None:
+                    recorder.start_round()
+                round_partitioned = False
+                if windowed:
+                    stop = {sig: len(rel) for sig, rel in windows.items()}
+                    # (signature, role) -> this round's window, built when a
+                    # firing binds it and shared (indexes too) by later ones
+                    views: Dict[Tuple[Signature, str], RelationView] = {}
+                new: Dict[Signature, set] = {}
 
-            for rule_index, rule, sig, variants, every_round in firings:
-                if not (every_round or first_round):
-                    continue
-                rel = rels[sig]
-                emitted: list = []
-                batch_rows = rows
-                for roles, binding in variants:
-                    overrides = None
-                    if binding:
-                        if seeded and not len(delta_views[binding[0][2]]):
-                            continue  # nothing new at this occurrence
-                        overrides = {
-                            pos: delta_views[body_sig]
-                            if role == "delta"
-                            else old_views[body_sig]
-                            for pos, role, body_sig in binding
-                        }
-                    plan = cache.plan(
-                        rule, roles, stats, db=db, overrides=overrides
-                    )
-                    out = None
-                    if partitioner is not None and roles:
-                        # roles[0] is the variant's delta occurrence.  The
-                        # plan was fetched (and its estimate is recorded)
-                        # exactly once with the full-delta overrides, so
-                        # plan-cache counters match partitions=1; the
-                        # partitions' emissions come back concatenated in
-                        # partition order.
-                        out = partitioner.run(
-                            plan, db, overrides, roles[0][0], stats, rows.interned
-                        )
-                        if out is not None:
-                            round_partitioned = True
-                            out = rows.adopt(out)
-                    if out is None:
-                        batch_rows, out = rows.run(
-                            plan, overrides, rel, rule_index, rule
-                        )
-                    if plan.estimated_rows is not None:
-                        stats.record_estimate(plan.estimated_rows, len(out))
-                    if emitted:
-                        emitted.extend(out)
+                for rule_index, rule, sig, variants, every_round in firings:
+                    if not (every_round or first_round):
+                        continue
+                    rel = rels[sig]
+                    emitted: list = []
+                    batch_rows = rows
+                    for roles, binding in variants:
+                        overrides = None
+                        if binding:
+                            delta_sig = binding[0][2]
+                            if seeded and stop[delta_sig] == delta_start[delta_sig]:
+                                continue  # nothing new at this occurrence
+                            overrides = {}
+                            for pos, role, body_sig in binding:
+                                view = views.get((body_sig, role))
+                                if view is None:
+                                    lo, hi = delta_start[body_sig], stop[body_sig]
+                                    if role != "delta":  # old: the log before it
+                                        lo, hi = 0, lo
+                                    view = views[body_sig, role] = RelationView(
+                                        windows[body_sig], lo, hi
+                                    )
+                                overrides[pos] = view
+                        plan = cache.plan(rule, roles, stats, db, overrides)
+                        out = None
+                        if partitioner is not None and roles:
+                            # roles[0] is the variant's delta occurrence.  The
+                            # plan was fetched (and its estimate is recorded)
+                            # exactly once with the full-delta overrides, so
+                            # plan-cache counters match partitions=1; the
+                            # partitions' emissions come back concatenated in
+                            # partition order.
+                            out = partitioner.run(
+                                plan, db, overrides, roles[0][0], stats, rows.interned
+                            )
+                            if out is not None:
+                                round_partitioned = True
+                                out = rows.adopt(out)
+                        if out is None:
+                            batch_rows, out = rows.run(
+                                plan, overrides, rel, rule_index, rule
+                            )
+                        if plan.estimated_rows is not None:
+                            stats.record_estimate(plan.estimated_rows, len(out))
+                        if emitted:
+                            emitted.extend(out)
+                        else:
+                            # The common single-variant case adopts the
+                            # fresh list instead of copying it.
+                            emitted = out
+                    if not emitted:
+                        continue
+                    stats.inferences += len(emitted)
+                    fresh = batch_rows.novel(rel, emitted)
+                    if not fresh:
+                        continue
+                    if not recursive:
+                        batch_rows.absorb(sig, rel, fresh, budget)
+                    elif sig in new:
+                        new[sig] |= fresh
                     else:
-                        # The common single-variant case adopts the
-                        # fresh list instead of copying it.
-                        emitted = out
-                if not emitted:
-                    continue
-                stats.inferences += len(emitted)
-                fresh = batch_rows.novel(rel, emitted)
-                if not fresh:
-                    continue
-                if not recursive:
-                    batch_rows.absorb(sig, rel, fresh, budget)
-                elif sig in new:
-                    new[sig] |= fresh
-                else:
-                    new[sig] = fresh
+                        new[sig] = fresh
 
-            if round_partitioned:
-                stats.partition_rounds += 1
-            if windowed:
-                # Advance: delta becomes old (a log-offset bump).
-                delta_start = stop
-            for sig, fresh in new.items():
-                rows.absorb(sig, rels[sig], fresh)
-                self._check_facts(stats)
-            first_round = False
-            if not new:
-                break
-        for rel in rels.values():
-            rel.release_delta_rows()
+                if round_partitioned:
+                    stats.partition_rounds += 1
+                if windowed:
+                    # Advance: delta becomes old (a log-offset bump).
+                    delta_start = stop
+                for sig, fresh in new.items():
+                    rows.absorb(sig, rels[sig], fresh)
+                    if capped:
+                        self._check_facts(stats)
+                first_round = False
+                if not new:
+                    break
+        finally:
+            # also when a budget ended it: else the last round's row list
+            # stays cached on every head for as long as the database lives
+            for rel in rels.values():
+                rel.release_delta_rows()
 

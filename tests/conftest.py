@@ -69,6 +69,32 @@ def decision_corpus():
         ]
 
 
+def corpus_instance(index, program, forms):
+    """A small random EDB for corpus program number ``index`` and one
+    query per form, bound positions holding random constants:
+    ``({predicate: [rows]}, [query strings])``."""
+    import random
+
+    rng = random.Random(index)
+    facts = {
+        predicate: sorted(
+            {tuple(rng.randrange(5) for _ in range(arity)) for _ in range(9)}
+        )
+        for predicate, arity in sorted(program.edb_signatures)
+    }
+    queries = [
+        "%s(%s)" % (
+            predicate,
+            ", ".join(
+                str(rng.randrange(5)) if mark == "b" else f"V{i}"
+                for i, mark in enumerate(adornment)
+            ),
+        )
+        for predicate, arity, adornment in forms
+    ]
+    return facts, queries
+
+
 def pin_storage(db: Database):
     """A ``Database.pin()`` of ``db`` with a copy of every log, for
     :func:`assert_storage_matches_rebuild` to compare after a batch."""

@@ -7,6 +7,8 @@ validation, and the adornment audit for repeated-variable and
 partially-ground function-term goals.
 """
 
+import gc
+import threading
 import zlib
 
 import pytest
@@ -22,14 +24,21 @@ from repro.datalog.validate import (
     reserved_name_reason,
     validate_program,
 )
-from repro.engine.database import Database
+from repro.engine import arena as arena_module
+from repro.engine import faults
+from repro.engine.arena import ARENA_MIN_FACTS, arena
+from repro.engine.database import Database, Relation
+from repro.engine.faults import FaultInjected, parse_faults
 from repro.engine.incremental import IncrementalSession
 from repro.engine.query import CompiledQuery, QueryCompiler
+from repro.engine.scheduler import SCCScheduler
 from repro.engine.seminaive import seminaive_eval
+from repro.engine.server import DatalogServer
+from repro.engine.stats import NonTerminationError
 from repro.session import DeductiveDatabase
 from repro.workloads.lists import pmem_edb, pmem_program, pmem_query
 
-from tests.conftest import decision_corpus
+from tests.conftest import corpus_instance, decision_corpus
 
 TC_TEXT = """
     t(X, Y) :- e(X, Y).
@@ -348,6 +357,288 @@ class TestStageValidation:
         for stage in ("magic", "factored", "simplified"):
             answers, _ = result.evaluate_stage(stage, edb)
             assert answers == expected
+
+
+@pytest.fixture
+def collector_off():
+    """No cyclic collector for the test: what dies, dies by refcount."""
+    gc.collect()
+    was = gc.isenabled()
+    gc.disable()
+    yield
+    if was:
+        gc.enable()
+
+
+class Storage:
+    """The ``Database``s and ``Relation``s alive now that were not when
+    this was made (``Relation`` has slots and takes no weak reference:
+    the collector's own registry is asked instead), and how many were
+    constructed since."""
+
+    KINDS = (Database, Relation)
+
+    def __init__(self, monkeypatch):
+        self.constructed = 0
+        for kind in self.KINDS:
+            monkeypatch.setattr(kind, "__init__", self.counting(kind.__init__))
+        self.before = self.alive()  # kept referenced: no id is reused
+
+    def counting(self, init):
+        def counted(obj, *args, **kwargs):
+            self.constructed += 1
+            init(obj, *args, **kwargs)
+
+        return counted
+
+    def alive(self):
+        return [o for o in gc.get_objects() if type(o) in self.KINDS]
+
+    def survivors(self):
+        known = {id(o) for o in self.before}
+        return [o for o in self.alive() if id(o) not in known]
+
+
+@pytest.fixture
+def storage(monkeypatch):
+    return lambda: Storage(monkeypatch)
+
+
+class TestAnAskFreesWhatItAllocates:
+    """The premise of :func:`repro.engine.arena.arena`: the database an
+    ask evaluates into is dead by reference count when ``ask()``
+    returns, so pausing the collector meanwhile defers no reclamation.
+    A cycle through an overlay would fail here before it turned the
+    arena into a leak-until-resume."""
+
+    CYCLE = [(1, 2), (2, 3), (3, 1)]
+
+    @pytest.mark.parametrize(
+        "text, goal, edges, strategy",
+        [
+            (TC_TEXT, "t(0, Y)", [(i, i + 1) for i in range(6)], "factored"),
+            (TC_TEXT, "t(0, 3)", [(i, i + 1) for i in range(6)], "counting"),
+            (LEFT_TC_TEXT, "lt(1, 3)", CYCLE, "counting->magic"),
+            (TC_TEXT, "t(X, Y)", CYCLE, "magic"),
+        ],
+    )
+    def test_overlays_are_dead_when_ask_returns(
+        self, collector_off, storage, text, goal, edges, strategy
+    ):
+        compiler = QueryCompiler(parse_program(text))
+        edb = Database.from_dict({"e": edges})
+        # compile first: the rewrite front end is not the subject
+        compiler.entry(parse_query(goal), edb)
+        made = storage()
+        answer = compiler.ask(goal, edb)
+        assert answer.strategy == strategy and answer.answers
+        # an overlay, its seed relation, the query relation at least —
+        # twice over when the counting attempt was abandoned
+        assert made.constructed >= (6 if strategy == "counting->magic" else 3)
+        assert made.survivors() == []
+
+    def test_materialize_fallback_copy_is_dead_when_ask_returns(
+        self, collector_off, storage
+    ):
+        compiler = QueryCompiler(parse_program(TC_TEXT))
+        edb = chain_edb(4)
+        edb.add_fact("t", (9, 9))  # a base fact on an IDB predicate
+        made = storage()
+        answer = compiler.ask("t(0, Y)", edb)
+        assert answer.strategy == "materialize" and len(answer.answers) == 4
+        assert made.constructed >= 3  # the copy, its e and t
+        assert made.survivors() == []
+
+    @pytest.mark.parametrize("stage", ["original", "magic", "factored", "simplified"])
+    def test_evaluated_stage_is_dead_when_evaluate_stage_returns(
+        self, collector_off, storage, stage
+    ):
+        result = optimize(parse_program(TC_TEXT), parse_query("t(0, Y)"))
+        edb = chain_edb(4)
+        made = storage()
+        answers, _ = result.evaluate_stage(stage, edb)
+        assert len(answers) == 4
+        assert made.constructed >= 3
+        assert made.survivors() == []
+
+
+def blocks(count, length=3):
+    """``count`` disjoint chains of ``length`` edges: an EDB of any size
+    whose closure stays linear in it."""
+    return [
+        (b * (length + 1) + i, b * (length + 1) + i + 1)
+        for b in range(count)
+        for i in range(length)
+    ]
+
+
+class TestArenaContract:
+    """Collection is off exactly while a throwaway evaluation over a
+    large EDB runs, and whatever the arena found is what it leaves."""
+
+    LARGE = Database.from_dict({"e": blocks(-(-ARENA_MIN_FACTS // 3))})
+
+    @pytest.fixture
+    def switch(self, monkeypatch):
+        """Every ``gc.disable``/``gc.enable`` call made during the test."""
+        calls = []
+        for name in ("disable", "enable"):
+            real = getattr(gc, name)
+
+            def spy(name=name, real=real):
+                calls.append(name)
+                real()
+
+            monkeypatch.setattr(gc, name, spy)
+        return calls
+
+    @pytest.fixture
+    def inside(self, monkeypatch):
+        """``gc.isenabled()`` as every scheduler run of the test saw it,
+        the rewrite front end's own little evaluations aside."""
+        seen = []
+        real_run = SCCScheduler.run
+        real_init = CompiledQuery.__init__
+
+        compiling = []
+
+        def run(self, db, stats):
+            if not compiling:
+                seen.append(gc.isenabled())
+            return real_run(self, db, stats)
+
+        def init(self, *args):
+            compiling.append(True)
+            try:
+                real_init(self, *args)
+            finally:
+                compiling.pop()
+
+        monkeypatch.setattr(SCCScheduler, "run", run)
+        monkeypatch.setattr(CompiledQuery, "__init__", init)
+        return seen
+
+    def test_off_inside_a_large_ask_and_on_after(self, tc_compiler, switch, inside):
+        assert self.LARGE.total_facts() >= ARENA_MIN_FACTS and gc.isenabled()
+        for goal in ("t(0, Y)", "t(0, 3)", "t(X, 3)"):  # factored, counting, magic
+            assert tc_compiler.ask(goal, self.LARGE).answers
+        assert inside == [False] * 3 and gc.isenabled()
+        assert switch == ["disable", "enable"] * 3
+
+    def test_materialize_fallback_and_stage_evaluation_are_guarded(
+        self, tc_compiler, switch, inside
+    ):
+        edb = self.LARGE.copy()
+        edb.add_fact("t", (9, 9))
+        assert tc_compiler.ask("t(0, Y)", edb).strategy == "materialize"
+        assert inside == [False] and gc.isenabled()
+        result = optimize(parse_program(TC_TEXT), parse_query("t(0, Y)"))
+        del inside[:]
+        assert len(result.evaluate_stage("simplified", self.LARGE)[0]) == 3
+        assert inside == [False] and gc.isenabled()
+        assert switch == ["disable", "enable"] * 2
+
+    def test_a_small_ask_never_touches_the_switch(self, tc_compiler, switch, inside):
+        small = Database.from_dict({"e": blocks(ARENA_MIN_FACTS // 3 - 1)})
+        assert small.total_facts() < ARENA_MIN_FACTS
+        for goal in ("t(0, Y)", "t(0, 3)", "t(X, 3)"):
+            assert tc_compiler.ask(goal, small).answers
+        assert inside == [True] * 3 and switch == []
+
+    def test_a_callers_disable_stays_in_force(self, tc_compiler, switch, inside):
+        gc.disable()
+        try:
+            del switch[:]
+            assert tc_compiler.ask("t(0, Y)", self.LARGE).answers
+            assert inside == [False] and switch == [] and not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_nested_arenas_restore_once(self, switch):
+        with arena(ARENA_MIN_FACTS):
+            with arena(ARENA_MIN_FACTS):
+                assert not gc.isenabled()
+            assert not gc.isenabled()  # the inner one found it off
+        assert gc.isenabled() and switch == ["disable", "enable"]
+
+    def test_every_exception_path_restores(self, switch, inside):
+        # a divergent counting attempt, caught and retried through magic
+        cyclic = Database.from_dict({"e": blocks(ARENA_MIN_FACTS // 3) + [(3, 0)]})
+        compiler = QueryCompiler(parse_program(LEFT_TC_TEXT))
+        assert compiler.ask("lt(0, 3)", cyclic).strategy == "counting->magic"
+        assert inside == [False, False] and gc.isenabled()
+        # a budget trip that leaves ask()
+        capped = QueryCompiler(parse_program(TC_TEXT), max_iterations=1)
+        with pytest.raises(NonTerminationError):
+            capped.ask("t(0, Y)", self.LARGE)
+        assert gc.isenabled()
+        # an unsafe rewrite, reported as the goal's
+        lists = QueryCompiler(pmem_program())
+        facts = Database.from_dict({"p": [(i,) for i in range(ARENA_MIN_FACTS)]})
+        with pytest.raises(ValueError, match="not answerable") as caught:
+            lists.ask("pmem(1, L)", facts)
+        assert isinstance(caught.value.__cause__, UnsafeRuleError) and gc.isenabled()
+        # an injected fault at the overlay's first component boundary
+        # (compiled beforehand: the simplifier evaluates components too)
+        compiler = QueryCompiler(parse_program(TC_TEXT))
+        compiler.entry(parse_query("t(0, Y)"), self.LARGE)
+        faults.install(parse_faults("component:raise:1"))
+        try:
+            with pytest.raises(FaultInjected):
+                compiler.ask("t(0, Y)", self.LARGE)
+        finally:
+            faults.clear()
+        assert gc.isenabled()
+        assert switch == ["disable", "enable"] * 4
+
+    def test_eight_threads_end_with_the_collector_on(self):
+        server = DatalogServer(
+            IncrementalSession(parse_program(TC_TEXT), self.LARGE.copy())
+        )
+        goals = [f"t({4 * b}, Y)" for b in range(200)]
+        expected = [server.query_goal(goal) for goal in goals]
+        assert expected[0] == {(1,), (2,), (3,)}
+        wrong = []
+
+        def reader(offset):
+            for i in range(len(goals)):
+                k = (i + offset) % len(goals)
+                if server.query_goal(goals[k]) != expected[k]:
+                    wrong.append(goals[k])
+
+        threads = [threading.Thread(target=reader, args=(25 * t,)) for t in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong and gc.isenabled()
+
+    def test_engaged_or_not_the_determinate_outputs_are_the_same(self, monkeypatch):
+        """Every corpus form over a random EDB, the constant patched
+        under the EDB's size and then to infinity."""
+        counters = ("facts", "inferences", "iterations", "probes")
+        forms = 0
+        for index, (name, program, program_forms) in enumerate(decision_corpus()):
+            facts, queries = corpus_instance(index, program, program_forms)
+            runs = []
+            for constant in (1, float("inf")):
+                monkeypatch.setattr(arena_module, "ARENA_MIN_FACTS", constant)
+                compiler = QueryCompiler(program)
+                # a fresh EDB each time: the cost planner reads the
+                # indexes earlier asks left on the relations
+                edb = Database.from_dict(facts)
+                answers = [compiler.ask(query, edb) for query in queries]
+                runs.append(
+                    [
+                        (a.strategy, a.answers, *(getattr(a.stats, c) for c in counters))
+                        for a in answers
+                    ]
+                )
+                assert gc.isenabled()
+            assert runs[0] == runs[1], name
+            forms += len(queries)
+        assert forms == 524
 
 
 class TestOutcomeNames:

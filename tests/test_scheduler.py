@@ -354,6 +354,21 @@ class TestFixpointDriverBranches:
         assert payloads["columnar"] == payloads["tuple"]
         assert payloads["tuple"][0] > 7
 
+    @pytest.mark.parametrize("budget", [{"max_facts": 40}, {"max_iterations": 4}])
+    def test_a_fixpoint_ended_by_its_budget_releases_the_delta_rows(self, budget):
+        """The row list ``append_rows`` keeps for the next round's scan
+        is dropped however the fixpoint ends — a diverging counting ask
+        ends this way every time."""
+        program = parse_program("t(X, Y) :- e(X, Y).\nt(X, Y) :- e(X, W), t(W, Y).")
+        config = EngineConfig.resolve(
+            None, exec="columnar", jobs=1, partitions=1, **budget
+        )
+        db, stats = chain_edb(30).copy(), EvalStats()
+        with pytest.raises(NonTerminationError):
+            SCCScheduler(program, config).run(db, stats)
+        assert stats.facts > 30  # rounds were absorbed before the trip
+        assert [rel._last_rows for rel in db.relations.values()] == [None, None]
+
     def test_kernel_declines_are_counted(self):
         """A foreign-dictionary source makes the kernel decline the
         call; the tuple fallback derives the same facts and says so."""
@@ -516,3 +531,111 @@ class TestResume:
             assert resumed == [t.sigs for t in tasks if reads(t) & grew]
             assert stats.incr_rounds >= len(resumed)
         assert resumed == [frozenset({("idle", 1)})]
+
+
+#: Programs whose rounds are small and many — what the fixpoint loop's
+#: fixed cost is paid on.  ``ground_*``/``bucket_first`` put a ground
+#: literal, resp. a constant-only bucket step, *before* the delta
+#: occurrence: each of their firings counts a probe even on an empty
+#: delta, which an over-eager early return would drop.
+ROUND_LOOP_PROGRAMS = {
+    "tc": "t(X, Y) :- e(X, Y).\nt(X, Y) :- e(X, W), t(W, Y).",
+    "tc3": (
+        "t(X, Y) :- t(X, W), t(W, Y).\nt(X, Y) :- e(X, W), t(W, Y).\n"
+        "t(X, Y) :- t(X, W), e(W, Y).\nt(X, Y) :- e(X, Y)."
+    ),
+    "sg": "sg(X, Y) :- flat(X, Y).\nsg(X, Y) :- up(X, U), sg(U, V), down(V, Y).",
+    "ground_true": "g(X, Y) :- e(X, Y).\ng(X, Y) :- on(1), g(X, W), e(W, Y).",
+    "ground_false": "g(X, Y) :- e(X, Y).\ng(X, Y) :- on(3), g(X, W), e(W, Y).",
+    "bucket_first": "b(X, Y) :- e(X, Y).\nb(X, Y) :- hub(7, H), b(X, W), e(W, Y).",
+    # two mutually recursive unary heads, as factoring leaves them: one
+    # of the two firings of a round always reads an empty delta
+    "factored": "m(W) :- f(W).\nf(Y) :- m(X), e(X, Y).\nm(0).",
+}
+
+#: (facts, inferences, iterations, probes, plan_cache_hits,
+#: plans_compiled) per program and ``+resumed``, recorded on the parent
+#: commit at ``planner="greedy", jobs=1, partitions=1``.
+ROUND_LOOP_PINNED = {
+    "bucket_first": (1246, 3396, 31, 2614, 30, 2),
+    "bucket_first+resumed": (860, 2344, 31, 1893, 29, 3),
+    "factored": (90, 111, 51, 96, 100, 2),
+    "factored+resumed": (52, 66, 47, 97, 44, 3),
+    "ground_false": (70, 70, 2, 3, 1, 2),
+    "ground_false+resumed": (24, 24, 2, 3, 0, 3),
+    "ground_true": (1246, 1733, 31, 1308, 30, 2),
+    "ground_true+resumed": (860, 1184, 31, 947, 29, 3),
+    "sg": (235, 235, 7, 455, 6, 2),
+    "sg+resumed": (194, 194, 7, 395, 5, 3),
+    "tc": (1246, 2173, 31, 1277, 30, 2),
+    "tc+resumed": (860, 1624, 30, 915, 28, 3),
+    "tc3": (1246, 29468, 7, 4938, 24, 5),
+    "tc3+resumed": (860, 25442, 6, 3511, 16, 7),
+}
+
+
+def round_loop_edb(seed=11, n=24):
+    import random
+
+    rng = random.Random(seed)
+    edges = sorted({(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)})
+    edges += [(i, i + 1) for i in range(n, 2 * n)]  # and a tail of 1-fact rounds
+    return Database.from_dict(
+        {
+            "e": edges + [(0, n)],
+            "up": [(i, i // 2) for i in range(1, n)],
+            "down": [(i // 2, i) for i in range(1, n)],
+            "flat": [(0, 0), (1, 2)],
+            "on": [(1,), (2,)],
+            "hub": [(7, 0), (7, 1), (8, 2)],
+        }
+    )
+
+
+class TestRoundLoopMovedNoDeterminateOutput:
+    """What a round allocates and which passes a kernel call skips are
+    mechanics; the fixpoint and its counters are not."""
+
+    KNOBS = dict(planner="greedy", jobs=1, partitions=1)
+
+    @staticmethod
+    def counters(stats):
+        return (
+            stats.facts, stats.inferences, stats.iterations, stats.probes,
+            stats.plan_cache_hits, stats.plans_compiled,
+        )
+
+    @pytest.mark.parametrize("name", sorted(ROUND_LOOP_PROGRAMS))
+    def test_evaluation_counts_what_it_counted(self, name):
+        program = parse_program(ROUND_LOOP_PROGRAMS[name])
+        edb = round_loop_edb()
+        ref, _ = naive_fixpoint_reference(program, edb)
+        seen = {}
+        for mode in ("tuple", "columnar"):
+            db, stats = seminaive_eval(program, edb, exec=mode, **self.KNOBS)
+            assert db == ref, f"{name}: exec={mode} diverged"
+            assert stats.columnar_fallbacks == 0
+            seen[mode] = self.counters(stats)
+        assert seen["columnar"] == seen["tuple"] == ROUND_LOOP_PINNED[name]
+
+    @pytest.mark.parametrize("name", sorted(ROUND_LOOP_PROGRAMS))
+    def test_a_resumed_run_counts_what_it_counted(self, name):
+        program = parse_program(ROUND_LOOP_PROGRAMS[name])
+        whole = round_loop_edb()
+        first, later = whole.copy(), {}
+        for sig in sorted(program.edb_signatures & {("e", 2), ("flat", 2), ("up", 2)}):
+            # every third fact of the binary relations arrives afterwards
+            later[sig] = sorted(whole.relation(*sig).tuples, key=str)[::3]
+            first.relation(*sig).remove_facts(later[sig])
+        ref, _ = naive_fixpoint_reference(program, whole)
+        seen = {}
+        for mode in ("tuple", "columnar"):
+            db, _ = seminaive_eval(program, first, exec=mode, **self.KNOBS)
+            since = {sig: len(db.relation(*sig)) for sig in later}
+            for sig, facts in later.items():
+                for fact in facts:
+                    db.relation(*sig).add(fact)
+            stats, _ = resume_reached(program, db, since, exec=mode, **self.KNOBS)
+            assert db == ref, f"{name}: resumed exec={mode} diverged"
+            seen[mode] = self.counters(stats)
+        assert seen["columnar"] == seen["tuple"] == ROUND_LOOP_PINNED[name + "+resumed"]

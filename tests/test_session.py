@@ -153,28 +153,16 @@ class TestExplanationIsOfTheProgramThatRan:
         )
 
     def test_summary_names_what_ask_ran_on_every_corpus_form(self):
-        import random
-
-        from tests.conftest import decision_corpus
+        from tests.conftest import corpus_instance, decision_corpus
 
         seen = set()
         for index, (name, program, forms) in enumerate(decision_corpus()):
-            rng = random.Random(index)
+            facts, queries = corpus_instance(index, program, forms)
             db = DeductiveDatabase()
             db.rules(str(program))
-            for predicate, arity in sorted(program.edb_signatures):
-                db.facts(
-                    predicate,
-                    {tuple(rng.randrange(5) for _ in range(arity)) for _ in range(9)},
-                )
-            for predicate, arity, adornment in forms:
-                query = "%s(%s)" % (
-                    predicate,
-                    ", ".join(
-                        str(rng.randrange(5)) if mark == "b" else f"V{i}"
-                        for i, mark in enumerate(adornment)
-                    ),
-                )
+            for predicate, rows in facts.items():
+                db.facts(predicate, rows)
+            for query in queries:
                 before = db.plan_summary(query)
                 compiles = db._compiler.compiles
                 report = db.ask(query, explain=True)
