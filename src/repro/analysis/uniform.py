@@ -20,15 +20,18 @@ wrong answer.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.datalog.literals import Literal
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
-from repro.datalog.terms import Compound, Constant, Variable
-from repro.engine.database import Database
+from repro.datalog.terms import Compound, Constant
+from repro.engine.config import EngineConfig
+from repro.engine.database import Database, load_program_facts
 from repro.engine.naive import naive_eval
-from repro.engine.stats import NonTerminationError
+from repro.engine.plan import PlanCache
+from repro.engine.scheduler import SCCScheduler
+from repro.engine.stats import EvalStats, NonTerminationError
 from repro.engine.unify import Substitution
 
 
@@ -36,12 +39,16 @@ class UniformUndecidedError(RuntimeError):
     """The chase could not run (function symbols or budget exhausted)."""
 
 
-def _uses_compounds(rule: Rule) -> bool:
-    return any(
+def _require_datalog(rules: Iterable[Rule]) -> None:
+    if any(
         isinstance(arg, Compound)
+        for rule in rules
         for literal in (rule.head, *rule.body)
         for arg in literal.args
-    )
+    ):
+        raise UniformUndecidedError(
+            "the chase requires pure Datalog (no function symbols)"
+        )
 
 
 def freeze_rule(rule: Rule) -> Tuple[Literal, Database]:
@@ -62,6 +69,39 @@ def freeze_rule(rule: Rule) -> Tuple[Literal, Database]:
     return subst.apply_literal(rule.head), db
 
 
+class _Chase:
+    """One evaluation context for many chases.
+
+    The config is resolved once, environment included, and one
+    :class:`~repro.engine.plan.PlanCache` compiles each ``(rule,
+    roles)`` pair once for every chase: the candidates of one
+    :func:`redundant_rules` call are chased through the same
+    :class:`Rule` objects.  Each chase still runs its own scheduler over
+    its own frozen database with a fresh :class:`EvalStats`, so the
+    budgets (and a ``max_seconds`` deadline) hold per chase.  Callers
+    check for function symbols.
+    """
+
+    def __init__(
+        self, max_iterations: Optional[int] = 200, max_facts: Optional[int] = 200_000
+    ):
+        self.config = EngineConfig.resolve(
+            max_iterations=max_iterations, max_facts=max_facts
+        )
+        self.cache = PlanCache(self.config.planner)
+
+    def derives(self, program: Program, rule: Rule) -> bool:
+        """Does ``program`` rederive ``rule``'s frozen head from its body?"""
+        head, db = freeze_rule(rule)
+        stats = EvalStats()
+        stats.facts += load_program_facts(program, db)
+        try:
+            SCCScheduler(program, self.config, "naive", cache=self.cache).run(db, stats)
+        except NonTerminationError as err:
+            raise UniformUndecidedError(str(err)) from err
+        return head.args in db.facts(head.predicate, head.arity)
+
+
 def chase_derives(
     program: Program,
     rule: Rule,
@@ -69,18 +109,8 @@ def chase_derives(
     max_facts: int = 200_000,
 ) -> bool:
     """Does ``program`` rederive ``rule``'s frozen head from its body?"""
-    if _uses_compounds(rule) or any(_uses_compounds(r) for r in program.rules):
-        raise UniformUndecidedError(
-            "the chase requires pure Datalog (no function symbols)"
-        )
-    head, db = freeze_rule(rule)
-    try:
-        result, _ = naive_eval(
-            program, db, max_iterations=max_iterations, max_facts=max_facts
-        )
-    except NonTerminationError as err:
-        raise UniformUndecidedError(str(err)) from err
-    return head.args in result.facts(head.predicate, head.arity)
+    _require_datalog((rule, *program.rules))
+    return _Chase(max_iterations, max_facts).derives(program, rule)
 
 
 def uniformly_contained(p1: Program, p2: Program, **kwargs) -> bool:
@@ -88,24 +118,21 @@ def uniformly_contained(p1: Program, p2: Program, **kwargs) -> bool:
 
     Facts of ``P1`` must appear (as facts or be derivable) in ``P2``.
     """
+    chase = _Chase(**kwargs)
+    model = None  # P2 over the empty database, evaluated on first need
     for rule in p1.rules:
-        if not rule.body:
-            # A fact is derivable iff P2 ∪ {} produces it.
-            try:
-                db, _ = naive_eval(
-                    p2,
-                    Database(),
-                    max_iterations=kwargs.get("max_iterations", 200),
-                    max_facts=kwargs.get("max_facts", 200_000),
-                )
-            except NonTerminationError as err:
-                raise UniformUndecidedError(str(err)) from err
-            if rule.head.args not in db.facts(
-                rule.head.predicate, rule.head.arity
-            ):
+        if rule.body:
+            _require_datalog((rule, *p2.rules))
+            if not chase.derives(p2, rule):
                 return False
             continue
-        if not chase_derives(p2, rule, **kwargs):
+        # A fact is derivable iff P2 ∪ {} produces it.
+        if model is None:
+            try:
+                model, _ = naive_eval(p2, Database(), chase.config)
+            except NonTerminationError as err:
+                raise UniformUndecidedError(str(err)) from err
+        if rule.head.args not in model.facts(rule.head.predicate, rule.head.arity):
             return False
     return True
 
@@ -123,11 +150,9 @@ def redundant_rules(program: Program, **kwargs) -> List[Rule]:
     simplifier uses (Section 7.4 notes the outcome can be
     order-dependent; this order is the documented, reproducible one).
     """
-    if any(_uses_compounds(rule) for rule in program.rules):
-        raise UniformUndecidedError(
-            "the chase requires pure Datalog (no function symbols)"
-        )
     rules = list(program.rules)
+    _require_datalog(rules)
+    chase = _Chase(**kwargs)
     removed: List[Rule] = []
     changed = True
     while changed:
@@ -136,7 +161,7 @@ def redundant_rules(program: Program, **kwargs) -> List[Rule]:
             if not rule.body:
                 continue
             rest = Program([r for r in rules if r is not rule])
-            if chase_derives(rest, rule, **kwargs):
+            if chase.derives(rest, rule):
                 rules.remove(rule)
                 removed.append(rule)
                 changed = True
