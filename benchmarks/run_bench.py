@@ -19,12 +19,11 @@ a row measures.  ``--require-columnar-speedup`` gates on the kernel's
 win in CI.
 
 Workloads whose depth batches hold several mutually independent SCCs
-(wide-DAG, coarse components) additionally run with the parallel
-scheduler at ``jobs=1``/``jobs=2`` on the default thread executor
-(``jobs1``/``jobs2`` rows) and — along with tc_chain, as the
-single-SCC control — on the process execution backend at two and four
-workers (``proc2``/``proc4`` rows, ``procN_vs_jobs1`` speedups),
-checking that every execution backend stays counter-identical and
+(wide-DAG, coarse components) additionally run pinned to ``jobs=1``
+(the ``jobs1`` row) and — along with tc_chain, as the single-SCC
+control — on the process execution backend at two and four workers
+(``proc2``/``proc4`` rows, ``procN_vs_jobs1`` speedups), checking
+that every execution backend stays counter-identical and
 recording where process parallelism actually wins (the coarse
 workload: few heavy components, nothing serial downstream).  Note the
 proc speedups are hardware-bound: a single-core container time-slices
@@ -131,23 +130,13 @@ EXEC_BACKENDS = (
     ),
 )
 
-#: Parallel-scheduler rows: the greedy configuration pinned to one and
-#: two workers on the thread executor.
+#: The parallel rows' baseline: the greedy configuration pinned to one
+#: worker.
 JOBS_BACKENDS = (
     (
         "jobs1",
         {"planner": "greedy", "jobs": 1, "exec": "columnar",
          "partitions": 1},
-    ),
-    (
-        "jobs2",
-        {
-            "planner": "greedy",
-            "jobs": 2,
-            "backend": "thread",
-            "exec": "columnar",
-            "partitions": 1,
-        },
     ),
 )
 
@@ -967,15 +956,6 @@ def run(
         # pinned to one worker); tc_chain has no jobs1 row, so its proc
         # control compares against greedy (identical knobs, jobs=1).
         par_base = results.get("jobs1", results.get("greedy"))
-        if "jobs2" in results:
-            jobs2 = results["jobs2"]
-            speedups[f"{name}/jobs2_vs_jobs1"] = (
-                par_base.seconds / jobs2.seconds if jobs2.seconds else float("inf")
-            )
-            notes.append(
-                f"jobs=2 {speedups[f'{name}/jobs2_vs_jobs1']:.2f}x vs jobs=1 "
-                f"({jobs2.scc_parallel_batches} parallel batches)"
-            )
         for label in ("proc2", "proc4", "part2", "part4"):
             if label in results and par_base is not None:
                 stats = results[label]

@@ -157,8 +157,6 @@ def _print_stats(config: EngineConfig, stats) -> None:
         ("replans", stats.replans),
         ("scc_count", stats.scc_count),
         ("scc_parallel_batches", stats.scc_parallel_batches),
-        ("scc_batches_shipped", stats.scc_batches_shipped),
-        ("backend_retries", stats.backend_retries),
         ("backend_fallbacks", stats.backend_fallbacks),
         ("columnar_fallbacks", stats.columnar_fallbacks),
         ("partition_rounds", stats.partition_rounds),
@@ -448,8 +446,7 @@ _ENGINE_FLAGS = (
         "--backend",
         "backend",
         "NAME",
-        "execution backend for parallel SCC batches: serial, thread, or "
-        "process",
+        "execution backend for parallel SCC batches: serial or process",
     ),
     (
         "--exec",

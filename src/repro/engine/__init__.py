@@ -27,7 +27,7 @@ __getattr__, __dir__, __all__ = _facade(
         ),
         "backends": (
             "ComponentResult", "ComponentSpec", "ExecutorBackend",
-            "ProcessBackend", "SerialBackend", "ThreadBackend", "make_backend",
+            "ProcessBackend", "SerialBackend", "make_backend",
         ),
         "scheduler": (
             "ComponentRun", "ComponentTask", "SCCScheduler",

@@ -2,18 +2,12 @@
 
 The scheduler (:mod:`repro.engine.scheduler`) decides *what* may run
 concurrently — components of one topological depth batch are mutually
-independent — but historically hard-wired *how*: a
-``ThreadPoolExecutor``, which under CPython's GIL overlaps almost no
-compute.  This module extracts the "how" into an
-:class:`ExecutorBackend` with three implementations:
+independent.  This module decides *how*, through an
+:class:`ExecutorBackend` with two implementations:
 
-* ``serial`` — the reference schedule: batch components run in batch
-  order on the calling thread, sharing the live database.
-* ``thread`` — the default: components run on a thread pool against
-  staged relation copies (:meth:`~repro.engine.database.Database.stage`)
-  merged back at the batch barrier.  Cheap (no copies cross an address
-  space) but GIL-bound; it wins only when compute releases the GIL
-  (and on free-threaded builds).
+* ``serial`` — the default and the reference schedule: batch
+  components run in batch order on the calling thread, sharing the
+  live database.
 * ``process`` — a ``ProcessPoolExecutor``: real wall-time parallelism
   on multi-core hardware.  Compiled :class:`~repro.engine.plan.RulePlan`
   objects hold closures and ``itemgetter``s and cannot be pickled, so
@@ -27,18 +21,17 @@ compute.  This module extracts the "how" into an
   :class:`~repro.engine.stats.EvalStats`, merged at the batch barrier
   in batch order.
 
-Every backend derives the identical fixpoint with bit-identical
+Both backends derive the identical fixpoint with bit-identical
 ``facts``/``inferences``/``iterations`` counters for any job count —
 the differential fuzz suite (``tests/test_fuzz.py``) enforces this.
 :class:`~repro.engine.config.EngineConfig` names the backend
-(``backend``) and the process backend's ``retries``.
+(``backend``).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -55,7 +48,7 @@ from repro.engine.stats import EvalStats
 # ``import repro`` about 20 ms and only a pool with ``jobs > 1`` needs
 # them: they are imported where an executor is created.  The names
 # this module used to bind at import time stay importable from it.
-_LAZY_NAMES = ("BrokenExecutor", "ProcessPoolExecutor", "ThreadPoolExecutor")
+_LAZY_NAMES = ("BrokenExecutor", "ProcessPoolExecutor")
 
 
 def __getattr__(name: str):
@@ -67,25 +60,12 @@ def __getattr__(name: str):
 
 Signature = Tuple[str, int]
 
-#: First retry back-off in seconds; doubles per subsequent attempt.
-RETRY_BACKOFF = 0.05
-
-#: A component spec at or below this many snapshot facts counts as
-#: "small" for process shipping: its per-future overhead (pickling,
-#: dispatch, result transfer) rivals its evaluation time.
-SMALL_COMPONENT_FACTS = 512
-
-#: How many small specs ride in one grouped submission.
-SCC_BATCH_GROUP = 8
-
 
 def make_backend(config: EngineConfig) -> "ExecutorBackend":
     """The :class:`ExecutorBackend` that ``config.backend`` names."""
-    if config.backend == "serial":
-        return SerialBackend()
     if config.backend == "process":
-        return ProcessBackend(retries=config.retries)
-    return ThreadBackend()
+        return ProcessBackend()
+    return SerialBackend()
 
 
 # ----------------------------------------------------------------------
@@ -130,23 +110,14 @@ class ComponentSpec:
             recursive=task.recursive,
             mode=scheduler.mode,
             # Partitioning inside a pool worker stays serial: a daemonic
-            # worker cannot spawn its own process group, and nested thread
-            # pools per component would oversubscribe.  Counters (including
-            # partition_rounds/partition_skew) are unchanged by mechanism.
+            # worker cannot spawn its own process group.  Counters
+            # (including partition_rounds/partition_skew) are unchanged
+            # by mechanism.
             config=replace(scheduler.config, backend="serial"),
             fact_base=fact_base,
             record=scheduler.recorder is not None,
             relations=db.snapshot(sorted(needed)).relations,
         )
-
-    def fact_count(self) -> int:
-        """Total facts across the spec's relation snapshots.
-
-        The process backend's shipping-size heuristic: specs below
-        :data:`SMALL_COMPONENT_FACTS` are grouped into one submission
-        to amortize pickling and dispatch overhead.
-        """
-        return sum(len(rel) for rel in self.relations.values())
 
 
 @dataclass
@@ -245,19 +216,6 @@ def evaluate_component(spec: ComponentSpec) -> ComponentResult:
     )
 
 
-def evaluate_component_batch(specs: List[ComponentSpec]) -> List[ComponentResult]:
-    """Run several small component specs in one worker round-trip.
-
-    The process-worker entry for grouped shipments: semantically just
-    :func:`evaluate_component` per spec, in order.  Grouping changes
-    where the work runs, never what it computes — the parent re-indexes
-    the returned results back to batch positions before merging, so
-    facts and counters stay bit-identical to one-spec-per-future
-    shipping.
-    """
-    return [evaluate_component(spec) for spec in specs]
-
-
 # ----------------------------------------------------------------------
 # Backends
 # ----------------------------------------------------------------------
@@ -290,9 +248,9 @@ class ExecutorBackend:
 class SerialBackend(ExecutorBackend):
     """Batch components in batch order on the calling thread.
 
-    The deterministic reference schedule — what ``jobs=1`` does on any
-    backend — made selectable so a run can force sequential execution
-    regardless of the session-wide ``REPRO_JOBS``.
+    The default and the deterministic reference schedule — what
+    ``jobs=1`` does on any backend — and where the process backend
+    sends a batch whose pool broke.
     """
 
     name = "serial"
@@ -300,94 +258,6 @@ class SerialBackend(ExecutorBackend):
     def run_batch(self, scheduler, batch, db: Database, stats: EvalStats) -> None:
         for task in batch:
             scheduler.component_run(task, scheduler.recorder).execute(db, stats)
-
-
-class ThreadBackend(ExecutorBackend):
-    """Batch components on a ``ThreadPoolExecutor`` over staged relations.
-
-    Each component works against a staged database (private copies of
-    its own relations, shared references to everything else) and a
-    private stats object; stages, stats, and forked provenance
-    recorders merge back in batch order at the barrier, so the result —
-    including every counter except wall time — is identical to the
-    sequential schedule.  GIL-bound: overlaps little pure-Python
-    compute, but costs no cross-process copies.
-
-    Like the process backend, same-depth *small* components (measured
-    by the live fact count over the component's signatures) are grouped
-    into shared submissions — a future per tiny SCC buys no overlap but
-    pays scheduling overhead per task.  Each task keeps its own stage,
-    stats, and forked recorder, and the barrier still merges in batch
-    order, so grouping changes dispatch only.  Multi-task submissions
-    count in ``stats.scc_batches_shipped``.
-    """
-
-    name = "thread"
-
-    def run_batch(self, scheduler, batch, db: Database, stats: EvalStats) -> None:
-        fact_base = stats.facts
-        stages = [db.stage(task.sigs) for task in batch]
-        locals_ = [EvalStats() for _ in batch]
-        recorder = scheduler.recorder
-        recorders = [
-            recorder.fork() if recorder is not None else None for _ in batch
-        ]
-
-        def task_size(task) -> int:
-            total = 0
-            for sig in task.sigs:
-                rel = db.get(*sig)
-                if rel is not None:
-                    total += len(rel)
-            return total
-
-        submissions: List[List[int]] = []
-        group: List[int] = []
-        for i, task in enumerate(batch):
-            if task_size(task) <= SMALL_COMPONENT_FACTS:
-                group.append(i)
-                if len(group) >= SCC_BATCH_GROUP:
-                    submissions.append(group)
-                    group = []
-            else:
-                submissions.append([i])
-        if group:
-            submissions.append(group)
-
-        def work(i: int) -> None:
-            run = scheduler.component_run(
-                batch[i], recorders[i], fact_base=fact_base
-            )
-            run.execute(stages[i], locals_[i])
-
-        def work_group(idxs: List[int]) -> None:
-            for i in idxs:
-                work(i)
-
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(
-            max_workers=min(scheduler.config.jobs, len(submissions))
-        ) as executor:
-            futures = [
-                executor.submit(work_group, idxs) for idxs in submissions
-            ]
-            errors = []
-            for future in futures:  # submission order, deterministic
-                try:
-                    future.result()
-                except Exception as exc:  # noqa: BLE001 - re-raised below
-                    errors.append(exc)
-        if errors:
-            raise errors[0]
-        stats.scc_batches_shipped += sum(
-            1 for idxs in submissions if len(idxs) > 1
-        )
-        for task, stage, local, forked in zip(batch, stages, locals_, recorders):
-            db.adopt_stage(stage, task.sigs)
-            stats.absorb(local)
-            if forked is not None:
-                recorder.absorb(forked)
 
 
 class ProcessBackend(ExecutorBackend):
@@ -398,7 +268,7 @@ class ProcessBackend(ExecutorBackend):
     relation snapshots of the component's read/write signatures) and
     merges the returned :class:`ComponentResult` delta logs, stats, and
     derivations at the barrier in batch order — so facts, counters, and
-    provenance trees are bit-identical to every other backend.  The
+    provenance trees are bit-identical to the serial backend.  The
     pool persists across batches of one run (workers keep their plan
     caches warm) and is shut down by the scheduler at the end of the
     run.
@@ -407,41 +277,28 @@ class ProcessBackend(ExecutorBackend):
     ``"spawn"``, ...); ``None`` uses the platform default.  Worker
     entry points are module-level, so any method is safe.
 
-    **Fault tolerance**: a dying worker (OOM kill, segfault, injected
+    **Worker loss**: a dying worker (OOM kill, segfault, injected
     ``kill``) breaks the whole pool — every pending future raises
     ``BrokenProcessPool``.  Nothing has merged at that point (results
-    merge only after all futures succeed), so the batch is retried
-    whole: the broken pool is discarded, the batch re-submitted after
-    an exponential back-off, up to ``retries`` times
-    (:attr:`EngineConfig.retries`).  A batch that
-    exhausts its retries degrades gracefully to the serial backend —
-    same results, no parallelism — so one flaky machine never fails an
-    evaluation that can still run.  ``stats.backend_retries`` and
-    ``stats.backend_fallbacks`` record both events.  Real evaluation
-    errors raised *inside* a worker (``NonTerminationError``, a
-    ``ComponentTimeout``) are not retried: they are deterministic and
-    propagate immediately.
+    merge only after all futures succeed), so the broken pool is
+    discarded and the batch runs on the serial backend at once — same
+    results, no parallelism — counted in ``stats.backend_fallbacks``.
+    The next batch builds a fresh pool.  Real evaluation errors raised
+    *inside* a worker (``NonTerminationError``, a ``ComponentTimeout``)
+    are deterministic and propagate immediately.
     """
 
     name = "process"
 
-    def __init__(
-        self,
-        start_method: Optional[str] = None,
-        retries: int = EngineConfig.retries,
-        backoff: float = RETRY_BACKOFF,
-    ):
+    def __init__(self, start_method: Optional[str] = None):
         self.start_method = start_method
-        self.retries = retries
-        self.backoff = backoff
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_workers = 0
 
     def _ensure_pool(self, workers: int) -> ProcessPoolExecutor:
         if self._pool is not None and self._pool_workers == workers:
             return self._pool
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
+        self._discard_pool()
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
@@ -454,7 +311,7 @@ class ProcessBackend(ExecutorBackend):
         return self._pool
 
     def _discard_pool(self) -> None:
-        """Drop a broken pool so the next batch builds a fresh one."""
+        """Drop the pool so the next batch builds a fresh one."""
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
@@ -463,82 +320,41 @@ class ProcessBackend(ExecutorBackend):
     def run_batch(self, scheduler, batch, db: Database, stats: EvalStats) -> None:
         from concurrent.futures import BrokenExecutor
 
-        attempt = 0
-        while True:
-            try:
-                self._run_batch_once(scheduler, batch, db, stats)
-                return
-            except BrokenExecutor:
-                self._discard_pool()
-                if attempt >= self.retries:
-                    stats.backend_fallbacks += 1
-                    SerialBackend().run_batch(scheduler, batch, db, stats)
-                    return
-                time.sleep(self.backoff * (2 ** attempt))
-                attempt += 1
-                stats.backend_retries += 1
+        try:
+            self._ship_batch(scheduler, batch, db, stats)
+        except BrokenExecutor:
+            self._discard_pool()
+            stats.backend_fallbacks += 1
+            SerialBackend().run_batch(scheduler, batch, db, stats)
 
-    def _run_batch_once(
-        self, scheduler, batch, db: Database, stats: EvalStats
-    ) -> None:
+    def _ship_batch(self, scheduler, batch, db: Database, stats: EvalStats) -> None:
         pool = self._ensure_pool(min(scheduler.config.jobs, 61))  # 61: executor cap
         fact_base = stats.facts
-        specs = [
-            ComponentSpec.from_task(scheduler, task, db, fact_base)
+        futures = [
+            pool.submit(
+                evaluate_component,
+                ComponentSpec.from_task(scheduler, task, db, fact_base),
+            )
             for task in batch
         ]
-        # Group small components into shared submissions: a batch of
-        # tiny SCCs (the coarse-component workloads produce dozens)
-        # would otherwise spend more wall time pickling futures than
-        # evaluating.  Large specs keep a future each; grouping only
-        # changes dispatch, results are re-indexed to batch order.
-        submissions: List[List[int]] = []
-        group: List[int] = []
-        for i, spec in enumerate(specs):
-            if spec.fact_count() <= SMALL_COMPONENT_FACTS:
-                group.append(i)
-                if len(group) >= SCC_BATCH_GROUP:
-                    submissions.append(group)
-                    group = []
-            else:
-                submissions.append([i])
-        if group:
-            submissions.append(group)
-        futures = []
-        for idxs in submissions:
-            if len(idxs) == 1:
-                futures.append((idxs, pool.submit(evaluate_component, specs[idxs[0]])))
-            else:
-                futures.append(
-                    (idxs, pool.submit(evaluate_component_batch, [specs[i] for i in idxs]))
-                )
-        results: List[Optional[ComponentResult]] = [None] * len(specs)
+        results = []
         errors = []
-        for idxs, future in futures:  # submission order, deterministic
+        for future in futures:  # batch order, deterministic
             try:
-                outcome = future.result()
+                results.append(future.result())
             except Exception as exc:  # noqa: BLE001 - re-raised below
                 errors.append(exc)
-                continue
-            if len(idxs) == 1:
-                results[idxs[0]] = outcome
-            else:
-                for i, res in zip(idxs, outcome):
-                    results[i] = res
         if errors:
             # A real evaluation error beats a worker-loss symptom: when a
             # worker dies, *every* unfinished future reports the broken
             # pool, but a NonTerminationError that also surfaced is the
-            # actual cause and retrying cannot fix it.
+            # actual cause and falling back cannot fix it.
             from concurrent.futures import BrokenExecutor
 
             for exc in errors:
                 if not isinstance(exc, BrokenExecutor):
                     raise exc
             raise errors[0]
-        stats.scc_batches_shipped += sum(
-            1 for idxs, _ in futures if len(idxs) > 1
-        )
         recorder = scheduler.recorder
         for result in results:
             for sig, facts in result.deltas.items():

@@ -35,15 +35,15 @@ def _choice(*names):
     return parse, "one of " + ", ".join(names)
 
 
-def _integer(minimum: int):
-    def parse(value):
-        if isinstance(value, str):
-            value = int(value)
-        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-            raise ValueError(value)
-        return value
+def _positive(value):
+    if isinstance(value, str):
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(value)
+    return value
 
-    return parse, "a positive integer" if minimum else "a non-negative integer"
+
+_INTEGER = (_positive, "a positive integer")
 
 
 def _seconds(value):
@@ -78,10 +78,10 @@ class EngineConfig:
         batch) evaluate concurrently; 1 is the sequential reference
         schedule and never consults ``backend``.
     ``backend``
-        Where parallel work runs: ``"serial"``, ``"thread"`` (staged
-        relation copies on a thread pool) or ``"process"`` (declarative
-        component specs shipped to worker processes, which recompile
-        plans locally).  Partition executors follow the same name.
+        Where parallel work runs: ``"serial"`` (in order, on the
+        calling thread) or ``"process"`` (declarative component specs
+        shipped to worker processes, which recompile plans locally).
+        Partition executors follow the same name.
     ``exec``
         How a compiled plan executes: ``"columnar"`` (batch-at-a-time
         over interned id columns) or ``"tuple"`` (tuple-at-a-time, the
@@ -93,9 +93,6 @@ class EngineConfig:
         (:mod:`repro.engine.partition`); 1 is the unpartitioned path.
         ``probes`` may differ across values; naive mode and provenance
         runs have no delta stream to split and ignore it.
-    ``retries``
-        Process backend only: how often a batch is re-submitted to a
-        fresh pool after worker loss before it degrades to serial.
     ``max_iterations``
         Cap on the fixpoint rounds of any *single* component; past it
         :class:`~repro.engine.stats.NonTerminationError` is raised.
@@ -113,15 +110,12 @@ class EngineConfig:
     """
 
     planner: str = _knob("greedy", "REPRO_PLANNER", _choice("greedy", "cost"))
-    jobs: int = _knob(1, "REPRO_JOBS", _integer(1))
-    backend: str = _knob(
-        "thread", "REPRO_BACKEND", _choice("serial", "thread", "process")
-    )
+    jobs: int = _knob(1, "REPRO_JOBS", _INTEGER)
+    backend: str = _knob("serial", "REPRO_BACKEND", _choice("serial", "process"))
     exec: str = _knob("columnar", "REPRO_EXEC", _choice("columnar", "tuple"))
-    partitions: int = _knob(1, "REPRO_PARTITIONS", _integer(1))
-    retries: int = _knob(2, "REPRO_RETRIES", _integer(0))
-    max_iterations: Optional[int] = _knob(None, None, _integer(1))
-    max_facts: Optional[int] = _knob(None, None, _integer(1))
+    partitions: int = _knob(1, "REPRO_PARTITIONS", _INTEGER)
+    max_iterations: Optional[int] = _knob(None, None, _INTEGER)
+    max_facts: Optional[int] = _knob(None, None, _INTEGER)
     max_seconds: Optional[float] = _knob(
         None, "REPRO_TIMEOUT", (_seconds, "a positive number of seconds")
     )

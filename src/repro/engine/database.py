@@ -344,8 +344,8 @@ class Relation:
             index = {}
             _fill_buckets(index, None, _keyed_facts(self.tuples, positions))
             # Publish the hit counter before the index: a concurrent
-            # reader (parallel SCC batch probing a shared lower-stratum
-            # relation) that sees the index must also see its counter.
+            # reader (a server reader thread probing a relation its pinned
+            # view shares) that sees the index must also see its counter.
             self._index_hits.setdefault(positions, 0)
             self._indexes[positions] = index
         else:
@@ -485,9 +485,9 @@ class Relation:
             return None
         if self._pending_rows:
             # Drain the row buffer in one bulk transpose.  Under the
-            # dictionary lock: a relation finished growing may be read
-            # by concurrent higher-stratum components, and the first
-            # reader must drain alone.
+            # dictionary lock: a published relation may be read by
+            # concurrent server reader threads, and the first reader
+            # must drain alone.
             with dictionary._lock:
                 buffered = self._pending_rows
                 if buffered:
@@ -719,10 +719,10 @@ class Relation:
         """A snapshot of cardinality plus per-index distinct-key counts.
 
         Built on :meth:`_distinct_snapshot`, which iterates over a
-        point-in-time copy of the index table: under parallel SCC
-        evaluation another component may lazily build an index on a
-        shared lower-stratum relation while this one reads statistics,
-        and a live ``dict`` iteration would raise.
+        point-in-time copy of the index table: under ``repro serve
+        --workers`` another reader thread may lazily build an index on
+        a relation both pinned views share while this one reads
+        statistics, and a live ``dict`` iteration would raise.
         """
         return RelationStatistics(len(self), self._distinct_snapshot())
 
@@ -1170,7 +1170,7 @@ class Database:
         self.relations: Dict[Signature, Relation] = {}
         #: Term dictionary shared by this database's relations (or
         #: None until :meth:`ensure_dictionary` — the tuple path never
-        #: needs one).  Copies, stages, and snapshots share it **by
+        #: needs one).  Copies, pins, and snapshots share it **by
         #: reference**: ids are append-only, so an id minted before
         #: the share keeps meaning the same term in every descendant.
         self.dictionary = dictionary
@@ -1343,34 +1343,12 @@ class Database:
         out.relations = dict(self.relations)
         return out
 
-    def stage(self, signatures: Iterable[Signature]) -> "Database":
-        """A write-isolated view for one evaluation component.
-
-        The named ``signatures`` (the component's write set) are
-        private copies; every other relation is shared **by
-        reference** and must be treated as read-only for the stage's
-        lifetime.  The parallel SCC scheduler gives each component in
-        a depth batch its own stage so concurrent components never
-        write the same relation, then folds the stages back with
-        :meth:`adopt_stage` at the batch barrier.
-        """
-        out = Database(self.dictionary)
-        out.relations = dict(self.relations)
-        for sig in signatures:
-            rel = self.relations.get(sig)
-            out.relations[sig] = (
-                rel.copy()
-                if rel is not None
-                else Relation(*sig, dictionary=self.dictionary)
-            )
-        return out
-
     def snapshot(self, signatures: Iterable[Signature]) -> "Database":
         """A self-contained compact database of just ``signatures``.
 
-        The process-backend counterpart of :meth:`stage`: where a stage
-        shares non-written relations by reference (fine inside one
-        address space), a snapshot holds compact
+        The process backend's wire form of a database: unlike
+        :meth:`pin`, which shares every relation by reference (fine
+        inside one address space), a snapshot holds compact
         :meth:`Relation.snapshot` copies of exactly the named
         signatures — a component's read and write sets — so only the
         facts that component can actually touch cross the process
@@ -1404,20 +1382,6 @@ class Database:
                 self.relations[sig] = rel
             else:
                 self.relations.pop(sig, None)
-
-    def adopt_stage(
-        self, stage: "Database", signatures: Iterable[Signature]
-    ) -> None:
-        """Fold a component stage back in: adopt its staged relations.
-
-        Only the ``signatures`` staged by :meth:`stage` are taken — the
-        component was the sole writer of those relations, so adoption
-        is a pointer swap, not a tuple-by-tuple merge.
-        """
-        for sig in signatures:
-            rel = stage.relations.get(sig)
-            if rel is not None:
-                self.relations[sig] = rel
 
     def merge(self, other: "Database") -> "Database":
         """A new database holding the union of facts."""

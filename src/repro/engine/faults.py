@@ -38,8 +38,9 @@ boundary, ``"journal:torn:3"`` tears the third journal write,
 ``"component:delay:1:0.2"`` sleeps 0.2 s at the first component.
 Counters are per-process (workers count their own boundaries), which
 is what makes plans deterministic under any start method.  Malformed
-specs fail loudly with the accepted grammar, mirroring
-:func:`repro.engine.backends.resolve_backend`.
+specs fail loudly with the accepted grammar, mirroring how
+:class:`~repro.engine.config.EngineConfig` rejects a bad knob
+(:func:`~repro.engine.config.check_knob`).
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def parse_faults(spec: str, source: str = "faults") -> FaultPlan:
 
     Raises ``ValueError`` naming the accepted sites and kinds on any
     malformed field — the same loud-failure contract as
-    ``resolve_backend``/``resolve_jobs``.
+    :func:`~repro.engine.config.check_knob` gives every engine knob.
     """
 
     def bad(reason: str) -> ValueError:

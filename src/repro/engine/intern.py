@@ -8,7 +8,7 @@ one :class:`~repro.engine.database.Database`: ``intern(term)`` returns
 a dense id (allocating on first sight), and ``terms[i]`` decodes it
 back.  A column holds the very int objects ``intern`` returns — the
 dictionary owns one per term; columns, rows and indexes point at it.
-Ids are append-only and never reused, so any copy, stage, snapshot, or
+Ids are append-only and never reused, so any copy, pin, snapshot, or
 pickled component spec can share the dictionary *by reference* (or by
 a one-shot pickle) — an id minted before the share keeps meaning the
 same term forever.
@@ -32,10 +32,11 @@ from repro.datalog.terms import Term
 class TermDictionary:
     """An append-only bijection between ground terms and dense ints.
 
-    Thread-safe for concurrent interning (the thread backend runs
-    component fixpoints over a shared database): lookups are lock-free
-    dict reads; only the miss path takes the lock, with a second
-    lookup under it so racing interners agree on one id.  The lock is
+    Thread-safe for concurrent interning (``repro serve --workers``
+    reader threads evaluate asks over pinned views that share one
+    dictionary): lookups are lock-free dict reads; only the miss path
+    takes the lock, with a second lookup under it so racing interners
+    agree on one id.  The lock is
     re-entrant because :meth:`Relation.ensure_columns` holds it around
     a column extension whose per-term interns re-enter it.
     """

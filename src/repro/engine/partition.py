@@ -25,16 +25,12 @@ shared non-delta steps are resolved once per partition instead of once
 per call, exactly like the DRed maintenance caveat documented for the
 columnar kernel.
 
-Three partition executors mirror the SCC-level backends and are chosen
+Two partition executors mirror the SCC-level backends and are chosen
 by the owning scheduler's backend name:
 
 * ``serial`` — partitions run in order on the calling thread (the
   reference interleaving; also what process-pool *workers* use, since a
   daemonic worker cannot spawn its own children);
-* ``thread`` — partitions run on a per-component thread pool.  Shared
-  lazy structures (column images, int indexes, fact sets) are
-  pre-warmed on the calling thread first, because their in-place
-  watermark extension is only safe with a single observer;
 * ``process`` — partitions run on a persistent group of worker
   processes owned by the component run.  Read relations are shipped
   **once per round as append-only log suffixes** (a static relation
@@ -50,10 +46,7 @@ sets the partition count (default 1 — the unpartitioned path).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
-
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
+from typing import Dict, List, Optional, Tuple
 
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database, FactTuple, Relation, RelationView, RowTuple
@@ -188,11 +181,10 @@ def columnar_capable(
     Replays the kernel's zero-side-effect capability pass (eligible
     plan shape, a database dictionary, every present source columnar
     and on the *same* dictionary) without executing anything.  The
-    partition executors check this once per variant on the calling
-    thread: capability is identical for every partition (the partition
-    relations share the run's dictionary by construction), so a
-    partitioned columnar call can never be surprised by a tuple
-    fallback mid-flight.
+    partition executors check this once per variant: capability is
+    identical for every partition (the partition relations share the
+    run's dictionary by construction), so a partitioned columnar call
+    can never be surprised by a tuple fallback mid-flight.
     """
     from repro.engine.columnar import _compile_kernel
 
@@ -219,46 +211,6 @@ def columnar_capable(
     return True
 
 
-def prewarm_sources(
-    plan: RulePlan, db: Database, overrides, columnar: bool
-) -> None:
-    """Build every lazy structure the plan's steps will read, up front.
-
-    The thread partition executor calls this on the calling thread
-    before fanning out: :meth:`Relation.col_index` and
-    :meth:`Relation.col_set` extend in place from a watermark, which is
-    only safe with a single observer — two partitions racing the same
-    stale watermark would double-append row positions.  Warming is
-    pure caching (no counters move), so it cannot perturb parity.
-    """
-    for step in plan.steps:
-        rel = None
-        if step.role is not None and overrides is not None:
-            rel = overrides.get(step.role)
-        if rel is None:
-            rel = db.get(step.name, step.arity)
-        if rel is None or len(rel) == 0:
-            continue
-        if columnar:
-            if step.arity == 0 or getattr(rel, "dictionary", None) is None:
-                continue
-            if step.key_builders is None or step.const_key is not None:
-                parent = rel.relation if type(rel) is RelationView else rel
-                parent.ensure_columns()
-            if step.key_builders is not None:
-                if step.all_bound:
-                    rel.col_set()
-                else:
-                    rel.col_index(step.key_positions)
-        else:
-            if step.key_builders is None:
-                rel.scan()
-            elif step.all_bound:
-                rel.fact_set()
-            else:
-                rel.ensure_index(step.key_positions)
-
-
 # ----------------------------------------------------------------------
 # Partition executors
 # ----------------------------------------------------------------------
@@ -273,14 +225,13 @@ def make_partition_executor(
     unpartitioned path with zero overhead.  The executor family
     follows the SCC-level backend name so one knob pair describes the
     whole execution: ``backend=process, partitions=4`` partitions with
-    processes, everything else partitions with the cheaper mechanism.
+    processes, ``backend=serial`` partitions in order on the calling
+    thread.
     """
     if config.partitions == 1:
         return None
     if config.backend == "process":
         return ProcessPartitionExecutor(config)
-    if config.backend == "thread":
-        return ThreadPartitionExecutor(config.partitions)
     return SerialPartitionExecutor(config.partitions)
 
 
@@ -347,41 +298,6 @@ class PartitionExecutor:
     def _declines(self, db: Database, overrides) -> bool:
         return False
 
-    def _partition_override(
-        self, overrides, delta_pos: int, delta, items, bucket, columnar: bool
-    ):
-        part_items = [items[i] for i in bucket]
-        if columnar:
-            part = _rows_partition(
-                delta.name, delta.arity, part_items, delta.dictionary
-            )
-        else:
-            part = _facts_partition(delta.name, delta.arity, part_items)
-        out = dict(overrides)
-        out[delta_pos] = part
-        return out
-
-    def _run_one(
-        self, plan, db, overrides, delta_pos, delta, items, bucket, stats, columnar
-    ) -> list:
-        """One partition, on the current thread, counting into ``stats``."""
-        from repro.engine.columnar import execute_columnar
-
-        od = self._partition_override(
-            overrides, delta_pos, delta, items, bucket, columnar
-        )
-        if columnar:
-            rows = execute_columnar(plan, db, od, stats)
-            if rows is None:  # unreachable after columnar_capable(); stay safe
-                facts: List[FactTuple] = []
-                plan.execute(db, od, facts.append, stats)
-                intern = db.dictionary.intern
-                rows = [tuple(intern(t) for t in fact) for fact in facts]
-            return rows
-        emitted: List[FactTuple] = []
-        plan.execute(db, od, emitted.append, stats)
-        return emitted
-
     def close(self) -> None:  # pragma: no cover - default no-op
         pass
 
@@ -390,7 +306,7 @@ class SerialPartitionExecutor(PartitionExecutor):
     """Partitions run in order on the calling thread.
 
     The reference interleaving: emissions and probe accounting are
-    exactly what the parallel executors reproduce at their barriers.
+    exactly what the process executor reproduces at its barrier.
     Also the executor forced inside process-pool workers, where
     spawning children is off the table.
     """
@@ -400,62 +316,38 @@ class SerialPartitionExecutor(PartitionExecutor):
     ) -> list:
         out: list = []
         for bucket in buckets:
-            if not bucket:
-                continue
-            out.extend(
-                self._run_one(
-                    plan, db, overrides, delta_pos, delta, items, bucket,
-                    stats, columnar,
+            if bucket:
+                out.extend(
+                    self._run_one(
+                        plan, db, overrides, delta_pos, delta, items, bucket,
+                        stats, columnar,
+                    )
                 )
-            )
         return out
 
-
-class ThreadPartitionExecutor(PartitionExecutor):
-    """Partitions run on a per-component thread pool.
-
-    The pool is built lazily on the first partitioned variant and
-    reused across rounds (the component run closes it).  Each
-    partition counts probes into a private stats object, absorbed at
-    the barrier in partition order; shared lazy structures are
-    pre-warmed on the calling thread first (see
-    :func:`prewarm_sources`).  GIL-bound like the thread backend, but
-    free of cross-process copies.
-    """
-
-    def __init__(self, partitions: int):
-        super().__init__(partitions)
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def _execute(
-        self, plan, db, overrides, delta_pos, delta, items, buckets, stats, columnar
+    def _run_one(
+        self, plan, db, overrides, delta_pos, delta, items, bucket, stats, columnar
     ) -> list:
-        prewarm_sources(plan, db, overrides, columnar)
-        if self._pool is None:
-            # Imported where a pool is created: see repro.engine.backends.
-            from concurrent.futures import ThreadPoolExecutor
+        """One partition, counting into ``stats``."""
+        from repro.engine.columnar import execute_columnar
 
-            self._pool = ThreadPoolExecutor(max_workers=self.nparts)
-        work = [bucket for bucket in buckets if bucket]
-        locals_ = [EvalStats() for _ in work]
-        futures = [
-            self._pool.submit(
-                self._run_one,
-                plan, db, overrides, delta_pos, delta, items, bucket,
-                locals_[i], columnar,
+        part_items = [items[i] for i in bucket]
+        od = dict(overrides)
+        if columnar:
+            od[delta_pos] = _rows_partition(
+                delta.name, delta.arity, part_items, delta.dictionary
             )
-            for i, bucket in enumerate(work)
-        ]
-        out: list = []
-        for future, local in zip(futures, locals_):  # partition order
-            out.extend(future.result())
-            stats.probes += local.probes
-        return out
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+            rows = execute_columnar(plan, db, od, stats)
+            if rows is None:  # unreachable after columnar_capable(); stay safe
+                facts: List[FactTuple] = []
+                plan.execute(db, od, facts.append, stats)
+                intern = db.dictionary.intern
+                rows = [tuple(intern(t) for t in fact) for fact in facts]
+            return rows
+        od[delta_pos] = _facts_partition(delta.name, delta.arity, part_items)
+        emitted: List[FactTuple] = []
+        plan.execute(db, od, emitted.append, stats)
+        return emitted
 
 
 # ----------------------------------------------------------------------
@@ -552,7 +444,7 @@ class ProcessPartitionExecutor(PartitionExecutor):
     On any worker failure the group is terminated, ``backend_fallbacks``
     is counted, and the component degrades to unpartitioned execution
     for its remaining rounds — same results, no parallelism, mirroring
-    the process backend's retry exhaustion story.
+    the process backend's fall back to serial on a broken pool.
     """
 
     def __init__(self, config: EngineConfig):

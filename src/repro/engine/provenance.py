@@ -127,11 +127,6 @@ class DerivationRecorder:
     (component rule order), then lexicographically smallest rendered
     body instance — so the recorded tree is independent of join order,
     execution backend, and job count.
-
-    :meth:`fork`/:meth:`absorb` support parallel depth batches: each
-    component records into a private recorder whose derivations (keyed
-    by that component's own head signatures, hence disjoint) fold back
-    at the batch barrier.
     """
 
     __slots__ = ("derivations", "edb_keys", "_round")
@@ -144,12 +139,6 @@ class DerivationRecorder:
         self.derivations = derivations
         self.edb_keys = edb_keys
         self._round: Dict[FactKey, tuple] = {}
-
-    def fork(self) -> "DerivationRecorder":
-        return DerivationRecorder({}, self.edb_keys)
-
-    def absorb(self, other: "DerivationRecorder") -> None:
-        self.derivations.update(other.derivations)
 
     def absorb_derivations(
         self, derivations: Dict[FactKey, Tuple[Optional[Rule], Tuple[FactKey, ...]]]

@@ -26,11 +26,10 @@ same batch share no dependency edge in either direction, so their
 its own SCC) and neither reads what the other writes.  With
 ``jobs > 1`` the scheduler hands a batch to its
 :class:`~repro.engine.backends.ExecutorBackend`: ``serial`` runs it in
-batch order, ``thread`` overlaps components on a thread pool over
-staged relations, and ``process`` ships declarative
+batch order, and ``process`` ships declarative
 :class:`~repro.engine.backends.ComponentSpec` work units to a process
-pool for real compute parallelism.  Every backend merges component
-results at the batch barrier in batch order, so
+pool for real compute parallelism, merging component results at the
+batch barrier in batch order, so
 ``facts``/``inferences``/``iterations`` are bit-identical for every
 backend and every ``jobs`` value; only wall time and scheduling vary.
 The knobs arrive as one :class:`~repro.engine.config.EngineConfig`.
@@ -148,7 +147,7 @@ class SCCScheduler:
 
     ``recorder`` attaches plan-level provenance: a duck-typed object
     with ``start_round()`` / ``observe(sig, fact, rule_index, rule,
-    body_keys)`` / ``commit(sig, fact)`` / ``fork()`` / ``absorb()``
+    body_keys)`` / ``commit(sig, fact)`` / ``absorb_derivations()``
     (see :class:`repro.engine.provenance.DerivationRecorder`).  A
     recording run executes tuple-at-a-time, whatever ``exec`` says.
 
@@ -210,22 +209,11 @@ class SCCScheduler:
 
     # ------------------------------------------------------------------
 
-    def component_run(
-        self, task: ComponentTask, recorder=None, fact_base: int = 0
-    ) -> "ComponentRun":
-        """A :class:`ComponentRun` for ``task`` with this run's knobs.
-
-        The execution backends call this so every backend evaluates
-        components with exactly the same configuration — they differ
-        only in where the run executes and how results merge back.
-        """
+    def component_run(self, task: ComponentTask, recorder=None) -> "ComponentRun":
+        """A :class:`ComponentRun` for ``task`` with this run's knobs,
+        evaluated in this process (the serial schedule)."""
         return ComponentRun(
-            task,
-            self.config,
-            mode=self.mode,
-            recorder=recorder,
-            fact_base=fact_base,
-            cache=self.cache,
+            task, self.config, mode=self.mode, recorder=recorder, cache=self.cache
         )
 
     def with_budget(
@@ -251,9 +239,9 @@ class SCCScheduler:
         """
         if self.config.exec == "columnar":
             # Mint the run's term dictionary up front, before any
-            # parallel batch: stages inherit it by reference, so
-            # concurrent components never race to attach competing
-            # dictionaries to shared lower-stratum relations.
+            # batch: relations created later get it at creation, and
+            # the snapshots a process batch ships carry it, so workers
+            # adopt the run's ids instead of minting their own.
             db.ensure_dictionary()
         stats.scc_count += len(self.tasks)
         try:
@@ -497,7 +485,7 @@ class ComponentRun:
     compiles into a private cache — rules belong to exactly one
     component (grouped by head SCC), so either way exactly the same
     (rule, roles) pairs compile, and the cache is free to use from a
-    worker thread or process.
+    worker process.
 
     With ``config.partitions > 1`` the semi-naive rounds hash-split
     their deltas and run each partition on the mechanism

@@ -124,12 +124,11 @@ class EvalStats:
     ``iterations``) and ``rederived`` (facts DRed over-deleted and
     then restored because an alternate derivation survived).
 
-    Backend fault tolerance adds ``backend_retries`` (depth batches
-    re-submitted to the process pool after a
-    ``BrokenProcessPool``/worker loss) and ``backend_fallbacks``
-    (batches that exhausted their retries and degraded to the serial
-    backend).  Both stay zero on healthy runs — the determinism fuzz
-    suite relies on that.
+    Backend fault tolerance adds ``backend_fallbacks``: depth batches
+    that lost a process-pool worker (``BrokenProcessPool``) and ran on
+    the serial backend instead, and partitioned components whose
+    worker group broke.  It stays zero on healthy runs — the
+    determinism fuzz suite relies on that.
 
     Intra-component partitioning (:mod:`repro.engine.partition`) adds
     ``partition_rounds`` (fixpoint rounds in which at least one delta
@@ -151,11 +150,9 @@ class EvalStats:
     replans: int = 0
     scc_count: int = 0
     scc_parallel_batches: int = 0
-    scc_batches_shipped: int = 0
     columnar_fallbacks: int = 0
     incr_rounds: int = 0
     rederived: int = 0
-    backend_retries: int = 0
     backend_fallbacks: int = 0
     partition_rounds: int = 0
     partition_skew: float = 0.0
@@ -207,10 +204,10 @@ class EvalStats:
     def absorb(self, other: "EvalStats") -> None:
         """Accumulate ``other`` in place.
 
-        The SCC scheduler gives every component in a parallel batch a
-        private stats object and absorbs them at the batch barrier in
-        batch order, so the totals are identical to the sequential
-        schedule.
+        The process backend returns every component of a parallel
+        batch with a private stats object and absorbs them at the batch
+        barrier in batch order, so the totals are identical to the
+        sequential schedule.
         """
         self.facts += other.facts
         self.inferences += other.inferences
@@ -222,11 +219,9 @@ class EvalStats:
         self.replans += other.replans
         self.scc_count += other.scc_count
         self.scc_parallel_batches += other.scc_parallel_batches
-        self.scc_batches_shipped += other.scc_batches_shipped
         self.columnar_fallbacks += other.columnar_fallbacks
         self.incr_rounds += other.incr_rounds
         self.rederived += other.rederived
-        self.backend_retries += other.backend_retries
         self.backend_fallbacks += other.backend_fallbacks
         self.partition_rounds += other.partition_rounds
         if other.partition_skew > self.partition_skew:

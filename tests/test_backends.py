@@ -19,7 +19,6 @@ from repro.engine.backends import (
     ComponentSpec,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     evaluate_component,
     make_backend,
 )
@@ -40,10 +39,9 @@ from repro.workloads.synthetic import (
 
 def test_make_backend_follows_the_config():
     # name parsing/validation lives in tests/test_config.py
+    assert isinstance(make_backend(EngineConfig()), SerialBackend)
     assert isinstance(make_backend(EngineConfig(backend="serial")), SerialBackend)
-    assert isinstance(make_backend(EngineConfig(backend="thread")), ThreadBackend)
-    process = make_backend(EngineConfig(backend="process", retries=5))
-    assert isinstance(process, ProcessBackend) and process.retries == 5
+    assert isinstance(make_backend(EngineConfig(backend="process")), ProcessBackend)
 
 
 class TestCliBackendValidation:
@@ -62,7 +60,7 @@ class TestCliBackendValidation:
         return str(path)
 
     def test_run_with_explicit_backend(self, program_file, facts_file, capsys):
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "process"):
             code = main(
                 ["run", program_file, "t(1, Y)", "--facts", facts_file,
                  "--backend", backend]
@@ -89,6 +87,26 @@ class TestCliBackendValidation:
         assert code == 2
         err = capsys.readouterr().err
         assert "error:" in err and "REPRO_BACKEND" in err
+
+    def test_removed_thread_backend_flag_is_a_clean_error(
+        self, program_file, facts_file, capsys
+    ):
+        code = main(
+            ["run", program_file, "t(1, Y)", "--facts", facts_file,
+             "--backend", "thread"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "one of serial, process" in err
+
+    def test_removed_thread_backend_env_is_a_clean_error(
+        self, program_file, facts_file, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_BACKEND", "thread")
+        code = main(["run", program_file, "t(1, Y)", "--facts", facts_file])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "REPRO_BACKEND='thread'" in err and "one of serial, process" in err
 
     def test_explain_validates_backend_too(
         self, program_file, facts_file, capsys
@@ -212,7 +230,7 @@ class TestProcessBackendDeterminism:
         program = coarse_components_program(3)
         edb = coarse_components_edb(3, 10)
         base_db, base = seminaive_eval(program, edb, jobs=1)
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "process"):
             db, stats = seminaive_eval(program, edb, jobs=3, backend=backend)
             assert db == base_db, backend
             assert (stats.facts, stats.inferences, stats.iterations) == (
@@ -244,7 +262,7 @@ class TestProcessBackendDeterminism:
             program, edb, jobs=2, backend="process", exec="columnar"
         )
         assert db == base_db
-        assert stats.scc_batches_shipped >= 1
+        assert stats.scc_parallel_batches >= 1
         assert stats.columnar_fallbacks == base.columnar_fallbacks > 0
 
     def test_cost_planner_through_process_backend(self):
@@ -311,12 +329,41 @@ class TestProcessBackendDeterminism:
         )
 
 
+class TestSerialProcessParity:
+    """The two backends are interchangeable at every job and partition
+    count: same fixpoint, same counters, same derivation trees."""
+
+    @pytest.mark.parametrize("partitions", [1, 2])
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_facts_counters_and_trees_identical(self, jobs, partitions):
+        program, edb = wide_dag_program(3), wide_dag_edb(3, 8)
+        base_db, base = seminaive_eval(program, edb, jobs=1, partitions=1)
+        base_trees = provenance_eval(program, edb, jobs=1, partitions=1)
+        knobs = dict(jobs=jobs, partitions=partitions)
+        rounds = {}
+        for backend in ("serial", "process"):
+            db, stats = seminaive_eval(program, edb, backend=backend, **knobs)
+            assert db == base_db, backend
+            assert (stats.facts, stats.inferences, stats.iterations) == (
+                base.facts, base.inferences, base.iterations,
+            ), backend
+            assert stats.backend_fallbacks == 0, backend
+            rounds[backend] = stats.partition_rounds
+            # recording declines partitioning, so the trees are checked
+            # on their own run at the same knobs
+            run = provenance_eval(program, edb, backend=backend, **knobs)
+            assert run.database == base_db, backend
+            assert run.derivations == base_trees.derivations, backend
+        assert rounds["serial"] == rounds["process"]
+        assert (rounds["serial"] > 0) == (partitions > 1)
+
+
 class TestSessionBackend:
     def test_deductive_database_accepts_backend(self):
         from repro.session import DeductiveDatabase
 
         answers = {}
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "process"):
             db = DeductiveDatabase(jobs=2, backend=backend)
             db.rules(
                 """
@@ -327,5 +374,5 @@ class TestSessionBackend:
             for edge in ((1, 2), (2, 3), (3, 4)):
                 db.fact("edge", *edge)
             answers[backend] = db.ask("reach(1, Y)")
-        assert answers["serial"] == answers["thread"] == answers["process"]
+        assert answers["serial"] == answers["process"]
         assert answers["serial"] == {(2,), (3,), (4,)}

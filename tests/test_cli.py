@@ -580,7 +580,7 @@ class TestQuery:
         assert main(
             [
                 "query", program_file, "t(1, Y)", "--facts", facts_file,
-                "--planner", "cost", "--jobs", "2", "--backend", "thread",
+                "--planner", "cost", "--jobs", "2", "--backend", "process",
             ]
         ) == 0
         assert capsys.readouterr().out.splitlines() == ["2", "3", "4"]
@@ -702,7 +702,7 @@ assert pools() == ["concurrent.futures"], pools()
 
     PACKAGES = {
         "repro": 93, "repro.analysis": 35, "repro.bench": 4, "repro.core": 25,
-        "repro.datalog": 28, "repro.engine": 48, "repro.transforms": 8,
+        "repro.datalog": 28, "repro.engine": 47, "repro.transforms": 8,
         "repro.workloads": 33,
     }
 

@@ -21,6 +21,8 @@ from repro.datalog.parser import parse_program
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.engine.incremental import IncrementalSession
+from repro.engine.naive import naive_eval
+from repro.engine.provenance import provenance_eval
 from repro.engine.query import QueryCompiler
 from repro.engine.seminaive import seminaive_eval
 from repro.session import DeductiveDatabase
@@ -43,14 +45,13 @@ def edb():
     return Database.from_dict({"e": [(1, 2), (2, 3)]})
 
 
-def test_exactly_the_nine_knobs_and_their_defaults():
+def test_exactly_the_eight_knobs_and_their_defaults():
     assert dataclasses.asdict(EngineConfig()) == {
         "planner": "greedy",
         "jobs": 1,
-        "backend": "thread",
+        "backend": "serial",
         "exec": "columnar",
         "partitions": 1,
-        "retries": 2,
         "max_iterations": None,
         "max_facts": None,
         "max_seconds": None,
@@ -61,7 +62,6 @@ def test_exactly_the_nine_knobs_and_their_defaults():
         "backend": "REPRO_BACKEND",
         "exec": "REPRO_EXEC",
         "partitions": "REPRO_PARTITIONS",
-        "retries": "REPRO_RETRIES",
         "max_iterations": None,
         "max_facts": None,
         "max_seconds": "REPRO_TIMEOUT",
@@ -78,14 +78,12 @@ GOOD = [
     ("jobs", 3, 3),
     ("jobs", "4", 4),
     ("backend", "serial", "serial"),
-    ("backend", "thread", "thread"),
+    ("backend", "process", "process"),
     ("backend", "  Process ", "process"),
     ("exec", "tuple", "tuple"),
     ("exec", "COLUMNAR", "columnar"),
     ("partitions", 2, 2),
     ("partitions", " 3 ", 3),
-    ("retries", 0, 0),
-    ("retries", "5", 5),
     ("max_iterations", 1, 1),
     ("max_iterations", 500, 500),
     ("max_facts", 10, 10),
@@ -104,8 +102,9 @@ BAD = [
     ("jobs", 2.7, "a positive integer"),
     ("jobs", True, "a positive integer"),
     ("jobs", "many", "a positive integer"),
-    ("backend", "bogus", "one of serial, thread, process"),
-    ("backend", "gpu", "one of serial, thread, process"),
+    ("backend", "bogus", "one of serial, process"),
+    ("backend", "gpu", "one of serial, process"),
+    ("backend", "thread", "one of serial, process"),
     ("exec", "row-at-a-time", "one of columnar, tuple"),
     ("exec", "bogus", "one of columnar, tuple"),
     ("partitions", 0, "a positive integer"),
@@ -113,12 +112,6 @@ BAD = [
     ("partitions", -8, "a positive integer"),
     ("partitions", 2.5, "a positive integer"),
     ("partitions", False, "a positive integer"),
-    ("retries", -1, "a non-negative integer"),
-    ("retries", "-1", "a non-negative integer"),
-    ("retries", "x", "a non-negative integer"),
-    ("retries", "1.5", "a non-negative integer"),
-    ("retries", 1.5, "a non-negative integer"),
-    ("retries", True, "a non-negative integer"),
     ("max_iterations", 0, "a positive integer"),
     ("max_iterations", -1, "a positive integer"),
     ("max_iterations", "x", "a positive integer"),
@@ -168,7 +161,6 @@ ENV_GOOD = [
     ("exec", "tuple", "tuple"),
     ("exec", " Tuple ", "tuple"),
     ("partitions", " 3 ", 3),
-    ("retries", "0", 0),
     ("max_seconds", "2.5", 2.5),
 ]
 
@@ -177,10 +169,10 @@ ENV_BAD = [
     ("jobs", "many"),
     ("jobs", "0"),
     ("backend", "bogus"),
+    ("backend", "thread"),
     ("exec", "bogus"),
     ("partitions", "many"),
     ("partitions", "junk"),
-    ("retries", "many"),
     ("max_seconds", "soon"),
 ]
 
@@ -218,7 +210,6 @@ def test_empty_means_unset_for_every_variable(monkeypatch, name, blank):
         ("backend", "process", "serial"),
         ("exec", "tuple", "columnar"),
         ("partitions", "8", 2),
-        ("retries", "0", 4),
         ("max_seconds", "2.5", 7.0),
     ],
 )
@@ -251,6 +242,34 @@ def test_unknown_keyword_is_a_type_error():
         DeductiveDatabase(threads=2)
 
 
+# every surface that takes engine knobs
+KNOB_TAKERS = {
+    "EngineConfig": lambda **k: EngineConfig(**k),
+    "EngineConfig.resolve": lambda **k: EngineConfig.resolve(**k),
+    "seminaive_eval": lambda **k: seminaive_eval(TC, edb(), **k),
+    "naive_eval": lambda **k: naive_eval(TC, edb(), **k),
+    "provenance_eval": lambda **k: provenance_eval(TC, edb(), **k),
+    "IncrementalSession": lambda **k: IncrementalSession(TC, edb(), **k),
+    "QueryCompiler": lambda **k: QueryCompiler(TC, **k),
+    "DeductiveDatabase": lambda **k: DeductiveDatabase(**k),
+}
+
+
+@pytest.mark.parametrize("surface", sorted(KNOB_TAKERS))
+def test_removed_retries_knob_is_unknown(surface):
+    # the process backend no longer retries a broken pool, so there is
+    # no retry count to pass
+    with pytest.raises(TypeError, match="retries"):
+        KNOB_TAKERS[surface](retries=1)
+
+
+def test_removed_retries_variable_is_not_read(monkeypatch):
+    monkeypatch.setenv("REPRO_RETRIES", "junk")
+    assert EngineConfig.resolve() == EngineConfig()
+    db, _ = seminaive_eval(TC, edb(), jobs=2, backend="process")
+    assert len(db.relation("t", 2)) == 3
+
+
 def test_frozen_hashable_and_picklable():
     config = EngineConfig(planner="cost", jobs=2, backend="process", max_seconds=1.5)
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -261,8 +280,8 @@ def test_frozen_hashable_and_picklable():
 
 def test_str_is_the_stats_line():
     assert str(EngineConfig(jobs=2)) == (
-        "planner=greedy jobs=2 backend=thread exec=columnar partitions=1 "
-        "retries=2 max_iterations=None max_facts=None max_seconds=None"
+        "planner=greedy jobs=2 backend=serial exec=columnar partitions=1 "
+        "max_iterations=None max_facts=None max_seconds=None"
     )
 
 
@@ -338,22 +357,34 @@ def test_readme_knob_table_matches_the_config():
     readme = (ROOT / "README.md").read_text()
     section = readme.split("## Engine knobs", 1)[1].split("\n## ", 1)[0]
     rows = {}
+    values = {}
     for line in section.splitlines():
         cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
         if len(cells) < 3 or not cells[0].startswith("`"):
             continue
         names = re.findall(r"`([^`]+)`", cells[0])
         keyword = [n[:-1] for n in names if n.endswith("=")]
-        if len(keyword) == 1 and keyword[0] in FIELDS:
+        if len(keyword) == 1:  # a keyword row names a field, or is stale
             rows[keyword[0]] = (
                 {n for n in names if n.startswith("REPRO_")},
                 {n for n in names if n.startswith("--")},
             )
+            values[keyword[0]] = cells[1]
     flags = {name: {flag} for flag, name, *_ in _ENGINE_FLAGS}
     assert rows == {
         name: ({ENV[name]} if ENV[name] else set(), flags.get(name, set()))
         for name in FIELDS
     }
+    # ... every choice knob's values column lists exactly its choices,
+    # with the field default (and only it) marked "(default)"
+    for name, knob in FIELDS.items():
+        expected = knob.metadata["expected"]
+        if not expected.startswith("one of "):
+            continue
+        listed = re.findall(r"`([^`]+)`", values[name])
+        assert sorted(listed) == sorted(expected[len("one of "):].split(", ")), name
+        assert re.findall(r"`([^`]+)` \(default\)", values[name]) == [knob.default], name
+        assert values[name].count("(default)") == 1, name
     # ... and the CLI really has those flags, with those destinations
     parser = build_parser()
     serve = parser._subparsers._group_actions[0].choices["serve"]

@@ -9,10 +9,10 @@ properties the harness exists to check:
   evaluation of the *pre-batch* EDB (statistics and provenance
   included), and retrying without the fault reaches the *post-batch*
   oracle.  Never anything in between.
-* **Backend fault tolerance** — a killed pool worker produces a retry
-  (and eventually a graceful degrade to the serial backend) instead of
-  a failed evaluation, with identical results and the event logged in
-  ``EvalStats``.
+* **Backend fault tolerance** — a killed pool worker makes its batch
+  run on the serial backend at once instead of failing the evaluation,
+  with identical results and the event logged in ``EvalStats``; the
+  next batch builds a fresh pool.
 * **Watchdog** — a delayed component plus a wall-clock budget turns a
   would-be hang into a clean rollback.
 """
@@ -21,11 +21,7 @@ import pytest
 
 from repro.datalog.parser import parse_program
 from repro.engine import faults
-from repro.engine.backends import (
-    BrokenExecutor,
-    ProcessBackend,
-    SerialBackend,
-)
+from repro.engine.backends import BrokenExecutor, ProcessBackend
 from repro.engine.database import Database
 from repro.engine.faults import (
     FAULTS_ENV,
@@ -236,82 +232,113 @@ class TestDifferentialFaultProperty:
         assert session.edb.facts("q") == set()
 
 
-class _FlakyOnce(ProcessBackend):
-    """Fails the first batch submission with a broken pool, then recovers."""
+class _AlwaysBroken(ProcessBackend):
+    """Every batch submission finds a broken pool."""
 
     def __init__(self):
-        super().__init__(retries=2, backoff=0.0)
-        self.failures = 1
-
-    def _run_batch_once(self, scheduler, batch, db, stats):
-        if self.failures:
-            self.failures -= 1
-            raise BrokenExecutor("simulated worker loss")
-        SerialBackend().run_batch(scheduler, batch, db, stats)
-
-
-class _AlwaysBroken(ProcessBackend):
-    def __init__(self, retries):
-        super().__init__(retries=retries, backoff=0.0)
+        super().__init__()
         self.attempts = 0
 
-    def _run_batch_once(self, scheduler, batch, db, stats):
+    def _ship_batch(self, scheduler, batch, db, stats):
         self.attempts += 1
         raise BrokenExecutor("simulated worker loss")
 
 
+class _BrokenFirstBatch(ProcessBackend):
+    """The first batch's pool breaks; later batches ship for real."""
+
+    def __init__(self):
+        super().__init__()
+        self.pools = []
+
+    def _ensure_pool(self, workers):
+        pool = super()._ensure_pool(workers)
+        if not self.pools or self.pools[-1] is not pool:
+            self.pools.append(pool)
+        return pool
+
+    def _ship_batch(self, scheduler, batch, db, stats):
+        if not self.pools:
+            self._ensure_pool(scheduler.config.jobs)
+            raise BrokenExecutor("simulated worker loss")
+        super()._ship_batch(scheduler, batch, db, stats)
+
+
+# Two depth batches of two independent components each.
+TWO_BATCHES = """
+a(X, Y) :- e(X, Y).
+a(X, Y) :- a(X, Z), e(Z, Y).
+b(X, Y) :- f(X, Y).
+b(X, Y) :- b(X, Z), f(Z, Y).
+c(X) :- a(X, Y).
+d(X) :- b(X, Y).
+"""
+
+
+def _counters(stats):
+    return (stats.facts, stats.inferences, stats.iterations)
+
+
 class TestBackendFaultTolerance:
-    def test_retry_recovers_from_one_worker_loss(self):
+    def test_broken_pool_falls_back_to_serial_at_once(self):
         program, edb = wide_dag_program(3), wide_dag_edb(3, 8)
         base_db, base = seminaive_eval(program, edb, jobs=1)
-        backend = _FlakyOnce()
+        backend = _AlwaysBroken()
         db, stats = seminaive_eval(program, edb, jobs=2, backend=backend)
         assert db == base_db
-        assert (stats.facts, stats.inferences) == (base.facts, base.inferences)
-        assert stats.backend_retries == 1
-        assert stats.backend_fallbacks == 0
+        assert _counters(stats) == _counters(base)
+        assert backend.attempts == 1  # no second submission
+        assert stats.backend_fallbacks == 1
 
-    def test_exhausted_retries_degrade_to_serial(self):
-        program, edb = wide_dag_program(3), wide_dag_edb(3, 8)
+    def test_next_batch_builds_a_fresh_pool(self):
+        program = parse_program(TWO_BATCHES)
+        edb = Database.from_dict(
+            {"e": [(i, i + 1) for i in range(6)], "f": [(i, i + 2) for i in range(6)]}
+        )
         base_db, base = seminaive_eval(program, edb, jobs=1)
-        backend = _AlwaysBroken(retries=2)
+        backend = _BrokenFirstBatch()
         db, stats = seminaive_eval(program, edb, jobs=2, backend=backend)
+        assert stats.scc_parallel_batches == 2
         assert db == base_db
-        assert (stats.facts, stats.inferences) == (base.facts, base.inferences)
-        assert backend.attempts >= 3  # initial + 2 retries per batch
-        assert stats.backend_retries >= 2
-        assert stats.backend_fallbacks >= 1
+        assert _counters(stats) == _counters(base)
+        assert stats.backend_fallbacks == 1
+        # The broken pool was discarded: the second batch shipped to a
+        # pool of its own, not to the one the first batch lost.
+        assert len(backend.pools) == 2
 
-    def test_zero_retries_degrades_immediately(self):
-        program, edb = wide_dag_program(2), wide_dag_edb(2, 6)
-        base_db, _ = seminaive_eval(program, edb, jobs=1)
-        backend = _AlwaysBroken(retries=0)
+    def test_every_broken_batch_falls_back_on_its_own(self):
+        program = parse_program(TWO_BATCHES)
+        edb = Database.from_dict(
+            {"e": [(i, i + 1) for i in range(6)], "f": [(i, i + 2) for i in range(6)]}
+        )
+        base_db, base = seminaive_eval(program, edb, jobs=1)
+        backend = _AlwaysBroken()
         db, stats = seminaive_eval(program, edb, jobs=2, backend=backend)
         assert db == base_db
-        assert stats.backend_retries == 0
-        assert stats.backend_fallbacks >= 1
+        assert _counters(stats) == _counters(base)
+        # One submission and one fallback per batch: a broken batch does
+        # not make the backend give up on the batches after it.
+        assert backend.attempts == stats.scc_parallel_batches == 2
+        assert stats.backend_fallbacks == 2
 
     def test_injected_worker_kill_degrades_to_serial(self, monkeypatch):
-        """A real SIGKILL'd pool worker: retries re-kill (fresh worker
-        processes restart their fault counters), so the run must fall
-        back to the serial backend in the parent — which never fires
-        the worker-only site — and still produce the exact fixpoint."""
+        """A real SIGKILL'd pool worker: the batch falls back to the
+        serial backend in the parent — which never fires the worker-only
+        site — and still produces the exact fixpoint."""
         program, edb = wide_dag_program(3), wide_dag_edb(3, 8)
         base_db, base = seminaive_eval(program, edb, jobs=1)
         monkeypatch.setenv(FAULTS_ENV, "worker:kill:1")
         faults.clear()  # re-arm the env lookup in this (parent) process
-        backend = ProcessBackend(retries=1, backoff=0.0)
-        db, stats = seminaive_eval(program, edb, jobs=2, backend=backend)
+        db, stats = seminaive_eval(program, edb, jobs=2, backend=ProcessBackend())
         assert db == base_db
-        assert (stats.facts, stats.inferences) == (base.facts, base.inferences)
-        assert stats.backend_fallbacks >= 1
+        assert _counters(stats) == _counters(base)
+        assert stats.backend_fallbacks == 1
 
     def test_real_errors_are_not_retried(self):
         program, edb = wide_dag_program(3), wide_dag_edb(3, 8)
-        backend = ProcessBackend(retries=2, backoff=0.0)
         from repro.engine.stats import NonTerminationError
 
         with pytest.raises(NonTerminationError):
             seminaive_eval(
-                program, edb, max_facts=10, jobs=2, backend=backend
+                program, edb, max_facts=10, jobs=2, backend=ProcessBackend()
             )

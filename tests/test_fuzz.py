@@ -83,8 +83,8 @@ def test_all_backends_match_interpreter_seminaive(program_seed, edb_seed, n):
     The greedy slot-based plans (the default), the cost-based planner
     (``planner="cost"``, statistics-driven join order with drift
     re-planning), the parallel SCC scheduler on each execution backend
-    (``jobs=2`` with ``serial``, ``thread``, and ``process`` executors
-    — the last shipping picklable component specs to worker processes
+    (``jobs=2`` with the ``serial`` and ``process`` executors
+    — the latter shipping picklable component specs to worker processes
     that recompile plans locally) must derive the fixpoint of the
     scheduler-free ``join_rule`` interpreter
     (``naive_fixpoint_reference``), with the facts/inferences/
@@ -103,7 +103,7 @@ def test_all_backends_match_interpreter_seminaive(program_seed, edb_seed, n):
     plan_runs = [stats_greedy, stats_cost]
     assert db_greedy == db_interp, f"greedy diverged on seed {program_seed}"
     assert db_cost == db_interp, f"cost diverged on seed {program_seed}"
-    for backend in ("serial", "thread", "process"):
+    for backend in ("serial", "process"):
         db_jobs, stats_jobs = seminaive_eval(
             program, edb, planner="greedy", jobs=2, backend=backend
         )
@@ -136,8 +136,8 @@ def test_multi_component_programs_agree_across_executors(
     one component each and the parallel executors never engage.  Gluing
     two independently generated programs over disjoint recursive
     predicates (shared EDB) puts two recursive components in the same
-    depth batch — the shape where ``thread`` stages writes and
-    ``process`` actually ships component specs to worker processes —
+    depth batch — the shape where ``process`` actually ships
+    component specs to worker processes —
     and all executors must still derive the scheduler-free reference
     fixpoint and match the sequential tuple-at-a-time run bit-for-bit
     on facts/inferences/iterations.
@@ -151,7 +151,7 @@ def test_multi_component_programs_agree_across_executors(
     edb = random_edb(edb_seed, n=n)
     db_ref, _ = naive_fixpoint_reference(program, edb)
     _, stats_ref = seminaive_eval(program, edb, jobs=1, exec="tuple")
-    for backend in ("serial", "thread", "process"):
+    for backend in ("serial", "process"):
         db, stats = seminaive_eval(program, edb, jobs=2, backend=backend)
         assert db == db_ref, f"{backend} diverged on seeds {p_seed}/{q_seed}"
         assert stats.facts == stats_ref.facts
@@ -188,9 +188,8 @@ def test_columnar_matches_tuple_across_backends(program_seed, edb_seed, n):
         {"planner": "greedy"},
         {"planner": "cost"},
         {"planner": "greedy", "jobs": 2, "backend": "serial"},
-        {"planner": "greedy", "jobs": 2, "backend": "thread"},
         {"planner": "greedy", "jobs": 2, "backend": "process"},
-        {"planner": "cost", "jobs": 2, "backend": "thread"},
+        {"planner": "cost", "jobs": 2, "backend": "process"},
     ):
         db_tuple, stats_tuple = seminaive_eval(
             program, edb, exec="tuple", **kwargs
@@ -224,8 +223,8 @@ def test_partitioned_execution_matches_unpartitioned(program_seed, edb_seed, n):
     ``probes`` is deliberately *not* compared: shared non-delta steps
     resolve once per partition instead of once per call (the same
     caveat as DRed maintenance order under the columnar kernel).  The
-    serial executor is the reference interleaving, the thread and
-    process executors must reproduce it at their round barriers —
+    serial executor is the reference interleaving, the process
+    executor must reproduce it at its round barrier —
     process workers re-derive from shipped log suffixes, so this also
     checks the append-only sync protocol end to end.
     """
@@ -236,7 +235,7 @@ def test_partitioned_execution_matches_unpartitioned(program_seed, edb_seed, n):
     )
     assert stats_ref.partition_rounds == 0
     for exec_mode in ("tuple", "columnar"):
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "process"):
             for parts in (1, 2, 4):
                 db, stats = seminaive_eval(
                     program,
@@ -514,7 +513,7 @@ def test_incremental_scripts_match_scratch(program_seed, edb_seed, script_seed, 
         IncrementalSession(program, edb),
         IncrementalSession(program, edb, planner="cost"),
         IncrementalSession(program, edb, exec="tuple"),
-        IncrementalSession(program, edb, jobs=2, backend="thread"),
+        IncrementalSession(program, edb, jobs=2, backend="process"),
         IncrementalSession(program, edb, record_provenance=True),
     ]
     rng = random.Random(script_seed)
@@ -592,7 +591,7 @@ def test_query_goal_matches_filtered_materialization(
         else f"p({(constant + 1) % n}, Y)"
     )
     expected_shifted = full.query(shifted)
-    for backend in ("serial", "thread", "process"):
+    for backend in ("serial", "process"):
         for planner in ("greedy", "cost"):
             compiler = QueryCompiler(
                 program, planner=planner, jobs=2, backend=backend
@@ -782,7 +781,7 @@ def test_served_churn_matches_bare_session(
     The same randomized insert/delete script runs through a
     :class:`~repro.engine.server.DatalogServer` front — with reader
     threads hammering pinned views the whole time — and through a bare
-    :class:`IncrementalSession`, across serial/thread backends ×
+    :class:`IncrementalSession`, across serial/process backends ×
     columnar/tuple execution.  The served sessions must end
     bit-identical to the bare ones (the reader traffic is pure
     observation), and every published view must equal the final
@@ -799,8 +798,8 @@ def test_served_churn_matches_bare_session(
     configs = [
         dict(),
         dict(exec="tuple"),
-        dict(jobs=2, backend="thread"),
-        dict(jobs=2, backend="thread", exec="tuple"),
+        dict(jobs=2, backend="process"),
+        dict(jobs=2, backend="process", exec="tuple"),
     ]
     servers = [
         DatalogServer(IncrementalSession(program, edb, **cfg))
@@ -861,7 +860,7 @@ def test_served_churn_matches_bare_session(
         assert not thread.is_alive(), "reader thread hung"
 
     ref, _ = seminaive_eval(program, edb)
-    labels = ("serial+col", "serial+tuple", "thread+col", "thread+tuple")
+    labels = ("serial+col", "serial+tuple", "process+col", "process+tuple")
     for label, server, session in zip(labels, servers, bare):
         assert server.session.database == session.database, (
             f"served {label} diverged from bare on seeds "

@@ -217,8 +217,9 @@ class TestKnobDeterminism:
             {"planner": "cost"},
             {"exec": "tuple"},
             {"jobs": 2, "backend": "serial"},
-            {"jobs": 2, "backend": "thread"},
             {"jobs": 2, "backend": "process"},
+            {"partitions": 2, "backend": "serial"},
+            {"partitions": 2, "backend": "process"},
         ],
     )
     def test_final_database_identical_across_knobs(self, kwargs):

@@ -339,7 +339,7 @@ class TestRecoverSession:
 class TestRecoveryMatrix:
     """Replay determinism across the full knob matrix (satellite c)."""
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     @pytest.mark.parametrize("planner", ["greedy", "cost"])
     @pytest.mark.parametrize("provenance", [False, True])
     def test_recovered_state_is_bit_identical(

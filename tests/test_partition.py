@@ -5,8 +5,7 @@ property of :func:`~repro.engine.partition.split_indices` (every delta
 row lands in exactly one partition, equal keys co-locate), safe
 fallback on keyless / constant-bound / tiny-delta plans, the
 ``partitions=`` / ``--partitions`` / ``REPRO_PARTITIONS`` validation
-mirroring the backend knobs, process-group failure degradation,
-thread-backend grouped shipping of small same-depth components, the
+mirroring the backend knobs, process-group failure degradation, the
 ``partition_rounds`` / ``partition_skew`` counters, and the
 ``repro run --stats`` report.
 """
@@ -21,16 +20,11 @@ from repro.engine.database import Database
 from repro.engine.partition import (
     ProcessPartitionExecutor,
     SerialPartitionExecutor,
-    ThreadPartitionExecutor,
     make_partition_executor,
     split_indices,
 )
 from repro.engine.seminaive import seminaive_eval
 from repro.engine.stats import EvalStats
-from repro.workloads.synthetic import (
-    coarse_components_edb,
-    coarse_components_program,
-)
 
 
 class TestEvaluatorValidatesPartitions:
@@ -163,8 +157,7 @@ class TestExecutorSelection:
         assert make_partition_executor(EngineConfig(backend="process")) is None
 
     def test_family_follows_backend_name(self):
-        assert type(make_partition_executor(EngineConfig(partitions=2, backend="serial"))) is SerialPartitionExecutor
-        assert type(make_partition_executor(EngineConfig(partitions=2, backend="thread"))) is ThreadPartitionExecutor
+        assert type(make_partition_executor(EngineConfig(partitions=2))) is SerialPartitionExecutor
         ex = make_partition_executor(EngineConfig(partitions=2, backend="process"))
         assert type(ex) is ProcessPartitionExecutor
         ex.close()
@@ -217,45 +210,6 @@ class TestProcessGroup:
             ex.close()
 
 
-class TestThreadGroupedShipping:
-    def test_small_components_share_one_submission(self):
-        width = 5
-        program = coarse_components_program(width=width)
-        edb = coarse_components_edb(width=width, length=6)
-        ref_db, ref_stats = seminaive_eval(program, edb, jobs=1)
-        assert ref_stats.scc_batches_shipped == 0
-        db, stats = seminaive_eval(program, edb, jobs=2, backend="thread")
-        assert db == ref_db
-        assert stats.facts == ref_stats.facts
-        assert stats.inferences == ref_stats.inferences
-        # All five closures are tiny, same-depth components: one pool
-        # submission carries the whole group.
-        assert stats.scc_batches_shipped == 1
-
-    def test_large_components_ship_alone(self):
-        # Two components over >SMALL_COMPONENT_FACTS facts each plus
-        # three tiny ones: the big ones get their own submissions, the
-        # small ones still share one grouped submission.
-        lines = []
-        edb = Database()
-        for i in range(2):
-            lines.append(f"t{i}(X, Y) :- e{i}(X, Y).")
-            lines.append(f"t{i}(X, Y) :- t{i}(X, Z), e{i}(Z, Y).")
-            for j in range(600):
-                edb.add_fact(f"e{i}", (j, j + 10_000))
-        for i in range(2, 5):
-            lines.append(f"t{i}(X, Y) :- e{i}(X, Y).")
-            lines.append(f"t{i}(X, Y) :- t{i}(X, Z), e{i}(Z, Y).")
-            for j in range(4):
-                edb.add_fact(f"e{i}", (j, j + 1))
-        program = parse_program("\n".join(lines))
-        ref_db, ref_stats = seminaive_eval(program, edb, jobs=1)
-        db, stats = seminaive_eval(program, edb, jobs=2, backend="thread")
-        assert db == ref_db
-        assert stats.facts == ref_stats.facts
-        assert stats.scc_batches_shipped == 1
-
-
 class TestPartitionCounters:
     def _tc(self, n=12):
         program = parse_program(
@@ -297,13 +251,10 @@ class TestPartitionCounters:
     def test_counters_identical_across_partition_backends(self):
         program, edb = self._tc()
         _, ref = seminaive_eval(program, edb, partitions=2, backend="serial")
-        for backend in ("thread", "process"):
-            _, stats = seminaive_eval(
-                program, edb, partitions=2, backend=backend
-            )
-            assert stats.partition_rounds == ref.partition_rounds
-            assert stats.partition_skew == ref.partition_skew
-            assert stats.probes == ref.probes  # same split, same work
+        _, stats = seminaive_eval(program, edb, partitions=2, backend="process")
+        assert stats.partition_rounds == ref.partition_rounds
+        assert stats.partition_skew == ref.partition_skew
+        assert stats.probes == ref.probes  # same split, same work
 
 
 class TestPartitionsCLI:

@@ -1,11 +1,10 @@
-"""Tests for the shared SCC scheduler: batching, parallelism, staging.
+"""Tests for the shared SCC scheduler: batching and parallelism.
 
 Covers the satellite checklist for the unified evaluation core:
 ``strongly_connected_components`` on long chains (no recursion-limit
 regressions), self-loop vs. singleton non-recursive components, a
-property test that depth batches respect every dependency edge, the
-``jobs`` knob's determinism, and the write-isolation staging on
-:class:`~repro.engine.database.Database`.
+property test that depth batches respect every dependency edge, and
+the ``jobs`` knob's determinism on the process backend.
 """
 
 import pytest
@@ -157,8 +156,8 @@ class TestParallelEvaluation:
     def test_jobs_counter_identical_on_wide_dag(self):
         program, edb = wide_dag_program(4), wide_dag_edb(4, 20)
         db1, s1 = seminaive_eval(program, edb, jobs=1)
-        db2, s2 = seminaive_eval(program, edb, jobs=2)
-        db4, s4 = seminaive_eval(program, edb, jobs=4)
+        db2, s2 = seminaive_eval(program, edb, jobs=2, backend="process")
+        db4, s4 = seminaive_eval(program, edb, jobs=4, backend="process")
         assert db1 == db2 == db4
         for stats in (s2, s4):
             assert (stats.facts, stats.inferences, stats.iterations) == (
@@ -172,7 +171,7 @@ class TestParallelEvaluation:
     def test_jobs_counter_identical_naive(self):
         program, edb = wide_dag_program(3), wide_dag_edb(3, 8)
         db1, s1 = naive_eval(program, edb, jobs=1)
-        db2, s2 = naive_eval(program, edb, jobs=3)
+        db2, s2 = naive_eval(program, edb, jobs=3, backend="process")
         assert db1 == db2
         assert (s1.facts, s1.inferences) == (s2.facts, s2.inferences)
 
@@ -207,7 +206,7 @@ class TestParallelEvaluation:
         for i in range(3):
             edb.add_fact(f"p{i}", (0,))
         with pytest.raises(NonTerminationError):
-            seminaive_eval(program, edb, max_facts=30, jobs=2)
+            seminaive_eval(program, edb, max_facts=30, jobs=2, backend="process")
 
     def test_iteration_budget_is_per_component(self):
         """max_iterations bounds one component's rounds: a program with
@@ -235,30 +234,39 @@ class TestParallelEvaluation:
         with pytest.raises(NonTerminationError):
             seminaive_eval(program, edb, max_facts=budget, jobs=1)
         with pytest.raises(NonTerminationError):
-            seminaive_eval(program, edb, max_facts=budget, jobs=2)
+            seminaive_eval(
+                program, edb, max_facts=budget, jobs=2, backend="process"
+            )
 
 
-class TestStaging:
-    def test_stage_isolates_writes(self):
-        db = Database.from_dict({"e": [(1, 2)], "t": [(0, 0)]})
-        stage = db.stage([("t", 2)])
-        stage.add_fact("t", (5, 6))
-        assert stage.has_fact("t", (0, 0))  # staged copy keeps seed facts
-        assert not db.has_fact("t", (5, 6))
-        # non-staged relations are shared by reference
-        assert stage.get("e", 2) is db.get("e", 2)
+class TestJobsAloneIsSequential:
+    """``jobs`` picks how many workers a pool gets; only
+    ``backend="process"`` builds one.  On the default backend a wide
+    batch runs its components one after another in this process."""
 
-    def test_adopt_stage_folds_back(self):
-        db = Database.from_dict({"e": [(1, 2)]})
-        stage = db.stage([("t", 2)])
-        stage.add_fact("t", (1, 2))
-        db.adopt_stage(stage, [("t", 2)])
-        assert db.has_fact("t", (1, 2))
+    @pytest.mark.parametrize("source", ["keyword", "environment"])
+    def test_jobs_on_the_default_backend_builds_no_pool(self, monkeypatch, source):
+        from repro.engine.backends import ProcessBackend
 
-    def test_stage_of_missing_relation_is_empty(self):
-        db = Database()
-        stage = db.stage([("t", 2)])
-        assert len(stage.relation("t", 2)) == 0
+        def no_pool(backend, workers):
+            raise AssertionError("a process pool was built")
+
+        monkeypatch.setattr(ProcessBackend, "_ensure_pool", no_pool)
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        program, edb = wide_dag_program(3), wide_dag_edb(3, 8)
+        ref_db, ref = seminaive_eval(program, edb, jobs=1)
+        if source == "environment":
+            monkeypatch.setenv("REPRO_JOBS", "2")
+            knobs = {}
+        else:
+            knobs = {"jobs": 2}
+        db, stats = seminaive_eval(program, edb, **knobs)
+        assert db == ref_db
+        assert (stats.facts, stats.inferences, stats.iterations) == (
+            ref.facts, ref.inferences, ref.iterations,
+        )
+        assert stats.scc_parallel_batches == 1
+        assert stats.backend_fallbacks == 0
 
 
 class TestSchedulerStats:
