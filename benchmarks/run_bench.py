@@ -9,15 +9,6 @@ under both planners — greedy and cost-based — then writes
 wall-time speedups (``greedy/cost`` for the planner comparison), so
 successive PRs leave a comparable perf record.
 
-``tc_chain``, ``same_generation``, and ``wide_dag`` additionally carry
-execution-mode rows — ``columnar`` (batch-at-a-time over interned
-column slabs, the serving default) vs ``tuple`` (the tuple-at-a-time
-oracle) under otherwise identical greedy/jobs=1 knobs — with a
-per-workload ``columnar_vs_tuple`` speedup; every labelled row pins
-``exec`` explicitly so an inherited ``REPRO_EXEC`` cannot change what
-a row measures.  ``--require-columnar-speedup`` gates on the kernel's
-win in CI.
-
 Workloads whose depth batches hold several mutually independent SCCs
 (wide-DAG, coarse components) additionally run pinned to ``jobs=1``
 (the ``jobs1`` row) and — along with tc_chain, as the single-SCC
@@ -31,7 +22,7 @@ the workers and reports ~1x regardless of the backend's scaling.
 
 ``tc_chain``, ``same_generation``, and ``wide_dag`` also carry
 **intra-component partitioning** rows (``part2``/``part4``): the
-greedy/columnar configuration at ``jobs=1`` with each semi-naive
+greedy configuration at ``jobs=1`` with each semi-naive
 round's delta hash-split across 2/4 process partition workers inside
 the component fixpoint (``partN_vs_jobs1`` speedups) — the axis that
 helps exactly where ``jobs`` cannot, a program that is one recursive
@@ -46,9 +37,7 @@ one `IncrementalSession` absorbs a deterministic insert/delete script
 while the baseline re-runs ``seminaive_eval`` per update
 (``churn/incremental`` vs ``churn/recompute`` rows and the
 ``churn/incremental_vs_recompute`` speedup); the two final databases
-must be identical.  The incremental side runs in both execution modes
-(``churn/incremental`` is columnar, ``churn/incremental_tuple`` the
-oracle, ``churn/columnar_vs_tuple`` the maintenance-pass speedup).  ``churn/batch`` vs ``churn/per_call`` measures
+must be identical.  ``churn/batch`` vs ``churn/per_call`` measures
 atomic batching — one ``apply_batch`` maintenance pass per chunk of
 the script against the same chunk as individual calls — and
 ``churn/batch_journal`` adds an fsync'd write-ahead journal to the
@@ -96,48 +85,19 @@ from repro.workloads.synthetic import (
 
 #: (row label, seminaive_eval kwargs); greedy is the historical
 #: "compiled" configuration, so trajectory comparisons stay meaningful.
-#: Every row pins ``jobs`` (and, where >1, ``backend``) plus ``exec``
-#: and ``partitions`` explicitly so an inherited ``REPRO_JOBS``/
-#: ``REPRO_BACKEND``/``REPRO_EXEC``/``REPRO_PARTITIONS`` cannot
-#: silently change which executor, execution mode, or partitioning a
-#: labelled row measures.
+#: Every row pins ``jobs`` (and, where >1, ``backend``) plus
+#: ``partitions`` explicitly so an inherited ``REPRO_JOBS``/
+#: ``REPRO_BACKEND``/``REPRO_PARTITIONS`` cannot silently change which
+#: executor or partitioning a labelled row measures.
 BACKENDS = (
-    (
-        "greedy",
-        {"planner": "greedy", "jobs": 1, "exec": "columnar",
-         "partitions": 1},
-    ),
-    (
-        "cost",
-        {"planner": "cost", "jobs": 1, "exec": "columnar",
-         "partitions": 1},
-    ),
-)
-
-#: Execution-mode rows: the greedy configuration batch-at-a-time over
-#: interned columns vs the tuple-at-a-time oracle.  Counters must be
-#: identical — the wall-time gap is the columnar kernel's win.
-EXEC_BACKENDS = (
-    (
-        "columnar",
-        {"planner": "greedy", "jobs": 1, "exec": "columnar",
-         "partitions": 1},
-    ),
-    (
-        "tuple",
-        {"planner": "greedy", "jobs": 1, "exec": "tuple",
-         "partitions": 1},
-    ),
+    ("greedy", {"planner": "greedy", "jobs": 1, "partitions": 1}),
+    ("cost", {"planner": "cost", "jobs": 1, "partitions": 1}),
 )
 
 #: The parallel rows' baseline: the greedy configuration pinned to one
 #: worker.
 JOBS_BACKENDS = (
-    (
-        "jobs1",
-        {"planner": "greedy", "jobs": 1, "exec": "columnar",
-         "partitions": 1},
-    ),
+    ("jobs1", {"planner": "greedy", "jobs": 1, "partitions": 1}),
 )
 
 #: Process-executor rows: the same greedy configuration shipped to a
@@ -149,7 +109,6 @@ PROC_BACKENDS = (
             "planner": "greedy",
             "jobs": 2,
             "backend": "process",
-            "exec": "columnar",
             "partitions": 1,
         },
     ),
@@ -159,7 +118,6 @@ PROC_BACKENDS = (
             "planner": "greedy",
             "jobs": 4,
             "backend": "process",
-            "exec": "columnar",
             "partitions": 1,
         },
     ),
@@ -180,7 +138,6 @@ PART_BACKENDS = (
             "planner": "greedy",
             "jobs": 1,
             "backend": "process",
-            "exec": "columnar",
             "partitions": 2,
         },
     ),
@@ -190,7 +147,6 @@ PART_BACKENDS = (
             "planner": "greedy",
             "jobs": 1,
             "backend": "process",
-            "exec": "columnar",
             "partitions": 4,
         },
     ),
@@ -245,13 +201,13 @@ def workloads() -> List[WorkloadEntry]:
             "tc_chain",
             tc_n,
             lambda: (tc_program, chain_edb(tc_n)),
-            BACKENDS + EXEC_BACKENDS + PROC_BACKENDS + PART_BACKENDS,
+            BACKENDS + PROC_BACKENDS + PART_BACKENDS,
         ),
         (
             "same_generation",
             sg_n,
             lambda: (same_generation_program(), same_generation_edb(depth, 2)),
-            BACKENDS + EXEC_BACKENDS + PART_BACKENDS,
+            BACKENDS + PART_BACKENDS,
         ),
         (
             "skewed_fanout",
@@ -269,8 +225,7 @@ def workloads() -> List[WorkloadEntry]:
                 wide_dag_program(dag_width),
                 wide_dag_edb(dag_width, dag_length),
             ),
-            BACKENDS + EXEC_BACKENDS + JOBS_BACKENDS + PROC_BACKENDS
-            + PART_BACKENDS,
+            BACKENDS + JOBS_BACKENDS + PROC_BACKENDS + PART_BACKENDS,
         ),
         (
             "coarse_components",
@@ -303,35 +258,20 @@ def run_churn(
     program = churn_program()
     script = churn_script(seed=11, updates=update_count, n=n)
 
-    # The incremental side runs in both execution modes: the columnar
-    # row carries the historical "churn/incremental" label (columnar is
-    # the serving default) and the tuple-oracle row sits next to it so
-    # the kernel's win shows on maintenance passes too.
-    best_by_mode: Dict[str, float] = {}
-    stats_by_mode: Dict[str, EvalStats] = {}
-    db_by_mode: Dict[str, object] = {}
-    for mode in ("columnar", "tuple"):
-        for _ in range(best_of):
-            session = IncrementalSession(
-                program, churn_edb(n), exec=mode, partitions=1
+    best_incr = None
+    for _ in range(best_of):
+        session = IncrementalSession(program, churn_edb(n), partitions=1)
+        maintenance = EvalStats()
+        for op, pred, args in script:
+            maintenance.absorb(
+                session.insert([(pred, args)])
+                if op == "+"
+                else session.delete([(pred, args)])
             )
-            maintenance = EvalStats()
-            for op, pred, args in script:
-                maintenance.absorb(
-                    session.insert([(pred, args)])
-                    if op == "+"
-                    else session.delete([(pred, args)])
-                )
-            if (
-                mode not in best_by_mode
-                or maintenance.seconds < best_by_mode[mode]
-            ):
-                best_by_mode[mode] = maintenance.seconds
-                stats_by_mode[mode] = maintenance
-                db_by_mode[mode] = session.database
-    best_incr = best_by_mode["columnar"]
-    best_incr_stats = stats_by_mode["columnar"]
-    incr_db = db_by_mode["columnar"]
+        if best_incr is None or maintenance.seconds < best_incr:
+            best_incr = maintenance.seconds
+            best_incr_stats = maintenance
+            incr_db = session.database
 
     best_rec = None
     for _ in range(best_of):
@@ -347,25 +287,13 @@ def run_churn(
         if best_rec is None or seconds < best_rec:
             best_rec = seconds
 
-    ok = incr_db == rec_db and db_by_mode["tuple"] == rec_db
+    ok = incr_db == rec_db
     if not ok:
         print(
             "FAIL churn: incremental database diverged from the "
             "from-scratch recompute",
             file=sys.stderr,
         )
-    # Only set-determined maintenance counters are comparable across
-    # modes: DRed's delete passes emit duplicates (and close rounds) in
-    # enumeration order, so inferences/incr_rounds legitimately vary
-    # between runs — even within one mode under different hash seeds.
-    if stats_by_mode["tuple"].rederived != best_incr_stats.rederived:
-        print(
-            "FAIL churn: rederivation counts diverged between "
-            f"execution modes — columnar {best_incr_stats.rederived}, "
-            f"tuple {stats_by_mode['tuple'].rederived}",
-            file=sys.stderr,
-        )
-        ok = False
     facts = incr_db.total_facts()
     rows = [
         {
@@ -376,13 +304,6 @@ def run_churn(
             "seconds": round(best_incr, 6),
         },
         {
-            "label": "churn/incremental_tuple",
-            "n": n,
-            "facts": facts,
-            "inferences": stats_by_mode["tuple"].inferences,
-            "seconds": round(best_by_mode["tuple"], 6),
-        },
-        {
             "label": "churn/recompute",
             "n": n,
             "facts": facts,
@@ -391,23 +312,12 @@ def run_churn(
         },
     ]
     speedup = best_rec / best_incr if best_incr else float("inf")
-    exec_speedup = (
-        best_by_mode["tuple"] / best_incr if best_incr else float("inf")
-    )
     series.note(
         f"churn: incremental {speedup:.2f}x vs per-update recompute over "
         f"{len(script)} updates ({best_incr_stats.rederived} rederived, "
-        f"{best_incr_stats.incr_rounds} delta rounds); columnar "
-        f"maintenance {exec_speedup:.2f}x vs tuple"
+        f"{best_incr_stats.incr_rounds} delta rounds)"
     )
-    return (
-        rows,
-        {
-            "churn/incremental_vs_recompute": speedup,
-            "churn/columnar_vs_tuple": exec_speedup,
-        },
-        ok,
-    )
+    return rows, {"churn/incremental_vs_recompute": speedup}, ok
 
 
 def run_batch_churn(
@@ -874,7 +784,7 @@ def run(
     speedups: Dict[str, float] = {}
     ok = True
     series = Series(
-        "engine: planners, execution modes, and execution backends"
+        "engine: planners and execution backends"
     )
     selected = workloads()
     churn_selected = only is None or "churn" in only
@@ -942,15 +852,6 @@ def run(
                 f"cost planner "
                 f"{speedups[f'{name}/cost_vs_greedy']:.2f}x vs greedy "
                 f"({cost.replans} replans)"
-            )
-        if "columnar" in results and "tuple" in results:
-            col, tup = results["columnar"], results["tuple"]
-            speedups[f"{name}/columnar_vs_tuple"] = (
-                tup.seconds / col.seconds if col.seconds else float("inf")
-            )
-            notes.append(
-                f"columnar {speedups[f'{name}/columnar_vs_tuple']:.2f}x "
-                f"vs tuple"
             )
         # Parallel rows compare against jobs1 (the same configuration
         # pinned to one worker); tc_chain has no jobs1 row, so its proc
@@ -1020,16 +921,6 @@ def main(argv: List[str] | None = None) -> int:
         "--workloads coarse_components for the process-backend demo",
     )
     parser.add_argument(
-        "--require-columnar-speedup",
-        type=float,
-        default=None,
-        metavar="RATIO",
-        help="exit non-zero unless some */columnar_vs_tuple speedup "
-        "reaches RATIO; unlike the proc gate this win is "
-        "single-threaded, so it is never skipped for lack of CPUs — "
-        "the CI gate for the batch execution kernel",
-    )
-    parser.add_argument(
         "--require-proc-speedup",
         type=float,
         default=None,
@@ -1064,25 +955,6 @@ def main(argv: List[str] | None = None) -> int:
     }
     args.output.write_text(json.dumps(record, indent=2) + "\n")
     print(f"\nwrote {args.output}")
-    if args.require_columnar_speedup is not None:
-        best = max(
-            (
-                value
-                for key, value in speedups.items()
-                if key.endswith("columnar_vs_tuple")
-            ),
-            default=0.0,
-        )
-        if best < args.require_columnar_speedup:
-            print(
-                f"columnar kernel speedup regressed: best {best:.2f}x "
-                f"< {args.require_columnar_speedup:.2f}x over the "
-                f"tuple oracle",
-                file=sys.stderr,
-            )
-            ok = False
-        else:
-            print(f"columnar kernel speedup {best:.2f}x over the tuple oracle")
     if args.require_proc_speedup is not None:
         cpus = record["cpus"]
         best = max(

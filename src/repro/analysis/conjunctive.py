@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.datalog.literals import Literal
-from repro.datalog.terms import Constant, Term, Variable
+from repro.datalog.terms import Constant, Term, Variable, term_variables
 from repro.engine.unify import Substitution, unify_terms
 
 EQUAL = "equal"
@@ -50,8 +50,6 @@ class ConjunctiveQuery:
         return not self.body
 
     def variables(self) -> List[Variable]:
-        from repro.datalog.terms import term_variables
-
         return term_variables(
             list(self.head_terms) + [arg for lit in self.body for arg in lit.args]
         )
@@ -191,55 +189,44 @@ def evaluate_cq(cq: ConjunctiveQuery, db) -> Set[Tuple[Term, ...]]:
     conditions, the strengthening discussed at the end of Example 4.3.
     ``equal`` atoms are normalized away first; other conceptually
     infinite predicates must be materialized in ``db`` by the caller.
+    Heads are instantiated like the reference evaluator's, compound
+    terms included, so every answer is ground.
     """
     import itertools
 
     from repro.datalog.rules import Rule
-    from repro.engine.joins import join_rule
+    from repro.engine.reference import instantiate_head, join_rule
 
     try:
         cq = normalize_equalities(cq)
     except UnsatisfiableQuery:
         return set()
-    head = Literal("q*", cq.head_terms)
-    rule = Rule(head, cq.body)
+    rule = Rule(Literal("q*", cq.head_terms), cq.body)
     answers: Set[Tuple[Term, ...]] = set()
 
-    # Head variables not bound by the body (unsafe) range over the
-    # active domain, mirroring the homomorphism convention that an
-    # unconstrained distinguished variable is unconstrained.
+    # Head variables not bound by the body (unsafe), also inside
+    # compound head terms, range over the active domain, mirroring the
+    # homomorphism convention that an unconstrained distinguished
+    # variable is unconstrained.
     body_vars = {v for lit in cq.body for v in lit.iter_variables()}
-    unsafe = [
-        t
-        for t in cq.head_terms
-        if isinstance(t, Variable) and t not in body_vars
-    ]
+    unsafe = [v for v in term_variables(cq.head_terms) if v not in body_vars]
     domain: Set[Term] = set()
     if unsafe:
         for rel in db.relations.values():
             for fact in rel:
                 domain.update(fact)
 
-    def emit(bindings):
-        out = []
-        for term in cq.head_terms:
-            if isinstance(term, Variable):
-                out.append(bindings[term])
-            else:
-                out.append(term)
-        answers.add(tuple(out))
-
     def on_match(bindings):
         if not unsafe:
-            emit(bindings)
+            answers.add(instantiate_head(rule, bindings))
             return
         for values in itertools.product(domain, repeat=len(unsafe)):
             extended = dict(bindings)
             extended.update(zip(unsafe, values))
-            emit(extended)
+            answers.add(instantiate_head(rule, extended))
 
     if cq.body:
-        join_rule(db, rule, on_match)
+        join_rule(db.relations, rule, on_match)
     else:
         on_match({})
     return answers

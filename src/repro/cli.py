@@ -449,13 +449,6 @@ _ENGINE_FLAGS = (
         "execution backend for parallel SCC batches: serial or process",
     ),
     (
-        "--exec",
-        "exec",
-        "MODE",
-        "plan execution mode: columnar (batch-at-a-time over interned "
-        "columns) or tuple (the tuple-at-a-time oracle)",
-    ),
-    (
         "--partitions",
         "partitions",
         "N",

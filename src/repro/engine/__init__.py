@@ -33,7 +33,7 @@ __getattr__, __dir__, __all__ = _facade(
             "ComponentRun", "ComponentTask", "SCCScheduler",
             "component_depths",
         ),
-        "naive": ("naive_eval", "naive_fixpoint_reference"),
+        "naive": ("naive_eval",),
         "seminaive": ("seminaive_eval",),
         "topdown": ("topdown_eval", "TopDownResult"),
         "provenance": ("provenance_eval", "explain", "DerivationTree"),

@@ -33,14 +33,15 @@ virtual empty row, matching the single ``run(0)`` call).
 Duplicate row multiplicity is preserved, so ``inferences`` agree; join
 orders come from the same :class:`~repro.engine.plan.PlanCache`, and
 the int-keyed indexes report the same distinct-key statistics as their
-tuple twins, so the cost planner plans identically.  The tuple path
-stays on as the differential-fuzz oracle (``exec="tuple"``).
+tuple twins, so the cost planner plans identically.
 
-**Fallback is always safe.**  A plan the kernel cannot run (compound
-templates, unbound-head rules, provenance ``on_match``) or a call
-whose sources are not columnar-capable returns ``None`` from a
-zero-side-effect capability check *before any counting*, and the
-caller runs the plan down the tuple path with identical statistics.
+**The tuple path is a fallback, not a mode.**  A plan the kernel cannot
+run (compound templates, unbound-head rules) or a call whose sources
+are not columnar-capable returns ``None`` from a zero-side-effect
+capability check *before any counting*, and the caller runs the plan
+down the tuple path (``RulePlan.execute``) with identical statistics;
+that path also serves provenance runs, naive recursive components and
+nullary or foreign-dictionary heads.
 """
 
 from __future__ import annotations

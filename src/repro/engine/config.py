@@ -82,11 +82,6 @@ class EngineConfig:
         calling thread) or ``"process"`` (declarative component specs
         shipped to worker processes, which recompile plans locally).
         Partition executors follow the same name.
-    ``exec``
-        How a compiled plan executes: ``"columnar"`` (batch-at-a-time
-        over interned id columns) or ``"tuple"`` (tuple-at-a-time, the
-        counter-level oracle).  Provenance runs and naive fixpoints are
-        tuple-at-a-time whatever this says.
     ``partitions``
         Hash-split each delta round *inside* a recursive component's
         semi-naive fixpoint into this many disjoint partitions
@@ -112,7 +107,6 @@ class EngineConfig:
     planner: str = _knob("greedy", "REPRO_PLANNER", _choice("greedy", "cost"))
     jobs: int = _knob(1, "REPRO_JOBS", _INTEGER)
     backend: str = _knob("serial", "REPRO_BACKEND", _choice("serial", "process"))
-    exec: str = _knob("columnar", "REPRO_EXEC", _choice("columnar", "tuple"))
     partitions: int = _knob(1, "REPRO_PARTITIONS", _INTEGER)
     max_iterations: Optional[int] = _knob(None, None, _INTEGER)
     max_facts: Optional[int] = _knob(None, None, _INTEGER)
@@ -134,8 +128,8 @@ class EngineConfig:
         ``config`` the ``REPRO_*`` variables fill what is left
         (stripped; empty means unset); with one, it already did.
         Unknown keywords raise ``TypeError``, bad values ``ValueError``
-        naming their source (``invalid REPRO_EXEC='x'; expected …`` vs
-        ``invalid exec='x'; …``).
+        naming their source (``invalid REPRO_PLANNER='x'; expected …``
+        vs ``invalid planner='x'; …``).
         """
         unknown = sorted(set(knobs) - set(cls.__dataclass_fields__))
         if unknown:

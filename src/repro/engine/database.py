@@ -1129,8 +1129,8 @@ class RelationView:
 
         Int-keyed and tuple-keyed indexes report identical counts for
         the same positions (interning is a bijection), so the cost
-        planner plans the same join orders whichever execution mode
-        built them.
+        planner plans the same join orders whichever executor built
+        them.
         """
         distinct: Dict[Tuple[int, ...], int] = {}
         if self._col_indexes is not None:

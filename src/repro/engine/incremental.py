@@ -65,7 +65,6 @@ from repro.datalog.validate import reserved_name_reason
 from repro.engine.columnar import decode_rows, execute_columnar
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database, FactTuple, Relation, unwrap_rows
-from repro.engine.joins import relation_from_tuples
 from repro.engine.plan import ExistencePlan, PlanCache
 from repro.engine.provenance import (
     DerivationRecorder,
@@ -153,6 +152,17 @@ def fold_batches(
         for fact, present in facts.items():
             if present:
                 edb.relation(*sig).add(fact)
+
+
+def relation_from_tuples(
+    name: str, arity: int, tuples: Iterable[FactTuple], dictionary=None
+) -> Relation:
+    """A throwaway relation over ``tuples`` (an over-deletion frontier),
+    on ``dictionary`` so the batch kernel accepts it as a source."""
+    rel = Relation(name, arity, dictionary)
+    for fact in tuples:
+        rel.add(fact)
+    return rel
 
 
 class IncrementalSession:
@@ -273,11 +283,6 @@ class IncrementalSession:
             )
             self._derivations = None
             self.stats.absorb(init_stats)
-        if config.exec == "columnar" and not record_provenance:
-            # Maintenance passes intern through the same dictionary the
-            # initial evaluation used (minted here if the program was
-            # trivial enough that no component ran).
-            self.database.ensure_dictionary()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -647,12 +652,9 @@ class IncrementalSession:
         plan = self._cache.plan(
             rule, ((pos, "delta"),), stats, db=self.database, overrides=overrides
         )
-        rows = None
-        if self.config.exec == "columnar":
-            rows = execute_columnar(plan, self.database, overrides, stats)
-            if rows is None:
-                stats.columnar_fallbacks += 1
+        rows = execute_columnar(plan, self.database, overrides, stats)
         if rows is None:
+            stats.columnar_fallbacks += 1
             emitted: List[FactTuple] = []
             plan.execute(self.database, overrides, emitted.append, stats)
         else:

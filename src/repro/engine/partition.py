@@ -238,12 +238,12 @@ def make_partition_executor(
 class PartitionExecutor:
     """Shared driver: split a variant's delta, run the plan per partition.
 
-    :meth:`run` returns the concatenated emissions (term facts in tuple
-    mode, interned rows in columnar mode) in partition order, or
+    :meth:`run` returns the concatenated emissions (interned rows with
+    ``columnar``, term facts without) in partition order, or
     ``None`` when this call cannot (or should not) be partitioned —
     the caller then executes the variant exactly as ``partitions=1``
     would.  Decline conditions depend only on the plan, the delta, and
-    the execution mode — never on the executor family — so the
+    the row representation — never on the executor family — so the
     ``partition_rounds`` counter agrees across backends.
     """
 
@@ -279,9 +279,9 @@ class PartitionExecutor:
         if self._declines(db, overrides):
             return None
         cols = partition_columns(plan, delta_pos)
-        # Hash on the term facts in BOTH modes: interned ids are
-        # insertion-order artifacts, so hashing them would give the
-        # columnar and tuple executors different bucket assignments —
+        # Hash on the term facts for both representations: interned ids
+        # are insertion-order artifacts, so hashing them would give the
+        # kernel and the tuple executor different bucket assignments —
         # and therefore different probe totals and skew — for the same
         # data.  The log's term tuples are position-aligned with the
         # rows, so the assignment carries over index for index.
@@ -362,19 +362,17 @@ def _partition_worker(conn, config: EngineConfig) -> None:
     method.  The worker keeps a private database mirroring the parent's
     read relations (grown by append-only ``sync`` suffixes, so log
     offsets agree with the parent's) and a private plan cache warm
-    across rounds.  It may execute columnar internally, but results
-    cross back as *decoded term facts* — worker-side intern ids mean
-    nothing to the parent.  Probe counts ride along; every other
+    across rounds.  It runs the batch kernel wherever a plan is
+    eligible, but results cross back as *decoded term facts* —
+    worker-side intern ids mean nothing to the parent.  Probe counts ride along; every other
     counter is owned by the parent (which fetched the plan itself), so
     plan-cache statistics stay identical to ``partitions=1``.
     """
     from repro.engine.columnar import decode_rows, execute_columnar
     from repro.engine.plan import PlanCache
 
-    columnar = config.exec == "columnar"
     db = Database()
-    if columnar:
-        db.ensure_dictionary()
+    db.ensure_dictionary()
     cache = PlanCache(config.planner)
     scratch = EvalStats()
     while True:
@@ -404,17 +402,14 @@ def _partition_worker(conn, config: EngineConfig) -> None:
                     part = _facts_partition(
                         name, arity, [log[i] for i in positions]
                     )
-                    if columnar:
-                        part.dictionary = db.dictionary
+                    part.dictionary = db.dictionary
                     overrides[pos] = part
             stats = EvalStats()
             plan = cache.plan(rule, roles, scratch, db=db, overrides=overrides)
-            facts_out: Optional[List[FactTuple]] = None
-            if columnar:
-                rows = execute_columnar(plan, db, overrides, stats)
-                if rows is not None:
-                    facts_out = decode_rows(db.dictionary.terms, rows)
-            if facts_out is None:
+            rows = execute_columnar(plan, db, overrides, stats)
+            if rows is not None:
+                facts_out = decode_rows(db.dictionary.terms, rows)
+            else:
                 facts_out = []
                 plan.execute(db, overrides, facts_out.append, stats)
             conn.send(("ok", facts_out, stats.probes))

@@ -1,11 +1,11 @@
 """Compiled rule plans: slot-based join execution for the bottom-up engine.
 
-:mod:`repro.engine.joins` interprets a rule from scratch on every
-delta round: it recomputes bound positions per candidate probe, copies
-a ``Dict[Variable, Term]`` per matched tuple, and unifies argument by
-argument through the generic :func:`~repro.engine.unify.match_term`.
-This module compiles each ``(rule, override-configuration)`` pair
-*once* into a flat :class:`RulePlan`:
+An interpreter (:func:`repro.engine.reference.join_rule`) recomputes
+bound positions per candidate probe, copies a ``Dict[Variable, Term]``
+per matched tuple, and unifies argument by argument through the
+generic :func:`~repro.engine.unify.match_term`.  This module compiles
+each ``(rule, override-configuration)`` pair *once* into a flat
+:class:`RulePlan`:
 
 * variables map to integer **slots**, so a set of bindings is a
   fixed-size list indexed by position instead of a dict copied per
@@ -27,9 +27,10 @@ read at steps where the compiler proved it was written earlier.
 Plans are cached per evaluation run by :class:`PlanCache`; the
 evaluators report cache behaviour through the ``plans_compiled`` /
 ``plan_cache_hits`` / ``probes`` counters on
-:class:`~repro.engine.stats.EvalStats`.  The dict-based interpreter in
-:mod:`repro.engine.joins` remains the reference implementation; the
-differential fuzz tests check both derive identical fixpoints.
+:class:`~repro.engine.stats.EvalStats`.  :meth:`RulePlan.execute`, the
+tuple-at-a-time executor, runs what the batch kernel
+(:mod:`repro.engine.columnar`) does not: provenance, naive recursive
+components, nullary or foreign-dictionary heads, compound terms.
 """
 
 from __future__ import annotations
@@ -300,9 +301,9 @@ class RulePlan:
     """A rule compiled for slot-based execution.
 
     Execution enumerates exactly the body instantiations that
-    :func:`repro.engine.joins.join_rule` would (in a different order),
-    and calls ``emit`` with the ground head tuple of each — the plan
-    equivalent of ``on_match`` + ``instantiate_head``.
+    :func:`repro.engine.reference.join_rule` would (in a different
+    order), and calls ``emit`` with the ground head tuple of each — the
+    plan equivalent of ``on_match`` + ``instantiate_head``.
     """
 
     __slots__ = (
@@ -419,8 +420,7 @@ class RulePlan:
 
         ``overrides`` maps *original* body positions to replacement
         relations (semi-naive delta/old views); a missing or ``None``
-        entry falls back to the database relation, mirroring
-        :func:`repro.engine.joins.join_rule`.
+        entry falls back to the database relation.
 
         ``on_match`` is the plan-level provenance hook: when given, it
         replaces ``emit`` (pass ``emit=None``) and receives

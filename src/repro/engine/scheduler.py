@@ -149,7 +149,7 @@ class SCCScheduler:
     with ``start_round()`` / ``observe(sig, fact, rule_index, rule,
     body_keys)`` / ``commit(sig, fact)`` / ``absorb_derivations()``
     (see :class:`repro.engine.provenance.DerivationRecorder`).  A
-    recording run executes tuple-at-a-time, whatever ``exec`` says.
+    recording run executes tuple-at-a-time (:meth:`RulePlan.execute`).
 
     ``executor`` is a ready
     :class:`~repro.engine.backends.ExecutorBackend` to run parallel
@@ -237,12 +237,11 @@ class SCCScheduler:
         the execution backend; its pooled resources are released when
         the run finishes.
         """
-        if self.config.exec == "columnar":
-            # Mint the run's term dictionary up front, before any
-            # batch: relations created later get it at creation, and
-            # the snapshots a process batch ships carry it, so workers
-            # adopt the run's ids instead of minting their own.
-            db.ensure_dictionary()
+        # Mint the run's term dictionary up front, before any batch:
+        # relations created later get it at creation, and the snapshots
+        # a process batch ships carry it, so workers adopt the run's
+        # ids instead of minting their own.
+        db.ensure_dictionary()
         stats.scc_count += len(self.tasks)
         try:
             for batch in self.batches:
@@ -309,19 +308,18 @@ _FULL = [((), ())]
 
 
 class _TermRows:
-    """Rows are term tuples, produced by :meth:`RulePlan.execute`.
+    """Rows are term tuples.
 
-    The counter-level reference (``exec="tuple"``), and the only
-    representation a provenance recorder can observe or a nullary /
-    foreign-dictionary head relation can absorb.
-
-    With ``kernel`` an eligible plan runs through the batch kernel
-    instead and its rows are decoded to terms as they arrive (a decline
-    falls back to the tuple executor and counts a
-    ``columnar_fallbacks``).  Dedup and absorption stay on the term
-    side — ``rel.tuples`` and ``rel.add`` — so the head's
-    whole-relation row set is never asked for: what a resumed run
-    wants (:meth:`ComponentRun.resume`).
+    The only representation a provenance recorder can observe or a
+    nullary / foreign-dictionary head relation can absorb, and the one
+    a naive recursive fixpoint keeps.  Without ``kernel`` every plan
+    runs tuple-at-a-time (:meth:`RulePlan.execute`); with it an
+    eligible plan runs through the batch kernel and its rows are
+    decoded to terms as they arrive (a decline falls back to the tuple
+    executor and counts a ``columnar_fallbacks``).  Dedup and
+    absorption stay on the term side — ``rel.tuples`` and ``rel.add``
+    — so the head's whole-relation row set is never asked for: what a
+    resumed run wants (:meth:`ComponentRun.resume`).
     """
 
     __slots__ = ("db", "stats", "recorder", "interned", "capable")
@@ -597,7 +595,7 @@ class ComponentRun:
         and rebuilding it would cost the relation, not the delta.
         """
         faults.fire("component")
-        kernel = self.config.exec == "columnar" and self.recorder is None
+        kernel = self.recorder is None
         if kernel:
             db.ensure_dictionary()
         self._drive(db, stats, _TermRows(db, stats, self.recorder, kernel), since)
@@ -630,15 +628,12 @@ class ComponentRun:
         in a fixpoint, every head relation of the component to take row
         appends (arity above zero, on the database's term dictionary):
         a round's delta must be readable as rows in the next.  Naive
-        fixpoints stay on term rows — they are the in-engine oracle
-        the columnar kernel is checked against.
+        recursive fixpoints stay on term rows: the uniform-redundancy
+        chase runs them, and its pinned plan lookups, kernel calls and
+        column syncs are counted on that path.
         """
         recursive = self.task.recursive
-        if (
-            self.config.exec == "columnar"
-            and self.recorder is None
-            and not (recursive and self.mode == "naive")
-        ):
+        if self.recorder is None and not (recursive and self.mode == "naive"):
             # Adopt (or mint) the database's term dictionary lazily so
             # every caller that builds a ComponentRun directly — the
             # process-backend worker, incremental recomputes — gets the

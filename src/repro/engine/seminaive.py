@@ -18,10 +18,10 @@ one delta rule per occurrence ``ij``, reading
 The traversal, batching, and per-component fixpoints all live in the
 shared :class:`~repro.engine.scheduler.SCCScheduler`; this module is
 the thin frontend that selects ``mode="seminaive"``.  Rule bodies run
-as compiled slot-based :class:`~repro.engine.plan.RulePlan`\\ s; the
-dict-based interpreter in :mod:`repro.engine.joins` survives only as
-the plan-free oracle behind
-:func:`~repro.engine.naive.naive_fixpoint_reference`.
+as compiled :class:`~repro.engine.plan.RulePlan`\\ s, through the
+batch kernel wherever the plan is eligible.  What it is checked
+against is :func:`repro.engine.reference.naive_fixpoint_reference`,
+which shares none of this machinery.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def seminaive_eval(
     """Evaluate ``program`` over ``edb`` to fixpoint, semi-naively.
 
     Returns ``(database, stats)``.  ``config`` and/or keyword knobs
-    (``planner=``, ``jobs=``, ``backend=``, ``exec=``, ``partitions=``,
+    (``planner=``, ``jobs=``, ``backend=``, ``partitions=``,
     ``max_iterations=``, ``max_facts=``, ``max_seconds=``) choose the
     schedule — :class:`~repro.engine.config.EngineConfig` describes
     them; a bad one raises before any rule runs.  Every combination

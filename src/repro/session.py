@@ -53,7 +53,7 @@ class DeductiveDatabase:
     """Rules + facts + an optimizing query interface.
 
     ``config`` and/or keyword knobs (``planner=``, ``jobs=``,
-    ``backend=``, ``exec=``, ``partitions=``, ``max_seconds=``) are
+    ``backend=``, ``partitions=``, ``max_seconds=``) are
     those of :class:`~repro.engine.config.EngineConfig`, resolved (and
     rejected) here; they govern :meth:`ask` and are the defaults of
     :meth:`materialize`.  Answers and counters are identical for every

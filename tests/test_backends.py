@@ -257,10 +257,8 @@ class TestProcessBackendDeterminism:
         edb = Database()
         for text in ("[a]", "[a, b]", "[b, a, c]"):
             edb.add_fact("list", (parse_term(text),))
-        base_db, base = seminaive_eval(program, edb, jobs=1, exec="columnar")
-        db, stats = seminaive_eval(
-            program, edb, jobs=2, backend="process", exec="columnar"
-        )
+        base_db, base = seminaive_eval(program, edb, jobs=1)
+        db, stats = seminaive_eval(program, edb, jobs=2, backend="process")
         assert db == base_db
         assert stats.scc_parallel_batches >= 1
         assert stats.columnar_fallbacks == base.columnar_fallbacks > 0

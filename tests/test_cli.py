@@ -80,7 +80,6 @@ class TestRun:
         [
             ("--jobs", "0", "error: invalid jobs='0'; expected a positive integer"),
             ("--jobs", "2.5", "error: invalid jobs='2.5'; expected a positive integer"),
-            ("--exec", "bogus", "error: invalid exec='bogus'; expected one of columnar, tuple"),
             ("--planner", "nope", "error: invalid planner='nope'; expected one of greedy, cost"),
         ],
     )
@@ -95,11 +94,24 @@ class TestRun:
         assert captured.out == ""
         assert captured.err.splitlines() == [message]
 
+    def test_removed_exec_flag_is_a_usage_error(
+        self, program_file, facts_file, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                ["run", program_file, "t(1, Y)", "--facts", facts_file,
+                 "--exec", "tuple"]
+            )
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --exec tuple" in captured.err
+
     def test_stats_leads_with_the_resolved_config(
         self, program_file, facts_file, capsys, monkeypatch
     ):
         monkeypatch.setenv("REPRO_PLANNER", "cost")  # environment knobs show too
-        monkeypatch.delenv("REPRO_EXEC", raising=False)
+        monkeypatch.setenv("REPRO_EXEC", "tuple")  # ... and removed ones do not
         code = main(
             ["run", program_file, "t(1, Y)", "--facts", facts_file,
              "--stats", "--jobs", "2", "--backend", "serial"]
@@ -108,8 +120,9 @@ class TestRun:
         lines = capsys.readouterr().err.splitlines()
         first = lines.index("-- stats:") - 1
         assert lines[first].startswith(
-            "-- config: planner=cost jobs=2 backend=serial exec=columnar "
+            "-- config: planner=cost jobs=2 backend=serial partitions="
         )
+        assert "exec" not in lines[first]
 
 
 class TestValidate:
@@ -702,7 +715,7 @@ assert pools() == ["concurrent.futures"], pools()
 
     PACKAGES = {
         "repro": 93, "repro.analysis": 35, "repro.bench": 4, "repro.core": 25,
-        "repro.datalog": 28, "repro.engine": 47, "repro.transforms": 8,
+        "repro.datalog": 28, "repro.engine": 46, "repro.transforms": 8,
         "repro.workloads": 33,
     }
 
@@ -802,6 +815,7 @@ print("LOADED", *sorted(m for m in sys.modules if m.startswith("repro.")))
             loaded, "repro.core", "repro.transforms", "repro.session",
             "repro.workloads", "repro.bench", "repro.engine.query",
             "repro.engine.server", "repro.engine.topdown", "repro.engine.naive",
+            "repro.engine.reference",
         ) == []
         assert self.under(loaded, "repro.analysis") == [
             "repro.analysis", "repro.analysis.dependency",
@@ -832,6 +846,7 @@ print("LOADED", *sorted(m for m in sys.modules if m.startswith("repro.")))
             loaded, "repro.session", "repro.workloads", "repro.bench",
             "repro.engine.server", "repro.engine.topdown", "repro.engine.journal",
             "repro.engine.incremental", "repro.engine.provenance",
+            "repro.engine.reference",
         ) == []
 
     def test_ask_imports_nothing(self):
@@ -893,6 +908,7 @@ def client():
                         break
                 assert reply.startswith("ok"), (line, reply)
         print("NEW", *sorted(set(sys.modules) - before), file=sys.__stdout__, flush=True)
+        assert "repro.engine.reference" not in sys.modules
         code = 0
     finally:
         os._exit(code)
@@ -906,6 +922,35 @@ main(["serve", sys.argv[1], "--facts", sys.argv[2], "--journal", sys.argv[3],
             program_file, facts_file, str(tmp_path / "wal.rjn"),
         )
         assert lines == ["NEW"]
+
+    def test_reference_shares_no_engine_machinery(self):
+        """``repro.engine.reference`` evaluates over plain sets: importing
+        it loads no plan, scheduler, kernel, dictionary, partition or
+        backend module, and running it loads the storage layer only for
+        the database it returns."""
+        lines = self.fresh(
+            """
+import sys
+from repro.engine.reference import naive_fixpoint_reference
+
+def engine():
+    return sorted(m for m in sys.modules if m.startswith("repro.engine."))
+
+print(*engine())
+from repro.datalog.parser import parse_program
+from repro.engine.database import Database
+program = parse_program("t(X, Y) :- e(X, Y). t(X, Y) :- e(X, Z), t(Z, Y).")
+db, _ = naive_fixpoint_reference(program, Database.from_dict({"e": [(1, 2), (2, 3)]}))
+assert len(db.relation("t", 2)) == 3
+print(*engine())
+"""
+        )
+        imported, ran = (set(line.split()) for line in lines)
+        assert imported == {
+            "repro.engine.reference", "repro.engine.stats", "repro.engine.unify",
+        }
+        # the storage layer (with its term dictionary) is the caller's
+        assert ran - imported == {"repro.engine.database", "repro.engine.intern"}
 
     def test_every_traced_entry_point_of_the_benchmark_resolves(self):
         """``perf/layers.py`` wraps ``module.attr`` and ``Class.attr`` by

@@ -1,8 +1,8 @@
 """Columnar execution: interning, column slabs, and the batch kernel.
 
 The differential fuzz (``tests/test_fuzz.py``) holds the big property —
-columnar and tuple modes are bit-identical on facts and counters.  This
-module pins the columnar machinery's *local* contracts: dictionary
+the kernel derives the reference's fixpoint with the tuple executor's
+counters.  This module pins the columnar machinery's *local* contracts: dictionary
 interning round-trips, buffered-column draining, compaction after
 deletion, duplicate handling, empty-delta rounds, pickling, and the
 query overlay sharing the EDB's columns instead of rebuilding them.
@@ -17,6 +17,8 @@ from repro.datalog.terms import Constant
 from repro.engine.columnar import decode_rows
 from repro.engine.database import Database, Relation
 from repro.engine.intern import TermDictionary
+from repro.engine.provenance import provenance_eval
+from repro.engine.reference import naive_fixpoint_reference
 from repro.engine.seminaive import seminaive_eval
 
 
@@ -141,9 +143,8 @@ def test_columns_compact_after_remove_facts():
     assert not index.get(key)
     assert len(rel.col_set()) == 4
     # Evaluation over the compacted relation still matches the oracle.
-    db_col, _ = seminaive_eval(TC, db, exec="columnar")
-    db_tup, _ = seminaive_eval(TC, db, exec="tuple")
-    assert db_col == db_tup
+    db_col, _ = seminaive_eval(TC, db)
+    assert db_col == naive_fixpoint_reference(TC, db)[0]
 
 
 def test_remove_facts_invalidates_row_cache():
@@ -164,7 +165,7 @@ def test_finished_fixpoint_releases_row_cache():
     it only pins a young list (the widest round's, on a tree) that every
     later young collection of the cyclic GC has to walk.
     """
-    db, _ = seminaive_eval(TC, chain_edb(6), exec="columnar")
+    db, _ = seminaive_eval(TC, chain_edb(6))
     rel = db.relation("t", 2)
     assert rel._pending_n, "rows were bulk-appended, so the cache was in use"
     assert all(r._last_rows is None for r in db.relations.values())
@@ -186,32 +187,33 @@ def test_duplicate_derivations_count_inferences_once_per_row():
     db = Database()
     for x in range(4):
         db.add_fact("e", (x, 99))
-    col_db, col_stats = seminaive_eval(program, db, exec="columnar")
-    tup_db, tup_stats = seminaive_eval(program, db, exec="tuple")
-    assert col_db == tup_db
+    col_db, col_stats = seminaive_eval(program, db)
+    tuple_run = provenance_eval(program, db)  # tuple-at-a-time throughout
+    assert col_db == tuple_run.database
     assert len(col_db.relation("p", 1)) == 1
-    assert col_stats.inferences == tup_stats.inferences == 4
+    assert col_stats.inferences == tuple_run.stats.inferences == 4
 
 
 def test_empty_delta_round_terminates_identically():
-    """The closing round (delta derives nothing new) matches the oracle."""
+    """The closing round (delta derives nothing new) matches the tuple
+    executor's."""
     db = chain_edb(8)
-    col_db, col_stats = seminaive_eval(TC, db, exec="columnar")
-    tup_db, tup_stats = seminaive_eval(TC, db, exec="tuple")
-    assert col_db == tup_db
-    assert col_stats.iterations == tup_stats.iterations
-    assert col_stats.probes == tup_stats.probes
+    col_db, col_stats = seminaive_eval(TC, db, partitions=1)
+    tuple_run = provenance_eval(TC, db)
+    assert col_db == tuple_run.database
+    assert col_stats.iterations == tuple_run.stats.iterations
+    assert col_stats.probes == tuple_run.stats.probes
     assert len(col_db.relation("t", 2)) == 8 * 9 // 2
 
 
-def test_columnar_database_equality_is_mode_blind():
+def test_columnar_database_equality_is_representation_blind():
     """A columnar-built database equals a tuple-built one (and vice versa)."""
     db = chain_edb(5)
-    col_db, _ = seminaive_eval(TC, db, exec="columnar")
-    tup_db, _ = seminaive_eval(TC, db, exec="tuple")
+    col_db, _ = seminaive_eval(TC, db)
+    tup_db, _ = naive_fixpoint_reference(TC, db)
     assert col_db == tup_db
     assert tup_db == col_db
-    assert col_db.dictionary is not None
+    assert col_db.dictionary is not None and tup_db.dictionary is None
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +234,7 @@ def test_query_overlay_shares_edb_columns():
 
     edb = chain_edb(12)
     edb.ensure_dictionary()
-    compiler = QueryCompiler(TC, planner="greedy", exec="columnar")
+    compiler = QueryCompiler(TC, planner="greedy")
     answer = compiler.ask("t(3, Y)", edb)
     assert answer.values() == {(y,) for y in range(4, 13)}
     rel = edb.relation("e", 2)
@@ -254,8 +256,8 @@ def test_database_copy_and_snapshot_carry_dictionary():
     assert db.copy().dictionary is d
     assert db.snapshot({("e", 2)}).dictionary is d
     staged = db.copy()
-    out, _ = seminaive_eval(TC, staged, exec="columnar")
-    ref, _ = seminaive_eval(TC, db, exec="tuple")
+    out, _ = seminaive_eval(TC, staged)
+    ref, _ = naive_fixpoint_reference(TC, db)
     assert out == ref
 
 
@@ -267,13 +269,13 @@ def test_database_copy_and_snapshot_carry_dictionary():
 def test_incremental_columnar_batch_churn_matches_scratch():
     from repro.engine.incremental import IncrementalSession
 
-    session = IncrementalSession(TC, chain_edb(6), exec="columnar")
+    session = IncrementalSession(TC, chain_edb(6))
     session.apply_batch(inserts=[("e", (6, 7)), ("e", (7, 8))])
     session.apply_batch(deletes=[("e", (3, 4))])
     session.apply_batch(
         inserts=[("e", (3, 4))], deletes=[("e", (0, 1)), ("e", (7, 8))]
     )
-    ref, _ = seminaive_eval(TC, session.edb, exec="tuple")
+    ref, _ = naive_fixpoint_reference(TC, session.edb)
     assert session.database == ref
     assert session.query("t(1, Y)") == {(y,) for y in range(2, 8)}
 
@@ -284,7 +286,7 @@ def test_incremental_columnar_keeps_nullary_heads():
 
     assert decode_rows([], [(), ()]) == [(), ()]
     program = parse_program("hop(X, Z) :- e(X, Y), e(Y, Z).\nany :- hop(X, Y).")
-    session = IncrementalSession(program, chain_edb(1), exec="columnar")
+    session = IncrementalSession(program, chain_edb(1))
     assert not session.holds("any")
     session.insert([("e", (1, 2))])
     assert session.holds("any")

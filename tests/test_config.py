@@ -1,8 +1,8 @@
 """``EngineConfig``: the one declaration, parser and checker of the knobs.
 
 One table per field (good values, bad values, environment spellings),
-the resolution order (explicit > environment > default), and the four
-defects probed on the parent commit as regression cases.  The per-module
+the resolution order (explicit > environment > default), and three
+defects probed on an earlier commit as regression cases.  The per-module
 ``resolve_*`` tests this file replaced map onto rows of ``GOOD``/``BAD``/
 ``ENV_GOOD``/``ENV_BAD`` and ``test_precedence`` (see docs/engine.md,
 "Configuration").
@@ -45,12 +45,11 @@ def edb():
     return Database.from_dict({"e": [(1, 2), (2, 3)]})
 
 
-def test_exactly_the_eight_knobs_and_their_defaults():
+def test_exactly_the_seven_knobs_and_their_defaults():
     assert dataclasses.asdict(EngineConfig()) == {
         "planner": "greedy",
         "jobs": 1,
         "backend": "serial",
-        "exec": "columnar",
         "partitions": 1,
         "max_iterations": None,
         "max_facts": None,
@@ -60,7 +59,6 @@ def test_exactly_the_eight_knobs_and_their_defaults():
         "planner": "REPRO_PLANNER",
         "jobs": "REPRO_JOBS",
         "backend": "REPRO_BACKEND",
-        "exec": "REPRO_EXEC",
         "partitions": "REPRO_PARTITIONS",
         "max_iterations": None,
         "max_facts": None,
@@ -80,8 +78,6 @@ GOOD = [
     ("backend", "serial", "serial"),
     ("backend", "process", "process"),
     ("backend", "  Process ", "process"),
-    ("exec", "tuple", "tuple"),
-    ("exec", "COLUMNAR", "columnar"),
     ("partitions", 2, 2),
     ("partitions", " 3 ", 3),
     ("max_iterations", 1, 1),
@@ -105,8 +101,6 @@ BAD = [
     ("backend", "bogus", "one of serial, process"),
     ("backend", "gpu", "one of serial, process"),
     ("backend", "thread", "one of serial, process"),
-    ("exec", "row-at-a-time", "one of columnar, tuple"),
-    ("exec", "bogus", "one of columnar, tuple"),
     ("partitions", 0, "a positive integer"),
     ("partitions", -1, "a positive integer"),
     ("partitions", -8, "a positive integer"),
@@ -158,8 +152,6 @@ ENV_GOOD = [
     ("jobs", " 3 ", 3),
     ("backend", "process", "process"),
     ("backend", " Serial", "serial"),
-    ("exec", "tuple", "tuple"),
-    ("exec", " Tuple ", "tuple"),
     ("partitions", " 3 ", 3),
     ("max_seconds", "2.5", 2.5),
 ]
@@ -170,7 +162,6 @@ ENV_BAD = [
     ("jobs", "0"),
     ("backend", "bogus"),
     ("backend", "thread"),
-    ("exec", "bogus"),
     ("partitions", "many"),
     ("partitions", "junk"),
     ("max_seconds", "soon"),
@@ -208,7 +199,6 @@ def test_empty_means_unset_for_every_variable(monkeypatch, name, blank):
         ("planner", "cost", "greedy"),
         ("jobs", "3", 2),
         ("backend", "process", "serial"),
-        ("exec", "tuple", "columnar"),
         ("partitions", "8", 2),
         ("max_seconds", "2.5", 7.0),
     ],
@@ -270,6 +260,26 @@ def test_removed_retries_variable_is_not_read(monkeypatch):
     assert len(db.relation("t", 2)) == 3
 
 
+@pytest.mark.parametrize("surface", sorted(KNOB_TAKERS))
+def test_removed_exec_knob_is_unknown(surface):
+    # the batch kernel runs wherever a plan is eligible and the tuple
+    # executor wherever it is not, so there is no mode to pick
+    with pytest.raises(TypeError, match="exec"):
+        KNOB_TAKERS[surface](exec="tuple")
+
+
+def test_removed_exec_variable_is_not_read(monkeypatch):
+    _, plain = seminaive_eval(TC, edb())
+    monkeypatch.setenv("REPRO_EXEC", "tuple")
+    assert EngineConfig.resolve() == EngineConfig()
+    db, stats = seminaive_eval(TC, edb())
+    assert db.dictionary is not None  # the kernel's term dictionary was minted
+    assert len(db.relation("t", 2)) == 3
+    assert (stats.facts, stats.inferences, stats.iterations, stats.probes) == (
+        plain.facts, plain.inferences, plain.iterations, plain.probes,
+    )
+
+
 def test_frozen_hashable_and_picklable():
     config = EngineConfig(planner="cost", jobs=2, backend="process", max_seconds=1.5)
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -280,7 +290,7 @@ def test_frozen_hashable_and_picklable():
 
 def test_str_is_the_stats_line():
     assert str(EngineConfig(jobs=2)) == (
-        "planner=greedy jobs=2 backend=serial exec=columnar partitions=1 "
+        "planner=greedy jobs=2 backend=serial partitions=1 "
         "max_iterations=None max_facts=None max_seconds=None"
     )
 
@@ -291,18 +301,11 @@ def test_config_module_imports_nothing_of_the_engine():
     assert imported <= {"__future__", "os", "math", "dataclasses", "typing"}
 
 
-# -- the four defects probed on the parent commit ------------------------
-
-
-def test_empty_repro_exec_runs_columnar(monkeypatch):
-    monkeypatch.setenv("REPRO_EXEC", "")
-    assert EngineConfig.resolve().exec == "columnar"
-    db, _ = seminaive_eval(TC, edb())
-    assert len(db.relation("t", 2)) == 3
+# -- three defects probed on an earlier commit ------------------------
 
 
 @pytest.mark.parametrize(
-    "knobs", [{"planner": "bogus"}, {"jobs": 0}, {"exec": "bogus"}]
+    "knobs", [{"planner": "bogus"}, {"jobs": 0}, {"backend": "bogus"}]
 )
 def test_compilers_reject_a_bad_knob_when_constructed(knobs):
     with pytest.raises(ValueError, match="invalid"):
@@ -325,8 +328,8 @@ def test_evaluator_rejects_before_any_rule_runs(knobs):
 
 def test_valid_keyword_calls_behave_as_before():
     knobs = dict(
-        planner="cost", jobs=2, backend="process", exec="tuple",
-        partitions=2, max_seconds=1.5,
+        planner="cost", jobs=2, backend="process", partitions=2,
+        max_seconds=1.5,
     )
     base_db, base = seminaive_eval(TC, edb())
     for run in (

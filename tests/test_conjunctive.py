@@ -15,7 +15,7 @@ from repro.analysis.conjunctive import (
     normalize_equalities,
 )
 from repro.datalog.literals import Literal
-from repro.datalog.parser import parse_literal
+from repro.datalog.parser import parse_literal, parse_term
 from repro.datalog.terms import Constant, Variable
 from repro.engine.database import Database
 
@@ -129,6 +129,36 @@ class TestInstanceMode:
         db = Database()
         assert instance_contained_in(cq(["Y"], "e(X, Y)"), cq(["Y"]), db)
         assert not instance_contained_in(cq(["Y"]), cq(["Y"], "e(X, Y)"), db)
+
+    def test_compound_head_terms_are_instantiated(self):
+        # f(Y) :- e(Y) answers f(1) on e = {1}, not the non-ground f(Y)
+        db = Database.from_dict({"e": [(1,)], "r": [(2,)]})
+        f_of_y = parse_term("f(Y)")
+        q_e = ConjunctiveQuery((f_of_y,), (parse_literal("e(Y)"),))
+        q_r = ConjunctiveQuery((f_of_y,), (parse_literal("r(Y)"),))
+        assert evaluate_cq(q_e, db) == {(parse_term("f(1)"),)}
+        assert not instance_contained_in(q_e, q_r, db)
+        assert instance_contained_in(q_e, q_e, db)
+
+    def test_compound_heads_from_equal_normalization_are_instantiated(self):
+        # equal(X, f(Y)) turns the head X into f(Y) before evaluation
+        db = Database.from_dict({"e": [(1,)], "r": [(2,)]})
+        q_e = cq(["X"], "e(Y)", "equal(X, f(Y))")
+        q_r = cq(["X"], "r(Y)", "equal(X, f(Y))")
+        assert evaluate_cq(q_e, db) == {(parse_term("f(1)"),)}
+        assert not instance_contained_in(q_e, q_r, db)
+
+    def test_constant_heads_from_equal_normalization(self):
+        db = Database.from_dict({"r": [(5,), (6,)]})
+        q = cq(["X"], "equal(X, 5)", "r(X)")
+        assert evaluate_cq(q, db) == {(Constant(5),)}
+
+    def test_unsafe_variables_inside_compound_heads_range_over_the_domain(self):
+        db = Database.from_dict({"e": [(1,), (2,)]})
+        q = ConjunctiveQuery((parse_term("g(Y, Z)"),), (parse_literal("e(Y)"),))
+        assert evaluate_cq(q, db) == {
+            (parse_term(f"g({y}, {z})"),) for y in (1, 2) for z in (1, 2)
+        }
 
 
 # -- soundness property: syntactic containment implies instance containment

@@ -13,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.pipeline import optimize
 from repro.datalog.parser import parse_literal, parse_program
-from repro.engine.naive import naive_eval, naive_fixpoint_reference
+from repro.engine.naive import naive_eval
+from repro.engine.provenance import provenance_eval
+from repro.engine.reference import naive_fixpoint_reference
 from repro.engine.seminaive import seminaive_eval
 from repro.workloads.synthetic import (
     random_edb,
@@ -86,18 +88,19 @@ def test_all_backends_match_interpreter_seminaive(program_seed, edb_seed, n):
     (``jobs=2`` with the ``serial`` and ``process`` executors
     — the latter shipping picklable component specs to worker processes
     that recompile plans locally) must derive the fixpoint of the
-    scheduler-free ``join_rule`` interpreter
-    (``naive_fixpoint_reference``), with the facts/inferences/
-    iterations counters of the serial greedy tuple-at-a-time run, on
-    randomized programs and databases.
+    reference evaluator (``naive_fixpoint_reference``, plain sets), with
+    the facts/inferences/iterations counters of the serial greedy
+    tuple-at-a-time run (``provenance_eval``), on randomized programs
+    and databases.
     """
     program = random_program(program_seed)
     edb = random_edb(edb_seed, n=n)
     db_interp, _ = naive_fixpoint_reference(program, edb)
-    db_tuple, stats_interp = seminaive_eval(
-        program, edb, planner="greedy", exec="tuple"
+    tuple_run = provenance_eval(program, edb, planner="greedy")
+    stats_interp = tuple_run.stats
+    assert tuple_run.database == db_interp, (
+        f"tuple-at-a-time run diverged on seed {program_seed}"
     )
-    assert db_tuple == db_interp, f"tuple mode diverged on seed {program_seed}"
     db_greedy, stats_greedy = seminaive_eval(program, edb, planner="greedy")
     db_cost, stats_cost = seminaive_eval(program, edb, planner="cost")
     plan_runs = [stats_greedy, stats_cost]
@@ -150,7 +153,7 @@ def test_multi_component_programs_agree_across_executors(
     )
     edb = random_edb(edb_seed, n=n)
     db_ref, _ = naive_fixpoint_reference(program, edb)
-    _, stats_ref = seminaive_eval(program, edb, jobs=1, exec="tuple")
+    stats_ref = provenance_eval(program, edb, jobs=1).stats
     for backend in ("serial", "process"):
         db, stats = seminaive_eval(program, edb, jobs=2, backend=backend)
         assert db == db_ref, f"{backend} diverged on seeds {p_seed}/{q_seed}"
@@ -169,21 +172,21 @@ def test_multi_component_programs_agree_across_executors(
     n=st.integers(3, 8),
 )
 def test_columnar_matches_tuple_across_backends(program_seed, edb_seed, n):
-    """The columnar kernel against its tuple-at-a-time oracle.
+    """The columnar kernel against the tuple-at-a-time executor.
 
-    ``exec="columnar"`` batches interned rows through the column
-    kernel; ``exec="tuple"`` is the retained oracle.  For every
-    planner × backend × jobs combination the two modes must produce
-    the same database **and the same counters** — facts, inferences,
-    iterations, and ``probes``, the finest-grained one (the kernel
-    counts a probe per batched row exactly where the executor counts
-    one per tuple).  Counter parity is what keeps the two paths
-    differential-testable forever: any divergence is a bug, not a
-    mode difference.
+    ``seminaive_eval`` batches interned rows through the column kernel
+    wherever a plan is eligible; ``provenance_eval`` runs every plan
+    tuple-at-a-time.  For every planner × backend × jobs combination
+    the two must produce the reference database **and the same
+    counters** — facts, inferences, iterations, and ``probes``, the
+    finest-grained one (the kernel counts a probe per batched row
+    exactly where the executor counts one per tuple).  Counter parity
+    is what keeps the two paths differential-testable forever: any
+    divergence is a bug.
     """
     program = random_program(program_seed)
     edb = random_edb(edb_seed, n=n)
-    db_ref, _ = seminaive_eval(program, edb, planner="greedy", exec="tuple")
+    db_ref, _ = naive_fixpoint_reference(program, edb)
     for kwargs in (
         {"planner": "greedy"},
         {"planner": "cost"},
@@ -191,12 +194,10 @@ def test_columnar_matches_tuple_across_backends(program_seed, edb_seed, n):
         {"planner": "greedy", "jobs": 2, "backend": "process"},
         {"planner": "cost", "jobs": 2, "backend": "process"},
     ):
-        db_tuple, stats_tuple = seminaive_eval(
-            program, edb, exec="tuple", **kwargs
-        )
-        db_col, stats_col = seminaive_eval(
-            program, edb, exec="columnar", **kwargs
-        )
+        tuple_run = provenance_eval(program, edb, **kwargs)
+        db_tuple, stats_tuple = tuple_run.database, tuple_run.stats
+        # provenance runs never partition, and partitions move probes
+        db_col, stats_col = seminaive_eval(program, edb, partitions=1, **kwargs)
         assert db_col == db_tuple == db_ref, (
             f"columnar fixpoint diverged on seed {program_seed} with {kwargs}"
         )
@@ -219,7 +220,7 @@ def test_partitioned_execution_matches_unpartitioned(program_seed, edb_seed, n):
     key and runs the same compiled plan per disjoint partition, so the
     emission multiset — and with it ``facts``, ``inferences``, and
     ``iterations`` — must be bit-identical to ``partitions=1`` for
-    every partition count × partition backend × execution mode.
+    every partition count × partition backend.
     ``probes`` is deliberately *not* compared: shared non-delta steps
     resolve once per partition instead of once per call (the same
     caveat as DRed maintenance order under the columnar kernel).  The
@@ -234,31 +235,27 @@ def test_partitioned_execution_matches_unpartitioned(program_seed, edb_seed, n):
         program, edb, planner="greedy", partitions=1
     )
     assert stats_ref.partition_rounds == 0
-    for exec_mode in ("tuple", "columnar"):
-        for backend in ("serial", "process"):
-            for parts in (1, 2, 4):
-                db, stats = seminaive_eval(
-                    program,
-                    edb,
-                    planner="greedy",
-                    exec=exec_mode,
-                    backend=backend,
-                    partitions=parts,
+    for backend in ("serial", "process"):
+        for parts in (1, 2, 4):
+            db, stats = seminaive_eval(
+                program,
+                edb,
+                planner="greedy",
+                backend=backend,
+                partitions=parts,
+            )
+            assert db == db_ref, (
+                f"partitions={parts} backend={backend} "
+                f"diverged on seed {program_seed}"
+            )
+            for counter in ("facts", "inferences", "iterations"):
+                assert getattr(stats, counter) == getattr(stats_ref, counter), (
+                    f"{counter} diverged on seed {program_seed} with "
+                    f"partitions={parts} backend={backend}"
                 )
-                assert db == db_ref, (
-                    f"partitions={parts} backend={backend} exec={exec_mode} "
-                    f"diverged on seed {program_seed}"
-                )
-                for counter in ("facts", "inferences", "iterations"):
-                    assert getattr(stats, counter) == getattr(
-                        stats_ref, counter
-                    ), (
-                        f"{counter} diverged on seed {program_seed} with "
-                        f"partitions={parts} backend={backend} exec={exec_mode}"
-                    )
-                if parts == 1:
-                    assert stats.partition_rounds == 0
-                assert stats.backend_fallbacks == 0
+            if parts == 1:
+                assert stats.partition_rounds == 0
+            assert stats.backend_fallbacks == 0
 
 
 @settings(max_examples=15, deadline=None)
@@ -268,24 +265,24 @@ def test_partitioned_execution_matches_unpartitioned(program_seed, edb_seed, n):
     script_seed=st.integers(0, 10_000),
     n=st.integers(3, 8),
 )
-def test_columnar_maintenance_matches_tuple(
+def test_maintenance_counters_agree_across_planners(
     program_seed, edb_seed, script_seed, n
 ):
-    """Maintenance churn under the columnar kernel vs the tuple oracle.
+    """A maintenance pass's determinate counters do not depend on the
+    join order.
 
     Two incremental sessions absorb the same random ``apply_batch``
-    script, one per execution mode.  Every *pass* must agree on the
+    script, one per planner.  Every *pass* must agree on the
     set-determined maintenance counters — facts and re-derivations —
     plus inferences and delta rounds on insert-only passes, and both
-    maintained databases must end bit-identical to a from-scratch
-    evaluation of the final EDB.  (On passes with deletes only the
-    set-determined counters are compared, deliberately: DRed's
-    overdelete/rederive step probes, emits duplicates, and closes
-    rounds in fact-enumeration order, so ``probes``, ``inferences``,
-    and ``incr_rounds`` there vary with log order — between the two
-    modes, and even within one mode across hash seeds.  The
-    full-enumeration evaluator path asserts exact parity on every
-    counter in ``test_columnar_matches_tuple_across_backends``.)
+    maintained databases must end equal to the reference fixpoint of
+    the final EDB.  (On passes with deletes only the set-determined
+    counters are compared, deliberately: DRed's overdelete/rederive
+    step probes, emits duplicates, and closes rounds in
+    fact-enumeration order, so ``probes``, ``inferences``, and
+    ``incr_rounds`` there vary with log order — even across hash
+    seeds.  The full-enumeration evaluator path asserts exact parity on
+    every counter in ``test_columnar_matches_tuple_across_backends``.)
     """
     import random
 
@@ -294,8 +291,8 @@ def test_columnar_maintenance_matches_tuple(
     program = random_program(program_seed)
     edb = random_edb(edb_seed, n=n)
     by_mode = {
-        mode: IncrementalSession(program, edb, exec=mode)
-        for mode in ("tuple", "columnar")
+        planner: IncrementalSession(program, edb, planner=planner)
+        for planner in ("greedy", "cost")
     }
     rng = random.Random(script_seed)
     for _ in range(8):
@@ -308,7 +305,7 @@ def test_columnar_maintenance_matches_tuple(
         else:
             stored = sorted(
                 (sig[0], tuple(t.value for t in fact))
-                for sig, rel in by_mode["tuple"].edb.relations.items()
+                for sig, rel in by_mode["greedy"].edb.relations.items()
                 for fact in rel.tuples
             )
             if not stored:
@@ -322,16 +319,16 @@ def test_columnar_maintenance_matches_tuple(
         if "deletes" not in batch:
             counters += ("inferences", "incr_rounds")
         for counter in counters:
-            assert getattr(passes["columnar"], counter) == getattr(
-                passes["tuple"], counter
+            assert getattr(passes["cost"], counter) == getattr(
+                passes["greedy"], counter
             ), (
                 f"maintenance {counter} diverged on seeds "
                 f"{program_seed}/{edb_seed}/{script_seed}"
             )
-    ref, _ = seminaive_eval(program, by_mode["tuple"].edb, exec="tuple")
-    for mode, session in by_mode.items():
+    ref, _ = naive_fixpoint_reference(program, by_mode["greedy"].edb)
+    for planner, session in by_mode.items():
         assert session.database == ref, (
-            f"incremental exec={mode} diverged on seeds "
+            f"incremental planner={planner} diverged on seeds "
             f"{program_seed}/{edb_seed}/{script_seed}"
         )
 
@@ -343,13 +340,13 @@ def test_columnar_maintenance_matches_tuple(
     n=st.integers(3, 8),
 )
 def test_all_backends_match_interpreter_naive(program_seed, edb_seed, n):
-    """Same four-way differential property for the naive evaluator."""
+    """Same differential property for the naive evaluator."""
     program = random_program(program_seed)
     edb = random_edb(edb_seed, n=n)
     db_interp, _ = naive_fixpoint_reference(program, edb)
-    _, stats_interp = naive_eval(program, edb, planner="greedy", exec="tuple")
+    db_greedy, stats_interp = naive_eval(program, edb, planner="greedy")
+    assert db_greedy == db_interp, f"greedy fixpoint diverged on seed {program_seed}"
     for label, kwargs in (
-        ("greedy", {"planner": "greedy"}),
         ("cost", {"planner": "cost"}),
         ("jobs=2", {"planner": "greedy", "jobs": 2}),
     ):
@@ -375,7 +372,6 @@ def test_provenance_backends_record_identical_trees(program_seed, edb_seed, n):
     same ``(rule, body fact keys)`` per derived fact — derivation
     recording is canonicalized, not enumeration-order dependent.
     """
-    from repro.engine.provenance import provenance_eval
 
     program = random_program(program_seed)
     edb = random_edb(edb_seed, n=n)
@@ -424,15 +420,14 @@ def test_compiled_plans_match_interpreter_compound_terms():
     for atom in ("a", "b", "c"):
         edb.add_fact("elem", (parse_term(atom),))
 
+    db_interp, _ = naive_fixpoint_reference(program, edb, max_iterations=30)
+    stats_interp = provenance_eval(program, edb, max_iterations=30).stats
     for evaluator in (seminaive_eval, naive_eval):
         db_plan, stats_plan = evaluator(program, edb, max_iterations=30)
-        db_interp, _ = naive_fixpoint_reference(program, edb, max_iterations=30)
-        _, stats_interp = evaluator(
-            program, edb, max_iterations=30, exec="tuple"
-        )
         assert db_plan == db_interp
         assert stats_plan.facts == stats_interp.facts
-        assert stats_plan.inferences == stats_interp.inferences
+        if evaluator is seminaive_eval:
+            assert stats_plan.inferences == stats_interp.inferences
         assert db_plan.get("member", 2) is not None
         assert len(db_plan.get("member", 2)) > 0
 
@@ -453,12 +448,11 @@ def test_evaluators_match_scheduler_free_reference(
     usual oracle — runs through the same ``SCCScheduler``, so a
     stratification or batching bug would hit oracle and testee alike.
     ``naive_fixpoint_reference`` shares none of that machinery (no
-    dependency graph, no components, no compiled plans: whole-program
-    rounds through the legacy interpreter), and the tabled top-down
-    engine shares no bottom-up code at all.  All three must agree on
-    randomized programs and databases.
+    dependency graph, no components, no compiled plans, no engine
+    storage: whole-program rounds over plain sets), and the tabled
+    top-down engine shares no bottom-up code at all.  All three must
+    agree on randomized programs and databases.
     """
-    from repro.engine.naive import naive_fixpoint_reference
     from repro.engine.topdown import topdown_eval
 
     program = random_program(program_seed)
@@ -491,8 +485,8 @@ def test_incremental_scripts_match_scratch(program_seed, edb_seed, script_seed, 
 
     One random program, one random EDB, one random script of EDB
     inserts and deletes.  Sessions under every maintenance
-    configuration — greedy and cost planners, tuple-at-a-time
-    execution, the parallel scheduler, and provenance recording —
+    configuration — greedy and cost planners, the parallel scheduler,
+    and provenance recording (tuple-at-a-time throughout) —
     absorb the script; each must end bit-identical to the
     scheduler-free reference fixpoint of the final EDB, and the
     provenance session's derivations must equal a from-scratch
@@ -505,14 +499,12 @@ def test_incremental_scripts_match_scratch(program_seed, edb_seed, script_seed, 
     import random
 
     from repro.engine.incremental import IncrementalSession
-    from repro.engine.provenance import provenance_eval
 
     program = random_program(program_seed)
     edb = random_edb(edb_seed, n=n)
     sessions = [
         IncrementalSession(program, edb),
         IncrementalSession(program, edb, planner="cost"),
-        IncrementalSession(program, edb, exec="tuple"),
         IncrementalSession(program, edb, jobs=2, backend="process"),
         IncrementalSession(program, edb, record_provenance=True),
     ]
@@ -542,7 +534,7 @@ def test_incremental_scripts_match_scratch(program_seed, edb_seed, script_seed, 
             assert_storage_matches_rebuild(session.database, pinned)
             assert_storage_matches_rebuild(session.edb)
     ref, _ = naive_fixpoint_reference(program, edb)
-    labels = ("greedy", "cost", "tuple", "jobs2", "provenance")
+    labels = ("greedy", "cost", "jobs2", "provenance")
     for label, session in zip(labels, sessions):
         assert session.database == ref, (
             f"incremental {label} diverged on seeds "
@@ -701,7 +693,6 @@ def test_injected_faults_never_leave_intermediate_state(
 
     from repro.engine import faults
     from repro.engine.incremental import IncrementalSession
-    from repro.engine.provenance import provenance_eval
     from repro.engine.stats import MaintenanceError
 
     program = random_program(program_seed)
@@ -781,8 +772,8 @@ def test_served_churn_matches_bare_session(
     The same randomized insert/delete script runs through a
     :class:`~repro.engine.server.DatalogServer` front — with reader
     threads hammering pinned views the whole time — and through a bare
-    :class:`IncrementalSession`, across serial/process backends ×
-    columnar/tuple execution.  The served sessions must end
+    :class:`IncrementalSession`, across serial/process backends, with
+    and without provenance recording (the tuple-at-a-time path).  The served sessions must end
     bit-identical to the bare ones (the reader traffic is pure
     observation), and every published view must equal the final
     from-scratch oracle once the script drains.
@@ -797,9 +788,9 @@ def test_served_churn_matches_bare_session(
     edb = random_edb(edb_seed, n=n)
     configs = [
         dict(),
-        dict(exec="tuple"),
+        dict(record_provenance=True),
         dict(jobs=2, backend="process"),
-        dict(jobs=2, backend="process", exec="tuple"),
+        dict(jobs=2, backend="process", record_provenance=True),
     ]
     servers = [
         DatalogServer(IncrementalSession(program, edb, **cfg))
@@ -860,7 +851,7 @@ def test_served_churn_matches_bare_session(
         assert not thread.is_alive(), "reader thread hung"
 
     ref, _ = seminaive_eval(program, edb)
-    labels = ("serial+col", "serial+tuple", "process+col", "process+tuple")
+    labels = ("serial", "serial+prov", "process", "process+prov")
     for label, server, session in zip(labels, servers, bare):
         assert server.session.database == session.database, (
             f"served {label} diverged from bare on seeds "

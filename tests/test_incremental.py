@@ -15,8 +15,8 @@ import pytest
 from repro.datalog.parser import parse_program
 from repro.engine.database import Database, Relation
 from repro.engine.incremental import IncrementalSession
-from repro.engine.naive import naive_fixpoint_reference
 from repro.engine.provenance import provenance_eval
+from repro.engine.reference import naive_fixpoint_reference
 from repro.engine.seminaive import seminaive_eval
 from repro.session import DeductiveDatabase
 from repro.workloads.synthetic import churn_edb, churn_program, churn_script
@@ -167,10 +167,10 @@ class TestDelete:
 
 
 class TestMixedScripts:
-    @pytest.mark.parametrize("exec_mode", ["columnar", "tuple"])
-    def test_mixed_script_matches_scratch(self, exec_mode):
+    @pytest.mark.parametrize("provenance", [False, True])
+    def test_mixed_script_matches_scratch(self, provenance):
         edb = churn_edb(24, width=2)
-        session = IncrementalSession(LAYERED, edb, exec=exec_mode)
+        session = IncrementalSession(LAYERED, edb, record_provenance=provenance)
         rng = random.Random(5)
         for step in range(30):
             if rng.random() < 0.5:
@@ -215,7 +215,7 @@ class TestKnobDeterminism:
         [
             {"planner": "greedy"},
             {"planner": "cost"},
-            {"exec": "tuple"},
+            {"record_provenance": True},
             {"jobs": 2, "backend": "serial"},
             {"jobs": 2, "backend": "process"},
             {"partitions": 2, "backend": "serial"},
@@ -485,12 +485,14 @@ class TestFactBudget:
     """``max_facts`` binds maintenance as it binds the evaluator: what
     counts is every fact the database holds beyond its EDB."""
 
-    @pytest.mark.parametrize("exec_mode", ["columnar", "tuple"])
-    def test_insert_past_the_cap_rolls_back(self, exec_mode):
+    @pytest.mark.parametrize("provenance", [False, True])
+    def test_insert_past_the_cap_rolls_back(self, provenance):
         from repro.engine.stats import MaintenanceError, NonTerminationError
 
         edb = chain(1)
-        session = IncrementalSession(TC, edb, max_facts=20, exec=exec_mode)
+        session = IncrementalSession(
+            TC, edb, max_facts=20, record_provenance=provenance
+        )
         grown = [("e", (i, i + 1)) for i in range(1, 30)]
         with pytest.raises(NonTerminationError):
             seminaive_eval(TC, chain(30), max_facts=20)  # 465 facts
@@ -512,14 +514,13 @@ class TestFactBudget:
             session.insert(grown[4:5])
         assert_matches_scratch(session, edb)
 
-    @pytest.mark.parametrize("exec_mode", ["columnar", "tuple"])
-    def test_delete_whose_restorations_fit_succeeds(self, exec_mode):
+    def test_delete_whose_restorations_fit_succeeds(self):
         """36 facts under a cap of 40: the delete over-deletes 14 and
         restores 12 — counting restorations on top of the pre-batch 36
         would refuse a batch that ends on 34."""
         edb = chain(8)
         edb.add_fact("e", (5, 7))
-        session = IncrementalSession(TC, edb, max_facts=40, exec=exec_mode)
+        session = IncrementalSession(TC, edb, max_facts=40)
         stats = session.delete([("e", (6, 7))])
         edb.remove_fact("e", (6, 7))
         assert (stats.facts, stats.rederived) == (12, 12)
@@ -531,12 +532,14 @@ class TestFactBudget:
             edb.remove_fact("e", args)
         assert_matches_scratch(session, edb)
 
-    @pytest.mark.parametrize("exec_mode", ["columnar", "tuple"])
-    def test_cap_binds_a_non_recursive_stratum(self, exec_mode):
+    @pytest.mark.parametrize("provenance", [False, True])
+    def test_cap_binds_a_non_recursive_stratum(self, provenance):
         from repro.engine.stats import MaintenanceError, NonTerminationError
 
         edb = chain(4)  # 10 t facts; r and s start empty
-        session = IncrementalSession(LAYERED, edb, max_facts=12, exec=exec_mode)
+        session = IncrementalSession(
+            LAYERED, edb, max_facts=12, record_provenance=provenance
+        )
         wide = [("sel", (i,)) for i in range(1, 5)]  # 10 r facts
         with pytest.raises(MaintenanceError) as exc_info:
             session.insert(wide)
@@ -653,15 +656,14 @@ class TestDeterminateCounters:
     """What a pass determines did not move with the driver: fact sets
     are checked everywhere; here the counters are, as literals."""
 
-    @pytest.mark.parametrize("exec_mode", ["columnar", "tuple"])
     @pytest.mark.parametrize("partitions", [1, 2])
     @pytest.mark.parametrize("name", sorted(PINNED))
-    def test_per_pass_counters_are_pinned(self, name, partitions, exec_mode):
+    def test_per_pass_counters_are_pinned(self, name, partitions):
         program, ins_edb, inserts, del_edb, deletes, on_insert, split, on_delete = (
             PINNED[name]
         )
         # knob-pinned: which deltas split depends on the join order
-        knobs = dict(partitions=partitions, exec=exec_mode, planner="greedy")
+        knobs = dict(partitions=partitions, planner="greedy")
         session = IncrementalSession(program, ins_edb(), **knobs)
         passes = [session.insert(batch) for batch in inserts]
         assert [

@@ -486,7 +486,6 @@ class TestFoldedRecovery:
     once; the state it reaches is the one stepwise maintenance reached
     and the one a fresh evaluation of the final EDB reaches."""
 
-    @pytest.mark.parametrize("exec_mode", ["columnar", "tuple"])
     @pytest.mark.parametrize("provenance", [False, True])
     @settings(max_examples=25, deadline=None)
     @given(
@@ -494,23 +493,20 @@ class TestFoldedRecovery:
         steps=_steps,
         torn=st.none() | st.integers(0, 200),
     )
-    def test_recovery_equals_stepwise_and_fresh(
-        self, provenance, exec_mode, name, steps, torn
-    ):
-        self.check(name, steps, torn, provenance, exec_mode)
+    def test_recovery_equals_stepwise_and_fresh(self, provenance, name, steps, torn):
+        self.check(name, steps, torn, provenance)
 
-    @pytest.mark.parametrize("exec_mode", ["columnar", "tuple"])
     @pytest.mark.parametrize("provenance", [False, True])
     @pytest.mark.parametrize("name", sorted(FOLD_PROGRAMS))
     @pytest.mark.parametrize("torn", [None, 7])
-    def test_the_named_cases(self, name, torn, provenance, exec_mode):
+    def test_the_named_cases(self, name, torn, provenance):
         for stop in range(len(NAMED_STEPS) + 1):
-            self.check(name, NAMED_STEPS[:stop], torn, provenance, exec_mode)
+            self.check(name, NAMED_STEPS[:stop], torn, provenance)
 
     @staticmethod
-    def check(name, steps, torn, provenance, exec_mode):
+    def check(name, steps, torn, provenance):
         program = parse_program(FOLD_PROGRAMS[name])
-        knobs = dict(record_provenance=provenance, exec=exec_mode)
+        knobs = dict(record_provenance=provenance)
         with tempfile.TemporaryDirectory() as tmp:
             path = f"{tmp}/wal.rjn"
             model, surviving = write_journal(

@@ -6,9 +6,10 @@ plans through the compiled function.  Three oracles pin what it emits:
 
 * a nested loop over the relations in log order, straight from the rule
   text (:func:`reference_rows`): the kernel's rows, **in order**;
-* ``RulePlan.execute`` (``exec="tuple"``): the same rows as a multiset
+* ``RulePlan.execute``, the tuple executor: the same rows as a multiset
   (it scans hash-ordered sets) and the exact ``probes``;
-* whole fixpoints under both ``exec`` modes: facts and every counter.
+* whole fixpoints against ``provenance_eval``, which runs every plan
+  tuple-at-a-time: facts and every counter.
 
 The rest pins the generator's housekeeping: functions shared by shape,
 source made of generated names and integers only, and id columns that
@@ -41,6 +42,8 @@ from repro.engine.columnar import (
 from repro.engine.database import Database, Relation, RelationView, load_program_facts
 from repro.engine.intern import TermDictionary
 from repro.engine.plan import RulePlan
+from repro.engine.provenance import provenance_eval
+from repro.engine.reference import naive_fixpoint_reference
 from repro.engine.seminaive import seminaive_eval
 from repro.engine.stats import EvalStats
 
@@ -96,7 +99,7 @@ def check_plan(rule, db, overrides=None, order=None):
     emitted = []
     plan.execute(db, overrides, emitted.append, tuple_stats)
     assert got == reference_rows(plan, db, overrides), f"rows or order differ: {rule}"
-    assert Counter(got) == Counter(emitted), f"multiset differs from exec=tuple: {rule}"
+    assert Counter(got) == Counter(emitted), f"multiset differs from RulePlan.execute: {rule}"
     assert kernel_stats.probes == tuple_stats.probes, f"probes differ: {rule}"
     return got
 
@@ -258,22 +261,22 @@ def test_random_rules_match_the_oracles(case):
 
 @given(rule_and_facts())
 @settings(max_examples=60, deadline=None)
-def test_random_programs_count_alike_in_both_modes(case):
+def test_random_programs_count_alike_on_both_executors(case):
     """Whole fixpoints: the rule, made recursive through its head."""
     rule, _, facts, _ = case
     if rule.head.arity == 0:
-        return  # nullary heads stay on term rows in both modes
+        return  # nullary heads stay on term rows
     arity = rule.head.arity
     feed = Rule(Literal("abc"[arity - 1], VARIABLES[:arity]), [Literal("h", VARIABLES[:arity])])
     program = Program([rule, feed])
     edb = make_db(facts)
-    dbs, stats = zip(*(
-        seminaive_eval(program, edb, exec=mode) for mode in ("columnar", "tuple")
-    ))
-    assert dbs[0] == dbs[1]
+    # provenance runs never partition: pin the knob that moves probes
+    db, stats = seminaive_eval(program, edb, partitions=1)
+    tuple_run = provenance_eval(program, edb)
+    assert db == tuple_run.database
     for counter in ("facts", "inferences", "probes", "iterations"):
-        assert getattr(stats[0], counter) == getattr(stats[1], counter), counter
-    assert stats[0].columnar_fallbacks == 0
+        assert getattr(stats, counter) == getattr(tuple_run.stats, counter), counter
+    assert stats.columnar_fallbacks == 0
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +322,7 @@ def test_quick_rewrite_many_compiles_few_functions(monkeypatch):
     monkeypatch.setattr(columnar, "kernel_function", counting)
     monkeypatch.syspath_prepend(os.path.join(ROOT, "perf"))
     for case in importlib.import_module("workloads").rewrite_many(0, "quick"):
-        db = DeductiveDatabase(exec="columnar", jobs=1)
+        db = DeductiveDatabase(jobs=1)
         db.rules(case["text"])
         for predicate, rows in case["facts"].items():
             db.facts(predicate, rows)
@@ -357,8 +360,8 @@ def test_generated_source_holds_no_program_text(monkeypatch):
         edb.add_fact(quote, (a, b))
     memo = {}
     monkeypatch.setattr(columnar, "_KERNELS", memo)
-    db, stats = seminaive_eval(program, edb, exec="columnar", jobs=1)  # kernels in this process
-    oracle, _ = seminaive_eval(program, edb, exec="tuple")
+    db, stats = seminaive_eval(program, edb, jobs=1)  # kernels in this process
+    oracle, _ = naive_fixpoint_reference(program, edb)
     assert db == oracle and stats.columnar_fallbacks == 0
     assert db.relation(newline, 2).tuples == {(Constant(1), Constant(evil))}
     assert db.relation(paren, 1).tuples == {(Constant(newline),)}
@@ -382,7 +385,7 @@ def test_ids_are_the_dictionarys_own_objects():
     for i in range(n):
         edb.add_fact("e", (f"v{i}", f"v{i + 1}"))
     program = parse_program("t(X, Y) :- e(X, Y).\nt(X, Y) :- e(X, Z), t(Z, Y).")
-    db, _ = seminaive_eval(program, edb, exec="columnar", max_iterations=None)
+    db, _ = seminaive_eval(program, edb, max_iterations=None)
     d = db.dictionary
     assert len(d) > 300
     own = {ident: ident for ident in d._ids.values()}
@@ -411,12 +414,12 @@ def test_tuple_fallback_rows_join_the_list_columns():
     )
     edb = Database()
     load_program_facts(parse_program("base(0). lim(0). lim(f(0)). lim(f(f(0)))."), edb)
-    db, stats = seminaive_eval(program, edb, exec="columnar")
-    oracle, tuple_stats = seminaive_eval(program, edb, exec="tuple")
-    assert db == oracle and len(db.relation("r", 1)) == 4
+    db, stats = seminaive_eval(program, edb, partitions=1)
+    tuple_run = provenance_eval(program, edb)
+    assert db == tuple_run.database and len(db.relation("r", 1)) == 4
     assert stats.columnar_fallbacks > 0
     for counter in ("facts", "inferences", "probes", "iterations"):
-        assert getattr(stats, counter) == getattr(tuple_stats, counter), counter
+        assert getattr(stats, counter) == getattr(tuple_run.stats, counter), counter
     own = {ident: ident for ident in db.dictionary._ids.values()}
     r = db.relation("r", 1)
     assert all(v is own[v] for col in r.ensure_columns() for v in col)

@@ -142,6 +142,27 @@ class TestFallbacks:
         assert part_stats.partition_rounds == 0
         assert part_stats.partition_skew == 0.0
 
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_term_rows_split_as_term_facts(self, backend):
+        # The nullary head keeps the component on term rows (it cannot
+        # take row appends), so its deltas split as term facts.
+        program = parse_program(
+            """
+            live(X) :- seed(X).
+            live(Y) :- live(X), e(X, Y), on.
+            on :- live(X), trigger(X).
+            """
+        )
+        edb = Database.from_dict(
+            {
+                "e": [(i, c) for i in range(15) for c in (2 * i + 1, 2 * i + 2)],
+                "seed": [(0,)],
+                "trigger": [(0,)],
+            }
+        )
+        _, part_stats = _run_matrix(program, edb, backend=backend)
+        assert part_stats.partition_rounds > 0
+
     def test_nonrecursive_components_never_partition(self):
         program = parse_program("t(X, Y) :- e(X, Y), e(Y, X).")
         edb = Database()
@@ -174,7 +195,7 @@ class TestProcessGroup:
         rel.add(("a",))
         rel.add(("b",))
         view = rel.view(0, 2)
-        ex = ProcessPartitionExecutor(EngineConfig(partitions=2, exec="tuple"))
+        ex = ProcessPartitionExecutor(EngineConfig(partitions=2))
 
         class BadPlan:
             steps = ()
@@ -197,7 +218,7 @@ class TestProcessGroup:
         db = Database()
         rel = db.relation("d", 1)
         rel.add(("a",))
-        ex = ProcessPartitionExecutor(EngineConfig(partitions=2, exec="tuple"))
+        ex = ProcessPartitionExecutor(EngineConfig(partitions=2))
         try:
             assert ex._declines(db, {0: rel})  # bare Relation, not a view
             from repro.engine.database import Relation

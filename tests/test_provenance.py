@@ -4,8 +4,8 @@ import pytest
 
 from repro.datalog.parser import parse_literal, parse_program
 from repro.engine.database import Database
-from repro.engine.naive import naive_fixpoint_reference
 from repro.engine.provenance import DerivationTree, explain, provenance_eval
+from repro.engine.reference import naive_fixpoint_reference
 from repro.engine.seminaive import seminaive_eval
 from repro.engine.stats import NonTerminationError
 from repro.engine.unify import match
@@ -125,8 +125,8 @@ class TestPlanProvenance:
         # same roots, same per-fact rule + body keys as serial/greedy
         assert plans.derivations == base.derivations
         assert_derivations_sound(plans)
-        # recording changes no counter of the tuple-mode evaluator
-        _, stats = seminaive_eval(program, edb, exec="tuple")
+        # recording changes no counter of the evaluator
+        _, stats = seminaive_eval(program, edb)
         assert plans.stats.facts == stats.facts
         assert plans.stats.inferences == stats.inferences
         return base, plans

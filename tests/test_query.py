@@ -223,7 +223,7 @@ class TestGoalAudit:
         """
         from importlib import import_module
 
-        from repro.engine import database, joins
+        from repro.engine import database, reference
 
         # ``repro.engine.unify`` the attribute is the re-exported function
         unify = import_module("repro.engine.unify")
@@ -234,7 +234,7 @@ class TestGoalAudit:
             entered.append(pattern)
             return original(pattern, fact, bindings)
 
-        for module in (unify, database, joins):
+        for module in (unify, database, reference):
             monkeypatch.setattr(module, "match_term", counting)
         n = 2000
         db = DeductiveDatabase()

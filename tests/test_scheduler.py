@@ -16,7 +16,9 @@ from repro.datalog.terms import Constant
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database, Relation, load_program_facts
 from repro.engine.intern import TermDictionary
-from repro.engine.naive import naive_eval, naive_fixpoint_reference
+from repro.engine.naive import naive_eval
+from repro.engine.provenance import provenance_eval
+from repro.engine.reference import naive_fixpoint_reference
 from repro.engine.scheduler import (
     ComponentRun,
     SCCScheduler,
@@ -333,34 +335,55 @@ def gated_edb(foreign_head=None) -> Database:
     return edb
 
 
+#: (facts, inferences, iterations, probes) per shape and head kind, and
+#: the (facts, iterations) a ``max_facts=7`` budget trips at: recorded
+#: when the kernel and the tuple executor could still be forced one at a
+#: time, and the same under both.
+BRANCH_PINNED = {
+    ("naive", "foreign"): (12, 89, 11, 240),
+    ("naive", "nullary"): (13, 104, 14, 273),
+    ("non-recursive", "foreign"): (10, 20, 2, 13),
+    ("non-recursive", "nullary"): (11, 20, 2, 13),
+    ("semi-naive", "foreign"): (12, 13, 11, 54),
+    ("semi-naive", "nullary"): (13, 13, 14, 60),
+}
+BUDGET_PINNED = {"naive": (19, 1), "non-recursive": (8, 1), "semi-naive": (19, 1)}
+#: ... at the knobs they were recorded under
+BRANCH_KNOBS = dict(planner="greedy", jobs=1, partitions=1)
+
+
+def branch_counters(stats):
+    return (stats.facts, stats.inferences, stats.iterations, stats.probes)
+
+
 class TestFixpointDriverBranches:
-    """The branches the one fixpoint driver keeps, in both exec modes."""
+    """The branches the one fixpoint loop keeps.  ``provenance_eval``
+    runs every plan tuple-at-a-time, so where it applies (semi-naive
+    shapes) it is the tuple executor's count."""
 
     @pytest.mark.parametrize("head", ["nullary", "foreign"])
     @pytest.mark.parametrize("shape", sorted(SHAPES))
-    def test_non_appendable_heads_agree_across_exec_modes(self, shape, head):
+    def test_non_appendable_heads_count_what_they_counted(self, shape, head):
         evaluate, program, foreign_head, _ = SHAPES[shape]
         edb = gated_edb(foreign_head if head == "foreign" else None)
-        ref_db, _ = naive_fixpoint_reference(program, edb)
-        by_mode = {}
-        for mode in ("tuple", "columnar"):
-            db, stats = evaluate(program, edb, exec=mode)
-            assert db == ref_db, f"{shape}/{head}: exec={mode} diverged"
-            by_mode[mode] = (
-                stats.facts, stats.inferences, stats.iterations, stats.probes
-            )
-        assert by_mode["columnar"] == by_mode["tuple"]
+        db, stats = evaluate(program, edb, **BRANCH_KNOBS)
+        assert db == naive_fixpoint_reference(program, edb)[0], f"{shape}/{head}"
+        assert branch_counters(stats) == BRANCH_PINNED[shape, head]
+        if evaluate is seminaive_eval:
+            tuple_run = provenance_eval(program, edb, **BRANCH_KNOBS)
+            assert branch_counters(tuple_run.stats) == branch_counters(stats)
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
-    def test_fact_budget_trips_identically_across_exec_modes(self, shape):
+    def test_fact_budget_trips_where_it_tripped(self, shape):
         evaluate, _, _, program = SHAPES[shape]
-        payloads = {}
-        for mode in ("tuple", "columnar"):
+        runs = [evaluate]
+        if evaluate is seminaive_eval:
+            runs.append(provenance_eval)
+        for run in runs:
             with pytest.raises(NonTerminationError) as raised:
-                evaluate(program, chain_edb(20), max_facts=7, exec=mode)
-            payloads[mode] = (raised.value.facts, raised.value.iterations)
-        assert payloads["columnar"] == payloads["tuple"]
-        assert payloads["tuple"][0] > 7
+                run(program, chain_edb(20), max_facts=7, **BRANCH_KNOBS)
+            payload = (raised.value.facts, raised.value.iterations)
+            assert payload == BUDGET_PINNED[shape], run.__name__
 
     @pytest.mark.parametrize("budget", [{"max_facts": 40}, {"max_iterations": 4}])
     def test_a_fixpoint_ended_by_its_budget_releases_the_delta_rows(self, budget):
@@ -368,9 +391,7 @@ class TestFixpointDriverBranches:
         is dropped however the fixpoint ends — a diverging counting ask
         ends this way every time."""
         program = parse_program("t(X, Y) :- e(X, Y).\nt(X, Y) :- e(X, W), t(W, Y).")
-        config = EngineConfig.resolve(
-            None, exec="columnar", jobs=1, partitions=1, **budget
-        )
+        config = EngineConfig.resolve(None, jobs=1, partitions=1, **budget)
         db, stats = chain_edb(30).copy(), EvalStats()
         with pytest.raises(NonTerminationError):
             SCCScheduler(program, config).run(db, stats)
@@ -381,10 +402,61 @@ class TestFixpointDriverBranches:
         """A foreign-dictionary source makes the kernel decline the
         call; the tuple fallback derives the same facts and says so."""
         edb = gated_edb(("hop", (7, 9)))
-        _, columnar = seminaive_eval(SINGLE_PASS, edb, exec="columnar")
-        _, tuple_mode = seminaive_eval(SINGLE_PASS, edb, exec="tuple")
-        assert columnar.columnar_fallbacks == 1  # any :- hop(X, Y).
-        assert tuple_mode.columnar_fallbacks == 0
+        _, stats = seminaive_eval(SINGLE_PASS, edb)
+        assert stats.columnar_fallbacks == 1  # any :- hop(X, Y).
+        # a provenance run never asks the kernel, so it never falls back
+        assert provenance_eval(SINGLE_PASS, edb).stats.columnar_fallbacks == 0
+
+
+COMPOUND_HEAD = parse_program(
+    """
+    w(f(X)) :- e(X, Y).
+    t(X, Y) :- e(X, Y).
+    t(X, Y) :- e(X, Z), t(Z, Y).
+    """
+)
+
+
+class TestTheTupleExecutorRunsOnlyWhereTheKernelCannot:
+    """No knob picks the executor: the kernel runs every eligible plan,
+    and ``RulePlan.execute`` runs provenance, naive recursive
+    components and what the kernel declines — nothing else."""
+
+    @pytest.mark.parametrize(
+        "evaluate, program, tuple_runs",
+        [
+            (seminaive_eval, TC, "never"),
+            (seminaive_eval, COMPOUND_HEAD, "declined"),
+            (naive_eval, TC, "always"),
+            (provenance_eval, TC, "always"),
+        ],
+        ids=["eligible", "compound-head", "naive-recursive", "provenance"],
+    )
+    def test_executor_sites(self, monkeypatch, evaluate, program, tuple_runs):
+        from repro.engine import scheduler
+        from repro.engine.plan import RulePlan
+
+        calls = {"kernel": 0, "tuple": 0}
+        kernel, execute = scheduler.execute_columnar, RulePlan.execute
+
+        def counted_kernel(*args, **kwargs):
+            calls["kernel"] += 1
+            return kernel(*args, **kwargs)
+
+        def counted_execute(self, *args, **kwargs):
+            calls["tuple"] += 1
+            return execute(self, *args, **kwargs)
+
+        monkeypatch.setattr(scheduler, "execute_columnar", counted_kernel)
+        monkeypatch.setattr(RulePlan, "execute", counted_execute)
+        result = evaluate(program, chain_edb(6), **BRANCH_KNOBS)
+        stats = result.stats if evaluate is provenance_eval else result[1]
+        if tuple_runs == "never":
+            assert calls["tuple"] == stats.columnar_fallbacks == 0 < calls["kernel"]
+        elif tuple_runs == "declined":
+            assert calls["tuple"] == stats.columnar_fallbacks == 1
+        else:
+            assert calls["kernel"] == 0 < calls["tuple"]
 
 
 #: Strata above a random recursive component ``p``: a mutual recursion
@@ -403,8 +475,7 @@ UPPER = parse_program(
 )
 
 RESUME_KNOBS = [
-    dict(exec=mode, partitions=partitions, planner=planner)
-    for mode in ("columnar", "tuple")
+    dict(partitions=partitions, planner=planner)
     for partitions in (1, 2)
     for planner in ("greedy", "cost")
 ]
@@ -618,13 +689,12 @@ class TestRoundLoopMovedNoDeterminateOutput:
         program = parse_program(ROUND_LOOP_PROGRAMS[name])
         edb = round_loop_edb()
         ref, _ = naive_fixpoint_reference(program, edb)
-        seen = {}
-        for mode in ("tuple", "columnar"):
-            db, stats = seminaive_eval(program, edb, exec=mode, **self.KNOBS)
-            assert db == ref, f"{name}: exec={mode} diverged"
-            assert stats.columnar_fallbacks == 0
-            seen[mode] = self.counters(stats)
-        assert seen["columnar"] == seen["tuple"] == ROUND_LOOP_PINNED[name]
+        db, stats = seminaive_eval(program, edb, **self.KNOBS)
+        assert db == ref, f"{name} diverged"
+        assert stats.columnar_fallbacks == 0
+        tuple_run = provenance_eval(program, edb, **self.KNOBS)
+        assert self.counters(stats) == self.counters(tuple_run.stats)
+        assert self.counters(stats) == ROUND_LOOP_PINNED[name]
 
     @pytest.mark.parametrize("name", sorted(ROUND_LOOP_PROGRAMS))
     def test_a_resumed_run_counts_what_it_counted(self, name):
@@ -636,14 +706,11 @@ class TestRoundLoopMovedNoDeterminateOutput:
             later[sig] = sorted(whole.relation(*sig).tuples, key=str)[::3]
             first.relation(*sig).remove_facts(later[sig])
         ref, _ = naive_fixpoint_reference(program, whole)
-        seen = {}
-        for mode in ("tuple", "columnar"):
-            db, _ = seminaive_eval(program, first, exec=mode, **self.KNOBS)
-            since = {sig: len(db.relation(*sig)) for sig in later}
-            for sig, facts in later.items():
-                for fact in facts:
-                    db.relation(*sig).add(fact)
-            stats, _ = resume_reached(program, db, since, exec=mode, **self.KNOBS)
-            assert db == ref, f"{name}: resumed exec={mode} diverged"
-            seen[mode] = self.counters(stats)
-        assert seen["columnar"] == seen["tuple"] == ROUND_LOOP_PINNED[name + "+resumed"]
+        db, _ = seminaive_eval(program, first, **self.KNOBS)
+        since = {sig: len(db.relation(*sig)) for sig in later}
+        for sig, facts in later.items():
+            for fact in facts:
+                db.relation(*sig).add(fact)
+        stats, _ = resume_reached(program, db, since, **self.KNOBS)
+        assert db == ref, f"{name}: resumed run diverged"
+        assert self.counters(stats) == ROUND_LOOP_PINNED[name + "+resumed"]

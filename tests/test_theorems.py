@@ -207,7 +207,7 @@ class TestBoundSideFilterBehindTheRecursiveCall:
 
     def unrewritten(self, query):
         from repro.engine.database import Database, unwrap_rows
-        from repro.engine.naive import naive_fixpoint_reference
+        from repro.engine.reference import naive_fixpoint_reference
 
         db, _ = naive_fixpoint_reference(
             parse_program(self.TEXT), Database.from_dict(self.EDB)

@@ -26,8 +26,8 @@ from repro.datalog.program import Program
 from repro.datalog.rules import Rule
 from repro.datalog.terms import Constant, Variable
 from repro.engine import scheduler
-from repro.engine.naive import naive_fixpoint_reference
 from repro.engine.plan import PlanCache, RulePlan
+from repro.engine.reference import naive_fixpoint_reference
 from repro.transforms.magic import magic_transform
 from repro.workloads.examples import three_rule_tc_program
 
@@ -213,14 +213,10 @@ def reference_redundant(program):
     return removed
 
 
-@pytest.fixture(
-    params=[(e, p) for e in ("columnar", "tuple") for p in ("greedy", "cost")],
-    ids=lambda knobs: "-".join(knobs),
-)
+@pytest.fixture(params=["greedy", "cost"])
 def chase_knobs(request, monkeypatch):
-    """``REPRO_EXEC``/``REPRO_PLANNER`` as the chase resolves them."""
-    exec_mode, planner = request.param
-    monkeypatch.setenv("REPRO_EXEC", exec_mode)
+    """``REPRO_PLANNER`` as the chase resolves it."""
+    planner = request.param
     monkeypatch.setenv("REPRO_PLANNER", planner)
     monkeypatch.setenv("REPRO_JOBS", "1")
     return request.param
@@ -292,7 +288,6 @@ class TestCompiledOncePinnedCallsKept:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_counts(self, monkeypatch, case):
         run, lookups, kernel_calls, pairs = self.CASES[case]
-        monkeypatch.setenv("REPRO_EXEC", "columnar")
         monkeypatch.setenv("REPRO_PLANNER", "greedy")
         monkeypatch.setenv("REPRO_JOBS", "1")
         program = _simplifier_input(monkeypatch, run)

@@ -6,9 +6,12 @@ rewrite for QUERY — and every semi-naive delta variant the scheduler
 fires, prints the join order the planner picked, the kernel's shape key
 (``repro.engine.columnar._compile_kernel``: step kinds, slot stores and
 checks, key slots — plans with equal keys share one function) and the
-Python source generated for that shape.  A rule the batch kernel cannot
-run (compound-building heads, compound probe keys) says so: it runs on
-the tuple executor.
+Python source generated for that shape.  The kernel runs wherever a
+plan is eligible; a rule it cannot run (compound-building heads,
+compound probe keys), or one in a recursive component with a nullary
+head (whose rows stay term tuples), says so: it runs on the tuple
+executor, the fallback the engine keeps for those cases and for
+provenance runs.
 
 Usage::
 
@@ -46,6 +49,7 @@ def main() -> int:
     scheduler = SCCScheduler(program)
     for task in scheduler.tasks:
         run = scheduler.component_run(task)
+        term_rows = task.recursive and any(arity == 0 for _, arity in task.sigs)
         for rule in task.rules:
             variants = run._delta_variants(rule) if task.recursive else None
             for roles, _ in variants or _FULL:
@@ -57,8 +61,9 @@ def main() -> int:
                 )
                 print(f"{rule}\n  join order: {order}")
                 kernel = _compile_kernel(plan)
-                if kernel is False:
-                    print("  no batch kernel: runs on the tuple executor\n")
+                if kernel is False or term_rows:
+                    why = "nullary head in the component" if term_rows else "no batch kernel"
+                    print(f"  {why}: runs on the tuple executor\n")
                     continue
                 shapes.add(kernel[0])
                 print(f"  shape: {kernel[0]}")
