@@ -1,13 +1,13 @@
 """Perf-trajectory entry point: engine wall-time on the headline workloads.
 
 Runs the semi-naive engine on transitive closure (chain),
-same-generation (tree), the skewed-fanout join, the wide-DAG
-multi-component closure, and the coarse-grained component workload
-under both planners — greedy and cost-based — then writes
-``BENCH_engine.json``: one row per (workload, configuration) with
+same-generation (tree), the wide-DAG multi-component closure, and the
+coarse-grained component workload, then writes ``BENCH_engine.json``:
+one row per (workload, configuration) with
 ``label``/``n``/``facts``/``inferences``/``seconds`` plus per-workload
-wall-time speedups (``greedy/cost`` for the planner comparison), so
-successive PRs leave a comparable perf record.
+wall-time speedups, so successive PRs leave a comparable perf record.
+The ``greedy`` row is the default configuration at ``jobs=1``; the
+label names the join order, which is the only one the engine has.
 
 Workloads whose depth batches hold several mutually independent SCCs
 (wide-DAG, coarse components) additionally run pinned to ``jobs=1``
@@ -22,7 +22,7 @@ the workers and reports ~1x regardless of the backend's scaling.
 
 ``tc_chain``, ``same_generation``, and ``wide_dag`` also carry
 **intra-component partitioning** rows (``part2``/``part4``): the
-greedy configuration at ``jobs=1`` with each semi-naive
+default configuration at ``jobs=1`` with each semi-naive
 round's delta hash-split across 2/4 process partition workers inside
 the component fixpoint (``partN_vs_jobs1`` speedups) — the axis that
 helps exactly where ``jobs`` cannot, a program that is one recursive
@@ -77,53 +77,30 @@ from repro.workloads.synthetic import (
     churn_script,
     coarse_components_edb,
     coarse_components_program,
-    skewed_fanout_edb,
-    skewed_fanout_program,
     wide_dag_edb,
     wide_dag_program,
 )
 
-#: (row label, seminaive_eval kwargs); greedy is the historical
-#: "compiled" configuration, so trajectory comparisons stay meaningful.
-#: Every row pins ``jobs`` (and, where >1, ``backend``) plus
-#: ``partitions`` explicitly so an inherited ``REPRO_JOBS``/
+#: (row label, seminaive_eval kwargs); "greedy" keeps the historical
+#: label of the default configuration, so trajectory comparisons stay
+#: meaningful.  Every row pins ``jobs`` (and, where >1, ``backend``)
+#: plus ``partitions`` explicitly so an inherited ``REPRO_JOBS``/
 #: ``REPRO_BACKEND``/``REPRO_PARTITIONS`` cannot silently change which
 #: executor or partitioning a labelled row measures.
-BACKENDS = (
-    ("greedy", {"planner": "greedy", "jobs": 1, "partitions": 1}),
-    ("cost", {"planner": "cost", "jobs": 1, "partitions": 1}),
-)
+BACKENDS = (("greedy", {"jobs": 1, "partitions": 1}),)
 
-#: The parallel rows' baseline: the greedy configuration pinned to one
+#: The parallel rows' baseline: the default configuration pinned to one
 #: worker.
-JOBS_BACKENDS = (
-    ("jobs1", {"planner": "greedy", "jobs": 1, "partitions": 1}),
-)
+JOBS_BACKENDS = (("jobs1", {"jobs": 1, "partitions": 1}),)
 
-#: Process-executor rows: the same greedy configuration shipped to a
+#: Process-executor rows: the same configuration shipped to a
 #: ``ProcessPoolExecutor`` at two and four workers.
 PROC_BACKENDS = (
-    (
-        "proc2",
-        {
-            "planner": "greedy",
-            "jobs": 2,
-            "backend": "process",
-            "partitions": 1,
-        },
-    ),
-    (
-        "proc4",
-        {
-            "planner": "greedy",
-            "jobs": 4,
-            "backend": "process",
-            "partitions": 1,
-        },
-    ),
+    ("proc2", {"jobs": 2, "backend": "process", "partitions": 1}),
+    ("proc4", {"jobs": 4, "backend": "process", "partitions": 1}),
 )
 
-#: Intra-component partitioning rows: the greedy configuration with
+#: Intra-component partitioning rows: the default configuration with
 #: each round's delta hash-split across two / four process partition
 #: workers *inside* one SCC fixpoint (``jobs`` stays 1 — this is the
 #: axis that helps precisely where ``jobs`` cannot: single-component
@@ -132,24 +109,8 @@ PROC_BACKENDS = (
 #: workers time-slice one core and ``partN_vs_jobs1`` reads <= 1x by
 #: construction.
 PART_BACKENDS = (
-    (
-        "part2",
-        {
-            "planner": "greedy",
-            "jobs": 1,
-            "backend": "process",
-            "partitions": 2,
-        },
-    ),
-    (
-        "part4",
-        {
-            "planner": "greedy",
-            "jobs": 1,
-            "backend": "process",
-            "partitions": 4,
-        },
-    ),
+    ("part2", {"jobs": 1, "backend": "process", "partitions": 2}),
+    ("part4", {"jobs": 1, "backend": "process", "partitions": 4}),
 )
 
 
@@ -184,7 +145,6 @@ def workloads() -> List[WorkloadEntry]:
     tc_n = scaled(120)
     depth = _sg_depth()
     sg_n = 2 ** (depth + 1) - 1  # nodes in the balanced binary tree
-    skew_sources = scaled(30, minimum=5)
     dag_width, dag_length = 4, scaled(60, minimum=8)
     # Coarse grain: as many components as wide_dag but *nonlinear*
     # closures (Θ(n³) inferences for Θ(n²) shipped facts) and no serial
@@ -208,15 +168,6 @@ def workloads() -> List[WorkloadEntry]:
             sg_n,
             lambda: (same_generation_program(), same_generation_edb(depth, 2)),
             BACKENDS + PART_BACKENDS,
-        ),
-        (
-            "skewed_fanout",
-            skew_sources,
-            lambda: (
-                skewed_fanout_program(),
-                skewed_fanout_edb(sources=skew_sources),
-            ),
-            BACKENDS,
         ),
         (
             "wide_dag",
@@ -784,7 +735,7 @@ def run(
     speedups: Dict[str, float] = {}
     ok = True
     series = Series(
-        "engine: planners and execution backends"
+        "engine: execution backends"
     )
     selected = workloads()
     churn_selected = only is None or "churn" in only
@@ -843,16 +794,6 @@ def run(
                 )
                 ok = False
         notes = [name + ":"]
-        if "cost" in results:
-            greedy, cost = results["greedy"], results["cost"]
-            speedups[f"{name}/cost_vs_greedy"] = (
-                greedy.seconds / cost.seconds if cost.seconds else float("inf")
-            )
-            notes.append(
-                f"cost planner "
-                f"{speedups[f'{name}/cost_vs_greedy']:.2f}x vs greedy "
-                f"({cost.replans} replans)"
-            )
         # Parallel rows compare against jobs1 (the same configuration
         # pinned to one worker); tc_chain has no jobs1 row, so its proc
         # control compares against greedy (identical knobs, jobs=1).

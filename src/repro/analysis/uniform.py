@@ -88,7 +88,7 @@ class _Chase:
         self.config = EngineConfig.resolve(
             max_iterations=max_iterations, max_facts=max_facts
         )
-        self.cache = PlanCache(self.config.planner)
+        self.cache = PlanCache()
 
     def derives(self, program: Program, rule: Rule) -> bool:
         """Does ``program`` rederive ``rule``'s frozen head from its body?"""

@@ -154,7 +154,6 @@ def _print_stats(config: EngineConfig, stats) -> None:
         ("probes", stats.probes),
         ("plans_compiled", stats.plans_compiled),
         ("plan_cache_hits", stats.plan_cache_hits),
-        ("replans", stats.replans),
         ("scc_count", stats.scc_count),
         ("scc_parallel_batches", stats.scc_parallel_batches),
         ("backend_fallbacks", stats.backend_fallbacks),
@@ -440,7 +439,6 @@ def cmd_recover(args) -> int:
 
 #: (CLI flag, the :class:`EngineConfig` field it sets, metavar, help).
 _ENGINE_FLAGS = (
-    ("--planner", "planner", "NAME", "join-order strategy: greedy or cost"),
     ("--jobs", "jobs", "N", "evaluate up to N independent SCCs concurrently"),
     (
         "--backend",

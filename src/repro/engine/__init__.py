@@ -11,16 +11,13 @@ from repro import _facade
 __getattr__, __dir__, __all__ = _facade(
     __name__,
     {
-        "database": (
-            "Database", "Relation", "RelationStatistics", "RelationView",
-        ),
+        "database": ("Database", "Relation", "RelationView"),
         "unify": ("Substitution", "unify", "match", "unify_terms"),
         "stats": (
             "ComponentTimeout", "EvalStats", "MaintenanceError",
             "NonTerminationError",
         ),
         "config": ("EngineConfig",),
-        "cost": ("cost_join_order", "estimate_fanout", "is_guard"),
         "plan": ("PlanCache", "RulePlan", "compile_rule"),
         "faults": (
             "FaultInjected", "FaultPlan", "parse_faults", "resolve_faults",

@@ -82,9 +82,7 @@ class ComponentSpec:
     (structurally hashable, so a worker-side plan cache keyed on them
     still hits), the engine config, and compact
     :meth:`~repro.engine.database.Relation.snapshot` copies of exactly
-    the signatures the component reads or writes — snapshots keep
-    cardinality and distinct-key statistics, so a worker-side cost
-    planner plans from the same estimates as an in-process one.
+    the signatures the component reads or writes.
     """
 
     index: int
@@ -134,20 +132,20 @@ class ComponentResult:
     derivations: Optional[dict]
 
 
-#: Worker-process plan caches, keyed by planner.  A worker evaluates
-#: each component of a run at most once and components partition the
-#: rules, so sharing a cache across components changes no counter —
-#: but it is the hook that lets repeated shipments of the same rules
-#: (structural equality survives pickling) reuse compilations.
-_WORKER_CACHES: Dict[str, PlanCache] = {}
+#: The worker process's plan cache.  A worker evaluates each component
+#: of a run at most once and components partition the rules, so
+#: sharing a cache across components changes no counter — but it is
+#: the hook that lets repeated shipments of the same rules (structural
+#: equality survives pickling) reuse compilations.
+_WORKER_CACHE = PlanCache()
 
 
 def _init_worker() -> None:
     """Pool initializer: cold plan cache, inherited heap frozen.
 
     Runs in the worker at startup (spawn-safe: it is a module-level
-    function, importable without side effects).  Clearing the plan
-    caches guarantees counter determinism even if a pool is ever
+    function, importable without side effects).  A fresh plan cache
+    guarantees counter determinism even if a pool is ever
     reused across evaluations.  ``gc.freeze()`` matters under fork: a
     worker inherits the parent heap copy-on-write, and the first
     full cyclic-GC pass in the child would touch (and thus copy) every
@@ -157,15 +155,9 @@ def _init_worker() -> None:
     """
     import gc
 
-    _WORKER_CACHES.clear()
+    global _WORKER_CACHE
+    _WORKER_CACHE = PlanCache()
     gc.freeze()
-
-
-def _worker_cache(planner: str) -> PlanCache:
-    cache = _WORKER_CACHES.get(planner)
-    if cache is None:
-        cache = _WORKER_CACHES[planner] = PlanCache(planner)
-    return cache
 
 
 def evaluate_component(spec: ComponentSpec) -> ComponentResult:
@@ -202,7 +194,7 @@ def evaluate_component(spec: ComponentSpec) -> ComponentResult:
         mode=spec.mode,
         recorder=recorder,
         fact_base=spec.fact_base,
-        cache=_worker_cache(spec.config.planner),
+        cache=_WORKER_CACHE,
     )
     run.execute(db, stats)
     deltas = {

@@ -31,9 +31,7 @@ or empty sources — and replaces each per-row ``run(i)`` entry with one
 ``n += len(rows)`` per generated step (step 0's input is the single
 virtual empty row, matching the single ``run(0)`` call).
 Duplicate row multiplicity is preserved, so ``inferences`` agree; join
-orders come from the same :class:`~repro.engine.plan.PlanCache`, and
-the int-keyed indexes report the same distinct-key statistics as their
-tuple twins, so the cost planner plans identically.
+orders come from the same :class:`~repro.engine.plan.PlanCache`.
 
 **The tuple path is a fallback, not a mode.**  A plan the kernel cannot
 run (compound templates, unbound-head rules) or a call whose sources

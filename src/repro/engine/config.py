@@ -5,7 +5,7 @@ model is stated for — semi-naive bottom-up evaluation of the
 SCC-stratified program — never a different fixpoint: for every valid
 :class:`EngineConfig` the derived database and the
 ``facts``/``inferences``/``iterations`` counters are identical; only
-join order, probe counts and wall time vary.
+probe counts and wall time vary.
 
 The public entry points (``seminaive_eval``, ``naive_eval``,
 ``provenance_eval``, ``IncrementalSession``, ``QueryCompiler``,
@@ -68,11 +68,6 @@ def _knob(default, env: Optional[str], check):
 class EngineConfig:
     """One resolved set of execution knobs (the field list is the table).
 
-    ``planner``
-        Join order of compiled plans: ``"greedy"`` (the deterministic
-        syntactic bound-first heuristic) or ``"cost"`` (ordering from
-        runtime statistics, re-planned between delta rounds when
-        cardinalities drift).
     ``jobs``
         How many mutually independent SCCs (one topological depth
         batch) evaluate concurrently; 1 is the sequential reference
@@ -104,7 +99,6 @@ class EngineConfig:
     never reads the environment; :meth:`resolve` does.
     """
 
-    planner: str = _knob("greedy", "REPRO_PLANNER", _choice("greedy", "cost"))
     jobs: int = _knob(1, "REPRO_JOBS", _INTEGER)
     backend: str = _knob("serial", "REPRO_BACKEND", _choice("serial", "process"))
     partitions: int = _knob(1, "REPRO_PARTITIONS", _INTEGER)
@@ -128,8 +122,8 @@ class EngineConfig:
         ``config`` the ``REPRO_*`` variables fill what is left
         (stripped; empty means unset); with one, it already did.
         Unknown keywords raise ``TypeError``, bad values ``ValueError``
-        naming their source (``invalid REPRO_PLANNER='x'; expected …``
-        vs ``invalid planner='x'; …``).
+        naming their source (``invalid REPRO_BACKEND='x'; expected …``
+        vs ``invalid backend='x'; …``).
         """
         unknown = sorted(set(knobs) - set(cls.__dataclass_fields__))
         if unknown:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -143,26 +142,6 @@ def _without(seq, gone: List[int]):
     return out
 
 
-@dataclass(frozen=True)
-class RelationStatistics:
-    """A cheap snapshot of one relation's runtime statistics.
-
-    ``cardinality`` is the tuple count; ``distinct_keys`` maps an index
-    column subset to the number of distinct keys observed in that index
-    (``len(index)`` — maintained for free by :meth:`Relation.add`).
-    The cost model (:mod:`repro.engine.cost`) consumes these to
-    estimate probe fanouts; positions with no index carry no entry and
-    fall back to the estimator's default.
-    """
-
-    cardinality: int
-    distinct_keys: Dict[Tuple[int, ...], int] = field(default_factory=dict)
-
-    def distinct(self, positions: Tuple[int, ...]) -> Optional[int]:
-        """Distinct-key count for an index on ``positions``, if known."""
-        return self.distinct_keys.get(positions)
-
-
 class Relation:
     """A set of ground tuples plus hash indexes on column subsets.
 
@@ -197,7 +176,6 @@ class Relation:
         "_indexes",
         "_index_hits",
         "_owned",
-        "_carried_distinct",
         "dictionary",
         "_cols",
         "_colset",
@@ -226,9 +204,6 @@ class Relation:
         # only once copy() shared its buckets with another relation;
         # see _fill_buckets for the ownership rule.
         self._owned: Dict[Tuple[int, ...], Set[FactTuple]] = {}
-        # Distinct-key counts inherited through copy() for indexes the
-        # copy chose not to materialize; live indexes take precedence.
-        self._carried_distinct: Dict[Tuple[int, ...], int] = {}
         #: Shared term dictionary enabling the columnar image (or None).
         self.dictionary = dictionary
         self._cols: Optional[List[List[int]]] = None
@@ -693,49 +668,13 @@ class Relation:
         """
         self._last_rows = None
 
-    def distinct_count(self, positions: Tuple[int, ...]) -> Optional[int]:
-        """Distinct keys in the index on ``positions``, if one exists.
-
-        Never builds an index: statistics stay free.  Falls back to
-        counts carried over by :meth:`copy` when the live index was
-        dropped; returns ``None`` when nothing is known.
-        """
-        # Interning is a bijection, so an int-keyed index has exactly
-        # as many distinct keys as the tuple index on the same
-        # positions: the cost planner sees identical statistics in
-        # both modes.  With pending (un-decoded) rows the col index is
-        # the fresher of the two, so it takes precedence there.
-        entry = self._col_indexes.get(positions)
-        if self._pending_n and entry is not None:
-            return len(entry[0])
-        index = self._indexes.get(positions)
-        if index is not None:
-            return len(index)
-        if entry is not None:
-            return len(entry[0])
-        return self._carried_distinct.get(positions)
-
-    def statistics(self) -> RelationStatistics:
-        """A snapshot of cardinality plus per-index distinct-key counts.
-
-        Built on :meth:`_distinct_snapshot`, which iterates over a
-        point-in-time copy of the index table: under ``repro serve
-        --workers`` another reader thread may lazily build an index on
-        a relation both pinned views share while this one reads
-        statistics, and a live ``dict`` iteration would raise.
-        """
-        return RelationStatistics(len(self), self._distinct_snapshot())
-
     def snapshot(self) -> "Relation":
-        """A compact, self-contained copy: facts plus statistics, no indexes.
+        """A compact, self-contained copy: facts and columns, no indexes.
 
         This is the wire form of a relation — what the process
         execution backend ships to a worker.  The log (and with it the
-        tuple set and insertion order) is copied; every live index is
-        reduced to its distinct-key count and carried as a statistic,
-        so a cost planner on the far side plans from the same
-        cardinality estimates without paying to rebuild (or transfer)
-        any bucket table.
+        tuple set and insertion order) and the columns are copied; no
+        index travels, and the far side builds its own on first probe.
 
         The copy runs under the sync lock, which pins the row watermark
         for its duration: a concurrent reader may be draining the
@@ -751,39 +690,16 @@ class Relation:
             dup._logrows = list(self._logrows)
             dup._tuples = set(self._logrows)
             dup._pending_n = self._pending_n
-            dup._carried_distinct = self._distinct_snapshot()
             cols = self._cols
             if cols is not None:
                 dup._cols = [col[:] for col in cols]
         return dup
 
-    def _distinct_snapshot(self) -> Dict[Tuple[int, ...], int]:
-        """Carried + live distinct-key counts (the fresher family wins).
-
-        Synced tuple and col indexes report identical counts (interning
-        is a bijection); while rows are pending the tuple indexes lag,
-        so the col counts take precedence then.
-        """
-        distinct = dict(self._carried_distinct)
-        col_entries = list(self._col_indexes.items())
-        tuple_entries = list(self._indexes.items())
-        if not self._pending_n:
-            for positions, entry in col_entries:
-                distinct[positions] = len(entry[0])
-            for positions, index in tuple_entries:
-                distinct[positions] = len(index)
-        else:
-            for positions, index in tuple_entries:
-                distinct[positions] = len(index)
-            for positions, entry in col_entries:
-                distinct[positions] = len(entry[0])
-        return distinct
-
     def __getstate__(self):
         # Pickle the compact snapshot form: the log determines the tuple
-        # set (add() appends only novel facts), and indexes travel as
-        # distinct-key counts only.  Workers rebuild indexes lazily on
-        # first probe, exactly like a fresh relation.  A fully
+        # set (add() appends only novel facts), and no index travels.
+        # Workers rebuild indexes lazily on first probe, exactly like a
+        # fresh relation.  A fully
         # columnized relation ships its id columns plus the dictionary
         # instead of the tuple log — the pickle memo serializes the
         # shared dictionary once per payload, and decoding shares one
@@ -805,7 +721,6 @@ class Relation:
                     self.name,
                     self.arity,
                     None,
-                    self._distinct_snapshot(),
                     self.dictionary,
                     [array("q", col) for col in cols],
                 )
@@ -815,20 +730,18 @@ class Relation:
                 self.name,
                 self.arity,
                 tuple(self._logrows),
-                self._distinct_snapshot(),
                 self.dictionary,
                 None,
             )
 
     def __setstate__(self, state) -> None:
-        name, arity, log, distinct, dictionary, cols = state
+        name, arity, log, dictionary, cols = state
         self.name = name
         self.arity = arity
         self.dictionary = dictionary
         self._indexes = {}
         self._index_hits = {}
         self._owned = {}
-        self._carried_distinct = dict(distinct)
         self._colset = None
         self._colset_n = 0
         self._col_indexes = {}
@@ -939,11 +852,6 @@ class Relation:
         copy does not pay to maintain it on inserts) if it was built
         but never probed again.
 
-        Statistics always survive the copy: distinct-key counts of
-        dropped indexes are retained as carried estimates, so
-        :meth:`Database.copy`-based pipelines plan from warm statistics
-        instead of cold defaults.
-
         Like :meth:`snapshot`, the copy runs under the sync lock so a
         concurrent reader's columnar drain or tuple-side ``_flush``
         cannot tear the captured state — the copy-on-write detach of a
@@ -957,7 +865,6 @@ class Relation:
             dup._tuples = set(self._tuples)
             dup._logrows = list(self._logrows)
             dup._pending_n = self._pending_n
-            dup._carried_distinct = dict(self._carried_distinct)
             cols = self._cols
             if cols is not None:
                 dup._cols = [col[:] for col in cols]
@@ -967,15 +874,12 @@ class Relation:
                 dup._col_owned[positions] = set()
             for positions, hits in list(self._index_hits.items()):
                 index = self._indexes.get(positions)
-                if index is None:
-                    continue  # counter published ahead of a mid-build index
-                if hits > 0:
-                    dup._indexes[positions] = dict(index)
-                    dup._index_hits[positions] = hits
-                    self._owned[positions] = set()
-                    dup._owned[positions] = set()
-                else:
-                    dup._carried_distinct[positions] = len(index)
+                if index is None or hits == 0:
+                    continue  # mid-build (counter published first) or cold
+                dup._indexes[positions] = dict(index)
+                dup._index_hits[positions] = hits
+                self._owned[positions] = set()
+                dup._owned[positions] = set()
         return dup
 
 
@@ -1111,35 +1015,6 @@ class RelationView:
                 zip(*(col[self.start : self.stop] for col in cols))
             )
         return self._colset
-
-    def distinct_count(self, positions: Tuple[int, ...]) -> Optional[int]:
-        """Distinct keys in the slice-local index on ``positions``, if built."""
-        if self._indexes is not None:
-            index = self._indexes.get(positions)
-            if index is not None:
-                return len(index)
-        if self._col_indexes is not None:
-            index = self._col_indexes.get(positions)
-            if index is not None:
-                return len(index)
-        return None
-
-    def statistics(self) -> RelationStatistics:
-        """Cardinality plus distinct-key counts of slice-local indexes.
-
-        Int-keyed and tuple-keyed indexes report identical counts for
-        the same positions (interning is a bijection), so the cost
-        planner plans the same join orders whichever executor built
-        them.
-        """
-        distinct: Dict[Tuple[int, ...], int] = {}
-        if self._col_indexes is not None:
-            for positions, index in self._col_indexes.items():
-                distinct[positions] = len(index)
-        if self._indexes is not None:
-            for positions, index in self._indexes.items():
-                distinct[positions] = len(index)
-        return RelationStatistics(self.stop - self.start, distinct)
 
     def __getstate__(self):
         # Compact wire form: the window bounds plus the parent relation
@@ -1311,7 +1186,7 @@ class Database:
         return rel.select(goal.args, once)
 
     # ------------------------------------------------------------------
-    # Combination and copying
+    # Copying
     # ------------------------------------------------------------------
 
     def copy(self) -> "Database":
@@ -1362,43 +1237,6 @@ class Database:
                 if rel is not None
                 else Relation(*sig, dictionary=self.dictionary)
             )
-        return out
-
-    def restore(self, saved: "Database", signatures: Iterable[Signature]) -> None:
-        """Roll the named relations back to their ``saved`` state.
-
-        The undo half of :meth:`snapshot`: the transaction layer
-        snapshots a batch's dirty closure before maintenance, and on
-        failure restores exactly those signatures by pointer swap.
-        Restoration mutates ``self.relations`` in place — the database
-        object itself keeps its identity, so live wrappers over it
-        (``EdbKeyView``, a session's ``database`` attribute) stay
-        valid.  A signature absent from ``saved`` is dropped: it did
-        not exist pre-batch.
-        """
-        for sig in signatures:
-            rel = saved.relations.get(sig)
-            if rel is not None:
-                self.relations[sig] = rel
-            else:
-                self.relations.pop(sig, None)
-
-    def merge(self, other: "Database") -> "Database":
-        """A new database holding the union of facts."""
-        merged = self.copy()
-        for (name, arity), rel in other.relations.items():
-            target = merged.relation(name, arity)
-            for fact in rel:
-                target.add(fact)
-        return merged
-
-    def restrict(self, signatures: Iterable[Signature]) -> "Database":
-        """A new database containing only the named relations."""
-        keep = set(signatures)
-        out = Database(self.dictionary)
-        for sig, rel in self.relations.items():
-            if sig in keep:
-                out.relations[sig] = rel.copy()
         return out
 
     def __eq__(self, other) -> bool:

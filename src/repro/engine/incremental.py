@@ -31,7 +31,7 @@ Both paths converge to exactly the least model of the program on the
 final EDB — the same fact set ``seminaive_eval`` derives from scratch
 — because the least fixpoint is unique; the randomized insert/delete
 scripts in ``tests/test_fuzz.py`` hold this as a differential
-property across planners, backends, and job counts.
+property across backends and job counts.
 
 **Provenance mode** (``record_provenance=True``) additionally keeps
 one canonical derivation per derived fact, bit-identical to a
@@ -186,10 +186,10 @@ class IncrementalSession:
     :class:`~repro.engine.config.EngineConfig`, resolved once here
     (:attr:`config`).  The parallel knobs apply to the initial
     materialization (maintenance passes are sequential — affected
-    components are usually few), the planner governs every maintenance
-    join, and ``partitions > 1`` hash-splits the deltas of a resumed
-    fixpoint as it does the evaluator's, serially — same emissions in
-    partition order, counted in ``partition_rounds``/``partition_skew``.
+    components are usually few), and ``partitions > 1`` hash-splits
+    the deltas of a resumed fixpoint as it does the evaluator's,
+    serially — same emissions in partition order, counted in
+    ``partition_rounds``/``partition_skew``.
     For any knob combination the maintained database is bit-identical
     to a from-scratch evaluation on the final EDB.
 
@@ -242,7 +242,7 @@ class IncrementalSession:
         # Component structure (shared with the evaluators): tasks in
         # topological evaluation order, and the owning task per IDB sig.
         structure = SCCScheduler(program, self._maintenance)
-        self._cache = PlanCache(config.planner)
+        self._cache = PlanCache()
         #: Re-derivation probes, compiled on first use and kept for the
         #: session: a rule's head-bound existence plan never changes.
         self._existence: Dict[Rule, ExistencePlan] = {}
@@ -649,9 +649,7 @@ class IncrementalSession:
         ``columnar_fallbacks`` counts the declines.
         """
         overrides = {pos: delta}
-        plan = self._cache.plan(
-            rule, ((pos, "delta"),), stats, db=self.database, overrides=overrides
-        )
+        plan = self._cache.plan(rule, ((pos, "delta"),), stats)
         rows = execute_columnar(plan, self.database, overrides, stats)
         if rows is None:
             stats.columnar_fallbacks += 1
@@ -659,8 +657,6 @@ class IncrementalSession:
             plan.execute(self.database, overrides, emitted.append, stats)
         else:
             emitted = decode_rows(self.database.dictionary.terms, rows)
-        if plan.estimated_rows is not None:
-            stats.record_estimate(plan.estimated_rows, len(emitted))
         return emitted
 
     # ------------------------------------------------------------------

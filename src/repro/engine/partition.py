@@ -373,7 +373,7 @@ def _partition_worker(conn, config: EngineConfig) -> None:
 
     db = Database()
     db.ensure_dictionary()
-    cache = PlanCache(config.planner)
+    cache = PlanCache()
     scratch = EvalStats()
     while True:
         try:
@@ -405,7 +405,7 @@ def _partition_worker(conn, config: EngineConfig) -> None:
                     part.dictionary = db.dictionary
                     overrides[pos] = part
             stats = EvalStats()
-            plan = cache.plan(rule, roles, scratch, db=db, overrides=overrides)
+            plan = cache.plan(rule, roles, scratch)
             rows = execute_columnar(plan, db, overrides, stats)
             if rows is not None:
                 facts_out = decode_rows(db.dictionary.terms, rows)

@@ -41,8 +41,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 from repro.datalog.literals import Literal
 from repro.datalog.rules import Rule, UnsafeRuleError
 from repro.datalog.terms import Compound, Constant, Term, Variable
-from repro.engine.config import EngineConfig, check_knob
-from repro.engine.cost import cost_join_order
 from repro.engine.database import Database, FactTuple
 
 #: One override role: (body position, role tag such as "delta"/"old").
@@ -310,7 +308,6 @@ class RulePlan:
         "rule",
         "roles",
         "order",
-        "estimated_rows",
         "var_slots",
         "num_slots",
         "steps",
@@ -327,17 +324,15 @@ class RulePlan:
         rule: Rule,
         roles: RoleSpec = (),
         order: Optional[Sequence[int]] = None,
-        estimated_rows: Optional[float] = None,
     ):
         self.rule = rule
         self.roles = roles
         roles_map = dict(roles)
-        # ``order`` lets a cost-based planner inject a statistics-driven
-        # join order; the default is the syntactic greedy heuristic.
+        # The join order is the greedy bound-first one; ``order`` pins
+        # another permutation (the kernel tests run every one of them).
         self.order = (
             list(order) if order is not None else _join_order(rule.body, roles_map)
         )
-        self.estimated_rows = estimated_rows
         var_slots: Dict[Variable, int] = {}
         steps = [
             _compile_step(
@@ -427,7 +422,7 @@ class RulePlan:
         ``(head_fact, body_fact_keys)`` per match, where
         ``body_fact_keys`` is one ``(predicate, arity, args)`` key per
         body literal **in source order** — the matched ground body
-        instance, independent of the join order the planner chose.
+        instance, independent of the join order.
         The per-literal key templates are compiled lazily on the first
         provenance execution, so plain evaluation pays nothing.
 
@@ -751,117 +746,27 @@ class PlanCache:
     (rule, configuration) pair is compiled once and reused across all
     delta rounds.  Rules and role specs are hashable, so the cache is a
     plain dict.
-
-    With ``planner="cost"`` the cache is *versioned*: each entry
-    remembers the per-body-literal cardinality snapshot it was planned
-    against, and a lookup whose observed cardinalities drift past
-    ``drift_threshold`` (a ratio) recompiles with a fresh
-    statistics-driven join order instead of returning the stale plan.
-    ``EvalStats.replans`` counts those recompilations; re-planning
-    never changes the derived fixpoint, only the join order.
     """
 
-    __slots__ = ("_plans", "planner", "drift_threshold")
+    __slots__ = ("_plans",)
 
-    #: Re-plan when a relation grew or shrank by this factor.
-    DEFAULT_DRIFT_THRESHOLD = 4.0
-
-    def __init__(
-        self,
-        planner: str = EngineConfig.planner,
-        drift_threshold: float = DEFAULT_DRIFT_THRESHOLD,
-    ):
-        self.planner = check_knob("planner", planner)
-        self.drift_threshold = drift_threshold
-        self._plans: Dict[
-            Tuple[Rule, RoleSpec],
-            Tuple[RulePlan, Optional[Tuple[int, ...]]],
-        ] = {}
+    def __init__(self):
+        self._plans: Dict[Tuple[Rule, RoleSpec], RulePlan] = {}
 
     def __len__(self) -> int:
         return len(self._plans)
 
-    def plan(
-        self,
-        rule: Rule,
-        roles: RoleSpec = (),
-        stats=None,
-        db: Optional[Database] = None,
-        overrides: Optional[Mapping[int, object]] = None,
-    ) -> RulePlan:
-        """The compiled plan for ``(rule, roles)``, (re)planning as needed.
-
-        ``db``/``overrides`` feed the cost planner's statistics; the
-        greedy planner ignores them, so callers may always pass them.
-        """
+    def plan(self, rule: Rule, roles: RoleSpec = (), stats=None) -> RulePlan:
+        """The compiled plan for ``(rule, roles)``, compiling it once."""
         key = (rule, roles)
-        entry = self._plans.get(key)
-        if self.planner != "cost" or db is None:
-            if entry is None:
-                plan = RulePlan(rule, roles)
-                self._plans[key] = (plan, None)
-                if stats is not None:
-                    stats.plans_compiled += 1
-                return plan
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = RulePlan(rule, roles)
             if stats is not None:
-                stats.plan_cache_hits += 1
-            return entry[0]
-
-        snapshot = self._snapshot(rule, roles, db, overrides)
-        if entry is not None:
-            plan, planned_at = entry
-            if planned_at is not None and not self._drifted(planned_at, snapshot):
-                if stats is not None:
-                    stats.plan_cache_hits += 1
-                return plan
-            if stats is not None:
-                stats.replans += 1
-        plan = self._compile_cost(rule, roles, db, overrides)
-        self._plans[key] = (plan, snapshot)
-        if stats is not None:
-            stats.plans_compiled += 1
+                stats.plans_compiled += 1
+        elif stats is not None:
+            stats.plan_cache_hits += 1
         return plan
-
-    def _snapshot(
-        self,
-        rule: Rule,
-        roles: RoleSpec,
-        db: Database,
-        overrides: Optional[Mapping[int, object]],
-    ) -> Tuple[int, ...]:
-        """Current cardinality of each body occurrence's source."""
-        cards = []
-        for idx, literal in enumerate(rule.body):
-            rel = overrides.get(idx) if overrides is not None else None
-            if rel is None:
-                rel = db.get(literal.predicate, literal.arity)
-            cards.append(len(rel) if rel is not None else 0)
-        return tuple(cards)
-
-    def _drifted(self, old: Tuple[int, ...], new: Tuple[int, ...]) -> bool:
-        """True when any source's cardinality ratio exceeds the threshold."""
-        for a, b in zip(old, new):
-            lo, hi = (a, b) if a <= b else (b, a)
-            if (hi + 1) / (lo + 1) > self.drift_threshold:
-                return True
-        return False
-
-    def _compile_cost(
-        self,
-        rule: Rule,
-        roles: RoleSpec,
-        db: Database,
-        overrides: Optional[Mapping[int, object]],
-    ) -> RulePlan:
-        def stat_of(idx: int, literal: Literal):
-            rel = overrides.get(idx) if overrides is not None else None
-            if rel is None:
-                rel = db.get(literal.predicate, literal.arity)
-            return rel.statistics() if rel is not None else None
-
-        roles_map = dict(roles)
-        order, estimated = cost_join_order(rule.body, roles_map, stat_of)
-        return RulePlan(rule, roles, order=order, estimated_rows=estimated)
 
 
 def compile_rule(rule: Rule, roles: Union[RoleSpec, Mapping[int, str]] = ()) -> RulePlan:

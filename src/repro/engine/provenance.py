@@ -16,8 +16,8 @@ body instance behind every head emission.  Facts derived in round
 recorded derivations are acyclic and height-minimal round-wise —
 exactly the trees the paper's inductions walk.  Recording is
 *canonical* (per fact: lowest rule, then lexicographically smallest
-body instance), so either planner, every backend, and any ``jobs``
-count all record identical trees.
+body instance), so every backend and any ``jobs`` count record
+identical trees.
 
 Trees are also how a library user audits an answer ("why is 7
 reachable?"), so the module doubles as the provenance feature of the

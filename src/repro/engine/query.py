@@ -63,9 +63,8 @@ heads stay free-only — their answer relations are pinned to the seed
 by the theorem certificate, resp. the ``NIL`` index term.
 
 **Invalidation.**  Compiled entries persist their plan caches across
-queries (the cost planner already re-plans on >4x cardinality drift).
-The entry itself is recompiled when the referenced EDB relations drift
-past the same 4x factor (:data:`DRIFT_FACTOR`), and
+queries.  The entry itself is recompiled when the referenced EDB
+relations drift past a 4x factor (:data:`DRIFT_FACTOR`), and
 :meth:`QueryCompiler.note_edb_change` — called by
 :meth:`~repro.engine.incremental.IncrementalSession.apply_batch` after
 every successful maintenance batch — drops instance-certified entries
@@ -117,7 +116,7 @@ Signature = Tuple[str, int]
 QueryKey = Tuple[str, int, str]
 
 #: Recompile a cached entry when a referenced EDB relation's cardinality
-#: drifts past this factor (matches the plan cache's re-planning rule).
+#: drifts past this factor.
 DRIFT_FACTOR = 4.0
 
 
@@ -150,8 +149,7 @@ class CompiledQuery:
     """One query form compiled to a rewritten program plus its scheduler.
 
     Owns a persistent :class:`~repro.engine.plan.PlanCache`, so repeated
-    queries of the same form reuse compiled rule plans (the cost planner
-    re-plans inside the cache on cardinality drift).
+    queries of the same form reuse compiled rule plans.
     """
 
     def __init__(
@@ -265,8 +263,7 @@ class CompiledQuery:
         return None if counting_diverges(result) else result
 
     def _make_scheduler(self, program: Program) -> SCCScheduler:
-        config = self.compiler.config
-        return SCCScheduler(program, config, cache=PlanCache(config.planner))
+        return SCCScheduler(program, self.compiler.config, cache=PlanCache())
 
     def _snapshot_edb_sizes(self, edb: Database) -> None:
         self.edb_sizes = {
@@ -408,7 +405,7 @@ class QueryCompiler:
 
     ::
 
-        compiler = QueryCompiler(program, planner="cost")
+        compiler = QueryCompiler(program, max_facts=100_000)
         answer = compiler.ask("t(5, Y)", edb)
         answer.answers        # raw Term tuples
         answer.strategy       # "factored" | "counting" | "magic" | ...
@@ -450,8 +447,7 @@ class QueryCompiler:
         Instance-certified entries are dropped — their factorability
         proof read the old EDB.  Remembered counting divergences are
         cleared: deletions may have broken the cycle.  Cardinality
-        drift is re-checked lazily on the next :meth:`ask`, and the
-        plan caches re-plan on drift by themselves.
+        drift is re-checked lazily on the next :meth:`ask`.
         """
         for key in [
             k for k, e in self._entries.items() if e.instance_certified

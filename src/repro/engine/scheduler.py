@@ -514,7 +514,7 @@ class ComponentRun:
         self.task = task
         self.config = config
         self.mode = mode
-        self.cache = cache if cache is not None else PlanCache(config.planner)
+        self.cache = cache if cache is not None else PlanCache()
         self.recorder = recorder
         self.fact_base = fact_base
         self.rounds = 0
@@ -742,8 +742,7 @@ class ComponentRun:
         # first round in semi-naive mode — its input never changes
         # afterwards.  Each (rule, roles) pair is compiled once by the
         # cache and re-fetched per round: the refetch is what the
-        # plan_cache_hits counter measures, and what lets the cost
-        # planner notice cardinality drift and re-plan.  A seeded run
+        # plan_cache_hits counter measures.  A seeded run
         # fires delta variants only: a rule none of whose occurrences
         # is windowed has nothing new to read.
         firings = []
@@ -793,15 +792,14 @@ class ComponentRun:
                                         windows[body_sig], lo, hi
                                     )
                                 overrides[pos] = view
-                        plan = cache.plan(rule, roles, stats, db, overrides)
+                        plan = cache.plan(rule, roles, stats)
                         out = None
                         if partitioner is not None and roles:
                             # roles[0] is the variant's delta occurrence.  The
-                            # plan was fetched (and its estimate is recorded)
-                            # exactly once with the full-delta overrides, so
-                            # plan-cache counters match partitions=1; the
-                            # partitions' emissions come back concatenated in
-                            # partition order.
+                            # plan was fetched exactly once, so plan-cache
+                            # counters match partitions=1; the partitions'
+                            # emissions come back concatenated in partition
+                            # order.
                             out = partitioner.run(
                                 plan, db, overrides, roles[0][0], stats, rows.interned
                             )
@@ -812,8 +810,6 @@ class ComponentRun:
                             batch_rows, out = rows.run(
                                 plan, overrides, rel, rule_index, rule
                             )
-                        if plan.estimated_rows is not None:
-                            stats.record_estimate(plan.estimated_rows, len(out))
                         if emitted:
                             emitted.extend(out)
                         else:

@@ -44,8 +44,8 @@ def seminaive_eval(
     """Evaluate ``program`` over ``edb`` to fixpoint, semi-naively.
 
     Returns ``(database, stats)``.  ``config`` and/or keyword knobs
-    (``planner=``, ``jobs=``, ``backend=``, ``partitions=``,
-    ``max_iterations=``, ``max_facts=``, ``max_seconds=``) choose the
+    (``jobs=``, ``backend=``, ``partitions=``, ``max_iterations=``,
+    ``max_facts=``, ``max_seconds=``) choose the
     schedule — :class:`~repro.engine.config.EngineConfig` describes
     them; a bad one raises before any rule runs.  Every combination
     derives the identical fixpoint with identical ``facts``/

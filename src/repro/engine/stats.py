@@ -13,11 +13,7 @@ The two quantities the paper reasons about are:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
-
-#: Cap on recorded (estimated, actual) pairs so long evaluations don't
-#: grow the stats object without bound.
-MAX_ESTIMATE_SAMPLES = 10_000
+from typing import Dict, Tuple
 
 
 class NonTerminationError(RuntimeError):
@@ -100,11 +96,9 @@ class EvalStats:
     ``plan_cache_hits`` (plan reuses across delta rounds; high hit
     counts mean compilation cost is amortized away).
 
-    The cost-based planner adds two accuracy counters: ``replans``
-    (cached plans recompiled because observed cardinalities drifted
-    past the invalidation threshold) and ``estimated_vs_actual``
-    (per-execution pairs of predicted result rows vs. emissions
-    actually observed; :meth:`planner_accuracy` summarizes them).
+    ``replans`` is always 0: a compiled plan is never invalidated, since
+    there is one join order and it depends on the rule alone.  The
+    field stays because benchmark reports still read it.
 
     The SCC scheduler adds ``scc_count`` (components with rules that
     were actually evaluated) and ``scc_parallel_batches`` (topological
@@ -156,7 +150,6 @@ class EvalStats:
     backend_fallbacks: int = 0
     partition_rounds: int = 0
     partition_skew: float = 0.0
-    estimated_vs_actual: List[Tuple[float, int]] = field(default_factory=list)
     per_predicate: Dict[Tuple[str, int], int] = field(default_factory=dict)
 
     def record_fact(self, signature: Tuple[str, int]) -> None:
@@ -169,25 +162,6 @@ class EvalStats:
         self.per_predicate[signature] = (
             self.per_predicate.get(signature, 0) + count
         )
-
-    def record_estimate(self, estimated: float, actual: int) -> None:
-        """Log one (predicted rows, observed emissions) sample (capped)."""
-        if len(self.estimated_vs_actual) < MAX_ESTIMATE_SAMPLES:
-            self.estimated_vs_actual.append((estimated, actual))
-
-    def planner_accuracy(self) -> float:
-        """Mean relative error of the cost model, 0.0 when perfect.
-
-        Each sample contributes ``|estimated - actual| / max(actual, 1)``;
-        returns 0.0 when no samples were recorded (greedy planner).
-        """
-        if not self.estimated_vs_actual:
-            return 0.0
-        total = sum(
-            abs(est - actual) / max(actual, 1)
-            for est, actual in self.estimated_vs_actual
-        )
-        return total / len(self.estimated_vs_actual)
 
     def merge(self, other: "EvalStats") -> "EvalStats":
         """A new stats object accumulating ``self`` then ``other``.
@@ -226,9 +200,6 @@ class EvalStats:
         self.partition_rounds += other.partition_rounds
         if other.partition_skew > self.partition_skew:
             self.partition_skew = other.partition_skew
-        room = MAX_ESTIMATE_SAMPLES - len(self.estimated_vs_actual)
-        if room > 0:
-            self.estimated_vs_actual.extend(other.estimated_vs_actual[:room])
         for sig, count in other.per_predicate.items():
             self.per_predicate[sig] = self.per_predicate.get(sig, 0) + count
 
@@ -237,6 +208,6 @@ class EvalStats:
             f"facts={self.facts} inferences={self.inferences} "
             f"iterations={self.iterations} seconds={self.seconds:.4f} "
             f"probes={self.probes} plans={self.plans_compiled} "
-            f"(+{self.plan_cache_hits} cached, {self.replans} replans) "
+            f"(+{self.plan_cache_hits} cached) "
             f"sccs={self.scc_count}"
         )

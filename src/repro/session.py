@@ -52,8 +52,8 @@ class QueryReport:
 class DeductiveDatabase:
     """Rules + facts + an optimizing query interface.
 
-    ``config`` and/or keyword knobs (``planner=``, ``jobs=``,
-    ``backend=``, ``partitions=``, ``max_seconds=``) are
+    ``config`` and/or keyword knobs (``jobs=``, ``backend=``,
+    ``partitions=``, ``max_seconds=``) are
     those of :class:`~repro.engine.config.EngineConfig`, resolved (and
     rejected) here; they govern :meth:`ask` and are the defaults of
     :meth:`materialize`.  Answers and counters are identical for every
@@ -244,7 +244,7 @@ class DeductiveDatabase:
         under ``insert``/``delete`` — the serving configuration: point
         queries read the materialized database, updates pay only the
         delta.  ``kwargs`` pass through to ``IncrementalSession``
-        (``planner=``, ``record_provenance=``, ...), defaulting to this
+        (``jobs=``, ``record_provenance=``, ...), defaulting to this
         database's engine knobs.
 
         The session snapshots the rules and facts loaded so far;

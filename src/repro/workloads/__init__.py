@@ -12,8 +12,8 @@ __getattr__, __dir__, __all__ = _facade(
         "lists": ("pmem_edb", "pmem_query", "pmem_program"),
         "synthetic": (
             "random_rlc_program", "random_program", "random_edb",
-            "skewed_fanout_program", "skewed_fanout_edb", "wide_dag_program",
-            "wide_dag_edb", "churn_program", "churn_edb", "churn_script",
+            "wide_dag_program", "wide_dag_edb", "churn_program", "churn_edb",
+            "churn_script",
         ),
         "examples": (
             "three_rule_tc_program", "three_rule_tc_query",

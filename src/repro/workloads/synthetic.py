@@ -146,81 +146,6 @@ def random_program(
     return Program(out)
 
 
-def skewed_fanout_program() -> Program:
-    """The cost-planner separation workload: a skewed three-way join.
-
-    ::
-
-        out(X, Z) :- fan(X, Y), burst(Y, Z), sel(Z).
-
-    The body is written big-relation-first on purpose: the syntactic
-    greedy planner (no statistics, ties broken by source order) drives
-    the join from ``fan`` and materializes the full ``fan ⋈ burst``
-    intermediate — ``sources * fanout * burst`` rows — before the tiny
-    ``sel`` filter prunes nearly all of them.  A cost-based planner
-    sees the cardinalities, starts from ``sel``, and touches only the
-    few ``burst``/``fan`` tuples that can survive.  Both orders emit
-    the identical answers with identical ``facts``/``inferences``
-    counters; only the join work differs.
-    """
-    from repro.datalog.parser import parse_program
-
-    return parse_program("out(X, Z) :- fan(X, Y), burst(Y, Z), sel(Z).")
-
-
-def skewed_fanout_edb(
-    sources: int = 30,
-    fanout: int = 20,
-    burst: int = 50,
-    hot: int = 997,
-    selected: int = 50,
-    sharing: int = 5,
-) -> Database:
-    """A deterministic skewed-fanout EDB for :func:`skewed_fanout_program`.
-
-    * ``fan``:   each source ``x{i}`` reaches ``fanout`` distinct integer
-      hubs; ``sharing`` sources share each hub, so the relation has
-      ``sources * fanout`` tuples over ``sources * fanout / sharing``
-      hubs.
-    * ``burst``: each hub emits ``burst`` edges.  The sink distribution
-      is *skewed*: almost every edge lands on one of ``hot`` shared hot
-      sinks (``h{m}``), but the first ``selected`` hubs also emit one
-      edge to a private cold sink (``c{y}``) that occurs exactly once
-      in the whole relation.
-    * ``sel``:   exactly the cold sinks.
-
-    Driving the join from ``sel`` touches ``selected`` one-tuple cold
-    buckets; driving it from ``fan`` (the greedy source order)
-    enumerates every ``burst`` tuple once per sharing source —
-    ``sources * fanout * burst`` intermediate rows — only to discard
-    everything that hit a hot sink.  The answer is ``sharing`` tuples
-    per cold sink either way.
-    """
-    db = Database()
-    hubs = max(1, (sources * fanout) // max(1, sharing))
-    cold = min(selected, hubs)
-    db.add_facts(
-        "fan",
-        (
-            (f"x{i}", (i * fanout + j) % hubs)
-            for i in range(sources)
-            for j in range(fanout)
-        ),
-    )
-
-    def sinks():
-        for y in range(hubs):
-            for k in range(burst):
-                if k == 0 and y < cold:
-                    yield (y, f"c{y}")
-                else:
-                    yield (y, f"h{(y * burst + k) % hot}")
-
-    db.add_facts("burst", sinks())
-    db.add_facts("sel", ((f"c{y}",) for y in range(cold)))
-    return db
-
-
 def wide_dag_program(width: int = 4) -> Program:
     """The parallel-scheduler separation workload: a wide, shallow DAG.
 

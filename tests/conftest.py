@@ -109,12 +109,10 @@ def assert_storage_matches_rebuild(db: Database, pinned=None) -> None:
     decode to the log row for row; the carried row set and every
     carried index — tuple and int, whichever side of a copy-on-write
     share their buckets are on — hold what one built from the log
-    would; ``col_set()`` is the interned log and ``statistics()`` a
-    recount (distinct counts of indexes that are live and synced: a
-    count carried for a dropped index is an estimate by design).
-    ``pinned`` (:func:`pin_storage`, taken before a batch) must not
-    have moved, and must pass the same checks: a batch that appended
-    to a shared bucket in place would show there.
+    would; ``col_set()`` is the interned log.  ``pinned``
+    (:func:`pin_storage`, taken before a batch) must not have moved,
+    and must pass the same checks: a batch that appended to a shared
+    bucket in place would show there.
     """
     if pinned is not None:
         view, logs = pinned
@@ -125,7 +123,6 @@ def assert_storage_matches_rebuild(db: Database, pinned=None) -> None:
         where = f"{name}/{arity}"
         log = rel._log  # also decodes rows held only by the columns
         assert len(set(log)) == len(log) and set(log) == rel.tuples, where
-        synced = {}  # positions -> distinct keys recounted, per live synced index
         for positions, index in rel._indexes.items():
             rebuilt = {}
             for fact in log:
@@ -134,7 +131,6 @@ def assert_storage_matches_rebuild(db: Database, pinned=None) -> None:
             for key, bucket in index.items():
                 assert len(bucket) == len(rebuilt[key]), (where, positions, key)
                 assert set(bucket) == rebuilt[key], (where, positions, key)
-            synced[positions] = len(rebuilt)
         cols = rel._cols
         if cols is not None:
             terms = rel.dictionary.terms
@@ -151,13 +147,7 @@ def assert_storage_matches_rebuild(db: Database, pinned=None) -> None:
                     key = tuple(row[p] for p in positions)
                     rebuilt.setdefault(key[0] if len(key) == 1 else key, []).append(i)
                 assert mark <= len(rows) and index == rebuilt, (where, positions)
-                if mark == len(log):
-                    synced.setdefault(positions, len(rebuilt))
         interned = rel.col_set()
         if interned is not None:
             ident = rel.dictionary.lookup
             assert interned == {tuple(map(ident, fact)) for fact in log}, where
-        stats = rel.statistics()
-        assert stats.cardinality == len(log), where
-        for positions, distinct in synced.items():
-            assert stats.distinct(positions) == distinct, (where, positions)

@@ -1,8 +1,8 @@
 """Tests for the pluggable execution backends and their wire formats.
 
 Covers the satellite checklist for the backend layer: round-tripping
-the compact ``Relation``/``ComponentSpec`` snapshot forms (statistics
-and index distinct-key counts preserved), spawn-safe worker
+the compact ``Relation``/``ComponentSpec`` snapshot forms (facts, log
+order and columns preserved, no index carried), spawn-safe worker
 initialization, parallel determinism across ``backend=process`` at
 ``jobs ∈ {1, 2, 4}``, error propagation across the process boundary,
 and the ``--backend``/``REPRO_BACKEND`` validation mirroring the
@@ -120,42 +120,43 @@ class TestCliBackendValidation:
 
 
 class TestRelationSnapshotRoundTrip:
-    def _relation_with_stats(self) -> Relation:
+    def _relation_with_indexes(self) -> Relation:
         db = Database()
+        db.ensure_dictionary()
         db.add_facts("e", [(1, 2), (1, 3), (2, 3), (4, 4)])
         rel = db.relation("e", 2)
         rel.ensure_index((0,))
         rel.ensure_index((0,))  # a second use marks the index hot
         rel.ensure_index((1,))
+        rel.col_index((0,))
         return rel
 
-    def test_pickle_preserves_facts_log_and_statistics(self):
-        rel = self._relation_with_stats()
-        dup = pickle.loads(pickle.dumps(rel))
+    def _assert_facts_log_and_columns_only(self, dup, rel):
         assert dup.tuples == rel.tuples
         assert dup._log == rel._log  # insertion order is part of the form
-        # Index *contents* do not travel; their statistics do.
-        assert dup._indexes == {}
-        assert dup.distinct_count((0,)) == rel.distinct_count((0,)) == 3
-        assert dup.distinct_count((1,)) == rel.distinct_count((1,)) == 3
-        assert dup.statistics() == rel.statistics()
+        assert dup._cols == rel._cols and dup._cols is not rel._cols
+        # No index travels, tuple or int: the far side builds its own.
+        assert dup._indexes == {} and dup._col_indexes == {}
+        assert rel._indexes and rel._col_indexes
+
+    def test_pickle_preserves_facts_log_and_columns(self):
+        rel = self._relation_with_indexes()
+        dup = pickle.loads(pickle.dumps(rel))
+        self._assert_facts_log_and_columns_only(dup, rel)
         # The restored relation is live: inserts and probes work.
         assert dup.add(rel._log[0]) is False
         assert len(dup.lookup((0,), rel._log[0][:1])) == 2
 
     def test_snapshot_method_matches_pickle_form(self):
-        rel = self._relation_with_stats()
+        rel = self._relation_with_indexes()
         snap = rel.snapshot()
-        assert snap.tuples == rel.tuples
-        assert snap._log == rel._log
-        assert snap._indexes == {}
-        assert snap.statistics() == rel.statistics()
+        self._assert_facts_log_and_columns_only(snap, rel)
         # Independent: mutating the snapshot leaves the original alone.
         snap.add((parse_term("9"), parse_term("9")))
         assert len(snap) == len(rel) + 1
 
     def test_view_pickles_compactly(self):
-        rel = self._relation_with_stats()
+        rel = self._relation_with_indexes()
         view = rel.view(1, 3)
         view.ensure_index((0,))
         dup = pickle.loads(pickle.dumps(view))
@@ -192,7 +193,7 @@ class TestComponentSpecRoundTrip:
         assert set(dup.relations) == set(spec.relations)
         for sig, rel in spec.relations.items():
             assert dup.relations[sig].tuples == rel.tuples
-            assert dup.relations[sig].statistics() == rel.statistics()
+            assert dup.relations[sig]._log == rel._log
         result = evaluate_component(dup)
         direct = evaluate_component(spec)
         assert result.deltas == direct.deltas
@@ -262,17 +263,6 @@ class TestProcessBackendDeterminism:
         assert db == base_db
         assert stats.scc_parallel_batches >= 1
         assert stats.columnar_fallbacks == base.columnar_fallbacks > 0
-
-    def test_cost_planner_through_process_backend(self):
-        program, edb = wide_dag_program(3), wide_dag_edb(3, 10)
-        base_db, base = seminaive_eval(program, edb, planner="cost", jobs=1)
-        db, stats = seminaive_eval(
-            program, edb, planner="cost", jobs=3, backend="process"
-        )
-        assert db == base_db
-        assert (stats.facts, stats.inferences, stats.iterations) == (
-            base.facts, base.inferences, base.iterations,
-        )
 
     def test_provenance_trees_identical_through_process_backend(self):
         program, edb = wide_dag_program(3), wide_dag_edb(3, 8)

@@ -80,7 +80,7 @@ class TestRun:
         [
             ("--jobs", "0", "error: invalid jobs='0'; expected a positive integer"),
             ("--jobs", "2.5", "error: invalid jobs='2.5'; expected a positive integer"),
-            ("--planner", "nope", "error: invalid planner='nope'; expected one of greedy, cost"),
+            ("--backend", "nope", "error: invalid backend='nope'; expected one of serial, process"),
         ],
     )
     def test_bad_knob_is_one_error_line_and_exit_2(
@@ -94,24 +94,40 @@ class TestRun:
         assert captured.out == ""
         assert captured.err.splitlines() == [message]
 
-    def test_removed_exec_flag_is_a_usage_error(
-        self, program_file, facts_file, capsys
-    ):
+    @staticmethod
+    def assert_usage_error(argv, capsys, removed):
         with pytest.raises(SystemExit) as exit_info:
-            main(
-                ["run", program_file, "t(1, Y)", "--facts", facts_file,
-                 "--exec", "tuple"]
-            )
+            main(argv)
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "unrecognized arguments: --exec tuple" in captured.err
+        assert f"unrecognized arguments: {removed}" in captured.err
+
+    def test_removed_exec_flag_is_a_usage_error(
+        self, program_file, facts_file, capsys
+    ):
+        self.assert_usage_error(
+            ["run", program_file, "t(1, Y)", "--facts", facts_file,
+             "--exec", "tuple"],
+            capsys, "--exec tuple",
+        )
+
+    def test_removed_planner_flag_is_a_usage_error(
+        self, program_file, facts_file, capsys
+    ):
+        # there is one join order, so there is no planner to pick
+        self.assert_usage_error(
+            ["run", program_file, "t(1, Y)", "--facts", facts_file,
+             "--planner", "cost"],
+            capsys, "--planner cost",
+        )
 
     def test_stats_leads_with_the_resolved_config(
         self, program_file, facts_file, capsys, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_PLANNER", "cost")  # environment knobs show too
+        monkeypatch.setenv("REPRO_TIMEOUT", "30")  # environment knobs show too
         monkeypatch.setenv("REPRO_EXEC", "tuple")  # ... and removed ones do not
+        monkeypatch.setenv("REPRO_PLANNER", "cost")
         code = main(
             ["run", program_file, "t(1, Y)", "--facts", facts_file,
              "--stats", "--jobs", "2", "--backend", "serial"]
@@ -119,10 +135,10 @@ class TestRun:
         assert code == 0
         lines = capsys.readouterr().err.splitlines()
         first = lines.index("-- stats:") - 1
-        assert lines[first].startswith(
-            "-- config: planner=cost jobs=2 backend=serial partitions="
+        assert lines[first] == (
+            "-- config: jobs=2 backend=serial partitions=1 "
+            "max_iterations=None max_facts=None max_seconds=30.0"
         )
-        assert "exec" not in lines[first]
 
 
 class TestValidate:
@@ -593,7 +609,7 @@ class TestQuery:
         assert main(
             [
                 "query", program_file, "t(1, Y)", "--facts", facts_file,
-                "--planner", "cost", "--jobs", "2", "--backend", "process",
+                "--jobs", "2", "--backend", "process",
             ]
         ) == 0
         assert capsys.readouterr().out.splitlines() == ["2", "3", "4"]
@@ -715,8 +731,8 @@ assert pools() == ["concurrent.futures"], pools()
 
     PACKAGES = {
         "repro": 93, "repro.analysis": 35, "repro.bench": 4, "repro.core": 25,
-        "repro.datalog": 28, "repro.engine": 46, "repro.transforms": 8,
-        "repro.workloads": 33,
+        "repro.datalog": 28, "repro.engine": 42, "repro.transforms": 8,
+        "repro.workloads": 31,
     }
 
     def test_importing_the_packages_imports_no_module(self):

@@ -234,7 +234,7 @@ def test_query_overlay_shares_edb_columns():
 
     edb = chain_edb(12)
     edb.ensure_dictionary()
-    compiler = QueryCompiler(TC, planner="greedy")
+    compiler = QueryCompiler(TC)
     answer = compiler.ask("t(3, Y)", edb)
     assert answer.values() == {(y,) for y in range(4, 13)}
     rel = edb.relation("e", 2)

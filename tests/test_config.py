@@ -45,9 +45,8 @@ def edb():
     return Database.from_dict({"e": [(1, 2), (2, 3)]})
 
 
-def test_exactly_the_seven_knobs_and_their_defaults():
+def test_exactly_the_six_knobs_and_their_defaults():
     assert dataclasses.asdict(EngineConfig()) == {
-        "planner": "greedy",
         "jobs": 1,
         "backend": "serial",
         "partitions": 1,
@@ -56,7 +55,6 @@ def test_exactly_the_seven_knobs_and_their_defaults():
         "max_seconds": None,
     }
     assert ENV == {
-        "planner": "REPRO_PLANNER",
         "jobs": "REPRO_JOBS",
         "backend": "REPRO_BACKEND",
         "partitions": "REPRO_PARTITIONS",
@@ -69,9 +67,6 @@ def test_exactly_the_seven_knobs_and_their_defaults():
 
 # field, accepted spelling, resolved value
 GOOD = [
-    ("planner", "greedy", "greedy"),
-    ("planner", "cost", "cost"),
-    ("planner", " Cost ", "cost"),
     ("jobs", 1, 1),
     ("jobs", 3, 3),
     ("jobs", "4", 4),
@@ -90,9 +85,6 @@ GOOD = [
 
 # field, rejected value, what the message says was expected
 BAD = [
-    ("planner", "selinger", "one of greedy, cost"),
-    ("planner", "bogus", "one of greedy, cost"),
-    ("planner", 1, "one of greedy, cost"),
     ("jobs", 0, "a positive integer"),
     ("jobs", -2, "a positive integer"),
     ("jobs", 2.7, "a positive integer"),
@@ -146,8 +138,6 @@ def test_bad_values_name_the_keyword(name, value, expected):
 
 # field, environment text, resolved value
 ENV_GOOD = [
-    ("planner", "cost", "cost"),
-    ("planner", " COST ", "cost"),
     ("jobs", "3", 3),
     ("jobs", " 3 ", 3),
     ("backend", "process", "process"),
@@ -157,7 +147,6 @@ ENV_GOOD = [
 ]
 
 ENV_BAD = [
-    ("planner", "nope"),
     ("jobs", "many"),
     ("jobs", "0"),
     ("backend", "bogus"),
@@ -196,7 +185,6 @@ def test_empty_means_unset_for_every_variable(monkeypatch, name, blank):
 @pytest.mark.parametrize(
     "name, env_value, explicit",
     [
-        ("planner", "cost", "greedy"),
         ("jobs", "3", 2),
         ("backend", "process", "serial"),
         ("partitions", "8", 2),
@@ -280,8 +268,31 @@ def test_removed_exec_variable_is_not_read(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("surface", sorted(KNOB_TAKERS))
+def test_removed_planner_knob_is_unknown(surface):
+    # the greedy bound-first order is the only join order, so there is
+    # no planner to pick
+    with pytest.raises(TypeError, match="planner"):
+        KNOB_TAKERS[surface](planner="cost")
+
+
+def test_removed_planner_variable_is_not_read(monkeypatch):
+    plain_db, plain = seminaive_eval(TC, edb())
+    monkeypatch.setenv("REPRO_PLANNER", "cost")
+    assert EngineConfig.resolve() == EngineConfig()
+    db, stats = seminaive_eval(TC, edb())
+    assert db == plain_db
+    assert (
+        stats.facts, stats.inferences, stats.iterations, stats.probes,
+        stats.plans_compiled, stats.plan_cache_hits, stats.replans,
+    ) == (
+        plain.facts, plain.inferences, plain.iterations, plain.probes,
+        plain.plans_compiled, plain.plan_cache_hits, 0,
+    )
+
+
 def test_frozen_hashable_and_picklable():
-    config = EngineConfig(planner="cost", jobs=2, backend="process", max_seconds=1.5)
+    config = EngineConfig(jobs=2, backend="process", max_seconds=1.5)
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.jobs = 3
     assert pickle.loads(pickle.dumps(config)) == config
@@ -290,7 +301,7 @@ def test_frozen_hashable_and_picklable():
 
 def test_str_is_the_stats_line():
     assert str(EngineConfig(jobs=2)) == (
-        "planner=greedy jobs=2 backend=serial partitions=1 "
+        "jobs=2 backend=serial partitions=1 "
         "max_iterations=None max_facts=None max_seconds=None"
     )
 
@@ -305,7 +316,7 @@ def test_config_module_imports_nothing_of_the_engine():
 
 
 @pytest.mark.parametrize(
-    "knobs", [{"planner": "bogus"}, {"jobs": 0}, {"backend": "bogus"}]
+    "knobs", [{"max_seconds": 0}, {"jobs": 0}, {"backend": "bogus"}]
 )
 def test_compilers_reject_a_bad_knob_when_constructed(knobs):
     with pytest.raises(ValueError, match="invalid"):
@@ -327,10 +338,7 @@ def test_evaluator_rejects_before_any_rule_runs(knobs):
 
 
 def test_valid_keyword_calls_behave_as_before():
-    knobs = dict(
-        planner="cost", jobs=2, backend="process", partitions=2,
-        max_seconds=1.5,
-    )
+    knobs = dict(jobs=2, backend="process", partitions=2, max_seconds=1.5)
     base_db, base = seminaive_eval(TC, edb())
     for run in (
         lambda: seminaive_eval(TC, edb(), **knobs),
@@ -349,8 +357,8 @@ def test_valid_keyword_calls_behave_as_before():
     assert QueryCompiler(TC, **knobs).config == session.config
     dd = DeductiveDatabase(**knobs).rules("t(X, Y) :- e(X, Y).").fact("e", 1, 2)
     assert dd.ask("t(1, Y)") == {(2,)}
-    materialized = dd.materialize(planner="greedy")
-    assert materialized.config == EngineConfig(**{**knobs, "planner": "greedy"})
+    materialized = dd.materialize(jobs=1)
+    assert materialized.config == EngineConfig(**{**knobs, "jobs": 1})
 
 
 # -- docs: the README table is the knob list ------------------------------

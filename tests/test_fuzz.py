@@ -80,35 +80,31 @@ def test_unconstrained_programs_never_lose_answers(
     n=st.integers(3, 8),
 )
 def test_all_backends_match_interpreter_seminaive(program_seed, edb_seed, n):
-    """Six-way differential test for the compiled-plan executor.
+    """Four-way differential test for the compiled-plan executor.
 
-    The greedy slot-based plans (the default), the cost-based planner
-    (``planner="cost"``, statistics-driven join order with drift
-    re-planning), the parallel SCC scheduler on each execution backend
-    (``jobs=2`` with the ``serial`` and ``process`` executors
-    — the latter shipping picklable component specs to worker processes
-    that recompile plans locally) must derive the fixpoint of the
-    reference evaluator (``naive_fixpoint_reference``, plain sets), with
-    the facts/inferences/iterations counters of the serial greedy
-    tuple-at-a-time run (``provenance_eval``), on randomized programs
-    and databases.
+    The slot-based plans at default knobs and the parallel SCC
+    scheduler on each execution backend (``jobs=2`` with the ``serial``
+    and ``process`` executors — the latter shipping picklable component
+    specs to worker processes that recompile plans locally) must derive
+    the fixpoint of the reference evaluator
+    (``naive_fixpoint_reference``, plain sets), with the
+    facts/inferences/iterations counters of the serial tuple-at-a-time
+    run (``provenance_eval``), on randomized programs and databases.
     """
     program = random_program(program_seed)
     edb = random_edb(edb_seed, n=n)
     db_interp, _ = naive_fixpoint_reference(program, edb)
-    tuple_run = provenance_eval(program, edb, planner="greedy")
+    tuple_run = provenance_eval(program, edb)
     stats_interp = tuple_run.stats
     assert tuple_run.database == db_interp, (
         f"tuple-at-a-time run diverged on seed {program_seed}"
     )
-    db_greedy, stats_greedy = seminaive_eval(program, edb, planner="greedy")
-    db_cost, stats_cost = seminaive_eval(program, edb, planner="cost")
-    plan_runs = [stats_greedy, stats_cost]
-    assert db_greedy == db_interp, f"greedy diverged on seed {program_seed}"
-    assert db_cost == db_interp, f"cost diverged on seed {program_seed}"
+    db_plan, stats_plan = seminaive_eval(program, edb)
+    plan_runs = [stats_plan]
+    assert db_plan == db_interp, f"plans diverged on seed {program_seed}"
     for backend in ("serial", "process"):
         db_jobs, stats_jobs = seminaive_eval(
-            program, edb, planner="greedy", jobs=2, backend=backend
+            program, edb, jobs=2, backend=backend
         )
         assert db_jobs == db_interp, (
             f"jobs=2 backend={backend} diverged on seed {program_seed}"
@@ -120,7 +116,6 @@ def test_all_backends_match_interpreter_seminaive(program_seed, edb_seed, n):
         assert stats_plan.iterations == stats_interp.iterations
         assert stats_plan.plans_compiled > 0
         assert stats_plan.scc_count == stats_interp.scc_count
-    assert stats_greedy.replans == 0  # greedy plans are never invalidated
 
 
 @settings(max_examples=25, deadline=None)
@@ -176,7 +171,7 @@ def test_columnar_matches_tuple_across_backends(program_seed, edb_seed, n):
 
     ``seminaive_eval`` batches interned rows through the column kernel
     wherever a plan is eligible; ``provenance_eval`` runs every plan
-    tuple-at-a-time.  For every planner × backend × jobs combination
+    tuple-at-a-time.  For every backend × jobs combination
     the two must produce the reference database **and the same
     counters** — facts, inferences, iterations, and ``probes``, the
     finest-grained one (the kernel counts a probe per batched row
@@ -188,11 +183,9 @@ def test_columnar_matches_tuple_across_backends(program_seed, edb_seed, n):
     edb = random_edb(edb_seed, n=n)
     db_ref, _ = naive_fixpoint_reference(program, edb)
     for kwargs in (
-        {"planner": "greedy"},
-        {"planner": "cost"},
-        {"planner": "greedy", "jobs": 2, "backend": "serial"},
-        {"planner": "greedy", "jobs": 2, "backend": "process"},
-        {"planner": "cost", "jobs": 2, "backend": "process"},
+        {},
+        {"jobs": 2, "backend": "serial"},
+        {"jobs": 2, "backend": "process"},
     ):
         tuple_run = provenance_eval(program, edb, **kwargs)
         db_tuple, stats_tuple = tuple_run.database, tuple_run.stats
@@ -231,18 +224,12 @@ def test_partitioned_execution_matches_unpartitioned(program_seed, edb_seed, n):
     """
     program = random_program(program_seed)
     edb = random_edb(edb_seed, n=n)
-    db_ref, stats_ref = seminaive_eval(
-        program, edb, planner="greedy", partitions=1
-    )
+    db_ref, stats_ref = seminaive_eval(program, edb, partitions=1)
     assert stats_ref.partition_rounds == 0
     for backend in ("serial", "process"):
         for parts in (1, 2, 4):
             db, stats = seminaive_eval(
-                program,
-                edb,
-                planner="greedy",
-                backend=backend,
-                partitions=parts,
+                program, edb, backend=backend, partitions=parts
             )
             assert db == db_ref, (
                 f"partitions={parts} backend={backend} "
@@ -258,81 +245,6 @@ def test_partitioned_execution_matches_unpartitioned(program_seed, edb_seed, n):
             assert stats.backend_fallbacks == 0
 
 
-@settings(max_examples=15, deadline=None)
-@given(
-    program_seed=st.integers(0, 10_000),
-    edb_seed=st.integers(0, 2_000),
-    script_seed=st.integers(0, 10_000),
-    n=st.integers(3, 8),
-)
-def test_maintenance_counters_agree_across_planners(
-    program_seed, edb_seed, script_seed, n
-):
-    """A maintenance pass's determinate counters do not depend on the
-    join order.
-
-    Two incremental sessions absorb the same random ``apply_batch``
-    script, one per planner.  Every *pass* must agree on the
-    set-determined maintenance counters — facts and re-derivations —
-    plus inferences and delta rounds on insert-only passes, and both
-    maintained databases must end equal to the reference fixpoint of
-    the final EDB.  (On passes with deletes only the set-determined
-    counters are compared, deliberately: DRed's overdelete/rederive
-    step probes, emits duplicates, and closes rounds in
-    fact-enumeration order, so ``probes``, ``inferences``, and
-    ``incr_rounds`` there vary with log order — even across hash
-    seeds.  The full-enumeration evaluator path asserts exact parity on
-    every counter in ``test_columnar_matches_tuple_across_backends``.)
-    """
-    import random
-
-    from repro.engine.incremental import IncrementalSession
-
-    program = random_program(program_seed)
-    edb = random_edb(edb_seed, n=n)
-    by_mode = {
-        planner: IncrementalSession(program, edb, planner=planner)
-        for planner in ("greedy", "cost")
-    }
-    rng = random.Random(script_seed)
-    for _ in range(8):
-        if rng.random() < 0.55:
-            batch = dict(
-                inserts=[
-                    (f"e{rng.randrange(3)}", (rng.randrange(n), rng.randrange(n)))
-                ]
-            )
-        else:
-            stored = sorted(
-                (sig[0], tuple(t.value for t in fact))
-                for sig, rel in by_mode["greedy"].edb.relations.items()
-                for fact in rel.tuples
-            )
-            if not stored:
-                continue
-            batch = dict(deletes=[stored[rng.randrange(len(stored))]])
-        passes = {
-            mode: session.apply_batch(**batch)
-            for mode, session in by_mode.items()
-        }
-        counters = ("facts", "rederived")
-        if "deletes" not in batch:
-            counters += ("inferences", "incr_rounds")
-        for counter in counters:
-            assert getattr(passes["cost"], counter) == getattr(
-                passes["greedy"], counter
-            ), (
-                f"maintenance {counter} diverged on seeds "
-                f"{program_seed}/{edb_seed}/{script_seed}"
-            )
-    ref, _ = naive_fixpoint_reference(program, by_mode["greedy"].edb)
-    for planner, session in by_mode.items():
-        assert session.database == ref, (
-            f"incremental planner={planner} diverged on seeds "
-            f"{program_seed}/{edb_seed}/{script_seed}"
-        )
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     program_seed=st.integers(0, 10_000),
@@ -344,18 +256,12 @@ def test_all_backends_match_interpreter_naive(program_seed, edb_seed, n):
     program = random_program(program_seed)
     edb = random_edb(edb_seed, n=n)
     db_interp, _ = naive_fixpoint_reference(program, edb)
-    db_greedy, stats_interp = naive_eval(program, edb, planner="greedy")
-    assert db_greedy == db_interp, f"greedy fixpoint diverged on seed {program_seed}"
-    for label, kwargs in (
-        ("cost", {"planner": "cost"}),
-        ("jobs=2", {"planner": "greedy", "jobs": 2}),
-    ):
-        db_plan, stats_plan = naive_eval(program, edb, **kwargs)
-        assert db_plan == db_interp, (
-            f"{label} fixpoint diverged on seed {program_seed}"
-        )
-        assert stats_plan.facts == stats_interp.facts
-        assert stats_plan.inferences == stats_interp.inferences
+    db_plan, stats_interp = naive_eval(program, edb)
+    assert db_plan == db_interp, f"naive fixpoint diverged on seed {program_seed}"
+    db_jobs, stats_jobs = naive_eval(program, edb, jobs=2)
+    assert db_jobs == db_interp, f"jobs=2 fixpoint diverged on seed {program_seed}"
+    assert stats_jobs.facts == stats_interp.facts
+    assert stats_jobs.inferences == stats_interp.inferences
 
 
 @settings(max_examples=25, deadline=None)
@@ -367,19 +273,18 @@ def test_all_backends_match_interpreter_naive(program_seed, edb_seed, n):
 def test_provenance_backends_record_identical_trees(program_seed, edb_seed, n):
     """Provenance is canonical: every backend records the same trees.
 
-    Beyond the fixpoint/counter agreement, the serial greedy run, the
-    cost planner, and the parallel scheduler must record the exact
+    Beyond the fixpoint/counter agreement, the serial run and the
+    parallel scheduler on each backend must record the exact
     same ``(rule, body fact keys)`` per derived fact — derivation
     recording is canonicalized, not enumeration-order dependent.
     """
 
     program = random_program(program_seed)
     edb = random_edb(edb_seed, n=n)
-    base = provenance_eval(program, edb, planner="greedy", jobs=1)
+    base = provenance_eval(program, edb, jobs=1)
     assert base.database == naive_fixpoint_reference(program, edb)[0]
     for kwargs in (
         {},
-        {"planner": "cost"},
         {"jobs": 2},
         {"jobs": 2, "backend": "process"},
     ):
@@ -485,8 +390,8 @@ def test_incremental_scripts_match_scratch(program_seed, edb_seed, script_seed, 
 
     One random program, one random EDB, one random script of EDB
     inserts and deletes.  Sessions under every maintenance
-    configuration — greedy and cost planners, the parallel scheduler,
-    and provenance recording (tuple-at-a-time throughout) —
+    configuration — default knobs, the parallel scheduler, and
+    provenance recording (tuple-at-a-time throughout) —
     absorb the script; each must end bit-identical to the
     scheduler-free reference fixpoint of the final EDB, and the
     provenance session's derivations must equal a from-scratch
@@ -504,7 +409,6 @@ def test_incremental_scripts_match_scratch(program_seed, edb_seed, script_seed, 
     edb = random_edb(edb_seed, n=n)
     sessions = [
         IncrementalSession(program, edb),
-        IncrementalSession(program, edb, planner="cost"),
         IncrementalSession(program, edb, jobs=2, backend="process"),
         IncrementalSession(program, edb, record_provenance=True),
     ]
@@ -534,7 +438,7 @@ def test_incremental_scripts_match_scratch(program_seed, edb_seed, script_seed, 
             assert_storage_matches_rebuild(session.database, pinned)
             assert_storage_matches_rebuild(session.edb)
     ref, _ = naive_fixpoint_reference(program, edb)
-    labels = ("greedy", "cost", "jobs2", "provenance")
+    labels = ("default", "jobs2", "provenance")
     for label, session in zip(labels, sessions):
         assert session.database == ref, (
             f"incremental {label} diverged on seeds "
@@ -564,9 +468,9 @@ def test_query_goal_matches_filtered_materialization(
     for a random program and goal — factored, counting (with its
     divergence fallback to magic), or plain magic — the answers must
     equal filtering a full ``seminaive_eval`` fixpoint with the goal,
-    on every backend × planner combination.  The compiler is built once
-    per combination and asked twice (second constant shifted), so the
-    cached compiled form is also exercised.
+    on every backend.  The compiler is built once per backend and asked
+    twice (second constant shifted), so the cached compiled form is
+    also exercised.
     """
     from repro.engine.query import QueryCompiler
 
@@ -584,21 +488,17 @@ def test_query_goal_matches_filtered_materialization(
     )
     expected_shifted = full.query(shifted)
     for backend in ("serial", "process"):
-        for planner in ("greedy", "cost"):
-            compiler = QueryCompiler(
-                program, planner=planner, jobs=2, backend=backend
-            )
-            answer = compiler.ask(goal, edb)
-            assert answer.answers == expected, (
-                f"query_goal diverged on seed {program_seed} "
-                f"({backend}/{planner}, strategy {answer.strategy})"
-            )
-            again = compiler.ask(shifted, edb)
-            assert again.answers == expected_shifted, (
-                f"cached form diverged on seed {program_seed} "
-                f"({backend}/{planner})"
-            )
-            assert again.from_cache or again.strategy in ("edb", "materialize")
+        compiler = QueryCompiler(program, jobs=2, backend=backend)
+        answer = compiler.ask(goal, edb)
+        assert answer.answers == expected, (
+            f"query_goal diverged on seed {program_seed} "
+            f"({backend}, strategy {answer.strategy})"
+        )
+        again = compiler.ask(shifted, edb)
+        assert again.answers == expected_shifted, (
+            f"cached form diverged on seed {program_seed} ({backend})"
+        )
+        assert again.from_cache or again.strategy in ("edb", "materialize")
 
 
 @settings(max_examples=15, deadline=None)
@@ -623,7 +523,7 @@ def test_query_goal_tracks_churn(program_seed, edb_seed, script_seed, n):
 
     program = random_program(program_seed)
     edb = random_edb(edb_seed, n=n)
-    session = IncrementalSession(program, edb, planner="cost")
+    session = IncrementalSession(program, edb)
     rng = random.Random(script_seed)
     goal = parse_literal(f"p({rng.randrange(n)}, Y)")
     assert session.query_goal(goal) == session.query(goal)

@@ -213,8 +213,8 @@ class TestKnobDeterminism:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"planner": "greedy"},
-            {"planner": "cost"},
+            {},
+            {"jobs": 2, "backend": "process", "record_provenance": True},
             {"record_provenance": True},
             {"jobs": 2, "backend": "serial"},
             {"jobs": 2, "backend": "process"},
@@ -662,8 +662,7 @@ class TestDeterminateCounters:
         program, ins_edb, inserts, del_edb, deletes, on_insert, split, on_delete = (
             PINNED[name]
         )
-        # knob-pinned: which deltas split depends on the join order
-        knobs = dict(partitions=partitions, planner="greedy")
+        knobs = dict(partitions=partitions)
         session = IncrementalSession(program, ins_edb(), **knobs)
         passes = [session.insert(batch) for batch in inserts]
         assert [

@@ -340,13 +340,11 @@ class TestRecoveryMatrix:
     """Replay determinism across the full knob matrix (satellite c)."""
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
-    @pytest.mark.parametrize("planner", ["greedy", "cost"])
     @pytest.mark.parametrize("provenance", [False, True])
     def test_recovered_state_is_bit_identical(
-        self, tmp_path, backend, planner, provenance
+        self, tmp_path, backend, provenance
     ):
         knobs = dict(
-            planner=planner,
             jobs=2 if backend != "serial" else 1,
             backend=backend,
             record_provenance=provenance,

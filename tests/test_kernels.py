@@ -167,6 +167,21 @@ def test_step_kinds_are_all_reached():
     }
 
 
+@pytest.mark.parametrize(
+    "text, roles, order",
+    [
+        # the literal with more bound positions (here a constant) leads
+        ("p(X, Y) :- e(X, Z), g(a, Z, Y).", (), [1, 0]),
+        # equally bound: the delta occurrence drives the join
+        ("t(X, Y) :- e(X, W), t(W, Y).", ((1, "delta"),), [1, 0]),
+        # equally bound and no delta: source order
+        ("t(X, Y) :- e(X, W), t(W, Y).", (), [0, 1]),
+    ],
+)
+def test_the_join_order_is_greedy_bound_first(text, roles, order):
+    assert RulePlan(parse_program(text).rules[0], roles).order == order
+
+
 def test_delta_windows_cached_span_and_sliced_columns():
     """The entry rows come ready-made: the cached span of the last bulk
     append when the window is exactly that, zipped column slices when

@@ -118,11 +118,11 @@ class TestPlanProvenance:
     """Plan-level provenance: canonical trees on every configuration."""
 
     def _assert_identical(self, program, edb, **kwargs):
-        base = provenance_eval(program, edb, planner="greedy", jobs=1)
+        base = provenance_eval(program, edb, jobs=1)
         plans = provenance_eval(program, edb, **kwargs)
         # the fixpoint against the scheduler-free, plan-free oracle
         assert plans.database == naive_fixpoint_reference(program, edb)[0]
-        # same roots, same per-fact rule + body keys as serial/greedy
+        # same roots, same per-fact rule + body keys as the serial run
         assert plans.derivations == base.derivations
         assert_derivations_sound(plans)
         # recording changes no counter of the evaluator
@@ -144,9 +144,9 @@ class TestPlanProvenance:
             same_generation_program(), same_generation_edb(4, 2)
         )
 
-    def test_identical_trees_under_cost_planner_and_jobs(self):
-        self._assert_identical(TC, chain_edb(8), planner="cost")
+    def test_identical_trees_under_jobs(self):
         self._assert_identical(TC, chain_edb(8), jobs=2)
+        self._assert_identical(TC, chain_edb(8), jobs=2, backend="process")
 
     def test_identical_trees_on_factored_pipeline_output(self):
         from repro.core.pipeline import optimize

@@ -625,8 +625,8 @@ class TestArenaContract:
             for constant in (1, float("inf")):
                 monkeypatch.setattr(arena_module, "ARENA_MIN_FACTS", constant)
                 compiler = QueryCompiler(program)
-                # a fresh EDB each time: the cost planner reads the
-                # indexes earlier asks left on the relations
+                # a fresh EDB each time: both runs start from relations
+                # no earlier ask has indexed
                 edb = Database.from_dict(facts)
                 answers = [compiler.ask(query, edb) for query in queries]
                 runs.append(

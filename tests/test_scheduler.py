@@ -349,7 +349,7 @@ BRANCH_PINNED = {
 }
 BUDGET_PINNED = {"naive": (19, 1), "non-recursive": (8, 1), "semi-naive": (19, 1)}
 #: ... at the knobs they were recorded under
-BRANCH_KNOBS = dict(planner="greedy", jobs=1, partitions=1)
+BRANCH_KNOBS = dict(jobs=1, partitions=1)
 
 
 def branch_counters(stats):
@@ -474,11 +474,7 @@ UPPER = parse_program(
     """
 )
 
-RESUME_KNOBS = [
-    dict(partitions=partitions, planner=planner)
-    for partitions in (1, 2)
-    for planner in ("greedy", "cost")
-]
+RESUME_KNOBS = [dict(partitions=partitions) for partitions in (1, 2)]
 
 
 def stratified(program_seed):
@@ -634,7 +630,7 @@ ROUND_LOOP_PROGRAMS = {
 
 #: (facts, inferences, iterations, probes, plan_cache_hits,
 #: plans_compiled) per program and ``+resumed``, recorded on the parent
-#: commit at ``planner="greedy", jobs=1, partitions=1``.
+#: commit at ``jobs=1, partitions=1``.
 ROUND_LOOP_PINNED = {
     "bucket_first": (1246, 3396, 31, 2614, 30, 2),
     "bucket_first+resumed": (860, 2344, 31, 1893, 29, 3),
@@ -675,7 +671,7 @@ class TestRoundLoopMovedNoDeterminateOutput:
     """What a round allocates and which passes a kernel call skips are
     mechanics; the fixpoint and its counters are not."""
 
-    KNOBS = dict(planner="greedy", jobs=1, partitions=1)
+    KNOBS = dict(jobs=1, partitions=1)
 
     @staticmethod
     def counters(stats):

@@ -213,13 +213,10 @@ def reference_redundant(program):
     return removed
 
 
-@pytest.fixture(params=["greedy", "cost"])
-def chase_knobs(request, monkeypatch):
-    """``REPRO_PLANNER`` as the chase resolves it."""
-    planner = request.param
-    monkeypatch.setenv("REPRO_PLANNER", planner)
+@pytest.fixture
+def chase_knobs(monkeypatch):
+    """The chase's knobs at their defaults, whatever the environment says."""
     monkeypatch.setenv("REPRO_JOBS", "1")
-    return request.param
 
 
 class TestSharedContextChangesNoVerdict:
@@ -288,7 +285,6 @@ class TestCompiledOncePinnedCallsKept:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_counts(self, monkeypatch, case):
         run, lookups, kernel_calls, pairs = self.CASES[case]
-        monkeypatch.setenv("REPRO_PLANNER", "greedy")
         monkeypatch.setenv("REPRO_JOBS", "1")
         program = _simplifier_input(monkeypatch, run)
 

@@ -3,7 +3,7 @@
 
 For every rule — of PROGRAM as written, or of its Magic/factored
 rewrite for QUERY — and every semi-naive delta variant the scheduler
-fires, prints the join order the planner picked, the kernel's shape key
+fires, prints the greedy bound-first join order, the kernel's shape key
 (``repro.engine.columnar._compile_kernel``: step kinds, slot stores and
 checks, key slots — plans with equal keys share one function) and the
 Python source generated for that shape.  The kernel runs wherever a
