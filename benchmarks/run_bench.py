@@ -22,14 +22,11 @@ the workers and reports ~1x regardless of the backend's scaling.
 
 ``tc_chain``, ``same_generation``, and ``wide_dag`` also carry
 **intra-component partitioning** rows (``part2``/``part4``): the
-default configuration at ``jobs=1`` with each semi-naive
-round's delta hash-split across 2/4 process partition workers inside
-the component fixpoint (``partN_vs_jobs1`` speedups) — the axis that
-helps exactly where ``jobs`` cannot, a program that is one recursive
-SCC.  Every labelled row pins ``partitions`` explicitly, and like the
-procN rows the partN speedups read <= 1x on a 1-CPU container by
-construction; ``--require-part-speedup`` gates the multi-core win in
-hosted CI.
+default configuration at ``jobs=1`` with each semi-naive round's delta
+hash-split into 2/4 partitions run in order inside the component
+fixpoint (``partN_vs_jobs1`` ratios: the cost of the split, since the
+partitions share one thread).  Every labelled row pins ``partitions``
+explicitly.
 
 The churn workload measures **incremental view maintenance**
 (`repro/engine/incremental.py`) against the from-scratch alternative:
@@ -101,16 +98,12 @@ PROC_BACKENDS = (
 )
 
 #: Intra-component partitioning rows: the default configuration with
-#: each round's delta hash-split across two / four process partition
-#: workers *inside* one SCC fixpoint (``jobs`` stays 1 — this is the
-#: axis that helps precisely where ``jobs`` cannot: single-component
-#: programs like tc_chain and same_generation).  Like the procN rows
-#: these are hardware-bound: on a 1-CPU container the partition
-#: workers time-slice one core and ``partN_vs_jobs1`` reads <= 1x by
-#: construction.
+#: each round's delta hash-split into two / four partitions *inside*
+#: one SCC fixpoint, run in order on the calling thread (``jobs`` stays
+#: 1).  ``partN_vs_jobs1`` is what the split costs.
 PART_BACKENDS = (
-    ("part2", {"jobs": 1, "backend": "process", "partitions": 2}),
-    ("part4", {"jobs": 1, "backend": "process", "partitions": 4}),
+    ("part2", {"jobs": 1, "partitions": 2}),
+    ("part4", {"jobs": 1, "partitions": 4}),
 )
 
 
@@ -871,16 +864,6 @@ def main(argv: List[str] | None = None) -> int:
         "speedup is not physically possible there); the CI gate for "
         "the process backend's multi-core wall-time win",
     )
-    parser.add_argument(
-        "--require-part-speedup",
-        type=float,
-        default=None,
-        metavar="RATIO",
-        help="exit non-zero unless some partN_vs_jobs1 speedup reaches "
-        "RATIO (skipped when fewer than 2 CPUs are visible, like the "
-        "proc gate); the CI gate for intra-component partitioning's "
-        "multi-core win on single-SCC workloads like tc_chain",
-    )
     args = parser.parse_args(argv)
 
     rows, speedups, ok = run(max(1, args.best_of), only=args.workloads)
@@ -921,34 +904,6 @@ def main(argv: List[str] | None = None) -> int:
             ok = False
         else:
             print(f"process backend speedup {best:.2f}x on {cpus} CPUs")
-    if args.require_part_speedup is not None:
-        cpus = record["cpus"]
-        best = max(
-            (
-                value
-                for key, value in speedups.items()
-                if "/part" in key and key.endswith("_vs_jobs1")
-            ),
-            default=0.0,
-        )
-        if cpus < 2:
-            print(
-                f"only {cpus} CPU visible; partition speedup is not "
-                f"physically possible here (best {best:.2f}x) — gate skipped"
-            )
-        elif best < args.require_part_speedup:
-            print(
-                f"intra-component partition speedup regressed: best "
-                f"{best:.2f}x < {args.require_part_speedup:.2f}x over "
-                f"jobs=1 on {cpus} CPUs",
-                file=sys.stderr,
-            )
-            ok = False
-        else:
-            print(
-                f"intra-component partition speedup {best:.2f}x on "
-                f"{cpus} CPUs"
-            )
     return 0 if ok else 1
 
 

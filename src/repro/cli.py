@@ -451,7 +451,7 @@ _ENGINE_FLAGS = (
         "partitions",
         "N",
         "hash-split each delta round inside recursive components into N "
-        "partitions run through the backend's executor",
+        "partitions, run in order in the process evaluating the component",
     ),
     (
         "--timeout",

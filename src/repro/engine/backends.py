@@ -30,7 +30,7 @@ the differential fuzz suite (``tests/test_fuzz.py``) enforces this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 if TYPE_CHECKING:
@@ -107,11 +107,7 @@ class ComponentSpec:
             rules=tuple(task.rules),
             recursive=task.recursive,
             mode=scheduler.mode,
-            # Partitioning inside a pool worker stays serial: a daemonic
-            # worker cannot spawn its own process group.  Counters
-            # (including partition_rounds/partition_skew) are unchanged
-            # by mechanism.
-            config=replace(scheduler.config, backend="serial"),
+            config=scheduler.config,
             fact_base=fact_base,
             record=scheduler.recorder is not None,
             relations=db.snapshot(sorted(needed)).relations,

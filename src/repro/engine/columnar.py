@@ -272,6 +272,35 @@ def kernel_function(shape):
     return kernel
 
 
+def columnar_capable(plan: RulePlan, db: Database, overrides) -> bool:
+    """Whether :func:`execute_columnar` can run ``plan`` on these sources.
+
+    The kernel's zero-side-effect capability pass: an eligible plan
+    shape, a database dictionary, and every present source resolved
+    exactly like the executor will, above arity zero and on that same
+    dictionary — without touching anything.  A missing source is
+    *capable* (both executors return early on it identically).
+    """
+    kernel = plan._columnar
+    if kernel is None:
+        kernel = plan._columnar = _compile_kernel(plan)
+    dictionary = db.dictionary
+    if kernel is False or dictionary is None:
+        return False
+    for step in plan.steps:
+        rel = None
+        if step.role is not None and overrides is not None:
+            rel = overrides.get(step.role)
+        if rel is None:
+            rel = db.get(step.name, step.arity)
+        if rel is not None and (
+            step.arity == 0
+            or getattr(rel, "dictionary", None) is not dictionary
+        ):
+            return False
+    return True
+
+
 def execute_columnar(
     plan: RulePlan,
     db: Database,
@@ -294,38 +323,16 @@ def execute_columnar(
     which dictionary they sit, is fixed for one fixpoint over one
     database, so there the check runs once per plan, not once per call.
     """
-    kernel = plan._columnar
-    if kernel is None:
-        kernel = _compile_kernel(plan)
-        plan._columnar = kernel
-    if kernel is False:
-        return None
-    dictionary = db.dictionary
-    if dictionary is None:
-        return None
-
-    steps = plan.steps
     if capable is None or plan not in capable:
-        # Pure capability pass: resolve every step's source exactly like
-        # the executor will, but touch nothing.  A missing source is
-        # *capable* (both paths early-return identically).
-        for step in steps:
-            rel = None
-            if step.role is not None and overrides is not None:
-                rel = overrides.get(step.role)
-            if rel is None:
-                rel = db.get(step.name, step.arity)
-            if rel is not None and (
-                step.arity == 0
-                or getattr(rel, "dictionary", None) is not dictionary
-            ):
-                return None
+        if not columnar_capable(plan, db, overrides):
+            return None
         if capable is not None:
             capable.add(plan)
 
-    intern = dictionary.intern
+    steps = plan.steps
+    intern = db.dictionary.intern
     counting = stats is not None
-    shape, consts, head_consts, entry = kernel
+    shape, consts, head_consts, entry = plan._columnar
 
     # Per-step resolution, mirroring RulePlan.execute: the same early
     # returns and constant-key probes, in the same order — an empty

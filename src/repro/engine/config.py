@@ -76,7 +76,6 @@ class EngineConfig:
         Where parallel work runs: ``"serial"`` (in order, on the
         calling thread) or ``"process"`` (declarative component specs
         shipped to worker processes, which recompile plans locally).
-        Partition executors follow the same name.
     ``partitions``
         Hash-split each delta round *inside* a recursive component's
         semi-naive fixpoint into this many disjoint partitions

@@ -53,7 +53,6 @@ the worked example and the induction behind that skip.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.datalog.literals import Literal
@@ -184,11 +183,11 @@ class IncrementalSession:
 
     ``config`` and/or keyword knobs are those of
     :class:`~repro.engine.config.EngineConfig`, resolved once here
-    (:attr:`config`).  The parallel knobs apply to the initial
-    materialization (maintenance passes are sequential — affected
-    components are usually few), and ``partitions > 1`` hash-splits
-    the deltas of a resumed fixpoint as it does the evaluator's,
-    serially — same emissions in partition order, counted in
+    (:attr:`config`).  ``jobs``/``backend`` apply to the initial
+    materialization only (a maintenance pass resumes components one by
+    one — affected components are usually few), and ``partitions > 1``
+    hash-splits the deltas of a resumed fixpoint as it does the
+    evaluator's — same emissions in partition order, counted in
     ``partition_rounds``/``partition_skew``.
     For any knob combination the maintained database is bit-identical
     to a from-scratch evaluation on the final EDB.
@@ -224,11 +223,6 @@ class IncrementalSession:
     ):
         self.program = program
         self.config = config = EngineConfig.resolve(config, **knobs)
-        #: What maintenance passes run under: sequential, and with
-        #: serial partitioning whatever the backend — affected deltas
-        #: are usually small, and the serial executor keeps the counters
-        #: (and the parity argument) with no pool to start per component.
-        self._maintenance = replace(config, jobs=1, backend="serial")
         self.record_provenance = record_provenance
         #: Wall-clock deadline of the maintenance pass in flight (armed
         #: by :meth:`apply_batch`, handed to every component run, which
@@ -241,7 +235,7 @@ class IncrementalSession:
 
         # Component structure (shared with the evaluators): tasks in
         # topological evaluation order, and the owning task per IDB sig.
-        structure = SCCScheduler(program, self._maintenance)
+        structure = SCCScheduler(program, config)
         self._cache = PlanCache()
         #: Re-derivation probes, compiled on first use and kept for the
         #: session: a rule's head-bound existence plan never changes.
@@ -630,7 +624,7 @@ class IncrementalSession:
             )
         return ComponentRun(
             task,
-            self._maintenance,
+            self.config,
             recorder=recorder,
             fact_base=fact_base,
             cache=self._cache,

@@ -63,8 +63,8 @@ heads stay free-only — their answer relations are pinned to the seed
 by the theorem certificate, resp. the ``NIL`` index term.
 
 **Invalidation.**  Compiled entries persist their plan caches across
-queries.  The entry itself is recompiled when the referenced EDB
-relations drift past a 4x factor (:data:`DRIFT_FACTOR`), and
+queries; nothing in an entry reads cardinalities, so EDB growth alone
+never recompiles one.
 :meth:`QueryCompiler.note_edb_change` — called by
 :meth:`~repro.engine.incremental.IncrementalSession.apply_batch` after
 every successful maintenance batch — drops instance-certified entries
@@ -112,13 +112,7 @@ from repro.transforms.counting import (
 )
 from repro.transforms.magic import QUERY_PREDICATE
 
-Signature = Tuple[str, int]
 QueryKey = Tuple[str, int, str]
-
-#: Recompile a cached entry when a referenced EDB relation's cardinality
-#: drifts past this factor.
-DRIFT_FACTOR = 4.0
-
 
 @dataclass
 class QueryAnswer:
@@ -166,8 +160,6 @@ class CompiledQuery:
         self.adornment = adornment
         self.instance_certified = False
         self.counting_diverged = False
-        #: cardinalities of referenced EDB relations at compile time
-        self.edb_sizes: Dict[Signature, int] = {}
 
         canonical = Literal(
             predicate, tuple(Variable(f"Qv{i}") for i in range(arity))
@@ -214,8 +206,6 @@ class CompiledQuery:
         self.scheduler = self._make_scheduler(self.program)
         #: Lazily built magic scheduler for the counting fallback.
         self._magic_scheduler: Optional[SCCScheduler] = None
-
-        self._snapshot_edb_sizes(edb)
 
     # -- compilation helpers ------------------------------------------
 
@@ -264,25 +254,6 @@ class CompiledQuery:
 
     def _make_scheduler(self, program: Program) -> SCCScheduler:
         return SCCScheduler(program, self.compiler.config, cache=PlanCache())
-
-    def _snapshot_edb_sizes(self, edb: Database) -> None:
-        self.edb_sizes = {
-            sig: len(rel)
-            for sig, rel in edb.relations.items()
-            if sig not in self.compiler.idb_signatures
-        }
-
-    def drifted(self, edb: Database) -> bool:
-        """True when the EDB moved far enough to warrant a recompile."""
-        for sig, rel in edb.relations.items():
-            if sig in self.compiler.idb_signatures:
-                continue
-            old = self.edb_sizes.get(sig, 0)
-            new = len(rel)
-            lo, hi = min(old, new), max(old, new)
-            if hi >= 8 and (lo == 0 or hi / lo > DRIFT_FACTOR):
-                return True
-        return False
 
     # -- evaluation ---------------------------------------------------
 
@@ -446,8 +417,7 @@ class QueryCompiler:
 
         Instance-certified entries are dropped — their factorability
         proof read the old EDB.  Remembered counting divergences are
-        cleared: deletions may have broken the cycle.  Cardinality
-        drift is re-checked lazily on the next :meth:`ask`.
+        cleared: deletions may have broken the cycle.
         """
         for key in [
             k for k, e in self._entries.items() if e.instance_certified
@@ -462,8 +432,7 @@ class QueryCompiler:
         self, goal: Literal, edb: Database
     ) -> Tuple[Optional[CompiledQuery], bool]:
         """The compiled entry :meth:`ask` runs for ``goal``'s query form,
-        and whether it came from the cache — compiled on first use and
-        again once the EDB drifted.
+        and whether it came from the cache — compiled on first use.
 
         No entry when no rewrite serves the goal: an EDB predicate is
         read from its relation, and base facts asserted for IDB
@@ -489,7 +458,7 @@ class QueryCompiler:
         adornment = adornment_from_query(goal)
         key: QueryKey = (goal.predicate, goal.arity, str(adornment))
         entry = self._entries.get(key)
-        if entry is not None and not entry.drifted(edb):
+        if entry is not None:
             self.cache_hits += 1
             return entry, True
         entry = CompiledQuery(self, goal.predicate, goal.arity, adornment, edb)

@@ -57,7 +57,7 @@ from repro.engine.database import (
     RowTuple,
     load_program_facts,
 )
-from repro.engine.partition import make_partition_executor
+from repro.engine.partition import run_partitioned
 from repro.engine.plan import PlanCache, RoleSpec
 from repro.engine.stats import ComponentTimeout, EvalStats, NonTerminationError
 
@@ -328,7 +328,7 @@ class _TermRows:
         self.db = db
         self.stats = stats
         self.recorder = recorder
-        #: What the partition executor is told to split and emit.
+        #: What a partitioned run is told to split and emit.
         self.interned = kernel
         #: Plans the kernel found capable in this run (execute_columnar).
         self.capable: set = set()
@@ -359,7 +359,7 @@ class _TermRows:
         return self, emitted
 
     def adopt(self, out) -> list:
-        """What the kernel or a partition executor emitted, as term facts."""
+        """What the kernel or a partitioned run emitted, as term facts."""
         if self.interned:
             return decode_rows(self.db.dictionary.terms, out)
         return out
@@ -426,7 +426,7 @@ class _InternedRows:
         return self, rows
 
     def adopt(self, out) -> list:
-        """A partition executor's emissions are already interned rows."""
+        """A partitioned run's emissions are already interned rows."""
         return out
 
     def novel(self, rel: Relation, emitted) -> Set[RowTuple]:
@@ -486,8 +486,9 @@ class ComponentRun:
     worker process.
 
     With ``config.partitions > 1`` the semi-naive rounds hash-split
-    their deltas and run each partition on the mechanism
-    ``config.backend`` names (:mod:`repro.engine.partition`).
+    their deltas and run the partitions in order on the calling thread
+    (:mod:`repro.engine.partition`), in the parent and in a pool worker
+    alike.
     """
 
     __slots__ = (
@@ -602,11 +603,9 @@ class ComponentRun:
 
     def _drive(self, db: Database, stats: EvalStats, rows, seeds=None) -> None:
         """Run the fixpoint, partitioned where a delta exists to split."""
-        config = self.config
-        partitioner = None
+        nparts = 1
         if (
-            config.partitions > 1
-            and (self.task.recursive or seeds is not None)
+            (self.task.recursive or seeds is not None)
             and self.mode == "seminaive"
             and self.recorder is None
         ):
@@ -614,12 +613,8 @@ class ComponentRun:
             # the semi-naive fixpoint of a recursive component or any
             # resumed one, without a provenance recorder (which needs
             # the single sequential emission stream).
-            partitioner = make_partition_executor(config)
-        try:
-            self._fixpoint(db, stats, rows, partitioner, seeds)
-        finally:
-            if partitioner is not None:
-                partitioner.close()
+            nparts = self.config.partitions
+        self._fixpoint(db, stats, rows, nparts, seeds)
 
     def _rows(self, db: Database, stats: EvalStats):
         """The row representation of this run, picked once.
@@ -688,7 +683,7 @@ class ComponentRun:
     # -- the fixpoint -------------------------------------------------------
 
     def _fixpoint(
-        self, db: Database, stats: EvalStats, rows, partitioner, seeds=None
+        self, db: Database, stats: EvalStats, rows, nparts: int, seeds=None
     ) -> None:
         """Rounds of rule firings until a round derives nothing new.
 
@@ -794,14 +789,15 @@ class ComponentRun:
                                 overrides[pos] = view
                         plan = cache.plan(rule, roles, stats)
                         out = None
-                        if partitioner is not None and roles:
+                        if nparts > 1 and roles:
                             # roles[0] is the variant's delta occurrence.  The
                             # plan was fetched exactly once, so plan-cache
                             # counters match partitions=1; the partitions'
                             # emissions come back concatenated in partition
                             # order.
-                            out = partitioner.run(
-                                plan, db, overrides, roles[0][0], stats, rows.interned
+                            out = run_partitioned(
+                                plan, db, overrides, roles[0][0], stats,
+                                rows.interned, nparts,
                             )
                             if out is not None:
                                 round_partitioned = True

@@ -120,8 +120,7 @@ class EvalStats:
 
     Backend fault tolerance adds ``backend_fallbacks``: depth batches
     that lost a process-pool worker (``BrokenProcessPool``) and ran on
-    the serial backend instead, and partitioned components whose
-    worker group broke.  It stays zero on healthy runs — the
+    the serial backend instead.  It stays zero on healthy runs — the
     determinism fuzz suite relies on that.
 
     Intra-component partitioning (:mod:`repro.engine.partition`) adds

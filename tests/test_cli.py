@@ -130,7 +130,7 @@ class TestRun:
         monkeypatch.setenv("REPRO_PLANNER", "cost")
         code = main(
             ["run", program_file, "t(1, Y)", "--facts", facts_file,
-             "--stats", "--jobs", "2", "--backend", "serial"]
+             "--stats", "--jobs", "2", "--backend", "serial", "--partitions", "1"]
         )
         assert code == 0
         lines = capsys.readouterr().err.splitlines()
@@ -686,7 +686,8 @@ class TestImportHygiene:
     inside the command that needs them.  ``multiprocessing`` and
     ``concurrent.futures`` (with ``socket``, ``tempfile``, ``logging``
     and ``subprocess`` behind them) are imported where an executor is
-    created — only ``jobs > 1`` / ``partitions > 1`` ever start a pool.
+    created — only ``jobs > 1`` ever starts a pool; partitions run in
+    the process that evaluates their component.
     All of it checked in fresh interpreters that write no bytecode, so
     every import is a compile, as in the benchmark's container.
     """
@@ -728,6 +729,27 @@ assert pools() == ["concurrent.futures"], pools()
 
     def test_fresh_interpreter_loads_no_pool_modules(self, program_file, facts_file):
         assert sorted(self.fresh(self.CHECK, program_file, facts_file)) == ["2", "3", "4"]
+
+    PARTITIONED = """
+import sys
+
+from repro.datalog.parser import parse_program
+from repro.engine.database import Database
+from repro.engine.seminaive import seminaive_eval
+
+program = parse_program("t(X, Y) :- e(X, Y).  t(X, Y) :- t(X, Z), e(Z, Y).")
+edb = Database()
+edb.add_facts("e", [(i, i + 1) for i in range(30)])
+_, stats = seminaive_eval(program, edb, partitions=2, backend="process")
+loaded = [m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules]
+assert not loaded, f"partitions=2 at jobs=1 loaded {loaded}"
+import multiprocessing
+assert multiprocessing.active_children() == []
+print(stats.partition_rounds > 0)
+"""
+
+    def test_partitions_start_no_process_at_one_job(self):
+        assert self.fresh(self.PARTITIONED) == ["True"]
 
     PACKAGES = {
         "repro": 93, "repro.analysis": 35, "repro.bench": 4, "repro.core": 25,

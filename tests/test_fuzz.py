@@ -213,32 +213,27 @@ def test_partitioned_execution_matches_unpartitioned(program_seed, edb_seed, n):
     key and runs the same compiled plan per disjoint partition, so the
     emission multiset — and with it ``facts``, ``inferences``, and
     ``iterations`` — must be bit-identical to ``partitions=1`` for
-    every partition count × partition backend.
+    every partition count, in the parent (``jobs=1``) and inside pool
+    workers (``jobs=2, backend="process"``: every depth batch of more
+    than one component ships, and its workers partition in turn).
     ``probes`` is deliberately *not* compared: shared non-delta steps
     resolve once per partition instead of once per call (the same
-    caveat as DRed maintenance order under the columnar kernel).  The
-    serial executor is the reference interleaving, the process
-    executor must reproduce it at its round barrier —
-    process workers re-derive from shipped log suffixes, so this also
-    checks the append-only sync protocol end to end.
+    caveat as DRed maintenance order under the columnar kernel).
     """
     program = random_program(program_seed)
     edb = random_edb(edb_seed, n=n)
     db_ref, stats_ref = seminaive_eval(program, edb, partitions=1)
     assert stats_ref.partition_rounds == 0
-    for backend in ("serial", "process"):
+    for knobs in (dict(jobs=1, backend="serial"), dict(jobs=2, backend="process")):
         for parts in (1, 2, 4):
-            db, stats = seminaive_eval(
-                program, edb, backend=backend, partitions=parts
-            )
+            db, stats = seminaive_eval(program, edb, partitions=parts, **knobs)
             assert db == db_ref, (
-                f"partitions={parts} backend={backend} "
-                f"diverged on seed {program_seed}"
+                f"partitions={parts} {knobs} diverged on seed {program_seed}"
             )
             for counter in ("facts", "inferences", "iterations"):
                 assert getattr(stats, counter) == getattr(stats_ref, counter), (
                     f"{counter} diverged on seed {program_seed} with "
-                    f"partitions={parts} backend={backend}"
+                    f"partitions={parts} {knobs}"
                 )
             if parts == 1:
                 assert stats.partition_rounds == 0

@@ -5,8 +5,8 @@ property of :func:`~repro.engine.partition.split_indices` (every delta
 row lands in exactly one partition, equal keys co-locate), safe
 fallback on keyless / constant-bound / tiny-delta plans, the
 ``partitions=`` / ``--partitions`` / ``REPRO_PARTITIONS`` validation
-mirroring the backend knobs, process-group failure degradation, the
-``partition_rounds`` / ``partition_skew`` counters, and the
+mirroring the backend knobs, the ``partition_rounds`` /
+``partition_skew`` counters inside and outside pool workers, and the
 ``repro run --stats`` report.
 """
 
@@ -15,14 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
 from repro.datalog.parser import parse_program
-from repro.engine.config import EngineConfig
 from repro.engine.database import Database
-from repro.engine.partition import (
-    ProcessPartitionExecutor,
-    SerialPartitionExecutor,
-    make_partition_executor,
-    split_indices,
-)
+from repro.engine.partition import split_indices
 from repro.engine.seminaive import seminaive_eval
 from repro.engine.stats import EvalStats
 
@@ -142,8 +136,7 @@ class TestFallbacks:
         assert part_stats.partition_rounds == 0
         assert part_stats.partition_skew == 0.0
 
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_term_rows_split_as_term_facts(self, backend):
+    def test_term_rows_split_as_term_facts(self):
         # The nullary head keeps the component on term rows (it cannot
         # take row appends), so its deltas split as term facts.
         program = parse_program(
@@ -160,7 +153,7 @@ class TestFallbacks:
                 "trigger": [(0,)],
             }
         )
-        _, part_stats = _run_matrix(program, edb, backend=backend)
+        _, part_stats = _run_matrix(program, edb)
         assert part_stats.partition_rounds > 0
 
     def test_nonrecursive_components_never_partition(self):
@@ -171,64 +164,6 @@ class TestFallbacks:
             edb.add_fact("e", ((i + 1) % 8, i))
         _, part_stats = _run_matrix(program, edb)
         assert part_stats.partition_rounds == 0
-
-
-class TestExecutorSelection:
-    def test_one_partition_is_none(self):
-        assert make_partition_executor(EngineConfig(backend="process")) is None
-
-    def test_family_follows_backend_name(self):
-        assert type(make_partition_executor(EngineConfig(partitions=2))) is SerialPartitionExecutor
-        ex = make_partition_executor(EngineConfig(partitions=2, backend="process"))
-        assert type(ex) is ProcessPartitionExecutor
-        ex.close()
-
-
-class TestProcessGroup:
-    def test_worker_failure_degrades_and_counts(self):
-        # A reply the parent cannot accept breaks the group: the run
-        # returns None (caller re-executes unpartitioned), the failure
-        # counts one backend_fallbacks, and the executor declines every
-        # later round instead of respawning mid-fixpoint.
-        db = Database()
-        rel = db.relation("d", 1)
-        rel.add(("a",))
-        rel.add(("b",))
-        view = rel.view(0, 2)
-        ex = ProcessPartitionExecutor(EngineConfig(partitions=2))
-
-        class BadPlan:
-            steps = ()
-            rule = "not a rule"
-            roles = None
-
-        stats = EvalStats()
-        out = ex._execute(
-            BadPlan, db, {0: view}, 0, view, view.scan(),
-            [[0], [1]], stats, False,
-        )
-        assert out is None
-        assert ex._failed
-        assert stats.backend_fallbacks == 1
-        assert ex._declines(db, {0: view})
-        ex.close()
-
-    def test_ad_hoc_overrides_decline(self):
-        # Only windows over live database relations have a wire form.
-        db = Database()
-        rel = db.relation("d", 1)
-        rel.add(("a",))
-        ex = ProcessPartitionExecutor(EngineConfig(partitions=2))
-        try:
-            assert ex._declines(db, {0: rel})  # bare Relation, not a view
-            from repro.engine.database import Relation
-
-            stray = Relation("d", 1)
-            stray.add(("b",))
-            assert ex._declines(db, {0: stray.view(0, 1)})  # not live
-            assert not ex._declines(db, {0: rel.view(0, 1)})
-        finally:
-            ex.close()
 
 
 class TestPartitionCounters:
@@ -270,9 +205,23 @@ class TestPartitionCounters:
         assert a.partition_skew == 2.5
 
     def test_counters_identical_across_partition_backends(self):
-        program, edb = self._tc()
-        _, ref = seminaive_eval(program, edb, partitions=2, backend="serial")
-        _, stats = seminaive_eval(program, edb, partitions=2, backend="process")
+        # Two independent closures share a depth batch, so jobs=2 ships
+        # both to pool workers, which partition like the parent does.
+        _, edb = self._tc()
+        program = parse_program(
+            """
+            t(X, Y) :- e(X, Y).
+            t(X, Y) :- t(X, Z), e(Z, Y).
+            u(X, Y) :- e(Y, X).
+            u(X, Y) :- u(X, Z), e(Y, Z).
+            """
+        )
+        _, ref = seminaive_eval(program, edb, partitions=2, jobs=1)
+        _, stats = seminaive_eval(
+            program, edb, partitions=2, jobs=2, backend="process"
+        )
+        assert stats.scc_parallel_batches == 1
+        assert stats.backend_fallbacks == 0  # the workers ran the batch
         assert stats.partition_rounds == ref.partition_rounds
         assert stats.partition_skew == ref.partition_skew
         assert stats.probes == ref.probes  # same split, same work
