@@ -20,9 +20,10 @@ Commands
 ``serve``      Materialize the program and serve queries under EDB
                churn: an incremental-maintenance REPL (or ``--script``
                batch mode) with ``+ fact.`` / ``- fact.`` / ``? query``
-               commands.  ``--journal PATH`` write-ahead-logs every
-               update for crash recovery; ``--strict`` makes script
-               errors fatal instead of report-and-continue.
+               / ``explain fact`` commands.  ``--journal PATH``
+               write-ahead-logs every update for crash recovery;
+               ``--strict`` makes script errors fatal instead of
+               report-and-continue.
 ``recover``    Recover a journal into a fresh session and dump the
                recovered database as sorted Datalog facts — the
                verification half of crash recovery (two runs that must
@@ -220,9 +221,9 @@ class ServeLoop:
     """The serve REPL's command executor.
 
     Commands: ``+ facts.`` insert, ``- facts.`` delete, ``? query``
-    ask, ``explain fact`` derivation tree (``--provenance`` only),
-    ``stats`` counters, ``quit`` exit; blank lines and ``#`` comments
-    are skipped.  The update/journal/checkpoint policy lives in
+    ask, ``explain fact`` derivation tree (computed from the pinned
+    EDB), ``stats`` counters, ``quit`` exit; blank lines and ``#``
+    comments are skipped.  The update/journal/checkpoint policy lives in
     :class:`~repro.engine.server.DatalogServer` — the REPL is that
     server driven by a single client: every update runs as one atomic,
     write-ahead-journaled
@@ -237,14 +238,12 @@ class ServeLoop:
         self,
         session,
         *,
-        provenance: bool = False,
         journal=None,
         checkpoint_every: Optional[int] = None,
     ):
         from repro.engine.server import DatalogServer
 
         self.session = session
-        self.provenance = provenance
         self.journal = journal
         self.server = DatalogServer(
             session, journal=journal, checkpoint_every=checkpoint_every
@@ -276,11 +275,7 @@ class ServeLoop:
                 # journaled.
                 _print_answers(self.server.query_goal(line[1:].strip()))
             elif line.startswith("explain "):
-                if not self.provenance:
-                    raise ValueError("explain needs --provenance")
-                print(
-                    self.session.explain(line[len("explain "):].strip()).render()
-                )
+                print(self.server.explain(line[len("explain "):].strip()).render())
             elif line == "stats":
                 print(self.session.stats)
             elif line in ("quit", "exit"):
@@ -303,12 +298,10 @@ def _serve_session(args, program, edb):
     from repro.engine.incremental import IncrementalSession
     from repro.engine.journal import Journal, recover_session
 
-    knobs = dict(
-        config=_engine_config(args), record_provenance=args.provenance
-    )
+    config = _engine_config(args)
     if args.journal and os.path.exists(args.journal):
         session, journal, replayed = recover_session(
-            program, args.journal, edb, **knobs
+            program, args.journal, edb, config=config
         )
         if replayed:
             print(
@@ -316,7 +309,7 @@ def _serve_session(args, program, edb):
                 file=sys.stderr,
             )
         return session, journal
-    session = IncrementalSession(program, edb, **knobs)
+    session = IncrementalSession(program, edb, config=config)
     journal = Journal(args.journal) if args.journal else None
     return session, journal
 
@@ -329,11 +322,7 @@ def _serve_socket(args, session, journal) -> int:
         session, journal=journal, checkpoint_every=args.checkpoint_every
     )
     front = SocketFront(
-        server,
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        provenance=args.provenance,
+        server, host=args.host, port=args.port, workers=args.workers
     )
     host, port = front.start()
     print(
@@ -375,7 +364,6 @@ def cmd_serve(args) -> int:
     session, journal = _serve_session(args, program, edb)
     loop = ServeLoop(
         session,
-        provenance=args.provenance,
         journal=journal,
         checkpoint_every=args.checkpoint_every,
     )
@@ -418,11 +406,7 @@ def cmd_recover(args) -> int:
     program = _load_program(args.program)
     edb = _load_edb(args.facts)
     session, journal, replayed = recover_session(
-        program,
-        args.journal,
-        edb,
-        config=_engine_config(args),
-        record_provenance=args.provenance,
+        program, args.journal, edb, config=_engine_config(args)
     )
     journal.close()
     print(
@@ -544,13 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--facts", help="Datalog file of ground facts")
     p.add_argument(
         "--script",
-        help="batch mode: read serve commands (+/-/?/stats) from this "
-        "file instead of stdin",
-    )
-    p.add_argument(
-        "--provenance",
-        action="store_true",
-        help="record derivations and enable the 'explain fact' command",
+        help="batch mode: read serve commands (+/-/?/explain/stats) from "
+        "this file instead of stdin",
     )
     p.add_argument(
         "--journal",
@@ -608,12 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("program")
     p.add_argument("journal", help="journal file written by serve --journal")
     p.add_argument("--facts", help="Datalog file of the original base facts")
-    p.add_argument(
-        "--provenance",
-        action="store_true",
-        help="recover with derivation recording (must match the "
-        "original serve run's setting)",
-    )
     _add_engine_options(p, timeout=True)
     p.set_defaults(func=cmd_recover)
 

@@ -33,21 +33,10 @@ final EDB — the same fact set ``seminaive_eval`` derives from scratch
 scripts in ``tests/test_fuzz.py`` hold this as a differential
 property across backends and job counts.
 
-**Provenance mode** (``record_provenance=True``) additionally keeps
-one canonical derivation per derived fact, bit-identical to a
-from-scratch :func:`~repro.engine.provenance.provenance_eval` on the
-final EDB.  Canonical trees are round-structure-dependent (the
-recorder keeps the per-first-round minimum), so fact-level deltas
-cannot splice them; instead maintenance recomputes at **component
-granularity** — a component's output (facts *and* recorded
-derivations) is a deterministic function of its input facts alone, so
-recomputing exactly the affected components reproduces the
-from-scratch trees.  Deletion uses a *support-index fast path*: the
-recorded derivations double as a reverse dependency index, and a
-component none of whose facts transitively depend (through recorded
-derivations) on a deleted fact provably keeps both its facts and its
-trees, so it is skipped entirely.  See ``docs/incremental.md`` for
-the worked example and the induction behind that skip.
+Derivation trees are not maintained: like the least model, the
+canonical tree of a fact is a function of the program and the EDB, so
+:meth:`IncrementalSession.explain` computes it from the current EDB
+(one :func:`~repro.engine.provenance.provenance_eval`) when asked.
 """
 
 from __future__ import annotations
@@ -65,13 +54,7 @@ from repro.engine.columnar import decode_rows, execute_columnar
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database, FactTuple, Relation, unwrap_rows
 from repro.engine.plan import ExistencePlan, PlanCache
-from repro.engine.provenance import (
-    DerivationRecorder,
-    DerivationTree,
-    EdbKeyView,
-    ProvenanceResult,
-    provenance_eval,
-)
+from repro.engine.provenance import DerivationTree, explain
 from repro.engine import faults
 from repro.engine.scheduler import ComponentRun, ComponentTask, SCCScheduler
 from repro.engine.seminaive import seminaive_eval
@@ -192,12 +175,6 @@ class IncrementalSession:
     For any knob combination the maintained database is bit-identical
     to a from-scratch evaluation on the final EDB.
 
-    ``record_provenance=True`` keeps one canonical derivation per
-    derived fact (see :meth:`explain`), maintained to stay identical
-    to a from-scratch provenance evaluation; it trades the fact-level
-    delta paths for component-granular recomputation with a
-    support-index fast path on deletion (see the module docstring).
-
     Every update is **atomic**: :meth:`apply_batch` (which
     ``insert``/``delete`` delegate to) snapshots the batch's dirty
     closure before mutating anything, and any maintenance failure — a
@@ -217,66 +194,39 @@ class IncrementalSession:
         program: Program,
         edb: Optional[Database] = None,
         *,
-        record_provenance: bool = False,
         config: Optional[EngineConfig] = None,
         **knobs,
     ):
         self.program = program
         self.config = config = EngineConfig.resolve(config, **knobs)
-        self.record_provenance = record_provenance
         #: Wall-clock deadline of the maintenance pass in flight (armed
         #: by :meth:`apply_batch`, handed to every component run, which
         #: checks it at each round); ``None`` outside a pass or without
         #: a budget.
         self._deadline: Optional[float] = None
         self._edb = edb.copy() if edb is not None else Database()
-        self._edb_keys = EdbKeyView(self._edb)
         self._query_compiler = None
 
         # Component structure (shared with the evaluators): tasks in
-        # topological evaluation order, and the owning task per IDB sig.
-        structure = SCCScheduler(program, config)
+        # topological evaluation order.
+        self._tasks: List[ComponentTask] = SCCScheduler(program, config).tasks
         self._cache = PlanCache()
         #: Re-derivation probes, compiled on first use and kept for the
         #: session: a rule's head-bound existence plan never changes.
         self._existence: Dict[Rule, ExistencePlan] = {}
         #: Dirty closures by changed-signature set (see _dirty_closure).
         self._closures: Dict[frozenset, Set[Signature]] = {}
-        self._tasks: List[ComponentTask] = structure.tasks
-        self._sig_task: Dict[Signature, ComponentTask] = {
-            sig: task for task in self._tasks for sig in task.sigs
-        }
         #: Ground program rules are permanent support: their facts are
         #: present regardless of the EDB and are never over-deleted.
-        self._program_fact_keys: Dict[FactKey, Rule] = {
-            (r.head.predicate, r.head.arity, r.head.args): r
+        self._program_fact_keys: Set[FactKey] = {
+            (r.head.predicate, r.head.arity, r.head.args)
             for r in program.rules
             if r.is_fact()
         }
 
         self.stats = EvalStats()
-        if record_provenance:
-            result = provenance_eval(self.program, self._edb, config)
-            self.database = result.database
-            self._edb_keys = result.edb_keys
-            self._derivations: Optional[
-                Dict[FactKey, Tuple[Optional[Rule], Tuple[FactKey, ...]]]
-            ] = result.derivations
-            self.stats.absorb(result.stats)
-            # Support indexes over the recorded derivations: keys per
-            # head sig, and the reverse (fact -> recorded dependents).
-            self._deriv_by_sig: Dict[Signature, Set[FactKey]] = {}
-            self._rdeps: Dict[FactKey, Set[FactKey]] = {}
-            for key, (_, body_keys) in self._derivations.items():
-                self._deriv_by_sig.setdefault((key[0], key[1]), set()).add(key)
-                for bk in body_keys:
-                    self._rdeps.setdefault(bk, set()).add(key)
-        else:
-            self.database, init_stats = seminaive_eval(
-                self.program, self._edb, config
-            )
-            self._derivations = None
-            self.stats.absorb(init_stats)
+        self.database, init_stats = seminaive_eval(self.program, self._edb, config)
+        self.stats.absorb(init_stats)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -339,15 +289,16 @@ class IncrementalSession:
         return answer.values()
 
     def explain(self, fact: Union[str, Literal]) -> DerivationTree:
-        """A derivation tree for a ground fact (provenance mode only)."""
-        if self._derivations is None:
-            raise RuntimeError(
-                "explain() needs IncrementalSession(record_provenance=True)"
-            )
+        """The canonical derivation tree of a ground fact in the current EDB.
+
+        Computed on demand — one provenance evaluation of the whole
+        program over the maintained EDB, what ``repro explain`` costs —
+        so the tree is the one a from-scratch
+        :func:`~repro.engine.provenance.provenance_eval` records.
+        Raises ``KeyError`` when the fact is not in the least model.
+        """
         goal = parse_literal(fact) if isinstance(fact, str) else fact
-        return ProvenanceResult(
-            self.database, self.stats, self._derivations, self._edb_keys
-        ).explain(goal)
+        return explain(self.program, self._edb, goal, config=self.config)
 
     # ------------------------------------------------------------------
     # Updates
@@ -393,10 +344,9 @@ class IncrementalSession:
         each relation in it is swapped for a copy-on-write
         :meth:`Relation.copy` and the batch mutates only the copies
         (the frozen originals are what concurrently pinned read views
-        keep seeing), along with the provenance store in provenance
-        mode.  A detach is a few C-level container copies per relation
-        — fact set, log, columns, one ``dict`` per index, the bucket
-        lists shared — so its cost is the closure's size at ``memcpy``
+        keep seeing).  A detach is a few C-level container copies per
+        relation — fact set, log, columns, one ``dict`` per index, the
+        bucket lists shared — so its cost is the closure's size at ``memcpy``
         speed; everything after it is paid per changed fact: buckets
         are replaced where the batch writes, over-deletion and the
         forward delta follow the delta, re-derivation probes one
@@ -407,12 +357,12 @@ class IncrementalSession:
         maintenance — :class:`NonTerminationError`, a
         :class:`ComponentTimeout` from the wall-clock watchdog, a
         process-backend worker loss, an injected fault — rolls the
-        database, the EDB, and the provenance store back to their
-        pre-batch state and raises :class:`MaintenanceError` (with the
-        original failure as ``__cause__`` and the failing half in
-        ``.phase``); session statistics are untouched by a failed
-        batch.  After a rollback the session remains exactly a
-        from-scratch evaluation of the pre-batch EDB.
+        database and the EDB back to their pre-batch state and raises
+        :class:`MaintenanceError` (with the original failure as
+        ``__cause__`` and the failing half in ``.phase``); session
+        statistics are untouched by a failed batch.  After a rollback
+        the session remains exactly a from-scratch evaluation of the
+        pre-batch EDB.
 
         Deletes run first (DRed), then inserts continue the semi-naive
         fixpoints forward, so one batch costs one combined pass instead
@@ -469,39 +419,25 @@ class IncrementalSession:
                 base.remove_facts(present)
                 removed[sig] = present
         if removed:
-            if self._derivations is None:
-                self._dred(removed, pass_stats)
-            else:
-                self._recompute_after_delete(removed, pass_stats)
+            self._dred(removed, pass_stats)
 
     def _apply_inserts(
         self, updates: Dict[Signature, List[FactTuple]], pass_stats: EvalStats
     ) -> None:
         """The insert half of a batch (caller holds the undo snapshot)."""
         changed_start: Dict[Signature, int] = {}
-        base_new_sigs: Set[Signature] = set()
         for sig, rows in updates.items():
             base = self._edb.relation(*sig)
             rel = self.database.relation(*sig)
             before = len(rel)
             for fact in rows:
-                if base.add(fact) and self._derivations is not None:
-                    # The fact is an EDB leaf now; a stale derivation
-                    # entry would diverge from a from-scratch record.
-                    base_new_sigs.add(sig)
-                    self._drop_derivation((sig[0], sig[1], fact))
+                base.add(fact)
                 if rel.add(fact):
                     pass_stats.record_fact(sig)
             if len(rel) > before:
                 changed_start[sig] = before
-        if not changed_start and not base_new_sigs:
-            return
-        if self._derivations is None:
+        if changed_start:
             self._propagate_insertions(changed_start, pass_stats)
-        else:
-            self._recompute_affected(
-                set(changed_start), base_new_sigs, pass_stats
-            )
 
     # ------------------------------------------------------------------
     # Undo snapshots and rollback
@@ -552,14 +488,7 @@ class IncrementalSession:
         dirty = self._dirty_closure(changed)
         db_saved = self._detach(self.database, dirty)
         edb_saved = self._detach(self._edb, changed)
-        prov = None
-        if self._derivations is not None:
-            prov = (
-                dict(self._derivations),
-                {sig: set(keys) for sig, keys in self._deriv_by_sig.items()},
-                {key: set(deps) for key, deps in self._rdeps.items()},
-            )
-        return (db_saved, edb_saved, prov)
+        return (db_saved, edb_saved)
 
     @staticmethod
     def _detach(db: Database, sigs: Set[Signature]):
@@ -580,19 +509,17 @@ class IncrementalSession:
         """Restore the pre-batch state captured by :meth:`_begin_undo`.
 
         The detached originals are swapped back in place on the *same*
-        database objects, so live wrappers (``EdbKeyView``, external
-        references to ``session.database``) keep working; the batch's
-        mutated copies are simply dropped.
+        database objects, so external references to
+        ``session.database`` keep working; the batch's mutated copies
+        are simply dropped.
         """
-        db_saved, edb_saved, prov = undo
+        db_saved, edb_saved = undo
         for db, saved in ((self.database, db_saved), (self._edb, edb_saved)):
             for sig, rel in saved.items():
                 if rel is not None:
                     db.relations[sig] = rel
                 else:
                     db.relations.pop(sig, None)
-        if prov is not None:
-            self._derivations, self._deriv_by_sig, self._rdeps = prov
 
     # ------------------------------------------------------------------
     # Shared machinery
@@ -605,9 +532,7 @@ class IncrementalSession:
         rel = self._edb.get(*sig)
         return rel is not None and fact in rel.tuples
 
-    def _component_run(
-        self, task: ComponentTask, stats: EvalStats, recorder=None
-    ) -> ComponentRun:
+    def _component_run(self, task: ComponentTask, stats: EvalStats) -> ComponentRun:
         """The evaluator's run of ``task`` under this pass's budgets.
 
         The pass shares one wall-clock deadline, and ``fact_base`` is
@@ -625,7 +550,6 @@ class IncrementalSession:
         return ComponentRun(
             task,
             self.config,
-            recorder=recorder,
             fact_base=fact_base,
             cache=self._cache,
             deadline=self._deadline,
@@ -896,7 +820,7 @@ class IncrementalSession:
         return False
 
     # ------------------------------------------------------------------
-    # Component recomputation (DRed fallback and provenance mode)
+    # Component recomputation (DRed's saturation fallback)
     # ------------------------------------------------------------------
 
     def _reset_component_to_base(self, task: ComponentTask) -> None:
@@ -909,158 +833,18 @@ class IncrementalSession:
                 for fact in base.view(0, len(base)):
                     rel.add(fact)
             db.relations[sig] = rel
-        for key, rule in self._program_fact_keys.items():
+        for key in self._program_fact_keys:
             sig = (key[0], key[1])
             if sig in task.sigs:
                 db.relations[sig].add(key[2])
 
-    def _recompute_component_facts(
-        self, task: ComponentTask, stats: EvalStats, recorder=None
-    ) -> None:
+    def _recompute_component_facts(self, task: ComponentTask, stats: EvalStats) -> None:
         """From-base fixpoint of one component over the current lower strata."""
         self._reset_component_to_base(task)
-        self._component_run(task, stats, recorder).execute(self.database, stats)
-
-    # ------------------------------------------------------------------
-    # Provenance mode: component-granular recomputation
-    # ------------------------------------------------------------------
-
-    def _drop_derivation(self, key: FactKey) -> None:
-        entry = self._derivations.pop(key, None)
-        if entry is None:
-            return
-        keys = self._deriv_by_sig.get((key[0], key[1]))
-        if keys is not None:
-            keys.discard(key)
-        for bk in entry[1]:
-            deps = self._rdeps.get(bk)
-            if deps is not None:
-                deps.discard(key)
-                if not deps:
-                    del self._rdeps[bk]
-
-    def _recompute_component(
-        self, task: ComponentTask, stats: EvalStats
-    ) -> Set[Signature]:
-        """From-scratch fixpoint of one component; returns changed sigs.
-
-        The component's relations reset to their base content (EDB plus
-        ground program rules) and the standard
-        :class:`~repro.engine.scheduler.ComponentRun` re-runs with a
-        fresh recorder.  Because the lower strata are already correct
-        (topological processing) and a component's rounds depend only
-        on its input *facts*, the recomputed facts and canonical
-        derivations are exactly what a from-scratch evaluation on the
-        final EDB would produce for these signatures.
-        """
-        db = self.database
-        old_facts = {sig: set(db.relation(*sig).tuples) for sig in task.sigs}
-        for sig in task.sigs:
-            for key in list(self._deriv_by_sig.get(sig, ())):
-                self._drop_derivation(key)
-
-        component_derivs: Dict[FactKey, Tuple[Optional[Rule], Tuple[FactKey, ...]]] = {}
-        recorder = DerivationRecorder(component_derivs, self._edb_keys)
-        self._recompute_component_facts(task, stats, recorder=recorder)
-
-        for key, rule in self._program_fact_keys.items():
-            sig = (key[0], key[1])
-            if sig in task.sigs and key not in self._edb_keys:
-                component_derivs.setdefault(key, (rule, ()))
-        for key, entry in component_derivs.items():
-            self._derivations[key] = entry
-            self._deriv_by_sig.setdefault((key[0], key[1]), set()).add(key)
-            for bk in entry[1]:
-                self._rdeps.setdefault(bk, set()).add(key)
-        return {
-            sig
-            for sig in task.sigs
-            if set(db.relation(*sig).tuples) != old_facts[sig]
-        }
-
-    def _recompute_affected(
-        self,
-        fact_changed: Set[Signature],
-        base_changed: Set[Signature],
-        stats: EvalStats,
-    ) -> None:
-        """Insertion maintenance under provenance.
-
-        Recompute a component when it reads a signature whose *facts*
-        changed, or when its own signatures changed — including
-        base-only changes (a fact newly asserted as EDB was perhaps
-        already derived: the fact set is unchanged but its canonical
-        tree becomes an EDB leaf, which only its own component's
-        recompute can reflect).  Propagation follows fact changes only:
-        downstream rounds depend on input facts, never on how (or when)
-        the inputs were derived.
-        """
-        fact_changed = set(fact_changed)
-        for task in self._tasks:
-            reads_changed = any(
-                lit.signature in fact_changed and lit.signature not in task.sigs
-                for rule in task.rules
-                for lit in rule.body
-            )
-            own = bool(task.sigs & (fact_changed | base_changed))
-            if not (reads_changed or own):
-                continue
-            fact_changed |= self._recompute_component(task, stats)
-
-    def _recompute_after_delete(
-        self, removed: Dict[Signature, List[FactTuple]], stats: EvalStats
-    ) -> None:
-        """Deletion maintenance under provenance: the support-index path.
-
-        The recorded derivations form a reverse dependency index; the
-        transitive dependents of the deleted facts over-approximate
-        everything whose fact *or* tree can change (a fact outside the
-        closure has a recorded derivation built entirely from surviving
-        facts whose first-derivation rounds are unchanged, so — by
-        induction over the acyclic derivation record — both it and its
-        canonical tree survive verbatim).  Only components owning a
-        fact in the closure recompute; pure-EDB members of the closure
-        are simply removed.
-        """
-        seeds: List[FactKey] = []
-        for sig, facts in removed.items():
-            for fact in facts:
-                key = (sig[0], sig[1], fact)
-                if key in self._program_fact_keys:
-                    # Still present through the program rule; its tree
-                    # becomes the (rule, ()) leaf a from-scratch run
-                    # records for non-EDB program facts.
-                    if key not in self._edb_keys:
-                        entry = (self._program_fact_keys[key], ())
-                        self._derivations.setdefault(key, entry)
-                        self._deriv_by_sig.setdefault(sig, set()).add(key)
-                    continue
-                seeds.append(key)
-        closure: Set[FactKey] = set()
-        frontier = list(seeds)
-        while frontier:
-            key = frontier.pop()
-            if key in closure:
-                continue
-            closure.add(key)
-            frontier.extend(self._rdeps.get(key, ()))
-        if not closure:
-            return
-        affected = {(key[0], key[1]) for key in closure}
-        for key in closure:
-            sig = (key[0], key[1])
-            if sig not in self._sig_task:
-                rel = self.database.get(*sig)
-                if rel is not None and not self._is_protected(sig, key[2]):
-                    rel.remove_facts((key[2],))
-                self._drop_derivation(key)
-        for task in self._tasks:
-            if task.sigs & affected:
-                self._recompute_component(task, stats)
+        self._component_run(task, stats).execute(self.database, stats)
 
     def __repr__(self) -> str:
-        mode = "provenance" if self.record_provenance else "facts"
         return (
             f"IncrementalSession({self.database.total_facts()} facts, "
-            f"{len(self._tasks)} components, {mode} mode)"
+            f"{len(self._tasks)} components)"
         )

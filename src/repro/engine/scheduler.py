@@ -590,16 +590,16 @@ class ComponentRun:
         almost the entire relation every round to dedupe a usually-tiny
         delta.
 
-        Rows are term rows fed by the batch kernel (:class:`_TermRows`):
-        interned absorption dedups against ``Relation.col_set()``, which
-        the copy-on-write detach of a maintenance batch does not carry,
-        and rebuilding it would cost the relation, not the delta.
+        Rows are term rows fed by the batch kernel (:class:`_TermRows`
+        with ``kernel=True``): interned absorption dedups against
+        ``Relation.col_set()``, which the copy-on-write detach of a
+        maintenance batch does not carry, and rebuilding it would cost
+        the relation, not the delta.  No derivation recorder rides on a
+        resumed run — maintenance keeps facts, not trees.
         """
         faults.fire("component")
-        kernel = self.recorder is None
-        if kernel:
-            db.ensure_dictionary()
-        self._drive(db, stats, _TermRows(db, stats, self.recorder, kernel), since)
+        db.ensure_dictionary()
+        self._drive(db, stats, _TermRows(db, stats, kernel=True), since)
 
     def _drive(self, db: Database, stats: EvalStats, rows, seeds=None) -> None:
         """Run the fixpoint, partitioned where a delta exists to split."""

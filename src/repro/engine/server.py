@@ -33,7 +33,7 @@ mid-query — recovers via :func:`repro.engine.journal.recover_session`
 to exactly the committed prefix.
 
 :class:`SocketFront` exposes the server over a line-oriented TCP
-protocol reusing the ``+``/``-``/``?``/``stats`` serve grammar; see
+protocol reusing the ``+``/``-``/``?``/``explain``/``stats`` serve grammar; see
 ``docs/serve.md`` for the framing.
 """
 
@@ -46,8 +46,9 @@ from dataclasses import dataclass
 from typing import Optional, Set, Tuple, Union
 
 from repro.datalog.literals import Literal
-from repro.datalog.parser import parse_query
+from repro.datalog.parser import parse_literal, parse_query
 from repro.engine.database import Database, unwrap_rows
+from repro.engine.provenance import DerivationTree, explain
 from repro.engine.query import QueryCompiler
 from repro.engine.stats import EvalStats
 
@@ -61,8 +62,8 @@ class ServerStats:
       and left the previous view installed (their journal records are
       compensated by abort markers);
     * ``queries_served`` — reads answered from a pinned view
-      (:meth:`DatalogServer.query` and :meth:`DatalogServer.query_goal`
-      both count);
+      (:meth:`DatalogServer.query`, :meth:`DatalogServer.query_goal`
+      and :meth:`DatalogServer.explain` all count);
     * ``checkpoints`` — journal checkpoints appended by the
       ``checkpoint_every`` policy;
     * ``version`` — the current view's version: the number of
@@ -137,8 +138,8 @@ class DatalogServer:
     attached: normalize, append to the journal, apply, then atomically
     publish the new :class:`ReadView`; a failed batch appends a
     compensating abort record and publishes nothing.  Reads
-    (:meth:`query`, :meth:`query_goal`, :meth:`view`) never block on
-    the writer and never observe mid-batch state.
+    (:meth:`query`, :meth:`query_goal`, :meth:`explain`, :meth:`view`)
+    never block on the writer and never observe mid-batch state.
 
     ``checkpoint_every`` appends a journal checkpoint after every that
     many committed batches, exactly like the serve REPL's policy.
@@ -296,6 +297,19 @@ class DatalogServer:
     def _make_compiler(self):
         return QueryCompiler(self.session.program, config=self.session.config)
 
+    def explain(self, fact: Union[str, Literal]) -> DerivationTree:
+        """The derivation tree of a ground fact in the current pinned view.
+
+        One provenance evaluation of the program over the view's EDB:
+        like every read, it never observes a mid-batch or rolled-back
+        state.  Raises ``KeyError`` when the fact is not derivable.
+        """
+        goal = parse_literal(fact) if isinstance(fact, str) else fact
+        session = self.session
+        tree = explain(session.program, self._view.edb, goal, config=session.config)
+        self._count_query()
+        return tree
+
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
@@ -317,13 +331,14 @@ class DatalogServer:
 # The socket front
 # ----------------------------------------------------------------------
 
-def handle_line(server: DatalogServer, line: str, *, provenance: bool = False):
+def handle_line(server: DatalogServer, line: str):
     """Execute one serve-grammar command against a server.
 
     Returns ``(payload_lines, status_line, quit)``.  The grammar is the
     serve REPL's: ``+ facts.`` insert, ``- facts.`` delete, ``? query``
-    ask (goal-directed, against the pinned EDB), ``explain fact``,
-    ``stats``, ``quit``/``exit``; blank lines and ``#`` comments are
+    ask (goal-directed, against the pinned EDB), ``explain fact``
+    (against the pinned EDB too), ``stats``, ``quit``/``exit``; blank
+    lines and ``#`` comments are
     no-ops.  Errors — including a rolled-back batch — report as an
     ``error:`` status and leave the served state untouched.
     """
@@ -353,9 +368,7 @@ def handle_line(server: DatalogServer, line: str, *, provenance: bool = False):
                 )
             return payload, f"ok {len(answers)} answers", False
         if line.startswith("explain "):
-            if not provenance:
-                raise ValueError("explain needs --provenance")
-            tree = server.session.explain(line[len("explain "):].strip())
+            tree = server.explain(line[len("explain "):].strip())
             payload.extend(tree.render().splitlines())
             return payload, "ok", False
         if line == "stats":
@@ -394,7 +407,6 @@ class SocketFront:
         host: str = "127.0.0.1",
         port: int = 0,
         workers: int = 4,
-        provenance: bool = False,
     ):
         if workers < 1:
             raise ValueError(
@@ -404,7 +416,6 @@ class SocketFront:
         self.host = host
         self.port = port
         self.workers = workers
-        self.provenance = provenance
         self._sock: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
         self._slots = threading.BoundedSemaphore(workers)
@@ -446,9 +457,7 @@ class SocketFront:
         try:
             with conn, conn.makefile("r", encoding="utf-8") as reader:
                 for line in reader:
-                    payload, status, quitting = handle_line(
-                        self.server, line, provenance=self.provenance
-                    )
+                    payload, status, quitting = handle_line(self.server, line)
                     out = "".join(f"= {p}\n" for p in payload) + status + "\n"
                     conn.sendall(out.encode("utf-8"))
                     if quitting:

@@ -56,9 +56,8 @@ class MaintenanceError(RuntimeError):
     """A maintenance batch failed and the session was rolled back.
 
     Raised by :meth:`repro.engine.incremental.IncrementalSession.apply_batch`
-    (and therefore ``insert``/``delete``) after the database, the EDB,
-    and the provenance store have been restored to their pre-batch
-    state — the session remains exactly a from-scratch evaluation of
+    (and therefore ``insert``/``delete``) after the database and the
+    EDB have been restored to their pre-batch state — the session remains exactly a from-scratch evaluation of
     the pre-batch EDB.  ``phase`` names the half of the combined pass
     that failed (``"delete"`` or ``"insert"``); ``__cause__`` carries
     the original failure (:class:`NonTerminationError`,

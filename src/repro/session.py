@@ -243,9 +243,11 @@ class DeductiveDatabase:
         the *whole* program once and then maintains every IDB relation
         under ``insert``/``delete`` — the serving configuration: point
         queries read the materialized database, updates pay only the
-        delta.  ``kwargs`` pass through to ``IncrementalSession``
-        (``jobs=``, ``record_provenance=``, ...), defaulting to this
-        database's engine knobs.
+        delta.  ``kwargs`` are engine knobs (``jobs=``, ``config=``,
+        ...) passed through to ``IncrementalSession``, defaulting to
+        this database's; anything else is a ``TypeError``.  The
+        session's :meth:`~repro.engine.incremental.IncrementalSession.explain`
+        computes a fact's derivation tree from its current EDB.
 
         The session snapshots the rules and facts loaded so far;
         afterwards, update *it*, not this object.  Predicates holding

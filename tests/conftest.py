@@ -95,6 +95,27 @@ def corpus_instance(index, program, forms):
     return facts, queries
 
 
+def assert_trees_are_those_of(session, edb: Database, limit=None) -> None:
+    """``session.explain`` answers, for every derived fact (the first
+    ``limit`` in rendered order when given), the canonical tree a
+    from-scratch ``provenance_eval`` of ``edb`` records — the trees of
+    the EDB the caller tracks, not of some earlier one."""
+    from repro.engine.provenance import provenance_eval
+
+    ref = provenance_eval(session.program, edb)
+    derived = sorted(
+        (
+            Literal(name, fact)
+            for (name, arity), rel in ref.database.relations.items()
+            for fact in rel.tuples
+            if (name, arity, fact) not in ref.edb_keys
+        ),
+        key=str,
+    )
+    for fact in derived[:limit]:
+        assert session.explain(fact) == ref.explain(fact), fact
+
+
 def pin_storage(db: Database):
     """A ``Database.pin()`` of ``db`` with a copy of every log, for
     :func:`assert_storage_matches_rebuild` to compare after a batch."""

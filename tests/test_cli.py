@@ -192,25 +192,32 @@ class TestServe:
         assert "error:" in captured.err
         assert "2" in captured.out  # the query still ran
 
-    def test_explain_requires_provenance_flag(
+    def test_explain_needs_no_flag(
         self, tmp_path, program_file, facts_file, capsys
     ):
-        assert (
-            self.run_script(tmp_path, program_file, facts_file, "explain t(1, 2)\n")
-            == 0
-        )
-        assert "--provenance" in capsys.readouterr().err
-
-    def test_explain_with_provenance(
-        self, tmp_path, program_file, facts_file, capsys
-    ):
+        # the tree is computed from the EDB the script has reached
         code = self.run_script(
             tmp_path, program_file, facts_file,
-            "explain t(1, 3)\n", "--provenance",
+            "explain t(1, 3)\n- e(2, 3).\nexplain t(1, 3)\n+ e(1, 3).\n"
+            "explain t(1, 3)\n",
         )
         assert code == 0
-        out = capsys.readouterr().out
-        assert "t(1, 3)" in out and "[via" in out
+        captured = capsys.readouterr()
+        assert "t(1, 3)    [via" in captured.out
+        assert "error: line 3: " in captured.err  # gone with e(2, 3)
+        # one step now, from the inserted edge
+        assert captured.out.endswith("t(1, 3)    [via t(X, Y) :- e(X, Y).]\n  e(1, 3)\n")
+
+    @pytest.mark.parametrize("command", ["serve", "recover"])
+    def test_removed_provenance_flag_is_a_usage_error(
+        self, tmp_path, program_file, command, capsys
+    ):
+        # explain is always available, so there is nothing to turn on
+        target = [] if command == "serve" else [str(tmp_path / "wal.rjn")]
+        TestRun.assert_usage_error(
+            [command, program_file, *target, "--provenance"],
+            capsys, "--provenance",
+        )
 
     def test_rejects_bad_jobs(self, tmp_path, program_file, capsys):
         path = tmp_path / "empty.txt"
@@ -913,8 +920,8 @@ assert set(sys.modules) == before, sorted(set(sys.modules) - before)
         self, program_file, facts_file, tmp_path
     ):
         """``serve`` has imported its whole request path when it prints
-        ``listening on``: the first read, write and ``stats`` add no
-        module to the process."""
+        ``listening on``: the first read, ``explain``, write and
+        ``stats`` add no module to the process."""
         lines = self.fresh(
             """
 import os, socket, sys, threading
@@ -937,7 +944,10 @@ def client():
         with socket.create_connection((host, int(port)), timeout=30) as sock:
             replies = sock.makefile("r", encoding="utf-8")
             before = set(sys.modules)  # the client's own imports are in
-            for line in ("? t(1, Y)", "+ e(7, 8).", "- e(1, 2).", "? t(X, 8)", "stats"):
+            for line in (
+                "? t(1, Y)", "explain t(1, 3)", "+ e(7, 8).", "- e(1, 2).",
+                "? t(X, 8)", "stats",
+            ):
                 sock.sendall((line + "\\n").encode("utf-8"))
                 while True:
                     reply = replies.readline()

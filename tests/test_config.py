@@ -291,6 +291,33 @@ def test_removed_planner_variable_is_not_read(monkeypatch):
     )
 
 
+def _recover(tmp_path, **knobs):
+    from repro.engine.journal import Journal, recover_session
+
+    path = tmp_path / "wal.rjn"
+    Journal(path).close()
+    session, journal, _ = recover_session(TC, path, edb(), **knobs)
+    journal.close()
+    return session
+
+
+# every surface that used to take the provenance-mode keyword
+SESSION_MAKERS = {
+    "IncrementalSession": lambda tmp_path, **k: IncrementalSession(TC, edb(), **k),
+    "recover_session": _recover,
+    "DeductiveDatabase.materialize": lambda tmp_path, **k: DeductiveDatabase().materialize(**k),
+}
+
+
+@pytest.mark.parametrize("surface", sorted(SESSION_MAKERS))
+def test_removed_record_provenance_keyword_is_unknown(surface, tmp_path):
+    # derivation trees are computed from the EDB on demand, so there is
+    # no provenance mode to turn on
+    with pytest.raises(TypeError, match="record_provenance"):
+        SESSION_MAKERS[surface](tmp_path, record_provenance=True)
+    SESSION_MAKERS[surface](tmp_path)  # ... and nothing else is refused
+
+
 def test_frozen_hashable_and_picklable():
     config = EngineConfig(jobs=2, backend="process", max_seconds=1.5)
     with pytest.raises(dataclasses.FrozenInstanceError):

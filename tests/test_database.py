@@ -494,21 +494,18 @@ def test_copies_share_buckets_but_never_each_others_writes(initial, layout, warm
 
 
 @pytest.mark.parametrize(
-    "batch, nth, provenance",
+    "batch, nth",
     [
         # 1st component boundary: over-delete; 2nd: the forward delta of
         # _rederive, after the prune and the restorations
-        ({"deletes": [("e", (2, 3)), ("e", (0, 4))]}, 2, False),
+        ({"deletes": [("e", (2, 3)), ("e", (0, 4))]}, 2),
         # the forward delta of an insert, after the new facts went into
         # the detached base relations' live indexes
-        ({"inserts": [("e", (2, 9)), ("e", (9, 3))]}, 1, False),
-        # a provenance session recomputes the component tuple-at-a-time,
-        # so the tuple executor's index writes land on the copies too
-        ({"deletes": [("e", (2, 3)), ("e", (0, 4))]}, 1, True),
+        ({"inserts": [("e", (2, 9)), ("e", (9, 3))]}, 1),
     ],
-    ids=["mid-rederive", "mid-insert", "provenance-mid-recompute"],
+    ids=["mid-rederive", "mid-insert"],
 )
-def test_rollback_leaves_indexes_equal_to_a_rebuild(batch, nth, provenance):
+def test_rollback_leaves_indexes_equal_to_a_rebuild(batch, nth):
     """A batch that dies half way has written only to its detached
     copies — buckets replaced, never appended to in place — so the
     originals rollback swaps back in still index exactly their facts."""
@@ -519,7 +516,7 @@ def test_rollback_leaves_indexes_equal_to_a_rebuild(batch, nth, provenance):
 
     program = parse_program("t(X, Y) :- e(X, Y).\nt(X, Y) :- e(X, W), t(W, Y).")
     edb = Database.from_dict({"e": [(i, i + 1) for i in range(8)] + [(0, 4), (2, 6)]})
-    session = IncrementalSession(program, edb, record_provenance=provenance)
+    session = IncrementalSession(program, edb)
     session.insert([("e", (8, 9))])  # indexes are live and hot before the batch
     session.delete([("e", (8, 9))])
     before = {sig: set(rel.tuples) for sig, rel in session.database.relations.items()}

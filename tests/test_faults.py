@@ -6,7 +6,7 @@ properties the harness exists to check:
 
 * **Atomic rollback** — after any injected fault inside a maintenance
   batch, the session's visible state is bit-identical to a from-scratch
-  evaluation of the *pre-batch* EDB (statistics and provenance
+  evaluation of the *pre-batch* EDB (statistics and explained trees
   included), and retrying without the fault reaches the *post-batch*
   oracle.  Never anything in between.
 * **Backend fault tolerance** — a killed pool worker makes its batch
@@ -31,10 +31,10 @@ from repro.engine.faults import (
     resolve_faults,
 )
 from repro.engine.incremental import IncrementalSession
-from repro.engine.provenance import provenance_eval
 from repro.engine.seminaive import seminaive_eval
 from repro.engine.stats import ComponentTimeout, MaintenanceError
 from repro.workloads.synthetic import wide_dag_edb, wide_dag_program
+from tests.conftest import assert_trees_are_those_of
 
 TC_TEXT = """
 t(X, Y) :- e(X, Y).
@@ -68,11 +68,8 @@ def visible_state(session):
         for sig, rel in session.edb.relations.items()
         if rel.tuples
     }
-    derivs = (
-        dict(session._derivations) if session._derivations is not None else None
-    )
     counters = (session.stats.facts, session.stats.inferences)
-    return relations, edb, derivs, counters
+    return relations, edb, counters
 
 
 class TestParseFaults:
@@ -166,10 +163,10 @@ class TestFirePlan:
 class TestDifferentialFaultProperty:
     """Post-fault state == pre-batch oracle; retry == post-batch oracle."""
 
-    @pytest.mark.parametrize("provenance", [False, True])
     @pytest.mark.parametrize("nth", [1, 2])
-    def test_component_raise_rolls_back_cleanly(self, provenance, nth):
-        session = tc_session(record_provenance=provenance)
+    def test_component_raise_rolls_back_cleanly(self, nth):
+        session = tc_session()
+        pre_edb = session.edb.copy()
         before = visible_state(session)
         pre_oracle, _ = seminaive_eval(session.program, session.edb)
         assert session.database == pre_oracle
@@ -185,6 +182,7 @@ class TestDifferentialFaultProperty:
 
         assert visible_state(session) == before
         assert session.database == pre_oracle  # pre-batch oracle holds
+        assert_trees_are_those_of(session, pre_edb)
 
         # Retrying without the fault lands exactly on the post-batch oracle.
         session.apply_batch(
@@ -193,17 +191,12 @@ class TestDifferentialFaultProperty:
         post_edb = Database.from_dict(
             {"e": [(2, 3), (3, 4), (4, 5), (5, 6)]}
         )
-        if provenance:
-            post = provenance_eval(session.program, post_edb)
-            assert session.database == post.database
-            assert session._derivations == post.derivations
-        else:
-            post_oracle, _ = seminaive_eval(session.program, post_edb)
-            assert session.database == post_oracle
+        post_oracle, _ = seminaive_eval(session.program, post_edb)
+        assert session.database == post_oracle
+        assert_trees_are_those_of(session, post_edb)
 
-    @pytest.mark.parametrize("provenance", [False, True])
-    def test_failed_batch_leaves_session_statistics_untouched(self, provenance):
-        session = tc_session(record_provenance=provenance)
+    def test_failed_batch_leaves_session_statistics_untouched(self):
+        session = tc_session()
         counters = (session.stats.facts, session.stats.inferences)
         faults.install(parse_faults("component:raise:1"))
         with pytest.raises(MaintenanceError):

@@ -25,6 +25,7 @@ from repro.workloads.synthetic import (
 
 from tests.conftest import (
     assert_storage_matches_rebuild,
+    assert_trees_are_those_of,
     oracle_answers,
     pin_storage,
 )
@@ -384,14 +385,13 @@ def test_incremental_scripts_match_scratch(program_seed, edb_seed, script_seed, 
     """Randomized insert/delete scripts against incremental maintenance.
 
     One random program, one random EDB, one random script of EDB
-    inserts and deletes.  Sessions under every maintenance
-    configuration — default knobs, the parallel scheduler, and
-    provenance recording (tuple-at-a-time throughout) —
-    absorb the script; each must end bit-identical to the
-    scheduler-free reference fixpoint of the final EDB, and the
-    provenance session's derivations must equal a from-scratch
-    ``provenance_eval``'s.  (The process backend and ``jobs`` matrix is
-    exercised deterministically in ``tests/test_incremental.py``.)
+    inserts and deletes.  Sessions under default knobs and under the
+    parallel scheduler absorb the script; each must end bit-identical
+    to the scheduler-free reference fixpoint of the final EDB, and
+    ``explain`` must answer the trees a from-scratch
+    ``provenance_eval`` of that EDB records.  (The process backend and
+    ``jobs`` matrix is exercised deterministically in
+    ``tests/test_incremental.py``.)
     After every batch each session's storage — and a view pinned before
     the batch — must equal a rebuild from its logs
     (``assert_storage_matches_rebuild``).
@@ -405,7 +405,6 @@ def test_incremental_scripts_match_scratch(program_seed, edb_seed, script_seed, 
     sessions = [
         IncrementalSession(program, edb),
         IncrementalSession(program, edb, jobs=2, backend="process"),
-        IncrementalSession(program, edb, record_provenance=True),
     ]
     rng = random.Random(script_seed)
     for _ in range(10):
@@ -433,17 +432,13 @@ def test_incremental_scripts_match_scratch(program_seed, edb_seed, script_seed, 
             assert_storage_matches_rebuild(session.database, pinned)
             assert_storage_matches_rebuild(session.edb)
     ref, _ = naive_fixpoint_reference(program, edb)
-    labels = ("default", "jobs2", "provenance")
+    labels = ("default", "jobs2")
     for label, session in zip(labels, sessions):
         assert session.database == ref, (
             f"incremental {label} diverged on seeds "
             f"{program_seed}/{edb_seed}/{script_seed}"
         )
-    prov_ref = provenance_eval(program, edb)
-    assert sessions[-1]._derivations == prov_ref.derivations, (
-        f"incremental derivations diverged on seeds "
-        f"{program_seed}/{edb_seed}/{script_seed}"
-    )
+    assert_trees_are_those_of(sessions[0], edb, limit=8)
 
 
 @settings(max_examples=20, deadline=None)
@@ -567,10 +562,9 @@ def test_instance_mode_certification_is_sound(program_seed, edb_seed, n):
     batch_seed=st.integers(0, 10_000),
     nth=st.integers(1, 3),
     n=st.integers(3, 8),
-    provenance=st.booleans(),
 )
 def test_injected_faults_never_leave_intermediate_state(
-    program_seed, edb_seed, batch_seed, nth, n, provenance
+    program_seed, edb_seed, batch_seed, nth, n
 ):
     """The differential fault property (the PR's robustness fuzz).
 
@@ -592,9 +586,7 @@ def test_injected_faults_never_leave_intermediate_state(
 
     program = random_program(program_seed)
     pre_edb = random_edb(edb_seed, n=n)
-    session = IncrementalSession(
-        program, pre_edb, record_provenance=provenance
-    )
+    session = IncrementalSession(program, pre_edb)
 
     rng = random.Random(batch_seed)
     inserts = [
@@ -645,9 +637,7 @@ def test_injected_faults_never_leave_intermediate_state(
             f"retry diverged on seeds "
             f"{program_seed}/{edb_seed}/{batch_seed} nth={nth}"
         )
-        if provenance:
-            prov_ref = provenance_eval(program, post_edb)
-            assert session._derivations == prov_ref.derivations
+        assert_trees_are_those_of(session, post_edb, limit=8)
     finally:
         faults.clear()
 
@@ -667,8 +657,8 @@ def test_served_churn_matches_bare_session(
     The same randomized insert/delete script runs through a
     :class:`~repro.engine.server.DatalogServer` front — with reader
     threads hammering pinned views the whole time — and through a bare
-    :class:`IncrementalSession`, across serial/process backends, with
-    and without provenance recording (the tuple-at-a-time path).  The served sessions must end
+    :class:`IncrementalSession`, across serial/process backends.  The
+    served sessions must end
     bit-identical to the bare ones (the reader traffic is pure
     observation), and every published view must equal the final
     from-scratch oracle once the script drains.
@@ -681,12 +671,7 @@ def test_served_churn_matches_bare_session(
 
     program = random_program(program_seed)
     edb = random_edb(edb_seed, n=n)
-    configs = [
-        dict(),
-        dict(record_provenance=True),
-        dict(jobs=2, backend="process"),
-        dict(jobs=2, backend="process", record_provenance=True),
-    ]
+    configs = [dict(), dict(jobs=2, backend="process")]
     servers = [
         DatalogServer(IncrementalSession(program, edb, **cfg))
         for cfg in configs
@@ -746,7 +731,7 @@ def test_served_churn_matches_bare_session(
         assert not thread.is_alive(), "reader thread hung"
 
     ref, _ = seminaive_eval(program, edb)
-    labels = ("serial", "serial+prov", "process", "process+prov")
+    labels = ("serial", "process")
     for label, server, session in zip(labels, servers, bare):
         assert server.session.database == session.database, (
             f"served {label} diverged from bare on seeds "

@@ -3,9 +3,9 @@
 Every test holds the one invariant that matters: after any script of
 inserts and deletes, the incrementally maintained database must be
 *bit-identical* to a from-scratch ``seminaive_eval`` on the final EDB
-(and, with provenance on, the recorded derivations must match a
-from-scratch ``provenance_eval``).  The least model is unique, so this
-is both necessary and sufficient.
+(and ``explain`` must answer the trees a from-scratch
+``provenance_eval`` of that EDB records).  The least model is unique,
+so this is both necessary and sufficient.
 """
 
 import random
@@ -20,6 +20,7 @@ from repro.engine.reference import naive_fixpoint_reference
 from repro.engine.seminaive import seminaive_eval
 from repro.session import DeductiveDatabase
 from repro.workloads.synthetic import churn_edb, churn_program, churn_script
+from tests.conftest import assert_trees_are_those_of
 
 TC = parse_program(
     """
@@ -167,10 +168,9 @@ class TestDelete:
 
 
 class TestMixedScripts:
-    @pytest.mark.parametrize("provenance", [False, True])
-    def test_mixed_script_matches_scratch(self, provenance):
+    def test_mixed_script_matches_scratch(self):
         edb = churn_edb(24, width=2)
-        session = IncrementalSession(LAYERED, edb, record_provenance=provenance)
+        session = IncrementalSession(LAYERED, edb)
         rng = random.Random(5)
         for step in range(30):
             if rng.random() < 0.5:
@@ -190,6 +190,7 @@ class TestMixedScripts:
             assert_matches_scratch(session, edb, LAYERED)
         # ... and the end state equals the scheduler-free, plan-free oracle.
         assert session.database == naive_fixpoint_reference(LAYERED, edb)[0]
+        assert_trees_are_those_of(session, edb, limit=40)
 
     def test_churn_script_generator_round_trip(self):
         # The benchmark's script generator against the benchmark's EDB.
@@ -214,8 +215,6 @@ class TestKnobDeterminism:
         "kwargs",
         [
             {},
-            {"jobs": 2, "backend": "process", "record_provenance": True},
-            {"record_provenance": True},
             {"jobs": 2, "backend": "serial"},
             {"jobs": 2, "backend": "process"},
             {"partitions": 2, "backend": "serial"},
@@ -239,22 +238,25 @@ class TestKnobDeterminism:
 
 
 class TestProvenance:
+    """``explain`` is computed from the current EDB on demand, so after
+    churn it answers that EDB's canonical trees (after a rollback:
+    ``TestApplyBatch``; after recovery: ``tests/test_journal.py``)."""
+
     def test_derivations_match_scratch_after_churn(self):
         edb = chain(5)
-        session = IncrementalSession(LAYERED, edb, record_provenance=True)
+        session = IncrementalSession(LAYERED, edb)
         edb.add_fact("sel", (3,))
         session.insert([("sel", (3,))])
         edb.add_fact("e", (0, 3))
         session.insert([("e", (0, 3))])
         edb.remove_fact("e", (1, 2))
         session.delete([("e", (1, 2))])
-        ref = provenance_eval(LAYERED, edb)
-        assert session.database == ref.database
-        assert session._derivations == ref.derivations
+        assert session.database == provenance_eval(LAYERED, edb).database
+        assert_trees_are_those_of(session, edb)
 
     def test_explain_after_maintenance(self):
         edb = chain(4)
-        session = IncrementalSession(TC, edb, record_provenance=True)
+        session = IncrementalSession(TC, edb)
         session.insert([("e", (4, 5))])
         tree = session.explain("t(0, 5)")
         leaves = {str(leaf) for leaf in tree.leaves()}
@@ -267,44 +269,13 @@ class TestProvenance:
         # t(0, 2) is derived; asserting it directly as an EDB fact
         # turns it into a leaf, exactly as a from-scratch run records.
         edb = chain(3)
-        session = IncrementalSession(TC, edb, record_provenance=True)
+        session = IncrementalSession(TC, edb)
         assert session.explain("t(0, 2)").height() > 1
         session.insert([("t", (0, 2))])
         edb.add_fact("t", (0, 2))
-        ref = provenance_eval(TC, edb)
-        assert session.database == ref.database
-        assert session._derivations == ref.derivations
+        assert session.database == provenance_eval(TC, edb).database
+        assert_trees_are_those_of(session, edb)
         assert session.explain("t(0, 2)").height() == 1
-
-    def test_explain_requires_provenance_mode(self):
-        session = IncrementalSession(TC, chain(3))
-        with pytest.raises(RuntimeError):
-            session.explain("t(0, 1)")
-
-    def test_support_index_skips_unrelated_components(self):
-        # Two disjoint closures: deleting in one must not recompute
-        # the other (observable through the pass's facts counter —
-        # component recomputation re-derives, fact-level passes don't).
-        program = parse_program(
-            """
-            a(X, Y) :- ea(X, Y).
-            a(X, Y) :- ea(X, W), a(W, Y).
-            b(X, Y) :- eb(X, Y).
-            b(X, Y) :- eb(X, W), b(W, Y).
-            """
-        )
-        edb = Database()
-        edb.add_facts("ea", ((i, i + 1) for i in range(3)))
-        edb.add_facts("eb", ((i, i + 1) for i in range(30)))
-        session = IncrementalSession(program, edb, record_provenance=True)
-        stats = session.delete([("ea", (2, 3))])
-        edb.remove_fact("ea", (2, 3))
-        ref = provenance_eval(program, edb)
-        assert session.database == ref.database
-        assert session._derivations == ref.derivations
-        # Only the small component recomputed: nowhere near the ~465
-        # facts re-deriving the eb closure would have cost.
-        assert stats.facts < 20
 
 
 class TestDeltaHooks:
@@ -428,17 +399,14 @@ class TestApplyBatch:
         assert session.database.total_facts() == before
         assert stats.facts == 0
 
-    @pytest.mark.parametrize("provenance", [False, True])
-    def test_rollback_restores_everything(self, provenance):
+    def test_rollback_restores_everything(self):
         """A batch that dies mid-flight (round-budget blowout in the
         insert phase, after the delete phase already mutated state)
-        leaves database, EDB, statistics, and derivations exactly as
-        they were."""
+        leaves database, EDB, statistics, and explained trees exactly
+        as they were."""
         from repro.engine.stats import MaintenanceError, NonTerminationError
 
-        session = IncrementalSession(
-            TC, chain(5), record_provenance=provenance, max_iterations=8
-        )
+        session = IncrementalSession(TC, chain(5), max_iterations=8)
         db_before = {
             sig: set(rel.tuples)
             for sig, rel in session.database.relations.items()
@@ -448,9 +416,6 @@ class TestApplyBatch:
             for sig, rel in session.edb.relations.items()
         }
         stats_before = (session.stats.facts, session.stats.inferences)
-        derivs_before = (
-            dict(session._derivations) if provenance else None
-        )
         poison = [("e", (100 + i, 101 + i)) for i in range(20)]
         with pytest.raises(MaintenanceError) as exc_info:
             session.apply_batch(inserts=poison, deletes=[("e", (0, 1))])
@@ -465,8 +430,7 @@ class TestApplyBatch:
             for sig, rel in session.edb.relations.items()
         } == edb_before
         assert (session.stats.facts, session.stats.inferences) == stats_before
-        if provenance:
-            assert dict(session._derivations) == derivs_before
+        assert_trees_are_those_of(session, chain(5))
         # The session still works: the delete alone goes through.
         session.delete([("e", (0, 1))])
         edb = chain(5)
@@ -485,14 +449,11 @@ class TestFactBudget:
     """``max_facts`` binds maintenance as it binds the evaluator: what
     counts is every fact the database holds beyond its EDB."""
 
-    @pytest.mark.parametrize("provenance", [False, True])
-    def test_insert_past_the_cap_rolls_back(self, provenance):
+    def test_insert_past_the_cap_rolls_back(self):
         from repro.engine.stats import MaintenanceError, NonTerminationError
 
         edb = chain(1)
-        session = IncrementalSession(
-            TC, edb, max_facts=20, record_provenance=provenance
-        )
+        session = IncrementalSession(TC, edb, max_facts=20)
         grown = [("e", (i, i + 1)) for i in range(1, 30)]
         with pytest.raises(NonTerminationError):
             seminaive_eval(TC, chain(30), max_facts=20)  # 465 facts
@@ -532,14 +493,11 @@ class TestFactBudget:
             edb.remove_fact("e", args)
         assert_matches_scratch(session, edb)
 
-    @pytest.mark.parametrize("provenance", [False, True])
-    def test_cap_binds_a_non_recursive_stratum(self, provenance):
+    def test_cap_binds_a_non_recursive_stratum(self):
         from repro.engine.stats import MaintenanceError, NonTerminationError
 
         edb = chain(4)  # 10 t facts; r and s start empty
-        session = IncrementalSession(
-            LAYERED, edb, max_facts=12, record_provenance=provenance
-        )
+        session = IncrementalSession(LAYERED, edb, max_facts=12)
         wide = [("sel", (i,)) for i in range(1, 5)]  # 10 r facts
         with pytest.raises(MaintenanceError) as exc_info:
             session.insert(wide)

@@ -2,8 +2,9 @@
 
 The load-bearing property is *replay determinism*: a session recovered
 from a journal — after a clean shutdown, a crash mid-batch, or a crash
-mid-journal-write — is bit-identical (database, EDB, derivations) to a
-session that applied the same committed batches and never crashed.
+mid-journal-write — is bit-identical (database, EDB, explained trees)
+to a session that applied the same committed batches and never
+crashed.
 ``TestRecoveryMatrix`` checks it across the full knob matrix, and the
 torn-tail tests check it for a crash at *every byte offset* of the
 final record.
@@ -28,6 +29,7 @@ from repro.engine.journal import (
     recover_session,
     replay_journal,
 )
+from tests.conftest import assert_trees_are_those_of
 
 TC_TEXT = """
 t(X, Y) :- e(X, Y).
@@ -79,7 +81,7 @@ def clean_session(batches=SCRIPT, **session_kwargs):
 def assert_same_state(recovered, clean):
     assert recovered.database == clean.database
     assert recovered.edb == clean.edb
-    assert recovered._derivations == clean._derivations
+    assert_trees_are_those_of(recovered, clean.edb)
 
 
 class TestRecordFormat:
@@ -340,15 +342,8 @@ class TestRecoveryMatrix:
     """Replay determinism across the full knob matrix (satellite c)."""
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
-    @pytest.mark.parametrize("provenance", [False, True])
-    def test_recovered_state_is_bit_identical(
-        self, tmp_path, backend, provenance
-    ):
-        knobs = dict(
-            jobs=2 if backend != "serial" else 1,
-            backend=backend,
-            record_provenance=provenance,
-        )
+    def test_recovered_state_is_bit_identical(self, tmp_path, backend):
+        knobs = dict(jobs=2 if backend != "serial" else 1, backend=backend)
         path = tmp_path / "wal.rjn"
         original = run_journaled(path, **knobs)
         program = parse_program(TC_TEXT)
@@ -358,23 +353,19 @@ class TestRecoveryMatrix:
         journal.close()
         assert replayed == len(SCRIPT)
         assert_same_state(recovered, original)
-        if provenance:
-            assert recovered._derivations is not None
 
-    @pytest.mark.parametrize("provenance", [False, True])
-    def test_truncated_tail_matrix(self, tmp_path, provenance):
-        """Torn final record + recovery, with and without provenance."""
-        knobs = dict(record_provenance=provenance)
+    def test_truncated_tail_matrix(self, tmp_path):
+        """Torn final record + recovery."""
         path = tmp_path / "wal.rjn"
-        run_journaled(path, **knobs)
+        run_journaled(path)
         full = path.read_bytes()
         path.write_bytes(full[: len(full) // 2 + len(MAGIC)])
         program = parse_program(TC_TEXT)
         recovered, journal, replayed = recover_session(
-            program, path, Database.from_dict(BASE), **knobs
+            program, path, Database.from_dict(BASE)
         )
         journal.close()
-        clean = clean_session(SCRIPT[:replayed], **knobs)
+        clean = clean_session(SCRIPT[:replayed])
         assert_same_state(recovered, clean)
 
 
@@ -431,7 +422,7 @@ NAMED_STEPS = [
 ]
 
 
-def write_journal(path, program, steps, torn=None, **knobs):
+def write_journal(path, program, steps, torn=None):
     """Journal ``steps`` the way a server would have.
 
     Returns the session that lived through them — every surviving batch
@@ -440,7 +431,7 @@ def write_journal(path, program, steps, torn=None, **knobs):
     checkpoint.  ``torn`` leaves that many bytes (modulo its length,
     at least one) of one more record at the end of the file.
     """
-    model = IncrementalSession(program, Database.from_dict(FOLD_BASE), **knobs)
+    model = IncrementalSession(program, Database.from_dict(FOLD_BASE))
     surviving = 0
     with Journal(path, fsync=False) as journal:
         for kind, inserts, deletes in steps:
@@ -484,44 +475,36 @@ class TestFoldedRecovery:
     once; the state it reaches is the one stepwise maintenance reached
     and the one a fresh evaluation of the final EDB reaches."""
 
-    @pytest.mark.parametrize("provenance", [False, True])
     @settings(max_examples=25, deadline=None)
     @given(
         name=st.sampled_from(sorted(FOLD_PROGRAMS)),
         steps=_steps,
         torn=st.none() | st.integers(0, 200),
     )
-    def test_recovery_equals_stepwise_and_fresh(self, provenance, name, steps, torn):
-        self.check(name, steps, torn, provenance)
+    def test_recovery_equals_stepwise_and_fresh(self, name, steps, torn):
+        self.check(name, steps, torn)
 
-    @pytest.mark.parametrize("provenance", [False, True])
     @pytest.mark.parametrize("name", sorted(FOLD_PROGRAMS))
     @pytest.mark.parametrize("torn", [None, 7])
-    def test_the_named_cases(self, name, torn, provenance):
+    def test_the_named_cases(self, name, torn):
         for stop in range(len(NAMED_STEPS) + 1):
-            self.check(name, NAMED_STEPS[:stop], torn, provenance)
+            self.check(name, NAMED_STEPS[:stop], torn)
 
     @staticmethod
-    def check(name, steps, torn, provenance):
+    def check(name, steps, torn):
         program = parse_program(FOLD_PROGRAMS[name])
-        knobs = dict(record_provenance=provenance)
         with tempfile.TemporaryDirectory() as tmp:
             path = f"{tmp}/wal.rjn"
-            model, surviving = write_journal(
-                path, program, steps, torn, **knobs
-            )
+            model, surviving = write_journal(path, program, steps, torn)
             recovered, journal, replayed, applies = recover_counting(
-                program, path, Database.from_dict(FOLD_BASE), **knobs
+                program, path, Database.from_dict(FOLD_BASE)
             )
             journal.close()
             assert not replay_journal(path).torn
         assert applies <= 1
         assert replayed == surviving
         assert_same_state(recovered, model)
-        assert_same_state(
-            recovered, IncrementalSession(program, model.edb, **knobs)
-        )
-        assert (recovered._derivations is not None) == provenance
+        assert recovered.database == IncrementalSession(program, model.edb).database
 
     def test_fold_is_the_edb_half_of_apply_batch(self):
         """Last writer wins per fact, a batch deletes before it inserts,
@@ -624,10 +607,9 @@ class TestFoldedRecovery:
         )
         journal.close()
         assert (replayed, applies) == (450, 1)
-        assert_same_state(
-            recovered,
-            IncrementalSession(program, Database.from_dict({"e": edges})),
-        )
+        fresh = IncrementalSession(program, Database.from_dict({"e": edges}))
+        assert recovered.database == fresh.database
+        assert recovered.edb == fresh.edb
 
 
 class TestConcurrentCrashDrill:

@@ -17,10 +17,11 @@ import threading
 
 import pytest
 
-from repro.datalog.parser import parse_program
+from repro.datalog.parser import parse_literal, parse_program
 from repro.engine.database import Database
 from repro.engine.incremental import IncrementalSession
 from repro.engine.journal import Journal, recover_session
+from repro.engine.provenance import provenance_eval
 from repro.engine.server import DatalogServer, SocketFront, handle_line
 from repro.engine.stats import MaintenanceError
 
@@ -236,6 +237,40 @@ class TestReadViews:
         server.query_goal("t(1, Y)")
         assert server.stats.queries_served == 2
 
+    def test_explain_answers_from_the_published_view(self, monkeypatch):
+        """A writer held inside a delete batch (its EDB copy already
+        without ``e(2, 3)``) does not move what ``explain`` answers: the
+        trees are those of the pre-batch EDB until the batch commits."""
+        base = {"e": [(1, 2), (2, 3), (3, 4)]}
+        server = make_server(base)
+        program = server.session.program
+        entered, release = threading.Event(), threading.Event()
+        overdelete = IncrementalSession._overdelete
+
+        def held(session, *args):
+            entered.set()
+            assert release.wait(30)
+            return overdelete(session, *args)
+
+        monkeypatch.setattr(IncrementalSession, "_overdelete", held)
+        writer = threading.Thread(target=server.delete, args=("e(2, 3).",))
+        writer.start()
+        try:
+            assert entered.wait(30)
+            before = provenance_eval(program, Database.from_dict(base))
+            for fact in ("t(1, 3)", "t(1, 4)", "t(2, 4)", "e(2, 3)"):
+                assert server.explain(fact) == before.explain(parse_literal(fact))
+        finally:
+            release.set()
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert server.stats.version == 1
+        after = provenance_eval(program, Database.from_dict({"e": [(1, 2), (3, 4)]}))
+        for fact in ("t(1, 2)", "t(3, 4)"):
+            assert server.explain(fact) == after.explain(parse_literal(fact))
+        with pytest.raises(KeyError):
+            server.explain("t(1, 3)")
+
     def test_checkpoint_every_validation(self):
         session = IncrementalSession(
             parse_program(TC_TEXT), Database.from_dict(BASE)
@@ -337,6 +372,13 @@ class TestSocketFront:
                 assert status.startswith("ok +")
                 payload, status = self._exchange(reader, sock, "? t(1, Y)")
                 assert payload == ["2", "3", "4"]
+                # explain needs no flag and answers from the pinned view
+                payload, status = self._exchange(reader, sock, "explain t(1, 4)")
+                assert status == "ok"
+                assert payload[0].startswith("t(1, 4)    [via")
+                assert "e(3, 4)" in [line.strip() for line in payload]
+                payload, status = self._exchange(reader, sock, "explain t(4, 1)")
+                assert payload == [] and status.startswith("error:")
                 payload, status = self._exchange(reader, sock, "quit")
                 assert status == "ok bye"
 
