@@ -215,6 +215,8 @@ class TestKnobDeterminism:
         "kwargs",
         [
             {},
+            {"jobs": 2, "partitions": 2, "backend": "serial"},
+            {"jobs": 2, "partitions": 2, "backend": "process"},
             {"jobs": 2, "backend": "serial"},
             {"jobs": 2, "backend": "process"},
             {"partitions": 2, "backend": "serial"},
