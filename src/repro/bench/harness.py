@@ -10,6 +10,7 @@ full sweep.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -19,22 +20,27 @@ from typing import Dict, Iterable, List, Optional, Sequence
 def bench_scale() -> float:
     """The global input-size multiplier from ``REPRO_BENCH_SCALE``.
 
-    A malformed value warns (naming the bad value) and falls back to
-    1.0 instead of silently rescaling the whole suite.
+    A malformed value (not a number, not finite, or not positive) warns
+    (naming the bad value) and falls back to 1.0 instead of silently
+    rescaling the whole suite: ``nan``/``inf`` cannot size an input and
+    ``0`` or a negative would pin every size to its minimum.
     """
     raw = os.environ.get("REPRO_BENCH_SCALE")
     if raw is None:
         return 1.0
     try:
-        return float(raw)
+        scale = float(raw)
     except ValueError:
-        warnings.warn(
-            f"ignoring malformed REPRO_BENCH_SCALE={raw!r} "
-            "(not a number); defaulting to 1.0",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 1.0
+        scale = math.nan
+    if math.isfinite(scale) and scale > 0:
+        return scale
+    warnings.warn(
+        f"ignoring malformed REPRO_BENCH_SCALE={raw!r} "
+        "(not a finite positive number); defaulting to 1.0",
+        RuntimeWarning,
+        stacklevel=2,
+    )
+    return 1.0
 
 
 @dataclass

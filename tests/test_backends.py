@@ -29,6 +29,8 @@ from repro.engine.provenance import provenance_eval
 from repro.engine.scheduler import SCCScheduler
 from repro.engine.seminaive import seminaive_eval
 from repro.engine.stats import EvalStats, NonTerminationError
+from repro.workloads.examples import same_generation_edb, same_generation_program
+from repro.workloads.graphs import chain_edb
 from repro.workloads.synthetic import (
     coarse_components_edb,
     coarse_components_program,
@@ -237,6 +239,35 @@ class TestProcessBackendDeterminism:
             assert (stats.facts, stats.inferences, stats.iterations) == (
                 base.facts, base.inferences, base.iterations,
             ), backend
+
+    @pytest.mark.parametrize(
+        "program, edb",
+        [
+            (
+                parse_program("t(X, Y) :- e(X, Y).\nt(X, Y) :- e(X, W), t(W, Y)."),
+                chain_edb(30),
+            ),
+            (same_generation_program(), same_generation_edb(4, 2)),
+            (wide_dag_program(4), wide_dag_edb(4, 10)),
+            (coarse_components_program(4), coarse_components_edb(4, 12)),
+        ],
+        ids=["tc_chain", "same_generation", "wide_dag", "coarse_components"],
+    )
+    def test_every_executor_agrees_on_the_synthetic_workloads(self, program, edb):
+        """Pool workers and delta partitions change where and in what
+        pieces a round runs, never the database or its counters."""
+        base_db, base = seminaive_eval(program, edb, jobs=1, partitions=1)
+        for knobs in (
+            dict(jobs=2, backend="process", partitions=1),
+            dict(jobs=4, backend="process", partitions=1),
+            dict(jobs=1, partitions=2),
+            dict(jobs=1, partitions=4),
+        ):
+            db, stats = seminaive_eval(program, edb, **knobs)
+            assert db == base_db, knobs
+            assert (stats.facts, stats.inferences, stats.iterations) == (
+                base.facts, base.inferences, base.iterations,
+            ), knobs
 
     def test_naive_mode_through_process_backend(self):
         program, edb = wide_dag_program(3), wide_dag_edb(3, 8)

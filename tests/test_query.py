@@ -210,6 +210,11 @@ class TestGoalAudit:
         answer = compiler.ask(pmem_query(4), pmem_edb(4))
         assert answer.strategy == "factored"
         assert answer.values() == {(i,) for i in range(4)}
+        # ... which is what the unfactored magic rewrite answers
+        magic, _ = optimize(pmem_program(), pmem_query(4)).evaluate_stage(
+            "magic", pmem_edb(4)
+        )
+        assert answer.answers == magic
 
     def test_repeated_variable_inside_bound_list(self):
         compiler = QueryCompiler(pmem_program())

@@ -63,6 +63,7 @@ class TestHarness:
         assert bench_scale() == 1.0
         monkeypatch.setenv("REPRO_BENCH_SCALE", "2.5")
         assert bench_scale() == 2.5
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "junk")
-        with pytest.warns(RuntimeWarning, match="REPRO_BENCH_SCALE='junk'"):
-            assert bench_scale() == 1.0
+        for raw in ("junk", "nan", "inf", "-inf", "0", "-2"):
+            monkeypatch.setenv("REPRO_BENCH_SCALE", raw)
+            with pytest.warns(RuntimeWarning, match=f"REPRO_BENCH_SCALE='{raw}'"):
+                assert bench_scale() == 1.0
