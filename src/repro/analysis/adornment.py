@@ -85,12 +85,6 @@ class AdornedProgram:
     original_goal: Literal
     adornments: Dict[Signature, Set[Adornment]] = field(default_factory=dict)
 
-    def single_adornment_of(self, signature: Signature) -> Optional[Adornment]:
-        adns = self.adornments.get(signature, set())
-        if len(adns) == 1:
-            return next(iter(adns))
-        return None
-
 
 def _term_bound(term: Term, bound_vars: Set[Variable]) -> bool:
     """A term is bound when all of its variables are bound (ground terms are)."""

@@ -144,34 +144,3 @@ class DependencyGraph:
         return any(self.same_scc(head, lit.signature) for lit in rule.body) and (
             self.is_recursive(head)
         )
-
-    def rule_is_linear(self, rule: Rule) -> bool:
-        """Exactly one body literal mutually recursive with the head."""
-        head = rule.head.signature
-        count = sum(1 for lit in rule.body if self.same_scc(head, lit.signature))
-        return count == 1 and self.is_recursive(head)
-
-    def reachable_from(self, signature: Signature) -> Set[Signature]:
-        """All signatures the given one depends on, transitively (inclusive)."""
-        seen = {signature}
-        frontier = [signature]
-        while frontier:
-            sig = frontier.pop()
-            for dep in self.predecessors.get(sig, ()):
-                if dep not in seen:
-                    seen.add(dep)
-                    frontier.append(dep)
-        return seen
-
-    def unit_recursive_predicate(self) -> Signature:
-        """The single recursive IDB predicate of a unit program.
-
-        Raises ``ValueError`` when the program is not a unit program in
-        the paper's sense (Section 4.1).
-        """
-        recursive = {sig for sig in self.recursive_signatures() if self.program.is_idb(sig)}
-        if len(recursive) != 1:
-            raise ValueError(
-                f"expected exactly one recursive IDB predicate, found {sorted(recursive)}"
-            )
-        return next(iter(recursive))

@@ -217,82 +217,6 @@ def _print_answers(answers) -> None:
         print("\t".join(str(value) for value in row) if row else "true")
 
 
-class ServeLoop:
-    """The serve REPL's command executor.
-
-    Commands: ``+ facts.`` insert, ``- facts.`` delete, ``? query``
-    ask, ``explain fact`` derivation tree (computed from the pinned
-    EDB), ``stats`` counters, ``quit`` exit; blank lines and ``#``
-    comments are skipped.  The update/journal/checkpoint policy lives in
-    :class:`~repro.engine.server.DatalogServer` — the REPL is that
-    server driven by a single client: every update runs as one atomic,
-    write-ahead-journaled
-    :meth:`~repro.engine.incremental.IncrementalSession.apply_batch`
-    (a rolled-back batch appends a compensating abort record; a
-    checkpoint is appended every ``checkpoint_every`` batches), so a
-    failing command rolls back cleanly and the loop keeps serving;
-    errors report with their script line number.
-    """
-
-    def __init__(
-        self,
-        session,
-        *,
-        journal=None,
-        checkpoint_every: Optional[int] = None,
-    ):
-        from repro.engine.server import DatalogServer
-
-        self.session = session
-        self.journal = journal
-        self.server = DatalogServer(
-            session, journal=journal, checkpoint_every=checkpoint_every
-        )
-
-    def run_line(self, line: str, lineno: Optional[int] = None) -> str:
-        """Execute one command; returns ``"ok"``, ``"error"``, or ``"quit"``."""
-        line = line.strip()
-        if not line or line.startswith("#"):
-            return "ok"
-        try:
-            if line.startswith("+"):
-                stats = self._update(inserts=line[1:].strip())
-                print(
-                    f"+{stats.facts} facts ({stats.incr_rounds} rounds, "
-                    f"{stats.seconds * 1000:.1f} ms)"
-                )
-            elif line.startswith("-"):
-                stats = self._update(deletes=line[1:].strip())
-                print(
-                    f"deleted ({stats.incr_rounds} rounds, "
-                    f"{stats.rederived} rederived, "
-                    f"{stats.seconds * 1000:.1f} ms)"
-                )
-            elif line.startswith("?"):
-                # Goal-directed: the query form is compiled (adornment
-                # + Magic Sets / counting / factoring) and evaluated
-                # against the pinned EDB view — read-only, never
-                # journaled.
-                _print_answers(self.server.query_goal(line[1:].strip()))
-            elif line.startswith("explain "):
-                print(self.server.explain(line[len("explain "):].strip()).render())
-            elif line == "stats":
-                print(self.session.stats)
-            elif line in ("quit", "exit"):
-                return "quit"
-            else:
-                raise ValueError(f"unknown command {line!r}")
-        except (ValueError, KeyError, RuntimeError) as exc:
-            prefix = f"error: line {lineno}: " if lineno else "error: "
-            print(f"{prefix}{exc}", file=sys.stderr)
-            return "error"
-        return "ok"
-
-    def _update(self, inserts=None, deletes=None):
-        """One atomic, journaled update batch (see DatalogServer)."""
-        return self.server.apply_batch(inserts=inserts, deletes=deletes)
-
-
 def _serve_session(args, program, edb):
     """Build (or recover) the serve session and its optional journal."""
     from repro.engine.incremental import IncrementalSession
@@ -314,13 +238,11 @@ def _serve_session(args, program, edb):
     return session, journal
 
 
-def _serve_socket(args, session, journal) -> int:
+def _serve_socket(args, server) -> int:
     """The concurrent socket front (serve --workers N)."""
-    from repro.engine.server import DatalogServer, SocketFront
+    from repro.engine.server import SocketFront
 
-    server = DatalogServer(
-        session, journal=journal, checkpoint_every=args.checkpoint_every
-    )
+    session = server.session
     front = SocketFront(
         server, host=args.host, port=args.port, workers=args.workers
     )
@@ -343,7 +265,14 @@ def _serve_socket(args, session, journal) -> int:
 
 
 def cmd_serve(args) -> int:
+    """The serve REPL (or ``--script``) and socket front: both run each
+    command through :func:`repro.engine.server.handle_line` on one
+    :class:`~repro.engine.server.DatalogServer`, whose update path is
+    atomic and write-ahead-journaled.  The REPL prints what a socket
+    client reads — ``= `` payload lines, then the status line — except
+    that an error goes to stderr as ``error: line N: ...``."""
     from repro.engine import faults
+    from repro.engine.server import DatalogServer, handle_line, reply
 
     program = _load_program(args.program)
     edb = _load_edb(args.facts)
@@ -359,14 +288,22 @@ def cmd_serve(args) -> int:
                 "--script and --workers are mutually exclusive: socket "
                 "mode takes commands from client connections"
             )
-        session, journal = _serve_session(args, program, edb)
-        return _serve_socket(args, session, journal)
     session, journal = _serve_session(args, program, edb)
-    loop = ServeLoop(
-        session,
-        journal=journal,
-        checkpoint_every=args.checkpoint_every,
+    server = DatalogServer(
+        session, journal=journal, checkpoint_every=args.checkpoint_every
     )
+    if args.workers is not None:
+        return _serve_socket(args, server)
+
+    def run_line(line: str, lineno: Optional[int] = None) -> str:
+        payload, status, quitting = handle_line(server, line)
+        if status.startswith("error: "):
+            where = f"line {lineno}: " if lineno else ""
+            print(f"error: {where}{status[len('error: '):]}", file=sys.stderr)
+            return "error"
+        print(reply(payload, status), end="")
+        return "quit" if quitting else "ok"
+
     print(
         f"materialized {session.database.total_facts()} facts in "
         f"{session.stats.seconds * 1000:.1f} ms; serving",
@@ -376,7 +313,7 @@ def cmd_serve(args) -> int:
         if args.script:
             with open(args.script) as handle:
                 for lineno, line in enumerate(handle, 1):
-                    status = loop.run_line(line, lineno)
+                    status = run_line(line, lineno)
                     if status == "quit":
                         break
                     if status == "error" and args.strict:
@@ -392,12 +329,11 @@ def cmd_serve(args) -> int:
                 line = input("repro> ")
             except EOFError:
                 break
-            if loop.run_line(line) == "quit":
+            if run_line(line) == "quit":
                 break
         return 0
     finally:
-        if journal is not None:
-            journal.close()
+        server.close()
 
 
 def cmd_recover(args) -> int:

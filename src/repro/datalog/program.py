@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.datalog.literals import Literal
 from repro.datalog.pretty import pretty_program
 from repro.datalog.rules import Rule, UnsafeRuleError
 
@@ -63,9 +62,6 @@ class Program:
     def is_idb(self, signature: Signature) -> bool:
         return signature in self._idb
 
-    def is_edb_literal(self, literal: Literal) -> bool:
-        return literal.signature not in self._idb
-
     def predicates(self) -> FrozenSet[Signature]:
         sigs: Set[Signature] = set(self._idb)
         for rule in self.rules:
@@ -95,9 +91,6 @@ class Program:
     # ------------------------------------------------------------------
     # Functional updates
     # ------------------------------------------------------------------
-
-    def with_rules(self, rules: Iterable[Rule]) -> "Program":
-        return Program(rules, self._edb_declared)
 
     def add_rules(self, rules: Iterable[Rule]) -> "Program":
         return Program((*self.rules, *rules), self._edb_declared)

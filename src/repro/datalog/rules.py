@@ -68,12 +68,6 @@ class Rule:
             return list(self.body)
         return [lit for lit in self.body if lit.predicate == predicate]
 
-    def with_body(self, body: Iterable[Literal]) -> "Rule":
-        return Rule(self.head, body)
-
-    def with_head(self, head: Literal) -> "Rule":
-        return Rule(head, self.body)
-
     def rename_variables(self, mapping: Dict[Variable, Variable]) -> "Rule":
         """Apply a variable-to-variable renaming throughout the rule."""
         from repro.engine.unify import Substitution

@@ -92,7 +92,6 @@ class ComponentSpec:
     mode: str
     config: EngineConfig
     fact_base: int
-    record: bool
     relations: Dict[Signature, Relation]
 
     @classmethod
@@ -109,14 +108,13 @@ class ComponentSpec:
             mode=scheduler.mode,
             config=scheduler.config,
             fact_base=fact_base,
-            record=scheduler.recorder is not None,
             relations=db.snapshot(sorted(needed)).relations,
         )
 
 
 @dataclass
 class ComponentResult:
-    """What comes back across the boundary: deltas, stats, derivations.
+    """What comes back across the boundary: deltas and stats.
 
     ``deltas`` maps each write-set signature to the facts the component
     appended, in derivation (log) order, so the parent merge reproduces
@@ -125,7 +123,6 @@ class ComponentResult:
 
     deltas: Dict[Signature, Tuple[FactTuple, ...]]
     stats: EvalStats
-    derivations: Optional[dict]
 
 
 #: The worker process's plan cache.  A worker evaluates each component
@@ -175,11 +172,6 @@ def evaluate_component(spec: ComponentSpec) -> ComponentResult:
     baselines = {
         sig: len(db.relation(*sig)) for sig in sorted(spec.sigs)
     }
-    recorder = None
-    if spec.record:
-        from repro.engine.provenance import DerivationRecorder
-
-        recorder = DerivationRecorder({}, None)
     task = ComponentTask(
         spec.index, 0, spec.sigs, list(spec.rules), spec.recursive
     )
@@ -188,7 +180,6 @@ def evaluate_component(spec: ComponentSpec) -> ComponentResult:
         task,
         spec.config,
         mode=spec.mode,
-        recorder=recorder,
         fact_base=spec.fact_base,
         cache=_WORKER_CACHE,
     )
@@ -197,11 +188,7 @@ def evaluate_component(spec: ComponentSpec) -> ComponentResult:
         sig: tuple(db.relation(*sig)._log[base:])
         for sig, base in baselines.items()
     }
-    return ComponentResult(
-        deltas=deltas,
-        stats=stats,
-        derivations=recorder.derivations if recorder is not None else None,
-    )
+    return ComponentResult(deltas=deltas, stats=stats)
 
 
 # ----------------------------------------------------------------------
@@ -212,8 +199,8 @@ def evaluate_component(spec: ComponentSpec) -> ComponentResult:
 class ExecutorBackend:
     """How one depth batch's mutually independent components execute.
 
-    ``run_batch`` receives the owning scheduler (for its config, the shared
-    recorder, and :meth:`~repro.engine.scheduler.SCCScheduler.component_run`),
+    ``run_batch`` receives the owning scheduler (for its config and
+    :meth:`~repro.engine.scheduler.SCCScheduler.component_run`),
     the batch, the live database, and the run-wide stats.  It must
     leave ``db``/``stats`` exactly as the sequential schedule would —
     wall time and scheduling are the only degrees of freedom.
@@ -245,7 +232,7 @@ class SerialBackend(ExecutorBackend):
 
     def run_batch(self, scheduler, batch, db: Database, stats: EvalStats) -> None:
         for task in batch:
-            scheduler.component_run(task, scheduler.recorder).execute(db, stats)
+            scheduler.component_run(task).execute(db, stats)
 
 
 class ProcessBackend(ExecutorBackend):
@@ -254,12 +241,11 @@ class ProcessBackend(ExecutorBackend):
     The only backend with true compute parallelism under the GIL.  Per
     component it ships a :class:`ComponentSpec` (rules + knobs + compact
     relation snapshots of the component's read/write signatures) and
-    merges the returned :class:`ComponentResult` delta logs, stats, and
-    derivations at the barrier in batch order — so facts, counters, and
-    provenance trees are bit-identical to the serial backend.  The
-    pool persists across batches of one run (workers keep their plan
-    caches warm) and is shut down by the scheduler at the end of the
-    run.
+    merges the returned :class:`ComponentResult` delta logs and stats at
+    the barrier in batch order — so facts and counters are bit-identical
+    to the serial backend.  The pool persists across batches of one run
+    (workers keep their plan caches warm) and is shut down by the
+    scheduler at the end of the run.
 
     ``start_method`` picks the multiprocessing context (``"fork"``,
     ``"spawn"``, ...); ``None`` uses the platform default.  Worker
@@ -343,15 +329,12 @@ class ProcessBackend(ExecutorBackend):
                 if not isinstance(exc, BrokenExecutor):
                     raise exc
             raise errors[0]
-        recorder = scheduler.recorder
         for result in results:
             for sig, facts in result.deltas.items():
                 rel = db.relation(*sig)
                 for fact in facts:
                     rel.add(fact)
             stats.absorb(result.stats)
-            if recorder is not None and result.derivations is not None:
-                recorder.absorb_derivations(result.derivations)
 
     def close(self) -> None:
         self._discard_pool()

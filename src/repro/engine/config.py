@@ -12,7 +12,8 @@ The public entry points (``seminaive_eval``, ``naive_eval``,
 ``DeductiveDatabase``, ``recover_session``, the CLI) accept the knobs
 as keywords or a ready ``config=``, call :meth:`EngineConfig.resolve`
 once, and hand the frozen object down; nothing below them reads the
-environment or re-validates.  A place that needs a variant says so with
+environment or re-validates.  ``provenance_eval`` runs its own round
+loop in one process, so of its knobs only the budgets apply.  A place that needs a variant says so with
 :func:`dataclasses.replace`, which re-validates.
 """
 
@@ -80,8 +81,8 @@ class EngineConfig:
         Hash-split each delta round *inside* a recursive component's
         semi-naive fixpoint into this many disjoint partitions
         (:mod:`repro.engine.partition`); 1 is the unpartitioned path.
-        ``probes`` may differ across values; naive mode and provenance
-        runs have no delta stream to split and ignore it.
+        ``probes`` may differ across values; naive mode has no delta
+        stream to split and ignores it, and so does ``provenance_eval``.
     ``max_iterations``
         Cap on the fixpoint rounds of any *single* component; past it
         :class:`~repro.engine.stats.NonTerminationError` is raised.

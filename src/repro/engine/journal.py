@@ -108,12 +108,19 @@ class Journal:
     journal must not rely on its callers for record integrity — two
     racing appends interleaving their bytes would corrupt the log
     past any torn-tail repair.
+
+    A write or sync that raises (an ``OSError``, an injected tear)
+    leaves whatever bytes reached the file as a torn tail, where replay
+    stops, so the journal stops too: every later append raises
+    :class:`~repro.engine.stats.JournalError` naming that first
+    failure, and no batch is acknowledged that recovery would drop.
     """
 
     def __init__(self, path, fsync: bool = True):
         self.path = str(path)
         self.fsync = fsync
         self._append_lock = threading.Lock()
+        self._failed: Optional[BaseException] = None
         fresh = not os.path.exists(self.path) or os.path.getsize(self.path) == 0
         if not fresh:
             with open(self.path, "rb") as fh:
@@ -140,17 +147,26 @@ class Journal:
             + payload
         )
         with self._append_lock:
-            cut = faults.fire("journal", torn_length=len(record))
-            if cut is not None:
-                # A torn write: persist only a prefix, then fail exactly
-                # as a crash mid-write would have.
-                self._fh.write(record[:cut])
-                self._sync()
-                raise FaultInjected(
-                    f"injected torn journal write ({cut}/{len(record)} bytes)"
+            if self._failed is not None:
+                raise JournalError(
+                    f"journal {self.path} stopped after a failed append: "
+                    f"{type(self._failed).__name__}: {self._failed}"
                 )
-            self._fh.write(record)
-            self._sync()
+            cut = faults.fire("journal", torn_length=len(record))
+            try:
+                if cut is not None:
+                    # A torn write: persist only a prefix, then fail
+                    # exactly as a crash mid-write would have.
+                    self._fh.write(record[:cut])
+                    self._sync()
+                    raise FaultInjected(
+                        f"injected torn journal write ({cut}/{len(record)} bytes)"
+                    )
+                self._fh.write(record)
+                self._sync()
+            except (OSError, FaultInjected) as exc:
+                self._failed = exc
+                raise
 
     def append_batch(self, inserts: list, deletes: list) -> None:
         """Journal one batch (must precede applying it — WAL order)."""

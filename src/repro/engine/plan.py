@@ -300,8 +300,7 @@ class RulePlan:
 
     Execution enumerates exactly the body instantiations that
     :func:`repro.engine.reference.join_rule` would (in a different
-    order), and calls ``emit`` with the ground head tuple of each — the
-    plan equivalent of ``on_match`` + ``instantiate_head``.
+    order), and calls ``emit`` with the ground head tuple of each.
     """
 
     __slots__ = (
@@ -314,7 +313,6 @@ class RulePlan:
         "head_ops",
         "head_fast",
         "_head_getter",
-        "_body_ops",
         "_columnar",
         "_kernel",
     )
@@ -376,10 +374,6 @@ class RulePlan:
                 self._head_getter = lambda slots: (slots[only],)
             else:
                 self._head_getter = itemgetter(*slots_only)
-        # Per-body-literal ground-key templates for the provenance
-        # on_match hook; compiled lazily on first provenance execution
-        # so plain evaluation pays nothing.
-        self._body_ops: Optional[Tuple[Tuple[str, int, tuple], ...]] = None
         # Columnar kernel (repro.engine.columnar): the static spec,
         # compiled lazily on the first columnar execution of this plan
         # (False marks a plan the columnar path cannot run — it falls
@@ -407,24 +401,14 @@ class RulePlan:
         self,
         db: Database,
         overrides: Optional[Mapping[int, object]],
-        emit: Optional[Callable[[FactTuple], None]],
+        emit: Callable[[FactTuple], None],
         stats=None,
-        on_match: Optional[Callable[[FactTuple, tuple], None]] = None,
     ) -> None:
         """Run the plan; ``emit`` receives each ground head tuple.
 
         ``overrides`` maps *original* body positions to replacement
         relations (semi-naive delta/old views); a missing or ``None``
         entry falls back to the database relation.
-
-        ``on_match`` is the plan-level provenance hook: when given, it
-        replaces ``emit`` (pass ``emit=None``) and receives
-        ``(head_fact, body_fact_keys)`` per match, where
-        ``body_fact_keys`` is one ``(predicate, arity, args)`` key per
-        body literal **in source order** — the matched ground body
-        instance, independent of the join order.
-        The per-literal key templates are compiled lazily on the first
-        provenance execution, so plain evaluation pays nothing.
 
         Each step is resolved once per call to a raw container — a
         scan sequence, an index dict, or a fact set — so the inner
@@ -482,34 +466,6 @@ class RulePlan:
                 )
 
         slots: List[Optional[Term]] = [None] * self.num_slots
-        if on_match is not None:
-            body_ops = self._body_ops
-            if body_ops is None:
-                body_ops = self._body_ops = tuple(
-                    (
-                        literal.predicate,
-                        literal.arity,
-                        tuple(
-                            _compile_template(arg, self.var_slots)
-                            for arg in literal.args
-                        ),
-                    )
-                    for literal in self.rule.body
-                )
-
-            def emit(head_fact: FactTuple) -> None:
-                on_match(
-                    head_fact,
-                    tuple(
-                        (
-                            name,
-                            arity,
-                            tuple(_build(node, slots) for node in nodes),
-                        )
-                        for name, arity, nodes in body_ops
-                    ),
-                )
-
         nsteps = len(resolved)
         head_ops = self.head_ops
         head_fast = self.head_fast

@@ -6,18 +6,16 @@ instance that derived it, and EDB facts at the leaves.  This module
 materializes them: :func:`explain` returns a minimal-height derivation
 tree for a derived fact, built from a provenance-recording evaluation.
 
-Provenance evaluation is SCC-stratified semi-naive on compiled plans:
-the shared :class:`~repro.engine.scheduler.SCCScheduler` drives the
-same schedule as :func:`~repro.engine.seminaive.seminaive_eval`, and a
-:class:`DerivationRecorder` rides along on the
-``RulePlan.execute(..., on_match=...)`` hook, which reports the ground
-body instance behind every head emission.  Facts derived in round
-``r`` record bodies from rounds ``< r`` (the synchronous schedule), so
-recorded derivations are acyclic and height-minimal round-wise —
-exactly the trees the paper's inductions walk.  Recording is
-*canonical* (per fact: lowest rule, then lexicographically smallest
-body instance), so every backend and any ``jobs`` count record
-identical trees.
+Provenance evaluation is SCC-stratified semi-naive on compiled plans,
+with the counters of :func:`~repro.engine.seminaive.seminaive_eval`,
+run by this module's own round loop: a rule ``h :- B`` runs as
+``why(V) :- B`` (``V`` its body variables), so a plain plan emits each
+ground body instance.  Facts derived in round ``r`` record bodies from
+rounds ``< r`` (the synchronous schedule), so recorded derivations are
+acyclic and height-minimal round-wise — exactly the trees the paper's
+inductions walk.  Recording is *canonical* (per fact: lowest rule,
+then lexicographically smallest body instance), so no join order or
+schedule can change a tree.
 
 Trees are also how a library user audits an answer ("why is 7
 reachable?"), so the module doubles as the provenance feature of the
@@ -26,15 +24,26 @@ engine.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.datalog.literals import Literal
 from repro.datalog.program import Program
-from repro.datalog.rules import Rule
+from repro.datalog.rules import Rule, UnsafeRuleError
+from repro.datalog.terms import Variable
 from repro.engine.config import EngineConfig
-from repro.engine.database import Database, FactTuple
-from repro.engine.scheduler import evaluate
+from repro.engine.database import Database, FactTuple, load_program_facts
+from repro.engine.plan import _build as _build_term, _compile_template
+from repro.engine.scheduler import (
+    _FULL,
+    ComponentRun,
+    SCCScheduler,
+    _TermRows,
+    delta_variants,
+    window_overrides,
+)
 from repro.engine.stats import EvalStats
 
 Signature = Tuple[str, int]
@@ -116,72 +125,6 @@ class EdbKeyView:
         return sum(len(rel) for rel in self._db.relations.values())
 
 
-class DerivationRecorder:
-    """Canonical per-round derivation recording for the scheduler.
-
-    The scheduler calls :meth:`start_round` at the top of every
-    fixpoint round, :meth:`observe` for each in-round derivation of a
-    not-yet-known fact, and :meth:`commit` when the fact is actually
-    added at the round barrier.  Among a round's candidate derivations
-    of the same fact the *canonical* one is kept — smallest rule index
-    (component rule order), then lexicographically smallest rendered
-    body instance — so the recorded tree is independent of join order,
-    execution backend, and job count.
-    """
-
-    __slots__ = ("derivations", "edb_keys", "_round")
-
-    def __init__(
-        self,
-        derivations: Dict[FactKey, Tuple[Optional[Rule], Tuple[FactKey, ...]]],
-        edb_keys: EdbKeyView,
-    ):
-        self.derivations = derivations
-        self.edb_keys = edb_keys
-        self._round: Dict[FactKey, tuple] = {}
-
-    def absorb_derivations(
-        self, derivations: Dict[FactKey, Tuple[Optional[Rule], Tuple[FactKey, ...]]]
-    ) -> None:
-        """Fold in a bare derivations mapping (no recorder around it).
-
-        The process execution backend returns a worker recorder's
-        derivations dict across the process boundary; the keys are the
-        worker component's own head signatures, hence disjoint from
-        every other component's, so a plain update is the merge.
-        """
-        self.derivations.update(derivations)
-
-    def start_round(self) -> None:
-        self._round.clear()
-
-    def observe(
-        self,
-        sig: Signature,
-        head_fact: FactTuple,
-        rule_index: int,
-        rule: Rule,
-        body_keys: Tuple[FactKey, ...],
-    ) -> None:
-        key = (sig[0], sig[1], head_fact)
-        sort_key = (
-            rule_index,
-            tuple(
-                (name, arity, tuple(str(term) for term in args))
-                for name, arity, args in body_keys
-            ),
-        )
-        entry = self._round.get(key)
-        if entry is None or sort_key < entry[0]:
-            self._round[key] = (sort_key, rule, body_keys)
-
-    def commit(self, sig: Signature, fact: FactTuple) -> None:
-        key = (sig[0], sig[1], fact)
-        entry = self._round.get(key)
-        if entry is not None:
-            self.derivations[key] = (entry[1], entry[2])
-
-
 @dataclass
 class ProvenanceResult:
     """Database plus one recorded derivation per derived fact."""
@@ -220,6 +163,108 @@ class ProvenanceResult:
         return DerivationTree(fact, rule, children)
 
 
+def _instantiate(args, slot_of: Dict[Variable, int]):
+    """``why`` tuple -> the ground ``args`` it binds."""
+    if len(args) > 1 and all(type(arg) is Variable for arg in args):
+        return itemgetter(*[slot_of[arg] for arg in args])
+    templates = [_compile_template(arg, slot_of) for arg in args]
+    return lambda why: tuple([_build_term(node, why) for node in templates])
+
+
+def _rendered(keys):
+    return [(name, arity, list(map(str, args))) for name, arity, args in keys]
+
+
+def _fixpoint(run: ComponentRun, db: Database, stats: EvalStats, derivations) -> None:
+    """One component's rounds as :meth:`ComponentRun._fixpoint` runs
+    them in semi-naive mode on term rows, recording in ``derivations``
+    the canonical instance of each new fact: the first rule to derive
+    it in its round, then the least rendered body.  Equal rules share a
+    ``why`` rule (and so a plan) and distinct ones never do, so
+    compilations count as the rules' own."""
+    task, recursive = run.task, run.task.recursive
+    rows = _TermRows(db, stats)
+    budget = run._check_facts if run.config.max_facts is not None else None
+    rels = {sig: db.relation(*sig) for sig in task.sigs}
+    names: Dict[Rule, str] = {}
+    firings = []
+    for rule in task.rules:
+        variables = rule.body_variables()
+        slots = {var: slot for slot, var in enumerate(variables)}
+        name = names.setdefault(rule, f"why{len(names)}")
+        body = [(b.predicate, b.arity, _instantiate(b.args, slots)) for b in rule.body]
+        head_of = rule.is_range_restricted() and _instantiate(rule.head.args, slots)
+        variants = delta_variants(rule, task.sigs) if recursive else None
+        firings.append((
+            rule, Rule(Literal(name, variables), rule.body), head_of, body,
+            variants or _FULL, bool(variants),
+        ))
+    delta_start = dict.fromkeys(task.sigs, 0)
+    first_round = True
+    try:
+        while True:
+            run.begin_round(stats)
+            stop = {sig: len(rel) for sig, rel in rels.items()}
+            views: dict = {}
+            new: Dict[Signature, set] = {}
+            for rule, why, head_of, body, variants, every_round in firings:
+                if not (every_round or first_round):
+                    continue
+                whys: list = []
+                for roles, binding in variants:
+                    overrides = window_overrides(
+                        binding, views, rels, delta_start, stop
+                    )
+                    plan = run.cache.plan(why, roles, stats)
+                    plan.execute(db, overrides or None, whys.append, stats)
+                if not whys:
+                    continue
+                if not head_of:  # at the first match, as RulePlan.execute
+                    raise UnsafeRuleError(
+                        f"rule is not range-restricted; head variable unbound in {rule}"
+                    )
+                stats.inferences += len(whys)
+                sig = rule.head.signature
+                rel = rels[sig]
+                known = rel.tuples
+                heads = list(map(head_of, whys))
+                least: dict = {}  # new fact -> (body keys, rendered once compared)
+                for instance, head in zip(whys, heads):
+                    if head in known:
+                        continue
+                    key = (sig[0], sig[1], head)
+                    if key in derivations:  # an earlier rule derived it this round
+                        continue
+                    keys = tuple([(p, n, args(instance)) for p, n, args in body])
+                    kept = least.get(key)
+                    if kept is None:
+                        least[key] = (keys, None)
+                        continue
+                    rank, kept_rank = _rendered(keys), kept[1] or _rendered(kept[0])
+                    if rank < kept_rank:
+                        least[key] = (keys, rank)
+                    else:
+                        least[key] = (kept[0], kept_rank)
+                for key, (keys, _) in least.items():
+                    derivations[key] = (rule, keys)
+                fresh = rows.novel(rel, heads)
+                if fresh and not recursive:
+                    rows.absorb(sig, rel, fresh, budget)
+                elif fresh:
+                    new.setdefault(sig, set()).update(fresh)
+            delta_start = stop
+            for sig, fresh in new.items():
+                rows.absorb(sig, rels[sig], fresh)
+                if budget is not None:
+                    budget(stats)
+            first_round = False
+            if not new:
+                break
+    finally:
+        for rel in rels.values():
+            rel.release_delta_rows()
+
+
 def provenance_eval(
     program: Program,
     edb: Database,
@@ -230,15 +275,11 @@ def provenance_eval(
 
     Facts derived in round ``r`` of their component record bodies from
     rounds ``< r`` (the synchronous schedule), so recorded derivations
-    are acyclic and height-minimal round-wise.  ``config``/keyword
-    knobs are those of :func:`~repro.engine.seminaive.seminaive_eval`
-    (:class:`~repro.engine.config.EngineConfig`); every combination
-    derives the same fixpoint, the same counters, and — because
-    recording is canonical — the same derivation trees (under the
-    process backend, workers record into private recorders whose
-    derivations return with the component results and merge at the
-    batch barrier).
+    are acyclic and height-minimal round-wise.  Of the
+    :class:`~repro.engine.config.EngineConfig` knobs only the budgets
+    apply: components run one after another in this process.
     """
+    config = EngineConfig.resolve(config, **knobs)
     edb_keys = EdbKeyView(edb)
     derivations: Dict[FactKey, Tuple[Optional[Rule], Tuple[FactKey, ...]]] = {}
     for rule in program.rules:
@@ -246,14 +287,17 @@ def provenance_eval(
             key = (rule.head.predicate, rule.head.arity, rule.head.args)
             if key not in edb_keys:
                 derivations.setdefault(key, (rule, ()))
-    db, stats = evaluate(
-        program,
-        edb,
-        "seminaive",
-        config,
-        knobs,
-        recorder=DerivationRecorder(derivations, edb_keys),
-    )
+    db = edb.copy()
+    stats = EvalStats()
+    start = time.perf_counter()
+    stats.facts += load_program_facts(program, db)
+    tasks = SCCScheduler(program, config).tasks
+    stats.scc_count += len(tasks)
+    for task in tasks:
+        seconds = config.max_seconds
+        deadline = None if seconds is None else time.monotonic() + seconds
+        _fixpoint(ComponentRun(task, config, deadline=deadline), db, stats, derivations)
+    stats.seconds = time.perf_counter() - start
     return ProvenanceResult(
         database=db, stats=stats, derivations=derivations, edb_keys=edb_keys
     )

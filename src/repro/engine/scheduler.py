@@ -6,15 +6,13 @@ place that evaluation is written down: :class:`SCCScheduler` owns the
 predicate dependency graph traversal, groups strongly connected
 components into **topological depth batches**, and runs one
 :class:`ComponentRun` — a per-component fixpoint — for each component.
-The evaluator frontends (`naive_eval`, `seminaive_eval`,
-`provenance_eval`) differ only in the *mode* of that per-component
-fixpoint, which one driver (:meth:`ComponentRun._fixpoint`) serves by
-changing which windows of the component's relations feed a rule's
-recursive body occurrences:
+The evaluator frontends (`naive_eval`, `seminaive_eval`) differ only
+in the *mode* of that per-component fixpoint, which one driver
+(:meth:`ComponentRun._fixpoint`) serves by changing which windows of
+the component's relations feed a rule's recursive body occurrences:
 
 * ``mode="seminaive"`` — the delta-decomposed iteration (the paper's
-  evaluator; also used by ``provenance_eval`` with a derivation
-  recorder attached);
+  evaluator);
 * ``mode="naive"`` — full re-evaluation of the component's rules every
   round (trivially correct, quadratic per component).
 
@@ -135,21 +133,14 @@ class SCCScheduler:
     """Shared driver: stratify a program and run per-component fixpoints.
 
     The frontends (:func:`~repro.engine.seminaive.seminaive_eval`,
-    :func:`~repro.engine.naive.naive_eval`,
-    :func:`~repro.engine.provenance.provenance_eval`) construct one of
-    these per evaluation, then call :meth:`run` against a database that
-    already holds the EDB and any program facts.
+    :func:`~repro.engine.naive.naive_eval`) construct one of these per
+    evaluation, then call :meth:`run` against a database that already
+    holds the EDB and any program facts.
 
     ``config`` carries every execution knob
     (:class:`~repro.engine.config.EngineConfig`; ``None`` resolves the
     defaults).  With ``jobs == 1`` the backend is never consulted —
     every schedule is the sequential one.
-
-    ``recorder`` attaches plan-level provenance: a duck-typed object
-    with ``start_round()`` / ``observe(sig, fact, rule_index, rule,
-    body_keys)`` / ``commit(sig, fact)`` / ``absorb_derivations()``
-    (see :class:`repro.engine.provenance.DerivationRecorder`).  A
-    recording run executes tuple-at-a-time (:meth:`RulePlan.execute`).
 
     ``executor`` is a ready
     :class:`~repro.engine.backends.ExecutorBackend` to run parallel
@@ -162,7 +153,6 @@ class SCCScheduler:
         program: Program,
         config: Optional[EngineConfig] = None,
         mode: str = "seminaive",
-        recorder=None,
         cache: Optional[PlanCache] = None,
         executor: Optional[ExecutorBackend] = None,
     ):
@@ -172,7 +162,6 @@ class SCCScheduler:
         self.mode = mode
         self.config = EngineConfig.resolve(config)
         self.backend = executor or make_backend(self.config)
-        self.recorder = recorder
         #: Optional shared plan cache: when set, sequential component
         #: runs compile into it instead of one private cache per run,
         #: so repeated evaluations of the same program (the per-query
@@ -209,12 +198,10 @@ class SCCScheduler:
 
     # ------------------------------------------------------------------
 
-    def component_run(self, task: ComponentTask, recorder=None) -> "ComponentRun":
+    def component_run(self, task: ComponentTask) -> "ComponentRun":
         """A :class:`ComponentRun` for ``task`` with this run's knobs,
         evaluated in this process (the serial schedule)."""
-        return ComponentRun(
-            task, self.config, mode=self.mode, recorder=recorder, cache=self.cache
-        )
+        return ComponentRun(task, self.config, mode=self.mode, cache=self.cache)
 
     def with_budget(
         self, max_iterations: Optional[int], max_facts: Optional[int]
@@ -249,7 +236,7 @@ class SCCScheduler:
                     stats.scc_parallel_batches += 1
                 if self.config.jobs == 1 or len(batch) == 1:
                     for task in batch:
-                        self.component_run(task, self.recorder).execute(db, stats)
+                        self.component_run(task).execute(db, stats)
                 else:
                     self.backend.run_batch(self, batch, db, stats)
                     self._recheck_fact_budget(stats)
@@ -279,7 +266,6 @@ def evaluate(
     mode: str,
     config: Optional[EngineConfig],
     knobs: dict,
-    recorder=None,
 ) -> Tuple[Database, EvalStats]:
     """The body the evaluator frontends share: resolve, load, run, time.
 
@@ -297,7 +283,7 @@ def evaluate(
     stats = EvalStats()
     start = time.perf_counter()
     stats.facts += load_program_facts(program, db)
-    SCCScheduler(program, config, mode, recorder, executor=executor).run(db, stats)
+    SCCScheduler(program, config, mode, executor=executor).run(db, stats)
     stats.seconds = time.perf_counter() - start
     return db, stats
 
@@ -307,33 +293,91 @@ def evaluate(
 _FULL = [((), ())]
 
 
+def delta_variants(
+    rule: Rule, sigs: frozenset, seeds: Optional[Mapping[Signature, int]] = None
+) -> List[Tuple[RoleSpec, list]]:
+    """One delta decomposition per recursive occurrence of ``rule``.
+
+    Occurrences are the body positions of a component signature
+    (``sigs``).  For them at positions ``i1 < ... < im``, variant ``j``
+    reads the *delta* at ``ij``, the *old* relation at later
+    occurrences, and the full relation (no override) before it.  Each
+    variant is ``(roles, binding)``: the plan-cache role spec, and
+    ``(position, role, signature)`` triples from which a round builds
+    its override views.
+
+    A resumed run (``seeds``, see :meth:`ComponentRun.resume`) has one
+    variant per occurrence of a component *or seeded* relation, reading
+    the delta there and full relations at every other position.
+    """
+    if seeds is not None:
+        return [
+            (((pos, "delta"),), [(pos, "delta", lit.signature)])
+            for pos, lit in enumerate(rule.body)
+            if lit.signature in sigs or lit.signature in seeds
+        ]
+    positions = [i for i, lit in enumerate(rule.body) if lit.signature in sigs]
+    variants = []
+    for j in range(len(positions)):
+        roles = tuple(
+            (pos, "delta" if k == j else "old")
+            for k, pos in enumerate(positions)
+            if k >= j
+        )
+        binding = [(pos, role, rule.body[pos].signature) for pos, role in roles]
+        variants.append((roles, binding))
+    return variants
+
+
+def window_overrides(
+    binding: list,
+    views: Dict[Tuple[Signature, str], RelationView],
+    windows: Mapping[Signature, Relation],
+    delta_start: Mapping[Signature, int],
+    stop: Mapping[Signature, int],
+) -> Dict[int, RelationView]:
+    """A delta variant's override views by body position: *delta* is
+    the log slice ``[delta_start:stop]``, *old* the prefix before it.
+    A round builds each (signature, role) window once, into ``views``,
+    and its later variants share it (indexes too)."""
+    overrides = {}
+    for pos, role, sig in binding:
+        view = views.get((sig, role))
+        if view is None:
+            lo, hi = delta_start[sig], stop[sig]
+            if role != "delta":  # old: the log before it
+                lo, hi = 0, lo
+            view = views[sig, role] = RelationView(windows[sig], lo, hi)
+        overrides[pos] = view
+    return overrides
+
+
 class _TermRows:
     """Rows are term tuples.
 
-    The only representation a provenance recorder can observe or a
-    nullary / foreign-dictionary head relation can absorb, and the one
-    a naive recursive fixpoint keeps.  Without ``kernel`` every plan
-    runs tuple-at-a-time (:meth:`RulePlan.execute`); with it an
-    eligible plan runs through the batch kernel and its rows are
-    decoded to terms as they arrive (a decline falls back to the tuple
-    executor and counts a ``columnar_fallbacks``).  Dedup and
-    absorption stay on the term side — ``rel.tuples`` and ``rel.add``
-    — so the head's whole-relation row set is never asked for: what a
-    resumed run wants (:meth:`ComponentRun.resume`).
+    The only representation a nullary / foreign-dictionary head
+    relation can absorb, and the one a naive recursive fixpoint keeps.
+    Without ``kernel`` every plan runs tuple-at-a-time
+    (:meth:`RulePlan.execute`); with it an eligible plan runs through
+    the batch kernel and its rows are decoded to terms as they arrive
+    (a decline falls back to the tuple executor and counts a
+    ``columnar_fallbacks``).  Dedup and absorption stay on the term
+    side — ``rel.tuples`` and ``rel.add`` — so the head's
+    whole-relation row set is never asked for: what a resumed run
+    wants (:meth:`ComponentRun.resume`).
     """
 
-    __slots__ = ("db", "stats", "recorder", "interned", "capable")
+    __slots__ = ("db", "stats", "interned", "capable")
 
-    def __init__(self, db: Database, stats: EvalStats, recorder=None, kernel=False):
+    def __init__(self, db: Database, stats: EvalStats, kernel=False):
         self.db = db
         self.stats = stats
-        self.recorder = recorder
         #: What a partitioned run is told to split and emit.
         self.interned = kernel
         #: Plans the kernel found capable in this run (execute_columnar).
         self.capable: set = set()
 
-    def run(self, plan, overrides, rel: Relation, rule_index: int, rule: Rule):
+    def run(self, plan, overrides, rel: Relation):
         """``(self, head facts)`` of one plan execution, duplicates kept."""
         if self.interned:
             rows = execute_columnar(
@@ -343,19 +387,7 @@ class _TermRows:
                 return self, self.adopt(rows)
             self.stats.columnar_fallbacks += 1
         emitted: List[FactTuple] = []
-        recorder = self.recorder
-        if recorder is None:
-            plan.execute(self.db, overrides, emitted.append, self.stats)
-            return self, emitted
-        sig = rule.head.signature
-        known = rel.tuples
-
-        def on_match(head, body_keys):
-            emitted.append(head)
-            if head not in known:
-                recorder.observe(sig, head, rule_index, rule, body_keys)
-
-        plan.execute(self.db, overrides, None, self.stats, on_match=on_match)
+        plan.execute(self.db, overrides, emitted.append, self.stats)
         return self, emitted
 
     def adopt(self, out) -> list:
@@ -369,13 +401,10 @@ class _TermRows:
 
     def absorb(self, sig: Signature, rel: Relation, fresh, budget=None) -> None:
         """Add ``fresh``; ``budget`` (if any) is checked after every fact."""
-        recorder = self.recorder
         stats = self.stats
         for fact in fresh:
             rel.add(fact)
             stats.record_fact(sig)
-            if recorder is not None:
-                recorder.commit(sig, fact)
             if budget is not None:
                 budget(stats)
 
@@ -408,13 +437,13 @@ class _InternedRows:
         self.single_pass = single_pass
         self.capable: set = set()  # as _TermRows.capable
 
-    def run(self, plan, overrides, rel: Relation, rule_index: int, rule: Rule):
+    def run(self, plan, overrides, rel: Relation):
         """``(representation, batch)`` of one plan execution."""
         db = self.db
         rows = execute_columnar(plan, db, overrides, self.stats, self.capable)
         if rows is None:
             self.stats.columnar_fallbacks += 1
-            batch = self.terms.run(plan, overrides, rel, rule_index, rule)
+            batch = self.terms.run(plan, overrides, rel)
             if self.single_pass:
                 return batch
             intern = db.dictionary.intern
@@ -496,7 +525,6 @@ class ComponentRun:
         "config",
         "mode",
         "cache",
-        "recorder",
         "fact_base",
         "rounds",
         "_deadline",
@@ -507,7 +535,6 @@ class ComponentRun:
         task: ComponentTask,
         config: EngineConfig,
         mode: str = "seminaive",
-        recorder=None,
         fact_base: int = 0,
         cache: Optional[PlanCache] = None,
         deadline: Optional[float] = None,
@@ -516,7 +543,6 @@ class ComponentRun:
         self.config = config
         self.mode = mode
         self.cache = cache if cache is not None else PlanCache()
-        self.recorder = recorder
         self.fact_base = fact_base
         self.rounds = 0
         self._deadline = deadline
@@ -561,7 +587,7 @@ class ComponentRun:
             # Per-component wall clock: the watchdog is armed at execute
             # time (not construction) so pool queueing doesn't count.
             self._deadline = time.monotonic() + self.config.max_seconds
-        self._drive(db, stats, self._rows(db, stats))
+        self._fixpoint(db, stats, self._rows(db, stats))
 
     def resume(
         self, db: Database, stats: EvalStats, since: Mapping[Signature, int]
@@ -594,41 +620,25 @@ class ComponentRun:
         with ``kernel=True``): interned absorption dedups against
         ``Relation.col_set()``, which the copy-on-write detach of a
         maintenance batch does not carry, and rebuilding it would cost
-        the relation, not the delta.  No derivation recorder rides on a
-        resumed run — maintenance keeps facts, not trees.
+        the relation, not the delta.
         """
         faults.fire("component")
         db.ensure_dictionary()
-        self._drive(db, stats, _TermRows(db, stats, kernel=True), since)
-
-    def _drive(self, db: Database, stats: EvalStats, rows, seeds=None) -> None:
-        """Run the fixpoint, partitioned where a delta exists to split."""
-        nparts = 1
-        if (
-            (self.task.recursive or seeds is not None)
-            and self.mode == "seminaive"
-            and self.recorder is None
-        ):
-            # Partitioning engages only where a delta exists to split:
-            # the semi-naive fixpoint of a recursive component or any
-            # resumed one, without a provenance recorder (which needs
-            # the single sequential emission stream).
-            nparts = self.config.partitions
-        self._fixpoint(db, stats, rows, nparts, seeds)
+        self._fixpoint(db, stats, _TermRows(db, stats, kernel=True), since)
 
     def _rows(self, db: Database, stats: EvalStats):
         """The row representation of this run, picked once.
 
-        Interned rows need no recorder watching term-level matches and,
-        in a fixpoint, every head relation of the component to take row
-        appends (arity above zero, on the database's term dictionary):
-        a round's delta must be readable as rows in the next.  Naive
-        recursive fixpoints stay on term rows: the uniform-redundancy
-        chase runs them, and its pinned plan lookups, kernel calls and
-        column syncs are counted on that path.
+        Interned rows need, in a fixpoint, every head relation of the
+        component to take row appends (arity above zero, on the
+        database's term dictionary): a round's delta must be readable
+        as rows in the next.  Naive recursive fixpoints stay on term
+        rows: the uniform-redundancy chase runs them, and its pinned
+        plan lookups, kernel calls and column syncs are counted on that
+        path.
         """
         recursive = self.task.recursive
-        if self.recorder is None and not (recursive and self.mode == "naive"):
+        if not (recursive and self.mode == "naive"):
             # Adopt (or mint) the database's term dictionary lazily so
             # every caller that builds a ComponentRun directly — the
             # process-backend worker, incremental recomputes — gets the
@@ -639,52 +649,11 @@ class ComponentRun:
                 for sig in self.task.sigs
             ):
                 return _InternedRows(db, stats, single_pass=not recursive)
-        return _TermRows(db, stats, self.recorder)
-
-    def _delta_variants(
-        self, rule: Rule, seeds: Optional[Mapping[Signature, int]] = None
-    ) -> List[Tuple[RoleSpec, list]]:
-        """One delta decomposition per recursive occurrence of ``rule``.
-
-        For recursive occurrences at body positions ``i1 < ... < im``,
-        variant ``j`` reads the *delta* at ``ij``, the *old* relation at
-        later occurrences, and the full relation (no override) before
-        it.  Each variant is ``(roles, binding)``: the plan-cache role
-        spec, and ``(position, role, signature)`` triples from which a
-        round builds its override views.
-
-        A resumed run (``seeds``, see :meth:`resume`) has one variant
-        per occurrence of a component *or seeded* relation, reading the
-        delta there and full relations at every other position.
-        """
-        scc_set = self.task.sigs
-        if seeds is not None:
-            return [
-                (((pos, "delta"),), [(pos, "delta", lit.signature)])
-                for pos, lit in enumerate(rule.body)
-                if lit.signature in scc_set or lit.signature in seeds
-            ]
-        positions = [
-            i for i, lit in enumerate(rule.body) if lit.signature in scc_set
-        ]
-        variants = []
-        for j in range(len(positions)):
-            roles = tuple(
-                (pos, "delta" if k == j else "old")
-                for k, pos in enumerate(positions)
-                if k >= j
-            )
-            binding = [
-                (pos, role, rule.body[pos].signature) for pos, role in roles
-            ]
-            variants.append((roles, binding))
-        return variants
+        return _TermRows(db, stats)
 
     # -- the fixpoint -------------------------------------------------------
 
-    def _fixpoint(
-        self, db: Database, stats: EvalStats, rows, nparts: int, seeds=None
-    ) -> None:
+    def _fixpoint(self, db: Database, stats: EvalStats, rows, seeds=None) -> None:
         """Rounds of rule firings until a round derives nothing new.
 
         In semi-naive mode neither deltas nor "old" relations are ever
@@ -705,10 +674,11 @@ class ComponentRun:
         to start at, in place of 0.  Seeded relations outside the
         component are windowed like its own; they do not grow, so the
         offset bump that ends a round empties their delta for good.
+        Partitioning engages only where a delta exists to split: the
+        semi-naive fixpoint of a recursive component or any resumed one.
         """
         scc_set = self.task.sigs
         cache = self.cache
-        recorder = self.recorder
         recursive = self.task.recursive
         seminaive = self.mode == "seminaive"
         capped = self.config.max_facts is not None
@@ -742,11 +712,12 @@ class ComponentRun:
         # is windowed has nothing new to read.
         firings = []
         windowed = seeded or (seminaive and recursive)
-        for rule_index, rule in enumerate(self.task.rules):
-            variants = self._delta_variants(rule, seeds) if windowed else None
+        nparts = self.config.partitions if windowed and seminaive else 1
+        for rule in self.task.rules:
+            variants = delta_variants(rule, scc_set, seeds) if windowed else None
             if variants or not seeded:
                 firings.append(
-                    (rule_index, rule, rule.head.signature, variants or _FULL,
+                    (rule, rule.head.signature, variants or _FULL,
                      bool(variants) or not seminaive)
                 )
 
@@ -754,17 +725,13 @@ class ComponentRun:
         try:
             while True:
                 self.begin_round(stats)
-                if recorder is not None:
-                    recorder.start_round()
                 round_partitioned = False
                 if windowed:
                     stop = {sig: len(rel) for sig, rel in windows.items()}
-                    # (signature, role) -> this round's window, built when a
-                    # firing binds it and shared (indexes too) by later ones
                     views: Dict[Tuple[Signature, str], RelationView] = {}
                 new: Dict[Signature, set] = {}
 
-                for rule_index, rule, sig, variants, every_round in firings:
+                for rule, sig, variants, every_round in firings:
                     if not (every_round or first_round):
                         continue
                     rel = rels[sig]
@@ -776,17 +743,9 @@ class ComponentRun:
                             delta_sig = binding[0][2]
                             if seeded and stop[delta_sig] == delta_start[delta_sig]:
                                 continue  # nothing new at this occurrence
-                            overrides = {}
-                            for pos, role, body_sig in binding:
-                                view = views.get((body_sig, role))
-                                if view is None:
-                                    lo, hi = delta_start[body_sig], stop[body_sig]
-                                    if role != "delta":  # old: the log before it
-                                        lo, hi = 0, lo
-                                    view = views[body_sig, role] = RelationView(
-                                        windows[body_sig], lo, hi
-                                    )
-                                overrides[pos] = view
+                            overrides = window_overrides(
+                                binding, views, windows, delta_start, stop
+                            )
                         plan = cache.plan(rule, roles, stats)
                         out = None
                         if nparts > 1 and roles:
@@ -803,9 +762,7 @@ class ComponentRun:
                                 round_partitioned = True
                                 out = rows.adopt(out)
                         if out is None:
-                            batch_rows, out = rows.run(
-                                plan, overrides, rel, rule_index, rule
-                            )
+                            batch_rows, out = rows.run(plan, overrides, rel)
                         if emitted:
                             emitted.extend(out)
                         else:

@@ -43,7 +43,7 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import Optional, Set, Tuple, Union
+from typing import List, Optional, Set, Tuple, Union
 
 from repro.datalog.literals import Literal
 from repro.datalog.parser import parse_literal, parse_query
@@ -339,8 +339,9 @@ def handle_line(server: DatalogServer, line: str):
     ask (goal-directed, against the pinned EDB), ``explain fact``
     (against the pinned EDB too), ``stats``, ``quit``/``exit``; blank
     lines and ``#`` comments are
-    no-ops.  Errors — including a rolled-back batch — report as an
-    ``error:`` status and leave the served state untouched.
+    no-ops.  Errors — including a rolled-back batch and a failed
+    journal write — report as an ``error:`` status and leave the
+    served state untouched.
     """
     line = line.strip()
     payload = []
@@ -381,8 +382,14 @@ def handle_line(server: DatalogServer, line: str):
         if line in ("quit", "exit"):
             return payload, "ok bye", True
         raise ValueError(f"unknown command {line!r}")
-    except (ValueError, KeyError, RuntimeError) as exc:
+    except (ValueError, KeyError, RuntimeError, OSError) as exc:
         return payload, f"error: {exc}", False
+
+
+def reply(payload: List[str], status: str) -> str:
+    """A :func:`handle_line` result as a client reads it: one ``= ``
+    line per payload line, then the status line."""
+    return "".join(f"= {p}\n" for p in payload) + status + "\n"
 
 
 class SocketFront:
@@ -458,8 +465,7 @@ class SocketFront:
             with conn, conn.makefile("r", encoding="utf-8") as reader:
                 for line in reader:
                     payload, status, quitting = handle_line(self.server, line)
-                    out = "".join(f"= {p}\n" for p in payload) + status + "\n"
-                    conn.sendall(out.encode("utf-8"))
+                    conn.sendall(reply(payload, status).encode("utf-8"))
                     if quitting:
                         break
         except (OSError, ValueError):

@@ -79,7 +79,9 @@ class JournalError(RuntimeError):
     torn tail: a torn tail is an expected crash artifact that replay
     handles by stopping early, while a wrong magic number or an
     unreadable file means this is not (or no longer is) a journal and
-    continuing would corrupt data.
+    continuing would corrupt data.  Also raised by every append after
+    one that failed mid-write: a record past a torn one would never be
+    replayed.
     """
 
 

@@ -10,6 +10,7 @@ from repro.datalog.literals import Literal
 from repro.datalog.program import Program
 from repro.engine.database import Database
 from repro.engine.naive import naive_eval
+from repro.engine.unify import match
 
 
 def answer_values(answers: Set[Tuple]) -> Set[Tuple]:
@@ -114,6 +115,22 @@ def assert_trees_are_those_of(session, edb: Database, limit=None) -> None:
     )
     for fact in derived[:limit]:
         assert session.explain(fact) == ref.explain(fact), fact
+
+
+def assert_derivations_sound(result):
+    """Every recorded ``(rule, body keys)`` is a rule instance over the
+    database: the body facts hold, in source order, and instantiate the
+    head to exactly the recorded fact."""
+    for (name, arity, args), (rule, body_keys) in result.derivations.items():
+        assert len(body_keys) == len(rule.body)
+        bindings = {}
+        for literal, (body_name, body_arity, body_args) in zip(rule.body, body_keys):
+            assert (body_name, body_arity) == literal.signature
+            assert result.database.has_fact(body_name, body_args)
+            bindings = match(literal, body_args, bindings)
+            assert bindings is not None
+        assert rule.head.signature == (name, arity)
+        assert match(rule.head, args, bindings) is not None
 
 
 def pin_storage(db: Database):

@@ -214,3 +214,17 @@ def test_one_benchmark():
         "src", "tests", "benchmarks", "tools", "docs", "examples",
         ".github", ".claude", "README.md", "setup.py",
     ) == []
+
+
+def test_derivation_trees_stay_outside_the_fixpoint_loop():
+    """``provenance_eval`` runs each rule as ``why(V) :- B`` from its own
+    round loop in ``engine/provenance.py`` (docs/engine.md, "Plan-level
+    provenance"), so the evaluator, its plans, its backends, the batch
+    kernel and the partitioner carry no recording hook for one caller."""
+    assert grep(
+        "recorder|on_match|DerivationRecorder|absorb_derivations",
+        *(
+            f"src/repro/engine/{name}.py"
+            for name in ("scheduler", "plan", "backends", "columnar", "partition")
+        ),
+    ) == []

@@ -179,9 +179,10 @@ class TestServe:
         blocks = out.split("\n")
         # After the inserts the closure reaches 6; after deleting
         # e(2, 3) only t(1, 2) survives.
-        assert "6" in out
-        assert blocks.count("2") >= 3
+        assert "= 6" in blocks
+        assert blocks.count("= 2") >= 3
         assert "facts=" in out
+        assert "ok +" in out and "ok deleted" in out and blocks[-2:] == ["ok bye", ""]
 
     def test_bad_input_reports_and_continues(
         self, tmp_path, program_file, facts_file, capsys
@@ -203,10 +204,12 @@ class TestServe:
         )
         assert code == 0
         captured = capsys.readouterr()
-        assert "t(1, 3)    [via" in captured.out
+        assert "= t(1, 3)    [via" in captured.out
         assert "error: line 3: " in captured.err  # gone with e(2, 3)
         # one step now, from the inserted edge
-        assert captured.out.endswith("t(1, 3)    [via t(X, Y) :- e(X, Y).]\n  e(1, 3)\n")
+        assert captured.out.endswith(
+            "= t(1, 3)    [via t(X, Y) :- e(X, Y).]\n=   e(1, 3)\nok\n"
+        )
 
     @pytest.mark.parametrize("command", ["serve", "recover"])
     def test_removed_provenance_flag_is_a_usage_error(
@@ -372,8 +375,8 @@ class TestServeJournal:
         captured = capsys.readouterr()
         assert "recovered 2 batches" in captured.err
         out = captured.out.splitlines()
-        assert "4" in out and "5" in out  # t(3, 4), t(3, 5) survive
-        assert out.count("2") == 1  # t(1, 2) only: e(2, 3) stays deleted
+        assert "= 4" in out and "= 5" in out  # t(3, 4), t(3, 5) survive
+        assert out.count("= 2") == 1  # t(1, 2) only: e(2, 3) stays deleted
 
     def test_rolled_back_batch_is_not_replayed(
         self, tmp_path, program_file, facts_file, capsys
@@ -572,7 +575,8 @@ class TestCrashRecovery:
                 proc.stdin.write(line + "\n")
                 proc.stdin.flush()
                 ack = proc.stdout.readline()  # per-batch acknowledgement
-                assert ack.strip(), "serve died before acknowledging a batch"
+                # the status line, after the prompt input() echoes
+                assert ack.startswith("repro> ok "), f"no acknowledgement: {ack!r}"
             os.kill(proc.pid, signal.SIGKILL)
         finally:
             proc.wait(timeout=30)

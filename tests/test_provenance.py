@@ -8,10 +8,14 @@ from repro.engine.provenance import DerivationTree, explain, provenance_eval
 from repro.engine.reference import naive_fixpoint_reference
 from repro.engine.seminaive import seminaive_eval
 from repro.engine.stats import NonTerminationError
-from repro.engine.unify import match
 from repro.workloads.graphs import chain_edb
 
+from tests.conftest import assert_derivations_sound
+
 TC = parse_program("t(X, Y) :- e(X, Y).\nt(X, Y) :- e(X, W), t(W, Y).")
+UPPER_TC = parse_program(
+    "t(X, Y) :- e(X, Y).\nt(X, Y) :- e(X, W), t(W, Y).\ntop(X, Y) :- t(X, Y), e(Y, Z)."
+)
 
 
 class TestProvenanceEval:
@@ -98,41 +102,23 @@ class TestExplain:
         assert node.rule is not None and not node.rule.body
 
 
-def assert_derivations_sound(result):
-    """Every recorded ``(rule, body keys)`` is a rule instance over the
-    database: the body facts hold, in source order, and instantiate the
-    head to exactly the recorded fact."""
-    for (name, arity, args), (rule, body_keys) in result.derivations.items():
-        assert len(body_keys) == len(rule.body)
-        bindings = {}
-        for literal, (body_name, body_arity, body_args) in zip(rule.body, body_keys):
-            assert (body_name, body_arity) == literal.signature
-            assert result.database.has_fact(body_name, body_args)
-            bindings = match(literal, body_args, bindings)
-            assert bindings is not None
-        assert rule.head.signature == (name, arity)
-        assert match(rule.head, args, bindings) is not None
-
-
 class TestPlanProvenance:
-    """Plan-level provenance: canonical trees on every configuration."""
+    """Plan-level provenance: sound, canonical trees and the evaluator's
+    counters, from a loop of its own."""
 
-    def _assert_identical(self, program, edb, **kwargs):
-        base = provenance_eval(program, edb, jobs=1)
-        plans = provenance_eval(program, edb, **kwargs)
+    def _assert_sound(self, program, edb):
+        plans = provenance_eval(program, edb)
         # the fixpoint against the scheduler-free, plan-free oracle
         assert plans.database == naive_fixpoint_reference(program, edb)[0]
-        # same roots, same per-fact rule + body keys as the serial run
-        assert plans.derivations == base.derivations
         assert_derivations_sound(plans)
         # recording changes no counter of the evaluator
-        _, stats = seminaive_eval(program, edb)
-        assert plans.stats.facts == stats.facts
-        assert plans.stats.inferences == stats.inferences
-        return base, plans
+        _, stats = seminaive_eval(program, edb, partitions=1)
+        for counter in ("facts", "inferences", "iterations", "probes"):
+            assert getattr(plans.stats, counter) == getattr(stats, counter)
+        return plans
 
     def test_identical_trees_on_tc_chain(self):
-        self._assert_identical(TC, chain_edb(8))
+        self._assert_sound(TC, chain_edb(8))
 
     def test_identical_trees_on_same_generation(self):
         from repro.workloads.examples import (
@@ -140,13 +126,49 @@ class TestPlanProvenance:
             same_generation_program,
         )
 
-        self._assert_identical(
+        self._assert_sound(
             same_generation_program(), same_generation_edb(4, 2)
         )
 
-    def test_identical_trees_under_jobs(self):
-        self._assert_identical(TC, chain_edb(8), jobs=2)
-        self._assert_identical(TC, chain_edb(8), jobs=2, backend="process")
+    def test_identical_trees_under_jobs(self, monkeypatch):
+        """Schedule knobs reach no tree and start no process: provenance
+        runs its components one after another, in this process."""
+        from repro.engine.backends import ProcessBackend
+        from repro.workloads.synthetic import wide_dag_edb, wide_dag_program
+
+        def no_pool(*args):
+            raise AssertionError("provenance_eval started a process pool")
+
+        # three independent components: one parallel depth batch
+        program, edb = wide_dag_program(3), wide_dag_edb(3, 8)
+        base = self._assert_sound(program, edb)
+        monkeypatch.setattr(ProcessBackend, "_ensure_pool", no_pool)
+        for knobs in ({"jobs": 2}, {"jobs": 2, "backend": "process", "partitions": 2}):
+            run = provenance_eval(program, edb, **knobs)
+            assert run.derivations == base.derivations, knobs
+            assert (run.stats.facts, run.stats.probes) == (
+                base.stats.facts, base.stats.probes,
+            ), knobs
+
+    def test_never_enters_the_evaluator_loop(self, monkeypatch):
+        """The rounds are provenance's own: neither the scheduler's batch
+        loop nor a component's fixpoint driver runs."""
+        from repro.engine.scheduler import ComponentRun, SCCScheduler
+
+        entered = {"run": 0, "execute": 0}
+        for owner, name in ((SCCScheduler, "run"), (ComponentRun, "execute")):
+            original = getattr(owner, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                entered[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(owner, name, counted)
+        prov = provenance_eval(UPPER_TC, chain_edb(6))
+        assert entered == {"run": 0, "execute": 0}
+        assert prov.explain(parse_literal("top(0, 4)")).height() == 6
+        seminaive_eval(UPPER_TC, chain_edb(6))
+        assert entered["run"] == 1 and entered["execute"] >= 2
 
     def test_identical_trees_on_factored_pipeline_output(self):
         from repro.core.pipeline import optimize
@@ -154,7 +176,7 @@ class TestPlanProvenance:
         from repro.workloads.examples import three_rule_tc_program
 
         result = optimize(three_rule_tc_program(), parse_query("t(0, Y)"))
-        self._assert_identical(result.simplified.program, chain_edb(5))
+        self._assert_sound(result.simplified.program, chain_edb(5))
 
     def test_edb_keys_are_lazy(self):
         """EDB membership is answered by the relations, not a flat copy."""

@@ -18,6 +18,7 @@ import threading
 import pytest
 
 from repro.datalog.parser import parse_literal, parse_program
+from repro.engine import faults
 from repro.engine.database import Database
 from repro.engine.incremental import IncrementalSession
 from repro.engine.journal import Journal, recover_session
@@ -298,6 +299,30 @@ class TestJournaledServer:
         assert replayed == 2  # the poisoned batch was compensated
         assert recovered.database == session.database
         assert recovered.edb == session.edb
+
+    def test_a_failed_append_stops_the_journal(self, tmp_path):
+        """A torn append leaves a tail that replay stops at, so no later
+        batch may be acknowledged: the journal refuses it instead."""
+        path = tmp_path / "wal.rjn"
+        program = parse_program(TC_TEXT)
+        base = {"e": [(1, 2)]}
+        session = IncrementalSession(program, Database.from_dict(base))
+        with DatalogServer(session, journal=Journal(path)) as server:
+            assert handle_line(server, "+ e(2, 3).")[1].startswith("ok +")
+            faults.install(faults.parse_faults("journal:torn:1"))
+            try:
+                torn = handle_line(server, "+ e(3, 4).")[1]
+            finally:
+                faults.install(None)
+            assert torn.startswith("error: injected torn journal write")
+            later = handle_line(server, "+ e(4, 5).")[1]
+            assert later.startswith("error: journal") and "FaultInjected" in later
+        recovered, journal, _ = recover_session(
+            program, path, Database.from_dict(base)
+        )
+        journal.close()
+        assert recovered.edb == session.edb
+        assert recovered.database == session.database
 
     def test_checkpoint_every_counts_committed_batches_only(self, tmp_path):
         path = tmp_path / "wal.rjn"

@@ -38,7 +38,7 @@ def main() -> int:
     from repro.datalog.parser import parse_program, parse_query
     from repro.engine.columnar import _compile_kernel, kernel_source
     from repro.engine.plan import compile_rule
-    from repro.engine.scheduler import _FULL, SCCScheduler
+    from repro.engine.scheduler import _FULL, SCCScheduler, delta_variants
 
     with open(args.program) as handle:
         program = parse_program(handle.read())
@@ -48,10 +48,9 @@ def main() -> int:
     shapes = set()
     scheduler = SCCScheduler(program)
     for task in scheduler.tasks:
-        run = scheduler.component_run(task)
         term_rows = task.recursive and any(arity == 0 for _, arity in task.sigs)
         for rule in task.rules:
-            variants = run._delta_variants(rule) if task.recursive else None
+            variants = delta_variants(rule, task.sigs) if task.recursive else None
             for roles, _ in variants or _FULL:
                 plan = compile_rule(rule, roles)
                 tags = dict(roles)
