@@ -177,7 +177,7 @@ def cmd_query(args) -> int:
     edb = _load_edb(args.facts)
     compiler = QueryCompiler(program, config=_engine_config(args))
     answer = compiler.ask(goal, edb)
-    _print_answers(answer.values())
+    _print_answers(answer.answers)
     certified = f" ({answer.certified_by})" if answer.certified_by else ""
     print(
         f"-- {len(answer.answers)} answers via {answer.strategy}{certified}; "

@@ -18,7 +18,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 from repro.datalog.literals import Literal
 from repro.datalog.rules import Rule
 from repro.datalog.terms import Constant, Term, Variable, term_variables
-from repro.engine.intern import TermDictionary
+from repro.engine.intern import TermDictionary, plain_value
 from repro.engine.unify import match_term
 
 FactTuple = Tuple[Term, ...]
@@ -65,23 +65,27 @@ def _classify(pattern: Sequence[Term]):
 
 
 def _match_rows(
-    rows: Iterable[Sequence[Term]], residual: List[Tuple[int, Term]]
-) -> Set[FactTuple]:
+    rows: Iterable[Sequence[Term]], residual: List[Tuple[int, Term]], plain: bool
+) -> Set[Tuple]:
     """Unify each row with the non-ground arguments of a pattern.
 
     The one read that still needs a unifier: a partially ground
     compound (``p([a | T], T)``) binds variables inside stored terms.
-    ``residual`` pairs a row position with the pattern argument there.
+    ``residual`` pairs a row position with the pattern argument there;
+    ``plain`` answers with :func:`plain_value` of each binding.
     """
     variables = term_variables(arg for _, arg in residual)
-    answers: Set[FactTuple] = set()
+    answers: Set[Tuple] = set()
     for row in rows:
         bindings: Dict[Variable, Term] = {}
         for p, arg in residual:
             if not match_term(arg, row[p], bindings):
                 break
         else:
-            answers.add(tuple(bindings[v] for v in variables))
+            if plain:
+                answers.add(tuple([plain_value(bindings[v]) for v in variables]))
+            else:
+                answers.add(tuple(bindings[v] for v in variables))
     return answers
 
 
@@ -328,8 +332,8 @@ class Relation:
         return index
 
     def select(
-        self, pattern: Sequence[Term], once: bool = False
-    ) -> Set[FactTuple]:
+        self, pattern: Sequence[Term], once: bool = False, plain: bool = False
+    ) -> Set[Tuple]:
         """σ/π read: the bindings of ``pattern``'s variables over the facts.
 
         ``pattern`` is a goal's argument tuple.  It is classified once
@@ -340,6 +344,9 @@ class Relation:
         Returns the set of value tuples of the pattern's variables in
         first-occurrence order — ``{()}``/``set()`` for a ground
         pattern — exactly the answers a per-row ``match`` would give.
+        The values are terms, or with ``plain`` what the answer edge
+        hands out (:func:`~repro.engine.intern.plain_value`): decoded
+        once, while projecting, never as a second pass over term rows.
 
         A stored relation is read in the tuple world: pending columnar
         rows are flushed on first read and ground positions probe the
@@ -352,7 +359,7 @@ class Relation:
         """
         ground, outputs, repeats, residual = _classify(pattern)
         if once and self._pending_n:
-            return self._select_columns(ground, outputs, repeats, residual)
+            return self._select_columns(ground, outputs, repeats, residual, plain)
         facts = self._tuples if once else self.tuples
         if len(ground) == len(pattern):
             return {()} if tuple(pattern) in facts else set()
@@ -367,9 +374,11 @@ class Relation:
         for p, q in repeats:
             rows = [fact for fact in rows if fact[p] == fact[q]]
         if residual is not None:
-            return _match_rows(rows, residual)
+            return _match_rows(rows, residual, plain)
         if not outputs:
             return {()} if rows else set()
+        if plain:
+            return {tuple([plain_value(fact[p]) for p in outputs]) for fact in rows}
         if len(outputs) == 1:
             p = outputs[0]
             return {(fact[p],) for fact in rows}
@@ -377,13 +386,15 @@ class Relation:
             return set(rows)
         return set(map(itemgetter(*outputs), rows))
 
-    def _select_columns(self, ground, outputs, repeats, residual) -> Set[FactTuple]:
+    def _select_columns(self, ground, outputs, repeats, residual, plain) -> Set[Tuple]:
         """:meth:`select` over the interned columns (``once`` reads).
 
         Syncs the columns exactly where a flush would have — one
         :meth:`ensure_columns` — and decodes nothing but the output
         columns of the surviving rows (whole rows when they must be
-        unified with a partially ground argument).
+        unified with a partially ground argument).  A ``plain`` read
+        decodes ids straight through the dictionary's ``values`` table,
+        so answer tuples are built once and no term is hashed.
         """
         dictionary = self.dictionary
         cols = self.ensure_columns()
@@ -405,15 +416,15 @@ class Relation:
             outputs = range(self.arity)  # the rare path unifies whole rows
         if not outputs:
             return {()} if keep is None or keep else set()
-        terms = dictionary.terms
+        table = dictionary.values if plain and residual is None else dictionary.terms
         if keep is None:
-            decoded = [[terms[v] for v in cols[p]] for p in outputs]
+            decoded = [[table[v] for v in cols[p]] for p in outputs]
         else:
             decoded = [
-                [terms[col[i]] for i in keep] for col in (cols[p] for p in outputs)
+                [table[col[i]] for i in keep] for col in (cols[p] for p in outputs)
             ]
         if residual is not None:
-            return _match_rows(zip(*decoded), residual)
+            return _match_rows(zip(*decoded), residual, plain)
         return set(zip(*decoded))
 
     def scan(self) -> Set[FactTuple]:
@@ -1185,6 +1196,15 @@ class Database:
             return set()
         return rel.select(goal.args, once)
 
+    def answers(self, goal: Literal, once: bool = False) -> Set[Tuple]:
+        """:meth:`query` as the API edge hands it out: the same bindings
+        with constants as plain Python values (compound terms stay
+        terms), decoded once by :meth:`Relation.select`."""
+        rel = self.relations.get(goal.signature)
+        if rel is None:
+            return set()
+        return rel.select(goal.args, once, plain=True)
+
     # ------------------------------------------------------------------
     # Copying
     # ------------------------------------------------------------------
@@ -1248,14 +1268,6 @@ class Database:
 
     def __repr__(self) -> str:
         return f"Database({self.total_facts()} facts, {len(self.relations)} relations)"
-
-
-def unwrap_rows(rows: Iterable[Sequence[Term]]) -> Set[Tuple]:
-    """Answer rows with constants unwrapped to plain Python values."""
-    return {
-        tuple([t.value if isinstance(t, Constant) else t for t in row])
-        for row in rows
-    }
 
 
 def load_program_facts(program, db: Database) -> int:

@@ -52,7 +52,7 @@ from repro.datalog.terms import Constant, Term
 from repro.datalog.validate import reserved_name_reason
 from repro.engine.columnar import decode_rows, execute_columnar
 from repro.engine.config import EngineConfig
-from repro.engine.database import Database, FactTuple, Relation, unwrap_rows
+from repro.engine.database import Database, FactTuple, Relation
 from repro.engine.plan import ExistencePlan, PlanCache
 from repro.engine.provenance import DerivationTree, explain
 from repro.engine import faults
@@ -245,7 +245,7 @@ class IncrementalSession:
         :meth:`repro.session.DeductiveDatabase.ask`.
         """
         goal = parse_query(query) if isinstance(query, str) else query
-        return unwrap_rows(self.database.query(goal))
+        return self.database.answers(goal)
 
     def holds(self, query: Union[str, Literal]) -> bool:
         """True when a ground query holds in the materialized database."""
@@ -286,7 +286,7 @@ class IncrementalSession:
         answer = self.query_compiler.ask(goal, self._edb)
         if explain:
             return answer
-        return answer.values()
+        return answer.answers
 
     def explain(self, fact: Union[str, Literal]) -> DerivationTree:
         """The canonical derivation tree of a ground fact in the current EDB.

@@ -5,9 +5,11 @@ per-attribute list columns of integer ids instead of tuples of
 :class:`~repro.datalog.terms.Term` objects.  The mapping between the
 two worlds is a :class:`TermDictionary` shared by every relation of
 one :class:`~repro.engine.database.Database`: ``intern(term)`` returns
-a dense id (allocating on first sight), and ``terms[i]`` decodes it
-back.  A column holds the very int objects ``intern`` returns — the
-dictionary owns one per term; columns, rows and indexes point at it.
+a dense id (allocating on first sight), ``terms[i]`` decodes it back,
+and ``values[i]`` decodes it straight to the Python value an answer
+carries (:func:`plain_value`).  A column holds the very int objects
+``intern`` returns — the dictionary owns one per term; columns, rows
+and indexes point at it.
 Ids are append-only and never reused, so any copy, pin, snapshot, or
 pickled component spec can share the dictionary *by reference* (or by
 a one-shot pickle) — an id minted before the share keeps meaning the
@@ -26,7 +28,13 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional
 
-from repro.datalog.terms import Term
+from repro.datalog.terms import Constant, Term
+
+
+def plain_value(term: Term):
+    """What an answer carries for ``term``: a constant's Python value,
+    any other ground term (a compound) itself."""
+    return term.value if isinstance(term, Constant) else term
 
 
 class TermDictionary:
@@ -41,11 +49,13 @@ class TermDictionary:
     a column extension whose per-term interns re-enter it.
     """
 
-    __slots__ = ("terms", "_ids", "_lock")
+    __slots__ = ("terms", "values", "_ids", "_lock")
 
     def __init__(self) -> None:
         #: Decode table: ``terms[i]`` is the term with id ``i``.
         self.terms: List[Term] = []
+        #: Answer decode table: ``values[i]`` is ``plain_value(terms[i])``.
+        self.values: List[object] = []
         self._ids: Dict[Term, int] = {}
         self._lock = threading.RLock()
 
@@ -62,6 +72,9 @@ class TermDictionary:
             if ident is None:
                 ident = len(self.terms)
                 self.terms.append(term)
+                self.values.append(plain_value(term))
+                # Published last: a lock-free reader that sees the id
+                # also sees both decode entries.
                 self._ids[term] = ident
         return ident
 
@@ -81,6 +94,7 @@ class TermDictionary:
 
     def __setstate__(self, state) -> None:
         self.terms = list(state)
+        self.values = [plain_value(term) for term in self.terms]
         self._ids = {term: i for i, term in enumerate(self.terms)}
         self._lock = threading.RLock()
 

@@ -109,11 +109,16 @@ class Journal:
     racing appends interleaving their bytes would corrupt the log
     past any torn-tail repair.
 
-    A write or sync that raises (an ``OSError``, an injected tear)
-    leaves whatever bytes reached the file as a torn tail, where replay
-    stops, so the journal stops too: every later append raises
+    A write or sync that raises an ``OSError`` (a full disk, a failed
+    ``fsync``) refuses its batch, so the record is cut back off the
+    file: left whole, recovery would replay a batch the client was told
+    failed.  An injected tear (:class:`~repro.engine.faults.FaultInjected`)
+    simulates a crash and keeps its bytes as a torn tail, where replay
+    stops.  Either way the journal stops: every later append raises
     :class:`~repro.engine.stats.JournalError` naming that first
     failure, and no batch is acknowledged that recovery would drop.
+    The file is written unbuffered, so a refused record leaves no bytes
+    behind in user space to land after the cut.
     """
 
     def __init__(self, path, fsync: bool = True):
@@ -121,6 +126,8 @@ class Journal:
         self.fsync = fsync
         self._append_lock = threading.Lock()
         self._failed: Optional[BaseException] = None
+        #: Why a failed record may still replay (its cut-back failed).
+        self._uncut: Optional[OSError] = None
         fresh = not os.path.exists(self.path) or os.path.getsize(self.path) == 0
         if not fresh:
             with open(self.path, "rb") as fh:
@@ -130,13 +137,19 @@ class Journal:
                     f"{self.path} is not a repro journal "
                     f"(bad magic {magic!r}, expected {MAGIC!r})"
                 )
-        self._fh = open(self.path, "ab")
+        self._fh = open(self.path, "ab", buffering=0)
         if fresh:
-            self._fh.write(MAGIC)
+            self._write(MAGIC)
             self._sync()
 
+    def _write(self, data: bytes) -> None:
+        # An unbuffered write may be short (a filling disk); the retry
+        # writes the rest or raises the disk's error.
+        view = memoryview(data)
+        while view:
+            view = view[self._fh.write(view) :]
+
     def _sync(self) -> None:
-        self._fh.flush()
         if self.fsync:
             os.fsync(self._fh.fileno())
 
@@ -148,23 +161,39 @@ class Journal:
         )
         with self._append_lock:
             if self._failed is not None:
+                uncut = (
+                    f"; cutting its record back failed too ({self._uncut}), "
+                    f"so that batch may replay on recovery"
+                    if self._uncut is not None
+                    else ""
+                )
                 raise JournalError(
                     f"journal {self.path} stopped after a failed append: "
-                    f"{type(self._failed).__name__}: {self._failed}"
+                    f"{type(self._failed).__name__}: {self._failed}{uncut}"
                 )
             cut = faults.fire("journal", torn_length=len(record))
+            size = os.fstat(self._fh.fileno()).st_size
             try:
                 if cut is not None:
                     # A torn write: persist only a prefix, then fail
                     # exactly as a crash mid-write would have.
-                    self._fh.write(record[:cut])
+                    self._write(record[:cut])
                     self._sync()
                     raise FaultInjected(
                         f"injected torn journal write ({cut}/{len(record)} bytes)"
                     )
-                self._fh.write(record)
+                self._write(record)
                 self._sync()
-            except (OSError, FaultInjected) as exc:
+            except FaultInjected as exc:
+                self._failed = exc
+                raise
+            except OSError as exc:
+                # The batch is refused: drop its bytes so recovery
+                # cannot find the record whole (best effort).
+                try:
+                    os.ftruncate(self._fh.fileno(), size)
+                except OSError as again:
+                    self._uncut = again
                 self._failed = exc
                 raise
 
@@ -185,7 +214,6 @@ class Journal:
 
     def replay(self) -> JournalReplay:
         """Parse this journal's committed content (see module docs)."""
-        self._fh.flush()
         return replay_journal(self.path)
 
     def truncate_tail(self, offset: int) -> None:

@@ -98,7 +98,7 @@ from repro.datalog.terms import NIL, Term, Variable
 from repro.datalog.validate import ensure_no_reserved_names
 from repro.engine.arena import arena
 from repro.engine.config import EngineConfig
-from repro.engine.database import Database, unwrap_rows
+from repro.engine.database import Database
 from repro.engine.plan import PlanCache
 from repro.engine.scheduler import SCCScheduler
 from repro.engine.seminaive import seminaive_eval
@@ -118,25 +118,21 @@ QueryKey = Tuple[str, int, str]
 class QueryAnswer:
     """One served query: the answers and how they were computed.
 
-    ``answers`` are raw :class:`~repro.datalog.terms.Term` tuples over
-    the goal's variables in first-occurrence order (``{()}``/``set()``
-    for ground goals) — the same shape ``Database.query`` returns;
-    callers unwrap constants as needed.  ``strategy`` is one of
+    ``answers`` are tuples of plain Python values over the goal's
+    variables in first-occurrence order (``{()}``/``set()`` for ground
+    goals) — the shape ``Database.answers`` returns: constants as their
+    values, compound terms as terms.  ``strategy`` is one of
     ``factored``/``counting``/``magic``/``edb``/``materialize`` (with
     ``counting->magic`` marking a dynamic-divergence fallback), and
     ``from_cache`` reports whether the compiled entry was reused.
     """
 
     goal: Literal
-    answers: Set[Tuple[Term, ...]]
+    answers: Set[Tuple]
     strategy: str
     certified_by: Optional[str]
     stats: EvalStats
     from_cache: bool
-
-    def values(self) -> Set[Tuple]:
-        """Answers with constants unwrapped to plain Python values."""
-        return unwrap_rows(self.answers)
 
 
 class CompiledQuery:
@@ -257,10 +253,11 @@ class CompiledQuery:
 
     # -- evaluation ---------------------------------------------------
 
-    def ask(self, goal: Literal, edb: Database, stats: EvalStats) -> Set[Tuple[Term, ...]]:
+    def ask(self, goal: Literal, edb: Database, stats: EvalStats) -> Set[Tuple]:
         """Evaluate the compiled program for one concrete goal; every
         overlay :meth:`_run` builds on the way — an abandoned counting
-        attempt's included — is released inside the arena."""
+        attempt's included — is released inside the arena, and the
+        answers are decoded to plain values inside it too."""
         bound_args = tuple(
             goal.args[i] for i in self.adornment.bound_positions()
         )
@@ -340,7 +337,7 @@ class CompiledQuery:
         row_positions: Tuple[int, ...],
         edb: Database,
         stats: EvalStats,
-    ) -> Set[Tuple[Term, ...]]:
+    ) -> Set[Tuple]:
         """One scheduler pass into a throwaway overlay, then the read.
 
         The overlay shares the EDB relation objects by reference — the
@@ -359,7 +356,8 @@ class CompiledQuery:
         whole answer step: repeated variables, partially-ground
         function terms *and* the bound filter for magic rows, with
         ``Database.query`` semantics, read once where the fixpoint
-        left the rows.
+        left the rows and decoded there straight to plain values
+        (:meth:`~repro.engine.database.Database.answers`).
         """
         db = Database(edb.dictionary)
         db.relations.update(edb.relations)
@@ -368,7 +366,7 @@ class CompiledQuery:
         answer = Literal(
             QUERY_PREDICATE, tuple(goal.args[i] for i in row_positions)
         )
-        return db.query(answer, once=True)
+        return db.answers(answer, once=True)
 
 
 class QueryCompiler:
@@ -378,7 +376,7 @@ class QueryCompiler:
 
         compiler = QueryCompiler(program, max_facts=100_000)
         answer = compiler.ask("t(5, Y)", edb)
-        answer.answers        # raw Term tuples
+        answer.answers        # plain value tuples, e.g. {(6,), (7,)}
         answer.strategy       # "factored" | "counting" | "magic" | ...
 
     ``config`` and/or keyword knobs are those of
@@ -499,11 +497,11 @@ class QueryCompiler:
             with arena(edb.total_facts()):
                 db, eval_stats = seminaive_eval(self.program, edb, self.config)
                 stats.absorb(eval_stats)
-                answers = db.query(goal, once=True)
+                answers = db.answers(goal, once=True)
                 del db  # released inside the arena, like an overlay
         else:
             strategy = "edb"
-            answers = edb.query(goal)
+            answers = edb.answers(goal)
         stats.seconds = time.perf_counter() - begin
         return QueryAnswer(
             goal=goal,

@@ -47,7 +47,7 @@ from typing import List, Optional, Set, Tuple, Union
 
 from repro.datalog.literals import Literal
 from repro.datalog.parser import parse_literal, parse_query
-from repro.engine.database import Database, unwrap_rows
+from repro.engine.database import Database
 from repro.engine.provenance import DerivationTree, explain
 from repro.engine.query import QueryCompiler
 from repro.engine.stats import EvalStats
@@ -115,7 +115,7 @@ class ReadView:
         :meth:`IncrementalSession.query`.
         """
         goal = parse_query(query) if isinstance(query, str) else query
-        return unwrap_rows(self.database.query(goal))
+        return self.database.answers(goal)
 
     def holds(self, query: Union[str, Literal]) -> bool:
         """True when a ground query holds in this view."""
@@ -292,7 +292,7 @@ class DatalogServer:
         self._count_query()
         if explain:
             return answer
-        return answer.values()
+        return answer.answers
 
     def _make_compiler(self):
         return QueryCompiler(self.session.program, config=self.session.config)
@@ -462,9 +462,18 @@ class SocketFront:
 
     def _serve_connection(self, conn: socket.socket) -> None:
         try:
-            with conn, conn.makefile("r", encoding="utf-8") as reader:
-                for line in reader:
-                    payload, status, quitting = handle_line(self.server, line)
+            # Bytes in, decoded one line at a time: an undecodable line
+            # is one refused request, not a dropped connection.
+            with conn, conn.makefile("rb") as reader:
+                for raw in reader:
+                    try:
+                        line = raw.decode("utf-8")
+                    except UnicodeDecodeError:
+                        payload, status, quitting = (
+                            [], "error: request is not valid UTF-8", False
+                        )
+                    else:
+                        payload, status, quitting = handle_line(self.server, line)
                     conn.sendall(reply(payload, status).encode("utf-8"))
                     if quitting:
                         break

@@ -212,15 +212,14 @@ class DeductiveDatabase:
         goal = parse_query(query)
         compiler, edb_view = self._serving_compiler()
         answer = compiler.ask(goal, edb_view)
-        unwrapped = answer.values()
         if not explain:
-            return unwrapped
+            return answer.answers
         return QueryReport(
             goal=goal,
             strategy=answer.strategy,
             certified_by=answer.certified_by,
             stats=answer.stats,
-            answers=unwrapped,
+            answers=answer.answers,
         )
 
     def holds(self, query: str) -> bool:

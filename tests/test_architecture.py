@@ -228,3 +228,12 @@ def test_derivation_trees_stay_outside_the_fixpoint_loop():
             for name in ("scheduler", "plan", "backends", "columnar", "partition")
         ),
     ) == []
+
+
+def test_answers_are_decoded_once_at_the_edge():
+    """``Database.answers`` decodes an overlay's ids straight to plain
+    values through the dictionary's ``values`` table, inside the ask's
+    arena (docs/engine.md, "The read path"); no second pass may rebuild
+    term rows as values, so the old row unwrapper and a ``values``
+    method on ``QueryAnswer`` stay gone."""
+    assert grep(r"unwrap_rows|def values\(", "src") == []

@@ -16,7 +16,7 @@ from repro.datalog.parser import parse_program, parse_term
 from repro.datalog.terms import Constant
 from repro.engine.columnar import decode_rows
 from repro.engine.database import Database, Relation
-from repro.engine.intern import TermDictionary
+from repro.engine.intern import TermDictionary, plain_value
 from repro.engine.provenance import provenance_eval
 from repro.engine.reference import naive_fixpoint_reference
 from repro.engine.seminaive import seminaive_eval
@@ -73,6 +73,53 @@ def test_dictionary_survives_pickle_with_ids_intact():
     # Ids minted before the pickle still decode to the same terms.
     i = d.intern(Constant(0))
     assert clone.dictionary.terms[i] == Constant(0)
+
+
+def test_values_table_stays_aligned_with_terms():
+    """``values[i]`` is what an answer carries for ``terms[i]``: eight
+    threads interning at once (four more reading lock-free) never see
+    an id without its value, and a pickle round trip rebuilds it."""
+    import threading
+
+    d = TermDictionary()
+    pool = [Constant(i) for i in range(300)] + [
+        parse_term(f"f({i}, [a, {i}])") for i in range(100)
+    ]
+    barrier = threading.Barrier(12)
+    stop = threading.Event()
+    errors = []
+
+    def intern(k):
+        barrier.wait()
+        for i in range(2000):
+            d.intern(pool[(i * 7 + k * 31) % len(pool)])
+
+    def read():
+        barrier.wait()
+        while not stop.is_set():
+            for term in pool:
+                ident = d.lookup(term)
+                if ident is not None and d.values[ident] != plain_value(term):
+                    errors.append((term, ident))
+
+    writers = [threading.Thread(target=intern, args=(k,)) for k in range(8)]
+    readers = [threading.Thread(target=read) for _ in range(4)]
+    for thread in writers + readers:
+        thread.start()
+    for thread in writers:
+        thread.join(timeout=30)
+    stop.set()
+    for thread in readers:
+        thread.join(timeout=30)
+    assert not errors, errors[:3]
+    assert len(d.terms) == len(d.values) == len(pool)
+    assert d.values == [plain_value(term) for term in d.terms]
+    assert d.values[d.lookup(Constant(5))] == 5
+    assert d.values[d.lookup(pool[300])] == pool[300]  # a compound stays a term
+    clone = pickle.loads(pickle.dumps(d))
+    assert clone.terms == d.terms and clone.values == d.values
+    assert clone.intern(Constant("new")) == len(pool)
+    assert clone.values[-1] == "new"
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +283,13 @@ def test_query_overlay_shares_edb_columns():
     edb.ensure_dictionary()
     compiler = QueryCompiler(TC)
     answer = compiler.ask("t(3, Y)", edb)
-    assert answer.values() == {(y,) for y in range(4, 13)}
+    assert answer.answers == {(y,) for y in range(4, 13)}
     rel = edb.relation("e", 2)
     built = dict(rel._col_indexes)
     assert built, "the serving pass built column indexes on the EDB relation"
     again = compiler.ask("t(5, Y)", edb)
     assert again.from_cache
-    assert again.values() == {(y,) for y in range(6, 13)}
+    assert again.answers == {(y,) for y in range(6, 13)}
     for positions, (index, watermark) in rel._col_indexes.items():
         if positions in built:
             assert built[positions][0] is index, (

@@ -268,6 +268,29 @@ class TestTornTail:
         assert replayed == 1
         assert_same_state(session, clean_session(SCRIPT[:1]))
 
+    def test_a_failed_cut_back_says_the_batch_may_replay(
+        self, tmp_path, monkeypatch
+    ):
+        """A refused record is truncated off the file; when that fails
+        too, the journal's refusal says the record may still replay."""
+        import errno
+        import os
+
+        def fail(*args):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        path = tmp_path / "wal.rjn"
+        with Journal(path) as journal:
+            journal.append_batch(*SCRIPT[0])
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "fsync", fail)
+                patch.setattr(os, "ftruncate", fail)
+                with pytest.raises(OSError, match="Input/output error"):
+                    journal.append_batch(*SCRIPT[1])
+            with pytest.raises(JournalError, match="may replay on recovery"):
+                journal.append_batch(*SCRIPT[2])
+        assert replay_journal(path).batches == SCRIPT[:2]
+
 
 class TestRecoverSession:
     def test_recover_matches_clean_run(self, tmp_path):

@@ -18,7 +18,7 @@ from repro.core.pipeline import optimize
 from repro.datalog.literals import Literal
 from repro.datalog.parser import parse_program, parse_query, parse_rule
 from repro.datalog.rules import UnsafeRuleError
-from repro.datalog.terms import Variable
+from repro.datalog.terms import Constant, Variable
 from repro.datalog.validate import (
     ensure_no_reserved_names,
     reserved_name_reason,
@@ -38,7 +38,7 @@ from repro.engine.stats import NonTerminationError
 from repro.session import DeductiveDatabase
 from repro.workloads.lists import pmem_edb, pmem_program, pmem_query
 
-from tests.conftest import corpus_instance, decision_corpus
+from tests.conftest import answer_values, corpus_instance, decision_corpus
 
 TC_TEXT = """
     t(X, Y) :- e(X, Y).
@@ -68,25 +68,25 @@ class TestStrategySelection:
         answer = tc_compiler.ask("t(0, Y)", chain_edb(4))
         assert answer.strategy == "factored"
         assert answer.certified_by == "Theorem 4.1 (selection-pushing)"
-        assert answer.values() == {(1,), (2,), (3,), (4,)}
+        assert answer.answers == {(1,), (2,), (3,), (4,)}
 
     def test_all_free_is_magic(self, tc_compiler):
         answer = tc_compiler.ask("t(X, Y)", chain_edb(3))
         assert answer.strategy == "magic"
-        assert len(answer.values()) == 3 + 2 + 1
+        assert len(answer.answers) == 3 + 2 + 1
 
     def test_all_bound_is_counting(self, tc_compiler):
         edb = chain_edb(4)
         hit = tc_compiler.ask("t(0, 3)", edb)
         assert hit.strategy == "counting"
         assert hit.certified_by == "Section 6.4 (counting)"
-        assert hit.values() == {()}
-        assert tc_compiler.ask("t(3, 0)", edb).values() == set()
+        assert hit.answers == {()}
+        assert tc_compiler.ask("t(3, 0)", edb).answers == set()
 
     def test_edb_goal_answers_from_relation(self, tc_compiler):
         answer = tc_compiler.ask("e(0, Y)", chain_edb(3))
         assert answer.strategy == "edb"
-        assert answer.values() == {(1,)}
+        assert answer.answers == {(1,)}
 
     def test_idb_arity_mismatch_is_an_error(self, tc_compiler):
         with pytest.raises(ValueError, match="arity 2"):
@@ -98,17 +98,17 @@ class TestStrategySelection:
         edb.add_fact("t", (9, 9))  # base fact for a derived predicate
         answer = compiler.ask("t(9, Y)", edb)
         assert answer.strategy == "materialize"
-        assert answer.values() == {(9,)}
+        assert answer.answers == {(9,)}
 
     def test_zero_arity_goal(self):
         compiler = QueryCompiler(
             parse_program("ok :- e(X, Y), t(X, Y).\n" + TC_TEXT)
         )
-        assert compiler.ask("ok", chain_edb(2)).values() == {()}
+        assert compiler.ask("ok", chain_edb(2)).answers == {()}
         empty_compiler = QueryCompiler(
             parse_program("ok :- e(X, Y), t(X, Y).\n" + TC_TEXT)
         )
-        assert empty_compiler.ask("ok", Database()).values() == set()
+        assert empty_compiler.ask("ok", Database()).answers == set()
 
 
 class TestCountingFallback:
@@ -119,7 +119,7 @@ class TestCountingFallback:
             edb.add_fact("e", (a, b))
         answer = compiler.ask("lt(1, 3)", edb)
         assert answer.strategy == "counting->magic"
-        assert answer.values() == {()}
+        assert answer.answers == {()}
         # The divergence is remembered: the next ask goes straight to
         # magic without re-running the counting budget.
         again = compiler.ask("lt(2, 1)", edb)
@@ -146,7 +146,7 @@ class TestCaching:
         second = tc_compiler.ask("t(2, Y)", edb)
         assert not first.from_cache and second.from_cache
         assert tc_compiler.compiles == 1 and tc_compiler.cache_hits == 1
-        assert second.values() == {(3,), (4,)}
+        assert second.answers == {(3,), (4,)}
 
     def test_distinct_forms_compile_separately(self, tc_compiler):
         edb = chain_edb(3)
@@ -170,8 +170,8 @@ class TestCaching:
         assert answer.from_cache
         assert tc_compiler.compiles == 1
         full, _ = seminaive_eval(parse_program(TC_TEXT), edb)
-        assert answer.answers == full.query(parse_query("t(0, Y)"))
-        assert answer.values() == {(i,) for i in range(1, 41)}
+        assert answer.answers == answer_values(full.query(parse_query("t(0, Y)")))
+        assert answer.answers == {(i,) for i in range(1, 41)}
 
     def test_instance_certified_entries_drop_on_edb_change(self):
         compiler = QueryCompiler(
@@ -193,33 +193,33 @@ class TestGoalAudit:
             edb.add_fact("e", (a, b))
         answer = tc_compiler.ask("t(X, X)", edb)
         full, _ = seminaive_eval(parse_program(TC_TEXT), edb)
-        assert answer.answers == full.query(parse_query("t(X, X)"))
-        assert answer.values() == {(1,), (2,), (3,)}
+        assert answer.answers == answer_values(full.query(parse_query("t(X, X)")))
+        assert answer.answers == {(1,), (2,), (3,)}
 
     def test_repeated_variable_no_cycles_is_empty(self, tc_compiler):
-        assert tc_compiler.ask("t(X, X)", chain_edb(4)).values() == set()
+        assert tc_compiler.ask("t(X, X)", chain_edb(4)).answers == set()
 
     def test_ground_compound_goal(self):
         compiler = QueryCompiler(pmem_program())
         edb = pmem_edb(4)
-        assert compiler.ask("pmem(2, [0, 2, 2])", edb).values() == {()}
-        assert compiler.ask("pmem(9, [0, 1, 2])", edb).values() == set()
+        assert compiler.ask("pmem(2, [0, 2, 2])", edb).answers == {()}
+        assert compiler.ask("pmem(9, [0, 1, 2])", edb).answers == set()
 
     def test_bound_list_free_element(self):
         compiler = QueryCompiler(pmem_program())
         answer = compiler.ask(pmem_query(4), pmem_edb(4))
         assert answer.strategy == "factored"
-        assert answer.values() == {(i,) for i in range(4)}
+        assert answer.answers == {(i,) for i in range(4)}
         # ... which is what the unfactored magic rewrite answers
         magic, _ = optimize(pmem_program(), pmem_query(4)).evaluate_stage(
             "magic", pmem_edb(4)
         )
-        assert answer.answers == magic
+        assert answer.answers == answer_values(magic)
 
     def test_repeated_variable_inside_bound_list(self):
         compiler = QueryCompiler(pmem_program())
         answer = compiler.ask("pmem(X, [3, 0, 3])", pmem_edb(4))
-        assert answer.values() == {(0,), (3,)}
+        assert answer.answers == {(0,), (3,)}
 
     def test_long_bound_list_answers_without_unifying(self, monkeypatch):
         """Regression: ``pmem(X, [0, ..., 999])`` raised RecursionError.
@@ -469,6 +469,52 @@ class TestAnAskFreesWhatItAllocates:
         assert len(answers) == 4
         assert made.constructed >= 3
         assert made.survivors() == []
+
+
+class TestAnswersCrossTheEdgeOnce:
+    """An ask decodes its answers once, inside its arena: the overlay's
+    answer ids go straight to plain values through
+    ``TermDictionary.values``, so no term is rebuilt or hashed on the
+    way out."""
+
+    def test_an_overlay_read_hashes_no_constant(self, monkeypatch):
+        compiler = QueryCompiler(parse_program(TC_TEXT))
+        edb = chain_edb(30)
+        compiler.ask("t(0, Y)", edb)  # compile first
+        hashes = {"plain": 0, "terms": 0}
+        reading = []  # the read whose hashes are counted, if any
+        read_columns = []
+        constant_hash = Constant.__hash__
+        answers = Database.answers
+        select_columns = Relation._select_columns
+
+        def counted_hash(term):
+            if reading:
+                hashes[reading[0]] += 1
+            return constant_hash(term)
+
+        def read(db, goal, once=False):
+            reading[:] = ["plain"]
+            plain = answers(db, goal, once)
+            # the same overlay read as terms, to show the counter counts
+            reading[:] = ["terms"]
+            db.query(goal, once)
+            reading.clear()
+            return plain
+
+        def columns(rel, *args):
+            read_columns.append(rel.name)
+            return select_columns(rel, *args)
+
+        monkeypatch.setattr(Constant, "__hash__", counted_hash)
+        monkeypatch.setattr(Database, "answers", read)
+        monkeypatch.setattr(Relation, "_select_columns", columns)
+        answer = compiler.ask("t(3, Y)", edb)
+        assert answer.strategy == "factored"
+        assert answer.answers == {(y,) for y in range(4, 31)}
+        assert read_columns == ["query", "query"]  # the overlay's id columns
+        assert hashes["plain"] == 0
+        assert hashes["terms"] >= len(answer.answers)
 
 
 def blocks(count, length=3):

@@ -324,6 +324,41 @@ class TestJournaledServer:
         assert recovered.edb == session.edb
         assert recovered.database == session.database
 
+    def test_a_failed_fsync_refuses_the_batch_for_recovery_too(
+        self, tmp_path, monkeypatch
+    ):
+        """A batch whose fsync fails is answered ``error:`` and not
+        applied; its bytes reached the file whole, so the journal cuts
+        them back off — recovery must not bring the batch back."""
+        import errno
+        import os
+
+        path = tmp_path / "wal.rjn"
+        program = parse_program(TC_TEXT)
+        base = {"e": [(1, 2)]}
+        session = IncrementalSession(program, Database.from_dict(base))
+        with DatalogServer(session, journal=Journal(path)) as server:
+            assert handle_line(server, "+ e(2, 3).")[1].startswith("ok +")
+
+            def full_disk(fd):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "fsync", full_disk)
+                refused = handle_line(server, "+ e(3, 4).")[1]
+            assert refused.startswith("error: [Errno 28]")
+            assert server.query("t(1, Y)") == {(2,), (3,)}
+            later = handle_line(server, "+ e(4, 5).")[1]
+            assert later.startswith("error: journal") and "OSError" in later
+            assert "may replay" not in later  # the cut-back succeeded
+        recovered, journal, replayed = recover_session(
+            program, path, Database.from_dict(base)
+        )
+        journal.close()
+        assert replayed == 1
+        assert recovered.edb == session.edb
+        assert recovered.database == session.database
+
     def test_checkpoint_every_counts_committed_batches_only(self, tmp_path):
         path = tmp_path / "wal.rjn"
         program = parse_program(TC_TEXT)
@@ -406,6 +441,24 @@ class TestSocketFront:
                 assert payload == [] and status.startswith("error:")
                 payload, status = self._exchange(reader, sock, "quit")
                 assert status == "ok bye"
+
+    def test_an_undecodable_line_is_refused_not_the_connection(self):
+        """Requests are decoded one line at a time: a line that is not
+        UTF-8 gets an ``error:`` status, and the requests around it are
+        answered on the same connection."""
+        server = make_server()
+        with SocketFront(server, workers=1) as front:
+            with socket.create_connection(
+                (front.host, front.port), timeout=10
+            ) as sock, sock.makefile("rb") as reader:
+                sock.sendall(b"? t(1, Y)\n\xff\xfe\n? t(2, Y)\nquit\n")
+                replies = reader.read().decode("utf-8")
+        assert replies == (
+            "= 2\n= 3\nok 2 answers\n"
+            "error: request is not valid UTF-8\n"
+            "= 3\nok 1 answers\n"
+            "ok bye\n"
+        )
 
     def test_concurrent_clients_share_one_writer(self):
         server = make_server()

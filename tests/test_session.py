@@ -129,8 +129,8 @@ class TestExplanationIsOfTheProgramThatRan:
         from repro.datalog.literals import Literal
         from repro.datalog.parser import parse_query
         from repro.datalog.terms import NIL
-        from repro.engine.database import unwrap_rows
         from repro.engine.seminaive import seminaive_eval
+        from tests.conftest import answer_values
 
         goal = parse_query(query)
         compiler, edb_view = db._serving_compiler()
@@ -148,7 +148,7 @@ class TestExplanationIsOfTheProgramThatRan:
         edb = edb_view.copy()
         edb.add_fact(*seed)
         result, _ = seminaive_eval(program, edb)
-        return unwrap_rows(
+        return answer_values(
             result.query(Literal("query", tuple(goal.args[i] for i in rows)))
         )
 

@@ -206,13 +206,14 @@ class TestBoundSideFilterBehindTheRecursiveCall:
         return db.ask(query, explain=True)
 
     def unrewritten(self, query):
-        from repro.engine.database import Database, unwrap_rows
+        from repro.engine.database import Database
         from repro.engine.reference import naive_fixpoint_reference
+        from tests.conftest import answer_values
 
         db, _ = naive_fixpoint_reference(
             parse_program(self.TEXT), Database.from_dict(self.EDB)
         )
-        return unwrap_rows(db.query(parse_query(query)))
+        return answer_values(db.query(parse_query(query)))
 
     def test_ask_equals_the_unrewritten_program(self):
         assert self.unrewritten("p(V0, 2)") == set()
