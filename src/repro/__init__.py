@@ -138,7 +138,7 @@ _MODULES = {
     "core.nonunit": (
         "factor_inner", "inner_factoring_valid_on", "decouples_subgoals",
     ),
-    "session": ("DeductiveDatabase", "QueryReport"),
+    "session": ("DeductiveDatabase", "QueryAnswer"),
     "datalog.validate": ("validate_program", "ValidationReport"),
     "engine.provenance": ("provenance_eval", "explain", "DerivationTree"),
     "analysis.uniform": (

@@ -304,9 +304,6 @@ class IncrementalSession:
     # Updates
     # ------------------------------------------------------------------
 
-    def _normalize(self, facts: Updates) -> Dict[Signature, List[FactTuple]]:
-        return _normalize_updates(facts)
-
     def insert(self, facts: Updates) -> EvalStats:
         """Add EDB facts; maintain every affected IDB relation forward.
 
@@ -370,8 +367,8 @@ class IncrementalSession:
         up present (delete-then-insert order).  Returns the combined
         pass statistics, which :attr:`stats` also absorbs on success.
         """
-        ins = self._normalize(inserts) if inserts is not None else {}
-        dels = self._normalize(deletes) if deletes is not None else {}
+        ins = _normalize_updates(inserts) if inserts is not None else {}
+        dels = _normalize_updates(deletes) if deletes is not None else {}
         start = time.perf_counter()
         pass_stats = EvalStats()
         undo = self._begin_undo(set(ins) | set(dels))
@@ -433,7 +430,7 @@ class IncrementalSession:
             for fact in rows:
                 base.add(fact)
                 if rel.add(fact):
-                    pass_stats.record_fact(sig)
+                    pass_stats.facts += 1
             if len(rel) > before:
                 changed_start[sig] = before
         if changed_start:
@@ -790,7 +787,7 @@ class IncrementalSession:
                 for fact in doomed:
                     if self._has_surviving_derivation(probes, fact, stats):
                         if rel.add(fact):
-                            stats.record_fact(sig)
+                            stats.facts += 1
             self._component_run(task, stats).resume(self.database, stats, pre)
             for sig, before in pre.items():
                 stats.rederived += len(self.database.relation(*sig)) - before

@@ -249,12 +249,12 @@ def _fixpoint(run: ComponentRun, db: Database, stats: EvalStats, derivations) ->
                     derivations[key] = (rule, keys)
                 fresh = rows.novel(rel, heads)
                 if fresh and not recursive:
-                    rows.absorb(sig, rel, fresh, budget)
+                    rows.absorb(rel, fresh, budget)
                 elif fresh:
                     new.setdefault(sig, set()).update(fresh)
             delta_start = stop
             for sig, fresh in new.items():
-                rows.absorb(sig, rels[sig], fresh)
+                rows.absorb(rels[sig], fresh)
                 if budget is not None:
                     budget(stats)
             first_round = False

@@ -41,9 +41,13 @@ goal's constants); serving adds Section 6.4's counting on top:
 * **magic** — everything else that is goal-directed at all.
 * **edb** — the goal is not an IDB predicate: answer straight from the
   EDB relation.
-* **materialize** — base facts were asserted for IDB predicates (mixed
-  predicates an upper layer did not bridge): the rewrites would miss
-  them, so fall back to full evaluation plus filtering.
+
+**Stored facts on derived predicates.**  The rewrites rename every
+derived predicate, so rows stored under one's own name would be missed.
+For the set S of IDB signatures with stored rows, a form compiles
+:func:`bridged_program` — each ``p`` of S renamed ``p~idb`` plus the
+exit rule ``p~idb(V̄) :- p(V̄)`` — and an ask that sees another S
+recompiles it.
 
 **Answers.**  Repeated variables and partially-ground (function-term)
 goal arguments are handled by *post-selection*: the compiled program
@@ -75,8 +79,8 @@ counting divergences (the new data may terminate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Optional, Set, Tuple, Union
 
 from repro.analysis.adornment import Adornment, adornment_from_query
 from repro.analysis.classify import RuleClass
@@ -101,7 +105,6 @@ from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.engine.plan import PlanCache
 from repro.engine.scheduler import SCCScheduler
-from repro.engine.seminaive import seminaive_eval
 from repro.engine.stats import EvalStats, NonTerminationError
 from repro.datalog.rules import Rule, UnsafeRuleError
 from repro.transforms.counting import (
@@ -113,6 +116,33 @@ from repro.transforms.counting import (
 from repro.transforms.magic import QUERY_PREDICATE
 
 QueryKey = Tuple[str, int, str]
+Signature = Tuple[str, int]
+
+#: Suffix of the derived half of a predicate that also has stored rows.
+BRIDGE_SUFFIX = "~idb"
+
+
+def bridged_program(program: Program, bridged: FrozenSet[Signature]) -> Program:
+    """``program`` with each predicate of ``bridged`` renamed to its
+    reserved derived name, plus one exit rule per renamed predicate
+    reading the stored relation under the original name."""
+
+    def rename(literal: Literal) -> Literal:
+        if literal.signature in bridged:
+            return literal.with_predicate(literal.predicate + BRIDGE_SUFFIX)
+        return literal
+
+    rules = [
+        Rule(rename(rule.head), tuple(map(rename, rule.body)))
+        for rule in program.rules
+    ]
+    for name, arity in program.idb_signatures:
+        if (name, arity) in bridged:
+            variables = tuple(Variable(f"V{i}") for i in range(arity))
+            stored = Literal(name, variables)
+            rules.append(Rule(rename(stored), (stored,)))
+    return Program(rules)
+
 
 @dataclass
 class QueryAnswer:
@@ -122,7 +152,7 @@ class QueryAnswer:
     variables in first-occurrence order (``{()}``/``set()`` for ground
     goals) — the shape ``Database.answers`` returns: constants as their
     values, compound terms as terms.  ``strategy`` is one of
-    ``factored``/``counting``/``magic``/``edb``/``materialize`` (with
+    ``factored``/``counting``/``magic``/``edb`` (with
     ``counting->magic`` marking a dynamic-divergence fallback), and
     ``from_cache`` reports whether the compiled entry was reused.
     """
@@ -139,7 +169,9 @@ class CompiledQuery:
     """One query form compiled to a rewritten program plus its scheduler.
 
     Owns a persistent :class:`~repro.engine.plan.PlanCache`, so repeated
-    queries of the same form reuse compiled rule plans.
+    queries of the same form reuse compiled rule plans.  ``bridged`` is
+    the set S of IDB signatures with stored rows the form was compiled
+    for (see :func:`bridged_program`).
     """
 
     def __init__(
@@ -149,14 +181,21 @@ class CompiledQuery:
         arity: int,
         adornment: Adornment,
         edb: Database,
+        bridged: FrozenSet[Signature] = frozenset(),
     ):
         self.compiler = compiler
         self.predicate = predicate
         self.arity = arity
         self.adornment = adornment
+        self.bridged = bridged
         self.instance_certified = False
         self.counting_diverged = False
 
+        program = compiler.program
+        if bridged:
+            program = bridged_program(program, bridged)
+            if (predicate, arity) in bridged:
+                predicate += BRIDGE_SUFFIX
         canonical = Literal(
             predicate, tuple(Variable(f"Qv{i}") for i in range(arity))
         )
@@ -164,7 +203,7 @@ class CompiledQuery:
         #: 5.1 reduction is off because it reads the goal's constants,
         #: which a per-form compile does not have
         self.plan = optimize(
-            compiler.program,
+            program,
             canonical,
             edb=edb if compiler.use_instance_checks else None,
             try_reduction=False,
@@ -261,7 +300,6 @@ class CompiledQuery:
         bound_args = tuple(
             goal.args[i] for i in self.adornment.bound_positions()
         )
-        # no base facts sit on IDB predicates here (QueryCompiler.entry)
         total = edb.total_facts()
         with arena(total):
             if self.strategy == "counting" and not self.counting_diverged:
@@ -377,7 +415,7 @@ class QueryCompiler:
         compiler = QueryCompiler(program, max_facts=100_000)
         answer = compiler.ask("t(5, Y)", edb)
         answer.answers        # plain value tuples, e.g. {(6,), (7,)}
-        answer.strategy       # "factored" | "counting" | "magic" | ...
+        answer.strategy       # "factored" | "counting" | "magic" | "edb"
 
     ``config`` and/or keyword knobs are those of
     :class:`~repro.engine.config.EngineConfig`, resolved (and rejected)
@@ -432,10 +470,8 @@ class QueryCompiler:
         """The compiled entry :meth:`ask` runs for ``goal``'s query form,
         and whether it came from the cache — compiled on first use.
 
-        No entry when no rewrite serves the goal: an EDB predicate is
-        read from its relation, and base facts asserted for IDB
-        predicates (which the renamed rewrites would miss) force full
-        evaluation — upper layers bridge that case away.
+        No entry for an EDB goal (read from its relation).  An entry
+        compiled for another set of stored IDB signatures is replaced.
         """
         if goal.signature not in self.idb_signatures:
             arities = sorted(
@@ -448,18 +484,20 @@ class QueryCompiler:
                     f"arity {', '.join(map(str, arities))})"
                 )
             return None, False
-        if any(
-            (rel := edb.relations.get(sig)) is not None and len(rel)
+        bridged = frozenset(
+            sig
             for sig in self.idb_signatures
-        ):
-            return None, False
+            if (rel := edb.relations.get(sig)) is not None and len(rel)
+        )
         adornment = adornment_from_query(goal)
         key: QueryKey = (goal.predicate, goal.arity, str(adornment))
         entry = self._entries.get(key)
-        if entry is not None:
+        if entry is not None and entry.bridged == bridged:
             self.cache_hits += 1
             return entry, True
-        entry = CompiledQuery(self, goal.predicate, goal.arity, adornment, edb)
+        entry = CompiledQuery(
+            self, goal.predicate, goal.arity, adornment, edb, bridged
+        )
         self._entries[key] = entry
         self.compiles += 1
         return entry, False
@@ -492,13 +530,6 @@ class QueryCompiler:
                 ) from exc
             strategy = entry.effective_strategy()
             certified_by = entry.certified_by
-        elif goal.signature in self.idb_signatures:
-            strategy = "materialize"
-            with arena(edb.total_facts()):
-                db, eval_stats = seminaive_eval(self.program, edb, self.config)
-                stats.absorb(eval_stats)
-                answers = db.answers(goal, once=True)
-                del db  # released inside the arena, like an overlay
         else:
             strategy = "edb"
             answers = edb.answers(goal)

@@ -192,7 +192,7 @@ def naive_fixpoint_reference(
         changed = False
         for sig, fact in derived:
             if add(sig, fact):
-                stats.record_fact(sig)
+                stats.facts += 1
                 changed = True
                 if max_facts is not None and stats.facts > max_facts:
                     raise NonTerminationError(

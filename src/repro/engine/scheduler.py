@@ -399,12 +399,12 @@ class _TermRows:
     def novel(self, rel: Relation, emitted) -> Set[FactTuple]:
         return set(emitted) - rel.tuples
 
-    def absorb(self, sig: Signature, rel: Relation, fresh, budget=None) -> None:
+    def absorb(self, rel: Relation, fresh, budget=None) -> None:
         """Add ``fresh``; ``budget`` (if any) is checked after every fact."""
         stats = self.stats
         for fact in fresh:
             rel.add(fact)
-            stats.record_fact(sig)
+            stats.facts += 1
             if budget is not None:
                 budget(stats)
 
@@ -461,19 +461,19 @@ class _InternedRows:
     def novel(self, rel: Relation, emitted) -> Set[RowTuple]:
         return set(emitted) - rel.col_set()
 
-    def absorb(self, sig: Signature, rel: Relation, fresh, budget=None) -> None:
+    def absorb(self, rel: Relation, fresh, budget=None) -> None:
         """Bulk-append ``fresh`` — or, under a per-fact ``budget``, add
         row by row so the limit trips on the same count as term rows."""
         stats = self.stats
         if budget is None:
             rows = list(fresh)
             rel.append_rows(rows, fresh)
-            stats.record_facts(sig, len(rows))
+            stats.facts += len(rows)
             return
         terms = self.db.dictionary.terms
         for row in fresh:
             rel.add_row(tuple(terms[i] for i in row), row)
-            stats.record_fact(sig)
+            stats.facts += 1
             budget(stats)
 
 
@@ -776,7 +776,7 @@ class ComponentRun:
                     if not fresh:
                         continue
                     if not recursive:
-                        batch_rows.absorb(sig, rel, fresh, budget)
+                        batch_rows.absorb(rel, fresh, budget)
                     elif sig in new:
                         new[sig] |= fresh
                     else:
@@ -788,7 +788,7 @@ class ComponentRun:
                     # Advance: delta becomes old (a log-offset bump).
                     delta_start = stop
                 for sig, fresh in new.items():
-                    rows.absorb(sig, rels[sig], fresh)
+                    rows.absorb(rels[sig], fresh)
                     if capped:
                         self._check_facts(stats)
                 first_round = False

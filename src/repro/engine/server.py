@@ -48,6 +48,7 @@ from typing import List, Optional, Set, Tuple, Union
 from repro.datalog.literals import Literal
 from repro.datalog.parser import parse_literal, parse_query
 from repro.engine.database import Database
+from repro.engine.incremental import _normalize_updates
 from repro.engine.provenance import DerivationTree, explain
 from repro.engine.query import QueryCompiler
 from repro.engine.stats import EvalStats
@@ -213,8 +214,8 @@ class DatalogServer:
         """
         with self._write_lock:
             session = self.session
-            ins = session._normalize(inserts) if inserts is not None else {}
-            dels = session._normalize(deletes) if deletes is not None else {}
+            ins = _normalize_updates(inserts) if inserts is not None else {}
+            dels = _normalize_updates(deletes) if deletes is not None else {}
             ins_pairs = [
                 (sig[0], row) for sig, rows in ins.items() for row in rows
             ]
@@ -491,6 +492,11 @@ class SocketFront:
         """Stop accepting and wake :meth:`wait`; live handlers drain."""
         self._shutdown.set()
         if self._sock is not None:
+            try:
+                # close() alone does not wake a thread blocked in accept()
+                self._sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._sock.close()
             except OSError:

@@ -12,8 +12,7 @@ The two quantities the paper reasons about are:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from dataclasses import dataclass
 
 
 class NonTerminationError(RuntimeError):
@@ -150,18 +149,6 @@ class EvalStats:
     backend_fallbacks: int = 0
     partition_rounds: int = 0
     partition_skew: float = 0.0
-    per_predicate: Dict[Tuple[str, int], int] = field(default_factory=dict)
-
-    def record_fact(self, signature: Tuple[str, int]) -> None:
-        self.facts += 1
-        self.per_predicate[signature] = self.per_predicate.get(signature, 0) + 1
-
-    def record_facts(self, signature: Tuple[str, int], count: int) -> None:
-        """Batched :meth:`record_fact` — one call per round-end fresh set."""
-        self.facts += count
-        self.per_predicate[signature] = (
-            self.per_predicate.get(signature, 0) + count
-        )
 
     def merge(self, other: "EvalStats") -> "EvalStats":
         """A new stats object accumulating ``self`` then ``other``.
@@ -200,8 +187,6 @@ class EvalStats:
         self.partition_rounds += other.partition_rounds
         if other.partition_skew > self.partition_skew:
             self.partition_skew = other.partition_skew
-        for sig, count in other.per_predicate.items():
-            self.per_predicate[sig] = self.per_predicate.get(sig, 0) + count
 
     def __str__(self) -> str:
         return (

@@ -7,7 +7,9 @@ factorability analysis, factoring, Section 5 simplification — and
 evaluated semi-naively; plans are cached per query *form* (predicate +
 binding pattern), so repeated queries with different constants reuse
 the compiled program, and :meth:`DeductiveDatabase.plan_summary`
-describes that same cached entry.
+describes that same cached entry.  Stored facts may sit on a derived
+predicate too; the query compiler bridges them
+(:func:`repro.engine.query.bridged_program`).
 
     db = DeductiveDatabase()
     db.rules(\"\"\"
@@ -21,32 +23,16 @@ describes that same cached entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.datalog.literals import Literal
 from repro.datalog.parser import parse_program, parse_query
 from repro.datalog.program import Program
-from repro.datalog.rules import Rule
-from repro.datalog.terms import Constant, Term, Variable
 from repro.datalog.validate import ensure_no_reserved_names, reserved_name_reason
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.engine.incremental import IncrementalSession
-from repro.engine.query import CompiledQuery, QueryCompiler
-from repro.engine.seminaive import seminaive_eval
-from repro.engine.stats import EvalStats
-
-
-@dataclass
-class QueryReport:
-    """What `ask` did: the plan used and the evaluation cost."""
-
-    goal: Literal
-    strategy: str  # "factored" | "counting" | "magic" | "edb" | "materialize"
-    certified_by: Optional[str]
-    stats: EvalStats
-    answers: Set[Tuple]
+from repro.engine.query import CompiledQuery, QueryAnswer, QueryCompiler
 
 
 class DeductiveDatabase:
@@ -71,10 +57,9 @@ class DeductiveDatabase:
         self._program: Optional[Program] = None
         self._edb = Database()
         #: the goal-directed serving path behind :meth:`ask` and the
-        #: introspection surface, built lazily over the effective
-        #: (bridged) program and dropped on every mutation
+        #: introspection surface, built lazily and dropped on every
+        #: mutation
         self._compiler: Optional[QueryCompiler] = None
-        self._compiler_edb: Optional[Database] = None
         self._use_instance_checks = use_instance_checks
         self._config = EngineConfig.resolve(config, **knobs)
 
@@ -105,7 +90,6 @@ class DeductiveDatabase:
 
     def _invalidate_compiler(self) -> None:
         self._compiler = None
-        self._compiler_edb = None
 
     def _check_fact_predicate(self, predicate: str) -> None:
         reason = reserved_name_reason(predicate)
@@ -138,49 +122,11 @@ class DeductiveDatabase:
         return self._edb
 
     # ------------------------------------------------------------------
-    # Mixed EDB/IDB predicates
-    # ------------------------------------------------------------------
-
-    def _effective(self) -> Tuple[Program, Database]:
-        """Bridge predicates that have both rules and stored facts.
-
-        A predicate defined by rules *and* carrying stored facts (e.g.
-        ``likes`` with base facts plus derivation rules) is split: the
-        stored relation is exposed as ``pred__base`` and an exit rule
-        ``pred(V̄) :- pred__base(V̄)`` is added, so the optimizer sees a
-        clean IDB/EDB separation.
-        """
-        program = self.program
-        overlap = [
-            sig for sig in program.idb_signatures if self._edb.get(*sig)
-        ]
-        if not overlap:
-            return program, self._edb
-        bridged_rules = list(program.rules)
-        edb_view = Database()
-        for sig, rel in self._edb.relations.items():
-            if sig in overlap:
-                base = edb_view.relation(f"{sig[0]}__base", sig[1])
-                for fact in rel:
-                    base.add(fact)
-            else:
-                edb_view.relations[sig] = rel.copy()
-        for name, arity in overlap:
-            variables = tuple(Variable(f"V{i}") for i in range(arity))
-            bridged_rules.append(
-                Rule(
-                    Literal(name, variables),
-                    (Literal(f"{name}__base", variables),),
-                )
-            )
-        return Program(bridged_rules), edb_view
-
-    # ------------------------------------------------------------------
     # Querying
     # ------------------------------------------------------------------
 
-    def _serving_compiler(self) -> Tuple[QueryCompiler, Database]:
-        """The goal-directed compiler over the effective program.
+    def _serving_compiler(self) -> QueryCompiler:
+        """The goal-directed compiler over the program.
 
         Compiled query forms live as long as neither the rules nor the
         facts change (mutations call :meth:`_invalidate_compiler`), so
@@ -188,14 +134,12 @@ class DeductiveDatabase:
         program *and* its compiled rule plans.
         """
         if self._compiler is None:
-            program, edb_view = self._effective()
             self._compiler = QueryCompiler(
-                program,
+                self.program,
                 use_instance_checks=self._use_instance_checks,
                 config=self._config,
             )
-            self._compiler_edb = edb_view
-        return self._compiler, self._compiler_edb
+        return self._compiler
 
     def ask(self, query: str, explain: bool = False):
         """Answer a query, e.g. ``db.ask("reach(1, Y)")``.
@@ -205,28 +149,18 @@ class DeductiveDatabase:
         Sets — counting or factoring where certified — compiled into
         rule plans and evaluated by the SCC scheduler against the
         stored facts only.  Returns a set of tuples of Python values
-        (one per variable, in first-occurrence order), or a
-        :class:`QueryReport` with the plan and statistics when
-        ``explain=True``.
+        (one per variable, in first-occurrence order), or the
+        :class:`~repro.engine.query.QueryAnswer` with the plan and
+        statistics when ``explain=True``.
         """
-        goal = parse_query(query)
-        compiler, edb_view = self._serving_compiler()
-        answer = compiler.ask(goal, edb_view)
-        if not explain:
-            return answer.answers
-        return QueryReport(
-            goal=goal,
-            strategy=answer.strategy,
-            certified_by=answer.certified_by,
-            stats=answer.stats,
-            answers=answer.answers,
-        )
+        answer = self._serving_compiler().ask(parse_query(query), self._edb)
+        return answer if explain else answer.answers
 
     def holds(self, query: str) -> bool:
         """True when a ground query has a derivation."""
         return bool(self.ask(query))
 
-    def explain(self, query: str) -> QueryReport:
+    def explain(self, query: str) -> QueryAnswer:
         return self.ask(query, explain=True)
 
     # ------------------------------------------------------------------
@@ -249,21 +183,11 @@ class DeductiveDatabase:
         computes a fact's derivation tree from its current EDB.
 
         The session snapshots the rules and facts loaded so far;
-        afterwards, update *it*, not this object.  Predicates holding
-        both stored facts and rules are bridged exactly like
-        :meth:`ask` (the stored relation becomes ``pred__base``); the
-        session translates updates of such predicates transparently.
+        afterwards, update *it*, not this object.  Stored facts on a
+        derived predicate stay base support for it there.
         """
         kwargs.setdefault("config", self._config)
-        program, edb_view = self._effective()
-        bridged = {
-            sig
-            for sig in self.program.idb_signatures
-            if self._edb.get(*sig)
-        }
-        if not bridged:
-            return IncrementalSession(program, edb_view, **kwargs)
-        return _BridgedIncrementalSession(bridged, program, edb_view, **kwargs)
+        return IncrementalSession(self.program, self._edb, **kwargs)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -274,8 +198,7 @@ class DeductiveDatabase:
         form (compiling it if this is the form's first use); no entry
         for a goal read from a stored relation."""
         goal = parse_query(query)
-        compiler, edb_view = self._serving_compiler()
-        return goal, compiler.entry(goal, edb_view)[0]
+        return goal, self._serving_compiler().entry(goal, self._edb)[0]
 
     def compiled_program(self, query: str) -> Program:
         """The rewritten program :meth:`ask` evaluates for ``query``.
@@ -303,26 +226,3 @@ class DeductiveDatabase:
         lines.extend(f"  {rule}" for rule in entry.effective_program())
         return "\n".join(lines)
 
-
-class _BridgedIncrementalSession(IncrementalSession):
-    """An incremental session over a bridged mixed-predicate program.
-
-    :meth:`DeductiveDatabase.materialize` splits predicates that carry
-    both stored facts and rules: the stored relation becomes
-    ``pred__base`` with an exit rule ``pred(V̄) :- pred__base(V̄)``.
-    Updates arriving under the user-facing name are renamed to the base
-    relation here, so callers never see the bridge.
-    """
-
-    def __init__(self, bridged, *args, **kwargs):
-        self._bridged = frozenset(bridged)
-        super().__init__(*args, **kwargs)
-
-    def _normalize(self, facts):
-        normalized = super()._normalize(facts)
-        out = {}
-        for (name, arity), rows in normalized.items():
-            if (name, arity) in self._bridged:
-                name = f"{name}__base"
-            out.setdefault((name, arity), []).extend(rows)
-        return out

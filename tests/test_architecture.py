@@ -237,3 +237,17 @@ def test_answers_are_decoded_once_at_the_edge():
     term rows as values, so the old row unwrapper and a ``values``
     method on ``QueryAnswer`` stay gone."""
     assert grep(r"unwrap_rows|def values\(", "src") == []
+
+
+def test_stored_derived_facts_have_one_bridge():
+    """Rows stored under a derived predicate's own name are bridged in
+    one place, ``engine/query.py::bridged_program``, under a reserved
+    ``~idb`` name (docs/query.md, "Stored facts on derived
+    predicates"): the session's ``__base`` copy, the incremental
+    subclass that renamed updates into it, the ask report that copied
+    ``QueryAnswer`` and the compiler's full-evaluation fallback stay
+    gone."""
+    assert grep(
+        "_BridgedIncrementalSession|_effective|QueryReport|__base", "src"
+    ) == []
+    assert grep(r"""["']materialize["']""", "src/repro/engine/query.py") == []

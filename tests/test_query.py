@@ -92,13 +92,16 @@ class TestStrategySelection:
         with pytest.raises(ValueError, match="arity 2"):
             tc_compiler.ask("t(1, 2, 3)", chain_edb(2))
 
-    def test_edb_facts_for_idb_predicate_fall_back(self):
+    def test_edb_facts_for_idb_predicate_are_bridged(self):
         compiler = QueryCompiler(parse_program(TC_TEXT))
         edb = chain_edb(3)
         edb.add_fact("t", (9, 9))  # base fact for a derived predicate
         answer = compiler.ask("t(9, Y)", edb)
-        assert answer.strategy == "materialize"
+        assert answer.strategy == "counting"
         assert answer.answers == {(9,)}
+        entry, _ = compiler.entry(parse_query("t(9, Y)"), edb)
+        assert entry.bridged == {("t", 2)}
+        assert "t~idb@bf" in str(entry.program)
 
     def test_zero_arity_goal(self):
         compiler = QueryCompiler(
@@ -446,16 +449,17 @@ class TestAnAskFreesWhatItAllocates:
         assert made.constructed >= (6 if strategy == "counting->magic" else 3)
         assert made.survivors() == []
 
-    def test_materialize_fallback_copy_is_dead_when_ask_returns(
+    def test_bridged_overlay_is_dead_when_ask_returns(
         self, collector_off, storage
     ):
         compiler = QueryCompiler(parse_program(TC_TEXT))
         edb = chain_edb(4)
         edb.add_fact("t", (9, 9))  # a base fact on an IDB predicate
+        compiler.entry(parse_query("t(0, Y)"), edb)
         made = storage()
         answer = compiler.ask("t(0, Y)", edb)
-        assert answer.strategy == "materialize" and len(answer.answers) == 4
-        assert made.constructed >= 3  # the copy, its e and t
+        assert answer.strategy == "counting" and len(answer.answers) == 4
+        assert made.constructed >= 3  # the overlay, its seed, query
         assert made.survivors() == []
 
     @pytest.mark.parametrize("stage", ["original", "magic", "factored", "simplified"])
@@ -580,12 +584,12 @@ class TestArenaContract:
         assert inside == [False] * 3 and gc.isenabled()
         assert switch == ["disable", "enable"] * 3
 
-    def test_materialize_fallback_and_stage_evaluation_are_guarded(
+    def test_bridged_ask_and_stage_evaluation_are_guarded(
         self, tc_compiler, switch, inside
     ):
         edb = self.LARGE.copy()
         edb.add_fact("t", (9, 9))
-        assert tc_compiler.ask("t(0, Y)", edb).strategy == "materialize"
+        assert tc_compiler.ask("t(0, Y)", edb).strategy == "counting"
         assert inside == [False] and gc.isenabled()
         result = optimize(parse_program(TC_TEXT), parse_query("t(0, Y)"))
         del inside[:]

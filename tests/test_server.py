@@ -14,6 +14,7 @@ journal compensation, the socket framing).
 import random
 import socket
 import threading
+import time
 
 import pytest
 
@@ -228,6 +229,31 @@ class TestReadViews:
         assert server.query_goal("t(1, Y)") == {(2,), (3,), (4,)}
         server.delete("e(3, 4).")
         assert server.query_goal("t(1, Y)") == {(2,), (3,)}
+
+    def test_query_goal_bridges_a_stored_derived_fact(self):
+        """A stored ``t`` fact is served by the rewrite, not a full
+        fixpoint: every answer equals the materialized read, and a form
+        is compiled again exactly when the set of derived predicates
+        with stored facts changes."""
+        server = make_server()
+        goals = ("t(1, Y)", "t(X, 9)", "t(X, Y)")
+
+        def served(cached):
+            for goal in goals:
+                answer = server.query_goal(goal, explain=True)
+                assert answer.answers == server.query(goal), goal
+                assert answer.strategy in ("factored", "counting", "magic")
+                assert answer.from_cache is cached, goal
+
+        served(cached=False)
+        server.insert("t(3, 9).")
+        served(cached=False)
+        assert server.query_goal("t(1, Y)") == {(2,), (3,), (9,)}
+        server.insert("e(3, 4).")
+        served(cached=True)
+        server.delete("t(3, 9).")
+        served(cached=False)
+        assert server.query_goal("t(1, Y)") == {(2,), (3,), (4,)}
 
     def test_snapshot_age_resets_on_publication(self):
         server = make_server()
@@ -459,6 +485,23 @@ class TestSocketFront:
             "= 3\nok 1 answers\n"
             "ok bye\n"
         )
+
+    def test_shutdown_stops_the_listener(self):
+        """``shutdown`` wakes the thread blocked in ``accept``: it
+        returns at once, the thread is gone, and a connect after it is
+        refused rather than served."""
+        front = SocketFront(make_server(), workers=1)
+        front.start()
+        with socket.create_connection(
+            (front.host, front.port), timeout=10
+        ) as sock, sock.makefile("r", encoding="utf-8") as reader:
+            assert self._exchange(reader, sock, "quit") == ([], "ok bye")
+        begin = time.monotonic()
+        front.shutdown()
+        assert time.monotonic() - begin < 1
+        assert not front._accept_thread.is_alive()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection((front.host, front.port), timeout=5)
 
     def test_concurrent_clients_share_one_writer(self):
         server = make_server()

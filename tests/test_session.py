@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.session import DeductiveDatabase, QueryReport
+from repro.engine.query import QueryAnswer
+from repro.session import DeductiveDatabase
 
 
 @pytest.fixture
@@ -32,7 +33,7 @@ class TestAsk:
 
     def test_explain_reports_factoring(self, reach_db):
         report = reach_db.explain("reach(1, Y)")
-        assert isinstance(report, QueryReport)
+        assert isinstance(report, QueryAnswer)
         assert report.strategy == "factored"
         assert report.certified_by == "Theorem 4.1 (selection-pushing)"
         assert report.stats.facts > 0
@@ -74,6 +75,26 @@ class TestLoading:
         db.fact("likes", "bo", "jazz")
         # likes is both EDB and IDB here — engine tolerates it.
         assert ("jazz",) in db.ask("likes(ann, Z)")
+
+    def test_a_user_predicate_named_like_a_bridge_stays_its_own(self):
+        """Stored facts on a derived predicate are bridged under a
+        reserved name, so a user's ``likes__base`` is never read as
+        ``likes``'s stored half, nor the other way round."""
+        db = DeductiveDatabase()
+        db.rules(
+            """
+            likes(X, Z) :- friend(X, Y), likes(Y, Z).
+            likes__base(X, Y) :- hates(X, Y).
+            """
+        )
+        db.facts("friend", [("ann", "bo"), ("bo", "cy")])
+        db.fact("hates", "ann", "rock")
+        db.fact("likes", "cy", "jazz")
+        assert db.ask("likes(ann, Z)") == {("jazz",)}
+        assert db.ask("likes__base(X, Y)") == {("ann", "rock")}
+        session = db.materialize()
+        assert session.query("likes(ann, Z)") == {("jazz",)}
+        assert session.query("likes__base(X, Y)") == {("ann", "rock")}
 
     def test_adding_rules_clears_plans(self, reach_db):
         reach_db.ask("reach(1, Y)")
@@ -133,8 +154,7 @@ class TestExplanationIsOfTheProgramThatRan:
         from tests.conftest import answer_values
 
         goal = parse_query(query)
-        compiler, edb_view = db._serving_compiler()
-        entry, cached = compiler.entry(goal, edb_view)
+        entry, cached = db._serving_compiler().entry(goal, db.edb)
         assert cached
         program = db.compiled_program(query)
         assert list(program) == list(entry.effective_program())
@@ -145,7 +165,7 @@ class TestExplanationIsOfTheProgramThatRan:
             seed, rows = (entry.plan.magic.seed.predicate, bound), range(goal.arity)
         else:
             seed, rows = (entry.seed.predicate, bound), entry.row_positions
-        edb = edb_view.copy()
+        edb = db.edb.copy()
         edb.add_fact(*seed)
         result, _ = seminaive_eval(program, edb)
         return answer_values(
@@ -206,6 +226,6 @@ class TestExplanationIsOfTheProgramThatRan:
         summary = db.plan_summary("likes(ann, Z)")
         report = db.ask("likes(ann, Z)", explain=True)
         assert self.strategy_of(summary) == (report.strategy, report.certified_by)
-        assert "likes__base" in summary  # the bridge rule is part of what runs
+        assert "likes~idb" in summary  # the bridge rule is part of what runs
         assert self.run_compiled(db, "likes(ann, Z)") == report.answers == {("jazz",)}
         assert db._compiler.compiles == 1
