@@ -59,6 +59,25 @@ class Program:
         }
         return frozenset((referenced - self._idb) | self._edb_declared)
 
+    def check_query(self, signature: Signature) -> None:
+        """Refuse a goal on a derived predicate at an arity no rule defines.
+
+        ``t(1, 2, 3)`` against rules for ``t/2`` is a mistake, not an
+        empty answer: the compiled path and every read of a
+        materialized view raise this same ``ValueError``.  Goals on
+        other predicates (stored or unknown) pass.
+        """
+        if signature in self._idb:
+            return
+        predicate, arity = signature
+        arities = sorted(a for name, a in self._idb if name == predicate)
+        if arities:
+            raise ValueError(
+                f"query predicate {predicate}/{arity} is not defined by "
+                f"the program ({predicate} has arity "
+                f"{', '.join(map(str, arities))})"
+            )
+
     def is_idb(self, signature: Signature) -> bool:
         return signature in self._idb
 

@@ -242,9 +242,12 @@ class IncrementalSession:
 
         Answers come straight from the maintained database — no
         fixpoint runs.  Returns unwrapped Python values like
-        :meth:`repro.session.DeductiveDatabase.ask`.
+        :meth:`repro.session.DeductiveDatabase.ask`.  A derived
+        predicate at an arity the program does not define raises
+        ``ValueError`` (:meth:`~repro.datalog.program.Program.check_query`).
         """
         goal = parse_query(query) if isinstance(query, str) else query
+        self.program.check_query(goal.signature)
         return self.database.answers(goal)
 
     def holds(self, query: Union[str, Literal]) -> bool:

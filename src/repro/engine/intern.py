@@ -41,10 +41,10 @@ class TermDictionary:
     """An append-only bijection between ground terms and dense ints.
 
     Thread-safe for concurrent interning (``repro serve --workers``
-    reader threads evaluate asks over pinned views that share one
-    dictionary): lookups are lock-free dict reads; only the miss path
-    takes the lock, with a second lookup under it so racing interners
-    agree on one id.  The lock is
+    reader threads read pinned views that share one dictionary, and
+    library threads may ask over one database): lookups are lock-free
+    dict reads; only the miss path takes the lock, with a second lookup
+    under it so racing interners agree on one id.  The lock is
     re-entrant because :meth:`Relation.ensure_columns` holds it around
     a column extension whose per-term interns re-enter it.
     """

@@ -474,15 +474,7 @@ class QueryCompiler:
         compiled for another set of stored IDB signatures is replaced.
         """
         if goal.signature not in self.idb_signatures:
-            arities = sorted(
-                a for name, a in self.idb_signatures if name == goal.predicate
-            )
-            if arities:
-                raise ValueError(
-                    f"query predicate {goal.predicate}/{goal.arity} is not "
-                    f"defined by the program ({goal.predicate} has "
-                    f"arity {', '.join(map(str, arities))})"
-                )
+            self.program.check_query(goal.signature)
             return None, False
         bridged = frozenset(
             sig

@@ -18,7 +18,9 @@ The MVCC scheme rests on two properties of the layers below:
   — a dict of relation pointers sharing the term dictionary and column
   slabs by reference, not a copy) into a fresh :class:`ReadView` and
   installs it with a single reference assignment.  Readers grab the
-  current view once per query and answer entirely from it.
+  current view once per query and answer entirely from it: a query is
+  one selection over the view's materialized database, the relation
+  the writer already maintains, so no read runs a fixpoint.
 
 Together these give *prefix consistency*: every answer a reader ever
 produces equals a from-scratch evaluation of some prefix of the
@@ -50,8 +52,11 @@ from repro.datalog.parser import parse_literal, parse_query
 from repro.engine.database import Database
 from repro.engine.incremental import _normalize_updates
 from repro.engine.provenance import DerivationTree, explain
-from repro.engine.query import QueryCompiler
 from repro.engine.stats import EvalStats
+
+#: The longest request line the socket front reads, newline excluded
+#: (about 25 000 ``e(i, j).`` facts in one ``+`` line).
+MAX_LINE_BYTES = 1 << 20
 
 
 @dataclass
@@ -63,8 +68,8 @@ class ServerStats:
       and left the previous view installed (their journal records are
       compensated by abort markers);
     * ``queries_served`` — reads answered from a pinned view
-      (:meth:`DatalogServer.query`, :meth:`DatalogServer.query_goal`
-      and :meth:`DatalogServer.explain` all count);
+      (:meth:`DatalogServer.query` and :meth:`DatalogServer.explain`
+      both count);
     * ``checkpoints`` — journal checkpoints appended by the
       ``checkpoint_every`` policy;
     * ``version`` — the current view's version: the number of
@@ -93,17 +98,24 @@ class ReadView:
 
     ``database`` is the pinned materialized database (EDB + IDB) and
     ``edb`` the pinned base facts, both sharing their relations by
-    reference with the frozen pre-publication objects.  A view never
+    reference with the frozen pre-publication objects; ``program``
+    checks each goal's arity.  A view never
     changes once constructed; readers may keep one across many queries
     for a transaction-like consistent read sequence.
     """
 
-    __slots__ = ("version", "database", "edb", "published_at")
+    __slots__ = ("version", "program", "database", "edb", "published_at")
 
     def __init__(
-        self, version: int, database: Database, edb: Database, published_at: float
+        self,
+        version: int,
+        program,
+        database: Database,
+        edb: Database,
+        published_at: float,
     ):
         self.version = version
+        self.program = program
         self.database = database
         self.edb = edb
         self.published_at = published_at
@@ -113,9 +125,11 @@ class ReadView:
 
         The materialized read: answers come straight from the pinned
         database, unwrapped to plain Python values exactly like
-        :meth:`IncrementalSession.query`.
+        :meth:`IncrementalSession.query`, and a derived predicate at an
+        arity the program does not define raises ``ValueError``.
         """
         goal = parse_query(query) if isinstance(query, str) else query
+        self.program.check_query(goal.signature)
         return self.database.answers(goal)
 
     def holds(self, query: Union[str, Literal]) -> bool:
@@ -139,8 +153,8 @@ class DatalogServer:
     attached: normalize, append to the journal, apply, then atomically
     publish the new :class:`ReadView`; a failed batch appends a
     compensating abort record and publishes nothing.  Reads
-    (:meth:`query`, :meth:`query_goal`, :meth:`explain`, :meth:`view`)
-    never block on the writer and never observe mid-batch state.
+    (:meth:`query`, :meth:`explain`, :meth:`view`) never block on the
+    writer and never observe mid-batch state.
 
     ``checkpoint_every`` appends a journal checkpoint after every that
     many committed batches, exactly like the serve REPL's policy.
@@ -165,10 +179,6 @@ class DatalogServer:
         self._write_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self.stats = ServerStats()
-        # Thread-local goal-directed compilers: each reader thread owns
-        # one, so compiled-entry caches are mutated by a single thread
-        # only; staleness is tracked against the view version.
-        self._tls = threading.local()
         self._view = self._pin(0)
 
     # -- publication ---------------------------------------------------
@@ -178,6 +188,7 @@ class DatalogServer:
         session = self.session
         return ReadView(
             version,
+            session.program,
             session.database.pin(),
             session.edb.pin(),
             time.monotonic(),
@@ -266,38 +277,6 @@ class DatalogServer:
         """True when a ground query holds in the current pinned view."""
         return bool(self.query(query))
 
-    def query_goal(self, query: Union[str, Literal], explain: bool = False):
-        """Goal-directed read against the current pinned view's EDB.
-
-        The compiled serving path of
-        :meth:`IncrementalSession.query_goal`, made safe for N reader
-        threads: each thread owns its own
-        :class:`~repro.engine.query.QueryCompiler` (compiled entries
-        cached per query form, invalidated when the published version
-        moves), and evaluation runs against the pinned EDB — a query
-        racing a maintenance batch answers from the last committed
-        state, never a mid-batch one.
-        """
-        view = self._view
-        state = self._tls
-        compiler = getattr(state, "compiler", None)
-        if compiler is None:
-            compiler = self._make_compiler()
-            state.compiler = compiler
-            state.version = view.version
-        elif state.version != view.version:
-            compiler.note_edb_change()
-            state.version = view.version
-        goal = parse_query(query) if isinstance(query, str) else query
-        answer = compiler.ask(goal, view.edb)
-        self._count_query()
-        if explain:
-            return answer
-        return answer.answers
-
-    def _make_compiler(self):
-        return QueryCompiler(self.session.program, config=self.session.config)
-
     def explain(self, fact: Union[str, Literal]) -> DerivationTree:
         """The derivation tree of a ground fact in the current pinned view.
 
@@ -337,12 +316,12 @@ def handle_line(server: DatalogServer, line: str):
 
     Returns ``(payload_lines, status_line, quit)``.  The grammar is the
     serve REPL's: ``+ facts.`` insert, ``- facts.`` delete, ``? query``
-    ask (goal-directed, against the pinned EDB), ``explain fact``
-    (against the pinned EDB too), ``stats``, ``quit``/``exit``; blank
-    lines and ``#`` comments are
-    no-ops.  Errors — including a rolled-back batch and a failed
-    journal write — report as an ``error:`` status and leave the
-    served state untouched.
+    ask (one selection over the pinned view), ``explain fact`` (against
+    the pinned EDB), ``stats``, ``quit``/``exit``; blank lines and ``#``
+    comments are no-ops.  Errors — including a rolled-back batch, a
+    failed journal write and a goal at an arity the program does not
+    define — report as an ``error:`` status and leave the served state
+    untouched.
     """
     line = line.strip()
     payload = []
@@ -363,7 +342,7 @@ def handle_line(server: DatalogServer, line: str):
                 f"{stats.seconds * 1000:.1f} ms)"
             ), False
         if line.startswith("?"):
-            answers = server.query_goal(line[1:].strip())
+            answers = server.query(line[1:].strip())
             for row in sorted(answers, key=str):
                 payload.append(
                     "\t".join(str(value) for value in row) if row else "true"
@@ -393,6 +372,27 @@ def reply(payload: List[str], status: str) -> str:
     return "".join(f"= {p}\n" for p in payload) + status + "\n"
 
 
+def _request_lines(reader):
+    """``(line, None)`` per decoded request line, ``(None, reason)`` per
+    refused one.  An over-long line is refused after
+    :data:`MAX_LINE_BYTES` bytes; its rest is dropped in bounded chunks."""
+    while True:
+        raw = reader.readline(MAX_LINE_BYTES + 1)
+        if not raw:
+            return
+        if len(raw) > MAX_LINE_BYTES and not raw.endswith(b"\n"):
+            yield None, f"request line longer than {MAX_LINE_BYTES} bytes"
+            while raw and not raw.endswith(b"\n"):
+                raw = reader.readline(1 << 16)
+            continue
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            yield None, "request is not valid UTF-8"
+        else:
+            yield line, None
+
+
 class SocketFront:
     """A line-oriented TCP front over a :class:`DatalogServer`.
 
@@ -400,7 +400,8 @@ class SocketFront:
     grammar); the server responds with zero or more payload lines, each
     prefixed ``"= "``, followed by exactly one status line starting
     ``ok`` or ``error:``.  ``quit`` answers ``ok bye`` and closes that
-    connection only.
+    connection only.  A line longer than :data:`MAX_LINE_BYTES` is
+    refused, not buffered.
 
     ``workers`` bounds the number of concurrently served connections —
     the reader pool.  Updates arriving on any connection funnel through
@@ -463,18 +464,14 @@ class SocketFront:
 
     def _serve_connection(self, conn: socket.socket) -> None:
         try:
-            # Bytes in, decoded one line at a time: an undecodable line
-            # is one refused request, not a dropped connection.
+            # Bytes in, one bounded line at a time: a refused line is
+            # one refused request, not a dropped connection.
             with conn, conn.makefile("rb") as reader:
-                for raw in reader:
-                    try:
-                        line = raw.decode("utf-8")
-                    except UnicodeDecodeError:
-                        payload, status, quitting = (
-                            [], "error: request is not valid UTF-8", False
-                        )
-                    else:
+                for line, refused in _request_lines(reader):
+                    if refused is None:
                         payload, status, quitting = handle_line(self.server, line)
+                    else:
+                        payload, status, quitting = [], f"error: {refused}", False
                     conn.sendall(reply(payload, status).encode("utf-8"))
                     if quitting:
                         break

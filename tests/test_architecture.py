@@ -251,3 +251,13 @@ def test_stored_derived_facts_have_one_bridge():
         "_BridgedIncrementalSession|_effective|QueryReport|__base", "src"
     ) == []
     assert grep(r"""["']materialize["']""", "src/repro/engine/query.py") == []
+
+
+def test_the_server_has_one_read_path():
+    """``?`` is one selection over the pinned view the writer already
+    maintains (docs/serve.md, "What `?` reads"): the view holds what a
+    goal-directed read would re-derive, so the server's per-read
+    fixpoint, its thread-local compilers and their import stay gone."""
+    assert grep(
+        r"QueryCompiler|query_goal|threading\.local", "src/repro/engine/server.py"
+    ) == []

@@ -925,7 +925,9 @@ assert set(sys.modules) == before, sorted(set(sys.modules) - before)
     ):
         """``serve`` has imported its whole request path when it prints
         ``listening on``: the first read, ``explain``, write and
-        ``stats`` add no module to the process."""
+        ``stats`` add no module to the process.  A read is a selection
+        over the pinned view, so the query compiler and the rewrites
+        behind it are never loaded at all."""
         lines = self.fresh(
             """
 import os, socket, sys, threading
@@ -960,7 +962,8 @@ def client():
                         break
                 assert reply.startswith("ok"), (line, reply)
         print("NEW", *sorted(set(sys.modules) - before), file=sys.__stdout__, flush=True)
-        assert "repro.engine.reference" not in sys.modules
+        for name in ("repro.engine.reference", "repro.engine.query", "repro.core.pipeline"):
+            assert name not in sys.modules, name
         code = 0
     finally:
         os._exit(code)

@@ -33,7 +33,6 @@ from repro.engine.incremental import IncrementalSession
 from repro.engine.query import CompiledQuery, QueryCompiler
 from repro.engine.scheduler import SCCScheduler
 from repro.engine.seminaive import seminaive_eval
-from repro.engine.server import DatalogServer
 from repro.engine.stats import NonTerminationError
 from repro.session import DeductiveDatabase
 from repro.workloads.lists import pmem_edb, pmem_program, pmem_query
@@ -651,18 +650,21 @@ class TestArenaContract:
         assert switch == ["disable", "enable"] * 4
 
     def test_eight_threads_end_with_the_collector_on(self):
-        server = DatalogServer(
-            IncrementalSession(parse_program(TC_TEXT), self.LARGE.copy())
-        )
+        """Eight threads, each asking through its own compiler over one
+        shared pinned EDB, leave the process-wide switch on."""
+        program = parse_program(TC_TEXT)
+        edb = self.LARGE.copy().pin()
         goals = [f"t({4 * b}, Y)" for b in range(200)]
-        expected = [server.query_goal(goal) for goal in goals]
+        first = QueryCompiler(program)
+        expected = [first.ask(goal, edb).answers for goal in goals]
         assert expected[0] == {(1,), (2,), (3,)}
         wrong = []
 
         def reader(offset):
+            compiler = QueryCompiler(program)
             for i in range(len(goals)):
                 k = (i + offset) % len(goals)
-                if server.query_goal(goals[k]) != expected[k]:
+                if compiler.ask(goals[k], edb).answers != expected[k]:
                     wrong.append(goals[k])
 
         threads = [threading.Thread(target=reader, args=(25 * t,)) for t in range(8)]
@@ -757,6 +759,33 @@ class TestSessionIntegration:
         assert after == before | {(4,)}
         session.apply_batch(deletes=[("e", (1, 2))])
         assert session.query_goal("t(0, Y)") == {(1,)}
+
+    def test_query_goal_bridges_a_stored_derived_fact(self):
+        """A stored ``t`` fact is served by the rewrite, not a full
+        fixpoint: every answer equals the materialized read, and a form
+        is compiled again exactly when the set of derived predicates
+        with stored facts changes."""
+        session = IncrementalSession(
+            parse_program(TC_TEXT), Database.from_dict({"e": [(1, 2), (2, 3)]})
+        )
+        goals = ("t(1, Y)", "t(X, 9)", "t(X, Y)")
+
+        def served(cached):
+            for goal in goals:
+                answer = session.query_goal(goal, explain=True)
+                assert answer.answers == session.query(goal), goal
+                assert answer.strategy in ("factored", "counting", "magic")
+                assert answer.from_cache is cached, goal
+
+        served(cached=False)
+        session.insert("t(3, 9).")
+        served(cached=False)
+        assert session.query_goal("t(1, Y)") == {(2,), (3,), (9,)}
+        session.insert("e(3, 4).")
+        served(cached=True)
+        session.delete("t(3, 9).")
+        served(cached=False)
+        assert session.query_goal("t(1, Y)") == {(2,), (3,), (4,)}
 
     def test_query_goal_is_read_only(self):
         session = IncrementalSession(parse_program(TC_TEXT), chain_edb(3))

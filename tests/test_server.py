@@ -24,7 +24,12 @@ from repro.engine.database import Database
 from repro.engine.incremental import IncrementalSession
 from repro.engine.journal import Journal, recover_session
 from repro.engine.provenance import provenance_eval
-from repro.engine.server import DatalogServer, SocketFront, handle_line
+from repro.engine.server import (
+    MAX_LINE_BYTES,
+    DatalogServer,
+    SocketFront,
+    handle_line,
+)
 from repro.engine.stats import MaintenanceError
 
 TC_TEXT = """
@@ -43,6 +48,15 @@ def make_server(base=BASE, **knobs):
     program = parse_program(TC_TEXT)
     session = IncrementalSession(program, Database.from_dict(base), **knobs)
     return DatalogServer(session)
+
+
+def served_answers(server, goal):
+    """The answer set of ``? goal`` as a client reads it off the wire."""
+    payload, status, _ = handle_line(server, f"? {goal}")
+    assert status == f"ok {len(payload)} answers", status
+    return frozenset(
+        tuple(int(value) for value in line.split("\t")) for line in payload
+    )
 
 
 def oracle(edb_facts):
@@ -114,14 +128,14 @@ class TestPrefixConsistency:
         errors = []
 
         def reader(slot):
-            # Half the readers use the materialized view, half the
-            # goal-directed compiled path; both must be prefix-consistent.
-            goal_directed = slot % 2 == 1
+            # Half the readers hold a view, half send ``?`` through the
+            # wire handler; both must be prefix-consistent.
+            over_the_wire = slot % 2 == 1
             try:
                 while True:
                     view = server.view()
-                    if goal_directed:
-                        answers = frozenset(server.query_goal("t(X, Y)"))
+                    if over_the_wire:
+                        answers = served_answers(server, "t(X, Y)")
                     else:
                         answers = frozenset(view.query("t(X, Y)"))
                     observed[slot].append((view.version, answers))
@@ -164,8 +178,8 @@ class TestPrefixConsistency:
                     f"seed {seed}: reader {slot} saw an answer set "
                     f"matching no committed prefix"
                 )
-                # ...and the materialized readers' pinned view pairs the
-                # version with exactly that prefix's oracle.
+                # ...and the view holders' pinned view pairs the version
+                # with exactly that prefix's oracle.
                 if slot % 2 == 0:
                     assert answers == oracles[version], (
                         f"seed {seed}: view version {version} answered "
@@ -220,40 +234,33 @@ class TestReadViews:
         assert server.stats.version == 0
         assert server.query("t(X, Y)") == before.query("t(X, Y)")
 
-    def test_query_goal_tracks_the_published_version(self):
+    def test_a_served_read_tracks_the_published_version(self):
         server = make_server()
-        assert server.query_goal("t(1, Y)") == {(2,), (3,)}
+        assert served_answers(server, "t(1, Y)") == {(2,), (3,)}
         server.insert("e(3, 4).")
-        # Same thread, same cached compiler: the new version must
-        # invalidate the compiled entry and see the insert.
-        assert server.query_goal("t(1, Y)") == {(2,), (3,), (4,)}
+        assert served_answers(server, "t(1, Y)") == {(2,), (3,), (4,)}
         server.delete("e(3, 4).")
-        assert server.query_goal("t(1, Y)") == {(2,), (3,)}
+        assert served_answers(server, "t(1, Y)") == {(2,), (3,)}
 
-    def test_query_goal_bridges_a_stored_derived_fact(self):
-        """A stored ``t`` fact is served by the rewrite, not a full
-        fixpoint: every answer equals the materialized read, and a form
-        is compiled again exactly when the set of derived predicates
-        with stored facts changes."""
+    def test_a_goal_at_another_arity_is_an_error(self):
+        """``t/3`` on a program defining ``t/2`` is refused by every
+        read, not answered with an empty set — the compiled path
+        (``query_goal``) included."""
         server = make_server()
-        goals = ("t(1, Y)", "t(X, 9)", "t(X, Y)")
-
-        def served(cached):
-            for goal in goals:
-                answer = server.query_goal(goal, explain=True)
-                assert answer.answers == server.query(goal), goal
-                assert answer.strategy in ("factored", "counting", "magic")
-                assert answer.from_cache is cached, goal
-
-        served(cached=False)
-        server.insert("t(3, 9).")
-        served(cached=False)
-        assert server.query_goal("t(1, Y)") == {(2,), (3,), (9,)}
-        server.insert("e(3, 4).")
-        served(cached=True)
-        server.delete("t(3, 9).")
-        served(cached=False)
-        assert server.query_goal("t(1, Y)") == {(2,), (3,), (4,)}
+        message = (
+            "query predicate t/3 is not defined by the program "
+            "(t has arity 2)"
+        )
+        assert handle_line(server, "? t(1, 2, 3)") == (
+            [], f"error: {message}", False
+        )
+        session = server.session
+        for read in (
+            server.query, server.view().query, session.query, session.query_goal
+        ):
+            with pytest.raises(ValueError, match=r"t/3 .*\(t has arity 2\)"):
+                read("t(1, 2, 3)")
+        assert server.query("e(1, 2, 3)") == set()  # not a derived predicate
 
     def test_snapshot_age_resets_on_publication(self):
         server = make_server()
@@ -261,7 +268,7 @@ class TestReadViews:
         assert 0 <= server.snapshot_age() < 60
         assert server.stats.queries_served == 0
         server.query("t(1, Y)")
-        server.query_goal("t(1, Y)")
+        server.query("t(X, 3)")
         assert server.stats.queries_served == 2
 
     def test_explain_answers_from_the_published_view(self, monkeypatch):
@@ -483,6 +490,24 @@ class TestSocketFront:
             "= 2\n= 3\nok 2 answers\n"
             "error: request is not valid UTF-8\n"
             "= 3\nok 1 answers\n"
+            "ok bye\n"
+        )
+
+    def test_an_over_long_line_is_refused_not_the_connection(self):
+        """A line past ``MAX_LINE_BYTES`` answers ``error:`` and is
+        dropped without being held whole; the next line on the same
+        connection is answered as usual."""
+        server = make_server()
+        with SocketFront(server, workers=1) as front:
+            with socket.create_connection(
+                (front.host, front.port), timeout=10
+            ) as sock, sock.makefile("rb") as reader:
+                sock.sendall(b"x" * (2 << 20) + b"\n? t(1, Y)\nquit\n")
+                replies = reader.read().decode("utf-8")
+        assert MAX_LINE_BYTES == 1 << 20
+        assert replies == (
+            "error: request line longer than 1048576 bytes\n"
+            "= 2\n= 3\nok 2 answers\n"
             "ok bye\n"
         )
 
