@@ -51,7 +51,7 @@ class _Facade(_ModuleType):
     """A package whose public names outrank same-named submodules.
 
     The import system binds every submodule it loads as an attribute of
-    the parent package.  ``repro.engine.unify`` and
+    the parent package.  ``repro.datalog.unify`` and
     ``repro.transforms.counting`` are public *functions* that share
     their defining module's name, so for those names the binding is
     declined and the attribute keeps resolving to the function,
@@ -113,8 +113,7 @@ _MODULES = {
     ),
     "engine": (
         "Database", "Relation", "EvalStats", "NonTerminationError",
-        "SCCScheduler", "EngineConfig",
-        "naive_eval", "seminaive_eval", "topdown_eval", "TopDownResult",
+        "EngineConfig", "seminaive_eval", "topdown_eval", "TopDownResult",
     ),
     "analysis": (
         "adorn", "AdornedProgram", "Adornment", "adornment_from_query",

@@ -36,7 +36,7 @@ from repro.datalog.literals import Literal
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
 from repro.datalog.terms import Term, Variable, fresh_variable
-from repro.engine.unify import Substitution, rename_apart, unify
+from repro.datalog.unify import Substitution, rename_apart, unify
 
 
 @dataclass

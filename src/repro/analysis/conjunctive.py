@@ -23,7 +23,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.datalog.literals import Literal
 from repro.datalog.terms import Constant, Term, Variable, term_variables
-from repro.engine.unify import Substitution, unify_terms
+from repro.datalog.unify import Substitution, unify_terms
 
 EQUAL = "equal"
 

@@ -32,7 +32,7 @@ from repro.engine.naive import naive_eval
 from repro.engine.plan import PlanCache
 from repro.engine.scheduler import SCCScheduler
 from repro.engine.stats import EvalStats, NonTerminationError
-from repro.engine.unify import Substitution
+from repro.datalog.unify import Substitution
 
 
 class UniformUndecidedError(RuntimeError):

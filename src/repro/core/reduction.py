@@ -25,7 +25,7 @@ from repro.datalog.literals import Literal
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
 from repro.datalog.terms import Constant, Term, Variable
-from repro.engine.unify import Substitution
+from repro.datalog.unify import Substitution
 
 
 def static_argument_positions(

@@ -2,8 +2,10 @@
 
 This package defines the abstract syntax shared by every other
 subsystem in the repository, together with a parser
-(:mod:`repro.datalog.parser`) and a pretty-printer
-(:mod:`repro.datalog.pretty`).
+(:mod:`repro.datalog.parser`), a pretty-printer
+(:mod:`repro.datalog.pretty`) and the term operations of matching and
+unification (:mod:`repro.datalog.unify`).  It imports nothing from the
+other subpackages.
 
 The language is Horn-clause logic with optional function symbols
 (compound terms), matching the setting of the paper: pure Datalog for
@@ -27,6 +29,7 @@ __getattr__, __dir__, __all__ = _facade(
             "parse_program", "parse_rule", "parse_literal", "parse_term",
             "parse_query", "ParseError",
         ),
+        "unify": ("Substitution", "unify", "match", "unify_terms"),
         "pretty": (
             "pretty_term", "pretty_literal", "pretty_rule", "pretty_program",
         ),

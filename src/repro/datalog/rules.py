@@ -11,6 +11,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.datalog.literals import Literal
 from repro.datalog.terms import Term, Variable, term_variables
+from repro.datalog.unify import Substitution
 
 
 class UnsafeRuleError(ValueError):
@@ -70,13 +71,7 @@ class Rule:
 
     def rename_variables(self, mapping: Dict[Variable, Variable]) -> "Rule":
         """Apply a variable-to-variable renaming throughout the rule."""
-        from repro.engine.unify import Substitution
-
-        subst = Substitution(dict(mapping))
-        return Rule(
-            subst.apply_literal(self.head),
-            tuple(subst.apply_literal(lit) for lit in self.body),
-        )
+        return Substitution(dict(mapping)).apply_rule(self)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Rule) and other.head == self.head and other.body == self.body

@@ -61,10 +61,11 @@ class Substitution:
             return literal
         return Literal(literal.predicate, args)
 
-    def apply_rule(self, rule) -> "Rule":  # noqa: F821 - avoid import cycle in hints
-        from repro.datalog.rules import Rule
-
-        return Rule(
+    def apply_rule(self, rule):
+        """``rule`` with the substitution applied to every literal
+        (built as ``type(rule)``, so this module needs no import of
+        :mod:`repro.datalog.rules`, which imports it)."""
+        return type(rule)(
             self.apply_literal(rule.head),
             tuple(self.apply_literal(lit) for lit in rule.body),
         )

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.dependency import DependencyGraph
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
 

@@ -1,4 +1,4 @@
-"""The evaluation substrate: storage, unification, and evaluators.
+"""The evaluation substrate: storage and evaluators.
 
 The paper's efficiency claims are all phrased in terms of bottom-up
 (semi-naive) evaluation cost — the number of facts and inferences — so
@@ -12,13 +12,11 @@ __getattr__, __dir__, __all__ = _facade(
     __name__,
     {
         "database": ("Database", "Relation", "RelationView"),
-        "unify": ("Substitution", "unify", "match", "unify_terms"),
         "stats": (
             "ComponentTimeout", "EvalStats", "MaintenanceError",
             "NonTerminationError",
         ),
         "config": ("EngineConfig",),
-        "plan": ("PlanCache", "RulePlan", "compile_rule"),
         "faults": (
             "FaultInjected", "FaultPlan", "parse_faults", "resolve_faults",
         ),
@@ -26,10 +24,7 @@ __getattr__, __dir__, __all__ = _facade(
             "ComponentResult", "ComponentSpec", "ExecutorBackend",
             "ProcessBackend", "SerialBackend", "make_backend",
         ),
-        "scheduler": (
-            "ComponentRun", "ComponentTask", "SCCScheduler",
-            "component_depths",
-        ),
+        "scheduler": ("SCCScheduler",),
         "naive": ("naive_eval",),
         "seminaive": ("seminaive_eval",),
         "topdown": ("topdown_eval", "TopDownResult"),

@@ -19,7 +19,7 @@ from repro.datalog.literals import Literal
 from repro.datalog.rules import Rule
 from repro.datalog.terms import Constant, Term, Variable, term_variables
 from repro.engine.intern import TermDictionary, plain_value
-from repro.engine.unify import match_term
+from repro.datalog.unify import match_term
 
 FactTuple = Tuple[Term, ...]
 Signature = Tuple[str, int]

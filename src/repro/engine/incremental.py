@@ -205,7 +205,6 @@ class IncrementalSession:
         #: a budget.
         self._deadline: Optional[float] = None
         self._edb = edb.copy() if edb is not None else Database()
-        self._query_compiler = None
 
         # Component structure (shared with the evaluators): tasks in
         # topological evaluation order.
@@ -253,43 +252,6 @@ class IncrementalSession:
     def holds(self, query: Union[str, Literal]) -> bool:
         """True when a ground query holds in the materialized database."""
         return bool(self.query(query))
-
-    @property
-    def query_compiler(self):
-        """The goal-directed compiler over this session's program.
-
-        Built lazily on the first :meth:`query_goal`; compiled entries
-        are cached per query form and invalidated by
-        :meth:`apply_batch` (see
-        :meth:`repro.engine.query.QueryCompiler.note_edb_change`).
-        """
-        if self._query_compiler is None:
-            from repro.engine.query import QueryCompiler
-
-            self._query_compiler = QueryCompiler(
-                self.program, config=self.config
-            )
-        return self._query_compiler
-
-    def query_goal(self, query: Union[str, Literal], explain: bool = False):
-        """Goal-directed answers evaluated against the maintained EDB.
-
-        Unlike :meth:`query` (a read of the materialized database),
-        this compiles the goal through adornment + Magic Sets (or
-        counting/factoring where certified) and evaluates the rewritten
-        program with compiled plans against the *EDB only* — the
-        serving path for point queries that must not depend on (or pay
-        for) full materialization.  Read-only: neither the database nor
-        the journal is touched.  Returns unwrapped value tuples like
-        :meth:`query`; with ``explain=True`` returns the full
-        :class:`~repro.engine.query.QueryAnswer` (strategy, certifying
-        theorem, statistics, cache hit).
-        """
-        goal = parse_query(query) if isinstance(query, str) else query
-        answer = self.query_compiler.ask(goal, self._edb)
-        if explain:
-            return answer
-        return answer.answers
 
     def explain(self, fact: Union[str, Literal]) -> DerivationTree:
         """The canonical derivation tree of a ground fact in the current EDB.
@@ -399,10 +361,6 @@ class IncrementalSession:
         pass_stats.iterations = 0
         pass_stats.seconds = time.perf_counter() - start
         self.stats.absorb(pass_stats)
-        if self._query_compiler is not None:
-            # A failed batch rolled back to the pre-batch EDB, so only a
-            # successful one invalidates cached goal-directed compiles.
-            self._query_compiler.note_edb_change()
         return pass_stats
 
     def _apply_deletes(

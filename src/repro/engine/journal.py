@@ -27,12 +27,15 @@ snapshot of the *EDB* at that point (the IDB is a deterministic
 function of it, so checkpoints stay small and recovery re-derives).
 
 Replay (:func:`replay_journal`) walks the records, starts from the last
-checkpoint, drops aborted batches, and **stops at the first record that
+checkpoint, drops aborted batches, and **stops at a last record that
 fails validation** — a short header, a length running past the file, a
 CRC mismatch — treating it as the torn tail of a crashed write.  The
 torn tail is by construction uncommitted (the journal fsyncs before the
 session applies, so an incomplete record means the apply never
-started); :func:`recover_session` truncates it.  Recovery is therefore
+started); :func:`recover_session` truncates it.  An invalid record
+with more bytes after it cannot be a tear, and replay refuses the
+file with :class:`~repro.engine.stats.JournalError` instead of
+dropping the committed batches that follow it.  Recovery is therefore
 deterministic: the fuzz suite holds recovered state bit-identical to a
 run that never crashed.
 
@@ -239,11 +242,16 @@ class Journal:
 def replay_journal(path) -> JournalReplay:
     """Walk a journal file; return its committed, unaborted content.
 
-    Validation failures mid-file stop the walk and mark the replay
-    ``torn`` at that record's offset — the torn-tail contract — while a
-    short or wrong magic header raises :class:`JournalError` (the file
-    was never a journal, there is nothing safe to replay).  A zero-byte
-    file is an empty journal, as it is to :class:`Journal`.
+    A final record that fails validation and whose header or declared
+    payload reaches the end of the file stops the walk and marks the
+    replay ``torn`` at that record's offset — the torn-tail contract.
+    Appends stop at the first failed write and cut a refused record
+    back, so a tear is always the last record: an invalid record with
+    bytes after its declared end is damage, and raises
+    :class:`JournalError` naming its offset, as a short or wrong magic
+    header does (the file was never a journal, there is nothing safe
+    to replay).  A zero-byte file is an empty journal, as it is to
+    :class:`Journal`.
     """
     with open(str(path), "rb") as fh:
         data = fh.read()
@@ -257,37 +265,43 @@ def replay_journal(path) -> JournalReplay:
             f"{path} is not a repro journal (missing {MAGIC!r} header)"
         )
     out = JournalReplay()
-    pos = len(MAGIC)
-    start = pos
-    while pos < len(data):
-        start = pos
-        if pos + 1 + _HEADER.size > len(data):
-            break  # torn: header itself is incomplete
-        kind = data[pos : pos + 1]
-        length, crc = _HEADER.unpack_from(data, pos + 1)
-        pos += 1 + _HEADER.size
-        if kind not in _KINDS or pos + length > len(data):
-            pos = start
-            break
-        payload = data[pos : pos + length]
-        if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-            pos = start
-            break
-        try:
-            if kind == KIND_BATCH:
-                inserts, deletes = pickle.loads(payload)
-                out.batches.append((inserts, deletes))
-            elif kind == KIND_ABORT:
-                if out.batches:
-                    out.batches.pop()
-            else:
-                out.checkpoint = pickle.loads(payload)
-                out.batches.clear()
-        except Exception:
-            pos = start
-            break
-        pos += length
-        start = pos
+    start = len(MAGIC)
+    while start < len(data):
+        pos = start + 1 + _HEADER.size
+        if pos > len(data):
+            break  # torn: the header itself is incomplete
+        kind = data[start : start + 1]
+        length, crc = _HEADER.unpack_from(data, start + 1)
+        end = pos + length
+        payload = data[pos:end]
+        reason = None
+        if kind not in _KINDS:
+            reason = f"unknown record kind {kind!r}"
+        elif end > len(data) or zlib.crc32(payload) & 0xFFFFFFFF != crc:
+            reason = "CRC mismatch"
+        else:
+            try:
+                if kind == KIND_BATCH:
+                    inserts, deletes = pickle.loads(payload)
+                    out.batches.append((inserts, deletes))
+                elif kind == KIND_ABORT:
+                    if out.batches:
+                        out.batches.pop()
+                else:
+                    out.checkpoint = pickle.loads(payload)
+                    out.batches.clear()
+            except Exception as exc:
+                reason = f"undecodable payload ({exc})"
+        if reason is not None:
+            if end < len(data):
+                raise JournalError(
+                    f"{path}: corrupt record at offset {start} ({reason}) "
+                    f"with {len(data) - end} bytes after it; a torn write "
+                    "is only ever the last record, so this is damage, "
+                    "not a crash, and nothing is replayed or truncated"
+                )
+            break  # torn: the last record, reaching end of file
+        start = end
     out.torn = start < len(data)
     out.tail_offset = start
     return out
@@ -314,9 +328,11 @@ def recover_session(
     so it deterministically re-fails and is skipped, reproducing the
     rollback the original run performed — and its abort record is
     appended now, because once later batches follow it the record would
-    be folded, not re-tried.  A torn tail is truncated, and
-    the returned :class:`Journal` is open for appending, so the caller
-    continues exactly where the crashed process left off.
+    be folded, not re-tried.  A torn tail is truncated; a corrupt
+    record before the last raises
+    :class:`~repro.engine.stats.JournalError` and leaves the file as it
+    is.  The returned :class:`Journal` is open for appending, so the
+    caller continues exactly where the crashed process left off.
 
     Returns ``(session, journal, replayed)`` with ``replayed`` the
     number of batches the recovered state includes.

@@ -3,7 +3,7 @@
 An interpreter (:func:`repro.engine.reference.join_rule`) recomputes
 bound positions per candidate probe, copies a ``Dict[Variable, Term]``
 per matched tuple, and unifies argument by argument through the
-generic :func:`~repro.engine.unify.match_term`.  This module compiles
+generic :func:`~repro.datalog.unify.match_term`.  This module compiles
 each ``(rule, override-configuration)`` pair *once* into a flat
 :class:`RulePlan`:
 

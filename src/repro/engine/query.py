@@ -36,8 +36,8 @@ goal's constants); serving adds Section 6.4's counting on top:
   with at least one bound position and the refined counting program has
   no syntactic self-loop: evaluate the counting rewrite under a
   data-sized budget, falling back to magic (and remembering the
-  divergence until the next invalidation) if it still diverges on
-  cyclic data.
+  divergence until :meth:`QueryCompiler.note_edb_change`) if it still
+  diverges on cyclic data.
 * **magic** — everything else that is goal-directed at all.
 * **edb** — the goal is not an IDB predicate: answer straight from the
   EDB relation.
@@ -69,12 +69,11 @@ by the theorem certificate, resp. the ``NIL`` index term.
 **Invalidation.**  Compiled entries persist their plan caches across
 queries; nothing in an entry reads cardinalities, so EDB growth alone
 never recompiles one.
-:meth:`QueryCompiler.note_edb_change` — called by
-:meth:`~repro.engine.incremental.IncrementalSession.apply_batch` after
-every successful maintenance batch — drops instance-certified entries
-(their factorability proof read the old EDB) and clears remembered
-counting divergences (the new data may terminate).
-:meth:`QueryCompiler.invalidate` drops everything (rule changes).
+:meth:`QueryCompiler.note_edb_change` — the caller's hook when a
+compiler is reused across EDB changes — drops instance-certified
+entries (their factorability proof read the old EDB) and clears
+remembered counting divergences (the new data may terminate).  A rule
+change needs a new compiler.
 """
 
 from __future__ import annotations
@@ -421,8 +420,15 @@ class QueryCompiler:
     :class:`~repro.engine.config.EngineConfig`, resolved (and rejected)
     here, not on the first IDB query;
     ``use_instance_checks`` enables instance-level (EDB-reading)
-    factorability certification, in which case entries are invalidated
-    on every EDB change (:meth:`note_edb_change`).
+    factorability certification.
+
+    An instance certificate never outlives the EDB it read: a caller
+    that asks the same compiler again after changing the EDB calls
+    :meth:`note_edb_change` first, which drops every instance-certified
+    entry, so the next ask re-certifies against the new facts (or falls
+    back to magic) and answers what a from-scratch evaluation would.
+    Without that call a stale certificate may keep factoring a program
+    the new facts no longer let it factor.
     """
 
     def __init__(
@@ -444,12 +450,8 @@ class QueryCompiler:
 
     # -- cache maintenance --------------------------------------------
 
-    def invalidate(self) -> None:
-        """Drop every compiled entry (the program changed)."""
-        self._entries.clear()
-
     def note_edb_change(self) -> None:
-        """The EDB was mutated (a maintenance batch was applied).
+        """The EDB this compiler is asked against was mutated.
 
         Instance-certified entries are dropped — their factorability
         proof read the old EDB.  Remembered counting divergences are

@@ -24,7 +24,7 @@ from repro.datalog.program import Program
 from repro.datalog.rules import Rule, UnsafeRuleError
 from repro.datalog.terms import Compound, Constant, Term, Variable
 from repro.engine.stats import EvalStats, NonTerminationError
-from repro.engine.unify import match_term
+from repro.datalog.unify import match_term
 
 if TYPE_CHECKING:  # the storage layer is built only for the returned value
     from repro.engine.database import Database

@@ -429,7 +429,6 @@ class SocketFront:
         self._accept_thread: Optional[threading.Thread] = None
         self._slots = threading.BoundedSemaphore(workers)
         self._shutdown = threading.Event()
-        self._handlers = []
 
     def start(self) -> Tuple[str, int]:
         """Bind, listen, and start accepting; returns ``(host, port)``.
@@ -456,11 +455,9 @@ class SocketFront:
             except OSError:
                 break  # listener closed by shutdown()
             self._slots.acquire()
-            handler = threading.Thread(
+            threading.Thread(
                 target=self._serve_connection, args=(conn,), daemon=True
-            )
-            self._handlers.append(handler)
-            handler.start()
+            ).start()
 
     def _serve_connection(self, conn: socket.socket) -> None:
         try:

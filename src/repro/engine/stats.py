@@ -76,9 +76,10 @@ class JournalError(RuntimeError):
 
     Raised by :mod:`repro.engine.journal` for damage that is *not* a
     torn tail: a torn tail is an expected crash artifact that replay
-    handles by stopping early, while a wrong magic number or an
-    unreadable file means this is not (or no longer is) a journal and
-    continuing would corrupt data.  Also raised by every append after
+    handles by stopping early, while a wrong magic number, an
+    unreadable file or an invalid record with more records after it
+    means this is not (or no longer is) a journal and continuing would
+    corrupt data.  Also raised by every append after
     one that failed mid-write: a record past a torn one would never be
     replayed.
     """

@@ -27,7 +27,7 @@ from repro.datalog.program import Program
 from repro.datalog.terms import Compound, Term, Variable
 from repro.engine.database import Database
 from repro.engine.stats import NonTerminationError
-from repro.engine.unify import Substitution, rename_apart, unify, unify_terms
+from repro.datalog.unify import Substitution, rename_apart, unify, unify_terms
 
 
 @dataclass

@@ -168,11 +168,11 @@ def counting(adorned: AdornedProgram, include_seed: bool = True) -> CountingResu
 
     free_vars = term_variables([goal.args[i] for i in free_pos])
     query_head = Literal(QUERY_PREDICATE, tuple(free_vars))
-    query_goal = Literal(
+    query_body = Literal(
         answer_name(goal_pred),
         (*tuple(goal.args[i] for i in free_pos), NIL),
     )
-    rules.append(Rule(query_head, (query_goal,)))
+    rules.append(Rule(query_head, (query_body,)))
 
     return CountingResult(
         program=Program(rules),

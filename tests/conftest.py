@@ -10,7 +10,7 @@ from repro.datalog.literals import Literal
 from repro.datalog.program import Program
 from repro.engine.database import Database
 from repro.engine.naive import naive_eval
-from repro.engine.unify import match
+from repro.datalog.unify import match
 
 
 def answer_values(answers: Set[Tuple]) -> Set[Tuple]:

@@ -1,12 +1,15 @@
-"""Architecture fences: each test pins one removal or one single owner.
+"""Architecture fences: the layering, and one test per removal or owner.
 
-Every mechanism this repo retired left names behind that a later change
-could quietly bring back.  Each test here searches the tree for those
-names (the way ``grep -rn`` would: text files only, byte caches
-skipped) and says why they stay gone.  This file is excluded from every
-search, because it has to spell the names out.
+``LAYERS`` is the package's layering, checked against the import graph
+(``test_imports_follow_layers``).  Every mechanism this repo retired
+left names behind that a later change could quietly bring back.  The
+other tests search the tree for those names (the way ``grep -rn``
+would: text files only, byte caches skipped) and say why they stay
+gone.  This file is excluded from every search, because it has to
+spell the names out.
 """
 
+import ast
 import os
 import re
 from pathlib import Path
@@ -261,3 +264,99 @@ def test_the_server_has_one_read_path():
     assert grep(
         r"QueryCompiler|query_goal|threading\.local", "src/repro/engine/server.py"
     ) == []
+
+
+#: Bottom to top: a module may import from its own layer and the layers
+#: below it, never from one above.  Names are relative to ``repro``; a
+#: module belongs to the longest name that prefixes it, so
+#: ``engine.query`` (which compiles through ``core``) sits on top while
+#: the rest of ``engine`` sits below ``core``, which evaluates through
+#: it.  ``""`` is the ``repro`` package itself (docs/engine.md,
+#: "Layering").
+LAYERS = (
+    {"datalog"},
+    {"analysis"},
+    {"transforms"},
+    {"engine"},
+    {"core"},
+    {"engine.query", "session", "cli", "workloads", "bench", "__main__", ""},
+)
+
+#: Upward edges still standing, each named with the change that removes
+#: it.  The list may only shrink: an edge listed here that the code no
+#: longer has fails the test as well.
+LAYER_EXCEPTIONS = {
+    # Sagiv's uniform-redundancy chase evaluates candidates on the
+    # engine; ROADMAP item 3 removes it.
+    ("analysis.uniform", "engine.config"),
+    ("analysis.uniform", "engine.database"),
+    ("analysis.uniform", "engine.naive"),
+    ("analysis.uniform", "engine.plan"),
+    ("analysis.uniform", "engine.scheduler"),
+    ("analysis.uniform", "engine.stats"),
+    # ``evaluate_cq`` joins through the reference evaluator
+    # (a function-level import).
+    ("analysis.conjunctive", "engine.reference"),
+}
+
+
+def _layer(module):
+    owners = [
+        (len(name), rank)
+        for rank, names in enumerate(LAYERS)
+        for name in names
+        if module == name or (name and module.startswith(name + "."))
+    ]
+    assert owners, f"repro.{module} is in no layer of LAYERS"
+    return max(owners)[1]
+
+
+def import_graph():
+    """``{(importer, imported)}`` over ``src/repro``, names relative to
+    ``repro``: every ``import``/``from ... import`` statement, at module
+    level or inside a function, except ``from repro import _facade``
+    (the helper every package ``__init__`` builds its exports with)."""
+    package = ROOT / "src" / "repro"
+    modules = {}
+    for path in package.rglob("*.py"):
+        parts = path.relative_to(package).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        modules[".".join(parts)] = path
+    edges = set()
+    for name, path in modules.items():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                assert not node.level, f"relative import in repro.{name}"
+                targets = [
+                    f"{node.module}.{alias.name}"
+                    for alias in node.names
+                    if (node.module, alias.name) != ("repro", "_facade")
+                ]
+            else:
+                continue
+            for target in targets:
+                if target != "repro" and not target.startswith("repro."):
+                    continue
+                target = target[len("repro."):] if target != "repro" else ""
+                # ``from repro.engine import faults`` names a module;
+                # ``from repro.engine.plan import PlanCache`` a name in one.
+                if target not in modules:
+                    target = target.rpartition(".")[0]
+                edges.add((name, target))
+    return edges
+
+
+def test_imports_follow_layers():
+    """No module imports from a layer above its own (``LAYERS``), apart
+    from the edges ``LAYER_EXCEPTIONS`` names and which the code still
+    has."""
+    climbing = {
+        (importer, imported)
+        for importer, imported in import_graph()
+        if _layer(imported) > _layer(importer)
+    }
+    assert sorted(climbing - LAYER_EXCEPTIONS) == []
+    assert sorted(LAYER_EXCEPTIONS - climbing) == []

@@ -763,8 +763,8 @@ print(stats.partition_rounds > 0)
         assert self.fresh(self.PARTITIONED) == ["True"]
 
     PACKAGES = {
-        "repro": 93, "repro.analysis": 35, "repro.bench": 4, "repro.core": 25,
-        "repro.datalog": 28, "repro.engine": 42, "repro.transforms": 8,
+        "repro": 91, "repro.analysis": 35, "repro.bench": 4, "repro.core": 25,
+        "repro.datalog": 32, "repro.engine": 32, "repro.transforms": 8,
         "repro.workloads": 31,
     }
 
@@ -793,9 +793,9 @@ assert repro.engine is sys.modules["repro.engine"]  # after a bare import repro
 import sys
 from importlib import import_module
 
-unify_module = import_module("repro.engine.unify")  # the module first ...
-import repro.engine, repro.transforms
-assert repro.engine.unify is unify_module.unify
+unify_module = import_module("repro.datalog.unify")  # the module first ...
+import repro.datalog, repro.transforms
+assert repro.datalog.unify is unify_module.unify
 assert repro.transforms.counting.__name__ == "counting"  # ... the name first
 counting_module = import_module("repro.transforms.counting")
 assert repro.transforms.counting is counting_module.counting
@@ -1001,9 +1001,7 @@ print(*engine())
 """
         )
         imported, ran = (set(line.split()) for line in lines)
-        assert imported == {
-            "repro.engine.reference", "repro.engine.stats", "repro.engine.unify",
-        }
+        assert imported == {"repro.engine.reference", "repro.engine.stats"}
         # the storage layer (with its term dictionary) is the caller's
         assert ran - imported == {"repro.engine.database", "repro.engine.intern"}
 

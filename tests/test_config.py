@@ -380,7 +380,6 @@ def test_valid_keyword_calls_behave_as_before():
     session = IncrementalSession(TC, edb(), **knobs)
     assert session.config == EngineConfig(**knobs)
     assert session.database == base_db
-    assert session.query_compiler.config is session.config
     assert QueryCompiler(TC, **knobs).config == session.config
     dd = DeductiveDatabase(**knobs).rules("t(X, Y) :- e(X, Y).").fact("e", 1, 2)
     assert dd.ask("t(1, Y)") == {(2,)}

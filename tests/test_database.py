@@ -9,7 +9,7 @@ from repro.datalog.terms import Compound, Constant, Variable, make_list
 from repro.engine import database as database_module
 from repro.engine.database import Database, Relation, load_program_facts
 from repro.engine.intern import TermDictionary
-from repro.engine.unify import match
+from repro.datalog.unify import match
 
 from tests.conftest import answer_values
 

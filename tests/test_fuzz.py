@@ -442,7 +442,7 @@ def test_incremental_scripts_match_scratch(program_seed, edb_seed, script_seed, 
     bind_second=st.booleans(),
     stored=st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=3),
 )
-def test_query_goal_matches_filtered_materialization(
+def test_compiled_query_matches_filtered_materialization(
     program_seed, edb_seed, n, source, bind_second, stored
 ):
     """The goal-directed serving path against the materialize oracle.
@@ -477,7 +477,7 @@ def test_query_goal_matches_filtered_materialization(
         compiler = QueryCompiler(program, jobs=2, backend=backend)
         answer = compiler.ask(goal, edb)
         assert answer.answers == expected, (
-            f"query_goal diverged on seed {program_seed} "
+            f"compiled query diverged on seed {program_seed} "
             f"({backend}, strategy {answer.strategy})"
         )
         again = compiler.ask(shifted, edb)
@@ -494,25 +494,29 @@ def test_query_goal_matches_filtered_materialization(
     script_seed=st.integers(0, 10_000),
     n=st.integers(3, 8),
 )
-def test_query_goal_tracks_churn(program_seed, edb_seed, script_seed, n):
+def test_compiled_query_tracks_churn(program_seed, edb_seed, script_seed, n):
     """Goal-directed answers stay fresh under maintenance batches.
 
     A random insert/delete script drives ``apply_batch`` on an
-    incremental session; after every batch, ``query_goal`` (which
-    bypasses the materialization and re-derives from the EDB) must
-    agree with the maintained database's own answer — i.e. compiled-
-    query caching must be invalidated exactly when the EDB changes.
+    incremental session; after every batch, one
+    :class:`~repro.engine.query.QueryCompiler` over the program, asked
+    against the session's EDB (bypassing the materialization and
+    re-deriving from the base facts), must agree with the maintained
+    database's own answer — i.e. a compiled form cached across EDB
+    changes never serves stale answers.
     """
     import random
 
     from repro.engine.incremental import IncrementalSession
+    from repro.engine.query import QueryCompiler
 
     program = random_program(program_seed)
     edb = random_edb(edb_seed, n=n)
     session = IncrementalSession(program, edb)
+    compiler = QueryCompiler(program)
     rng = random.Random(script_seed)
     goal = parse_literal(f"p({rng.randrange(n)}, Y)")
-    assert session.query_goal(goal) == session.query(goal)
+    assert compiler.ask(goal, session.edb).answers == session.query(goal)
     for _ in range(6):
         if rng.random() < 0.6:
             update = (f"e{rng.randrange(3)}", (rng.randrange(n), rng.randrange(n)))
@@ -526,7 +530,7 @@ def test_query_goal_tracks_churn(program_seed, edb_seed, script_seed, n):
             if not stored:
                 continue
             session.apply_batch(deletes=[stored[rng.randrange(len(stored))]])
-        assert session.query_goal(goal) == session.query(goal), (
+        assert compiler.ask(goal, session.edb).answers == session.query(goal), (
             f"stale compiled query after churn on seeds "
             f"{program_seed}/{edb_seed}/{script_seed}"
         )

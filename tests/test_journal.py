@@ -205,6 +205,27 @@ class TestRecordFormat:
         assert replay.torn
         assert replay.batches == [SCRIPT[0]]
 
+    def test_corruption_before_the_last_record_is_refused(self, tmp_path):
+        """Only the last record can be torn: a bad byte in the first of
+        three raises, naming the record's offset, and recovery leaves
+        all three on disk instead of truncating the two intact ones."""
+        path = tmp_path / "wal.rjn"
+        with Journal(path) as journal:
+            journal.append_batch(*SCRIPT[0])
+            first_end = journal._fh.tell()
+            journal.append_batch(*SCRIPT[1])
+            journal.append_batch(*SCRIPT[2])
+        data = bytearray(path.read_bytes())
+        data[first_end - 1] ^= 0xFF  # the first record's last payload byte
+        path.write_bytes(bytes(data))
+        with pytest.raises(JournalError, match=f"record at offset {len(MAGIC)} "):
+            replay_journal(path)
+        with pytest.raises(JournalError, match="CRC mismatch"):
+            recover_session(
+                parse_program(TC_TEXT), path, Database.from_dict(BASE)
+            )
+        assert path.read_bytes() == bytes(data)
+
 
 class TestTornTail:
     def test_every_truncation_point_of_the_final_record(self, tmp_path):

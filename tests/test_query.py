@@ -31,10 +31,16 @@ from repro.engine.database import Database, Relation
 from repro.engine.faults import FaultInjected, parse_faults
 from repro.engine.incremental import IncrementalSession
 from repro.engine.query import CompiledQuery, QueryCompiler
+from repro.engine.reference import naive_fixpoint_reference
 from repro.engine.scheduler import SCCScheduler
 from repro.engine.seminaive import seminaive_eval
 from repro.engine.stats import NonTerminationError
 from repro.session import DeductiveDatabase
+from repro.workloads.examples import (
+    example_43_edb,
+    example_43_program,
+    example_43_violating_edbs,
+)
 from repro.workloads.lists import pmem_edb, pmem_program, pmem_query
 
 from tests.conftest import answer_values, corpus_instance, decision_corpus
@@ -185,6 +191,54 @@ class TestCaching:
         compiler.note_edb_change()
         assert not compiler._entries
 
+    def test_instance_certificate_does_not_outlive_its_edb(self):
+        """Example 4.3 is certified on an EDB satisfying its run-time
+        conditions; rows violating ``bound_first ⊆ l1`` then join it.
+        Kept, the old certificate factors on and answers {1006, 1007,
+        1008}; after ``note_edb_change`` the answers are the reference's
+        again."""
+        program = example_43_program()
+        compiler = QueryCompiler(program, use_instance_checks=True)
+        edb = example_43_edb()
+        assert compiler.ask("p(1005, Y)", edb).strategy == "factored"
+        for predicate, rows in _violating_rows().items():
+            edb.add_facts(predicate, rows)
+        compiler.note_edb_change()
+        answer = compiler.ask("p(1005, Y)", edb)
+        assert answer.answers == _reference_answers(program, edb, "p(1005, Y)")
+        assert answer.answers == {(1006,)}
+        assert answer.strategy == "magic"
+
+    def test_deductive_database_recertifies_after_new_facts(self):
+        db = DeductiveDatabase()
+        db.rules(str(example_43_program()))
+        for (predicate, _), relation in example_43_edb().relations.items():
+            db.facts(predicate, [tuple(t.value for t in row) for row in relation])
+        assert db.ask("p(1005, Y)", explain=True).strategy == "factored"
+        for predicate, rows in _violating_rows().items():
+            db.facts(predicate, rows)
+        answer = db.ask("p(1005, Y)", explain=True)
+        assert answer.answers == _reference_answers(
+            db.program, db.edb, "p(1005, Y)"
+        )
+        assert answer.answers == {(1006,)}
+        assert answer.strategy == "magic"
+
+
+def _violating_rows():
+    """Example 4.3's ``bound_first`` counterexample, every constant
+    shifted by 1000 (plain values, ``{predicate: rows}``)."""
+    edb, _ = example_43_violating_edbs()["bound_first"]
+    return {
+        predicate: [tuple(1000 + t.value for t in row) for row in relation]
+        for (predicate, _), relation in edb.relations.items()
+    }
+
+
+def _reference_answers(program, edb, goal):
+    model, _ = naive_fixpoint_reference(program, edb)
+    return model.answers(parse_query(goal))
+
 
 class TestGoalAudit:
     """Repeated variables and partially-ground compound arguments."""
@@ -236,8 +290,8 @@ class TestGoalAudit:
 
         from repro.engine import database, reference
 
-        # ``repro.engine.unify`` the attribute is the re-exported function
-        unify = import_module("repro.engine.unify")
+        # ``repro.datalog.unify`` the attribute is the re-exported function
+        unify = import_module("repro.datalog.unify")
         entered = []
         original = unify.match_term
 
@@ -726,8 +780,6 @@ class TestOutcomeNames:
         assert result.simplified is None and result.strategy == "factored"
 
     def test_forced_factoring_carries_no_certificate(self):
-        from repro.workloads.examples import example_43_program
-
         result = optimize(
             example_43_program(), parse_query("p(5, Y)"), force_factor=True
         )
@@ -744,61 +796,36 @@ class TestOutcomeNames:
             assert getattr(result, best).program is result.best_program()
 
 
-class TestSessionIntegration:
-    def test_incremental_query_goal_matches_materialization(self):
-        session = IncrementalSession(parse_program(TC_TEXT), chain_edb(4))
-        assert session.query_goal("t(0, Y)") == session.query("t(0, Y)")
-        answer = session.query_goal("t(0, Y)", explain=True)
-        assert answer.strategy == "factored"
-
-    def test_query_goal_sees_maintenance_batches(self):
-        session = IncrementalSession(parse_program(TC_TEXT), chain_edb(3))
-        before = session.query_goal("t(0, Y)")
-        session.apply_batch(inserts=[("e", (3, 4))])
-        after = session.query_goal("t(0, Y)")
-        assert after == before | {(4,)}
-        session.apply_batch(deletes=[("e", (1, 2))])
-        assert session.query_goal("t(0, Y)") == {(1,)}
-
-    def test_query_goal_bridges_a_stored_derived_fact(self):
+class TestStoredDerivedFacts:
+    def test_a_form_recompiles_exactly_when_the_bridged_set_changes(self):
         """A stored ``t`` fact is served by the rewrite, not a full
-        fixpoint: every answer equals the materialized read, and a form
-        is compiled again exactly when the set of derived predicates
-        with stored facts changes."""
-        session = IncrementalSession(
-            parse_program(TC_TEXT), Database.from_dict({"e": [(1, 2), (2, 3)]})
-        )
+        fixpoint: every answer equals the filtered reference model, and
+        a form is compiled again exactly when the set of derived
+        predicates with stored facts changes."""
+        program = parse_program(TC_TEXT)
+        compiler = QueryCompiler(program)
+        edb = Database.from_dict({"e": [(1, 2), (2, 3)]})
         goals = ("t(1, Y)", "t(X, 9)", "t(X, Y)")
 
         def served(cached):
             for goal in goals:
-                answer = session.query_goal(goal, explain=True)
-                assert answer.answers == session.query(goal), goal
+                answer = compiler.ask(goal, edb)
+                assert answer.answers == _reference_answers(program, edb, goal), goal
                 assert answer.strategy in ("factored", "counting", "magic")
                 assert answer.from_cache is cached, goal
 
         served(cached=False)
-        session.insert("t(3, 9).")
+        edb.add_fact("t", (3, 9))
         served(cached=False)
-        assert session.query_goal("t(1, Y)") == {(2,), (3,), (9,)}
-        session.insert("e(3, 4).")
+        assert compiler.ask("t(1, Y)", edb).answers == {(2,), (3,), (9,)}
+        edb.add_fact("e", (3, 4))
         served(cached=True)
-        session.delete("t(3, 9).")
+        edb.remove_fact("t", (3, 9))
         served(cached=False)
-        assert session.query_goal("t(1, Y)") == {(2,), (3,), (4,)}
+        assert compiler.ask("t(1, Y)", edb).answers == {(2,), (3,), (4,)}
 
-    def test_query_goal_is_read_only(self):
-        session = IncrementalSession(parse_program(TC_TEXT), chain_edb(3))
-        facts_before = session.database.total_facts()
-        session.query_goal("t(0, Y)")
-        session.query_goal("t(0, 2)")
-        assert session.database.total_facts() == facts_before
-        # No generated relations leak into the maintained database.
-        assert all(
-            not sig[0].startswith(("m_", "cnt_", "ans_"))
-            for sig in session.database.relations
-        )
 
+class TestSessionIntegration:
     def test_session_ask_strategies(self):
         db = DeductiveDatabase()
         db.rules(TC_TEXT)

@@ -11,10 +11,12 @@ the individual guarantees (view immutability, abort invisibility,
 journal compensation, the socket framing).
 """
 
+import gc
 import random
 import socket
 import threading
 import time
+import types
 
 import pytest
 
@@ -244,8 +246,7 @@ class TestReadViews:
 
     def test_a_goal_at_another_arity_is_an_error(self):
         """``t/3`` on a program defining ``t/2`` is refused by every
-        read, not answered with an empty set — the compiled path
-        (``query_goal``) included."""
+        read, not answered with an empty set."""
         server = make_server()
         message = (
             "query predicate t/3 is not defined by the program "
@@ -255,9 +256,7 @@ class TestReadViews:
             [], f"error: {message}", False
         )
         session = server.session
-        for read in (
-            server.query, server.view().query, session.query, session.query_goal
-        ):
+        for read in (server.query, server.view().query, session.query):
             with pytest.raises(ValueError, match=r"t/3 .*\(t has arity 2\)"):
                 read("t(1, 2, 3)")
         assert server.query("e(1, 2, 3)") == set()  # not a derived predicate
@@ -439,6 +438,27 @@ class TestLineProtocol:
             SocketFront(server, workers=0)
 
 
+def _reachable(root, kind):
+    """Instances of ``kind`` reachable from ``root`` through object
+    references, not entering modules, classes or functions (whose
+    globals reach everything)."""
+    seen = {id(root)}
+    stack = [root]
+    found = []
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, kind):
+            found.append(obj)
+        for ref in gc.get_referents(obj):
+            if id(ref) in seen or isinstance(
+                ref, (types.ModuleType, type, types.FunctionType)
+            ):
+                continue
+            seen.add(id(ref))
+            stack.append(ref)
+    return found
+
+
 class TestSocketFront:
     @staticmethod
     def _exchange(sock_file, sock, line):
@@ -527,6 +547,24 @@ class TestSocketFront:
         assert not front._accept_thread.is_alive()
         with pytest.raises(ConnectionRefusedError):
             socket.create_connection((front.host, front.port), timeout=5)
+
+    def test_finished_handlers_are_not_kept(self):
+        """Each connection's handler thread is dropped when it ends: after
+        many connect/``quit`` cycles no finished thread is reachable
+        from the front, so a long-running server does not grow with
+        the connections it has served."""
+        with SocketFront(make_server(), workers=1) as front:
+            for _ in range(50):
+                with socket.create_connection(
+                    (front.host, front.port), timeout=10
+                ) as sock, sock.makefile("r", encoding="utf-8") as reader:
+                    assert self._exchange(reader, sock, "quit") == ([], "ok bye")
+            finished = [
+                thread
+                for thread in _reachable(front, threading.Thread)
+                if not thread.is_alive()
+            ]
+            assert finished == []
 
     def test_concurrent_clients_share_one_writer(self):
         server = make_server()

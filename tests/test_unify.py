@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from repro.datalog.literals import Literal
 from repro.datalog.parser import parse_literal, parse_term
 from repro.datalog.terms import Compound, Constant, Variable, make_list
-from repro.engine.unify import (
+from repro.datalog.unify import (
     Substitution,
     match,
     match_term,
