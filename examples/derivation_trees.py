@@ -10,9 +10,8 @@ answer — showing how the unary m_/f_ predicates chain where the binary
 Usage:  python examples/derivation_trees.py
 """
 
-from repro import optimize, parse_literal, parse_program, parse_query
+from repro import explain, optimize, parse_literal, parse_program, parse_query
 from repro.engine.database import Database
-from repro.engine.provenance import provenance_eval
 
 
 def main() -> None:
@@ -38,9 +37,7 @@ def main() -> None:
     print(program)
 
     print("\n--- original program: why is hnl reachable? ---")
-    tree = provenance_eval(program, edb).explain(
-        parse_literal("route(msn, hnl)")
-    )
+    tree = explain(program, edb, parse_literal("route(msn, hnl)"))
     print(tree.render())
     print(f"(height {tree.height()}, {tree.size()} nodes)")
 
@@ -49,8 +46,9 @@ def main() -> None:
     print(result.simplified.program)
 
     print("\n--- factored program: why is hnl an answer? ---")
-    prov = provenance_eval(result.simplified.program, edb)
-    tree = prov.explain(parse_literal("f_route@bf(hnl)"))
+    tree = explain(
+        result.simplified.program, edb, parse_literal("f_route@bf(hnl)")
+    )
     print(tree.render())
     print(
         f"\nThe factored derivation carries only unary facts: the magic "

@@ -139,7 +139,7 @@ _MODULES = {
     ),
     "session": ("DeductiveDatabase", "QueryAnswer"),
     "datalog.validate": ("validate_program", "ValidationReport"),
-    "engine.provenance": ("provenance_eval", "explain", "DerivationTree"),
+    "engine.provenance": ("explain", "DerivationTree"),
     "analysis.uniform": (
         "uniformly_contained", "uniformly_equivalent", "minimize_program",
     ),

@@ -205,8 +205,8 @@ def cmd_explain(args) -> int:
     fact = parse_literal(args.fact)
     try:
         tree = explain_fact(program, edb, fact, config=_engine_config(args))
-    except KeyError:
-        print(f"{fact} is not derivable", file=sys.stderr)
+    except KeyError as exc:  # NotDerivableError: "<fact> is not derivable"
+        print(exc, file=sys.stderr)
         return 1
     print(tree.render())
     return 0

@@ -28,7 +28,7 @@ __getattr__, __dir__, __all__ = _facade(
         "naive": ("naive_eval",),
         "seminaive": ("seminaive_eval",),
         "topdown": ("topdown_eval", "TopDownResult"),
-        "provenance": ("provenance_eval", "explain", "DerivationTree"),
+        "provenance": ("explain", "DerivationTree"),
         "incremental": ("IncrementalSession",),
         "journal": (
             "Journal", "JournalError", "JournalReplay", "recover_session",

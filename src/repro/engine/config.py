@@ -8,12 +8,11 @@ SCC-stratified program — never a different fixpoint: for every valid
 probe counts and wall time vary.
 
 The public entry points (``seminaive_eval``, ``naive_eval``,
-``provenance_eval``, ``IncrementalSession``, ``QueryCompiler``,
+``explain``, ``IncrementalSession``, ``QueryCompiler``,
 ``DeductiveDatabase``, ``recover_session``, the CLI) accept the knobs
 as keywords or a ready ``config=``, call :meth:`EngineConfig.resolve`
 once, and hand the frozen object down; nothing below them reads the
-environment or re-validates.  ``provenance_eval`` runs its own round
-loop in one process, so of its knobs only the budgets apply.  A place that needs a variant says so with
+environment or re-validates.  A place that needs a variant says so with
 :func:`dataclasses.replace`, which re-validates.
 """
 
@@ -82,7 +81,7 @@ class EngineConfig:
         semi-naive fixpoint into this many disjoint partitions
         (:mod:`repro.engine.partition`); 1 is the unpartitioned path.
         ``probes`` may differ across values; naive mode has no delta
-        stream to split and ignores it, and so does ``provenance_eval``.
+        stream to split and ignores it.
     ``max_iterations``
         Cap on the fixpoint rounds of any *single* component; past it
         :class:`~repro.engine.stats.NonTerminationError` is raised.

@@ -33,10 +33,10 @@ final EDB — the same fact set ``seminaive_eval`` derives from scratch
 scripts in ``tests/test_fuzz.py`` hold this as a differential
 property across backends and job counts.
 
-Derivation trees are not maintained: like the least model, the
-canonical tree of a fact is a function of the program and the EDB, so
-:meth:`IncrementalSession.explain` computes it from the current EDB
-(one :func:`~repro.engine.provenance.provenance_eval`) when asked.
+Derivation trees are not maintained: the canonical tree of a fact is
+a function of the program and the EDB, so
+:meth:`IncrementalSession.explain` reads it off the maintained least
+model when asked (:func:`~repro.engine.provenance.derivation_tree`).
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from repro.engine.columnar import decode_rows, execute_columnar
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database, FactTuple, Relation
 from repro.engine.plan import ExistencePlan, PlanCache
-from repro.engine.provenance import DerivationTree, explain
+from repro.engine.provenance import DerivationTree, derivation_tree
 from repro.engine import faults
 from repro.engine.scheduler import ComponentRun, ComponentTask, SCCScheduler
 from repro.engine.seminaive import seminaive_eval
@@ -254,16 +254,12 @@ class IncrementalSession:
         return bool(self.query(query))
 
     def explain(self, fact: Union[str, Literal]) -> DerivationTree:
-        """The canonical derivation tree of a ground fact in the current EDB.
-
-        Computed on demand — one provenance evaluation of the whole
-        program over the maintained EDB, what ``repro explain`` costs —
-        so the tree is the one a from-scratch
-        :func:`~repro.engine.provenance.provenance_eval` records.
-        Raises ``KeyError`` when the fact is not in the least model.
-        """
+        """The canonical derivation tree of a ground fact in the current
+        EDB, read off the maintained database (no fixpoint runs; see
+        :func:`~repro.engine.provenance.derivation_tree`, which says
+        what it raises): what ``repro explain`` of that EDB prints."""
         goal = parse_literal(fact) if isinstance(fact, str) else fact
-        return explain(self.program, self._edb, goal, config=self.config)
+        return derivation_tree(self.program, self.database, self._edb, goal)
 
     # ------------------------------------------------------------------
     # Updates

@@ -29,14 +29,16 @@ evaluators report cache behaviour through the ``plans_compiled`` /
 ``plan_cache_hits`` / ``probes`` counters on
 :class:`~repro.engine.stats.EvalStats`.  :meth:`RulePlan.execute`, the
 tuple-at-a-time executor, runs what the batch kernel
-(:mod:`repro.engine.columnar`) does not: provenance, naive recursive
-components, nullary or foreign-dictionary heads, compound terms.
+(:mod:`repro.engine.columnar`) does not: naive recursive components,
+nullary or foreign-dictionary heads, compound terms.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from repro.datalog.literals import Literal
 from repro.datalog.rules import Rule, UnsafeRuleError
@@ -602,8 +604,10 @@ class ExistencePlan:
     fact writes the head's variables, the body is ordered bound-first
     from there (:func:`_join_order`), each literal is compiled to the
     same :class:`LiteralStep` a :class:`RulePlan` uses — probe
-    positions, key, per-candidate slot writes — and :meth:`holds`
-    returns at the first witness instead of enumerating them.
+    positions, key, per-candidate slot writes.  :meth:`witnesses`
+    enumerates the body instances deriving a head fact (the search
+    :mod:`repro.engine.provenance` reads derivation trees with), and
+    :meth:`holds` is that walk stopped at its first witness.
 
     Compiled once per rule; :meth:`bind` resolves the steps to the raw
     containers they probe (an index ``dict``, a fact ``set``), which
@@ -612,7 +616,7 @@ class ExistencePlan:
     each sees the facts restored before it.
     """
 
-    __slots__ = ("rule", "head", "steps", "keys", "num_slots")
+    __slots__ = ("rule", "head", "steps", "source_steps", "keys", "num_slots")
 
     def __init__(self, rule: Rule):
         self.rule = rule
@@ -620,10 +624,12 @@ class ExistencePlan:
         self.head = tuple(
             _compile_pattern(arg, var_slots) for arg in rule.head.args
         )
+        order = _join_order(rule.body, {}, tuple(var_slots))
         self.steps = tuple(
-            _compile_step(rule.body[idx], None, var_slots)
-            for idx in _join_order(rule.body, {}, tuple(var_slots))
+            _compile_step(rule.body[idx], None, var_slots) for idx in order
         )
+        #: Per body literal in source order, the step that matches it.
+        self.source_steps = tuple(order.index(idx) for idx in range(len(order)))
         self.keys = tuple(
             None if step.key_builders is None else _key_function(step.key_builders)
             for step in self.steps
@@ -650,35 +656,47 @@ class ExistencePlan:
         return sources
 
     def holds(self, sources: List[object], fact: FactTuple, stats) -> bool:
-        """True when the rule derives ``fact`` from the bound relations.
+        """True when the rule derives ``fact`` from the bound relations:
+        the walk of :meth:`witnesses`, stopped at its first witness."""
+        for _ in self.witnesses(sources, fact, stats):
+            return True
+        return False
+
+    def witnesses(
+        self, sources: List[object], fact: FactTuple, stats
+    ) -> Iterator[Tuple[FactTuple, ...]]:
+        """Every body instance that derives ``fact`` from the bound
+        relations: per witness, the matched fact of each body literal,
+        in source order.
 
         Counts one probe per literal visited, like the plan executor.
         """
         slots: List[Optional[Term]] = [None] * self.num_slots
         for node, value in zip(self.head, fact):
             if not _match(node, value, slots):
-                return False
-        return self._satisfy(0, sources, slots, stats)
+                return
+        chosen: List[Optional[FactTuple]] = [None] * len(self.steps)
+        for _ in self._walk(0, sources, slots, chosen, stats):
+            yield tuple([chosen[step] for step in self.source_steps])
 
-    def _satisfy(self, i: int, sources, slots, stats) -> bool:
+    def _walk(self, i: int, sources, slots, chosen, stats) -> Iterator[None]:
         if i == len(self.steps):
-            return True
+            yield
+            return
         stats.probes += 1
         step = self.steps[i]
         candidates = sources[i]
         key = self.keys[i]
         if key is not None:
+            probe = key(slots)
             if step.all_bound:
-                return key(slots) in candidates and self._satisfy(
-                    i + 1, sources, slots, stats
-                )
-            candidates = candidates.get(key(slots))
-            if candidates is None:
-                return False
+                candidates = (probe,) if probe in candidates else ()
+            else:
+                candidates = candidates.get(probe, ())
         post = step.post_ops
-        for fact in candidates:
+        for candidate in candidates:
             for pos, tag, payload in post:
-                value = fact[pos]
+                value = candidate[pos]
                 if tag == O_STORE:
                     slots[payload] = value
                 elif tag == O_CHECK:
@@ -687,9 +705,8 @@ class ExistencePlan:
                 elif not _match(payload, value, slots):
                     break
             else:
-                if self._satisfy(i + 1, sources, slots, stats):
-                    return True
-        return False
+                chosen[i] = candidate
+                yield from self._walk(i + 1, sources, slots, chosen, stats)
 
     def __repr__(self) -> str:
         return f"ExistencePlan({self.rule}, steps={list(self.steps)})"

@@ -1,53 +1,53 @@
-"""Derivation trees (Definition 2.1) and fact explanation.
+"""Derivation trees (Definition 2.1), read off a least model.
 
 The paper's proofs are inductions over derivation trees: a fact's tree
 has the fact at the root, one subtree per body literal of the rule
-instance that derived it, and EDB facts at the leaves.  This module
-materializes them: :func:`explain` returns a minimal-height derivation
-tree for a derived fact, built from a provenance-recording evaluation.
+instance that derived it, and EDB facts at the leaves.  The tree
+:func:`derivation_tree` returns is canonical — a function of the
+program and the EDB — so it is read off a least model that is already
+there, with no evaluation of its own.  For a fact ``f`` the search
 
-Provenance evaluation is SCC-stratified semi-naive on compiled plans,
-with the counters of :func:`~repro.engine.seminaive.seminaive_eval`,
-run by this module's own round loop: a rule ``h :- B`` runs as
-``why(V) :- B`` (``V`` its body variables), so a plain plan emits each
-ground body instance.  Facts derived in round ``r`` record bodies from
-rounds ``< r`` (the synchronous schedule), so recorded derivations are
-acyclic and height-minimal round-wise — exactly the trees the paper's
-inductions walk.  Recording is *canonical* (per fact: lowest rule,
-then lexicographically smallest body instance), so no join order or
-schedule can change a tree.
+1. collects ``f``'s *support cone* in its component (SCC): the rule
+   instances in the model deriving ``f``
+   (:meth:`~repro.engine.plan.ExistencePlan.witnesses`), then those of
+   their same-component body facts, and so on;
+2. ranks the cone: EDB facts, program facts and facts of lower
+   components rank 0, and ``r(g) = 1 + min`` over ``g``'s instances of
+   the largest rank among their same-component body facts — the
+   semi-naive round that first derives ``g``;
+3. derives each ``g`` by the least ``(rule index, rendered body in
+   source order)`` among its instances whose same-component body facts
+   all rank below ``g``.
 
-Trees are also how a library user audits an answer ("why is 7
-reachable?"), so the module doubles as the provenance feature of the
-engine.
+Trees are height-minimal round by round, and no join order, schedule
+or maintenance history changes one.  Building and walking are
+iterative, so deep trees explain.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.analysis.dependency import DependencyGraph
 from repro.datalog.literals import Literal
 from repro.datalog.program import Program
-from repro.datalog.rules import Rule, UnsafeRuleError
-from repro.datalog.terms import Variable
+from repro.datalog.rules import Rule
 from repro.engine.config import EngineConfig
-from repro.engine.database import Database, FactTuple, load_program_facts
-from repro.engine.plan import _build as _build_term, _compile_template
-from repro.engine.scheduler import (
-    _FULL,
-    ComponentRun,
-    SCCScheduler,
-    _TermRows,
-    delta_variants,
-    window_overrides,
-)
+from repro.engine.database import Database, FactTuple
+from repro.engine.plan import ExistencePlan
+from repro.engine.seminaive import seminaive_eval
 from repro.engine.stats import EvalStats
 
 Signature = Tuple[str, int]
 FactKey = Tuple[str, int, FactTuple]
+
+
+class NotDerivableError(KeyError):
+    """``explain`` of a ground fact outside the least model."""
+
+    def __str__(self) -> str:
+        return str(self.args[0])
 
 
 @dataclass
@@ -59,252 +59,232 @@ class DerivationTree:
     rule: Optional[Rule] = None
     children: Tuple["DerivationTree", ...] = ()
 
+    def _walk(self) -> Iterator[Tuple["DerivationTree", int]]:
+        """``(node, depth)`` in pre-order, without recursion."""
+        stack = [(self, 0)]
+        while stack:
+            node, depth = stack.pop()
+            yield node, depth
+            stack.extend((child, depth + 1) for child in reversed(node.children))
+
     def height(self) -> int:
-        if not self.children:
-            return 1
-        return 1 + max(child.height() for child in self.children)
+        return 1 + max(depth for _, depth in self._walk())
 
     def size(self) -> int:
-        return 1 + sum(child.size() for child in self.children)
+        return sum(1 for _ in self._walk())
 
     def leaves(self) -> List[Literal]:
-        if not self.children:
-            return [self.fact]
-        out: List[Literal] = []
-        for child in self.children:
-            out.extend(child.leaves())
-        return out
+        return [node.fact for node, _ in self._walk() if not node.children]
 
     def render(self, indent: int = 0) -> str:
         """An ASCII rendering, facts indented by derivation depth."""
-        pad = "  " * indent
-        label = f"{pad}{self.fact}"
-        if self.rule is not None:
-            label += f"    [via {self.rule}]"
-        lines = [label]
-        for child in self.children:
-            lines.append(child.render(indent + 1))
+        lines = []
+        for node, depth in self._walk():
+            label = f"{'  ' * (indent + depth)}{node.fact}"
+            if node.rule is not None:
+                label += f"    [via {node.rule}]"
+            lines.append(label)
         return "\n".join(lines)
 
     def __str__(self) -> str:
         return self.render()
 
 
-class EdbKeyView:
-    """Lazy EDB fact-key membership backed by the relations themselves.
+class _Search:
+    """Canonical derivations of facts of one least model ``model``
+    whose base facts are ``edb`` (see the module docstring)."""
 
-    Behaves like the set of ``(predicate, arity, args)`` keys of every
-    EDB fact, but answers ``in`` by probing the relation's fact set
-    instead of materializing a flat key set up front — when the EDB
-    dominates the database, provenance evaluation no longer pays a
-    full copy of every fact key before deriving anything.
+    def __init__(self, program: Program, model: Database, edb: Database):
+        self.model = model
+        self.edb = edb
+        self.graph = DependencyGraph(program)
+        self.rules: Dict[Signature, List[Rule]] = {}
+        for rule in program.proper_rules():
+            same_head = self.rules.setdefault(rule.head.signature, [])
+            if rule not in same_head:  # an equal rule derives nothing new
+                same_head.append(rule)
+        #: Ground program rules: rank-0 facts, their own one-node trees.
+        self.program_facts: Dict[FactKey, Rule] = {
+            (*rule.head.signature, rule.head.args): rule
+            for rule in program.rules if rule.is_fact()
+        }
+        #: Signatures that have stored or program facts at all.
+        self.base_sigs = {sig for sig, rel in edb.relations.items() if len(rel)}
+        self.base_sigs.update(key[:2] for key in self.program_facts)
+        self._probes: Dict[Signature, list] = {}
+        #: fact -> (rule, body fact keys) of its canonical instance
+        self.choice: Dict[FactKey, Tuple[Rule, Tuple[FactKey, ...]]] = {}
+        self.stats = EvalStats()
 
-    The view is **live**: it reads the wrapped database at lookup
-    time.  Mutating the EDB after an evaluation therefore changes
-    which facts a stored :class:`ProvenanceResult` treats as leaves —
-    pass ``edb.copy()`` to :func:`provenance_eval` if explanations
-    must stay stable while the original database keeps evolving.
-    """
+    def is_stored(self, key: FactKey) -> bool:
+        rel = self.edb.get(key[0], key[1])
+        return rel is not None and key[2] in rel
 
-    __slots__ = ("_db",)
+    def is_base(self, key: FactKey) -> bool:
+        return key[:2] in self.base_sigs and (
+            self.is_stored(key) or key in self.program_facts
+        )
 
-    def __init__(self, db: Database):
-        self._db = db
-
-    def __contains__(self, key: FactKey) -> bool:
-        predicate, arity, args = key
-        rel = self._db.get(predicate, arity)
-        return rel is not None and args in rel
-
-    def __iter__(self) -> Iterator[FactKey]:
-        for (name, arity), rel in self._db.relations.items():
-            for fact in rel:
-                yield (name, arity, fact)
-
-    def __len__(self) -> int:
-        return sum(len(rel) for rel in self._db.relations.values())
-
-
-@dataclass
-class ProvenanceResult:
-    """Database plus one recorded derivation per derived fact."""
-
-    database: Database
-    stats: EvalStats
-    #: fact -> (rule, body fact keys) for the canonical derivation
-    derivations: Dict[FactKey, Tuple[Optional[Rule], Tuple[FactKey, ...]]]
-    edb_keys: EdbKeyView
-
-    def explain(self, fact: Literal) -> DerivationTree:
-        """A derivation tree for a ground fact (Definition 2.1).
-
-        Raises ``KeyError`` when the fact is not in the least model.
-        The recorded derivation is the canonical one from the fact's
-        first semi-naive round, which is height-minimal up to ties
-        (facts are derived round by round).
-        """
-        if not fact.is_ground():
-            raise ValueError(f"fact {fact} is not ground")
-        key = (fact.predicate, fact.arity, fact.args)
-        return self._build(key, seen=set())
-
-    def _build(self, key: FactKey, seen: set) -> DerivationTree:
-        predicate, arity, args = key
-        fact = Literal(predicate, args)
-        if key in self.edb_keys:
-            return DerivationTree(fact)
-        if key in seen:
-            raise RuntimeError(f"cyclic derivation record for {fact}")
-        entry = self.derivations.get(key)
-        if entry is None:
-            raise KeyError(f"no derivation recorded for {fact}")
-        rule, body_keys = entry
-        children = tuple(self._build(k, seen | {key}) for k in body_keys)
-        return DerivationTree(fact, rule, children)
-
-
-def _instantiate(args, slot_of: Dict[Variable, int]):
-    """``why`` tuple -> the ground ``args`` it binds."""
-    if len(args) > 1 and all(type(arg) is Variable for arg in args):
-        return itemgetter(*[slot_of[arg] for arg in args])
-    templates = [_compile_template(arg, slot_of) for arg in args]
-    return lambda why: tuple([_build_term(node, why) for node in templates])
-
-
-def _rendered(keys):
-    return [(name, arity, list(map(str, args))) for name, arity, args in keys]
-
-
-def _fixpoint(run: ComponentRun, db: Database, stats: EvalStats, derivations) -> None:
-    """One component's rounds as :meth:`ComponentRun._fixpoint` runs
-    them in semi-naive mode on term rows, recording in ``derivations``
-    the canonical instance of each new fact: the first rule to derive
-    it in its round, then the least rendered body.  Equal rules share a
-    ``why`` rule (and so a plan) and distinct ones never do, so
-    compilations count as the rules' own."""
-    task, recursive = run.task, run.task.recursive
-    rows = _TermRows(db, stats)
-    budget = run._check_facts if run.config.max_facts is not None else None
-    rels = {sig: db.relation(*sig) for sig in task.sigs}
-    names: Dict[Rule, str] = {}
-    firings = []
-    for rule in task.rules:
-        variables = rule.body_variables()
-        slots = {var: slot for slot, var in enumerate(variables)}
-        name = names.setdefault(rule, f"why{len(names)}")
-        body = [(b.predicate, b.arity, _instantiate(b.args, slots)) for b in rule.body]
-        head_of = rule.is_range_restricted() and _instantiate(rule.head.args, slots)
-        variants = delta_variants(rule, task.sigs) if recursive else None
-        firings.append((
-            rule, Rule(Literal(name, variables), rule.body), head_of, body,
-            variants or _FULL, bool(variants),
-        ))
-    delta_start = dict.fromkeys(task.sigs, 0)
-    first_round = True
-    try:
-        while True:
-            run.begin_round(stats)
-            stop = {sig: len(rel) for sig, rel in rels.items()}
-            views: dict = {}
-            new: Dict[Signature, set] = {}
-            for rule, why, head_of, body, variants, every_round in firings:
-                if not (every_round or first_round):
+    def probes(self, sig: Signature) -> list:
+        """Per rule for ``sig``, in rule order: its index, its
+        head-bound plan and the containers that plan probes in the
+        model, the body signatures, and the positions of the
+        same-component body literals."""
+        probes = self._probes.get(sig)
+        if probes is None:
+            probes = self._probes[sig] = []
+            for index, rule in enumerate(self.rules.get(sig, ())):
+                plan = ExistencePlan(rule)
+                sources = plan.bind(self.model)
+                if sources is None:
                     continue
-                whys: list = []
-                for roles, binding in variants:
-                    overrides = window_overrides(
-                        binding, views, rels, delta_start, stop
-                    )
-                    plan = run.cache.plan(why, roles, stats)
-                    plan.execute(db, overrides or None, whys.append, stats)
-                if not whys:
+                sigs = [lit.signature for lit in rule.body]
+                inner = [
+                    pos for pos, body_sig in enumerate(sigs)
+                    if self.graph.same_scc(sig, body_sig)
+                ]
+                probes.append((index, plan, sources, sigs, inner))
+        return probes
+
+    def derive(self, root: FactKey) -> None:
+        """Record the canonical instance of every fact in ``root``'s
+        support cone (``root`` is in the model and not a base fact)."""
+        is_base, stats = self.is_base, self.stats
+        # The cone: per fact, the slots of its instances in rule order;
+        # per slot, (head, rule index, body signatures, body, the
+        # same-component body facts that are not base facts).
+        cone: Dict[FactKey, List[int]] = {}
+        instances: list = []
+        frontier = [root]
+        while frontier:
+            key = frontier.pop()
+            if key in cone:
+                continue
+            cone[key] = slots = []
+            for index, plan, sources, sigs, inner in self.probes(key[:2]):
+                for body in plan.witnesses(sources, key[2], stats):
+                    inside = [
+                        fact
+                        for fact in [(*sigs[pos], body[pos]) for pos in inner]
+                        if not is_base(fact)
+                    ]
+                    slots.append(len(instances))
+                    instances.append((key, index, sigs, body, inside))
+                    frontier.extend(inside)
+        # Rank round by round: an instance fires in the round after its
+        # last same-component body fact is ranked, and ranks its head
+        # if nothing did before.
+        waiting: Dict[FactKey, List[int]] = {}
+        pending: List[int] = []
+        fired_in: List[Optional[int]] = []
+        heads = set()
+        for slot, (key, _, _, _, inside) in enumerate(instances):
+            pending.append(len(inside))
+            fired_in.append(None if inside else 0)
+            for fact in inside:
+                waiting.setdefault(fact, []).append(slot)
+            if not inside:
+                heads.add(key)
+        rank: Dict[FactKey, int] = {}
+        current = 0
+        while heads:
+            current += 1
+            for key in heads:
+                rank[key] = current
+            ranked, heads = heads, set()
+            for fact in ranked:
+                for slot in waiting.get(fact, ()):
+                    pending[slot] -= 1
+                    if not pending[slot]:
+                        fired_in[slot] = current
+                        head = instances[slot][0]
+                        if head not in rank:
+                            heads.add(head)
+        # The canonical instance: the first rule with one firing before
+        # the fact's round, then its least rendered body.
+        for key, slots in cone.items():
+            below = rank.get(key)
+            if below is None:
+                continue
+            best, best_text = None, None
+            for slot in slots:
+                fired = fired_in[slot]
+                if fired is None or fired >= below:
                     continue
-                if not head_of:  # at the first match, as RulePlan.execute
-                    raise UnsafeRuleError(
-                        f"rule is not range-restricted; head variable unbound in {rule}"
-                    )
-                stats.inferences += len(whys)
-                sig = rule.head.signature
-                rel = rels[sig]
-                known = rel.tuples
-                heads = list(map(head_of, whys))
-                least: dict = {}  # new fact -> (body keys, rendered once compared)
-                for instance, head in zip(whys, heads):
-                    if head in known:
-                        continue
-                    key = (sig[0], sig[1], head)
-                    if key in derivations:  # an earlier rule derived it this round
-                        continue
-                    keys = tuple([(p, n, args(instance)) for p, n, args in body])
-                    kept = least.get(key)
-                    if kept is None:
-                        least[key] = (keys, None)
-                        continue
-                    rank, kept_rank = _rendered(keys), kept[1] or _rendered(kept[0])
-                    if rank < kept_rank:
-                        least[key] = (keys, rank)
-                    else:
-                        least[key] = (kept[0], kept_rank)
-                for key, (keys, _) in least.items():
-                    derivations[key] = (rule, keys)
-                fresh = rows.novel(rel, heads)
-                if fresh and not recursive:
-                    rows.absorb(rel, fresh, budget)
-                elif fresh:
-                    new.setdefault(sig, set()).update(fresh)
-            delta_start = stop
-            for sig, fresh in new.items():
-                rows.absorb(rels[sig], fresh)
-                if budget is not None:
-                    budget(stats)
-            first_round = False
-            if not new:
-                break
-    finally:
-        for rel in rels.values():
-            rel.release_delta_rows()
+                _, index, sigs, body, _ = instances[slot]
+                if best is not None and index > best[1]:
+                    break
+                keys = tuple([(*sig, args) for sig, args in zip(sigs, body)])
+                text = [(*sig, list(map(str, args))) for sig, args in zip(sigs, body)]
+                if best is None or text < best_text:
+                    best, best_text = (keys, index), text
+            keys, index = best
+            self.choice[key] = (self.rules[key[:2]][index], keys)
+
+    def entry(self, key: FactKey) -> Tuple[Optional[Rule], Tuple[FactKey, ...]]:
+        """The rule and body deriving a fact; ``(None, ())`` for an EDB leaf."""
+        if self.is_stored(key):
+            return None, ()
+        rule = self.program_facts.get(key)
+        if rule is not None:
+            return rule, ()
+        if key not in self.choice:
+            self.derive(key)
+        if key not in self.choice:
+            fact = Literal(key[0], key[2])
+            raise RuntimeError(f"{fact} has no well-founded derivation in the model")
+        return self.choice[key]
+
+    def tree(self, root: FactKey) -> DerivationTree:
+        trees: Dict[FactKey, DerivationTree] = {}
+        stack = [root]
+        while stack:
+            key = stack[-1]
+            if key in trees:
+                stack.pop()
+                continue
+            rule, body = self.entry(key)
+            missing = [child for child in body if child not in trees]
+            if missing:
+                stack.extend(missing)
+                continue
+            children = tuple([trees[child] for child in body])
+            trees[key] = DerivationTree(Literal(key[0], key[2]), rule, children)
+        return trees[root]
 
 
-def provenance_eval(
-    program: Program,
-    edb: Database,
-    config: Optional[EngineConfig] = None,
-    **knobs,
-) -> ProvenanceResult:
-    """SCC-stratified semi-naive fixpoint recording one derivation per fact.
+def _check_goal(program: Program, fact: Literal) -> None:
+    if not fact.is_ground():
+        raise ValueError(f"fact {fact} is not ground")
+    program.check_query(fact.signature)
 
-    Facts derived in round ``r`` of their component record bodies from
-    rounds ``< r`` (the synchronous schedule), so recorded derivations
-    are acyclic and height-minimal round-wise.  Of the
-    :class:`~repro.engine.config.EngineConfig` knobs only the budgets
-    apply: components run one after another in this process.
-    """
-    config = EngineConfig.resolve(config, **knobs)
-    edb_keys = EdbKeyView(edb)
-    derivations: Dict[FactKey, Tuple[Optional[Rule], Tuple[FactKey, ...]]] = {}
-    for rule in program.rules:
-        if rule.is_fact():
-            key = (rule.head.predicate, rule.head.arity, rule.head.args)
-            if key not in edb_keys:
-                derivations.setdefault(key, (rule, ()))
-    db = edb.copy()
-    stats = EvalStats()
-    start = time.perf_counter()
-    stats.facts += load_program_facts(program, db)
-    tasks = SCCScheduler(program, config).tasks
-    stats.scc_count += len(tasks)
-    for task in tasks:
-        seconds = config.max_seconds
-        deadline = None if seconds is None else time.monotonic() + seconds
-        _fixpoint(ComponentRun(task, config, deadline=deadline), db, stats, derivations)
-    stats.seconds = time.perf_counter() - start
-    return ProvenanceResult(
-        database=db, stats=stats, derivations=derivations, edb_keys=edb_keys
-    )
+
+def derivation_tree(
+    program: Program, model: Database, edb: Database, fact: Literal
+) -> DerivationTree:
+    """The canonical derivation tree of a ground ``fact`` in ``model``,
+    the least model of ``program`` over ``edb`` (whose facts are the
+    leaves).  A wrong-arity goal raises ``ValueError``
+    (:meth:`~repro.datalog.program.Program.check_query`), a fact outside
+    the model :class:`NotDerivableError`.  Like any read, the search may
+    build indexes on, and flush, the model relations it probes."""
+    _check_goal(program, fact)
+    rel = model.get(fact.predicate, fact.arity)
+    if rel is None or fact.args not in rel:
+        raise NotDerivableError(f"{fact} is not derivable")
+    search = _Search(program, model, edb)
+    return search.tree((fact.predicate, fact.arity, fact.args))
 
 
 def explain(
-    program: Program, edb: Database, fact: Literal, **kwargs
+    program: Program,
+    edb: Database,
+    fact: Literal,
+    config: Optional[EngineConfig] = None,
+    **knobs,
 ) -> DerivationTree:
-    """One-shot: evaluate with provenance and explain ``fact``."""
-    return provenance_eval(program, edb, **kwargs).explain(fact)
+    """One-shot: evaluate ``program`` over ``edb``, then read ``fact``'s
+    tree off the least model (:func:`derivation_tree`)."""
+    _check_goal(program, fact)
+    model, _ = seminaive_eval(program, edb, config, **knobs)
+    return derivation_tree(program, model, edb, fact)

@@ -51,7 +51,7 @@ from repro.datalog.literals import Literal
 from repro.datalog.parser import parse_literal, parse_query
 from repro.engine.database import Database
 from repro.engine.incremental import _normalize_updates
-from repro.engine.provenance import DerivationTree, explain
+from repro.engine.provenance import DerivationTree, derivation_tree
 from repro.engine.stats import EvalStats
 
 #: The longest request line the socket front reads, newline excluded
@@ -135,6 +135,13 @@ class ReadView:
     def holds(self, query: Union[str, Literal]) -> bool:
         """True when a ground query holds in this view."""
         return bool(self.query(query))
+
+    def explain(self, fact: Union[str, Literal]) -> DerivationTree:
+        """The canonical derivation tree of a ground fact in this view
+        (:func:`~repro.engine.provenance.derivation_tree`; raises like
+        :meth:`IncrementalSession.explain`)."""
+        goal = parse_literal(fact) if isinstance(fact, str) else fact
+        return derivation_tree(self.program, self.database, self.edb, goal)
 
     def age(self) -> float:
         """Seconds since this view was published."""
@@ -280,13 +287,11 @@ class DatalogServer:
     def explain(self, fact: Union[str, Literal]) -> DerivationTree:
         """The derivation tree of a ground fact in the current pinned view.
 
-        One provenance evaluation of the program over the view's EDB:
-        like every read, it never observes a mid-batch or rolled-back
-        state.  Raises ``KeyError`` when the fact is not derivable.
+        Read off the view's database, with the view's EDB as its leaves
+        (:meth:`ReadView.explain`): like every read, it never observes
+        a mid-batch or rolled-back state.
         """
-        goal = parse_literal(fact) if isinstance(fact, str) else fact
-        session = self.session
-        tree = explain(session.program, self._view.edb, goal, config=session.config)
+        tree = self._view.explain(fact)
         self._count_query()
         return tree
 
@@ -316,9 +321,9 @@ def handle_line(server: DatalogServer, line: str):
 
     Returns ``(payload_lines, status_line, quit)``.  The grammar is the
     serve REPL's: ``+ facts.`` insert, ``- facts.`` delete, ``? query``
-    ask (one selection over the pinned view), ``explain fact`` (against
-    the pinned EDB), ``stats``, ``quit``/``exit``; blank lines and ``#``
-    comments are no-ops.  Errors — including a rolled-back batch, a
+    ask (one selection over the pinned view), ``explain fact`` (a tree
+    read off the pinned view), ``stats``, ``quit``/``exit``; blank lines
+    and ``#`` comments are no-ops.  Errors — including a rolled-back batch, a
     failed journal write and a goal at an arity the program does not
     define — report as an ``error:`` status and leave the served state
     untouched.

@@ -96,41 +96,76 @@ def corpus_instance(index, program, forms):
     return facts, queries
 
 
+def tuple_at_a_time(program: Program, edb: Database, **budgets):
+    """``seminaive_eval`` with the batch kernel declining every call, so
+    every plan runs ``RulePlan.execute`` through the one fixpoint loop:
+    the tuple executor's counters, the oracle the kernel is held to.
+
+    The config is built from ``budgets`` alone (no ``REPRO_*``
+    variable reaches it), so the run is the serial, unpartitioned one
+    whatever the environment says.  Returns ``(database, stats)``.
+    """
+    from repro.engine import scheduler
+    from repro.engine.config import EngineConfig
+    from repro.engine.seminaive import seminaive_eval
+
+    declined = []
+
+    def decline(*args, **kwargs):
+        declined.append(args)
+        return None
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scheduler, "execute_columnar", decline)
+        db, stats = seminaive_eval(program, edb, EngineConfig(**budgets))
+    assert stats.columnar_fallbacks == len(declined)
+    return db, stats
+
+
 def assert_trees_are_those_of(session, edb: Database, limit=None) -> None:
     """``session.explain`` answers, for every derived fact (the first
-    ``limit`` in rendered order when given), the canonical tree a
-    from-scratch ``provenance_eval`` of ``edb`` records — the trees of
-    the EDB the caller tracks, not of some earlier one."""
-    from repro.engine.provenance import provenance_eval
+    ``limit`` in rendered order when given), the tree a from-scratch
+    ``explain`` over ``edb`` returns — the trees of the EDB the caller
+    tracks, not of some earlier one."""
+    from repro.engine.provenance import explain
 
-    ref = provenance_eval(session.program, edb)
     derived = sorted(
         (
             Literal(name, fact)
-            for (name, arity), rel in ref.database.relations.items()
+            for (name, arity), rel in session.database.relations.items()
             for fact in rel.tuples
-            if (name, arity, fact) not in ref.edb_keys
+            if not edb.has_fact(name, fact)
         ),
         key=str,
     )
     for fact in derived[:limit]:
-        assert session.explain(fact) == ref.explain(fact), fact
+        assert session.explain(fact) == explain(session.program, edb, fact), fact
 
 
-def assert_derivations_sound(result):
-    """Every recorded ``(rule, body keys)`` is a rule instance over the
-    database: the body facts hold, in source order, and instantiate the
-    head to exactly the recorded fact."""
-    for (name, arity, args), (rule, body_keys) in result.derivations.items():
-        assert len(body_keys) == len(rule.body)
+def assert_derivations_sound(program: Program, model: Database, edb: Database, tree):
+    """Every node of ``tree`` is an instance of a program rule over
+    ``model`` — its children are the rule's body facts in source order,
+    and they instantiate the head to exactly the node's fact — and every
+    leaf is an ``edb`` fact or a program fact."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        fact = node.fact
+        assert model.has_fact(fact.predicate, fact.args), fact
+        if node.rule is None:
+            assert not node.children and edb.has_fact(fact.predicate, fact.args), fact
+            continue
+        rule = node.rule
+        assert rule in program.rules, rule
+        assert len(node.children) == len(rule.body), fact
         bindings = {}
-        for literal, (body_name, body_arity, body_args) in zip(rule.body, body_keys):
-            assert (body_name, body_arity) == literal.signature
-            assert result.database.has_fact(body_name, body_args)
-            bindings = match(literal, body_args, bindings)
-            assert bindings is not None
-        assert rule.head.signature == (name, arity)
-        assert match(rule.head, args, bindings) is not None
+        for literal, child in zip(rule.body, node.children):
+            assert child.fact.signature == literal.signature
+            bindings = match(literal, child.fact.args, bindings)
+            assert bindings is not None, (fact, rule)
+        assert rule.head.signature == fact.signature
+        assert match(rule.head, fact.args, bindings) is not None, (fact, rule)
+        stack.extend(node.children)
 
 
 def pin_storage(db: Database):

@@ -220,16 +220,21 @@ def test_one_benchmark():
 
 
 def test_derivation_trees_stay_outside_the_fixpoint_loop():
-    """``provenance_eval`` runs each rule as ``why(V) :- B`` from its own
-    round loop in ``engine/provenance.py`` (docs/engine.md, "Plan-level
-    provenance"), so the evaluator, its plans, its backends, the batch
-    kernel and the partitioner carry no recording hook for one caller."""
+    """A derivation tree is read off a least model by one search in
+    ``engine/provenance.py`` (docs/engine.md, "Derivation trees"), so
+    the evaluator, its plans, its backends, the batch kernel and the
+    partitioner carry no recording hook for one caller, and the search
+    reaches into no part of the scheduler: no second round loop."""
     assert grep(
         "recorder|on_match|DerivationRecorder|absorb_derivations",
         *(
             f"src/repro/engine/{name}.py"
             for name in ("scheduler", "plan", "backends", "columnar", "partition")
         ),
+    ) == []
+    assert grep(
+        r"repro\.engine\.scheduler|from repro\.engine import .*scheduler",
+        "src/repro/engine/provenance.py",
     ) == []
 
 

@@ -763,8 +763,8 @@ print(stats.partition_rounds > 0)
         assert self.fresh(self.PARTITIONED) == ["True"]
 
     PACKAGES = {
-        "repro": 91, "repro.analysis": 35, "repro.bench": 4, "repro.core": 25,
-        "repro.datalog": 32, "repro.engine": 32, "repro.transforms": 8,
+        "repro": 90, "repro.analysis": 35, "repro.bench": 4, "repro.core": 25,
+        "repro.datalog": 32, "repro.engine": 31, "repro.transforms": 8,
         "repro.workloads": 31,
     }
 

@@ -17,9 +17,10 @@ from repro.datalog.terms import Constant
 from repro.engine.columnar import decode_rows
 from repro.engine.database import Database, Relation
 from repro.engine.intern import TermDictionary, plain_value
-from repro.engine.provenance import provenance_eval
 from repro.engine.reference import naive_fixpoint_reference
 from repro.engine.seminaive import seminaive_eval
+
+from tests.conftest import tuple_at_a_time
 
 
 def chain_edb(n: int) -> Database:
@@ -235,10 +236,10 @@ def test_duplicate_derivations_count_inferences_once_per_row():
     for x in range(4):
         db.add_fact("e", (x, 99))
     col_db, col_stats = seminaive_eval(program, db)
-    tuple_run = provenance_eval(program, db)  # tuple-at-a-time throughout
-    assert col_db == tuple_run.database
+    tuple_db, tuple_stats = tuple_at_a_time(program, db)
+    assert col_db == tuple_db
     assert len(col_db.relation("p", 1)) == 1
-    assert col_stats.inferences == tuple_run.stats.inferences == 4
+    assert col_stats.inferences == tuple_stats.inferences == 4
 
 
 def test_empty_delta_round_terminates_identically():
@@ -246,10 +247,10 @@ def test_empty_delta_round_terminates_identically():
     executor's."""
     db = chain_edb(8)
     col_db, col_stats = seminaive_eval(TC, db, partitions=1)
-    tuple_run = provenance_eval(TC, db)
-    assert col_db == tuple_run.database
-    assert col_stats.iterations == tuple_run.stats.iterations
-    assert col_stats.probes == tuple_run.stats.probes
+    tuple_db, tuple_stats = tuple_at_a_time(TC, db)
+    assert col_db == tuple_db
+    assert col_stats.iterations == tuple_stats.iterations
+    assert col_stats.probes == tuple_stats.probes
     assert len(col_db.relation("t", 2)) == 8 * 9 // 2
 
 

@@ -22,7 +22,6 @@ from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.engine.incremental import IncrementalSession
 from repro.engine.naive import naive_eval
-from repro.engine.provenance import provenance_eval
 from repro.engine.query import QueryCompiler
 from repro.engine.seminaive import seminaive_eval
 from repro.session import DeductiveDatabase
@@ -226,7 +225,6 @@ KNOB_TAKERS = {
     "EngineConfig.resolve": lambda **k: EngineConfig.resolve(**k),
     "seminaive_eval": lambda **k: seminaive_eval(TC, edb(), **k),
     "naive_eval": lambda **k: naive_eval(TC, edb(), **k),
-    "provenance_eval": lambda **k: provenance_eval(TC, edb(), **k),
     "IncrementalSession": lambda **k: IncrementalSession(TC, edb(), **k),
     "QueryCompiler": lambda **k: QueryCompiler(TC, **k),
     "DeductiveDatabase": lambda **k: DeductiveDatabase(**k),

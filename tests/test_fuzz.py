@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.pipeline import optimize
+from repro.datalog.literals import Literal
 from repro.datalog.parser import parse_literal, parse_program
 from repro.engine.naive import naive_eval
-from repro.engine.provenance import provenance_eval
 from repro.engine.reference import naive_fixpoint_reference
 from repro.engine.seminaive import seminaive_eval
 from repro.workloads.synthetic import (
@@ -30,6 +30,7 @@ from tests.conftest import (
     assert_trees_are_those_of,
     oracle_answers,
     pin_storage,
+    tuple_at_a_time,
 )
 
 
@@ -92,14 +93,13 @@ def test_all_backends_match_interpreter_seminaive(program_seed, edb_seed, n):
     the fixpoint of the reference evaluator
     (``naive_fixpoint_reference``, plain sets), with the
     facts/inferences/iterations counters of the serial tuple-at-a-time
-    run (``provenance_eval``), on randomized programs and databases.
+    run (``tuple_at_a_time``), on randomized programs and databases.
     """
     program = random_program(program_seed)
     edb = random_edb(edb_seed, n=n)
     db_interp, _ = naive_fixpoint_reference(program, edb)
-    tuple_run = provenance_eval(program, edb)
-    stats_interp = tuple_run.stats
-    assert tuple_run.database == db_interp, (
+    db_tuple, stats_interp = tuple_at_a_time(program, edb)
+    assert db_tuple == db_interp, (
         f"tuple-at-a-time run diverged on seed {program_seed}"
     )
     db_plan, stats_plan = seminaive_eval(program, edb)
@@ -151,7 +151,7 @@ def test_multi_component_programs_agree_across_executors(
     )
     edb = random_edb(edb_seed, n=n)
     db_ref, _ = naive_fixpoint_reference(program, edb)
-    stats_ref = provenance_eval(program, edb, jobs=1).stats
+    _, stats_ref = tuple_at_a_time(program, edb)
     for backend in ("serial", "process"):
         db, stats = seminaive_eval(program, edb, jobs=2, backend=backend)
         assert db == db_ref, f"{backend} diverged on seeds {p_seed}/{q_seed}"
@@ -173,8 +173,8 @@ def test_columnar_matches_tuple_across_backends(program_seed, edb_seed, n):
     """The columnar kernel against the tuple-at-a-time executor.
 
     ``seminaive_eval`` batches interned rows through the column kernel
-    wherever a plan is eligible; ``provenance_eval`` runs every plan
-    tuple-at-a-time.  For every backend × jobs combination
+    wherever a plan is eligible; ``tuple_at_a_time`` runs every plan
+    through the tuple executor.  For every backend × jobs combination
     the two must produce the reference database **and the same
     counters** — facts, inferences, iterations, and ``probes``, the
     finest-grained one (the kernel counts a probe per batched row
@@ -185,14 +185,13 @@ def test_columnar_matches_tuple_across_backends(program_seed, edb_seed, n):
     program = random_program(program_seed)
     edb = random_edb(edb_seed, n=n)
     db_ref, _ = naive_fixpoint_reference(program, edb)
+    db_tuple, stats_tuple = tuple_at_a_time(program, edb)
     for kwargs in (
         {},
         {"jobs": 2, "backend": "serial"},
         {"jobs": 2, "backend": "process"},
     ):
-        tuple_run = provenance_eval(program, edb, **kwargs)
-        db_tuple, stats_tuple = tuple_run.database, tuple_run.stats
-        # provenance runs never partition, and partitions move probes
+        # the oracle never partitions, and partitions move probes
         db_col, stats_col = seminaive_eval(program, edb, partitions=1, **kwargs)
         assert db_col == db_tuple == db_ref, (
             f"columnar fixpoint diverged on seed {program_seed} with {kwargs}"
@@ -269,20 +268,24 @@ def test_all_backends_match_interpreter_naive(program_seed, edb_seed, n):
     n=st.integers(3, 8),
 )
 def test_provenance_records_one_sound_tree_per_derived_fact(program_seed, edb_seed, n):
-    """Every derived fact has exactly one recorded derivation, and each
-    is an instance of its rule over the least model."""
+    """Every derived fact has a tree, and each of its nodes is an
+    instance of its rule over the least model."""
+    from repro.engine.provenance import derivation_tree
+
     program = random_program(program_seed)
     edb = random_edb(edb_seed, n=n)
-    prov = provenance_eval(program, edb)
-    assert prov.database == naive_fixpoint_reference(program, edb)[0]
-    derived = {
-        (name, arity, fact)
-        for (name, arity), rel in prov.database.relations.items()
+    model, _ = seminaive_eval(program, edb)
+    assert model == naive_fixpoint_reference(program, edb)[0]
+    derived = [
+        Literal(name, fact)
+        for (name, arity), rel in model.relations.items()
         for fact in rel.tuples
-        if (name, arity, fact) not in prov.edb_keys
-    }
-    assert set(prov.derivations) == derived
-    assert_derivations_sound(prov)
+        if not edb.has_fact(name, fact)
+    ]
+    for fact in derived:
+        tree = derivation_tree(program, model, edb, fact)
+        assert tree.fact == fact
+        assert_derivations_sound(program, model, edb, tree)
 
 
 def test_compiled_plans_match_interpreter_compound_terms():
@@ -314,7 +317,7 @@ def test_compiled_plans_match_interpreter_compound_terms():
         edb.add_fact("elem", (parse_term(atom),))
 
     db_interp, _ = naive_fixpoint_reference(program, edb, max_iterations=30)
-    stats_interp = provenance_eval(program, edb, max_iterations=30).stats
+    _, stats_interp = tuple_at_a_time(program, edb, max_iterations=30)
     for evaluator in (seminaive_eval, naive_eval):
         db_plan, stats_plan = evaluator(program, edb, max_iterations=30)
         assert db_plan == db_interp
@@ -380,8 +383,8 @@ def test_incremental_scripts_match_scratch(program_seed, edb_seed, script_seed, 
     inserts and deletes.  Sessions under default knobs and under the
     parallel scheduler absorb the script; each must end bit-identical
     to the scheduler-free reference fixpoint of the final EDB, and
-    ``explain`` must answer the trees a from-scratch
-    ``provenance_eval`` of that EDB records.  (The process backend and
+    ``explain`` must answer the trees a from-scratch ``explain`` over
+    that EDB returns.  (The process backend and
     ``jobs`` matrix is exercised deterministically in
     ``tests/test_incremental.py``.)
     After every batch each session's storage — and a view pinned before

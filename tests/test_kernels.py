@@ -8,8 +8,8 @@ plans through the compiled function.  Three oracles pin what it emits:
   text (:func:`reference_rows`): the kernel's rows, **in order**;
 * ``RulePlan.execute``, the tuple executor: the same rows as a multiset
   (it scans hash-ordered sets) and the exact ``probes``;
-* whole fixpoints against ``provenance_eval``, which runs every plan
-  tuple-at-a-time: facts and every counter.
+* whole fixpoints against ``tuple_at_a_time``, the one fixpoint loop
+  with every plan on the tuple executor: facts and every counter.
 
 The rest pins the generator's housekeeping: functions shared by shape,
 source made of generated names and integers only, and id columns that
@@ -42,10 +42,11 @@ from repro.engine.columnar import (
 from repro.engine.database import Database, Relation, RelationView, load_program_facts
 from repro.engine.intern import TermDictionary
 from repro.engine.plan import RulePlan
-from repro.engine.provenance import provenance_eval
 from repro.engine.reference import naive_fixpoint_reference
 from repro.engine.seminaive import seminaive_eval
 from repro.engine.stats import EvalStats
+
+from tests.conftest import tuple_at_a_time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -285,12 +286,12 @@ def test_random_programs_count_alike_on_both_executors(case):
     feed = Rule(Literal("abc"[arity - 1], VARIABLES[:arity]), [Literal("h", VARIABLES[:arity])])
     program = Program([rule, feed])
     edb = make_db(facts)
-    # provenance runs never partition: pin the knob that moves probes
+    # the oracle never partitions: pin the knob that moves probes
     db, stats = seminaive_eval(program, edb, partitions=1)
-    tuple_run = provenance_eval(program, edb)
-    assert db == tuple_run.database
+    tuple_db, tuple_stats = tuple_at_a_time(program, edb)
+    assert db == tuple_db
     for counter in ("facts", "inferences", "probes", "iterations"):
-        assert getattr(stats, counter) == getattr(tuple_run.stats, counter), counter
+        assert getattr(stats, counter) == getattr(tuple_stats, counter), counter
     assert stats.columnar_fallbacks == 0
 
 
@@ -430,11 +431,11 @@ def test_tuple_fallback_rows_join_the_list_columns():
     edb = Database()
     load_program_facts(parse_program("base(0). lim(0). lim(f(0)). lim(f(f(0)))."), edb)
     db, stats = seminaive_eval(program, edb, partitions=1)
-    tuple_run = provenance_eval(program, edb)
-    assert db == tuple_run.database and len(db.relation("r", 1)) == 4
+    tuple_db, tuple_stats = tuple_at_a_time(program, edb)
+    assert db == tuple_db and len(db.relation("r", 1)) == 4
     assert stats.columnar_fallbacks > 0
     for counter in ("facts", "inferences", "probes", "iterations"):
-        assert getattr(stats, counter) == getattr(tuple_run.stats, counter), counter
+        assert getattr(stats, counter) == getattr(tuple_stats, counter), counter
     own = {ident: ident for ident in db.dictionary._ids.values()}
     r = db.relation("r", 1)
     assert all(v is own[v] for col in r.ensure_columns() for v in col)

@@ -17,7 +17,6 @@ from repro.engine.config import EngineConfig
 from repro.engine.database import Database, Relation, load_program_facts
 from repro.engine.intern import TermDictionary
 from repro.engine.naive import naive_eval
-from repro.engine.provenance import provenance_eval
 from repro.engine.reference import naive_fixpoint_reference
 from repro.engine.scheduler import (
     ComponentRun,
@@ -33,6 +32,8 @@ from repro.workloads.synthetic import (
     wide_dag_edb,
     wide_dag_program,
 )
+
+from tests.conftest import tuple_at_a_time
 
 
 class TestTarjanScaling:
@@ -357,9 +358,9 @@ def branch_counters(stats):
 
 
 class TestFixpointDriverBranches:
-    """The branches the one fixpoint loop keeps.  ``provenance_eval``
-    runs every plan tuple-at-a-time, so where it applies (semi-naive
-    shapes) it is the tuple executor's count."""
+    """The branches the one fixpoint loop keeps.  ``tuple_at_a_time``
+    runs every plan through the tuple executor, so where it applies
+    (semi-naive shapes) it is the tuple executor's count."""
 
     @pytest.mark.parametrize("head", ["nullary", "foreign"])
     @pytest.mark.parametrize("shape", sorted(SHAPES))
@@ -370,15 +371,15 @@ class TestFixpointDriverBranches:
         assert db == naive_fixpoint_reference(program, edb)[0], f"{shape}/{head}"
         assert branch_counters(stats) == BRANCH_PINNED[shape, head]
         if evaluate is seminaive_eval:
-            tuple_run = provenance_eval(program, edb, **BRANCH_KNOBS)
-            assert branch_counters(tuple_run.stats) == branch_counters(stats)
+            _, tuple_stats = tuple_at_a_time(program, edb, **BRANCH_KNOBS)
+            assert branch_counters(tuple_stats) == branch_counters(stats)
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_fact_budget_trips_where_it_tripped(self, shape):
         evaluate, _, _, program = SHAPES[shape]
         runs = [evaluate]
         if evaluate is seminaive_eval:
-            runs.append(provenance_eval)
+            runs.append(tuple_at_a_time)
         for run in runs:
             with pytest.raises(NonTerminationError) as raised:
                 run(program, chain_edb(20), max_facts=7, **BRANCH_KNOBS)
@@ -404,8 +405,6 @@ class TestFixpointDriverBranches:
         edb = gated_edb(("hop", (7, 9)))
         _, stats = seminaive_eval(SINGLE_PASS, edb)
         assert stats.columnar_fallbacks == 1  # any :- hop(X, Y).
-        # a provenance run never asks the kernel, so it never falls back
-        assert provenance_eval(SINGLE_PASS, edb).stats.columnar_fallbacks == 0
 
 
 COMPOUND_HEAD = parse_program(
@@ -419,8 +418,8 @@ COMPOUND_HEAD = parse_program(
 
 class TestTheTupleExecutorRunsOnlyWhereTheKernelCannot:
     """No knob picks the executor: the kernel runs every eligible plan,
-    and ``RulePlan.execute`` runs provenance, naive recursive
-    components and what the kernel declines — nothing else."""
+    and ``RulePlan.execute`` runs naive recursive components and what
+    the kernel declines — nothing else."""
 
     @pytest.mark.parametrize(
         "evaluate, program, tuple_runs",
@@ -428,9 +427,8 @@ class TestTheTupleExecutorRunsOnlyWhereTheKernelCannot:
             (seminaive_eval, TC, "never"),
             (seminaive_eval, COMPOUND_HEAD, "declined"),
             (naive_eval, TC, "always"),
-            (provenance_eval, TC, "always"),
         ],
-        ids=["eligible", "compound-head", "naive-recursive", "provenance"],
+        ids=["eligible", "compound-head", "naive-recursive"],
     )
     def test_executor_sites(self, monkeypatch, evaluate, program, tuple_runs):
         from repro.engine import scheduler
@@ -449,8 +447,7 @@ class TestTheTupleExecutorRunsOnlyWhereTheKernelCannot:
 
         monkeypatch.setattr(scheduler, "execute_columnar", counted_kernel)
         monkeypatch.setattr(RulePlan, "execute", counted_execute)
-        result = evaluate(program, chain_edb(6), **BRANCH_KNOBS)
-        stats = result.stats if evaluate is provenance_eval else result[1]
+        _, stats = evaluate(program, chain_edb(6), **BRANCH_KNOBS)
         if tuple_runs == "never":
             assert calls["tuple"] == stats.columnar_fallbacks == 0 < calls["kernel"]
         elif tuple_runs == "declined":
@@ -688,8 +685,8 @@ class TestRoundLoopMovedNoDeterminateOutput:
         db, stats = seminaive_eval(program, edb, **self.KNOBS)
         assert db == ref, f"{name} diverged"
         assert stats.columnar_fallbacks == 0
-        tuple_run = provenance_eval(program, edb, **self.KNOBS)
-        assert self.counters(stats) == self.counters(tuple_run.stats)
+        _, tuple_stats = tuple_at_a_time(program, edb, **self.KNOBS)
+        assert self.counters(stats) == self.counters(tuple_stats)
         assert self.counters(stats) == ROUND_LOOP_PINNED[name]
 
     @pytest.mark.parametrize("name", sorted(ROUND_LOOP_PROGRAMS))

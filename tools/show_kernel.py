@@ -10,8 +10,7 @@ Python source generated for that shape.  The kernel runs wherever a
 plan is eligible; a rule it cannot run (compound-building heads,
 compound probe keys), or one in a recursive component with a nullary
 head (whose rows stay term tuples), says so: it runs on the tuple
-executor, the fallback the engine keeps for those cases and for
-provenance runs.
+executor, the fallback the engine keeps for those cases.
 
 Usage::
 
