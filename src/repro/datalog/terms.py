@@ -11,7 +11,8 @@ equality/hashing of a shared suffix is O(1) after construction.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
+import weakref
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
 
 
 class Term:
@@ -114,12 +115,15 @@ class Compound(Term):
 
     Instances are interned: constructing the same functor/args twice
     returns the same object, giving O(1) equality and hashing for
-    shared structure (the list-suffix sharing of Example 4.6).
+    shared structure (the list-suffix sharing of Example 4.6).  The
+    table holds its compounds weakly: a term nothing else refers to
+    leaves it when it is freed.
     """
 
     __slots__ = ("functor", "args", "_hash", "_ground", "__weakref__")
 
-    _intern: Dict[Tuple[str, Tuple[Term, ...]], "Compound"] = {}
+    #: (functor, args) -> the compound
+    _intern: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 
     def __new__(cls, functor: str, args: Iterable[Term]):
         args = tuple(args)

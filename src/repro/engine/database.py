@@ -628,9 +628,7 @@ class Relation:
             )
             self._col_indexes[positions] = (index, position + len(rows))
 
-    def append_rows(
-        self, rows: List[RowTuple], rowset: Optional[Set[RowTuple]] = None
-    ) -> None:
+    def append_rows(self, rows: List[RowTuple]) -> None:
         """Bulk-append novel interned rows, columnar-side only.
 
         The round-end absorption of the columnar fixpoint: the caller
@@ -641,11 +639,6 @@ class Relation:
         materialized by :meth:`_flush` if and when the tuple world is
         next read.  Requires an attached dictionary and arity > 0 (the
         caller's capability check guarantees both).
-
-        ``rowset``, when given, must hold exactly the same rows as a
-        set; the row-set update then runs set-to-set and reuses the
-        hashes already stored in its entries instead of rehashing
-        every tuple.
         """
         n = len(rows)
         if not n:
@@ -660,7 +653,7 @@ class Relation:
             self.ensure_columns()
         position = len(self._cols[0]) + len(buffered)
         if self._colset is not None and self._colset_n == position:
-            self._colset.update(rows if rowset is None else rowset)
+            self._colset.update(rows)
             self._colset_n = position + n
         if self._col_indexes:
             self._index_rows(rows, position)

@@ -397,7 +397,9 @@ class _TermRows:
         return out
 
     def novel(self, rel: Relation, emitted) -> Set[FactTuple]:
-        return set(emitted) - rel.tuples
+        fresh = set(emitted)
+        fresh -= rel.tuples
+        return fresh
 
     def absorb(self, rel: Relation, fresh, budget=None) -> None:
         """Add ``fresh``; ``budget`` (if any) is checked after every fact."""
@@ -459,15 +461,23 @@ class _InternedRows:
         return out
 
     def novel(self, rel: Relation, emitted) -> Set[RowTuple]:
-        return set(emitted) - rel.col_set()
+        # Narrowed in place: a round's rows are never held in two sets.
+        fresh = set(emitted)
+        fresh -= rel.col_set()
+        return fresh
 
     def absorb(self, rel: Relation, fresh, budget=None) -> None:
         """Bulk-append ``fresh`` — or, under a per-fact ``budget``, add
-        row by row so the limit trips on the same count as term rows."""
+        row by row so the limit trips on the same count as term rows.
+
+        The bulk append consumes ``fresh``: its table is freed before
+        the head's row set grows to take the rows.
+        """
         stats = self.stats
         if budget is None:
             rows = list(fresh)
-            rel.append_rows(rows, fresh)
+            fresh.clear()
+            rel.append_rows(rows)
             stats.facts += len(rows)
             return
         terms = self.db.dictionary.terms

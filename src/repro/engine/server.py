@@ -58,6 +58,12 @@ from repro.engine.stats import EvalStats
 #: (about 25 000 ``e(i, j).`` facts in one ``+`` line).
 MAX_LINE_BYTES = 1 << 20
 
+#: Seconds the socket front waits on one read or write of a connection
+#: (a client idle between requests, stopped mid-line, or not reading
+#: its replies) before it closes the connection and frees its worker
+#: slot.
+READ_TIMEOUT_S = 60.0
+
 
 @dataclass
 class ServerStats:
@@ -406,7 +412,8 @@ class SocketFront:
     prefixed ``"= "``, followed by exactly one status line starting
     ``ok`` or ``error:``.  ``quit`` answers ``ok bye`` and closes that
     connection only.  A line longer than :data:`MAX_LINE_BYTES` is
-    refused, not buffered.
+    refused, not buffered, and a connection whose read or write waits
+    :data:`READ_TIMEOUT_S` seconds is closed.
 
     ``workers`` bounds the number of concurrently served connections —
     the reader pool.  Updates arriving on any connection funnel through
@@ -466,6 +473,7 @@ class SocketFront:
 
     def _serve_connection(self, conn: socket.socket) -> None:
         try:
+            conn.settimeout(READ_TIMEOUT_S)
             # Bytes in, one bounded line at a time: a refused line is
             # one refused request, not a dropped connection.
             with conn, conn.makefile("rb") as reader:
@@ -478,7 +486,7 @@ class SocketFront:
                     if quitting:
                         break
         except (OSError, ValueError):
-            pass  # client went away mid-write; nothing to clean up
+            pass  # client went away or timed out; nothing to clean up
         finally:
             self._slots.release()
 

@@ -26,6 +26,7 @@ from repro.engine.database import Database
 from repro.engine.incremental import IncrementalSession
 from repro.engine.journal import Journal, recover_session
 from repro.engine.provenance import explain
+from repro.engine import server as server_module
 from repro.engine.server import (
     MAX_LINE_BYTES,
     DatalogServer,
@@ -531,6 +532,24 @@ class TestSocketFront:
             "= 2\n= 3\nok 2 answers\n"
             "ok bye\n"
         )
+
+    def test_a_stalled_line_times_out_and_frees_its_slot(self, monkeypatch):
+        """A client that stops mid-line is closed after
+        ``READ_TIMEOUT_S``: with one worker slot, the next client is
+        served instead of waiting behind it forever."""
+        monkeypatch.setattr(server_module, "READ_TIMEOUT_S", 0.2)
+        with SocketFront(make_server(), workers=1) as front:
+            with socket.create_connection(
+                (front.host, front.port), timeout=10
+            ) as stalled:
+                stalled.sendall(b"? t(1")
+                with socket.create_connection(
+                    (front.host, front.port), timeout=2
+                ) as sock, sock.makefile("r", encoding="utf-8") as reader:
+                    payload, status = self._exchange(reader, sock, "? t(1, Y)")
+                    assert (payload, status) == (["2", "3"], "ok 2 answers")
+                # the stalled connection was closed, not answered
+                assert stalled.recv(64) == b""
 
     def test_shutdown_stops_the_listener(self):
         """``shutdown`` wakes the thread blocked in ``accept``: it

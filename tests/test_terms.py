@@ -1,5 +1,7 @@
 """Unit tests for repro.datalog.terms."""
 
+import gc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,6 +19,8 @@ from repro.datalog.terms import (
     make_list,
     term_variables,
 )
+from repro.session import DeductiveDatabase
+from repro.workloads.lists import PMEM_TEXT
 
 
 class TestVariable:
@@ -84,6 +88,24 @@ class TestCompound:
         term = Compound("f", (Constant(1),))
         with pytest.raises(AttributeError):
             term.functor = "g"
+
+    def test_unreferenced_compounds_leave_the_table(self):
+        """The hash-consing table does not keep a compound alive: after a
+        database that asked ``pmem`` over 20 distinct lists is dropped,
+        the table is back to its starting size (it kept 1 002 compounds
+        when it held them strongly)."""
+        gc.collect()
+        before = len(Compound._intern)
+        db = DeductiveDatabase()
+        db.rules(PMEM_TEXT)
+        db.facts("p", [(i,) for i in range(1000)])
+        for k in range(20):
+            elements = [1000 * (k + 1) + i for i in range(50)]
+            assert db.ask(f"pmem(X, {elements})") == set()
+        assert len(Compound._intern) > before
+        del db
+        gc.collect()
+        assert len(Compound._intern) == before
 
 
 class TestLists:
