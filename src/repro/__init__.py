@@ -7,8 +7,8 @@ paper's contribution:
 
 * :mod:`repro.datalog` — the language (terms with function symbols,
   rules, parser, printer);
-* :mod:`repro.engine` — storage plus naive, semi-naive, and tabled
-  top-down evaluators with cost statistics;
+* :mod:`repro.engine` — storage plus the semi-naive and tabled
+  top-down evaluators with cost statistics, and the naive reference;
 * :mod:`repro.analysis` — adornment, conjunctive-query containment,
   standard form, rule classification, A/V graphs, separability;
 * :mod:`repro.transforms` — Magic Sets and Counting;

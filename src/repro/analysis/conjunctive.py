@@ -19,10 +19,10 @@ theorems only need sufficiency).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.datalog.literals import Literal
-from repro.datalog.terms import Constant, Term, Variable, term_variables
+from repro.datalog.terms import Term, Variable, term_variables
 from repro.datalog.unify import Substitution, unify_terms
 
 EQUAL = "equal"
@@ -180,67 +180,3 @@ def q1_satisfiable(q: ConjunctiveQuery) -> bool:
 def cq_equivalent(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
     """Containment in both directions."""
     return cq_contained_in(q1, q2) and cq_contained_in(q2, q1)
-
-
-def evaluate_cq(cq: ConjunctiveQuery, db) -> Set[Tuple[Term, ...]]:
-    """Answers of ``cq`` on a :class:`repro.engine.database.Database`.
-
-    Used for the *instance-level* (run-time) versions of the class
-    conditions, the strengthening discussed at the end of Example 4.3.
-    ``equal`` atoms are normalized away first; other conceptually
-    infinite predicates must be materialized in ``db`` by the caller.
-    Heads are instantiated like the reference evaluator's, compound
-    terms included, so every answer is ground.
-    """
-    import itertools
-
-    from repro.datalog.rules import Rule
-    from repro.engine.reference import instantiate_head, join_rule
-
-    try:
-        cq = normalize_equalities(cq)
-    except UnsatisfiableQuery:
-        return set()
-    rule = Rule(Literal("q*", cq.head_terms), cq.body)
-    answers: Set[Tuple[Term, ...]] = set()
-
-    # Head variables not bound by the body (unsafe), also inside
-    # compound head terms, range over the active domain, mirroring the
-    # homomorphism convention that an unconstrained distinguished
-    # variable is unconstrained.
-    body_vars = {v for lit in cq.body for v in lit.iter_variables()}
-    unsafe = [v for v in term_variables(cq.head_terms) if v not in body_vars]
-    domain: Set[Term] = set()
-    if unsafe:
-        for rel in db.relations.values():
-            for fact in rel:
-                domain.update(fact)
-
-    def on_match(bindings):
-        if not unsafe:
-            answers.add(instantiate_head(rule, bindings))
-            return
-        for values in itertools.product(domain, repeat=len(unsafe)):
-            extended = dict(bindings)
-            extended.update(zip(unsafe, values))
-            answers.add(instantiate_head(rule, extended))
-
-    if cq.body:
-        join_rule(db.relations, rule, on_match)
-    else:
-        on_match({})
-    return answers
-
-
-def instance_contained_in(q1: ConjunctiveQuery, q2: ConjunctiveQuery, db) -> bool:
-    """True iff answers(q1) ⊆ answers(q2) on the specific database ``db``.
-
-    A trivial (empty-body) ``q2`` contains everything; a trivial ``q1``
-    is only contained in a trivial ``q2`` (its answer set is the full
-    cross product, which we cannot enumerate).
-    """
-    if q2.is_trivial():
-        return True
-    if q1.is_trivial():
-        return False
-    return evaluate_cq(q1, db) <= evaluate_cq(q2, db)

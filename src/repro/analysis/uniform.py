@@ -28,7 +28,6 @@ from repro.datalog.rules import Rule
 from repro.datalog.terms import Compound, Constant
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database, load_program_facts
-from repro.engine.naive import naive_eval
 from repro.engine.plan import PlanCache
 from repro.engine.scheduler import SCCScheduler
 from repro.engine.stats import EvalStats, NonTerminationError
@@ -72,34 +71,37 @@ def freeze_rule(rule: Rule) -> Tuple[Literal, Database]:
 class _Chase:
     """One evaluation context for many chases.
 
-    The config is resolved once, environment included, and one
+    The config is the chase's own budgets and nothing else (serial,
+    unpartitioned, no deadline: an analysis of a few frozen facts, not
+    the caller's evaluation), and one
     :class:`~repro.engine.plan.PlanCache` compiles each ``(rule,
     roles)`` pair once for every chase: the candidates of one
     :func:`redundant_rules` call are chased through the same
-    :class:`Rule` objects.  Each chase still runs its own scheduler over
-    its own frozen database with a fresh :class:`EvalStats`, so the
-    budgets (and a ``max_seconds`` deadline) hold per chase.  Callers
-    check for function symbols.
+    :class:`Rule` objects.  Each chase still runs its own naive
+    scheduler over its own database with a fresh :class:`EvalStats`, so
+    the budgets hold per chase.  Callers check for function symbols.
     """
 
     def __init__(
         self, max_iterations: Optional[int] = 200, max_facts: Optional[int] = 200_000
     ):
-        self.config = EngineConfig.resolve(
-            max_iterations=max_iterations, max_facts=max_facts
-        )
+        self.config = EngineConfig(max_iterations=max_iterations, max_facts=max_facts)
         self.cache = PlanCache()
 
-    def derives(self, program: Program, rule: Rule) -> bool:
-        """Does ``program`` rederive ``rule``'s frozen head from its body?"""
-        head, db = freeze_rule(rule)
+    def model(self, program: Program, db: Database) -> Database:
+        """``db`` grown to the least model of ``program`` over it."""
         stats = EvalStats()
         stats.facts += load_program_facts(program, db)
         try:
             SCCScheduler(program, self.config, "naive", cache=self.cache).run(db, stats)
         except NonTerminationError as err:
             raise UniformUndecidedError(str(err)) from err
-        return head.args in db.facts(head.predicate, head.arity)
+        return db
+
+    def derives(self, program: Program, rule: Rule) -> bool:
+        """Does ``program`` rederive ``rule``'s frozen head from its body?"""
+        head, db = freeze_rule(rule)
+        return head.args in self.model(program, db).facts(head.predicate, head.arity)
 
 
 def chase_derives(
@@ -128,10 +130,7 @@ def uniformly_contained(p1: Program, p2: Program, **kwargs) -> bool:
             continue
         # A fact is derivable iff P2 ∪ {} produces it.
         if model is None:
-            try:
-                model, _ = naive_eval(p2, Database(), chase.config)
-            except NonTerminationError as err:
-                raise UniformUndecidedError(str(err)) from err
+            model = chase.model(p2, Database())
         if rule.head.args not in model.facts(rule.head.predicate, rule.head.arity):
             return False
     return True

@@ -42,9 +42,9 @@ from typing import List, Optional
 
 from repro.datalog.parser import parse_literal, parse_program, parse_query
 from repro.datalog.program import Program
-from repro.engine.config import EngineConfig
+from repro.engine.config import EngineConfig, environment_knobs
 from repro.engine.database import Database, load_program_facts
-from repro.engine.stats import JournalError
+from repro.engine.stats import EvalStats, JournalError
 
 # Everything else a command runs — the optimizer pipeline, provenance,
 # the session/query stack, the journal, the server — is imported inside
@@ -117,24 +117,39 @@ def cmd_optimize(args) -> int:
 
 def _engine_config(args) -> EngineConfig:
     """The command's flags over ``$REPRO_*`` over the defaults, checked
-    up front so a bad knob is a clean CLI error before anything runs."""
-    return EngineConfig.resolve(
-        **{name: getattr(args, name, None) for _, name, *_ in _ENGINE_FLAGS}
-    )
+    up front so a bad knob is a clean CLI error before anything runs
+    (the library never reads the variables)."""
+    flags = {
+        name: value
+        for _, name, *_ in _ENGINE_FLAGS
+        if (value := getattr(args, name, None)) is not None
+    }
+    return EngineConfig(**environment_knobs(os.environ, skip=flags), **flags)
 
 
 def cmd_run(args) -> int:
+    """``optimize`` for the goal itself (Lemma 5.1 reads its constants)
+    behind ``QueryCompiler.entry``'s goal front."""
     from repro.core.pipeline import optimize
+    from repro.datalog.validate import ensure_no_reserved_names
+    from repro.transforms.bridge import bridged_program, stored_derived
 
     program = _load_program(args.program)
+    ensure_no_reserved_names(program)
     goal = parse_query(args.query)
     edb = _load_edb(args.facts)
     config = _engine_config(args)
-    result = optimize(program, goal)
-    answers, stats = result.answers(edb, config=config)
+    if program.is_idb(goal.signature):
+        bridged = stored_derived(program, edb.relations)
+        result = optimize(*bridged_program(program, goal, bridged))
+        answers, stats = result.answers(edb, config=config)
+        strategy = result.strategy
+    else:
+        program.check_query(goal.signature)
+        answers, stats, strategy = edb.answers(goal), EvalStats(), "edb"
     _print_answers(answers)
     print(
-        f"-- {len(answers)} answers via {result.strategy}; {stats.facts} facts, "
+        f"-- {len(answers)} answers via {strategy}; {stats.facts} facts, "
         f"{stats.inferences} inferences, {stats.seconds * 1000:.1f} ms",
         file=sys.stderr,
     )
@@ -387,8 +402,8 @@ def _add_engine_options(parser, timeout: bool = False) -> None:
     """Evaluation knobs shared by the evaluating commands (``--timeout``
     on ``serve`` and ``recover`` only).
 
-    Values stay text: :meth:`EngineConfig.resolve` parses and checks
-    them exactly like the ``$REPRO_*`` spelling.
+    Values stay text: :class:`EngineConfig` parses and checks them
+    exactly like the ``$REPRO_*`` spelling.
     """
     for flag, name, metavar, text in _ENGINE_FLAGS:
         if flag == "--timeout" and not timeout:

@@ -30,6 +30,7 @@ from repro.engine.arena import arena
 from repro.engine.database import Database
 from repro.engine.seminaive import seminaive_eval
 from repro.engine.stats import EvalStats
+from repro.transforms.bridge import stored_derived
 from repro.transforms.magic import MagicResult, magic_sets
 
 
@@ -100,13 +101,9 @@ class OptimizationResult:
             lines.extend(f"  - {reason}" for reason in self.report.reasons)
         return lines
 
-    def answers(
-        self, edb: Database, evaluator=seminaive_eval, **kwargs
-    ) -> Tuple[Set[Tuple], EvalStats]:
+    def answers(self, edb: Database, **kwargs) -> Tuple[Set[Tuple], EvalStats]:
         """Evaluate the best program and read off the query answers."""
-        return self.evaluate_stage(
-            self.available_stages()[-1], edb, evaluator, **kwargs
-        )
+        return self.evaluate_stage(self.available_stages()[-1], edb, **kwargs)
 
     STAGES = ("original", "magic", "factored", "simplified")
 
@@ -119,12 +116,16 @@ class OptimizationResult:
         )
 
     def evaluate_stage(
-        self, stage: str, edb: Database, evaluator=seminaive_eval, **kwargs
+        self, stage: str, edb: Database, **kwargs
     ) -> Tuple[Set[Tuple], EvalStats]:
-        """Evaluate a named stage: original | magic | factored | simplified.
+        """Evaluate a named stage: original | magic | factored | simplified
+        (``kwargs`` are :func:`seminaive_eval`'s knobs).
 
         Unknown or unavailable stage names fail *before* any evaluation
-        with the list of valid choices.
+        with the list of valid choices.  So does a rewritten stage over
+        an ``edb`` that stores rows of a derived predicate: the rewrites
+        rename it and would miss them (optimize the bridged program of
+        :mod:`repro.transforms.bridge` instead).
         """
         if stage not in self.STAGES:
             raise ValueError(
@@ -141,10 +142,17 @@ class OptimizationResult:
         if stage == "original":
             program, head = self.original, self.goal
         else:
+            stored = sorted(stored_derived(self.original, edb.relations))
+            if stored:
+                raise ValueError(
+                    f"stage {stage!r} renames the derived predicate "
+                    f"{'/'.join(map(str, stored[0]))}, whose rows the EDB "
+                    f"stores: the rewritten program would miss them"
+                )
             program, head = getattr(self, stage).program, self.magic.query_head
         # The evaluated copy is read once and dropped: an ask()'s overlay.
         with arena(edb.total_facts()):
-            db, stats = evaluator(program, edb, **kwargs)
+            db, stats = seminaive_eval(program, edb, **kwargs)
             answers = db.query(head)
             del db
         return answers, stats

@@ -25,7 +25,6 @@ __getattr__, __dir__, __all__ = _facade(
             "ProcessBackend", "SerialBackend", "make_backend",
         ),
         "scheduler": ("SCCScheduler",),
-        "naive": ("naive_eval",),
         "seminaive": ("seminaive_eval",),
         "topdown": ("topdown_eval", "TopDownResult"),
         "provenance": ("explain", "DerivationTree"),

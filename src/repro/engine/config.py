@@ -7,21 +7,21 @@ SCC-stratified program — never a different fixpoint: for every valid
 ``facts``/``inferences``/``iterations`` counters are identical; only
 probe counts and wall time vary.
 
-The public entry points (``seminaive_eval``, ``naive_eval``,
-``explain``, ``IncrementalSession``, ``QueryCompiler``,
-``DeductiveDatabase``, ``recover_session``, the CLI) accept the knobs
-as keywords or a ready ``config=``, call :meth:`EngineConfig.resolve`
-once, and hand the frozen object down; nothing below them reads the
-environment or re-validates.  A place that needs a variant says so with
-:func:`dataclasses.replace`, which re-validates.
+The library's entry points (``seminaive_eval``, ``explain``,
+``IncrementalSession``, ``QueryCompiler``, ``DeductiveDatabase``,
+``recover_session``) call :meth:`EngineConfig.resolve` once and hand
+the frozen object down; nothing below them resolves or re-validates.
+The ``REPRO_*`` names in the knob table are the CLI's
+(:func:`environment_knobs`): the library never reads the environment.
+A place that needs a variant says so with :func:`dataclasses.replace`,
+which re-validates.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, fields, replace
-from typing import Optional
+from typing import Mapping, Optional
 
 
 def _choice(*names):
@@ -94,8 +94,7 @@ class EngineConfig:
         maintenance batch rolls back.
 
     ``None`` leaves a budget unlimited.  Constructing (or
-    :func:`dataclasses.replace`-ing) a config validates every field and
-    never reads the environment; :meth:`resolve` does.
+    :func:`dataclasses.replace`-ing) a config validates every field.
     """
 
     jobs: int = _knob(1, "REPRO_JOBS", _INTEGER)
@@ -115,28 +114,19 @@ class EngineConfig:
 
     @classmethod
     def resolve(cls, config: Optional["EngineConfig"] = None, **knobs) -> "EngineConfig":
-        """Explicit argument, else ``config``/environment, else default.
+        """Explicit argument, else ``config``, else the field default.
 
-        A knob passed as ``None`` counts as not passed.  Without
-        ``config`` the ``REPRO_*`` variables fill what is left
-        (stripped; empty means unset); with one, it already did.
-        Unknown keywords raise ``TypeError``, bad values ``ValueError``
-        naming their source (``invalid REPRO_BACKEND='x'; expected …``
-        vs ``invalid backend='x'; …``).
+        A knob passed as ``None`` counts as not passed.  Unknown
+        keywords raise ``TypeError``, bad values ``ValueError``
+        (``invalid backend='x'; expected …``).
         """
         unknown = sorted(set(knobs) - set(cls.__dataclass_fields__))
         if unknown:
             raise TypeError(f"unknown engine knob(s): {', '.join(unknown)}")
         given = {name: v for name, v in knobs.items() if v is not None}
-        if config is not None:
-            return replace(config, **given) if given else config
-        for knob in fields(cls):
-            env = knob.metadata["env"]
-            if env is not None and knob.name not in given:
-                raw = os.environ.get(env, "").strip()
-                if raw:
-                    given[knob.name] = check_knob(knob.name, raw, env)
-        return cls(**given)
+        if config is None:
+            return cls(**given)
+        return replace(config, **given) if given else config
 
     def __str__(self) -> str:
         return " ".join(f"{k.name}={getattr(self, k.name)}" for k in fields(self))
@@ -152,3 +142,17 @@ def check_knob(name: str, value, source: Optional[str] = None):
         raise ValueError(
             f"invalid {source or name}={value!r}; expected {row['expected']}"
         ) from None
+
+
+def environment_knobs(environ: Mapping[str, str], skip=()) -> dict:
+    """The knobs the ``REPRO_*`` variables of ``environ`` set, but not
+    those in ``skip`` (the CLI's flags win): stripped, empty meaning
+    unset, a bad one a ``ValueError`` naming the variable."""
+    knobs = {}
+    for knob in fields(EngineConfig):
+        env = knob.metadata["env"]
+        if env is not None and knob.name not in skip:
+            raw = environ.get(env, "").strip()
+            if raw:
+                knobs[knob.name] = check_knob(knob.name, raw, env)
+    return knobs

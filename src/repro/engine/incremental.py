@@ -166,7 +166,7 @@ class IncrementalSession:
 
     ``config`` and/or keyword knobs are those of
     :class:`~repro.engine.config.EngineConfig`, resolved once here
-    (:attr:`config`).  ``jobs``/``backend`` apply to the initial
+    (:attr:`config`; keyword over ``config`` over the defaults).  ``jobs``/``backend`` apply to the initial
     materialization only (a maintenance pass resumes components one by
     one — affected components are usually few), and ``partitions > 1``
     hash-splits the deltas of a resumed fixpoint as it does the

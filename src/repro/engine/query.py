@@ -45,9 +45,9 @@ goal's constants); serving adds Section 6.4's counting on top:
 **Stored facts on derived predicates.**  The rewrites rename every
 derived predicate, so rows stored under one's own name would be missed.
 For the set S of IDB signatures with stored rows, a form compiles
-:func:`bridged_program` — each ``p`` of S renamed ``p~idb`` plus the
-exit rule ``p~idb(V̄) :- p(V̄)`` — and an ask that sees another S
-recompiles it.
+:func:`~repro.transforms.bridge.bridged_program` — each ``p`` of S
+renamed ``p~idb`` plus the exit rule ``p~idb(V̄) :- p(V̄)`` — and an
+ask that sees another S recompiles it.
 
 **Answers.**  Repeated variables and partially-ground (function-term)
 goal arguments are handled by *post-selection*: the compiled program
@@ -106,6 +106,7 @@ from repro.engine.plan import PlanCache
 from repro.engine.scheduler import SCCScheduler
 from repro.engine.stats import EvalStats, NonTerminationError
 from repro.datalog.rules import Rule, UnsafeRuleError
+from repro.transforms.bridge import bridged_program, stored_derived
 from repro.transforms.counting import (
     CountingResult,
     counting,
@@ -116,32 +117,6 @@ from repro.transforms.magic import QUERY_PREDICATE
 
 QueryKey = Tuple[str, int, str]
 Signature = Tuple[str, int]
-
-#: Suffix of the derived half of a predicate that also has stored rows.
-BRIDGE_SUFFIX = "~idb"
-
-
-def bridged_program(program: Program, bridged: FrozenSet[Signature]) -> Program:
-    """``program`` with each predicate of ``bridged`` renamed to its
-    reserved derived name, plus one exit rule per renamed predicate
-    reading the stored relation under the original name."""
-
-    def rename(literal: Literal) -> Literal:
-        if literal.signature in bridged:
-            return literal.with_predicate(literal.predicate + BRIDGE_SUFFIX)
-        return literal
-
-    rules = [
-        Rule(rename(rule.head), tuple(map(rename, rule.body)))
-        for rule in program.rules
-    ]
-    for name, arity in program.idb_signatures:
-        if (name, arity) in bridged:
-            variables = tuple(Variable(f"V{i}") for i in range(arity))
-            stored = Literal(name, variables)
-            rules.append(Rule(rename(stored), (stored,)))
-    return Program(rules)
-
 
 @dataclass
 class QueryAnswer:
@@ -170,7 +145,7 @@ class CompiledQuery:
     Owns a persistent :class:`~repro.engine.plan.PlanCache`, so repeated
     queries of the same form reuse compiled rule plans.  ``bridged`` is
     the set S of IDB signatures with stored rows the form was compiled
-    for (see :func:`bridged_program`).
+    for (see :func:`~repro.transforms.bridge.bridged_program`).
     """
 
     def __init__(
@@ -190,13 +165,10 @@ class CompiledQuery:
         self.instance_certified = False
         self.counting_diverged = False
 
-        program = compiler.program
-        if bridged:
-            program = bridged_program(program, bridged)
-            if (predicate, arity) in bridged:
-                predicate += BRIDGE_SUFFIX
-        canonical = Literal(
-            predicate, tuple(Variable(f"Qv{i}") for i in range(arity))
+        program, canonical = bridged_program(
+            compiler.program,
+            Literal(predicate, tuple(Variable(f"Qv{i}") for i in range(arity))),
+            bridged,
         )
         #: the strategy decision, made where every caller's is; Lemma
         #: 5.1 reduction is off because it reads the goal's constants,
@@ -417,8 +389,9 @@ class QueryCompiler:
         answer.strategy       # "factored" | "counting" | "magic" | "edb"
 
     ``config`` and/or keyword knobs are those of
-    :class:`~repro.engine.config.EngineConfig`, resolved (and rejected)
-    here, not on the first IDB query;
+    :class:`~repro.engine.config.EngineConfig`, resolved (keyword over
+    ``config`` over the defaults) and rejected here, not on the first
+    IDB query;
     ``use_instance_checks`` enables instance-level (EDB-reading)
     factorability certification.
 
@@ -478,11 +451,7 @@ class QueryCompiler:
         if goal.signature not in self.idb_signatures:
             self.program.check_query(goal.signature)
             return None, False
-        bridged = frozenset(
-            sig
-            for sig in self.idb_signatures
-            if (rel := edb.relations.get(sig)) is not None and len(rel)
-        )
+        bridged = stored_derived(self.program, edb.relations)
         adornment = adornment_from_query(goal)
         key: QueryKey = (goal.predicate, goal.arity, str(adornment))
         entry = self._entries.get(key)

@@ -11,7 +11,7 @@ built only for the value returned.  Evaluation is whole-program naive
 rounds over the unrewritten rules — no dependency graph, no strata —
 until a round derives nothing new: maximally redundant (the global
 quadratic loop of the paper's Section 1), and correct by inspection.
-:func:`repro.analysis.conjunctive.evaluate_cq` joins through here too.
+:func:`repro.core.theorems.evaluate_cq` joins through here too.
 """
 
 from __future__ import annotations

@@ -6,10 +6,11 @@ place that evaluation is written down: :class:`SCCScheduler` owns the
 predicate dependency graph traversal, groups strongly connected
 components into **topological depth batches**, and runs one
 :class:`ComponentRun` — a per-component fixpoint — for each component.
-The evaluator frontends (`naive_eval`, `seminaive_eval`) differ only
-in the *mode* of that per-component fixpoint, which one driver
-(:meth:`ComponentRun._fixpoint`) serves by changing which windows of
-the component's relations feed a rule's recursive body occurrences:
+The evaluator frontend (`seminaive_eval`) runs it in the semi-naive
+*mode*; the uniform-redundancy chase (:mod:`repro.analysis.uniform`)
+runs it in the naive one.  One driver (:meth:`ComponentRun._fixpoint`)
+serves both by changing which windows of the component's relations
+feed a rule's recursive body occurrences:
 
 * ``mode="seminaive"`` — the delta-decomposed iteration (the paper's
   evaluator);
@@ -53,7 +54,6 @@ from repro.engine.database import (
     Relation,
     RelationView,
     RowTuple,
-    load_program_facts,
 )
 from repro.engine.partition import run_partitioned
 from repro.engine.plan import PlanCache, RoleSpec
@@ -132,15 +132,15 @@ class ComponentTask:
 class SCCScheduler:
     """Shared driver: stratify a program and run per-component fixpoints.
 
-    The frontends (:func:`~repro.engine.seminaive.seminaive_eval`,
-    :func:`~repro.engine.naive.naive_eval`) construct one of these per
-    evaluation, then call :meth:`run` against a database that already
-    holds the EDB and any program facts.
+    The frontend (:func:`~repro.engine.seminaive.seminaive_eval`) and
+    the chase construct one of these per evaluation, then call
+    :meth:`run` against a database that already holds the EDB and any
+    program facts.
 
-    ``config`` carries every execution knob
-    (:class:`~repro.engine.config.EngineConfig`; ``None`` resolves the
-    defaults).  With ``jobs == 1`` the backend is never consulted —
-    every schedule is the sequential one.
+    ``config`` carries every execution knob, as the caller resolved it
+    (:class:`~repro.engine.config.EngineConfig`; ``None`` means
+    ``EngineConfig()``).  With ``jobs == 1`` the backend is never
+    consulted — every schedule is the sequential one.
 
     ``executor`` is a ready
     :class:`~repro.engine.backends.ExecutorBackend` to run parallel
@@ -160,7 +160,7 @@ class SCCScheduler:
             raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
         self.program = program
         self.mode = mode
-        self.config = EngineConfig.resolve(config)
+        self.config = config if config is not None else EngineConfig()
         self.backend = executor or make_backend(self.config)
         #: Optional shared plan cache: when set, sequential component
         #: runs compile into it instead of one private cache per run,
@@ -258,34 +258,6 @@ class SCCScheduler:
                 stats.iterations,
                 stats.facts,
             )
-
-
-def evaluate(
-    program: Program,
-    edb: Database,
-    mode: str,
-    config: Optional[EngineConfig],
-    knobs: dict,
-) -> Tuple[Database, EvalStats]:
-    """The body the evaluator frontends share: resolve, load, run, time.
-
-    ``knobs`` are the frontend's keyword arguments; a ``backend`` that
-    is a ready :class:`~repro.engine.backends.ExecutorBackend` runs the
-    parallel batches itself and contributes its name to the config.
-    """
-    executor = knobs.get("backend")
-    if isinstance(executor, ExecutorBackend):
-        knobs = {**knobs, "backend": executor.name}
-    else:
-        executor = None
-    config = EngineConfig.resolve(config, **knobs)
-    db = edb.copy()
-    stats = EvalStats()
-    start = time.perf_counter()
-    stats.facts += load_program_facts(program, db)
-    SCCScheduler(program, config, mode, executor=executor).run(db, stats)
-    stats.seconds = time.perf_counter() - start
-    return db, stats
 
 
 #: The firing list of a rule that reads only full relations: one plan,

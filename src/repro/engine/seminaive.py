@@ -17,7 +17,7 @@ one delta rule per occurrence ``ij``, reading
 
 The traversal, batching, and per-component fixpoints all live in the
 shared :class:`~repro.engine.scheduler.SCCScheduler`; this module is
-the thin frontend that selects ``mode="seminaive"``.  Rule bodies run
+its one evaluator frontend.  Rule bodies run
 as compiled :class:`~repro.engine.plan.RulePlan`\\ s, through the
 batch kernel wherever the plan is eligible.  What it is checked
 against is :func:`repro.engine.reference.naive_fixpoint_reference`,
@@ -26,12 +26,14 @@ which shares none of this machinery.
 
 from __future__ import annotations
 
+import time
 from typing import Optional, Tuple
 
 from repro.datalog.program import Program
+from repro.engine.backends import ExecutorBackend
 from repro.engine.config import EngineConfig
-from repro.engine.database import Database
-from repro.engine.scheduler import evaluate
+from repro.engine.database import Database, load_program_facts
+from repro.engine.scheduler import SCCScheduler
 from repro.engine.stats import EvalStats
 
 
@@ -47,10 +49,26 @@ def seminaive_eval(
     (``jobs=``, ``backend=``, ``partitions=``, ``max_iterations=``,
     ``max_facts=``, ``max_seconds=``) choose the
     schedule — :class:`~repro.engine.config.EngineConfig` describes
-    them; a bad one raises before any rule runs.  Every combination
+    them; a keyword wins over ``config``, which wins over the defaults,
+    and a bad one raises before any rule runs.  Every combination
     derives the identical fixpoint with identical ``facts``/
     ``inferences``/``iterations``.  The budgets raise
     :class:`~repro.engine.stats.NonTerminationError` on diverging
-    programs (used by the Counting experiments in Section 6.4).
+    programs (used by the Counting experiments in Section 6.4).  A
+    ``backend`` that is a ready
+    :class:`~repro.engine.backends.ExecutorBackend` runs the parallel
+    batches itself and contributes its name to the config.
     """
-    return evaluate(program, edb, "seminaive", config, knobs)
+    executor = knobs.get("backend")
+    if isinstance(executor, ExecutorBackend):
+        knobs = {**knobs, "backend": executor.name}
+    else:
+        executor = None
+    config = EngineConfig.resolve(config, **knobs)
+    db = edb.copy()
+    stats = EvalStats()
+    start = time.perf_counter()
+    stats.facts += load_program_facts(program, db)
+    SCCScheduler(program, config, executor=executor).run(db, stats)
+    stats.seconds = time.perf_counter() - start
+    return db, stats

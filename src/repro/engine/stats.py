@@ -41,7 +41,7 @@ class ComponentTimeout(NonTerminationError):
     """Raised when a component fixpoint exceeds its wall-clock budget.
 
     The per-component watchdog (``max_seconds`` on the evaluators,
-    ``--timeout`` on the CLI, ``REPRO_TIMEOUT`` in the environment)
+    ``--timeout`` or ``$REPRO_TIMEOUT`` on the CLI)
     turns a runaway fixpoint into this error at the next round
     boundary — inside a maintenance pass that means a clean rollback
     instead of a hang.  Subclasses :class:`NonTerminationError` because

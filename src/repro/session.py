@@ -9,7 +9,7 @@ binding pattern), so repeated queries with different constants reuse
 the compiled program, and :meth:`DeductiveDatabase.plan_summary`
 describes that same cached entry.  Stored facts may sit on a derived
 predicate too; the query compiler bridges them
-(:func:`repro.engine.query.bridged_program`).
+(:func:`repro.transforms.bridge.bridged_program`).
 
     db = DeductiveDatabase()
     db.rules(\"\"\"
@@ -40,8 +40,9 @@ class DeductiveDatabase:
 
     ``config`` and/or keyword knobs (``jobs=``, ``backend=``,
     ``partitions=``, ``max_seconds=``) are
-    those of :class:`~repro.engine.config.EngineConfig`, resolved (and
-    rejected) here; they govern :meth:`ask` and are the defaults of
+    those of :class:`~repro.engine.config.EngineConfig`, resolved
+    (keyword over ``config`` over the defaults) and rejected here; they
+    govern :meth:`ask` and are the defaults of
     :meth:`materialize`.  Answers and counters are identical for every
     valid combination.
     """

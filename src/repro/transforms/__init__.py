@@ -1,4 +1,5 @@
-"""Program transformations: Magic Sets and Counting.
+"""Program transformations: Magic Sets, Counting, and the bridge that
+lets the rewrites read stored rows of a derived predicate.
 
 The paper's core contribution (factoring) lives in :mod:`repro.core`;
 this package holds the transformations it composes with.

@@ -9,7 +9,7 @@ import pytest
 from repro.datalog.literals import Literal
 from repro.datalog.program import Program
 from repro.engine.database import Database
-from repro.engine.naive import naive_eval
+from repro.engine.reference import naive_fixpoint_reference
 from repro.datalog.unify import match
 
 
@@ -23,7 +23,7 @@ def answer_values(answers: Set[Tuple]) -> Set[Tuple]:
 
 def oracle_answers(program: Program, goal: Literal, edb: Database) -> Set[Tuple]:
     """Naive-evaluation ground truth for a query."""
-    db, _ = naive_eval(program, edb)
+    db, _ = naive_fixpoint_reference(program, edb)
     return db.query(goal)
 
 
@@ -101,9 +101,8 @@ def tuple_at_a_time(program: Program, edb: Database, **budgets):
     every plan runs ``RulePlan.execute`` through the one fixpoint loop:
     the tuple executor's counters, the oracle the kernel is held to.
 
-    The config is built from ``budgets`` alone (no ``REPRO_*``
-    variable reaches it), so the run is the serial, unpartitioned one
-    whatever the environment says.  Returns ``(database, stats)``.
+    The config is built from ``budgets`` alone, so the run is the
+    serial, unpartitioned one.  Returns ``(database, stats)``.
     """
     from repro.engine import scheduler
     from repro.engine.config import EngineConfig
@@ -119,6 +118,21 @@ def tuple_at_a_time(program: Program, edb: Database, **budgets):
         patch.setattr(scheduler, "execute_columnar", decline)
         db, stats = seminaive_eval(program, edb, EngineConfig(**budgets))
     assert stats.columnar_fallbacks == len(declined)
+    return db, stats
+
+
+def naive_schedule(program: Program, edb: Database, **knobs):
+    """``(database, stats)`` of the scheduler's naive mode, the fixpoint
+    the uniform-redundancy chase runs (``analysis/uniform.py``), over a
+    copy of ``edb`` under ``EngineConfig(**knobs)``."""
+    from repro.engine.config import EngineConfig
+    from repro.engine.database import load_program_facts
+    from repro.engine.scheduler import SCCScheduler
+    from repro.engine.stats import EvalStats
+
+    db, stats = edb.copy(), EvalStats()
+    stats.facts += load_program_facts(program, db)
+    SCCScheduler(program, EngineConfig(**knobs), "naive").run(db, stats)
     return db, stats
 
 

@@ -114,13 +114,18 @@ def test_the_strategy_decision_keeps_one_author():
 
 
 def test_the_chase_is_one_evaluation_context():
-    """``analysis/uniform.py`` chases every candidate through one
-    resolved config and one plan cache (``_Chase``); ``naive_eval`` is
-    left only for ``uniformly_contained``'s one evaluation of P2 over
-    the empty database (docs/query.md, "What a cold ask costs")."""
+    """``analysis/uniform.py`` chases every candidate, and evaluates P2
+    for ``uniformly_contained``'s facts, through one config built from
+    its own budgets and one plan cache (``_Chase``): one naive
+    ``SCCScheduler``, no evaluator frontend, no resolution
+    (docs/query.md, "What a cold ask costs").  ``naive_eval`` and its
+    module are gone; ``seminaive_eval`` is the one frontend."""
     uniform = "src/repro/analysis/uniform.py"
-    assert len(grep(re.escape("naive_eval("), uniform)) == 1
-    assert grep(re.escape("model, _ = naive_eval(p2, Database(), chase.config)"), uniform)
+    assert len(grep(re.escape("SCCScheduler("), uniform)) == 1
+    assert grep(r"_eval\b|EngineConfig\.resolve", uniform) == []
+    assert not (ROOT / "src/repro/engine/naive.py").exists()
+    assert grep(r"\bnaive_eval\b", "src", "tests", "benchmarks", "tools") == []
+    assert grep(r"engine\.naive\b", "src", "benchmarks", "tools") == []
 
 
 def test_the_collector_has_one_switch():
@@ -137,16 +142,34 @@ def test_the_collector_has_one_switch():
 
 
 def test_engine_config_stays_the_only_reader_of_the_environment():
-    """``engine/faults.py`` reads REPRO_FAULTS (fault injection, not a
-    knob) and ``bench/harness.py`` REPRO_BENCH_SCALE; every REPRO_*
-    execution knob is parsed by ``engine/config.py`` alone."""
+    """The library takes its execution knobs from its caller: the
+    ``REPRO_*`` knob variables are read by the CLI alone, through
+    ``engine/config.py``'s ``environment_knobs``, under its flags.
+    ``engine/faults.py`` reads REPRO_FAULTS (fault injection, not a
+    knob) and ``bench/harness.py`` REPRO_BENCH_SCALE.  Only the entry
+    points resolve (keyword over ``config=`` over the defaults):
+    ``seminaive_eval``, the two compilers and the session; the
+    scheduler and the chase use what they are handed (docs/engine.md,
+    "Configuration")."""
     readers = {hit.split(":", 1)[0] for hit in grep(r"os\.environ", "src/repro")}
-    allowed = {
-        "src/repro/engine/config.py",
+    assert readers == {
+        "src/repro/cli.py",
         "src/repro/engine/faults.py",
         "src/repro/bench/harness.py",
     }
-    assert readers <= allowed, sorted(readers - allowed)
+    lookups = [
+        hit
+        for hit in grep(r"environment_knobs\(", "src/repro")
+        if "def environment_knobs" not in hit
+    ]
+    assert [hit.split(":", 1)[0] for hit in lookups] == ["src/repro/cli.py"]
+    resolvers = [hit.split(":", 1)[0] for hit in grep(r"\.resolve\(", "src/repro")]
+    assert sorted(resolvers) == [
+        "src/repro/engine/incremental.py",
+        "src/repro/engine/query.py",
+        "src/repro/engine/seminaive.py",
+        "src/repro/session.py",
+    ]
     assert grep(
         r"def resolve_(jobs|backend|retries|exec|planner|partitions|timeout)\b",
         "src/repro",
@@ -295,13 +318,9 @@ LAYER_EXCEPTIONS = {
     # engine; ROADMAP item 3 removes it.
     ("analysis.uniform", "engine.config"),
     ("analysis.uniform", "engine.database"),
-    ("analysis.uniform", "engine.naive"),
     ("analysis.uniform", "engine.plan"),
     ("analysis.uniform", "engine.scheduler"),
     ("analysis.uniform", "engine.stats"),
-    # ``evaluate_cq`` joins through the reference evaluator
-    # (a function-level import).
-    ("analysis.conjunctive", "engine.reference"),
 }
 
 

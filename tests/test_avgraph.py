@@ -10,7 +10,7 @@ from repro.analysis.avgraph import (
 )
 from repro.datalog.parser import parse_rule
 from repro.engine.database import Database
-from repro.engine.naive import naive_eval
+from repro.engine.seminaive import seminaive_eval
 from repro.datalog.program import Program
 from repro.datalog.parser import parse_program, parse_literal
 
@@ -73,10 +73,10 @@ class TestExpansion:
         assert len(expanded.body_literals("t")) == 1
 
         edb = Database.from_dict({"e": [(i, i + 1) for i in range(6)]})
-        base, _ = naive_eval(Program([rule, exit_rule]), edb)
+        base, _ = seminaive_eval(Program([rule, exit_rule]), edb)
         # Expanded program: the expansion plus the originals (it skips
         # odd path lengths on its own, so compare combined fixpoints).
-        both, _ = naive_eval(Program([rule, exit_rule, expanded]), edb)
+        both, _ = seminaive_eval(Program([rule, exit_rule, expanded]), edb)
         assert base.facts("t") == both.facts("t")
 
     def test_expand_zero_is_identity(self):

@@ -24,7 +24,6 @@ from repro.engine.backends import (
 )
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database, Relation
-from repro.engine.naive import naive_eval
 from repro.engine.scheduler import SCCScheduler
 from repro.engine.seminaive import seminaive_eval
 from repro.engine.stats import EvalStats, NonTerminationError
@@ -267,13 +266,6 @@ class TestProcessBackendDeterminism:
             assert (stats.facts, stats.inferences, stats.iterations) == (
                 base.facts, base.inferences, base.iterations,
             ), knobs
-
-    def test_naive_mode_through_process_backend(self):
-        program, edb = wide_dag_program(3), wide_dag_edb(3, 8)
-        base_db, base = naive_eval(program, edb, jobs=1)
-        db, stats = naive_eval(program, edb, jobs=3, backend="process")
-        assert db == base_db
-        assert (stats.facts, stats.inferences) == (base.facts, base.inferences)
 
     def test_columnar_fallbacks_cross_the_process_boundary(self):
         """Kernel declines counted inside workers come back summed."""

@@ -1,8 +1,10 @@
 """``EngineConfig``: the one declaration, parser and checker of the knobs.
 
 One table per field (good values, bad values, environment spellings),
-the resolution order (explicit > environment > default), and three
-defects probed on an earlier commit as regression cases.  The per-module
+the two resolution orders (the library: keyword > ``config=`` >
+default; the CLI: flag > ``$REPRO_*`` > default), the library entry
+points ignoring a full ``REPRO_*`` environment, and three defects
+probed on an earlier commit as regression cases.  The per-module
 ``resolve_*`` tests this file replaced map onto rows of ``GOOD``/``BAD``/
 ``ENV_GOOD``/``ENV_BAD`` and ``test_precedence`` (see docs/engine.md,
 "Configuration").
@@ -16,12 +18,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import _ENGINE_FLAGS, build_parser
+from repro.cli import _ENGINE_FLAGS, _engine_config, build_parser, main
 from repro.datalog.parser import parse_program
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.engine.incremental import IncrementalSession
-from repro.engine.naive import naive_eval
 from repro.engine.query import QueryCompiler
 from repro.engine.seminaive import seminaive_eval
 from repro.session import DeductiveDatabase
@@ -31,6 +32,12 @@ FIELDS = {f.name: f for f in dataclasses.fields(EngineConfig)}
 ENV = {name: f.metadata["env"] for name, f in FIELDS.items()}
 
 TC = parse_program("t(X, Y) :- e(X, Y).\nt(X, Y) :- e(X, W), t(W, Y).")
+FLAGS = {name: flag for flag, name, *_ in _ENGINE_FLAGS}
+
+
+def cli_config(*argv):
+    """The config the CLI resolves for ``serve`` (every engine flag)."""
+    return _engine_config(build_parser().parse_args(["serve", "p.dl", *argv]))
 
 
 @pytest.fixture(autouse=True)
@@ -159,8 +166,9 @@ ENV_BAD = [
 @pytest.mark.parametrize("name, raw, resolved", ENV_GOOD)
 def test_environment_spellings(monkeypatch, name, raw, resolved):
     monkeypatch.setenv(ENV[name], raw)
-    assert getattr(EngineConfig.resolve(), name) == resolved
-    # the constructor is pure: only resolve() reads the environment
+    assert getattr(cli_config(), name) == resolved
+    # the library never reads the environment
+    assert EngineConfig.resolve() == EngineConfig()
     assert getattr(EngineConfig(), name) == FIELDS[name].default
 
 
@@ -168,17 +176,18 @@ def test_environment_spellings(monkeypatch, name, raw, resolved):
 def test_bad_environment_names_the_variable(monkeypatch, name, raw):
     monkeypatch.setenv(ENV[name], raw)
     with pytest.raises(ValueError, match=f"invalid {ENV[name]}={raw!r}; expected"):
-        EngineConfig.resolve()
-    # an explicit argument never consults the variable
+        cli_config()
+    # a flag never consults the variable, and the library ignores it
     explicit = FIELDS[name].default or 1.0
-    assert getattr(EngineConfig.resolve(**{name: explicit}), name) == explicit
+    assert getattr(cli_config(FLAGS[name], str(explicit)), name) == explicit
+    assert EngineConfig.resolve() == EngineConfig()
 
 
 @pytest.mark.parametrize("name", [n for n, env in ENV.items() if env])
 @pytest.mark.parametrize("blank", ["", "   "])
 def test_empty_means_unset_for_every_variable(monkeypatch, name, blank):
     monkeypatch.setenv(ENV[name], blank)
-    assert EngineConfig.resolve() == EngineConfig()
+    assert cli_config() == EngineConfig()
 
 
 @pytest.mark.parametrize(
@@ -192,17 +201,20 @@ def test_empty_means_unset_for_every_variable(monkeypatch, name, blank):
 )
 def test_precedence(monkeypatch, name, env_value, explicit):
     default = FIELDS[name].default
-    assert getattr(EngineConfig.resolve(), name) == default
+    assert getattr(cli_config(), name) == default
     monkeypatch.setenv(ENV[name], env_value)
-    from_env = getattr(EngineConfig.resolve(), name)
+    # the CLI: flag over variable over default
+    from_env = getattr(cli_config(), name)
     assert from_env != default and from_env != explicit
+    assert getattr(cli_config(FLAGS[name], str(explicit)), name) == explicit
+    # the library: keyword over config over default, None is "not
+    # passed", and the variable is not read
+    assert getattr(EngineConfig.resolve(), name) == default
     assert getattr(EngineConfig.resolve(**{name: explicit}), name) == explicit
-    # None is "not passed"
-    assert getattr(EngineConfig.resolve(**{name: None}), name) == from_env
-    # a ready config already consulted the environment: it wins over it,
-    # and explicit keywords win over the config
-    ready = EngineConfig()
+    assert getattr(EngineConfig.resolve(**{name: None}), name) == default
+    ready = EngineConfig(**{name: from_env})
     assert EngineConfig.resolve(ready) is ready
+    assert getattr(EngineConfig.resolve(ready, **{name: None}), name) == from_env
     assert getattr(EngineConfig.resolve(ready, **{name: explicit}), name) == explicit
 
 
@@ -224,7 +236,6 @@ KNOB_TAKERS = {
     "EngineConfig": lambda **k: EngineConfig(**k),
     "EngineConfig.resolve": lambda **k: EngineConfig.resolve(**k),
     "seminaive_eval": lambda **k: seminaive_eval(TC, edb(), **k),
-    "naive_eval": lambda **k: naive_eval(TC, edb(), **k),
     "IncrementalSession": lambda **k: IncrementalSession(TC, edb(), **k),
     "QueryCompiler": lambda **k: QueryCompiler(TC, **k),
     "DeductiveDatabase": lambda **k: DeductiveDatabase(**k),
@@ -241,7 +252,7 @@ def test_removed_retries_knob_is_unknown(surface):
 
 def test_removed_retries_variable_is_not_read(monkeypatch):
     monkeypatch.setenv("REPRO_RETRIES", "junk")
-    assert EngineConfig.resolve() == EngineConfig()
+    assert cli_config() == EngineConfig()
     db, _ = seminaive_eval(TC, edb(), jobs=2, backend="process")
     assert len(db.relation("t", 2)) == 3
 
@@ -257,7 +268,7 @@ def test_removed_exec_knob_is_unknown(surface):
 def test_removed_exec_variable_is_not_read(monkeypatch):
     _, plain = seminaive_eval(TC, edb())
     monkeypatch.setenv("REPRO_EXEC", "tuple")
-    assert EngineConfig.resolve() == EngineConfig()
+    assert cli_config() == EngineConfig()
     db, stats = seminaive_eval(TC, edb())
     assert db.dictionary is not None  # the kernel's term dictionary was minted
     assert len(db.relation("t", 2)) == 3
@@ -277,7 +288,7 @@ def test_removed_planner_knob_is_unknown(surface):
 def test_removed_planner_variable_is_not_read(monkeypatch):
     plain_db, plain = seminaive_eval(TC, edb())
     monkeypatch.setenv("REPRO_PLANNER", "cost")
-    assert EngineConfig.resolve() == EngineConfig()
+    assert cli_config() == EngineConfig()
     db, stats = seminaive_eval(TC, edb())
     assert db == plain_db
     assert (
@@ -426,3 +437,124 @@ def test_readme_knob_table_matches_the_config():
     dests = {a.option_strings[0]: a.dest for a in serve._actions if a.option_strings}
     for flag, name, *_ in _ENGINE_FLAGS:
         assert dests[flag] == name
+
+
+# -- the environment configures the CLI alone -------------------------
+
+FULL_ENVIRONMENT = {
+    "REPRO_JOBS": "2",
+    "REPRO_BACKEND": "process",
+    "REPRO_PARTITIONS": "2",
+    "REPRO_TIMEOUT": "5",
+}
+
+
+@pytest.fixture
+def full_environment(monkeypatch):
+    for env, value in FULL_ENVIRONMENT.items():
+        monkeypatch.setenv(env, value)
+
+
+@pytest.fixture
+def scheduled(monkeypatch):
+    """Every config an ``SCCScheduler`` is built with, and no pool: a
+    process batch fails the test."""
+    from repro.engine.backends import ProcessBackend
+    from repro.engine.scheduler import SCCScheduler
+
+    configs = []
+    init = SCCScheduler.__init__
+
+    def recording(self, program, config=None, *args, **kwargs):
+        init(self, program, config, *args, **kwargs)
+        configs.append(self.config)
+
+    def no_batch(*args, **kwargs):
+        raise AssertionError("a process batch ran")
+
+    monkeypatch.setattr(SCCScheduler, "__init__", recording)
+    monkeypatch.setattr(ProcessBackend, "run_batch", no_batch)
+    return configs
+
+
+def _knobs(configs):
+    """The knobs the environment used to set, per config seen."""
+    return {(c.jobs, c.backend, c.partitions, c.max_seconds) for c in configs}
+
+
+DEFAULT_KNOBS = {(1, "serial", 1, None)}
+
+
+def test_optimize_starts_no_process_pool(full_environment, scheduled):
+    """The Section 5 chase builds its config from its own budgets: under
+    a full ``REPRO_*`` environment ``optimize`` runs no process batch
+    (it ran one per call when the chase read the environment)."""
+    from repro.core.pipeline import optimize
+    from repro.datalog.parser import parse_query
+    from repro.workloads.examples import three_rule_tc_program
+
+    result = optimize(three_rule_tc_program(), parse_query("t(5, Y)"))
+    assert result.simplified is not None and scheduled
+    assert _knobs(scheduled) == DEFAULT_KNOBS
+
+
+def _recovered(tmp_path):
+    from repro.engine.journal import Journal, recover_session
+
+    path = tmp_path / "wal.rjn"
+    journal = Journal(path)
+    journal.append_batch([("e", (3, 4))], [])
+    journal.close()
+    session, journal, replayed = recover_session(TC, path, edb())
+    journal.close()
+    assert replayed == 1
+    return session.config
+
+
+def _explained(tmp_path):
+    from repro.datalog.parser import parse_literal
+    from repro.engine.provenance import explain
+
+    explain(TC, edb(), parse_literal("t(1, 3)"))
+
+
+ENTRY_POINTS = {
+    "seminaive_eval": lambda tmp_path: seminaive_eval(TC, edb()),
+    "explain": _explained,
+    "QueryCompiler": lambda tmp_path: QueryCompiler(TC).ask("t(1, Y)", edb()),
+    "DeductiveDatabase": lambda tmp_path: DeductiveDatabase()
+    .rules("t(X, Y) :- e(X, Y).")
+    .fact("e", 1, 2)
+    .ask("t(1, Y)"),
+    "IncrementalSession": lambda tmp_path: IncrementalSession(TC, edb()).config,
+    "recover_session": _recovered,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_library_entry_points_ignore_the_environment(
+    full_environment, scheduled, tmp_path, entry
+):
+    """Under a full ``REPRO_*`` environment every library entry point,
+    and every scheduler below it, runs with ``EngineConfig()``'s knobs."""
+    config = ENTRY_POINTS[entry](tmp_path)
+    assert scheduled and _knobs(scheduled) == DEFAULT_KNOBS
+    if isinstance(config, EngineConfig):
+        assert config == EngineConfig()
+
+
+def test_the_cli_still_reads_the_environment(
+    full_environment, tmp_path, capsys
+):
+    program = tmp_path / "tc.dl"
+    program.write_text("t(X, Y) :- e(X, Y).\nt(X, Y) :- e(X, W), t(W, Y).\n")
+    facts = tmp_path / "facts.dl"
+    facts.write_text("e(1, 2).\ne(2, 3).\n")
+    assert main(["run", str(program), "t(1, Y)", "--facts", str(facts), "--stats"]) == 0
+    out, err = capsys.readouterr()
+    assert out.split() == ["2", "3"]
+    config_line = [line for line in err.splitlines() if line.startswith("-- config:")]
+    assert config_line == [
+        "-- config: jobs=2 backend=process partitions=2 "
+        "max_iterations=None max_facts=None max_seconds=5.0"
+    ]

@@ -9,11 +9,10 @@ from repro.analysis.conjunctive import (
     ConjunctiveQuery,
     cq_contained_in,
     cq_equivalent,
-    evaluate_cq,
     find_homomorphism,
-    instance_contained_in,
     normalize_equalities,
 )
+from repro.core.theorems import evaluate_cq, instance_contained_in
 from repro.datalog.literals import Literal
 from repro.datalog.parser import parse_literal, parse_term
 from repro.datalog.terms import Constant, Variable

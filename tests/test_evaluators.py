@@ -1,11 +1,11 @@
-"""Tests for the naive, semi-naive, and top-down evaluators."""
+"""Tests for the naive reference, semi-naive, and top-down evaluators."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datalog.parser import parse_literal, parse_program, parse_query
 from repro.engine.database import Database
-from repro.engine.naive import naive_eval
+from repro.engine.reference import naive_fixpoint_reference
 from repro.engine.seminaive import seminaive_eval
 from repro.engine.stats import NonTerminationError
 from repro.engine.topdown import topdown_eval
@@ -24,16 +24,16 @@ TC = parse_program(
 
 class TestNaive:
     def test_chain_closure(self):
-        db, stats = naive_eval(TC, chain_edb(5))
+        db, stats = naive_fixpoint_reference(TC, chain_edb(5))
         assert len(db.facts("t")) == 4 + 3 + 2 + 1
         assert stats.facts == 10
 
     def test_cycle_closure(self):
-        db, _ = naive_eval(TC, cycle_edb(4))
+        db, _ = naive_fixpoint_reference(TC, cycle_edb(4))
         assert len(db.facts("t")) == 16
 
     def test_empty_edb(self):
-        db, stats = naive_eval(TC, Database())
+        db, stats = naive_fixpoint_reference(TC, Database())
         assert db.facts("t") == set()
 
     def test_iteration_guard(self):
@@ -41,35 +41,35 @@ class TestNaive:
         edb = Database()
         edb.add_fact("p", (0,))
         with pytest.raises(NonTerminationError):
-            naive_eval(diverging, edb, max_iterations=10)
+            naive_fixpoint_reference(diverging, edb, max_iterations=10)
 
     def test_fact_guard(self):
         diverging = parse_program("p(s(X)) :- p(X).\n")
         edb = Database()
         edb.add_fact("p", (0,))
         with pytest.raises(NonTerminationError):
-            naive_eval(diverging, edb, max_facts=50)
+            naive_fixpoint_reference(diverging, edb, max_facts=50)
 
     def test_program_facts_loaded(self):
         program = parse_program("m(1).\nr(X) :- m(X).")
-        db, _ = naive_eval(program, Database())
+        db, _ = naive_fixpoint_reference(program, Database())
         assert db.has_fact("r", (1,))
 
 
 class TestSemiNaive:
     def test_matches_naive_on_chain(self):
-        naive_db, _ = naive_eval(TC, chain_edb(8))
+        naive_db, _ = naive_fixpoint_reference(TC, chain_edb(8))
         semi_db, _ = seminaive_eval(TC, chain_edb(8))
         assert naive_db == semi_db
 
     def test_matches_naive_on_cycle(self):
-        naive_db, _ = naive_eval(TC, cycle_edb(6))
+        naive_db, _ = naive_fixpoint_reference(TC, cycle_edb(6))
         semi_db, _ = seminaive_eval(TC, cycle_edb(6))
         assert naive_db == semi_db
 
     def test_no_duplicate_inferences_on_chain(self):
         """Semi-naive repeats strictly less work than naive."""
-        _, naive_stats = naive_eval(TC, chain_edb(12))
+        _, naive_stats = naive_fixpoint_reference(TC, chain_edb(12))
         _, semi_stats = seminaive_eval(TC, chain_edb(12))
         assert semi_stats.inferences < naive_stats.inferences
         assert semi_stats.facts == naive_stats.facts
@@ -78,7 +78,7 @@ class TestSemiNaive:
         nonlinear = parse_program(
             "t(X, Y) :- e(X, Y).\nt(X, Y) :- t(X, W), t(W, Y)."
         )
-        naive_db, _ = naive_eval(nonlinear, chain_edb(7))
+        naive_db, _ = naive_fixpoint_reference(nonlinear, chain_edb(7))
         semi_db, _ = seminaive_eval(nonlinear, chain_edb(7))
         assert naive_db == semi_db
 
@@ -93,7 +93,7 @@ class TestSemiNaive:
         edb = Database.from_dict(
             {"zero": [(0,)], "succ": [(i, i + 1) for i in range(10)]}
         )
-        naive_db, _ = naive_eval(mutual, edb)
+        naive_db, _ = naive_fixpoint_reference(mutual, edb)
         semi_db, _ = seminaive_eval(mutual, edb)
         assert naive_db == semi_db
         assert answer_values(semi_db.query(parse_literal("even(X)"))) == {
@@ -169,7 +169,7 @@ def test_three_evaluators_agree_on_random_graphs(n, edges, seed, source):
     source = source % n
     edb = random_digraph_edb(n, edges, seed)
     goal = parse_literal(f"t({source}, Y)")
-    naive_db, _ = naive_eval(TC, edb)
+    naive_db, _ = naive_fixpoint_reference(TC, edb)
     semi_db, _ = seminaive_eval(TC, edb)
     assert naive_db == semi_db
     td = topdown_eval(TC, edb, goal)

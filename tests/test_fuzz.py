@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.pipeline import optimize
 from repro.datalog.literals import Literal
 from repro.datalog.parser import parse_literal, parse_program
-from repro.engine.naive import naive_eval
 from repro.engine.reference import naive_fixpoint_reference
 from repro.engine.seminaive import seminaive_eval
 from repro.workloads.synthetic import (
@@ -28,6 +27,7 @@ from tests.conftest import (
     assert_derivations_sound,
     assert_storage_matches_rebuild,
     assert_trees_are_those_of,
+    naive_schedule,
     oracle_answers,
     pin_storage,
     tuple_at_a_time,
@@ -253,9 +253,9 @@ def test_all_backends_match_interpreter_naive(program_seed, edb_seed, n):
     program = random_program(program_seed)
     edb = random_edb(edb_seed, n=n)
     db_interp, _ = naive_fixpoint_reference(program, edb)
-    db_plan, stats_interp = naive_eval(program, edb)
+    db_plan, stats_interp = naive_schedule(program, edb)
     assert db_plan == db_interp, f"naive fixpoint diverged on seed {program_seed}"
-    db_jobs, stats_jobs = naive_eval(program, edb, jobs=2)
+    db_jobs, stats_jobs = naive_schedule(program, edb, jobs=2)
     assert db_jobs == db_interp, f"jobs=2 fixpoint diverged on seed {program_seed}"
     assert stats_jobs.facts == stats_interp.facts
     assert stats_jobs.inferences == stats_interp.inferences
@@ -318,7 +318,7 @@ def test_compiled_plans_match_interpreter_compound_terms():
 
     db_interp, _ = naive_fixpoint_reference(program, edb, max_iterations=30)
     _, stats_interp = tuple_at_a_time(program, edb, max_iterations=30)
-    for evaluator in (seminaive_eval, naive_eval):
+    for evaluator in (seminaive_eval, naive_schedule):
         db_plan, stats_plan = evaluator(program, edb, max_iterations=30)
         assert db_plan == db_interp
         assert stats_plan.facts == stats_interp.facts
@@ -340,8 +340,8 @@ def test_evaluators_match_scheduler_free_reference(
 ):
     """Oracle independence: two evaluation stacks that share nothing.
 
-    Every scheduled evaluator — including ``naive_eval``, the suite's
-    usual oracle — runs through the same ``SCCScheduler``, so a
+    Every scheduled evaluator — the semi-naive one and the naive mode
+    the chase runs — goes through the same ``SCCScheduler``, so a
     stratification or batching bug would hit oracle and testee alike.
     ``naive_fixpoint_reference`` shares none of that machinery (no
     dependency graph, no components, no compiled plans, no engine
@@ -354,7 +354,7 @@ def test_evaluators_match_scheduler_free_reference(
     program = random_program(program_seed)
     edb = random_edb(edb_seed, n=n)
     ref_db, ref_stats = naive_fixpoint_reference(program, edb)
-    for label, evaluate in (("naive", naive_eval), ("seminaive", seminaive_eval)):
+    for label, evaluate in (("naive", naive_schedule), ("seminaive", seminaive_eval)):
         db, _ = evaluate(program, edb)
         assert db == ref_db, (
             f"{label} diverged from the scheduler-free reference "
@@ -454,10 +454,11 @@ def test_compiled_query_matches_filtered_materialization(
     for a random program and goal — factored, counting (with its
     divergence fallback to magic), or plain magic — the answers must
     equal filtering a full ``seminaive_eval`` fixpoint with the goal,
-    on every backend, also when the EDB stores facts on the derived
-    ``p`` itself (``stored`` rows; the compiler bridges them).  The compiler
-    is built once per backend and asked twice (second constant
-    shifted), so the cached compiled form is also exercised.
+    on every backend (the process one with two delta partitions), also
+    when the EDB stores facts on the derived ``p`` itself (``stored``
+    rows; the compiler bridges them).  The compiler is built once per
+    backend and asked twice (second constant shifted), so the cached
+    compiled form is also exercised.
     """
     from repro.engine.query import QueryCompiler
 
@@ -476,16 +477,19 @@ def test_compiled_query_matches_filtered_materialization(
         else f"p({(constant + 1) % n}, Y)"
     )
     expected_shifted = answer_values(full.query(shifted))
-    for backend in ("serial", "process"):
-        compiler = QueryCompiler(program, jobs=2, backend=backend)
+    for knobs in (
+        {"jobs": 2, "backend": "serial"},
+        {"jobs": 2, "backend": "process", "partitions": 2},
+    ):
+        compiler = QueryCompiler(program, **knobs)
         answer = compiler.ask(goal, edb)
         assert answer.answers == expected, (
             f"compiled query diverged on seed {program_seed} "
-            f"({backend}, strategy {answer.strategy})"
+            f"({knobs}, strategy {answer.strategy})"
         )
         again = compiler.ask(shifted, edb)
         assert again.answers == expected_shifted, (
-            f"cached form diverged on seed {program_seed} ({backend})"
+            f"cached form diverged on seed {program_seed} ({knobs})"
         )
         assert again.from_cache
 

@@ -385,9 +385,16 @@ class TestRecoverSession:
 class TestRecoveryMatrix:
     """Replay determinism across the full knob matrix (satellite c)."""
 
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_recovered_state_is_bit_identical(self, tmp_path, backend):
-        knobs = dict(jobs=2 if backend != "serial" else 1, backend=backend)
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            dict(jobs=1, backend="serial"),
+            dict(jobs=2, backend="process"),
+            dict(jobs=2, backend="process", partitions=2),
+        ],
+        ids=["serial", "process", "process-partitions"],
+    )
+    def test_recovered_state_is_bit_identical(self, tmp_path, knobs):
         path = tmp_path / "wal.rjn"
         original = run_journaled(path, **knobs)
         program = parse_program(TC_TEXT)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.adornment import adorn
 from repro.datalog.parser import parse_literal, parse_program, parse_query
 from repro.engine.database import Database
-from repro.engine.naive import naive_eval
 from repro.engine.seminaive import seminaive_eval
 from repro.transforms.magic import magic_name, magic_sets, magic_transform
 from repro.workloads.examples import three_rule_tc_program

@@ -28,11 +28,13 @@ class TestEvaluatorValidatesPartitions:
         with pytest.raises(ValueError, match="partitions"):
             seminaive_eval(program, Database(), partitions=0)
 
-    def test_evaluator_validates_env(self, monkeypatch):
+    def test_evaluator_ignores_the_variable(self, monkeypatch):
+        # $REPRO_PARTITIONS configures the CLI alone (see
+        # test_bad_partitions_env_is_a_clean_error below)
         monkeypatch.setenv("REPRO_PARTITIONS", "junk")
         program = parse_program("t(X, Y) :- e(X, Y).")
-        with pytest.raises(ValueError, match="REPRO_PARTITIONS"):
-            seminaive_eval(program, Database())
+        _, stats = seminaive_eval(program, Database.from_dict({"e": [(1, 2)]}))
+        assert stats.facts == 1 and stats.partition_rounds == 0
 
 
 class TestSplitIndices:

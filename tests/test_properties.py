@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.pipeline import optimize
 from repro.datalog.parser import parse_literal, parse_program, parse_query
 from repro.engine.database import Database
-from repro.engine.naive import naive_eval
+from repro.engine.reference import naive_fixpoint_reference
 from repro.engine.seminaive import seminaive_eval
 from repro.workloads.examples import three_rule_tc_program
 from repro.workloads.graphs import random_digraph_edb
@@ -108,7 +108,7 @@ def test_seminaive_equals_naive_on_random_layered_programs(n, extra, seed):
     edb = Database.from_dict(
         {"e": [(rng.randrange(n), rng.randrange(n)) for _ in range(n + extra)]}
     )
-    naive_db, _ = naive_eval(program, edb)
+    naive_db, _ = naive_fixpoint_reference(program, edb)
     semi_db, _ = seminaive_eval(program, edb)
     assert naive_db == semi_db
 

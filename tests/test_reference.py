@@ -215,13 +215,14 @@ class TestBudgets:
 class TestOneHome:
     def test_importable_only_from_the_reference_module(self):
         import repro.engine
-        import repro.engine.naive
+        import repro.engine.seminaive
 
-        assert not hasattr(repro.engine.naive, "naive_fixpoint_reference")
+        assert not hasattr(repro.engine.seminaive, "naive_fixpoint_reference")
         with pytest.raises(AttributeError):
             repro.engine.naive_fixpoint_reference
         assert "naive_fixpoint_reference" not in repro.engine.__all__
 
-    def test_the_interpreter_module_is_gone(self):
+    @pytest.mark.parametrize("module", ["repro.engine.joins", "repro.engine.naive"])
+    def test_the_interpreter_and_naive_frontend_modules_are_gone(self, module):
         with pytest.raises(ModuleNotFoundError):
-            __import__("repro.engine.joins")
+            __import__(module)

@@ -19,7 +19,6 @@ from repro.datalog.terms import Constant
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database, Relation, load_program_facts
 from repro.engine.intern import TermDictionary
-from repro.engine.naive import naive_eval
 from repro.engine.reference import naive_fixpoint_reference
 from repro.engine.scheduler import (
     ComponentRun,
@@ -36,7 +35,7 @@ from repro.workloads.synthetic import (
     wide_dag_program,
 )
 
-from tests.conftest import tuple_at_a_time
+from tests.conftest import naive_schedule, tuple_at_a_time
 
 
 class TestTarjanScaling:
@@ -176,8 +175,8 @@ class TestParallelEvaluation:
 
     def test_jobs_counter_identical_naive(self):
         program, edb = wide_dag_program(3), wide_dag_edb(3, 8)
-        db1, s1 = naive_eval(program, edb, jobs=1)
-        db2, s2 = naive_eval(program, edb, jobs=3, backend="process")
+        db1, s1 = naive_schedule(program, edb, jobs=1)
+        db2, s2 = naive_schedule(program, edb, jobs=3, backend="process")
         assert db1 == db2
         assert (s1.facts, s1.inferences) == (s2.facts, s2.inferences)
 
@@ -223,7 +222,7 @@ class TestParallelEvaluation:
         program, edb = wide_dag_program(3), wide_dag_edb(3, 30)
         # each closure needs ~31 rounds; the sum (~93) exceeds 40, but
         # no single component does
-        for evaluator in (seminaive_eval, naive_eval):
+        for evaluator in (seminaive_eval, naive_schedule):
             db, stats = evaluator(program, edb, max_iterations=40)
             assert stats.iterations > 40  # cumulative counter unchanged
             with pytest.raises(NonTerminationError):
@@ -250,7 +249,7 @@ class TestJobsAloneIsSequential:
     ``backend="process"`` builds one.  On the default backend a wide
     batch runs its components one after another in this process."""
 
-    @pytest.mark.parametrize("source", ["keyword", "environment"])
+    @pytest.mark.parametrize("source", ["keyword", "config"])
     def test_jobs_on_the_default_backend_builds_no_pool(self, monkeypatch, source):
         from repro.engine.backends import ProcessBackend
 
@@ -258,12 +257,10 @@ class TestJobsAloneIsSequential:
             raise AssertionError("a process pool was built")
 
         monkeypatch.setattr(ProcessBackend, "_ensure_pool", no_pool)
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         program, edb = wide_dag_program(3), wide_dag_edb(3, 8)
         ref_db, ref = seminaive_eval(program, edb, jobs=1)
-        if source == "environment":
-            monkeypatch.setenv("REPRO_JOBS", "2")
-            knobs = {}
+        if source == "config":
+            knobs = {"config": EngineConfig(jobs=2)}
         else:
             knobs = {"jobs": 2}
         db, stats = seminaive_eval(program, edb, **knobs)
@@ -320,7 +317,7 @@ TC = parse_program(
 SHAPES = {
     "non-recursive": (seminaive_eval, SINGLE_PASS, ("hop", (7, 9)), SINGLE_PASS),
     "semi-naive": (seminaive_eval, GATED, ("live", (3,)), TC),
-    "naive": (naive_eval, GATED, ("live", (3,)), TC),
+    "naive": (naive_schedule, GATED, ("live", (3,)), TC),
 }
 
 
@@ -429,7 +426,7 @@ class TestTheTupleExecutorRunsOnlyWhereTheKernelCannot:
         [
             (seminaive_eval, TC, "never"),
             (seminaive_eval, COMPOUND_HEAD, "declined"),
-            (naive_eval, TC, "always"),
+            (naive_schedule, TC, "always"),
         ],
         ids=["eligible", "compound-head", "naive-recursive"],
     )

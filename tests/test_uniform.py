@@ -6,7 +6,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import uniform
 from repro.analysis.uniform import (
     UniformUndecidedError,
     _Chase,
@@ -213,12 +212,6 @@ def reference_redundant(program):
     return removed
 
 
-@pytest.fixture
-def chase_knobs(monkeypatch):
-    """The chase's knobs at their defaults, whatever the environment says."""
-    monkeypatch.setenv("REPRO_JOBS", "1")
-
-
 class TestSharedContextChangesNoVerdict:
     @settings(
         max_examples=40,
@@ -226,7 +219,7 @@ class TestSharedContextChangesNoVerdict:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(program=datalog_programs())
-    def test_agrees_with_a_fresh_reference_per_candidate(self, chase_knobs, program):
+    def test_agrees_with_a_fresh_reference_per_candidate(self, program):
         want = reference_redundant(program)
         assert [id(r) for r in redundant_rules(program)] == [id(r) for r in want]
         dropped = {id(r) for r in want}
@@ -271,7 +264,7 @@ class TestCompiledOncePinnedCallsKept:
     """One ``redundant_rules`` call compiles each (rule, roles) once, and
     makes the ``PlanCache.plan``/``execute_columnar`` calls recorded on
     the commit before the chase shared its context (where each
-    candidate's fresh ``naive_eval`` rebuilt every plan)."""
+    candidate's fresh naive evaluation rebuilt every plan)."""
 
     CASES = {
         # name: (simplifier run, plan lookups, kernel calls, distinct
@@ -285,7 +278,6 @@ class TestCompiledOncePinnedCallsKept:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_counts(self, monkeypatch, case):
         run, lookups, kernel_calls, pairs = self.CASES[case]
-        monkeypatch.setenv("REPRO_JOBS", "1")
         program = _simplifier_input(monkeypatch, run)
 
         calls = Counter()
@@ -329,19 +321,6 @@ class TestBudgetsPerCandidate:
             chase.derives(self.LINEAR_TC, self.LONG)
         assert chase.derives(self.LINEAR_TC, self.SHORT)
 
-    def test_each_chase_arms_its_own_deadline(self, monkeypatch):
-        """A clock that ticks once per read: the long chase's fourth
-        round is past its 3.5 s, the short chase's third round is not —
-        unless it inherited the long one's deadline."""
-        ticks = iter(range(10**6))
-        monkeypatch.setattr(scheduler.time, "monotonic", lambda: next(ticks))
-        monkeypatch.setenv("REPRO_TIMEOUT", "3.5")
-        monkeypatch.setenv("REPRO_JOBS", "1")
-        chase = _Chase()
-        with pytest.raises(UniformUndecidedError, match="wall-clock"):
-            chase.derives(self.LINEAR_TC, self.LONG)
-        assert chase.derives(self.LINEAR_TC, self.SHORT)
-
     @pytest.mark.parametrize("budget", [{"max_iterations": 3}, {"max_facts": 5}])
     def test_redundant_rules_raises_on_a_tripped_candidate(self, budget):
         program = Program([*self.LINEAR_TC.rules, self.LONG])
@@ -350,14 +329,17 @@ class TestBudgetsPerCandidate:
         assert redundant_rules(program) == [self.LONG]
 
     def test_the_empty_database_is_evaluated_once(self, monkeypatch):
+        """``uniformly_contained``'s facts read one model of P2 over the
+        empty database, evaluated by the chase's own scheduler."""
         evaluations = []
-        naive_eval = uniform.naive_eval
+        model = _Chase.model
 
-        def counted(*args, **kwargs):
-            evaluations.append(args[0])
-            return naive_eval(*args, **kwargs)
+        def counted(chase, program, db):
+            if not db.relations:
+                evaluations.append(program)
+            return model(chase, program, db)
 
-        monkeypatch.setattr(uniform, "naive_eval", counted)
+        monkeypatch.setattr(_Chase, "model", counted)
         facts = parse_program("m(5).\nm(6).\nm(7).\nm(Y) :- m(X), e(X, Y).")
         assert uniformly_contained(facts, facts)
         assert len(evaluations) == 1
