@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from typing import List, Optional
 
 from repro.datalog.parser import parse_literal, parse_program, parse_query
@@ -146,7 +147,10 @@ def cmd_run(args) -> int:
         strategy = result.strategy
     else:
         program.check_query(goal.signature)
-        answers, stats, strategy = edb.answers(goal), EvalStats(), "edb"
+        stats, strategy = EvalStats(), "edb"
+        begin = time.perf_counter()
+        answers = edb.answers(goal)
+        stats.seconds = time.perf_counter() - begin
     _print_answers(answers)
     print(
         f"-- {len(answers)} answers via {strategy}; {stats.facts} facts, "
@@ -304,9 +308,7 @@ def cmd_serve(args) -> int:
                 "mode takes commands from client connections"
             )
     session, journal = _serve_session(args, program, edb)
-    server = DatalogServer(
-        session, journal=journal, checkpoint_every=args.checkpoint_every
-    )
+    server = DatalogServer(session, journal=journal)
     if args.workers is not None:
         return _serve_socket(args, server)
 
@@ -486,18 +488,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--journal",
         metavar="PATH",
         help="write-ahead journal: log each update (fsync'd) before "
-        "applying it; on restart the committed batches are folded "
-        "into the base facts and evaluated once, so the session resumes "
+        "applying it; the journal holds batches only, so restart with "
+        "the same --facts: the committed batches are folded into those "
+        "base facts and evaluated once, and the session resumes "
         "exactly where it left off",
-    )
-    p.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=None,
-        metavar="N",
-        help="append an EDB checkpoint to the journal every N batches "
-        "(bounds the journal's size and read time; a restart "
-        "evaluates once however many batches follow the checkpoint)",
     )
     p.add_argument(
         "--strict",
@@ -537,7 +531,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("program")
     p.add_argument("journal", help="journal file written by serve --journal")
-    p.add_argument("--facts", help="Datalog file of the original base facts")
+    p.add_argument(
+        "--facts",
+        help="Datalog file of the base facts the journaled run started "
+        "from (the journal holds batches only; recovery folds them into "
+        "these)",
+    )
     _add_engine_options(p, timeout=True)
     p.set_defaults(func=cmd_recover)
 

@@ -7,8 +7,8 @@ length-prefixed records.  ``repro serve --journal PATH`` appends every
 batch (fsync'd) **before** applying it — classic write-ahead logging —
 so a crash at any instant loses at most work the client was never told
 succeeded, and :func:`recover_session` rebuilds the exact maintained
-database (derivations included) from the last checkpoint and the
-committed batches after it: all but the last folded into the EDB, one
+database (derivations included) from the caller's base EDB and the
+committed batches: all but the last folded into the EDB, one
 evaluation, the last one re-applied.
 
 File format
@@ -22,12 +22,13 @@ A four-byte magic header (``RJN1``), then records::
 Kinds: ``B`` — a batch, payload pickles ``(inserts, deletes)`` as lists
 of ``(predicate, args)`` pairs; ``A`` — an abort, empty payload,
 compensating the immediately preceding batch (it was rolled back, do
-not replay it); ``C`` — a checkpoint, payload pickles a compact
-snapshot of the *EDB* at that point (the IDB is a deterministic
-function of it, so checkpoints stay small and recovery re-derives).
+not replay it).  There is no snapshot record: the IDB is a
+deterministic function of the EDB, and the EDB is the base facts plus
+the committed batches, so recovery folds those instead.  Any other
+kind byte is invalid like a CRC mismatch.
 
-Replay (:func:`replay_journal`) walks the records, starts from the last
-checkpoint, drops aborted batches, and **stops at a last record that
+Replay (:func:`replay_journal`) walks the records, drops aborted
+batches, and **stops at a last record that
 fails validation** — a short header, a length running past the file, a
 CRC mismatch — treating it as the torn tail of a crashed write.  The
 torn tail is by construction uncommitted (the journal fsyncs before the
@@ -69,8 +70,7 @@ MAGIC = b"RJN1"
 
 KIND_BATCH = b"B"
 KIND_ABORT = b"A"
-KIND_CHECKPOINT = b"C"
-_KINDS = (KIND_BATCH, KIND_ABORT, KIND_CHECKPOINT)
+_KINDS = (KIND_BATCH, KIND_ABORT)
 
 _HEADER = struct.Struct(">II")  # payload length, CRC-32
 
@@ -83,15 +83,12 @@ BatchPairs = Tuple[list, list]
 class JournalReplay:
     """The committed content of a journal, ready to re-apply.
 
-    ``checkpoint`` is the EDB snapshot of the last checkpoint record
-    (``None`` when the journal has none); ``batches`` the committed,
-    unaborted batches after it, in append order; ``torn`` whether the
-    file ends in an invalid record; ``tail_offset`` the byte offset of
-    that torn tail (== file size when the journal is clean), the safe
-    truncation point.
+    ``batches`` are the committed, unaborted batches in append order;
+    ``torn`` whether the file ends in an invalid record; ``tail_offset``
+    the byte offset of that torn tail (== file size when the journal is
+    clean), the safe truncation point.
     """
 
-    checkpoint: Optional[Database] = None
     batches: List[BatchPairs] = field(default_factory=list)
     torn: bool = False
     tail_offset: int = 0
@@ -210,11 +207,6 @@ class Journal:
         """Compensate the preceding batch: it failed and rolled back."""
         self._append(KIND_ABORT, b"")
 
-    def append_checkpoint(self, edb: Database) -> None:
-        """Journal a compact EDB snapshot; replay restarts from here."""
-        snap = edb.snapshot(sorted(edb.relations))
-        self._append(KIND_CHECKPOINT, pickle.dumps(snap))
-
     def replay(self) -> JournalReplay:
         """Parse this journal's committed content (see module docs)."""
         return replay_journal(self.path)
@@ -284,12 +276,8 @@ def replay_journal(path) -> JournalReplay:
                 if kind == KIND_BATCH:
                     inserts, deletes = pickle.loads(payload)
                     out.batches.append((inserts, deletes))
-                elif kind == KIND_ABORT:
-                    if out.batches:
-                        out.batches.pop()
-                else:
-                    out.checkpoint = pickle.loads(payload)
-                    out.batches.clear()
+                elif out.batches:  # an abort: drop the batch it compensates
+                    out.batches.pop()
             except Exception as exc:
                 reason = f"undecodable payload ({exc})"
         if reason is not None:
@@ -317,12 +305,11 @@ def recover_session(
 ) -> Tuple[IncrementalSession, Journal, int]:
     """Rebuild a session from a journal; return it ready to serve.
 
-    The base EDB is the journal's last checkpoint when it has one,
-    else ``edb`` (the same base facts the original run started from).
-    Every committed batch but the last is *folded* into a private copy
-    of that base (:func:`~repro.engine.incremental.fold_batches`) — the
-    EDB a checkpoint record written at that point would hold — and the
-    session starts from it with one from-scratch evaluation.  Only the
+    The base is ``edb``, the same base facts the original run started
+    from (empty when ``None``).  Every committed batch but the last is
+    *folded* into a private copy of it
+    (:func:`~repro.engine.incremental.fold_batches`) and the session
+    starts from that EDB with one from-scratch evaluation.  Only the
     last batch goes through :meth:`IncrementalSession.apply_batch`: it
     is the one record whose abort can have died with the crash, and if
     so it deterministically re-fails and is skipped, reproducing the
@@ -338,10 +325,7 @@ def recover_session(
     number of batches the recovered state includes.
     """
     replay = replay_journal(path)
-    if replay.checkpoint is not None:
-        base = replay.checkpoint
-    else:
-        base = edb.copy() if edb is not None else Database()
+    base = edb.copy() if edb is not None else Database()
     folded, last = replay.batches[:-1], replay.batches[-1:]
     fold_batches(base, folded)
     session = IncrementalSession(program, base, **session_kwargs)

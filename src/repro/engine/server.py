@@ -76,8 +76,6 @@ class ServerStats:
     * ``queries_served`` — reads answered from a pinned view
       (:meth:`DatalogServer.query` and :meth:`DatalogServer.explain`
       both count);
-    * ``checkpoints`` — journal checkpoints appended by the
-      ``checkpoint_every`` policy;
     * ``version`` — the current view's version: the number of
       committed batches since the server started (version 0 is the
       initial materialization).
@@ -86,7 +84,6 @@ class ServerStats:
     batches_committed: int = 0
     batches_aborted: int = 0
     queries_served: int = 0
-    checkpoints: int = 0
     version: int = 0
 
     def __str__(self) -> str:
@@ -94,7 +91,6 @@ class ServerStats:
             f"batches={self.batches_committed} committed "
             f"{self.batches_aborted} aborted, "
             f"queries={self.queries_served}, "
-            f"checkpoints={self.checkpoints}, "
             f"version={self.version}"
         )
 
@@ -168,27 +164,11 @@ class DatalogServer:
     compensating abort record and publishes nothing.  Reads
     (:meth:`query`, :meth:`explain`, :meth:`view`) never block on the
     writer and never observe mid-batch state.
-
-    ``checkpoint_every`` appends a journal checkpoint after every that
-    many committed batches, exactly like the serve REPL's policy.
     """
 
-    def __init__(
-        self,
-        session,
-        *,
-        journal=None,
-        checkpoint_every: Optional[int] = None,
-    ):
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise ValueError(
-                f"invalid checkpoint_every={checkpoint_every!r}; "
-                f"expected a positive integer"
-            )
+    def __init__(self, session, *, journal=None):
         self.session = session
         self.journal = journal
-        self.checkpoint_every = checkpoint_every
-        self._since_checkpoint = 0
         self._write_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self.stats = ServerStats()
@@ -265,13 +245,6 @@ class DatalogServer:
             with self._stats_lock:
                 self.stats.batches_committed += 1
                 self.stats.version = version
-            if self.journal is not None and self.checkpoint_every:
-                self._since_checkpoint += 1
-                if self._since_checkpoint >= self.checkpoint_every:
-                    self.journal.append_checkpoint(session.edb)
-                    self._since_checkpoint = 0
-                    with self._stats_lock:
-                        self.stats.checkpoints += 1
             return stats
 
     # -- the read path -------------------------------------------------

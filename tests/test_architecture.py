@@ -294,6 +294,19 @@ def test_the_server_has_one_read_path():
     ) == []
 
 
+def test_the_journal_holds_batches_only():
+    """Recovery folds every committed batch but the last into the
+    caller's base facts and evaluates once: the fold is the checkpoint
+    (docs/incremental.md, "The write-ahead journal").  Snapshot records
+    only added a pickled copy of the EDB to a journal that is never
+    compacted and always read whole: on a 2-vCPU Xeon, 300 one-fact
+    batches over a 20 000-edge EDB recovered in 0.6-0.8 s from a
+    0.03 MB journal without them, and in 9-11 s from 12.1 MB with one
+    every 10 batches.  So the record kind, its server policy, its
+    counter and its flag stay gone."""
+    assert grep(r"(?i)checkpoint", "src/repro") == []
+
+
 #: Bottom to top: a module may import from its own layer and the layers
 #: below it, never from one above.  Names are relative to ``repro``; a
 #: module belongs to the longest name that prefixes it, so

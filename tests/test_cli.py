@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import itertools
+import re
+import time
+
 import pytest
 
 from repro.cli import main
@@ -182,6 +186,17 @@ class TestRunAnswersWhatAskAnswers:
         assert run_code == 0
         assert run_out == query_out == ["2"]
         assert "via edb" in run_err
+
+    def test_an_edb_read_is_timed_as_ask_times_it(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A tiny read can round to 0.0 ms, so the clock ticks one second
+        # per reading: a timed read reports at least 1000 ms.
+        ticks = itertools.count()
+        monkeypatch.setattr(time, "perf_counter", lambda: float(next(ticks)))
+        for code, out, err in self.both(tmp_path, capsys, "e(1, Y)"):
+            assert code == 0 and out == ["2"]
+            assert float(re.search(r"([\d.]+) ms", err).group(1)) >= 1000
 
     def test_a_wrong_arity_gets_the_one_message(self, tmp_path, capsys):
         run, query = self.both(tmp_path, capsys, "t(1, Y, Z)")
@@ -368,10 +383,13 @@ class TestServeKnobValidation:
             ["serve", program_file, "--script", str(path)] + list(extra)
         )
 
-    def test_rejects_bad_checkpoint_every(self, tmp_path, program_file, capsys):
-        code = self._serve(tmp_path, program_file, "--checkpoint-every", "0")
-        assert code == 2
-        assert "checkpoint_every" in capsys.readouterr().err
+    def test_the_checkpoint_flag_is_gone(self, tmp_path, program_file, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            self._serve(tmp_path, program_file, "--checkpoint-every", "2")
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --checkpoint-every 2" in (
+            capsys.readouterr().err
+        )
 
     def test_rejects_bad_timeout(self, tmp_path, program_file, capsys):
         code = self._serve(tmp_path, program_file, "--timeout", "-1")
@@ -461,14 +479,14 @@ class TestServeJournal:
         assert "e(4, 5)." in captured.out
         assert "X" not in captured.out
 
-    def test_checkpoint_bounds_replay(
+    def test_recover_replays_every_batch(
         self, tmp_path, program_file, facts_file, capsys
     ):
         journal = str(tmp_path / "wal.rjn")
         code = self.serve(
             tmp_path, program_file, facts_file,
             "+ e(4, 5).\n+ e(5, 6).\n+ e(6, 7).\nquit\n",
-            "--journal", journal, "--checkpoint-every", "2",
+            "--journal", journal,
         )
         assert code == 0
         capsys.readouterr()
@@ -477,8 +495,8 @@ class TestServeJournal:
         )
         assert code == 0
         captured = capsys.readouterr()
-        # Two batches landed before the checkpoint; only the third replays.
-        assert "replayed 1 batches" in captured.err
+        # Two batches fold into the base facts; the third is re-applied.
+        assert "replayed 3 batches" in captured.err
         assert "t(1, 7)." in captured.out
 
     def test_recover_dump_matches_clean_run(

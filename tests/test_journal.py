@@ -90,7 +90,6 @@ class TestRecordFormat:
         run_journaled(path)
         replay = replay_journal(path)
         assert replay.batches == SCRIPT
-        assert replay.checkpoint is None
         assert not replay.torn
 
     def test_empty_journal_is_clean(self, tmp_path):
@@ -109,17 +108,6 @@ class TestRecordFormat:
             journal.append_abort()
         replay = replay_journal(path)
         assert replay.batches == [SCRIPT[0]]
-
-    def test_checkpoint_resets_the_replay_base(self, tmp_path):
-        path = tmp_path / "wal.rjn"
-        edb = Database.from_dict({"e": [(7, 8)]})
-        with Journal(path) as journal:
-            journal.append_batch(*SCRIPT[0])
-            journal.append_checkpoint(edb)
-            journal.append_batch(*SCRIPT[1])
-        replay = replay_journal(path)
-        assert replay.checkpoint == edb
-        assert replay.batches == [SCRIPT[1]]
 
     def test_bad_magic_raises(self, tmp_path):
         path = tmp_path / "wal.rjn"
@@ -141,7 +129,7 @@ class TestRecordFormat:
         path = tmp_path / "wal.rjn"
         path.write_bytes(b"")
         replay = replay_journal(path)
-        assert replay.batches == [] and replay.checkpoint is None
+        assert replay.batches == []
         assert not replay.torn and replay.tail_offset == 0
         program = parse_program(TC_TEXT)
         session, journal, replayed = recover_session(
@@ -185,6 +173,56 @@ class TestRecordFormat:
         assert replay.torn
         assert replay.batches == [SCRIPT[0]]
         assert replay.tail_offset == offset
+
+    @staticmethod
+    def journal_with_a_snapshot_record(path, *, last):
+        """``SCRIPT[0]``, then a ``C`` record as journals once wrote
+        them (a pickled EDB snapshot that reset the replay base), then
+        ``SCRIPT[1]`` unless the snapshot is ``last``.  Returns the
+        snapshot record's offset and the EDB it holds."""
+        edb = Database.from_dict(BASE)
+        fold_batches(edb, SCRIPT[:1])
+        with Journal(path) as journal:
+            journal.append_batch(*SCRIPT[0])
+            offset = journal._fh.tell()
+            journal._append(
+                b"C", pickle.dumps(edb.snapshot(sorted(edb.relations)))
+            )
+            if not last:
+                journal.append_batch(*SCRIPT[1])
+        return offset, edb
+
+    def test_a_snapshot_record_mid_file_is_refused(self, tmp_path):
+        """Replaying around a snapshot record would reach a state its
+        writer never had (it reset the base), so the file is refused,
+        and recovery neither replays nor truncates it."""
+        path = tmp_path / "wal.rjn"
+        offset, _ = self.journal_with_a_snapshot_record(path, last=False)
+        before = path.read_bytes()
+        refusal = rf"corrupt record at offset {offset} \(unknown record kind b'C'\)"
+        with pytest.raises(JournalError, match=refusal):
+            replay_journal(path)
+        with pytest.raises(JournalError, match=refusal):
+            recover_session(
+                parse_program(TC_TEXT), path, Database.from_dict(BASE)
+            )
+        assert path.read_bytes() == before
+
+    def test_a_snapshot_record_at_the_end_is_a_torn_tail(self, tmp_path):
+        """As the last record it is cut like a torn write, and the fold
+        of the batches before it over the original base facts reaches
+        the EDB it held."""
+        path = tmp_path / "wal.rjn"
+        offset, snapshot = self.journal_with_a_snapshot_record(path, last=True)
+        replay = replay_journal(path)
+        assert replay.torn and replay.tail_offset == offset
+        recovered, journal, replayed = recover_session(
+            parse_program(TC_TEXT), path, Database.from_dict(BASE)
+        )
+        journal.close()
+        assert replayed == 1 and path.stat().st_size == offset
+        assert recovered.edb == snapshot
+        assert_same_state(recovered, clean_session(batches=SCRIPT[:1]))
 
     def test_garbage_pickle_with_valid_crc_stops_replay(self, tmp_path):
         import struct
@@ -325,23 +363,6 @@ class TestRecoverSession:
         assert replayed == len(SCRIPT)
         assert_same_state(session, clean_session())
 
-    def test_recover_from_checkpoint_ignores_history(self, tmp_path):
-        path = tmp_path / "wal.rjn"
-        program = parse_program(TC_TEXT)
-        session = IncrementalSession(program, Database.from_dict(BASE))
-        with Journal(path) as journal:
-            journal.append_batch(*SCRIPT[0])
-            session.apply_batch(inserts=SCRIPT[0][0])
-            journal.append_checkpoint(session.edb)
-            journal.append_batch(*SCRIPT[1])
-            session.apply_batch(
-                inserts=SCRIPT[1][0], deletes=SCRIPT[1][1]
-            )
-        recovered, journal, replayed = recover_session(program, path)
-        journal.close()
-        assert replayed == 1  # only the post-checkpoint batch
-        assert_same_state(recovered, session)
-
     def test_committed_batch_that_failed_refails_on_replay(self, tmp_path):
         """A batch journaled but rolled back (abort record lost in the
         crash) must re-fail deterministically during replay, leaving
@@ -449,7 +470,7 @@ _fact = st.one_of(
 _facts = st.lists(_fact, max_size=4)
 _steps = st.lists(
     st.tuples(
-        st.sampled_from(["batch"] * 5 + ["aborted", "checkpoint"]),
+        st.sampled_from(["batch"] * 5 + ["aborted"]),
         _facts,
         _facts,
     ),
@@ -457,16 +478,14 @@ _steps = st.lists(
 )
 
 E01, E12, E44 = ("e", (0, 1)), ("e", (1, 2)), ("e", (4, 4))
-#: The cases the issue names, spelled out: duplicates, a delete of an
-#: absent fact, one fact on both sides of a batch, insert → delete →
-#: insert of one fact across batches, an aborted batch and a checkpoint
-#: mid-journal, a torn tail.
+#: Named cases, spelled out: duplicates, a delete of an absent fact,
+#: one fact on both sides of a batch, insert → delete → insert of one
+#: fact across batches, an aborted batch mid-journal, a torn tail.
 NAMED_STEPS = [
     ("batch", [E44, E44, ("mark", (0,))], [("e", (3, 0)), E01, E01]),
     ("batch", [E12], [E12, E44]),
     ("aborted", [("e", (2, 0)), ("mark", (2,))], [E12]),
     ("batch", [E44], []),
-    ("checkpoint", [], []),
     ("batch", [], [E44, ("mark", (3,))]),
     ("aborted", [("e", (3, 4))], []),
     ("batch", [E44, E01], [("e", (2, 3))]),
@@ -478,18 +497,14 @@ def write_journal(path, program, steps, torn=None):
 
     Returns the session that lived through them — every surviving batch
     applied one by one, an ``aborted`` one journaled, compensated and
-    never applied — and the number of batches after the last
-    checkpoint.  ``torn`` leaves that many bytes (modulo its length,
+    never applied — and the number of batches that survived.  ``torn``
+    leaves that many bytes (modulo its length,
     at least one) of one more record at the end of the file.
     """
     model = IncrementalSession(program, Database.from_dict(FOLD_BASE))
     surviving = 0
     with Journal(path, fsync=False) as journal:
         for kind, inserts, deletes in steps:
-            if kind == "checkpoint":
-                journal.append_checkpoint(model.edb)
-                surviving = 0
-                continue
             journal.append_batch(inserts, deletes)
             if kind == "aborted":
                 journal.append_abort()

@@ -306,13 +306,6 @@ class TestReadViews:
         with pytest.raises(KeyError):
             server.explain("t(1, 3)")
 
-    def test_checkpoint_every_validation(self):
-        session = IncrementalSession(
-            parse_program(TC_TEXT), Database.from_dict(BASE)
-        )
-        with pytest.raises(ValueError, match="checkpoint_every"):
-            DatalogServer(session, checkpoint_every=0)
-
 
 class TestJournaledServer:
     def test_commits_and_aborts_are_compensated(self, tmp_path):
@@ -392,23 +385,6 @@ class TestJournaledServer:
         assert replayed == 1
         assert recovered.edb == session.edb
         assert recovered.database == session.database
-
-    def test_checkpoint_every_counts_committed_batches_only(self, tmp_path):
-        path = tmp_path / "wal.rjn"
-        program = parse_program(TC_TEXT)
-        session = IncrementalSession(
-            program, Database.from_dict(BASE), max_iterations=10
-        )
-        server = DatalogServer(
-            session, journal=Journal(path), checkpoint_every=2
-        )
-        with server:
-            server.insert("e(3, 4).")
-            with pytest.raises(MaintenanceError):
-                server.apply_batch(inserts=POISON)
-            assert server.stats.checkpoints == 0  # abort does not count
-            server.insert("e(4, 5).")
-            assert server.stats.checkpoints == 1
 
 
 class TestLineProtocol:
