@@ -15,8 +15,8 @@ paper's contribution:
 * :mod:`repro.core` — factoring, the factorability theorems, the
   Section 5 simplifier, static-argument reduction, and the
   ``optimize()`` pipeline;
-* :mod:`repro.workloads` / :mod:`repro.bench` — experiment inputs and
-  the measurement harness.
+* :mod:`repro.workloads` — experiment inputs (graphs, lists and the
+  paper's example programs).
 
 Quickstart::
 

@@ -60,7 +60,7 @@ def test_the_retired_interpreter_tier_stays_retired():
     the ``use_plans`` switch to the old interpreter tier is gone.  The
     excluded test file pins that the removed keyword fails loudly."""
     assert grep(
-        "use_plans", "src", "tests", "benchmarks", "docs", "README.md",
+        "use_plans", "src", "tests", "docs", "README.md",
         exclude=("test_config.py",),
     ) == []
 
@@ -124,8 +124,8 @@ def test_the_chase_is_one_evaluation_context():
     assert len(grep(re.escape("SCCScheduler("), uniform)) == 1
     assert grep(r"_eval\b|EngineConfig\.resolve", uniform) == []
     assert not (ROOT / "src/repro/engine/naive.py").exists()
-    assert grep(r"\bnaive_eval\b", "src", "tests", "benchmarks", "tools") == []
-    assert grep(r"engine\.naive\b", "src", "benchmarks", "tools") == []
+    assert grep(r"\bnaive_eval\b", "src", "tests", "tools") == []
+    assert grep(r"engine\.naive\b", "src", "tools") == []
 
 
 def test_the_collector_has_one_switch():
@@ -146,16 +146,14 @@ def test_engine_config_stays_the_only_reader_of_the_environment():
     ``REPRO_*`` knob variables are read by the CLI alone, through
     ``engine/config.py``'s ``environment_knobs``, under its flags.
     ``engine/faults.py`` reads REPRO_FAULTS (fault injection, not a
-    knob) and ``bench/harness.py`` REPRO_BENCH_SCALE.  Only the entry
-    points resolve (keyword over ``config=`` over the defaults):
-    ``seminaive_eval``, the two compilers and the session; the
-    scheduler and the chase use what they are handed (docs/engine.md,
-    "Configuration")."""
+    knob).  Only the entry points resolve (keyword over ``config=``
+    over the defaults): ``seminaive_eval``, the two compilers and the
+    session; the scheduler and the chase use what they are handed
+    (docs/engine.md, "Configuration")."""
     readers = {hit.split(":", 1)[0] for hit in grep(r"os\.environ", "src/repro")}
     assert readers == {
         "src/repro/cli.py",
         "src/repro/engine/faults.py",
-        "src/repro/bench/harness.py",
     }
     lookups = [
         hit
@@ -203,8 +201,7 @@ def test_one_reference_evaluator():
     assert grep(r"REPRO_EXEC|config\.exec\b", "src") == []
     assert grep(
         r"repro\.engine\.joins",
-        "src", "tests", "benchmarks", "tools", "docs", "perf", "examples",
-        "README.md",
+        "src", "tests", "tools", "docs", "perf", "examples", "README.md",
         exclude=("test_reference.py",),
     ) == []
     assert len(grep("def join_rule", "src")) == 1
@@ -224,8 +221,7 @@ def test_one_join_order():
     ) == []
     assert grep(
         r"repro\.engine\.cost\b|from repro\.engine import cost\b",
-        "src", "tests", "benchmarks", "tools", "docs", "perf", "examples",
-        "README.md",
+        "src", "tests", "tools", "docs", "perf", "examples", "README.md",
     ) == []
 
 
@@ -233,11 +229,24 @@ def test_one_benchmark():
     """``perf/run.py`` is the one performance instrument; the second
     engine benchmark, its JSON record and the CI job that ran it are
     gone, so only perf/ and the history (CHANGES.md, ROADMAP.md) may
-    name them.  The paper's tables are the ``benchmarks/bench_*.py``
-    tests."""
+    name them.  The paper's claims are tier-1 tests,
+    ``tests/test_paper.py``."""
     assert grep(
         "run_bench|BENCH_engine",
-        "src", "tests", "benchmarks", "tools", "docs", "examples",
+        "src", "tests", "tools", "docs", "examples",
+        ".github", ".claude", "README.md", "setup.py",
+    ) == []
+
+
+def test_the_paper_has_one_test_runner():
+    """The paper's claims are fact and inference counts, determinate at
+    a fixed size, so ``tests/test_paper.py`` checks them in tier-1 with
+    literal sizes.  The second suite that sized them by a scale
+    variable, its harness package and the timing plugin it needed stay
+    gone."""
+    assert grep(
+        r"REPRO_BENCH_SCALE|repro\.bench|bench_scale|pytest-benchmark",
+        "src", "tests", "tools", "docs", "examples",
         ".github", ".claude", "README.md", "setup.py",
     ) == []
 
@@ -320,7 +329,7 @@ LAYERS = (
     {"transforms"},
     {"engine"},
     {"core"},
-    {"engine.query", "session", "cli", "workloads", "bench", "__main__", ""},
+    {"engine.query", "session", "cli", "workloads", "__main__", ""},
 )
 
 #: Upward edges still standing, each named with the change that removes

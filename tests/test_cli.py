@@ -843,7 +843,7 @@ print(stats.partition_rounds > 0)
         assert self.fresh(self.PARTITIONED) == ["True"]
 
     PACKAGES = {
-        "repro": 90, "repro.analysis": 35, "repro.bench": 4, "repro.core": 25,
+        "repro": 90, "repro.analysis": 35, "repro.core": 25,
         "repro.datalog": 32, "repro.engine": 30, "repro.transforms": 8,
         "repro.workloads": 31,
     }
@@ -942,7 +942,7 @@ print("LOADED", *sorted(m for m in sys.modules if m.startswith("repro.")))
         assert "repro.engine.journal" in loaded
         assert self.under(
             loaded, "repro.core", "repro.transforms", "repro.session",
-            "repro.workloads", "repro.bench", "repro.engine.query",
+            "repro.workloads", "repro.engine.query",
             "repro.engine.server", "repro.engine.topdown",
             "repro.engine.reference",
         ) == []
@@ -954,7 +954,7 @@ print("LOADED", *sorted(m for m in sys.modules if m.startswith("repro.")))
         loaded = self.loaded("run", program_file, "t(1, Y)", "--facts", facts_file)
         assert "repro.core.pipeline" in loaded
         assert self.under(
-            loaded, "repro.session", "repro.workloads", "repro.bench",
+            loaded, "repro.session", "repro.workloads",
             "repro.engine.query", "repro.engine.server", "repro.engine.topdown",
             "repro.engine.journal", "repro.engine.incremental",
             "repro.engine.provenance",
@@ -972,7 +972,7 @@ print("LOADED", *sorted(m for m in sys.modules if m.startswith("repro.")))
             "repro.core.reduction", "repro.core.simplify", "repro.core.theorems",
         ]
         assert self.under(
-            loaded, "repro.session", "repro.workloads", "repro.bench",
+            loaded, "repro.session", "repro.workloads",
             "repro.engine.server", "repro.engine.topdown", "repro.engine.journal",
             "repro.engine.incremental", "repro.engine.provenance",
             "repro.engine.reference",

@@ -39,6 +39,10 @@ class TestRelation:
         hits = rel.lookup((0,), (Constant(1),))
         assert all(t[0] == Constant(1) for t in hits)
         assert len(list(hits)) == len([i for i in range(10) if i % 3 == 1])
+        for key in (Constant(1), Constant(3)):  # a hit, a miss
+            hits = rel.lookup((0,), (key,))
+            scan = [t for t in rel.tuples if t[0] == key]
+            assert sorted(hits, key=str) == sorted(scan, key=str)
 
     def test_index_maintained_after_add(self):
         rel = Relation("e", 2)
