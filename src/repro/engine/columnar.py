@@ -9,8 +9,9 @@ the working set is a list of **rows** — tuples of interned ids, one
 entry per slot still read downstream — and each step transforms the
 whole list in one pass.  Scans zip column slices directly, probes are
 int-keyed ``dict.get`` against persistent
-:meth:`~repro.engine.database.Relation.col_index` tables, existence
-checks are int-row membership in
+:meth:`~repro.engine.database.Relation.col_index` tables whose buckets
+hold each row's unkeyed values (so a probe binds without a column
+read), existence checks are int-row membership in
 :meth:`~repro.engine.database.Relation.col_set`.  Nothing is decoded
 until a derived fact turns out to be *new*.
 
@@ -146,11 +147,12 @@ def _entry_step(steps) -> Optional[int]:
 
 
 #: Per step kind: the locals its ``resolved`` entry unpacks into, and
-#: the candidate loop of its comprehension (``i`` is a row position).
+#: the candidate loop of its comprehension (``i`` is a row position for
+#: a scan, a bucket entry for a probe).
 _RESOLVED = {
     S_SCAN: "cols{j} lo{j} hi{j}",
-    S_BUCKET: "cols{j} bucket{j}",
-    S_PROBE: "cols{j} get{j}",
+    S_BUCKET: "bucket{j}",
+    S_PROBE: "get{j}",
     S_EXISTS: "known{j}",
 }
 _CANDIDATES = {
@@ -173,7 +175,9 @@ def kernel_source(shape) -> str:
     the head still reads; a step unpacks it into locals (``s3`` is slot
     3), writes its probe key, equality checks and existence test out
     positionally, reads stored values straight from the source's
-    columns (``c2_0`` is column 0 of step 2's source) and builds the
+    columns for a scan (``c2_0`` is column 0 of step 2's source) or from
+    the bucket entry for a probe (``i``, or ``i[k]`` for the ``k``-th
+    unkeyed position of a wider one) and builds the
     narrowed tuple for the next step — the last step builds the head
     tuple itself, and a pure filter passes its rows through.  ``n`` is
     the tuple executor's ``probes``: the batch size entering each step.
@@ -200,7 +204,11 @@ def kernel_source(shape) -> str:
     layout = [] if entry is None else [slot for _, _, slot in steps[entry][1]]
     for r, j in enumerate(todo or [None]):  # None: only the head is left to build
         kind, post, key = (None, (), None) if j is None else steps[j]
-        stored = {slot: f"c{j}_{pos}[i]" for pos, tag, slot in post if tag == O_STORE}
+        if kind == S_PROBE or kind == S_BUCKET:  # post covers the entry
+            read = ["i"] if len(post) == 1 else [f"i[{k}]" for k in range(len(post))]
+        else:
+            read = [f"c{j}_{pos}[i]" for pos, _, _ in post]
+        stored = {slot: at for at, (_, tag, slot) in zip(read, post) if tag == O_STORE}
         if j is None or j == todo[-1]:
             out = emitted
         else:
@@ -220,8 +228,8 @@ def kernel_source(shape) -> str:
             for slot in key or ()
         ]
         conds = [
-            f" if c{j}_{pos}[i] == {ref(slot)}"
-            for pos, tag, slot in post
+            f" if {at} == {ref(slot)}"
+            for at, (_, tag, slot) in zip(read, post)
             if tag == O_CHECK
         ]
         if kind == S_EXISTS:
@@ -374,12 +382,14 @@ def execute_columnar(
             else:
                 resolved.append((cols, lo, hi))
         elif kind == S_PROBE:
+            # The kernel reads bucket entries, not columns; the sync
+            # stays for the pinned engine.database.column_syncs count.
             if type(rel) is RelationView:
-                cols = rel.relation.ensure_columns()
+                rel.relation.ensure_columns()
             else:
-                cols = rel.ensure_columns()
+                rel.ensure_columns()
             keys = consts[j] and [intern(term) for term in consts[j]]
-            resolved.append((cols, rel.col_index(step.key_positions).get, *keys))
+            resolved.append((rel.col_index(step.key_positions).get, *keys))
         elif kind == S_GROUND:
             # Ground literal: its truth is fixed for the whole run.
             if counting:
@@ -401,11 +411,11 @@ def execute_columnar(
             bucket = rel.col_index(key_positions).get(key)
             if bucket is None:
                 return []
-            if type(rel) is RelationView:
-                cols = rel.relation.ensure_columns()
+            if type(rel) is RelationView:  # synced for the count, as above
+                rel.relation.ensure_columns()
             else:
-                cols = rel.ensure_columns()
-            resolved.append((cols, bucket))
+                rel.ensure_columns()
+            resolved.append((bucket,))
 
     if span is not None:
         # Vectorized entry: all positions are fresh variables, so the

@@ -121,6 +121,44 @@ def _fill_buckets(index: Dict, owned: Optional[Set], items) -> None:
         owned.add(key)
 
 
+def _drop_from_buckets(index: Dict, owned: Optional[Set], items) -> None:
+    """Remove each ``(item, key)`` of ``items`` from the bucket ``index[key]``,
+    under :func:`_fill_buckets`' rule: a bucket is replaced by its
+    survivors, never filtered in place; an emptied one leaves the index."""
+    doomed: Dict = {}
+    for item, key in items:
+        doomed.setdefault(key, set()).add(item)
+    for key, gone in doomed.items():
+        bucket = index.get(key)
+        if bucket is None:
+            continue
+        survivors = [item for item in bucket if item not in gone]
+        if survivors:
+            index[key] = survivors
+            if owned is not None:
+                owned.add(key)
+        else:
+            del index[key]
+
+
+def _projected(cols, positions: Sequence[int], lo: int, hi: int):
+    """Rows ``lo:hi`` of ``cols`` projected on ``positions``: a bare id
+    per row for one position, an id tuple otherwise (``()`` for none)."""
+    if len(positions) == 1:
+        return cols[positions[0]][lo:hi]
+    if positions:
+        return zip(*(cols[p][lo:hi] for p in positions))
+    return [()] * (hi - lo)
+
+
+def _col_entries(cols, positions: Tuple[int, ...], lo: int, hi: int):
+    """``(entry, key)`` per row ``lo:hi`` of ``cols`` for the int index on
+    ``positions``: the key is the row's projection on ``positions``, the
+    entry its projection on every other position, in order."""
+    rest = [p for p in range(len(cols)) if p not in positions]
+    return zip(_projected(cols, rest, lo, hi), _projected(cols, positions, lo, hi))
+
+
 def _keyed_facts(facts: Iterable[FactTuple], positions: Tuple[int, ...]):
     """``(fact, tuple-index key)`` pairs, lazily: the key is always a tuple."""
     if len(positions) == 1:
@@ -213,7 +251,7 @@ class Relation:
         self._cols: Optional[List[List[int]]] = None
         self._colset: Optional[Set[RowTuple]] = None
         self._colset_n = 0
-        # positions -> (int-keyed index of row positions, watermark).
+        # positions -> (int-keyed index of row entries, watermark).
         self._col_indexes: Dict[Tuple[int, ...], Tuple[Dict, int]] = {}
         # The int indexes' counterpart of _owned.
         self._col_owned: Dict[Tuple[int, ...], Set] = {}
@@ -537,16 +575,17 @@ class Relation:
         """Int-keyed hash index on ``positions`` over the columns.
 
         Maps the interned projection — a bare id for a single-position
-        index, an id tuple otherwise — to the list of row positions
-        with that projection (``lookup`` by row keeps the probe loop on
-        column indexing instead of materializing row tuples).  Persistent
+        index, an id tuple otherwise — to the list of its rows' other
+        values (:func:`_col_entries`): for a binary relation each entry
+        is the dictionary's own id at the unkeyed position, so a probe
+        hands back the values it binds without a column read.  Persistent
         and watermark-extended like the tuple indexes, so repeated
         full-relation probes in a fixpoint stay O(delta) per round.
         A first build is published atomically (racing readers of a
         shared relation each build a private table and one wins);
         watermark extension mutates the published table in place, under
         the sync lock with a re-check so two racing readers of a shared
-        relation cannot both append the same row positions.
+        relation cannot both append the same rows.
         """
         cols = self.ensure_columns()
         if cols is None:
@@ -557,33 +596,16 @@ class Relation:
             return entry[0]
         if entry is None:
             index: Dict = {}
-            self._fill_col_index(index, None, cols, positions, 0, n)
+            _fill_buckets(index, None, _col_entries(cols, positions, 0, n))
             self._col_indexes[positions] = (index, n)
             return index
         with self._sync_lock():
             index, m = self._col_indexes[positions]
             if m < n:
-                self._fill_col_index(
-                    index, self._col_owned.get(positions), cols, positions, m, n
-                )
+                owned = self._col_owned.get(positions)
+                _fill_buckets(index, owned, _col_entries(cols, positions, m, n))
                 self._col_indexes[positions] = (index, n)
         return index
-
-    @staticmethod
-    def _fill_col_index(
-        index: Dict,
-        owned: Optional[Set],
-        cols: List[List[int]],
-        positions: Tuple[int, ...],
-        m: int,
-        n: int,
-    ) -> None:
-        """Append row positions ``m:n`` of ``cols`` into an int index."""
-        if len(positions) == 1:
-            keys = cols[positions[0]][m:n]
-        else:
-            keys = zip(*(cols[p][m:n] for p in positions))
-        _fill_buckets(index, owned, zip(range(m, n), keys))
 
     def add_row(self, fact: FactTuple, row: RowTuple) -> None:
         """Append a fact known to be novel, with its interned row.
@@ -615,17 +637,13 @@ class Relation:
     def _index_rows(self, rows: Sequence[RowTuple], position: int) -> None:
         """Enter ``rows``, logged from ``position``, into every int index
         synced up to there; a lagging one catches up on its next probe."""
+        cols = None
         for positions, (index, watermark) in self._col_indexes.items():
             if watermark != position:
                 continue
-            # keys as col_index() makes them: a bare id for one
-            # position, an id tuple otherwise
-            keys = map(itemgetter(*positions), rows)
-            _fill_buckets(
-                index,
-                self._col_owned.get(positions),
-                zip(range(position, position + len(rows)), keys),
-            )
+            cols = cols or list(zip(*rows))
+            entries = _col_entries(cols, positions, 0, len(rows))
+            _fill_buckets(index, self._col_owned.get(positions), entries)
             self._col_indexes[positions] = (index, position + len(rows))
 
     def append_rows(self, rows: List[RowTuple]) -> None:
@@ -778,11 +796,10 @@ class Relation:
         id* — one pass comparing int rows, no term hashed outside the
         doomed facts themselves — and log, columns and row set are
         compacted at those positions; without complete columns the log
-        is searched by term.  Live tuple indexes are *repaired*, not
-        dropped: only the buckets the doomed facts project into are
-        filtered (and replaced, so buckets a copy shares stay intact).
-        Int indexes hold row positions, which compaction shifts; they
-        are dropped and rebuilt on their next probe.
+        is searched by term.  Live tuple and int indexes are *repaired*,
+        not dropped: only the buckets the doomed facts project into are
+        filtered (:func:`_drop_from_buckets`), and an int index's
+        watermark loses the doomed rows below it.
 
         Must not be called while an evaluation holds views over this
         relation: view bounds are log offsets and compaction moves them.
@@ -813,22 +830,17 @@ class Relation:
         else:
             self._colset = None
             self._colset_n = 0
-        self._col_indexes.clear()
-        self._col_owned.clear()
+        if inside and self._col_indexes:
+            dead = [[col[i] for i in inside] for col in cols]
+            for positions, (index, watermark) in list(self._col_indexes.items()):
+                k = bisect_left(inside, watermark)  # doomed rows it holds
+                entries = _col_entries(dead, positions, 0, k)
+                _drop_from_buckets(index, self._col_owned.get(positions), entries)
+                self._col_indexes[positions] = (index, watermark - k)
         self._last_rows = None
         for positions, index in self._indexes.items():
-            owned = self._owned.get(positions)
-            for key in {key for _, key in _keyed_facts(doomed, positions)}:
-                bucket = index.get(key)
-                if bucket is None:
-                    continue
-                survivors = [fact for fact in bucket if fact not in doomed]
-                if survivors:
-                    index[key] = survivors
-                    if owned is not None:
-                        owned.add(key)
-                else:
-                    del index[key]
+            facts = _keyed_facts(doomed, positions)
+            _drop_from_buckets(index, self._owned.get(positions), facts)
         return len(doomed)
 
     def view(self, start: int, stop: int) -> "RelationView":
@@ -974,12 +986,11 @@ class RelationView:
         return self._set
 
     def col_index(self, positions: Tuple[int, ...]) -> Optional[Dict]:
-        """Slice-local int-keyed index: projection -> parent row positions.
+        """Slice-local int-keyed index, laid out as :meth:`Relation.col_index`.
 
-        Row positions are *absolute* parent log offsets, so the probe
-        loop reads payload values straight out of the parent columns.
-        Per-view throwaway (views live for one fixpoint round), the
-        columnar analogue of the slice-local tuple indexes.
+        Its buckets hold the entries of the slice's rows only.  Per-view
+        throwaway (views live for one fixpoint round), the columnar
+        analogue of the slice-local tuple indexes.
         """
         cols = self.relation.ensure_columns()
         if cols is None:
@@ -989,23 +1000,9 @@ class RelationView:
         index = self._col_indexes.get(positions)
         if index is None:
             index = {}
-            if len(positions) == 1:
-                col = cols[positions[0]]
-                for i in range(self.start, self.stop):
-                    bucket = index.get(col[i])
-                    if bucket is None:
-                        index[col[i]] = [i]
-                    else:
-                        bucket.append(i)
-            else:
-                pcols = [cols[p] for p in positions]
-                for i in range(self.start, self.stop):
-                    key = tuple(col[i] for col in pcols)
-                    bucket = index.get(key)
-                    if bucket is None:
-                        index[key] = [i]
-                    else:
-                        bucket.append(i)
+            _fill_buckets(
+                index, None, _col_entries(cols, positions, self.start, self.stop)
+            )
             self._col_indexes[positions] = index
         return index
 

@@ -310,8 +310,7 @@ class IncrementalSession:
         forward delta follow the delta, re-derivation probes one
         candidate at a time.  What still scans a whole relation is the
         prune of a delete (one pass over its interned rows, and the
-        rebuild of its int indexes, whose row positions compaction
-        shifts).  Any failure during
+        compaction of its log and columns).  Any failure during
         maintenance — :class:`NonTerminationError`, a
         :class:`ComponentTimeout` from the wall-clock watchdog, a
         process-backend worker loss, an injected fault — rolls the

@@ -189,6 +189,22 @@ def pin_storage(db: Database):
     return pinned, {sig: list(rel._log) for sig, rel in pinned.relations.items()}
 
 
+def rebuilt_col_index(rows, positions, arity):
+    """An int index rebuilt from id ``rows`` in log order: each key (the
+    row's projection on ``positions``) lists its rows' values at the
+    other positions.  Either projection is a bare id for one position
+    and an id tuple otherwise."""
+    rest = [p for p in range(arity) if p not in positions]
+
+    def project(row, at):
+        return row[at[0]] if len(at) == 1 else tuple(row[p] for p in at)
+
+    index = {}
+    for row in rows:
+        index.setdefault(project(row, positions), []).append(project(row, rest))
+    return index
+
+
 def assert_storage_matches_rebuild(db: Database, pinned=None) -> None:
     """Every maintained structure of every relation equals a rebuild.
 
@@ -229,10 +245,7 @@ def assert_storage_matches_rebuild(db: Database, pinned=None) -> None:
                 assert rel._colset == set(rows[: rel._colset_n]), where
                 assert len(rel._colset) == rel._colset_n <= len(rows), where
             for positions, (index, mark) in rel._col_indexes.items():
-                rebuilt = {}
-                for i, row in enumerate(rows[:mark]):
-                    key = tuple(row[p] for p in positions)
-                    rebuilt.setdefault(key[0] if len(key) == 1 else key, []).append(i)
+                rebuilt = rebuilt_col_index(rows[:mark], positions, rel.arity)
                 assert mark <= len(rows) and index == rebuilt, (where, positions)
         interned = rel.col_set()
         if interned is not None:

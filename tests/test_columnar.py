@@ -4,8 +4,9 @@ The differential fuzz (``tests/test_fuzz.py``) holds the big property —
 the kernel derives the reference's fixpoint with the tuple executor's
 counters.  This module pins the columnar machinery's *local* contracts: dictionary
 interning round-trips, buffered-column draining, compaction after
-deletion, duplicate handling, empty-delta rounds, pickling, and the
-query overlay sharing the EDB's columns instead of rebuilding them.
+deletion, the int indexes' bucket entries, duplicate handling,
+empty-delta rounds, pickling, and the query overlay sharing the EDB's
+columns instead of rebuilding them.
 """
 
 import pickle
@@ -20,7 +21,7 @@ from repro.engine.intern import TermDictionary, plain_value
 from repro.engine.reference import naive_fixpoint_reference
 from repro.engine.seminaive import seminaive_eval
 
-from tests.conftest import tuple_at_a_time
+from tests.conftest import rebuilt_col_index, tuple_at_a_time
 
 
 def chain_edb(n: int) -> Database:
@@ -165,6 +166,51 @@ def test_views_window_buffered_rows():
 
 
 # ---------------------------------------------------------------------------
+# Int index buckets hold the rows' unkeyed values
+# ---------------------------------------------------------------------------
+
+
+def test_binary_buckets_hold_the_dictionarys_own_ids():
+    d = TermDictionary()
+    rel = Relation("e", 2, d)
+    for i in range(400):  # ids past the small-int cache
+        rel.add((Constant(f"v{i}"), Constant(f"v{(i * 7) % 400}")))
+    rows = list(zip(*rel.ensure_columns()))
+    own = {ident: ident for ident in d._ids.values()}
+    for positions in ((0,), (1,)):
+        index = rel.col_index(positions)
+        assert index == rebuilt_col_index(rows, positions, 2)
+        assert all(v is own[v] for bucket in index.values() for v in bucket)
+
+
+def test_wider_buckets_hold_id_tuples_of_the_other_positions():
+    d = TermDictionary()
+    rel = Relation("g", 3, d)
+    facts = [(1, 2, 7), (2, 3, 8), (2, 3, 9), (1, 4, 4)]
+    for fact in facts:
+        rel.add(tuple(map(Constant, fact)))
+    i = {v: d.intern(Constant(v)) for fact in facts for v in fact}
+    assert rel.col_index((1,)) == {
+        i[2]: [(i[1], i[7])], i[3]: [(i[2], i[8]), (i[2], i[9])], i[4]: [(i[1], i[4])],
+    }
+    assert rel.col_index((0, 1)) == {
+        (i[1], i[2]): [i[7]], (i[2], i[3]): [i[8], i[9]], (i[1], i[4]): [i[4]],
+    }
+    assert rel.col_index((0, 1, 2)) == {tuple(i[v] for v in f): [()] for f in facts}
+
+
+def test_window_buckets_cover_only_its_slice():
+    d = TermDictionary()
+    rel = Relation("g", 3, d)
+    rel.append_rows([tuple(d.intern(Constant(v)) for v in (k % 2, k, -k)) for k in range(8)])
+    rows = list(zip(*rel.ensure_columns()))
+    for positions in ((0,), (1, 2), (2,)):
+        window = rel.view(3, 6).col_index(positions)
+        assert window == rebuilt_col_index(rows[3:6], positions, 3), positions
+    assert rel.view(4, 4).col_index((0,)) == {}
+
+
+# ---------------------------------------------------------------------------
 # Compaction after deletion
 # ---------------------------------------------------------------------------
 
@@ -185,14 +231,45 @@ def test_columns_compact_after_remove_facts():
     survivors = [(0, 1), (1, 2), (3, 4), (5, 6)]
     decoded = decode_rows(db.dictionary.terms, list(zip(*[list(c) for c in cols])))
     assert decoded == [(Constant(a), Constant(b)) for a, b in survivors]
-    # Rebuilt row-position structures see only survivors.
-    index = rel.col_index((0,))
-    key = (db.dictionary.intern(Constant(2)),)
-    assert not index.get(key)
+    # The int index was repaired in place, not dropped, and sees only
+    # survivors.
+    index, watermark = rel._col_indexes[(0,)]
+    assert watermark == 4 and rel.col_index((0,)) is index
+    assert index == rebuilt_col_index(list(zip(*cols)), (0,), 2)
+    assert db.dictionary.intern(Constant(2)) not in index
     assert len(rel.col_set()) == 4
     # Evaluation over the compacted relation still matches the oracle.
     db_col, _ = seminaive_eval(TC, db)
     assert db_col == naive_fixpoint_reference(TC, db)[0]
+
+
+def test_remove_facts_repairs_every_int_index():
+    """Buckets hold values, not positions, so compaction moves nothing:
+    every int index survives a removal — a lagging one at its own
+    watermark — equal to a rebuild from the compacted columns, and a
+    copy's shared buckets keep what the copy was handed."""
+    d = TermDictionary()
+    rel = Relation("g", 3, d)
+    for i in range(12):
+        rel.add((Constant(i % 3), Constant(i % 4), Constant(i)))
+    every = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+    for positions in every:
+        rel.col_index(positions)
+    for i in (12, 13):  # past every watermark
+        rel.add((Constant(0), Constant(0), Constant(i)))
+    rel.col_index((0,))  # only this one catches up
+    dup = rel.copy()
+    before = {p: {k: list(b) for k, b in dup._col_indexes[p][0].items()} for p in every}
+    doomed = [(Constant(i % 3), Constant(i % 4), Constant(i)) for i in (0, 4, 5, 11)]
+    doomed.append((Constant(0), Constant(0), Constant(12)))
+    assert rel.remove_facts(doomed) == 5
+    rows = list(zip(*rel.ensure_columns()))
+    assert len(rows) == 14 - 5
+    for positions in every:
+        index, watermark = rel._col_indexes[positions]
+        assert watermark == (14 - 5 if positions == (0,) else 12 - 4), positions
+        assert index == rebuilt_col_index(rows[:watermark], positions, 3), positions
+        assert dup._col_indexes[positions][0] == before[positions], positions
 
 
 def test_remove_facts_invalidates_row_cache():

@@ -11,7 +11,7 @@ from repro.engine.database import Database, Relation, load_program_facts
 from repro.engine.intern import TermDictionary
 from repro.datalog.unify import match
 
-from tests.conftest import answer_values
+from tests.conftest import answer_values, rebuilt_col_index
 
 
 class TestRelation:
@@ -413,9 +413,8 @@ def assert_equals_a_rebuild(rel, where=""):
     if rel._colset is not None:
         assert rel._colset == set(rows[: rel._colset_n]), where
     for positions, (index, watermark) in rel._col_indexes.items():
-        keys = [r[positions[0]] if len(positions) == 1 else tuple(r[p] for p in positions)
-                for r in rows[:watermark]]
-        assert index == rebuilt(enumerate(keys)), (where, positions, watermark)
+        want = rebuilt_col_index(rows[:watermark], positions, rel.arity)
+        assert index == want, (where, positions, watermark)
 
 
 def assert_reads_equal_a_rebuild(rel, where=""):
@@ -428,9 +427,8 @@ def assert_reads_equal_a_rebuild(rel, where=""):
     if rel.dictionary is not None:  # else: the tuple world only
         rows = [tuple(map(rel.dictionary.intern, f)) for f in log]
         for positions in INDEXED:
-            keys = [r[positions[0]] if len(positions) == 1 else tuple(r[p] for p in positions)
-                    for r in rows]
-            assert rel.col_index(positions) == rebuilt(enumerate(keys)), (where, positions)
+            want = rebuilt_col_index(rows, positions, rel.arity)
+            assert rel.col_index(positions) == want, (where, positions)
         assert rel.col_set() == set(rows), where
     assert_equals_a_rebuild(rel, where)
 
