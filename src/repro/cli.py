@@ -253,7 +253,7 @@ def _serve_session(args, program, edb):
             )
         return session, journal
     session = IncrementalSession(program, edb, config=config)
-    journal = Journal(args.journal) if args.journal else None
+    journal = Journal(args.journal, program, edb) if args.journal else None
     return session, journal
 
 
@@ -354,6 +354,7 @@ def cmd_serve(args) -> int:
 
 
 def cmd_recover(args) -> int:
+    from repro.datalog.pretty import pretty_fact
     from repro.engine.journal import recover_session
 
     program = _load_program(args.program)
@@ -370,7 +371,7 @@ def cmd_recover(args) -> int:
     for sig in sorted(session.database.relations):
         rel = session.database.relations[sig]
         for fact in sorted(rel.tuples, key=str):
-            print(f"{sig[0]}({', '.join(str(t) for t in fact)}).")
+            print(pretty_fact(sig[0], fact) + ".")
     return 0
 
 
@@ -488,9 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--journal",
         metavar="PATH",
         help="write-ahead journal: log each update (fsync'd) before "
-        "applying it; the journal holds batches only, so restart with "
-        "the same --facts: the committed batches are folded into those "
-        "base facts and evaluated once, and the session resumes "
+        "applying it; restart with the same program and --facts (the "
+        "journal digests both): the committed batches are folded into "
+        "those base facts and evaluated once, and the session resumes "
         "exactly where it left off",
     )
     p.add_argument(
@@ -534,8 +535,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--facts",
         help="Datalog file of the base facts the journaled run started "
-        "from (the journal holds batches only; recovery folds them into "
-        "these)",
+        "from (the journal holds batches and a digest of these; other "
+        "base facts are refused)",
     )
     _add_engine_options(p, timeout=True)
     p.set_defaults(func=cmd_recover)

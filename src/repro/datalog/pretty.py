@@ -9,7 +9,8 @@ dumps of transformed programs can be re-read.
 
 from __future__ import annotations
 
-from typing import Iterable
+from functools import lru_cache
+from typing import Iterable, Sequence
 
 from repro.datalog.literals import Literal
 from repro.datalog.rules import Rule
@@ -26,17 +27,13 @@ from repro.datalog.terms import (
 
 def pretty_term(term: Term) -> str:
     """Render a term in Prolog-ish concrete syntax."""
-    if isinstance(term, Variable):
-        return term.name
     if isinstance(term, Constant):
         value = term.value
         if isinstance(value, str):
-            if value == "[]":
-                return "[]"
-            if _is_plain_atom(value):
-                return value
-            return "'" + value.replace("'", "\\'") + "'"
+            return value if value == "[]" else _atom(value)
         return repr(value)
+    if isinstance(term, Variable):
+        return term.name
     if isinstance(term, Compound):
         if is_list_term(term):
             elements, tail = list_elements(term)
@@ -49,19 +46,34 @@ def pretty_term(term: Term) -> str:
     raise TypeError(f"not a term: {term!r}")
 
 
-def _is_plain_atom(value: str) -> bool:
-    if not value:
-        return False
-    if not (value[0].islower() or value[0] == "_" and len(value) > 1):
-        return False
-    return all(ch.isalnum() or ch in "_@~" for ch in value)
+@lru_cache(maxsize=4096)
+def _atom(text: str) -> str:
+    """``text`` as an atom: bare when the parser reads it as one word
+    (a letter not upper case, then letters, digits, ``_@~#``), else quoted."""
+    word = all(ch.isalnum() or ch in "_@~#" for ch in text)
+    if word and text[:1].isalpha() and not text[0].isupper():
+        return text
+    return "'" + text.replace("\\", "\\\\").replace("'", "\\'") + "'"
+
+
+def is_text_term(term: Term) -> bool:
+    """Whether ``pretty_term(term)`` parses back to ``term``: a ground
+    term over ``int``/``str`` constants (not ``bool``) and atom functors."""
+    if isinstance(term, Constant):
+        return type(term.value) in (int, str)
+    return isinstance(term, Compound) and all(map(is_text_term, term.args)) and (
+        is_list_term(term) or _atom(term.functor) == term.functor
+    )
 
 
 def pretty_literal(literal: Literal) -> str:
-    if not literal.args:
-        return literal.predicate
-    args = ", ".join(pretty_term(a) for a in literal.args)
-    return f"{literal.predicate}({args})"
+    return pretty_fact(literal.predicate, literal.args)
+
+
+def pretty_fact(predicate: str, args: Sequence[Term]) -> str:
+    """:func:`pretty_literal` of ``Literal(predicate, args)``, unbuilt."""
+    name = _atom(predicate)
+    return f"{name}({', '.join(map(pretty_term, args))})" if args else name
 
 
 def pretty_rule(rule: Rule) -> str:

@@ -105,6 +105,12 @@ def _normalize_updates(facts: Updates) -> Dict[Signature, List[FactTuple]]:
     return out
 
 
+def normalized_pairs(facts: Updates) -> List[Tuple[str, FactTuple]]:
+    """:func:`_normalize_updates` as ``(predicate, wrapped row)`` pairs."""
+    normalized = _normalize_updates(facts)
+    return [(sig[0], row) for sig, rows in normalized.items() for row in rows]
+
+
 def fold_batches(
     edb: Database, batches: Iterable[Tuple[Updates, Updates]]
 ) -> None:

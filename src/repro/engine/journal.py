@@ -14,18 +14,21 @@ evaluation, the last one re-applied.
 File format
 -----------
 
-A four-byte magic header (``RJN1``), then records::
+The magic ``RJN2``, digests of the program and of the base EDB
+(:func:`input_digests`), then records::
 
     kind (1 byte) | payload length (4 bytes, big-endian)
                   | CRC-32 of payload (4 bytes, big-endian) | payload
 
-Kinds: ``B`` — a batch, payload pickles ``(inserts, deletes)`` as lists
-of ``(predicate, args)`` pairs; ``A`` — an abort, empty payload,
+Kinds: ``B`` — a batch, payload the byte length of its inserts (4
+bytes, big-endian), then inserts and deletes as the UTF-8 ground fact
+text of ``+``/``-`` lines; ``A`` — an abort, empty payload,
 compensating the immediately preceding batch (it was rolled back, do
 not replay it).  There is no snapshot record: the IDB is a
 deterministic function of the EDB, and the EDB is the base facts plus
 the committed batches, so recovery folds those instead.  Any other
-kind byte is invalid like a CRC mismatch.
+kind byte, or a batch that is not ground facts, is invalid like a CRC
+mismatch.  A format-1 file (``RJN1``) is refused at its magic.
 
 Replay (:func:`replay_journal`) walks the records, drops aborted
 batches, and **stops at a last record that
@@ -52,31 +55,65 @@ observed.
 from __future__ import annotations
 
 import os
-import pickle
 import struct
 import threading
 import zlib
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+# hashlib's own BLAKE2: ``import hashlib`` maps OpenSSL, 3.6 MB of RSS.
+from _blake2 import blake2b
+
+from repro.datalog.pretty import is_text_term, pretty_fact, pretty_rule
 from repro.engine import faults
 from repro.engine.database import Database
 from repro.engine.faults import FaultInjected
-from repro.engine.incremental import IncrementalSession, fold_batches
+from repro.engine.incremental import IncrementalSession, fold_batches, normalized_pairs
 from repro.engine.stats import JournalError, MaintenanceError
 
-#: File magic: "Repro JourNal", format 1.
-MAGIC = b"RJN1"
+#: File magic: "Repro JourNal", format 2.
+MAGIC = b"RJN2"
+_DIGEST = 32
+#: The magic, then the digests of the program and of the base EDB.
+HEADER_SIZE = len(MAGIC) + 2 * _DIGEST
 
 KIND_BATCH = b"B"
 KIND_ABORT = b"A"
 _KINDS = (KIND_BATCH, KIND_ABORT)
 
 _HEADER = struct.Struct(">II")  # payload length, CRC-32
+_HALF = struct.Struct(">I")  # a batch's insert length
 
-#: One batch as journaled: (inserts, deletes), each a list of
-#: (predicate, args) pairs in the session's ``Updates`` pair shape.
-BatchPairs = Tuple[list, list]
+
+def input_digests(program, edb: Database) -> Tuple[bytes, bytes]:
+    """BLAKE2b of ``program``'s rules and of ``edb``'s facts, each
+    rendered and sorted: the inputs a journal's batches apply to."""
+    rules = map(pretty_rule, program.rules)
+    facts = (pretty_fact(p, f) for (p, _), r in edb.relations.items() for f in r.tuples)
+    return tuple(
+        blake2b("\n".join(sorted(text)).encode("utf-8"), digest_size=_DIGEST).digest()
+        for text in (rules, facts)
+    )
+
+
+def _read_header(path, head: bytes) -> Tuple[bytes, bytes]:
+    """The input digests of a journal that starts with ``head``."""
+    if head[:4] != MAGIC or len(head) < HEADER_SIZE:
+        what = "not a repro journal"
+        if head[:4] == b"RJN1":
+            what = "a format 1 repro journal, which this version does not read"
+        raise JournalError(f"{path} is {what} (expected a {MAGIC!r} header)")
+    return head[4:-_DIGEST], head[-_DIGEST:]
+
+
+def _fact_text(updates) -> bytes:
+    """One half of a batch as ground fact text."""
+    lines = []
+    for name, row in normalized_pairs(updates):
+        if not all(map(is_text_term, row)):
+            raise ValueError(f"cannot journal {name}{row}: not int/str terms")
+        lines.append(pretty_fact(name, row) + ".")
+    return "\n".join(lines).encode("utf-8")
 
 
 @dataclass
@@ -89,19 +126,21 @@ class JournalReplay:
     clean), the safe truncation point.
     """
 
-    batches: List[BatchPairs] = field(default_factory=list)
+    batches: List[Tuple[list, list]] = field(default_factory=list)
     torn: bool = False
     tail_offset: int = 0
 
 
 class Journal:
-    """An append-only, fsync'd record log at ``path``.
+    """An append-only, fsync'd log at ``path`` of batches over
+    ``program`` and the base EDB ``edb``.
 
-    Appending validates an existing file's magic (creating the file
-    writes it); each append goes through the ``journal`` fault site, so
-    the fault harness can tear or kill a write at a deterministic
-    point.  ``fsync=False`` trades durability for speed (used by the
-    journal-overhead benchmark to separate buffering from disk cost).
+    Opening a file whose magic or digests differ raises
+    :class:`~repro.engine.stats.JournalError` naming the input.  Each
+    append goes through the ``journal`` fault site, so the fault
+    harness can tear or kill a write at a deterministic point.
+    ``fsync=False`` trades durability for speed (for throwaway
+    journals: the tests, ``tools/startup_costs.py``).
 
     Appends are serialized by an internal lock: the concurrent serving
     layer funnels every write through one writer lock anyway, but the
@@ -121,25 +160,27 @@ class Journal:
     behind in user space to land after the cut.
     """
 
-    def __init__(self, path, fsync: bool = True):
+    def __init__(self, path, program, edb: Database, fsync: bool = True):
         self.path = str(path)
         self.fsync = fsync
         self._append_lock = threading.Lock()
         self._failed: Optional[BaseException] = None
         #: Why a failed record may still replay (its cut-back failed).
         self._uncut: Optional[OSError] = None
+        inputs = input_digests(program, edb)
         fresh = not os.path.exists(self.path) or os.path.getsize(self.path) == 0
         if not fresh:
             with open(self.path, "rb") as fh:
-                magic = fh.read(len(MAGIC))
-            if magic != MAGIC:
-                raise JournalError(
-                    f"{self.path} is not a repro journal "
-                    f"(bad magic {magic!r}, expected {MAGIC!r})"
-                )
+                recorded = _read_header(self.path, fh.read(HEADER_SIZE))
+            for name, old, new in zip(("program", "base facts"), recorded, inputs):
+                if old != new:
+                    raise JournalError(
+                        f"{self.path}: {name} digest mismatch: recover with "
+                        f"the {name} the journal was started with"
+                    )
         self._fh = open(self.path, "ab", buffering=0)
         if fresh:
-            self._write(MAGIC)
+            self._write(MAGIC + b"".join(inputs))
             self._sync()
 
     def _write(self, data: bytes) -> None:
@@ -198,10 +239,10 @@ class Journal:
                 raise
 
     def append_batch(self, inserts: list, deletes: list) -> None:
-        """Journal one batch (must precede applying it — WAL order)."""
-        self._append(
-            KIND_BATCH, pickle.dumps((list(inserts), list(deletes)))
-        )
+        """Journal one batch (must precede applying it — WAL order); a
+        constant neither ``int`` nor ``str`` raises ``ValueError``."""
+        ins = _fact_text(inserts)
+        self._append(KIND_BATCH, _HALF.pack(len(ins)) + ins + _fact_text(deletes))
 
     def append_abort(self) -> None:
         """Compensate the preceding batch: it failed and rolled back."""
@@ -243,7 +284,8 @@ def replay_journal(path) -> JournalReplay:
     :class:`JournalError` naming its offset, as a short or wrong magic
     header does (the file was never a journal, there is nothing safe
     to replay).  A zero-byte file is an empty journal, as it is to
-    :class:`Journal`.
+    :class:`Journal`.  A batch comes back as ``(inserts, deletes)``,
+    normalized ``(predicate, args)`` pairs.
     """
     with open(str(path), "rb") as fh:
         data = fh.read()
@@ -252,12 +294,9 @@ def replay_journal(path) -> JournalReplay:
         # reached the disk.  :class:`Journal` starts such a file afresh,
         # so it replays as the empty journal it is about to become.
         return JournalReplay()
-    if data[: len(MAGIC)] != MAGIC:
-        raise JournalError(
-            f"{path} is not a repro journal (missing {MAGIC!r} header)"
-        )
+    _read_header(path, data[:HEADER_SIZE])
     out = JournalReplay()
-    start = len(MAGIC)
+    start = HEADER_SIZE
     while start < len(data):
         pos = start + 1 + _HEADER.size
         if pos > len(data):
@@ -274,11 +313,15 @@ def replay_journal(path) -> JournalReplay:
         else:
             try:
                 if kind == KIND_BATCH:
-                    inserts, deletes = pickle.loads(payload)
-                    out.batches.append((inserts, deletes))
+                    split = _HALF.size + _HALF.unpack_from(payload)[0]
+                    if split > length:
+                        raise ValueError("inserts run past the record")
+                    halves = payload[_HALF.size : split], payload[split:]
+                    batch = (normalized_pairs(half.decode()) for half in halves)
+                    out.batches.append(tuple(batch))
                 elif out.batches:  # an abort: drop the batch it compensates
                     out.batches.pop()
-            except Exception as exc:
+            except (ValueError, struct.error) as exc:
                 reason = f"undecodable payload ({exc})"
         if reason is not None:
             if end < len(data):
@@ -306,7 +349,8 @@ def recover_session(
     """Rebuild a session from a journal; return it ready to serve.
 
     The base is ``edb``, the same base facts the original run started
-    from (empty when ``None``).  Every committed batch but the last is
+    from (empty when ``None``); a journal over other inputs is refused
+    before anything is folded.  Every committed batch but the last is
     *folded* into a private copy of it
     (:func:`~repro.engine.incremental.fold_batches`) and the session
     starts from that EDB with one from-scratch evaluation.  Only the
@@ -326,25 +370,29 @@ def recover_session(
     """
     replay = replay_journal(path)
     base = edb.copy() if edb is not None else Database()
-    folded, last = replay.batches[:-1], replay.batches[-1:]
-    fold_batches(base, folded)
-    session = IncrementalSession(program, base, **session_kwargs)
-    replayed = len(folded)
-    refailed = False
-    for inserts, deletes in last:
-        try:
-            session.apply_batch(
-                inserts=inserts or None, deletes=deletes or None
-            )
-            replayed += 1
-        except MaintenanceError:
-            refailed = True  # the original run rolled this batch back too
-    journal = Journal(path, fsync=fsync)
-    if replay.torn:
-        journal.truncate_tail(replay.tail_offset)
-    if refailed:
-        # Write the abort the crash swallowed: appends continue after
-        # this record, and the next recovery folds everything before its
-        # own last one without re-applying it.
-        journal.append_abort()
+    journal = Journal(path, program, base, fsync=fsync)
+    try:
+        folded, last = replay.batches[:-1], replay.batches[-1:]
+        fold_batches(base, folded)
+        session = IncrementalSession(program, base, **session_kwargs)
+        replayed = len(folded)
+        refailed = False
+        for inserts, deletes in last:
+            try:
+                session.apply_batch(
+                    inserts=inserts or None, deletes=deletes or None
+                )
+                replayed += 1
+            except MaintenanceError:
+                refailed = True  # the original run rolled this batch back too
+        if replay.torn:
+            journal.truncate_tail(replay.tail_offset)
+        if refailed:
+            # Write the abort the crash swallowed: appends continue after
+            # this record, and the next recovery folds everything before
+            # its own last one without re-applying it.
+            journal.append_abort()
+    except BaseException:
+        journal.close()
+        raise
     return session, journal, replayed

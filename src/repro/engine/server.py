@@ -50,7 +50,7 @@ from typing import List, Optional, Set, Tuple, Union
 from repro.datalog.literals import Literal
 from repro.datalog.parser import parse_literal, parse_query
 from repro.engine.database import Database
-from repro.engine.incremental import _normalize_updates
+from repro.engine.incremental import normalized_pairs
 from repro.engine.provenance import DerivationTree, derivation_tree
 from repro.engine.stats import EvalStats
 
@@ -218,14 +218,8 @@ class DatalogServer:
         """
         with self._write_lock:
             session = self.session
-            ins = _normalize_updates(inserts) if inserts is not None else {}
-            dels = _normalize_updates(deletes) if deletes is not None else {}
-            ins_pairs = [
-                (sig[0], row) for sig, rows in ins.items() for row in rows
-            ]
-            del_pairs = [
-                (sig[0], row) for sig, rows in dels.items() for row in rows
-            ]
+            ins_pairs = normalized_pairs(inserts) if inserts is not None else []
+            del_pairs = normalized_pairs(deletes) if deletes is not None else []
             if self.journal is not None:
                 self.journal.append_batch(ins_pairs, del_pairs)
             try:

@@ -316,6 +316,14 @@ def test_the_journal_holds_batches_only():
     assert grep(r"(?i)checkpoint", "src/repro") == []
 
 
+def test_a_journal_batch_is_fact_text():
+    """A batch is journaled as the ground fact text a ``+``/``-`` line
+    carries and read back by the parser those lines go through
+    (docs/incremental.md, "The write-ahead journal"): reading a journal
+    runs no code, and there is one batch format, not two."""
+    assert grep(r"pickle", "src/repro/engine/journal.py") == []
+
+
 #: Bottom to top: a module may import from its own layer and the layers
 #: below it, never from one above.  Names are relative to ``repro``; a
 #: module belongs to the longest name that prefixes it, so

@@ -27,8 +27,12 @@ def program_file(tmp_path):
 
 @pytest.fixture
 def facts_file(tmp_path):
-    path = tmp_path / "facts.dl"
-    path.write_text(FACTS_TEXT)
+    return facts_file_of(tmp_path, FACTS_TEXT)
+
+
+def facts_file_of(tmp_path, text, name="facts.dl"):
+    path = tmp_path / name
+    path.write_text(text)
     return str(path)
 
 
@@ -521,6 +525,82 @@ class TestServeJournal:
         dump2 = capsys.readouterr().out
         assert dump1 == dump2  # byte-identical recovered databases
         assert "t(" in dump1
+
+    def test_recovery_is_refused_over_other_inputs(
+        self, tmp_path, program_file, capsys
+    ):
+        """The journal's header binds the program and the base facts:
+        recovering without the run's ``--facts``, or with another
+        program, is an error, not a dump of a state never served."""
+        facts = tmp_path / "base.dl"
+        facts.write_text("e(1, 2).\ne(2, 3).\n")
+        journal = str(tmp_path / "wal.rjn")
+        assert self.serve(
+            tmp_path, program_file, str(facts), "+ e(3, 4).\nquit\n",
+            "--journal", journal,
+        ) == 0
+        capsys.readouterr()
+        other = tmp_path / "other.dl"
+        other.write_text(TC_TEXT + "u(X) :- e(X, X).\n")
+        for argv, differs in [
+            (["recover", program_file, journal], "base facts"),
+            (["recover", str(other), journal, "--facts", str(facts)], "program"),
+        ]:
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"{differs} digest mismatch" in captured.err
+        assert self.serve(
+            tmp_path, program_file, facts_file_of(tmp_path, "e(1, 2).\n"),
+            "quit\n", "--journal", journal,
+        ) == 2
+        assert "base facts digest mismatch" in capsys.readouterr().err
+        assert main(["recover", program_file, journal, "--facts", str(facts)]) == 0
+        assert "replayed 1 batches" in capsys.readouterr().err
+
+    def test_a_format_1_journal_is_refused_untouched(
+        self, tmp_path, program_file, facts_file, capsys
+    ):
+        journal = tmp_path / "old.rjn"
+        journal.write_bytes(b"RJN1B\x00\x00\x00\x01\x00\x00\x00\x00x")
+        before = journal.read_bytes()
+        for argv in (
+            ["recover", program_file, str(journal), "--facts", facts_file],
+            ["serve", program_file, "--facts", facts_file, "--journal", str(journal)],
+        ):
+            assert main(argv) == 2
+            assert "format 1 repro journal" in capsys.readouterr().err
+        assert journal.read_bytes() == before
+
+    def test_recover_dump_reparses_to_the_recovered_database(
+        self, tmp_path, program_file, facts_file, capsys
+    ):
+        """Quoted atoms, lists and compound terms dump as ``--facts``
+        input: reading the dump back gives the recovered database."""
+        from repro.datalog.parser import parse_program
+        from repro.engine.database import Database, load_program_facts
+        from repro.engine.journal import recover_session
+
+        journal = str(tmp_path / "wal.rjn")
+        assert self.serve(
+            tmp_path, program_file, facts_file,
+            "+ e('Hello World', 'x\\\\y').\n+ e([1, 'A'], f(b, 'it\\'s')).\n"
+            "+ e(go, -3).\n+ flag.\nquit\n",
+            "--journal", journal, "--strict",
+        ) == 0
+        capsys.readouterr()
+        assert main(["recover", program_file, journal, "--facts", facts_file]) == 0
+        dump = capsys.readouterr().out
+        assert "e('Hello World', 'x\\\\y')." in dump.splitlines()
+        dumped = Database()
+        load_program_facts(parse_program(dump), dumped)
+        with open(program_file) as tc, open(facts_file) as base:
+            program, edb = parse_program(tc.read()), Database()
+            load_program_facts(parse_program(base.read()), edb)
+        session, handle, replayed = recover_session(program, journal, edb)
+        handle.close()
+        assert replayed == 4
+        assert dumped == session.database
 
 
 class TestPathErrors:

@@ -304,7 +304,7 @@ def _recover(tmp_path, **knobs):
     from repro.engine.journal import Journal, recover_session
 
     path = tmp_path / "wal.rjn"
-    Journal(path).close()
+    Journal(path, TC, edb()).close()
     session, journal, _ = recover_session(TC, path, edb(), **knobs)
     journal.close()
     return session
@@ -502,7 +502,7 @@ def _recovered(tmp_path):
     from repro.engine.journal import Journal, recover_session
 
     path = tmp_path / "wal.rjn"
-    journal = Journal(path)
+    journal = Journal(path, TC, edb())
     journal.append_batch([("e", (3, 4))], [])
     journal.close()
     session, journal, replayed = recover_session(TC, path, edb())

@@ -10,19 +10,26 @@ torn-tail tests check it for a crash at *every byte offset* of the
 final record.
 """
 
-import pickle
+import struct
 import tempfile
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datalog.parser import parse_program
+from repro.datalog.terms import Compound, Constant, make_list
 from repro.engine import faults
 from repro.engine.database import Database
 from repro.engine.faults import FaultInjected, parse_faults
-from repro.engine.incremental import IncrementalSession, fold_batches
+from repro.engine.incremental import (
+    IncrementalSession,
+    fold_batches,
+    normalized_pairs,
+)
 from repro.engine.stats import MaintenanceError
 from repro.engine.journal import (
+    HEADER_SIZE,
     MAGIC,
     Journal,
     JournalError,
@@ -53,13 +60,25 @@ def _clean_faults():
     faults.clear()
 
 
+def open_journal(path, fsync=True):
+    """A journal over ``TC_TEXT`` and ``BASE``, the inputs of ``SCRIPT``."""
+    return Journal(
+        path, parse_program(TC_TEXT), Database.from_dict(BASE), fsync=fsync
+    )
+
+
+def normalized(batches):
+    """``batches`` as replay returns them: normalized pairs."""
+    return [tuple(normalized_pairs(half) for half in batch) for batch in batches]
+
+
 def run_journaled(path, batches=SCRIPT, **session_kwargs):
     """Apply ``batches`` through a session while journaling each one."""
     program = parse_program(TC_TEXT)
     session = IncrementalSession(
         program, Database.from_dict(BASE), **session_kwargs
     )
-    with Journal(path) as journal:
+    with open_journal(path) as journal:
         for inserts, deletes in batches:
             journal.append_batch(inserts, deletes)
             session.apply_batch(
@@ -84,38 +103,74 @@ def assert_same_state(recovered, clean):
     assert_trees_are_those_of(recovered, clean.edb)
 
 
+#: Constants fact text carries: ints, plain atoms, and quoted atoms
+#: holding quotes, backslashes, newlines, spaces and capitals.
+_text_leaf = st.one_of(
+    st.integers(-(10**20), 10**20),
+    st.from_regex(r"[a-z][a-z0-9_@~#]{0,5}", fullmatch=True),
+    st.text("aZ _'\\\n\t%.,()[]|:-é", max_size=6),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=3),
+).map(Constant)
+_text_term = st.recursive(
+    _text_leaf,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3).map(make_list),
+        st.builds(
+            Compound, st.sampled_from(["f", "g#h"]), st.lists(inner, min_size=1, max_size=2)
+        ),
+    ),
+    max_leaves=6,
+)
+_text_facts = st.lists(
+    st.tuples(
+        st.sampled_from(["e", "mark", "Caps", "two words"]),
+        st.lists(_text_term, max_size=3).map(tuple),
+    ),
+    max_size=4,
+)
+
+
 class TestRecordFormat:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "wal.rjn"
         run_journaled(path)
         replay = replay_journal(path)
-        assert replay.batches == SCRIPT
+        assert replay.batches == normalized(SCRIPT)
         assert not replay.torn
+
+    def test_a_batch_is_fact_text(self, tmp_path):
+        """The record holds the text of a ``+``/``-`` line: an insert
+        half, a delete half, each ground facts as the parser reads them."""
+        path = tmp_path / "wal.rjn"
+        with open_journal(path) as journal:
+            journal.append_batch(*SCRIPT[1])
+        payload = path.read_bytes()[HEADER_SIZE + 9 :]
+        assert payload == struct.pack(">I", 17) + b"e(4, 5).\ne(5, 6).e(1, 2)."
 
     def test_empty_journal_is_clean(self, tmp_path):
         path = tmp_path / "wal.rjn"
-        Journal(path).close()
+        open_journal(path).close()
         replay = replay_journal(path)
         assert replay.batches == []
         assert not replay.torn
-        assert replay.tail_offset == len(MAGIC)
+        assert replay.tail_offset == HEADER_SIZE
 
     def test_abort_drops_the_preceding_batch(self, tmp_path):
         path = tmp_path / "wal.rjn"
-        with Journal(path) as journal:
+        with open_journal(path) as journal:
             journal.append_batch(*SCRIPT[0])
             journal.append_batch(*SCRIPT[1])
             journal.append_abort()
         replay = replay_journal(path)
-        assert replay.batches == [SCRIPT[0]]
+        assert replay.batches == normalized([SCRIPT[0]])
 
     def test_bad_magic_raises(self, tmp_path):
         path = tmp_path / "wal.rjn"
-        path.write_bytes(b"NOPE" + b"x" * 32)
+        path.write_bytes(b"NOPE" + b"x" * HEADER_SIZE)
         with pytest.raises(JournalError, match="not a repro journal"):
             replay_journal(path)
-        with pytest.raises(JournalError, match="bad magic"):
-            Journal(path)
+        with pytest.raises(JournalError, match="not a repro journal"):
+            open_journal(path)
 
     def test_missing_magic_raises(self, tmp_path):
         path = tmp_path / "wal.rjn"
@@ -139,7 +194,7 @@ class TestRecordFormat:
         assert_same_state(session, clean_session(batches=[]))
         journal.append_batch(*SCRIPT[0])  # header written, appendable
         journal.close()
-        assert replay_journal(path).batches == [SCRIPT[0]]
+        assert replay_journal(path).batches == normalized([SCRIPT[0]])
 
     @pytest.mark.parametrize("head", [b"R", b"RJN", b"\x00\x00\x00\x00", b"RJN2" + b"B" * 9])
     def test_short_or_garbage_header_still_raises(self, tmp_path, head):
@@ -162,7 +217,7 @@ class TestRecordFormat:
 
     def test_unknown_kind_stops_replay(self, tmp_path):
         path = tmp_path / "wal.rjn"
-        with Journal(path) as journal:
+        with open_journal(path) as journal:
             journal.append_batch(*SCRIPT[0])
             offset = journal._fh.tell()
             journal.append_batch(*SCRIPT[1])
@@ -171,35 +226,36 @@ class TestRecordFormat:
         path.write_bytes(bytes(data))
         replay = replay_journal(path)
         assert replay.torn
-        assert replay.batches == [SCRIPT[0]]
+        assert replay.batches == normalized([SCRIPT[0]])
         assert replay.tail_offset == offset
 
-    @staticmethod
-    def journal_with_a_snapshot_record(path, *, last):
-        """``SCRIPT[0]``, then a ``C`` record as journals once wrote
-        them (a pickled EDB snapshot that reset the replay base), then
-        ``SCRIPT[1]`` unless the snapshot is ``last``.  Returns the
-        snapshot record's offset and the EDB it holds."""
-        edb = Database.from_dict(BASE)
-        fold_batches(edb, SCRIPT[:1])
-        with Journal(path) as journal:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"ab",  # shorter than the insert length
+            struct.pack(">I", 99) + b"e(1, 2).",  # inserts past the record
+            struct.pack(">I", 2) + b"\xff\xfe",  # not UTF-8
+            struct.pack(">I", 8) + b"e(X, 2).",  # not ground
+            struct.pack(">I", 13) + b"t(X) :- e(X).",  # a rule
+            struct.pack(">I", 9) + b"not facts",  # not the grammar
+        ],
+        ids=["short", "overrun", "utf8", "variable", "rule", "syntax"],
+    )
+    def test_a_valid_crc_payload_that_is_not_facts(self, tmp_path, payload):
+        """Torn when it is the last record, refused when records follow."""
+        record = b"B" + struct.pack(">II", len(payload), zlib.crc32(payload)) + payload
+        path = tmp_path / "wal.rjn"
+        with open_journal(path) as journal:
             journal.append_batch(*SCRIPT[0])
             offset = journal._fh.tell()
-            journal._append(
-                b"C", pickle.dumps(edb.snapshot(sorted(edb.relations)))
-            )
-            if not last:
-                journal.append_batch(*SCRIPT[1])
-        return offset, edb
-
-    def test_a_snapshot_record_mid_file_is_refused(self, tmp_path):
-        """Replaying around a snapshot record would reach a state its
-        writer never had (it reset the base), so the file is refused,
-        and recovery neither replays nor truncates it."""
-        path = tmp_path / "wal.rjn"
-        offset, _ = self.journal_with_a_snapshot_record(path, last=False)
+            journal._fh.write(record)
+        replay = replay_journal(path)
+        assert replay.torn and replay.tail_offset == offset
+        assert replay.batches == normalized([SCRIPT[0]])
+        with open_journal(path) as journal:
+            journal.append_batch(*SCRIPT[1])
         before = path.read_bytes()
-        refusal = rf"corrupt record at offset {offset} \(unknown record kind b'C'\)"
+        refusal = rf"corrupt record at offset {offset} \(undecodable payload"
         with pytest.raises(JournalError, match=refusal):
             replay_journal(path)
         with pytest.raises(JournalError, match=refusal):
@@ -208,47 +264,12 @@ class TestRecordFormat:
             )
         assert path.read_bytes() == before
 
-    def test_a_snapshot_record_at_the_end_is_a_torn_tail(self, tmp_path):
-        """As the last record it is cut like a torn write, and the fold
-        of the batches before it over the original base facts reaches
-        the EDB it held."""
-        path = tmp_path / "wal.rjn"
-        offset, snapshot = self.journal_with_a_snapshot_record(path, last=True)
-        replay = replay_journal(path)
-        assert replay.torn and replay.tail_offset == offset
-        recovered, journal, replayed = recover_session(
-            parse_program(TC_TEXT), path, Database.from_dict(BASE)
-        )
-        journal.close()
-        assert replayed == 1 and path.stat().st_size == offset
-        assert recovered.edb == snapshot
-        assert_same_state(recovered, clean_session(batches=SCRIPT[:1]))
-
-    def test_garbage_pickle_with_valid_crc_stops_replay(self, tmp_path):
-        import struct
-        import zlib
-
-        path = tmp_path / "wal.rjn"
-        with Journal(path) as journal:
-            journal.append_batch(*SCRIPT[0])
-            payload = b"not a pickle"
-            journal._fh.write(
-                b"B"
-                + struct.pack(
-                    ">II", len(payload), zlib.crc32(payload) & 0xFFFFFFFF
-                )
-                + payload
-            )
-        replay = replay_journal(path)
-        assert replay.torn
-        assert replay.batches == [SCRIPT[0]]
-
     def test_corruption_before_the_last_record_is_refused(self, tmp_path):
         """Only the last record can be torn: a bad byte in the first of
         three raises, naming the record's offset, and recovery leaves
         all three on disk instead of truncating the two intact ones."""
         path = tmp_path / "wal.rjn"
-        with Journal(path) as journal:
+        with open_journal(path) as journal:
             journal.append_batch(*SCRIPT[0])
             first_end = journal._fh.tell()
             journal.append_batch(*SCRIPT[1])
@@ -256,13 +277,111 @@ class TestRecordFormat:
         data = bytearray(path.read_bytes())
         data[first_end - 1] ^= 0xFF  # the first record's last payload byte
         path.write_bytes(bytes(data))
-        with pytest.raises(JournalError, match=f"record at offset {len(MAGIC)} "):
+        with pytest.raises(JournalError, match=f"record at offset {HEADER_SIZE} "):
             replay_journal(path)
         with pytest.raises(JournalError, match="CRC mismatch"):
             recover_session(
                 parse_program(TC_TEXT), path, Database.from_dict(BASE)
             )
         assert path.read_bytes() == bytes(data)
+
+
+class TestInputBinding:
+    """The header's digests bind a journal to the program and the base
+    facts its batches apply to: recovery over other inputs is refused
+    before anything is folded, and the file is left as it is."""
+
+    @pytest.mark.parametrize(
+        "text, base, differs",
+        [
+            (TC_TEXT, None, "base facts"),
+            (TC_TEXT, {"e": [(1, 2)]}, "base facts"),
+            (TC_TEXT + "u(X) :- e(X, X).", BASE, "program"),
+        ],
+        ids=["no-facts", "other-facts", "other-program"],
+    )
+    def test_other_inputs_are_refused(self, tmp_path, monkeypatch, text, base, differs):
+        from repro.engine import journal as journal_module
+
+        path = tmp_path / "wal.rjn"
+        run_journaled(path)
+        before = path.read_bytes()
+        monkeypatch.setattr(journal_module, "fold_batches", None)  # never reached
+        edb = Database.from_dict(base) if base is not None else None
+        refusal = f"{differs} digest mismatch"
+        with pytest.raises(JournalError, match=refusal):
+            recover_session(parse_program(text), path, edb)
+        with pytest.raises(JournalError, match=refusal):
+            Journal(path, parse_program(text), edb or Database())
+        assert path.read_bytes() == before
+
+    def test_the_order_of_rules_and_facts_does_not_count(self, tmp_path):
+        path = tmp_path / "wal.rjn"
+        run_journaled(path)
+        rules = parse_program(TC_TEXT).rules
+        recovered, journal, replayed = recover_session(
+            parse_program("\n".join(map(str, reversed(rules)))),
+            path,
+            Database.from_dict({"e": list(reversed(BASE["e"]))}),
+        )
+        journal.close()
+        assert replayed == len(SCRIPT)
+        assert_same_state(recovered, clean_session())
+
+    def test_a_format_1_journal_is_refused_untouched(self, tmp_path):
+        """No reader of the old binary batches is kept beside fact text."""
+        payload = b"old batch"
+        path = tmp_path / "wal.rjn"
+        for data in (
+            b"RJN1",
+            b"RJN1B" + struct.pack(">II", len(payload), zlib.crc32(payload)) + payload,
+        ):
+            path.write_bytes(data)
+            with pytest.raises(JournalError, match="is a format 1 repro journal"):
+                replay_journal(path)
+            with pytest.raises(JournalError, match="is a format 1 repro journal"):
+                open_journal(path)
+            with pytest.raises(JournalError, match="is a format 1 repro journal"):
+                recover_session(
+                    parse_program(TC_TEXT), path, Database.from_dict(BASE)
+                )
+            assert path.read_bytes() == data
+
+
+class TestFactText:
+    """A batch record is ground fact text: what the text cannot carry
+    is refused before a byte is written, and replay hands back exactly
+    the normalized pairs that were appended."""
+
+    @pytest.mark.parametrize(
+        "term",
+        [True, 1.5, None, (1, 2), Compound("F", (Constant(1),))],
+        ids=["bool", "float", "none", "tuple", "capital-functor"],
+    )
+    def test_an_unencodable_fact_writes_nothing(self, tmp_path, term):
+        path = tmp_path / "wal.rjn"
+        with open_journal(path) as journal:
+            journal.append_batch(*SCRIPT[0])
+            size = path.stat().st_size
+            bad = [("e", (1, term))]
+            for batch in ((bad, []), ([], bad), (bad + SCRIPT[1][0], [])):
+                with pytest.raises(ValueError, match="cannot journal"):
+                    journal.append_batch(*batch)
+            assert path.stat().st_size == size
+            journal.append_batch(*SCRIPT[1])  # the journal goes on
+        assert replay_journal(path).batches == normalized(SCRIPT[:2])
+
+    @settings(max_examples=60, deadline=None)
+    @given(batches=st.lists(st.tuples(_text_facts, _text_facts), max_size=4))
+    def test_replay_returns_the_normalized_pairs_appended(self, batches):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/wal.rjn"
+            with open_journal(path, fsync=False) as journal:
+                for inserts, deletes in batches:
+                    journal.append_batch(inserts, deletes)
+            replay = replay_journal(path)
+        assert not replay.torn
+        assert replay.batches == normalized(batches)
 
 
 class TestTornTail:
@@ -277,7 +396,7 @@ class TestTornTail:
         # Recompute record boundaries by walking the clean file.
         import struct
 
-        pos = len(MAGIC)
+        pos = HEADER_SIZE
         while pos < len(data):
             last_start = pos
             length, _ = struct.unpack_from(">II", data, pos + 1)
@@ -305,12 +424,12 @@ class TestTornTail:
         # The torn tail is gone and the journal accepts new appends.
         journal.append_batch(*SCRIPT[-1])
         journal.close()
-        assert replay_journal(path).batches == SCRIPT
+        assert replay_journal(path).batches == normalized(SCRIPT)
         assert not replay_journal(path).torn
 
     def test_injected_torn_write_behaves_like_a_crash(self, tmp_path):
         path = tmp_path / "wal.rjn"
-        with Journal(path) as journal:
+        with open_journal(path) as journal:
             journal.append_batch(*SCRIPT[0])
             faults.install(parse_faults("journal:torn:1"))
             with pytest.raises(FaultInjected, match="torn journal write"):
@@ -318,7 +437,7 @@ class TestTornTail:
             faults.install(None)
         replay = replay_journal(path)
         assert replay.torn
-        assert replay.batches == [SCRIPT[0]]
+        assert replay.batches == normalized([SCRIPT[0]])
         program = parse_program(TC_TEXT)
         session, journal, replayed = recover_session(
             program, path, Database.from_dict(BASE)
@@ -339,7 +458,7 @@ class TestTornTail:
             raise OSError(errno.EIO, os.strerror(errno.EIO))
 
         path = tmp_path / "wal.rjn"
-        with Journal(path) as journal:
+        with open_journal(path) as journal:
             journal.append_batch(*SCRIPT[0])
             with monkeypatch.context() as patch:
                 patch.setattr(os, "fsync", fail)
@@ -348,7 +467,7 @@ class TestTornTail:
                     journal.append_batch(*SCRIPT[1])
             with pytest.raises(JournalError, match="may replay on recovery"):
                 journal.append_batch(*SCRIPT[2])
-        assert replay_journal(path).batches == SCRIPT[:2]
+        assert replay_journal(path).batches == normalized(SCRIPT[:2])
 
 
 class TestRecoverSession:
@@ -376,7 +495,7 @@ class TestRecoverSession:
         session = IncrementalSession(
             program, Database.from_dict(BASE), **knobs
         )
-        with Journal(path) as journal:
+        with open_journal(path) as journal:
             journal.append_batch(*SCRIPT[0])
             session.apply_batch(inserts=SCRIPT[0][0])
             # The journal write succeeds (WAL order), then the apply
@@ -393,7 +512,7 @@ class TestRecoverSession:
 
     def test_recover_empty_journal_is_the_base_state(self, tmp_path):
         path = tmp_path / "wal.rjn"
-        Journal(path).close()
+        open_journal(path).close()
         program = parse_program(TC_TEXT)
         session, journal, replayed = recover_session(
             program, path, Database.from_dict(BASE)
@@ -503,7 +622,9 @@ def write_journal(path, program, steps, torn=None):
     """
     model = IncrementalSession(program, Database.from_dict(FOLD_BASE))
     surviving = 0
-    with Journal(path, fsync=False) as journal:
+    with Journal(
+        path, program, Database.from_dict(FOLD_BASE), fsync=False
+    ) as journal:
         for kind, inserts, deletes in steps:
             journal.append_batch(inserts, deletes)
             if kind == "aborted":
@@ -598,7 +719,7 @@ class TestFoldedRecovery:
         monkeypatch.setattr(journal_module, "fold_batches", spy)
         path = tmp_path / "wal.rjn"
         poison = [("e", (100 + i, 101 + i)) for i in range(25)]
-        with Journal(path) as journal:
+        with open_journal(path) as journal:
             journal.append_batch(*SCRIPT[0])
             journal.append_batch(poison, [])
             journal.append_abort()
@@ -609,7 +730,7 @@ class TestFoldedRecovery:
             program, path, Database.from_dict(BASE)
         )
         journal.close()
-        assert folded == [SCRIPT[0], SCRIPT[1]]
+        assert folded == normalized([SCRIPT[0], SCRIPT[1]])
         assert (replayed, applies) == (3, 1)
         assert not recovered.edb.has_fact("e", (100, 101))
         assert_same_state(recovered, clean_session())
@@ -627,7 +748,7 @@ class TestFoldedRecovery:
         session = IncrementalSession(
             program, Database.from_dict(BASE), **knobs
         )
-        with Journal(path) as journal:
+        with open_journal(path) as journal:
             for inserts, deletes in SCRIPT[:2]:
                 journal.append_batch(inserts, deletes)
                 session.apply_batch(
@@ -641,7 +762,7 @@ class TestFoldedRecovery:
         )
         assert (replayed, applies) == (2, 1)
         assert_same_state(recovered, session)
-        assert replay_journal(path).batches == SCRIPT[:2]
+        assert replay_journal(path).batches == normalized(SCRIPT[:2])
         # Serve on, crash again: the poisoned record is mid-journal now.
         journal.append_batch(*SCRIPT[2])
         recovered.apply_batch(deletes=SCRIPT[2][1])
@@ -657,7 +778,7 @@ class TestFoldedRecovery:
     def test_apply_batch_runs_once_however_long_the_journal(self, tmp_path):
         path = tmp_path / "wal.rjn"
         edges = set(BASE["e"])
-        with Journal(path, fsync=False) as journal:
+        with open_journal(path, fsync=False) as journal:
             for i in range(450):
                 new = [(10 + i, 11 + i), (10 + i, 12 + i), (i % 7, 10 + i)]
                 gone = [(10 + i - 3, 11 + i - 3)] if i % 3 == 2 else []

@@ -113,6 +113,18 @@ class TestRoundTrip:
         rule = parse_rule(text)
         assert parse_rule(pretty_rule(rule)) == rule
 
+    @pytest.mark.parametrize(
+        "value",
+        ["x\\y", "it's", "Hello World", "Capital", "two\nlines", "\\'", "_x", "-1"],
+    )
+    def test_quoted_atom_roundtrip(self, value):
+        """A constant that is not a bare atom is quoted, ``\\`` and
+        ``'`` escaped inside, so it parses back as the same constant —
+        as a predicate name too."""
+        args = (Constant(value), make_list([Constant(value)]))
+        rule = Rule(Literal(value, args), ())
+        assert parse_rule(pretty_rule(rule)) == rule
+
     def test_program_roundtrip(self):
         from repro.workloads.examples import three_rule_tc_program
 

@@ -314,7 +314,8 @@ class TestJournaledServer:
         session = IncrementalSession(
             program, Database.from_dict(BASE), max_iterations=10
         )
-        with DatalogServer(session, journal=Journal(path)) as server:
+        journal = Journal(path, program, Database.from_dict(BASE))
+        with DatalogServer(session, journal=journal) as server:
             server.insert("e(3, 4).")
             with pytest.raises(MaintenanceError):
                 server.apply_batch(inserts=POISON)
@@ -327,6 +328,25 @@ class TestJournaledServer:
         assert recovered.database == session.database
         assert recovered.edb == session.edb
 
+    def test_a_batch_fact_text_cannot_carry_is_refused(self, tmp_path):
+        """Neither journaled nor applied, and not a failed write: the
+        journal takes the next batch."""
+        path = tmp_path / "wal.rjn"
+        program = parse_program(TC_TEXT)
+        session = IncrementalSession(program, Database.from_dict(BASE))
+        journal = Journal(path, program, Database.from_dict(BASE))
+        with DatalogServer(session, journal=journal) as server:
+            with pytest.raises(ValueError, match="cannot journal"):
+                server.insert([("e", (3, 4.5))])
+            server.insert("e(3, 4).")
+            assert (server.stats.version, server.stats.batches_aborted) == (1, 0)
+        recovered, journal, replayed = recover_session(
+            program, path, Database.from_dict(BASE)
+        )
+        journal.close()
+        assert replayed == 1
+        assert recovered.database == session.database
+
     def test_a_failed_append_stops_the_journal(self, tmp_path):
         """A torn append leaves a tail that replay stops at, so no later
         batch may be acknowledged: the journal refuses it instead."""
@@ -334,7 +354,8 @@ class TestJournaledServer:
         program = parse_program(TC_TEXT)
         base = {"e": [(1, 2)]}
         session = IncrementalSession(program, Database.from_dict(base))
-        with DatalogServer(session, journal=Journal(path)) as server:
+        journal = Journal(path, program, Database.from_dict(base))
+        with DatalogServer(session, journal=journal) as server:
             assert handle_line(server, "+ e(2, 3).")[1].startswith("ok +")
             faults.install(faults.parse_faults("journal:torn:1"))
             try:
@@ -364,7 +385,8 @@ class TestJournaledServer:
         program = parse_program(TC_TEXT)
         base = {"e": [(1, 2)]}
         session = IncrementalSession(program, Database.from_dict(base))
-        with DatalogServer(session, journal=Journal(path)) as server:
+        journal = Journal(path, program, Database.from_dict(base))
+        with DatalogServer(session, journal=journal) as server:
             assert handle_line(server, "+ e(2, 3).")[1].startswith("ok +")
 
             def full_disk(fd):

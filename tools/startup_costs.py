@@ -100,6 +100,8 @@ def write_inputs(workdir, seed, batches):
     workloads.SIZES["startup_costs"] = {"serve_rw": shape}
     inputs = workloads.GENERATORS["serve_rw"](seed, "startup_costs")
 
+    from repro.datalog.parser import parse_program
+    from repro.engine.database import Database, load_program_facts
     from repro.engine.journal import Journal
 
     paths = {
@@ -110,7 +112,14 @@ def write_inputs(workdir, seed, batches):
         handle.write(inputs["text"])
     with open(paths["facts.dl"], "w") as handle:
         handle.write(inputs["facts_text"])
-    with Journal(paths["journal.rjn"], fsync=False) as journal:
+    edb = Database()
+    load_program_facts(parse_program(inputs["facts_text"]), edb)
+    program = parse_program(inputs["text"])
+    try:
+        journal = Journal(paths["journal.rjn"], program, edb, fsync=False)
+    except TypeError:  # a checkout whose journals name no inputs
+        journal = Journal(paths["journal.rjn"], fsync=False)
+    with journal:
         for sign, edges, _ in inputs["writes"]:
             pairs = [("e", edge) for edge in edges]
             journal.append_batch(*((pairs, []) if sign == "+" else ([], pairs)))
