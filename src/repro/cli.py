@@ -368,10 +368,16 @@ def cmd_recover(args) -> int:
         f"{session.database.total_facts()} facts",
         file=sys.stderr,
     )
-    for sig in sorted(session.database.relations):
-        rel = session.database.relations[sig]
-        for fact in sorted(rel.tuples, key=str):
-            print(pretty_fact(sig[0], fact) + ".")
+    # One write: under unbuffered output a print per fact is a
+    # syscall per fact.
+    relations = session.database.relations
+    sys.stdout.write(
+        "".join(
+            pretty_fact(sig[0], fact) + ".\n"
+            for sig in sorted(relations)
+            for fact in sorted(relations[sig].tuples, key=str)
+        )
+    )
     return 0
 
 

@@ -1,10 +1,14 @@
 """Pretty-printing of terms, literals, rules, and programs.
 
 The printed form is re-parseable by :mod:`repro.datalog.parser`
-(round-trip tested), with one readability concession: generated
-predicate names such as ``t@bf`` or ``m_t@bf`` contain ``@``/``~``
-characters, which the parser accepts inside predicate names so that
-dumps of transformed programs can be re-read.
+(round-trip tested) for the terms the parser can write: variables and
+the ground terms :func:`is_text_term` accepts (``int``/``str``
+constants, atom functors).  Other constants print as their Python
+``repr`` and do not come back: ``p(1.5)`` does not parse, and
+``True``/``None`` parse as variables.  Generated predicate names such
+as ``t@bf`` or ``m_t@bf`` contain ``@``/``~`` characters, which the
+parser accepts inside predicate names so that dumps of transformed
+programs can be re-read.
 """
 
 from __future__ import annotations
@@ -26,7 +30,12 @@ from repro.datalog.terms import (
 
 
 def pretty_term(term: Term) -> str:
-    """Render a term in Prolog-ish concrete syntax."""
+    """Render a term in Prolog-ish concrete syntax.
+
+    A ground term parses back to itself exactly when
+    :func:`is_text_term` accepts it; any other constant is written as
+    its ``repr`` (``1.5``, ``True``), which does not.
+    """
     if isinstance(term, Constant):
         value = term.value
         if isinstance(value, str):

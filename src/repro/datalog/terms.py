@@ -98,7 +98,13 @@ class Constant(Term):
         return iter(())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Constant) and other.value == self.value
+        # The type too: 1, 1.0 and True are equal Python values but
+        # distinct constants (they only share a hash bucket).
+        return (
+            isinstance(other, Constant)
+            and other.value == self.value
+            and type(other.value) is type(self.value)
+        )
 
     def __hash__(self) -> int:
         return self._hash

@@ -5,10 +5,12 @@ is tuple-at-a-time: one recursive descent per partial binding, one
 Python-level ``Term.__hash__`` per probe key, one slot list per call.
 This module executes the *same* plan batch-at-a-time over the interned
 columnar image (:meth:`~repro.engine.database.Relation.ensure_columns`):
-the working set is a list of **rows** — tuples of interned ids, one
-entry per slot still read downstream — and each step transforms the
-whole list in one pass.  Scans zip column slices directly, probes are
-int-keyed ``dict.get`` against persistent
+the working set is a list of **rows** — the interned ids of the slots
+still read downstream, encoded like a stored row
+(:func:`~repro.engine.database.rows_of`: one id is itself, more are a
+tuple) — and each step transforms the whole list in one pass.  Scans
+zip column slices directly, probes are int-keyed ``dict.get`` against
+persistent
 :meth:`~repro.engine.database.Relation.col_index` tables whose buckets
 hold each row's unkeyed values (so a probe binds without a column
 read), existence checks are int-row membership in
@@ -18,7 +20,7 @@ until a derived fact turns out to be *new*.
 **Generated, not interpreted.**  The passes are not dispatched step by
 step: each plan *shape* (:func:`_compile_kernel`) is written out once
 as the source of one Python function (:func:`kernel_source`) — a
-comprehension per step, the last one building the head tuple — which
+comprehension per step, the last one building the head row — which
 is compiled on first execution and shared by every plan of that shape
 (:func:`kernel_function`).  Columns are plain lists holding the
 :class:`~repro.engine.intern.TermDictionary`'s own int objects, so a
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 from typing import List, Mapping, Optional
 
-from repro.engine.database import Database, RelationView, RowTuple
+from repro.engine.database import Database, RelationView, Row, columns_of, rows_of
 from repro.engine.plan import (
     H_SLOT,
     K_SLOT,
@@ -59,18 +61,16 @@ from repro.engine.plan import (
 )
 
 
-def decode_rows(terms, rows) -> List[tuple]:
-    """Decode interned rows back to term tuples, column-wise.
+def decode_rows(terms, rows, arity: int) -> List[tuple]:
+    """Decode interned rows of an ``arity`` relation back to term tuples.
 
     Transposing twice keeps the per-term work inside C-level ``zip``
     and a flat list comprehension instead of a nested generator per
     row — this sits on the round-end absorption path.
     """
-    if not rows:
-        return []
-    if not rows[0]:
+    if not arity:
         return [()] * len(rows)  # nullary: there are no columns to zip
-    return list(zip(*([terms[i] for i in col] for col in zip(*rows))))
+    return list(zip(*([terms[i] for i in col] for col in columns_of(rows, arity))))
 
 
 #: Step kinds of a kernel shape (see :func:`_compile_kernel`).
@@ -167,20 +167,28 @@ def _tuple(items) -> str:
     return "(" + ", ".join(items) + (",)" if len(items) == 1 else ")")
 
 
+def _row(items) -> str:
+    """A row or partial binding of ``items``, encoded like
+    :func:`~repro.engine.database.rows_of`: one value is itself."""
+    items = list(items)
+    return items[0] if len(items) == 1 else "(" + ", ".join(items) + ")"
+
+
 def kernel_source(shape) -> str:
     """Python source of the batch function for one kernel shape.
 
     One comprehension per non-ground step after the entry, in plan
-    order.  A partial binding is a tuple of the slots a later key or
-    the head still reads; a step unpacks it into locals (``s3`` is slot
-    3), writes its probe key, equality checks and existence test out
-    positionally, reads stored values straight from the source's
-    columns for a scan (``c2_0`` is column 0 of step 2's source) or from
-    the bucket entry for a probe (``i``, or ``i[k]`` for the ``k``-th
-    unkeyed position of a wider one) and builds the
-    narrowed tuple for the next step — the last step builds the head
-    tuple itself, and a pure filter passes its rows through.  ``n`` is
-    the tuple executor's ``probes``: the batch size entering each step.
+    order.  A partial binding holds the slots a later key or the head
+    still reads, a bare value for one slot (:func:`_row`); a step
+    unpacks it into locals (``s3`` is slot 3), writes its probe key,
+    equality checks and existence test out positionally, reads stored
+    values straight from the source's columns for a scan (``c2_0`` is
+    column 0 of step 2's source) or from the bucket entry for a probe
+    (``i``, or ``i[k]`` for the ``k``-th unkeyed position of a wider
+    one) and builds the narrowed binding for the next step — the last
+    step builds the head row itself, and a pure filter passes its rows
+    through.  ``n`` is the tuple executor's ``probes``: the batch size
+    entering each step.
     The text holds generated names and integers only; whatever came
     from the program (columns, indexes, interned constants) arrives in
     ``resolved`` and ``head``.
@@ -220,7 +228,9 @@ def kernel_source(shape) -> str:
                 return item
             if item in stored:
                 return stored[item]
-            return f"r[{layout.index(item)}]" if keep else f"s{item}"
+            if not keep:
+                return f"s{item}"
+            return f"r[{layout.index(item)}]" if len(layout) > 1 else "r"
 
         numbers = iter(range(len(key or ())))
         parts = [
@@ -233,15 +243,13 @@ def kernel_source(shape) -> str:
             if tag == O_CHECK
         ]
         if kind == S_EXISTS:
-            conds.append(f" if {_tuple(parts)} in known{j}")
-        candidates = _CANDIDATES.get(kind, "").format(
-            j=j, key=parts[0] if len(parts) == 1 else _tuple(parts)
-        )
+            conds.append(f" if {_row(parts)} in known{j}")
+        candidates = _CANDIDATES.get(kind, "").format(j=j, key=_row(parts))
         if keep and not candidates and not conds:
             body = "rows[:]"
         else:
-            result = "r" if keep else _tuple(map(ref, out))
-            pattern = "r" if keep else _tuple(f"s{s}" for s in layout) if layout else "_"
+            result = "r" if keep else _row(map(ref, out))
+            pattern = "r" if keep else _row(f"s{s}" for s in layout) if layout else "_"
             body = f"[{result} for {pattern} in rows{candidates}{''.join(conds)}]"
         if j is not None:
             names = _RESOLVED[kind].format(j=j).split()
@@ -315,7 +323,7 @@ def execute_columnar(
     overrides: Optional[Mapping[int, object]],
     stats=None,
     capable: Optional[set] = None,
-) -> Optional[List[RowTuple]]:
+) -> Optional[List[Row]]:
     """Run ``plan`` batch-at-a-time; the interned head rows, in order.
 
     Returns ``None`` — with **no** side effects, counters included —
@@ -348,7 +356,7 @@ def execute_columnar(
     # gets one tuple, laid out as :data:`_RESOLVED` names it plus the
     # step's interned key constants.
     resolved: List[tuple] = []
-    rows: List[RowTuple] = [()]
+    rows: List[Row] = [()]
     span = None  # the entry scan's (cols, lo, hi) when its rows are not cached
     for j, step in enumerate(steps):
         rel = None
@@ -390,25 +398,22 @@ def execute_columnar(
                 rel.ensure_columns()
             keys = consts[j] and [intern(term) for term in consts[j]]
             resolved.append((rel.col_index(step.key_positions).get, *keys))
-        elif kind == S_GROUND:
-            # Ground literal: its truth is fixed for the whole run.
-            if counting:
-                stats.probes += 1
-            key = tuple(intern(term) for term in consts[j])
-            if key not in rel.col_set():
-                return []
         elif kind == S_EXISTS:
             keys = consts[j] and [intern(term) for term in consts[j]]
             resolved.append((rel.col_set(), *keys))
-        else:  # S_BUCKET: constant-only filter, one bucket for the run.
-            key_positions = step.key_positions
+        else:
+            # A constant key, fixed for the whole run: a ground literal's
+            # row (S_GROUND) or a constant-only filter's bucket (S_BUCKET),
+            # a bare id for one position either way.
             if counting:
                 stats.probes += 1
-            if len(key_positions) == 1:
-                key = intern(consts[j][0])
-            else:
-                key = tuple(intern(term) for term in consts[j])
-            bucket = rel.col_index(key_positions).get(key)
+            key = [intern(term) for term in consts[j]]
+            key = key[0] if len(key) == 1 else tuple(key)
+            if kind == S_GROUND:
+                if key not in rel.col_set():
+                    return []
+                continue
+            bucket = rel.col_index(step.key_positions).get(key)
             if bucket is None:
                 return []
             if type(rel) is RelationView:  # synced for the count, as above
@@ -420,11 +425,7 @@ def execute_columnar(
     if span is not None:
         # Vectorized entry: all positions are fresh variables, so the
         # batch is the column slices zipped.
-        cols, lo, hi = span
-        if lo or hi != len(cols[0]):
-            rows = list(zip(*(col[lo:hi] for col in cols)))
-        else:
-            rows = list(zip(*cols))
+        rows = list(rows_of(*span))
     run = plan._kernel
     if run is None:
         run = plan._kernel = kernel_function(shape)

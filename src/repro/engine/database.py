@@ -13,7 +13,7 @@ from array import array
 from bisect import bisect_left
 from contextlib import nullcontext
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.datalog.literals import Literal
 from repro.datalog.rules import Rule
@@ -23,8 +23,9 @@ from repro.datalog.unify import match_term
 
 FactTuple = Tuple[Term, ...]
 Signature = Tuple[str, int]
-#: A fact as interned column values (one id per attribute).
-RowTuple = Tuple[int, ...]
+#: A fact as interned column values (:func:`rows_of`): the bare id for
+#: an arity-1 relation, one id per attribute in a tuple otherwise.
+Row = Union[int, Tuple[int, ...]]
 
 #: Lock stand-in for relations without a dictionary: those never have
 #: columnar structures, so there is no cross-thread drain to exclude.
@@ -151,6 +152,22 @@ def _projected(cols, positions: Sequence[int], lo: int, hi: int):
     return [()] * (hi - lo)
 
 
+def rows_of(cols, lo: int, hi: int):
+    """Rows ``lo:hi`` of ``cols`` as interned rows, for ``list``/``set``.
+
+    The one encoding of a row: the fact's projection on all its
+    positions, written as :func:`_projected` writes projections — so an
+    arity-1 relation's row is its bare id and any other row an id tuple.
+    """
+    return _projected(cols, range(len(cols)), lo, hi)
+
+
+def columns_of(rows, arity: int):
+    """The inverse of :func:`rows_of`: ``rows`` of an ``arity`` relation
+    as one sequence of ids per position."""
+    return (rows,) if arity == 1 else list(zip(*rows))
+
+
 def _col_entries(cols, positions: Tuple[int, ...], lo: int, hi: int):
     """``(entry, key)`` per row ``lo:hi`` of ``cols`` for the int index on
     ``positions``: the key is the row's projection on ``positions``, the
@@ -249,23 +266,23 @@ class Relation:
         #: Shared term dictionary enabling the columnar image (or None).
         self.dictionary = dictionary
         self._cols: Optional[List[List[int]]] = None
-        self._colset: Optional[Set[RowTuple]] = None
+        self._colset: Optional[Set[Row]] = None
         self._colset_n = 0
         # positions -> (int-keyed index of row entries, watermark).
         self._col_indexes: Dict[Tuple[int, ...], Tuple[Dict, int]] = {}
         # The int indexes' counterpart of _owned.
         self._col_owned: Dict[Tuple[int, ...], Set] = {}
-        # (lo, hi, rows): the row tuples of the most recent bulk append,
+        # (lo, hi, rows): the rows of the most recent bulk append,
         # kept so the next round's delta scan over exactly that span can
         # reuse them instead of re-zipping column slices.  Columns are
         # append-only, so the cache stays valid until compaction.
-        self._last_rows: Optional[Tuple[int, int, List[RowTuple]]] = None
+        self._last_rows: Optional[Tuple[int, int, List[Row]]] = None
         # Bulk-appended rows not yet transposed into the columns.  A
         # head relation whose deltas are served from _last_rows and
         # whose dedup runs against the row set never needs its columns
         # during the fixpoint; ensure_columns() drains this buffer in
         # one transpose the first time the columns are actually read.
-        self._pending_rows: List[RowTuple] = []
+        self._pending_rows: List[Row] = []
 
     # ------------------------------------------------------------------
     # The tuple world: late materialization
@@ -516,7 +533,7 @@ class Relation:
                 buffered = self._pending_rows
                 if buffered:
                     cols = self._cols
-                    for col, values in zip(cols, zip(*buffered)):
+                    for col, values in zip(cols, columns_of(buffered, self.arity)):
                         col.extend(values)
                     self._pending_rows = []
             return self._cols
@@ -543,7 +560,7 @@ class Relation:
                 self._cols = cols
         return cols
 
-    def col_set(self) -> Optional[Set[RowTuple]]:
+    def col_set(self) -> Optional[Set[Row]]:
         """The facts as a set of interned rows (watermark-extended)."""
         rows = self._colset
         if rows is not None and self._colset_n == len(self._logrows) + self._pending_n:
@@ -556,7 +573,7 @@ class Relation:
         n = len(cols[0])
         rows = self._colset
         if rows is None:
-            rows = set(zip(*cols))
+            rows = set(rows_of(cols, 0, n))
             self._colset = rows
             self._colset_n = n
         elif self._colset_n < n:
@@ -566,8 +583,7 @@ class Relation:
             # third reader iterating the set.
             with self._sync_lock():
                 if self._colset_n < n:
-                    start = self._colset_n
-                    rows.update(zip(*(col[start:] for col in cols)))
+                    rows.update(rows_of(cols, self._colset_n, n))
                     self._colset_n = n
         return rows
 
@@ -607,7 +623,7 @@ class Relation:
                 self._col_indexes[positions] = (index, n)
         return index
 
-    def add_row(self, fact: FactTuple, row: RowTuple) -> None:
+    def add_row(self, fact: FactTuple, row: Row) -> None:
         """Append a fact known to be novel, with its interned row.
 
         The columnar round-end add: the caller already deduplicated
@@ -627,26 +643,26 @@ class Relation:
             self._index_facts((fact,))
         if cols is None:
             return
-        for col, value in zip(cols, row):
-            col.append(value)
+        for col, values in zip(cols, columns_of((row,), self.arity)):
+            col.extend(values)
         if self._colset is not None and self._colset_n == position:
             self._colset.add(row)
             self._colset_n = position + 1
         self._index_rows((row,), position)
 
-    def _index_rows(self, rows: Sequence[RowTuple], position: int) -> None:
+    def _index_rows(self, rows: Sequence[Row], position: int) -> None:
         """Enter ``rows``, logged from ``position``, into every int index
         synced up to there; a lagging one catches up on its next probe."""
         cols = None
         for positions, (index, watermark) in self._col_indexes.items():
             if watermark != position:
                 continue
-            cols = cols or list(zip(*rows))
+            cols = cols or columns_of(rows, self.arity)
             entries = _col_entries(cols, positions, 0, len(rows))
             _fill_buckets(index, self._col_owned.get(positions), entries)
             self._col_indexes[positions] = (index, position + len(rows))
 
-    def append_rows(self, rows: List[RowTuple]) -> None:
+    def append_rows(self, rows: List[Row]) -> None:
         """Bulk-append novel interned rows, columnar-side only.
 
         The round-end absorption of the columnar fixpoint: the caller
@@ -813,8 +829,9 @@ class Relation:
         covered = 0 if cols is None else len(cols[0])
         if covered == len(log):
             ident = self.dictionary.lookup
-            rows = {tuple(map(ident, fact)) for fact in doomed}
-            gone = [i for i, row in enumerate(zip(*cols)) if row in rows]
+            ids = [[ident(term) for term in col] for col in zip(*doomed)]
+            rows = set(rows_of(ids, 0, len(doomed)))
+            gone = [i for i, row in enumerate(rows_of(cols, 0, covered)) if row in rows]
         else:
             rows = None
             gone = [i for i, fact in enumerate(log) if fact in doomed]
@@ -927,7 +944,7 @@ class RelationView:
         ] = None
         self._set: Optional[Set[FactTuple]] = None
         self._col_indexes: Optional[Dict[Tuple[int, ...], Dict]] = None
-        self._colset: Optional[Set[RowTuple]] = None
+        self._colset: Optional[Set[Row]] = None
 
     @property
     def dictionary(self) -> Optional[TermDictionary]:
@@ -1006,15 +1023,13 @@ class RelationView:
             self._col_indexes[positions] = index
         return index
 
-    def col_set(self) -> Optional[Set[RowTuple]]:
+    def col_set(self) -> Optional[Set[Row]]:
         """The slice's facts as a set of interned rows."""
         cols = self.relation.ensure_columns()
         if cols is None:
             return None
         if self._colset is None:
-            self._colset = set(
-                zip(*(col[self.start : self.stop] for col in cols))
-            )
+            self._colset = set(rows_of(cols, self.start, self.stop))
         return self._colset
 
     def __getstate__(self):

@@ -533,7 +533,9 @@ class IncrementalSession:
             emitted: List[FactTuple] = []
             plan.execute(self.database, overrides, emitted.append, stats)
         else:
-            emitted = decode_rows(self.database.dictionary.terms, rows)
+            emitted = decode_rows(
+                self.database.dictionary.terms, rows, rule.head.arity
+            )
         return emitted
 
     # ------------------------------------------------------------------

@@ -36,7 +36,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.engine.columnar import columnar_capable, execute_columnar
-from repro.engine.database import Database, FactTuple, Relation, RelationView, RowTuple
+from repro.engine.database import Database, FactTuple, Relation, RelationView, Row
+from repro.engine.database import columns_of, rows_of
 from repro.engine.plan import K_SLOT, O_STORE, RulePlan
 from repro.engine.stats import EvalStats
 
@@ -105,7 +106,7 @@ def split_indices(
     return buckets
 
 
-def _delta_rows(delta: RelationView) -> Optional[List[RowTuple]]:
+def _delta_rows(delta: RelationView) -> Optional[List[Row]]:
     """The delta window's facts in log order as interned rows, or ``None``."""
     parent = delta.relation
     last = parent._last_rows
@@ -114,7 +115,7 @@ def _delta_rows(delta: RelationView) -> Optional[List[RowTuple]]:
     cols = parent.ensure_columns()
     if cols is None:
         return None
-    return list(zip(*(col[delta.start : delta.stop] for col in cols)))
+    return list(rows_of(cols, delta.start, delta.stop))
 
 
 def _facts_partition(name: str, arity: int, facts: List[FactTuple]) -> Relation:
@@ -130,7 +131,7 @@ def _facts_partition(name: str, arity: int, facts: List[FactTuple]) -> Relation:
 
 
 def _rows_partition(
-    name: str, arity: int, rows: List[RowTuple], dictionary
+    name: str, arity: int, rows: List[Row], dictionary
 ) -> Relation:
     """A throwaway relation holding one columnar delta partition.
 
@@ -140,7 +141,7 @@ def _rows_partition(
     pending and is only decoded if a tuple fallback actually reads it.
     """
     rel = Relation(name, arity, dictionary)
-    rel._cols = [list(col) for col in zip(*rows)]
+    rel._cols = [list(col) for col in columns_of(rows, arity)]
     rel._pending_n = len(rows)
     return rel
 

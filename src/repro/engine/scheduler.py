@@ -53,7 +53,8 @@ from repro.engine.database import (
     FactTuple,
     Relation,
     RelationView,
-    RowTuple,
+    Row,
+    rows_of,
 )
 from repro.engine.partition import run_partitioned
 from repro.engine.plan import PlanCache, RoleSpec
@@ -356,16 +357,17 @@ class _TermRows:
                 plan, self.db, overrides, self.stats, self.capable
             )
             if rows is not None:
-                return self, self.adopt(rows)
+                return self, self.adopt(rows, rel)
             self.stats.columnar_fallbacks += 1
         emitted: List[FactTuple] = []
         plan.execute(self.db, overrides, emitted.append, self.stats)
         return self, emitted
 
-    def adopt(self, out) -> list:
-        """What the kernel or a partitioned run emitted, as term facts."""
+    def adopt(self, out, rel: Relation) -> list:
+        """What the kernel or a partitioned run emitted for ``rel``, as
+        term facts."""
         if self.interned:
-            return decode_rows(self.db.dictionary.terms, out)
+            return decode_rows(self.db.dictionary.terms, out, rel.arity)
         return out
 
     def novel(self, rel: Relation, emitted) -> Set[FactTuple]:
@@ -384,7 +386,8 @@ class _TermRows:
 
 
 class _InternedRows:
-    """Rows are interned id tuples, produced by the batch kernel.
+    """Rows are interned rows, produced by the batch kernel: a unary
+    head's row is its bare id, any other an id tuple (:func:`rows_of`).
 
     Dedup is int-row set difference against the head's column set and
     absorption is a columnar bulk append: nothing is decoded back to
@@ -421,18 +424,20 @@ class _InternedRows:
             if self.single_pass:
                 return batch
             intern = db.dictionary.intern
-            return self, [tuple(map(intern, fact)) for fact in batch[1]]
+            facts = batch[1]
+            ids = [[intern(term) for term in col] for col in zip(*facts)]
+            return self, list(rows_of(ids, 0, len(facts)))
         if self.single_pass and (
             rel.arity == 0 or rel.dictionary is not db.dictionary
         ):
-            return self.terms, decode_rows(db.dictionary.terms, rows)
+            return self.terms, decode_rows(db.dictionary.terms, rows, rel.arity)
         return self, rows
 
-    def adopt(self, out) -> list:
+    def adopt(self, out, rel: Relation) -> list:
         """A partitioned run's emissions are already interned rows."""
         return out
 
-    def novel(self, rel: Relation, emitted) -> Set[RowTuple]:
+    def novel(self, rel: Relation, emitted) -> Set[Row]:
         # Narrowed in place: a round's rows are never held in two sets.
         fresh = set(emitted)
         fresh -= rel.col_set()
@@ -452,9 +457,10 @@ class _InternedRows:
             rel.append_rows(rows)
             stats.facts += len(rows)
             return
-        terms = self.db.dictionary.terms
-        for row in fresh:
-            rel.add_row(tuple(terms[i] for i in row), row)
+        rows = list(fresh)
+        facts = decode_rows(self.db.dictionary.terms, rows, rel.arity)
+        for fact, row in zip(facts, rows):
+            rel.add_row(fact, row)
             stats.facts += 1
             budget(stats)
 
@@ -742,7 +748,7 @@ class ComponentRun:
                             )
                             if out is not None:
                                 round_partitioned = True
-                                out = rows.adopt(out)
+                                out = rows.adopt(out, rel)
                         if out is None:
                             batch_rows, out = rows.run(plan, overrides, rel)
                         if emitted:

@@ -189,6 +189,12 @@ def pin_storage(db: Database):
     return pinned, {sig: list(rel._log) for sig, rel in pinned.relations.items()}
 
 
+def encoded_rows(id_facts, arity):
+    """``id_facts`` (one id tuple per fact) as a relation stores its rows:
+    a unary relation's row is its bare id, any other row the id tuple."""
+    return [fact[0] for fact in id_facts] if arity == 1 else list(id_facts)
+
+
 def rebuilt_col_index(rows, positions, arity):
     """An int index rebuilt from id ``rows`` in log order: each key (the
     row's projection on ``positions``) lists its rows' values at the
@@ -212,7 +218,9 @@ def assert_storage_matches_rebuild(db: Database, pinned=None) -> None:
     decode to the log row for row; the carried row set and every
     carried index — tuple and int, whichever side of a copy-on-write
     share their buckets are on — hold what one built from the log
-    would; ``col_set()`` is the interned log.  ``pinned``
+    would; ``col_set()``, the pending-row buffer and the cached span of
+    the last bulk append are the interned log, encoded by
+    :func:`encoded_rows`.  ``pinned``
     (:func:`pin_storage`, taken before a batch) must not have moved,
     and must pass the same checks: a batch that appended to a shared
     bucket in place would show there.
@@ -224,6 +232,8 @@ def assert_storage_matches_rebuild(db: Database, pinned=None) -> None:
         assert_storage_matches_rebuild(view)
     for (name, arity), rel in db.relations.items():
         where = f"{name}/{arity}"
+        pending, last = list(rel._pending_rows), rel._last_rows
+        drained = 0 if rel._cols is None else len(rel._cols[0])
         log = rel._log  # also decodes rows held only by the columns
         assert len(set(log)) == len(log) and set(log) == rel.tuples, where
         for positions, index in rel._indexes.items():
@@ -242,12 +252,17 @@ def assert_storage_matches_rebuild(db: Database, pinned=None) -> None:
             decoded = [tuple(terms[i] for i in row) for row in rows]
             assert decoded == log[: len(rows)], where
             if rel._colset is not None:
-                assert rel._colset == set(rows[: rel._colset_n]), where
+                assert rel._colset == set(encoded_rows(rows[: rel._colset_n], arity)), where
                 assert len(rel._colset) == rel._colset_n <= len(rows), where
+            tail = rows[drained : drained + len(pending)]
+            assert pending == encoded_rows(tail, arity), where
+            if last is not None:
+                assert last[2] == encoded_rows(rows[last[0] : last[1]], arity), where
             for positions, (index, mark) in rel._col_indexes.items():
                 rebuilt = rebuilt_col_index(rows[:mark], positions, rel.arity)
                 assert mark <= len(rows) and index == rebuilt, (where, positions)
         interned = rel.col_set()
         if interned is not None:
             ident = rel.dictionary.lookup
-            assert interned == {tuple(map(ident, fact)) for fact in log}, where
+            rows = encoded_rows([tuple(map(ident, fact)) for fact in log], arity)
+            assert interned == set(rows), where

@@ -1,7 +1,9 @@
 """Tests for the command-line interface."""
 
+import io
 import itertools
 import re
+import sys
 import time
 
 import pytest
@@ -601,6 +603,47 @@ class TestServeJournal:
         handle.close()
         assert replayed == 4
         assert dumped == session.database
+
+
+    def test_recover_writes_its_dump_once(
+        self, tmp_path, program_file, facts_file, monkeypatch
+    ):
+        """The dump is one write of the per-fact lines, byte for byte."""
+        from repro.datalog.parser import parse_program
+        from repro.datalog.pretty import pretty_fact
+        from repro.engine.database import Database, load_program_facts
+        from repro.engine.journal import recover_session
+
+        journal = str(tmp_path / "wal.rjn")
+        assert self.serve(
+            tmp_path, program_file, facts_file,
+            "+ e(4, 5).\n- e(1, 2).\n+ e('A b', [1, 2]).\nquit\n",
+            "--journal", journal,
+        ) == 0
+
+        class Writes(io.StringIO):
+            calls = 0
+
+            def write(self, text):
+                self.calls += 1
+                return super().write(text)
+
+        out = Writes()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["recover", program_file, journal, "--facts", facts_file]) == 0
+        with open(program_file) as tc, open(facts_file) as base:
+            program, edb = parse_program(tc.read()), Database()
+            load_program_facts(parse_program(base.read()), edb)
+        session, handle, _ = recover_session(program, journal, edb)
+        handle.close()
+        relations = session.database.relations
+        lines = [
+            pretty_fact(sig[0], fact) + ".\n"
+            for sig in sorted(relations)
+            for fact in sorted(relations[sig].tuples, key=str)
+        ]
+        assert len(lines) > 5 and out.calls == 1
+        assert out.getvalue() == "".join(lines)
 
 
 class TestPathErrors:

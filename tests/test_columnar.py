@@ -15,13 +15,19 @@ import pytest
 
 from repro.datalog.parser import parse_program, parse_term
 from repro.datalog.terms import Constant
-from repro.engine.columnar import decode_rows
+from repro.engine.columnar import decode_rows, execute_columnar
 from repro.engine.database import Database, Relation
 from repro.engine.intern import TermDictionary, plain_value
+from repro.engine.partition import _delta_rows
+from repro.engine.plan import RulePlan
 from repro.engine.reference import naive_fixpoint_reference
 from repro.engine.seminaive import seminaive_eval
 
-from tests.conftest import rebuilt_col_index, tuple_at_a_time
+from tests.conftest import (
+    assert_storage_matches_rebuild,
+    rebuilt_col_index,
+    tuple_at_a_time,
+)
 
 
 def chain_edb(n: int) -> Database:
@@ -57,11 +63,12 @@ def test_interning_round_trips_terms():
     assert len(set(ids)) == len(terms)
     assert [d.terms[i] for i in ids] == terms
     rows = [(ids[0], ids[1]), (ids[2], ids[3])]
-    assert decode_rows(d.terms, rows) == [
+    assert decode_rows(d.terms, rows, 2) == [
         (terms[0], terms[1]),
         (terms[2], terms[3]),
     ]
-    assert decode_rows(d.terms, []) == []
+    assert decode_rows(d.terms, [], 2) == []
+    assert decode_rows(d.terms, ids, 1) == [(term,) for term in terms]
 
 
 def test_dictionary_survives_pickle_with_ids_intact():
@@ -149,7 +156,7 @@ def test_append_rows_buffers_then_drains():
 def test_buffered_relation_snapshot_copy_pickle_drain():
     d = TermDictionary()
     rel = Relation("r", 1, d)
-    rel.append_rows([(d.intern(Constant(i)),) for i in range(3)])
+    rel.append_rows([d.intern(Constant(i)) for i in range(3)])
     assert rel._pending_rows
     for clone in (rel.copy(), rel.snapshot(), pickle.loads(pickle.dumps(rel))):
         assert clone.tuples == rel.tuples
@@ -159,10 +166,101 @@ def test_buffered_relation_snapshot_copy_pickle_drain():
 def test_views_window_buffered_rows():
     d = TermDictionary()
     rel = Relation("r", 1, d)
-    rel.append_rows([(d.intern(Constant(i)),) for i in range(3)])
-    rel.append_rows([(d.intern(Constant(i)),) for i in range(3, 5)])
+    rel.append_rows([d.intern(Constant(i)) for i in range(3)])
+    rel.append_rows([d.intern(Constant(i)) for i in range(3, 5)])
     view = rel.view(3, 5)
     assert set(view) == {(Constant(3),), (Constant(4),)}
+
+
+# ---------------------------------------------------------------------------
+# A unary relation's row is its bare id
+# ---------------------------------------------------------------------------
+
+#: The shape of a factored recursion: every derived relation is unary.
+REACH = parse_program(
+    """
+    r(Y) :- s(Y).
+    r(Y) :- r(X), e(X, Y).
+    """
+)
+
+
+def reach_edb(n: int) -> Database:
+    """``s(v0)`` and a chain ``v0 → … → v{n}``: ids past the small-int cache."""
+    db = Database()
+    db.add_fact("s", ("v0",))
+    for i in range(n):
+        db.add_fact("e", (f"v{i}", f"v{i + 1}"))
+    return db
+
+
+def test_unary_rows_are_the_dictionarys_own_ids():
+    """Row set, view row set, delta rows and kernel output of a unary
+    relation hold the dictionary's ids themselves, never a 1-tuple."""
+    db, _ = seminaive_eval(REACH, reach_edb(400))
+    own = {ident: ident for ident in db.dictionary._ids.values()}
+    r = db.relation("r", 1)
+    assert len(r) == 401
+
+    def owned(rows):
+        return bool(rows) and all(own.get(row) is row for row in rows)
+
+    assert owned(r.col_set())
+    assert owned(r.view(100, 300).col_set())
+    assert owned(_delta_rows(r.view(100, 300)))
+    plan = RulePlan(REACH.rules[1], ((0, "delta"),))
+    out = execute_columnar(plan, db, {0: r.view(100, 300)}, None)
+    assert owned(out) and len(out) == 200
+    grow = Relation("r", 1, db.dictionary)
+    grow.append_rows(out)
+    assert owned(grow._last_rows[2]) and owned(grow._pending_rows)
+
+
+def _buffered_unary(d: TermDictionary) -> Relation:
+    """A unary relation with a tuple-side prefix, synced row set and
+    index, and a columnar-only tail still in the pending buffer."""
+    rel = Relation("r", 1, d)
+    rel.add((Constant("a"),))
+    rel.col_set()
+    rel.col_index((0,))
+    rel.append_rows([d.intern(Constant(f"v{i}")) for i in range(300)])
+    assert rel._pending_rows
+    return rel
+
+
+@pytest.mark.parametrize("operation", ["remove_facts", "copy", "snapshot", "pickle"])
+def test_unary_buffered_rows_equal_a_rebuild(operation):
+    d = TermDictionary()
+    rel = _buffered_unary(d)
+    facts = {(Constant("a"),)} | {(Constant(f"v{i}"),) for i in range(300)}
+    if operation == "remove_facts":
+        doomed = [(Constant("a"),), (Constant("v7"),), (Constant("v299"),)]
+        assert rel.remove_facts(doomed) == 3
+        facts -= set(doomed)
+        clone = rel
+    elif operation == "pickle":
+        clone = pickle.loads(pickle.dumps(rel))
+    else:
+        clone = getattr(rel, operation)()
+    db = Database(clone.dictionary)  # a pickle carries its own copy
+    db.relations[("r", 1)] = clone
+    assert_storage_matches_rebuild(db)
+    assert clone.tuples == facts
+    clone.append_rows([clone.dictionary.intern(Constant("b"))])
+    assert_storage_matches_rebuild(db)
+
+
+def test_partitioned_unary_delta_equals_the_unpartitioned_run():
+    edb = reach_edb(300)
+    for i in range(0, 300, 3):  # fan out so deltas hold several rows
+        edb.add_fact("e", (f"v{i}", f"w{i}"))
+    db, stats = seminaive_eval(REACH, edb, partitions=1)
+    split_db, split = seminaive_eval(REACH, edb, partitions=3)
+    assert split.partition_rounds > 0
+    assert split_db == db
+    for counter in ("facts", "inferences", "iterations"):
+        assert getattr(split, counter) == getattr(stats, counter), counter
+    assert_storage_matches_rebuild(split_db)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +327,7 @@ def test_columns_compact_after_remove_facts():
     # Survivors, in their original order, with row i of the columns
     # describing row i of the compacted log.
     survivors = [(0, 1), (1, 2), (3, 4), (5, 6)]
-    decoded = decode_rows(db.dictionary.terms, list(zip(*[list(c) for c in cols])))
+    decoded = decode_rows(db.dictionary.terms, list(zip(*[list(c) for c in cols])), 2)
     assert decoded == [(Constant(a), Constant(b)) for a, b in survivors]
     # The int index was repaired in place, not dropped, and sees only
     # survivors.
@@ -409,7 +507,7 @@ def test_incremental_columnar_keeps_nullary_heads():
     """Kernel rows of a nullary head are ``()``: decoding must keep them."""
     from repro.engine.incremental import IncrementalSession
 
-    assert decode_rows([], [(), ()]) == [(), ()]
+    assert decode_rows([], [(), ()], 0) == [(), ()]
     program = parse_program("hop(X, Z) :- e(X, Y), e(Y, Z).\nany :- hop(X, Y).")
     session = IncrementalSession(program, chain_edb(1))
     assert not session.holds("any")

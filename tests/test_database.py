@@ -10,8 +10,9 @@ from repro.engine import database as database_module
 from repro.engine.database import Database, Relation, load_program_facts
 from repro.engine.intern import TermDictionary
 from repro.datalog.unify import match
+from repro.session import DeductiveDatabase
 
-from tests.conftest import answer_values, rebuilt_col_index
+from tests.conftest import answer_values, encoded_rows, rebuilt_col_index
 
 
 class TestRelation:
@@ -137,6 +138,25 @@ class TestAddFacts:
         ((a, b, c),) = db.get("v", 3).tuples
         assert (type(a.value), type(b.value), type(c.value)) == (int, float, bool)
 
+    def test_equal_values_of_other_types_stay_distinct_facts(self):
+        db = Database.from_dict({"e": [(True,), (1,), (1.0,)]})
+        assert db.total_facts() == 3
+        dictionary = db.ensure_dictionary()
+        assert len({dictionary.intern(term) for (term,) in db.get("e", 1)}) == 3
+        assert db.answers(parse_literal("e(1)")) == {()}
+        assert db.query(parse_literal("e(X)")) == {
+            (Constant(True),), (Constant(1),), (Constant(1.0),)
+        }
+        assert len(db.query(parse_literal("e(X)"))) == 3
+
+    def test_a_read_matches_only_the_constant_of_its_type(self):
+        rows = [(True, "bool"), (1, "int"), (1.0, "float")]
+        db = Database.from_dict({"f": rows})
+        assert db.answers(parse_literal("f(1, Y)")) == {("int",)}
+        ddb = DeductiveDatabase().rules("g(X, Y) :- f(X, Y).").facts("f", rows)
+        assert ddb.ask("g(1, Y)") == {("int",)}
+        assert ddb.ask("g(X, Y)") == set(rows)
+
     def test_checks_stay_per_row(self):
         db = Database()
         with pytest.raises(ValueError, match="not ground"):
@@ -220,9 +240,8 @@ def build_relation(arity, facts, layout):
     split = {"tuples": len(facts), "pending": 0, "mixed": len(facts) // 2}[layout]
     for fact in facts[:split]:
         rel.add(fact)
-    rel.append_rows(
-        [tuple(dictionary.intern(t) for t in fact) for fact in facts[split:]]
-    )
+    ids = [tuple(map(dictionary.intern, fact)) for fact in facts[split:]]
+    rel.append_rows(encoded_rows(ids, arity))
     return rel
 
 
@@ -376,7 +395,8 @@ class TestLoadProgramFacts:
 # Copy-on-write index buckets (Relation.copy shares them; see _fill_buckets)
 # ---------------------------------------------------------------------------
 
-INDEXED = ((0,), (1,), (0, 1))
+#: The int and tuple indexes the copy-on-write checks build, per arity.
+INDEXED = {1: ((0,),), 2: ((0,), (1,), (0, 1)), 3: ((0,), (1, 2), (0, 1, 2))}
 
 
 def rebuilt(keyed):
@@ -387,9 +407,12 @@ def rebuilt(keyed):
 
 
 def assert_equals_a_rebuild(rel, where=""):
-    """Every index, the columns and the row set of ``rel`` say what a
+    """Every index, the columns, the row set, the pending-row buffer and
+    the cached span of the last bulk append of ``rel`` say what a
     rebuild from ``rel``'s own log says — without syncing anything, so
-    lagging watermarks are checked as they are."""
+    lagging watermarks are checked as they are.  Rows held columnar-side
+    only are checked against their own ids, decoded: a row the encoding
+    rule does not write (a unary 1-tuple) decodes to no term."""
     log = list(rel._logrows)
     assert rel._tuples == set(log) and len(log) == len(rel._tuples), where
     for positions, index in rel._indexes.items():
@@ -401,7 +424,14 @@ def assert_equals_a_rebuild(rel, where=""):
     if cols is None:
         assert not rel._col_indexes and rel._colset is None, where
         return
-    rows = list(zip(*cols)) + list(rel._pending_rows)
+    arity, pending = rel.arity, rel._pending_rows
+    rows = list(zip(*cols)) + ([(row,) for row in pending] if arity == 1 else pending)
+    terms = rel.dictionary.terms
+    buffered = {tuple(terms[i] for i in row) for row in rows[len(cols[0]) :]}
+    assert not buffered & rel._tuples, where
+    if rel._last_rows is not None:
+        lo, hi, last = rel._last_rows
+        assert last == encoded_rows(rows[lo:hi], arity), where
     assert len(rows) == len(set(rows)), where
     if rel._pending_n:  # columnar-only rows: the columns run ahead of the log
         assert len(rows) == len(log) + rel._pending_n, where
@@ -411,7 +441,7 @@ def assert_equals_a_rebuild(rel, where=""):
     covered = min(len(rows), len(log))
     assert rows[:covered] == [tuple(map(ident, f)) for f in log[:covered]], where
     if rel._colset is not None:
-        assert rel._colset == set(rows[: rel._colset_n]), where
+        assert rel._colset == set(encoded_rows(rows[: rel._colset_n], arity)), where
     for positions, (index, watermark) in rel._col_indexes.items():
         want = rebuilt_col_index(rows[:watermark], positions, rel.arity)
         assert index == want, (where, positions, watermark)
@@ -420,39 +450,42 @@ def assert_equals_a_rebuild(rel, where=""):
 def assert_reads_equal_a_rebuild(rel, where=""):
     """The same through the public readers, which sync as they go."""
     log = list(rel._log)
-    for positions in INDEXED:
+    for positions in INDEXED[rel.arity]:
         want = rebuilt((f, tuple(f[p] for p in positions)) for f in log)
         for key, bucket in want.items():
             assert sorted(rel.lookup(positions, key), key=str) == sorted(bucket, key=str), where
     if rel.dictionary is not None:  # else: the tuple world only
         rows = [tuple(map(rel.dictionary.intern, f)) for f in log]
-        for positions in INDEXED:
+        for positions in INDEXED[rel.arity]:
             want = rebuilt_col_index(rows, positions, rel.arity)
             assert rel.col_index(positions) == want, (where, positions)
-        assert rel.col_set() == set(rows), where
+        assert rel.col_set() == set(encoded_rows(rows, rel.arity)), where
     assert_equals_a_rebuild(rel, where)
 
 
-_fact = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
-    lambda pair: tuple(Constant(v) for v in pair)
-)
-_facts = st.lists(_fact, max_size=6)
-_step = st.one_of(
-    st.tuples(st.sampled_from(["add", "add_row", "append_rows", "remove_facts"]),
-              st.integers(0, 5), _facts),
-    st.tuples(st.sampled_from(["copy", "read"]), st.integers(0, 5), st.just([])),
-)
+def _facts(arity, max_size):
+    fact = st.tuples(*[st.integers(0, 4)] * arity).map(
+        lambda values: tuple(Constant(v) for v in values)
+    )
+    return st.lists(fact, max_size=max_size)
 
 
 @settings(max_examples=300, deadline=None)
-@given(initial=st.lists(_fact, max_size=15), layout=st.sampled_from(["tuples", "pending", "mixed"]),
-       warm=st.lists(st.sampled_from(INDEXED), max_size=3),
-       steps=st.lists(_step, max_size=25))
-def test_copies_share_buckets_but_never_each_others_writes(initial, layout, warm, steps):
+@given(arity=st.sampled_from([1, 2, 3]), layout=st.sampled_from(["tuples", "pending", "mixed"]),
+       data=st.data())
+def test_copies_share_buckets_but_never_each_others_writes(arity, layout, data):
     """Whatever the sides of a ``copy()`` do afterwards — the copy, the
     copy's copy, the original that keeps being written, the original
     that is frozen — each one's indexes stay a function of its own log."""
-    frozen = build_relation(2, set(initial), layout)
+    initial = data.draw(_facts(arity, 15), label="initial")
+    warm = data.draw(st.lists(st.sampled_from(INDEXED[arity]), max_size=3), label="warm")
+    step = st.one_of(
+        st.tuples(st.sampled_from(["add", "add_row", "append_rows", "remove_facts"]),
+                  st.integers(0, 5), _facts(arity, 6)),
+        st.tuples(st.sampled_from(["copy", "read"]), st.integers(0, 5), st.just([])),
+    )
+    steps = data.draw(st.lists(step, max_size=25), label="steps")
+    frozen = build_relation(arity, set(initial), layout)
     for positions in warm:  # live, hot tuple indexes and int indexes
         frozen.lookup(positions, ())
         frozen.lookup(positions, ())
@@ -478,9 +511,11 @@ def test_copies_share_buckets_but_never_each_others_writes(initial, layout, warm
         elif kind == "add_row":
             for fact in facts:
                 if fact not in side.tuples:
-                    side.add_row(fact, tuple(map(dictionary.intern, fact)))
+                    ids = tuple(map(dictionary.intern, fact))
+                    side.add_row(fact, encoded_rows([ids], arity)[0])
         elif kind == "append_rows":
-            rows = dict.fromkeys(tuple(map(dictionary.intern, f)) for f in facts)
+            ids = [tuple(map(dictionary.intern, f)) for f in facts]
+            rows = dict.fromkeys(encoded_rows(ids, arity))
             side.append_rows([row for row in rows if row not in side.col_set()])
         else:
             side.remove_facts(facts)

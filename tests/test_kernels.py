@@ -96,7 +96,7 @@ def check_plan(rule, db, overrides=None, order=None):
     kernel_stats, tuple_stats = EvalStats(), EvalStats()
     rows = execute_columnar(plan, db, overrides, kernel_stats)
     assert rows is not None
-    got = decode_rows(db.dictionary.terms, rows)
+    got = decode_rows(db.dictionary.terms, rows, rule.head.arity)
     emitted = []
     plan.execute(db, overrides, emitted.append, tuple_stats)
     assert got == reference_rows(plan, db, overrides), f"rows or order differ: {rule}"
@@ -469,7 +469,7 @@ def test_show_kernel_prints_order_shape_and_source():
     assert done.returncode == 0, done.stderr
     assert "f_t@bf(Y) :- m_t@bf(X), e(X, Y)." in done.stdout
     assert "join order: m_t@bf(X) [delta], e(X, Y)" in done.stdout
-    assert "rows = [(i,) for (s0,) in rows for i in get1(s0, ())]" in done.stdout
+    assert "rows = [i for s0 in rows for i in get1(s0, ())]" in done.stdout
     assert "-- 2 kernel shape(s)" in done.stdout
 
 

@@ -12,7 +12,7 @@ from repro.datalog.parser import (
     parse_rule,
     parse_term,
 )
-from repro.datalog.pretty import pretty_program, pretty_rule, pretty_term
+from repro.datalog.pretty import is_text_term, pretty_program, pretty_rule, pretty_term
 from repro.datalog.rules import Rule
 from repro.datalog.terms import NIL, Compound, Constant, Variable, make_list
 
@@ -130,6 +130,20 @@ class TestRoundTrip:
 
         program = three_rule_tc_program()
         assert parse_program(pretty_program(program)) == program
+
+    @pytest.mark.parametrize(
+        "value",
+        [0, -7, 10**20, "a", "It's", "[]", True, False, 1.5, 2.0, float("inf"), None],
+    )
+    def test_a_term_round_trips_exactly_when_it_is_a_text_term(self, value):
+        """The printer's contract: ``p(1.5)`` does not parse and ``True``
+        parses as a variable, so only ``is_text_term`` terms come back."""
+        for term in (Constant(value), Compound("f", (Constant(value), Constant("a")))):
+            try:
+                back = parse_term(pretty_term(term))
+            except ParseError:
+                back = None
+            assert (back == term) == is_text_term(term), (term, back)
 
 
 # -- property-based round trip over generated terms --------------------
