@@ -65,11 +65,16 @@ def _atom(text: str) -> str:
     return "'" + text.replace("\\", "\\\\").replace("'", "\\'") + "'"
 
 
+#: The value types of the constants that print and parse back: exact
+#: types, so a ``bool`` (an ``int`` subclass) is not one.
+TEXT_VALUE_TYPES = (int, str)
+
+
 def is_text_term(term: Term) -> bool:
     """Whether ``pretty_term(term)`` parses back to ``term``: a ground
     term over ``int``/``str`` constants (not ``bool``) and atom functors."""
     if isinstance(term, Constant):
-        return type(term.value) in (int, str)
+        return type(term.value) in TEXT_VALUE_TYPES
     return isinstance(term, Compound) and all(map(is_text_term, term.args)) and (
         is_list_term(term) or _atom(term.functor) == term.functor
     )

@@ -12,10 +12,12 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from contextlib import nullcontext
+from itertools import groupby
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.datalog.literals import Literal
+from repro.datalog.pretty import TEXT_VALUE_TYPES
 from repro.datalog.rules import Rule
 from repro.datalog.terms import Constant, Term, Variable, term_variables
 from repro.engine.intern import TermDictionary, plain_value
@@ -185,6 +187,22 @@ def _keyed_facts(facts: Iterable[FactTuple], positions: Tuple[int, ...]):
     return ((fact, project(fact)) for fact in facts)
 
 
+def _first_unstorable(col: List, end: int) -> Optional[Tuple[int, Exception]]:
+    """``(row, error)`` for the first of ``col[:end]`` that no fact may
+    hold — a term that is not ground, an unhashable value — or None."""
+    for row in range(end):
+        value = col[row]
+        if isinstance(value, Term):
+            if not value.is_ground():
+                return row, ValueError(f"fact argument {value} is not ground")
+        else:
+            try:
+                hash(value)
+            except TypeError as unhashable:
+                return row, unhashable
+    return None
+
+
 def _without(seq, gone: List[int]):
     """The list ``seq`` minus the ascending positions ``gone``.
 
@@ -218,10 +236,14 @@ class Relation:
     When a :class:`~repro.engine.intern.TermDictionary` is attached
     (``dictionary``), the relation additionally maintains a columnar
     image of the log: one list of interned term ids per attribute (the
-    dictionary's own int objects, never copies), extended lazily from
-    a watermark by :meth:`ensure_columns` so the tuple-side hot path
-    (:meth:`add`) never pays for it.  The columnar executor
-    (:mod:`repro.engine.columnar`) reads the columns plus the
+    dictionary's own int objects, never copies).  Each side catches up
+    with the other only when it is read: rows that arrive as ids
+    (:meth:`load`, :meth:`append_rows`) are decoded into term tuples
+    by :meth:`_flush`, rows that arrive as terms (:meth:`add`) are
+    interned from a watermark by :meth:`ensure_columns` — except that
+    while only loaded rows are pending, :meth:`add` and ``in`` work on
+    ids, so a single write or test never decodes a load.  The columnar
+    executor (:mod:`repro.engine.columnar`) reads the columns plus the
     int-keyed :meth:`col_index`/:meth:`col_set` accessors; row ``i``
     of the columns always describes ``_log[i]``.
     """
@@ -243,6 +265,7 @@ class Relation:
         "_col_owned",
         "_last_rows",
         "_pending_rows",
+        "_pending_loaded",
     )
 
     def __init__(
@@ -283,19 +306,22 @@ class Relation:
         # during the fixpoint; ensure_columns() drains this buffer in
         # one transpose the first time the columns are actually read.
         self._pending_rows: List[Row] = []
+        # Whether every pending row came from load(): see _flush.
+        self._pending_loaded = False
 
     # ------------------------------------------------------------------
     # The tuple world: late materialization
     # ------------------------------------------------------------------
     #
-    # The columnar fixpoint appends derived rows to the columns only
-    # (:meth:`append_rows`); the term-tuple mirror — the ``tuples``
-    # set, the insertion log, any live tuple indexes — is brought up
-    # to date by :meth:`_flush` the first time something actually
-    # reads it.  Both are exposed as properties so every consumer
+    # Loaded and derived rows alike arrive as ids only — a bulk load
+    # through :meth:`load`, the columnar fixpoint through
+    # :meth:`append_rows` — and the term-tuple mirror (the ``tuples``
+    # set, the insertion log, any live tuple indexes) is brought up to
+    # date by :meth:`_flush` the first time something actually reads
+    # it.  Both are exposed as properties so every consumer
     # (evaluators, backends, equality, pickling) transparently sees a
     # complete relation, while a run that stays columnar end-to-end
-    # never pays for decoding at all.
+    # never decodes a row, stored or derived.
 
     @property
     def tuples(self) -> Set[FactTuple]:
@@ -310,12 +336,18 @@ class Relation:
         return self._logrows
 
     def _flush(self) -> None:
-        """Decode columnar-only rows into the tuple-world mirror."""
+        """Decode columnar-only rows into the tuple-world mirror.
+
+        Rows that only :meth:`load` left pending are decoded straight
+        from the columns, which a load leaves complete: the
+        :meth:`ensure_columns` sync that drains derived rows would do
+        nothing for them but count as a column sync.
+        """
         dictionary = self.dictionary
         with dictionary._lock:
             if not self._pending_n:
                 return
-            cols = self.ensure_columns()
+            cols = self._cols if self._pending_loaded else self.ensure_columns()
             terms = dictionary.terms
             start = len(self._logrows)
             decoded = list(
@@ -339,6 +371,11 @@ class Relation:
             raise ValueError(
                 f"arity mismatch for {self.name}: expected {self.arity}, got {len(fact)}"
             )
+        if self._pending_loaded:
+            # Rows only a load left pending: test and store the fact as
+            # ids, as load() does, instead of decoding the relation.
+            intern = self.dictionary.intern
+            return self.load([[intern(term)] for term in fact]) == 1
         if fact in self.tuples:
             return False
         self._tuples.add(fact)
@@ -348,6 +385,14 @@ class Relation:
         return True
 
     def __contains__(self, fact: FactTuple) -> bool:
+        if self._pending_loaded:
+            # As in add(): test the ids, decode nothing.
+            if len(fact) != self.arity:
+                return False
+            ids = tuple(map(self.dictionary.lookup, fact))
+            if None in ids:
+                return False
+            return (ids[0] if self.arity == 1 else ids) in self.col_set()
         return fact in self.tuples
 
     def __len__(self) -> int:
@@ -662,6 +707,42 @@ class Relation:
             _fill_buckets(index, self._col_owned.get(positions), entries)
             self._col_indexes[positions] = (index, position + len(rows))
 
+    def load(self, cols: Sequence[Sequence[int]]) -> int:
+        """Bulk-load facts given as id columns; returns how many were new.
+
+        The relation side of :meth:`Database.add_facts` (and of
+        :meth:`add` while only loaded rows are pending): ``cols`` holds
+        one sequence of this relation's dictionary ids per position,
+        row ``i`` of them one fact, in load order, repeats allowed.
+        The first occurrence of each fact not yet stored extends the
+        columns and stays pending like an :meth:`append_rows` row — no
+        term tuple, row set or index is built here;
+        :meth:`col_set`/:meth:`col_index` pick the rows up from their
+        watermarks and :meth:`_flush` decodes them if the tuple world
+        is read.  Requires an attached dictionary and arity > 0.
+        """
+        n = len(cols[0])
+        rows = dict.fromkeys(rows_of(cols, 0, n))
+        with self._sync_lock():
+            if len(self):
+                stored = self.col_set()
+                rows = [row for row in rows if row not in stored]
+                mine = self.ensure_columns()
+            else:
+                mine = self._cols
+                if mine is None:
+                    mine = self._cols = [[] for _ in range(self.arity)]
+            if not rows:
+                return 0
+            if len(rows) < n:
+                cols = columns_of(list(rows), self.arity)
+            for col, values in zip(mine, cols):
+                col.extend(values)
+            if not self._pending_n:
+                self._pending_loaded = True
+            self._pending_n += len(rows)
+        return len(rows)
+
     def append_rows(self, rows: List[Row]) -> None:
         """Bulk-append novel interned rows, columnar-side only.
 
@@ -694,6 +775,7 @@ class Relation:
         buffered.extend(rows)
         self._last_rows = (position, position + n, rows)
         self._pending_n += n
+        self._pending_loaded = False
 
     def release_delta_rows(self) -> None:
         """Drop the row list :meth:`append_rows` kept for the next round.
@@ -728,6 +810,7 @@ class Relation:
             dup._logrows = list(self._logrows)
             dup._tuples = set(self._logrows)
             dup._pending_n = self._pending_n
+            dup._pending_loaded = self._pending_loaded
             cols = self._cols
             if cols is not None:
                 dup._cols = [col[:] for col in cols]
@@ -786,6 +869,7 @@ class Relation:
         self._col_owned = {}
         self._last_rows = None
         self._pending_rows = []
+        self._pending_loaded = False
         if log is None:
             # Columns-only wire form: leave every row pending and let
             # the receiver decode lazily — a worker that stays columnar
@@ -898,6 +982,7 @@ class Relation:
             dup._tuples = set(self._tuples)
             dup._logrows = list(self._logrows)
             dup._pending_n = self._pending_n
+            dup._pending_loaded = self._pending_loaded
             cols = self._cols
             if cols is not None:
                 dup._cols = [col[:] for col in cols]
@@ -1060,8 +1145,9 @@ class Database:
     def __init__(self, dictionary: Optional[TermDictionary] = None):
         self.relations: Dict[Signature, Relation] = {}
         #: Term dictionary shared by this database's relations (or
-        #: None until :meth:`ensure_dictionary` — the tuple path never
-        #: needs one).  Copies, pins, and snapshots share it **by
+        #: None until the first :meth:`add_facts` load or evaluation
+        #: mints one through :meth:`ensure_dictionary`; :meth:`add_fact`
+        #: mints none).  Copies, pins, and snapshots share it **by
         #: reference**: ids are append-only, so an id minted before
         #: the share keeps meaning the same term in every descendant.
         self.dictionary = dictionary
@@ -1110,35 +1196,70 @@ class Database:
         return self.relation(predicate, len(wrapped)).add(wrapped)
 
     def add_facts(self, predicate: str, tuples: Iterable[Sequence]) -> int:
-        """Bulk insert; returns the number of new facts.
+        """Bulk load; returns the number of new facts.
 
-        Same checks per row as :meth:`add_fact`, but the relation is
-        resolved once per arity and each distinct plain value is
-        wrapped into one shared :class:`Constant` for the whole call.
+        Facts are interned here, a column at a time: each distinct
+        argument is interned into the database's dictionary once per
+        call, a plain value wrapped as a :class:`Constant` (``1``,
+        ``1.0`` and ``True`` stay three ids).  Each relation receives
+        its rows as ids (:meth:`Relation.load`); their term tuples are
+        decoded only if the tuple world reads them.  Same checks per
+        row as :meth:`add_fact`: a row that fails them (not iterable,
+        not ground, unhashable) raises, the rows before it land, and
+        none of its arguments is interned.
         """
+        rows: List[Tuple] = []
+        try:
+            for args in tuples:
+                rows.append(tuple(args))
+        finally:  # the rows before a failing one still land
+            added = self._load_rows(predicate, rows)
+        return added
+
+    def _load_rows(self, predicate: str, rows: List[Tuple]) -> int:
+        """:meth:`add_facts` for argument tuples, run by run of one
+        arity; raises the error of the first row no fact may hold once
+        the rows before it are loaded."""
+        memo: Dict[object, int] = {}
         added = 0
-        wrap: Dict[object, Term] = {}
-        rels: Dict[int, Relation] = {}
-        for args in tuples:
-            fact = []
-            for a in args:
-                if isinstance(a, Term):
-                    if not a.is_ground():
-                        raise ValueError(f"fact argument {a} is not ground")
-                else:
-                    # Keyed with the type: 1, 1.0 and True hash alike
-                    # but must not share one wrapper.
-                    key = (a.__class__, a)
-                    term = wrap.get(key)
-                    if term is None:
-                        term = wrap[key] = Constant(a)
-                    a = term
-                fact.append(a)
-            rel = rels.get(len(fact))
-            if rel is None:
-                rel = rels[len(fact)] = self.relation(predicate, len(fact))
-            if rel.add(tuple(fact)):
-                added += 1
+        for arity, run in groupby(rows, len):
+            dictionary = self.ensure_dictionary()
+            run = list(run)
+            cols = [list(map(itemgetter(p), run)) for p in range(arity)]
+            end, error = len(run), None
+            keys = []
+            for col in cols:
+                # A text value keys the memo as itself, any other with
+                # its type: 1, 1.0 and True are equal but three constants.
+                if set(map(type, col)).issubset(TEXT_VALUE_TYPES):
+                    keys.append(col)
+                    continue
+                keys.append([
+                    v if type(v) in TEXT_VALUE_TYPES else (type(v), v)
+                    for v in col
+                ])
+                bad = _first_unstorable(col, end)
+                if bad is not None:
+                    end, error = bad
+            ids = []
+            for col, col_keys in zip(cols, keys):
+                col, col_keys = col[:end], col_keys[:end]
+                for key, value in dict(zip(col_keys, col)).items():
+                    if key not in memo:
+                        if not isinstance(value, Term):
+                            value = Constant(value)
+                        memo[key] = dictionary.intern(value)
+                ids.append(list(map(memo.__getitem__, col_keys)))
+            if end:
+                rel = self.relation(predicate, arity)
+                if arity and rel.dictionary is dictionary:
+                    added += rel.load(ids)
+                else:  # nullary, or adopted with another database's ids
+                    terms = dictionary.terms
+                    for row in zip(*ids) if arity else [()]:
+                        added += rel.add(tuple(terms[i] for i in row))
+            if error is not None:
+                raise error
         return added
 
     @classmethod
@@ -1203,8 +1324,10 @@ class Database:
 
     def answers(self, goal: Literal, once: bool = False) -> Set[Tuple]:
         """:meth:`query` as the API edge hands it out: the same bindings
-        with constants as plain Python values (compound terms stay
-        terms), decoded once by :meth:`Relation.select`."""
+        with ``int`` and ``str`` constants as plain Python values and
+        every other term — a compound, a ``float`` or ``bool`` constant —
+        as itself (:func:`~repro.engine.intern.plain_value`), decoded
+        once by :meth:`Relation.select`."""
         rel = self.relations.get(goal.signature)
         if rel is None:
             return set()

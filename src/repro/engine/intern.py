@@ -28,13 +28,20 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional
 
+from repro.datalog.pretty import TEXT_VALUE_TYPES
 from repro.datalog.terms import Constant, Term
 
 
 def plain_value(term: Term):
-    """What an answer carries for ``term``: a constant's Python value,
-    any other ground term (a compound) itself."""
-    return term.value if isinstance(term, Constant) else term
+    """What an answer carries for ``term``: the Python value of an
+    ``int`` (not ``bool``) or ``str`` constant — the constants
+    :func:`~repro.datalog.pretty.is_text_term` accepts — and any other
+    ground term itself.  Other constants stay :class:`Constant`, as
+    compounds do: ``1``, ``1.0`` and ``True`` are three constants but
+    equal Python values, and a set of answers would merge them."""
+    if isinstance(term, Constant) and type(term.value) in TEXT_VALUE_TYPES:
+        return term.value
+    return term
 
 
 class TermDictionary:

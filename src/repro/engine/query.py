@@ -124,8 +124,8 @@ class QueryAnswer:
 
     ``answers`` are tuples of plain Python values over the goal's
     variables in first-occurrence order (``{()}``/``set()`` for ground
-    goals) — the shape ``Database.answers`` returns: constants as their
-    values, compound terms as terms.  ``strategy`` is one of
+    goals) — the shape ``Database.answers`` returns: ``int`` and ``str``
+    constants as their values, any other term as itself.  ``strategy`` is one of
     ``factored``/``counting``/``magic``/``edb`` (with
     ``counting->magic`` marking a dynamic-divergence fallback), and
     ``from_cache`` reports whether the compiled entry was reused.

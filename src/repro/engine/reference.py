@@ -203,8 +203,11 @@ def naive_fixpoint_reference(
         if not changed:
             break
 
-    db = Database()
-    for (name, _), rows in facts.items():
-        db.add_facts(name, rows)
+    db = Database()  # term-side: add_facts would intern every fact
+    for (name, arity), rows in facts.items():
+        if rows:
+            rel = db.relation(name, arity)
+            for fact in rows:
+                rel.add(fact)
     stats.seconds = time.perf_counter() - start
     return db, stats

@@ -473,6 +473,38 @@ def test_query_overlay_shares_edb_columns():
             )
 
 
+def test_the_papers_path_never_decodes_its_edb():
+    """A factored ask reads a loaded EDB as the ids the load wrote.
+
+    ``tc3`` (Theorem 4.1) over a 2 000-edge chain, cold and then warm:
+    the kernel probes ``e``'s columns and the answers decode from the
+    overlay, so ``e``'s term tuples are never built.  Answers from a
+    node reach only its suffix of the chain, which the reference
+    evaluates in full.
+    """
+    from repro.session import DeductiveDatabase
+
+    text = """
+    t(X, Y) :- t(X, W), t(W, Y).
+    t(X, Y) :- e(X, W), t(W, Y).
+    t(X, Y) :- t(X, W), e(W, Y).
+    t(X, Y) :- e(X, Y).
+    """
+    n = 2000
+    ddb = DeductiveDatabase().rules(text).facts("e", ((i, i + 1) for i in range(n)))
+    cold = ddb.ask("t(0, Y)", explain=True)
+    warm = [ddb.ask(f"t({a}, Y)", explain=True) for a in (0, n - 12)]
+    rel = ddb.edb.get("e", 2)
+    assert rel._pending_n == n and not rel._logrows and not rel._tuples
+    assert cold.strategy == "factored" and all(report.from_cache for report in warm)
+    assert cold.answers == warm[0].answers == {(y,) for y in range(1, n + 1)}
+    suffix = Database.from_dict({"e": [(i, i + 1) for i in range(n - 12, n)]})
+    ref, _ = naive_fixpoint_reference(parse_program(text), suffix)
+    assert warm[1].answers == {
+        (y.value,) for x, y in ref.relation("t", 2).tuples if x.value == n - 12
+    }
+
+
 def test_database_copy_and_snapshot_carry_dictionary():
     db = chain_edb(4)
     d = db.ensure_dictionary()

@@ -1,5 +1,7 @@
 """Unit tests for relations and databases."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,10 +11,17 @@ from repro.datalog.terms import Compound, Constant, Variable, make_list
 from repro.engine import database as database_module
 from repro.engine.database import Database, Relation, load_program_facts
 from repro.engine.intern import TermDictionary
+from repro.engine.reference import naive_fixpoint_reference
+from repro.engine.seminaive import seminaive_eval
 from repro.datalog.unify import match
 from repro.session import DeductiveDatabase
 
-from tests.conftest import answer_values, encoded_rows, rebuilt_col_index
+from tests.conftest import (
+    answer_values,
+    assert_storage_matches_rebuild,
+    encoded_rows,
+    rebuilt_col_index,
+)
 
 
 class TestRelation:
@@ -155,7 +164,18 @@ class TestAddFacts:
         assert db.answers(parse_literal("f(1, Y)")) == {("int",)}
         ddb = DeductiveDatabase().rules("g(X, Y) :- f(X, Y).").facts("f", rows)
         assert ddb.ask("g(1, Y)") == {("int",)}
-        assert ddb.ask("g(X, Y)") == set(rows)
+        assert ddb.ask("g(X, Y)") == {
+            (Constant(True), "bool"), (1, "int"), (Constant(1.0), "float")
+        }
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["bool-first", "float-first"])
+    def test_an_answer_keeps_equal_values_of_other_types_apart(self, order):
+        # True == 1 == 1.0 in Python: decoded to plain values, the three
+        # answers would merge into whichever the set saw first.
+        rows = [(True,), (1,), (1.0,)][::order]
+        ddb = DeductiveDatabase().rules("g(X) :- e(X).").facts("e", rows)
+        assert ddb.ask("g(X)") == {(Constant(True),), (1,), (Constant(1.0),)}
+        assert ddb.edb.answers(parse_literal("e(X)")) == ddb.ask("g(X)")
 
     def test_checks_stay_per_row(self):
         db = Database()
@@ -165,16 +185,142 @@ class TestAddFacts:
         db.add_facts("e", [(Constant(7), make_list([Constant(8)]))])
         assert db.has_fact("e", (7, make_list([Constant(8)])))
 
+    @pytest.mark.parametrize(
+        "bad, error",
+        [(5, TypeError), (([4], 4), TypeError), ((4, [4]), TypeError),
+         ((4, Variable("X")), ValueError)],
+    )
+    def test_a_failing_row_stops_the_load_after_the_rows_before_it(self, bad, error):
+        # Not iterable, unhashable, not ground: the rows before land, the failing row and those after do not,
+        # and no argument of theirs reaches the dictionary.
+        db = Database()
+        with pytest.raises(error):
+            db.add_facts("e", [(1, 2), (2,), bad, (9, 10)])
+        assert db.facts("e") == {(Constant(1), Constant(2)), (Constant(2),)}
+        assert sorted(db.dictionary.values) == [1, 2]
+
     def test_mixed_arities_go_to_their_own_relations(self):
         db = Database()
         assert db.add_facts("p", [(1,), (1, 2), (2,)]) == 3
         assert len(db.get("p", 1)) == 2 and len(db.get("p", 2)) == 1
 
-    def test_interning_stays_lazy(self):
+    def test_a_load_interns_each_value_once_and_builds_no_term_tuple(self, monkeypatch):
+        asked = []  # every term a dictionary was asked to intern
+        intern = TermDictionary.intern
+        monkeypatch.setattr(
+            TermDictionary, "intern",
+            lambda self, term: asked.append(term) or intern(self, term),
+        )
         db = Database()
-        dictionary = db.ensure_dictionary()
-        db.add_facts("e", [(1, 2), (2, 3)])
-        assert len(dictionary) == 0
+        # one memo spans the columns; 1, 1.0 and True are three values
+        rows = [(i % 5, i % 3, i % 4) for i in range(30)] + [(1, 1.0, 7), (True, "a", 8)]
+        assert db.add_facts("e", rows) == 32
+        values = [*range(5), 1.0, True, "a", 7, 8]
+        assert sorted(map(repr, asked)) == sorted(repr(Constant(v)) for v in values)
+        assert len(db.dictionary) == len(values)
+        rel = db.get("e", 3)
+        assert not rel._tuples and not rel._logrows and rel._pending_n == 32
+        assert rel.tuples == {tuple(map(Constant, row)) for row in rows}
+
+
+class TestLoadedRelation:
+    """A relation filled by ``add_facts`` holds id columns only; every
+    operation on it sees the facts, and those that need no term tuple
+    decode none."""
+
+    EDGES = [(i, i + 1) for i in range(20)]
+
+    def loaded(self):
+        db = Database()
+        db.add_facts("e", self.EDGES + self.EDGES[:3])
+        rel = db.get("e", 2)
+        assert rel._pending_n == 20 and not rel._logrows
+        return db, rel
+
+    def facts(self, rows):
+        return {(Constant(a), Constant(b)) for a, b in rows}
+
+    def test_copy(self):
+        db, rel = self.loaded()
+        dup = db.copy()
+        assert dup.get("e", 2)._pending_n == 20  # nothing decoded to copy
+        dup.add_fact("e", (99, 100))
+        assert rel.tuples == self.facts(self.EDGES)
+        assert dup.get("e", 2).tuples == self.facts(self.EDGES + [(99, 100)])
+        assert_storage_matches_rebuild(db)
+        assert_storage_matches_rebuild(dup)
+
+    def test_snapshot(self):
+        db, rel = self.loaded()
+        out = db.snapshot([("e", 2), ("f", 1)])
+        assert out.get("e", 2) is not rel and out.get("e", 2)._pending_n == 20
+        assert out == db and out.dictionary is db.dictionary
+        assert_storage_matches_rebuild(out)
+
+    def test_pickle(self):
+        db, rel = self.loaded()
+        back = pickle.loads(pickle.dumps(db))
+        assert back.get("e", 2)._pending_n == 20  # the columns-only form
+        assert back == db
+        assert_storage_matches_rebuild(back)
+        assert_storage_matches_rebuild(db)
+
+    def test_remove_facts(self):
+        db, rel = self.loaded()
+        rel.col_index((0,))
+        assert rel.remove_facts(self.facts([(3, 4), (50, 51)])) == 1
+        assert db.remove_fact("e", (0, 1)) and not db.remove_fact("e", (0, 1))
+        assert rel.tuples == self.facts(self.EDGES[1:3] + self.EDGES[4:])
+        assert_reads_equal_a_rebuild(rel)
+
+    def test_add_fact_after_a_load(self):
+        db, rel = self.loaded()
+        assert not db.add_fact("e", (0, 1))
+        assert db.add_fact("e", (50, 51))
+        assert db.has_fact("e", (50, 51)) and not db.has_fact("e", (51, 50))
+        assert not db.has_fact("e", (0, "a new value"))
+        # a single insert and a membership test stay on the ids
+        assert not rel._logrows and rel._pending_n == 21
+        assert rel.tuples == self.facts(self.EDGES + [(50, 51)])
+        assert_reads_equal_a_rebuild(rel)
+
+    def test_a_fact_after_facts_decodes_nothing(self):
+        ddb = DeductiveDatabase().facts("e", self.EDGES).facts("v", [(1,), (2,)])
+        ddb.fact("e", 0, 1).fact("e", 20, 21).fact("v", 2).fact("v", 3)
+        e, v = ddb.edb.get("e", 2), ddb.edb.get("v", 1)
+        assert not e._logrows and e._pending_n == 21
+        assert not v._logrows and v._pending_n == 3
+        assert ddb.edb.has_fact("v", (3,)) and not ddb.edb.has_fact("v", (4,))
+        assert (Constant(2), Constant(3)) not in v  # a fact of another arity
+        assert not v._logrows
+        assert e.tuples == self.facts(self.EDGES + [(20, 21)])
+        assert v.tuples == {(Constant(1),), (Constant(2),), (Constant(3),)}
+        assert_storage_matches_rebuild(ddb.edb)
+
+    def test_rows_derived_into_a_loaded_relation(self):
+        db, rel = self.loaded()
+        ids = tuple(db.dictionary.intern(Constant(v)) for v in (70, 71))
+        rel.append_rows([ids])  # buffered behind the loaded rows
+        assert rel.tuples == self.facts(self.EDGES + [(70, 71)])
+        assert_reads_equal_a_rebuild(rel)
+        db, _ = self.loaded()
+        symmetric = parse_program("e(X, Y) :- e(Y, X).")
+        out, _ = seminaive_eval(symmetric, db)
+        assert out == naive_fixpoint_reference(symmetric, db)[0]
+        assert out.get("e", 2).tuples == self.facts(
+            self.EDGES + [(b, a) for a, b in self.EDGES]
+        )
+
+    def test_a_second_load_into_the_same_relation(self):
+        db, rel = self.loaded()
+        assert db.add_facts("e", [(0, 1), (30, 31), (30, 31)]) == 1
+        assert rel._pending_n == 21 and not rel._logrows
+        rel.col_index((1,))  # a live int index, then a third load past it
+        assert db.add_facts("e", [(31, 32), (19, 20)]) == 1
+        assert rel.tuples == self.facts(self.EDGES + [(30, 31), (31, 32)])
+        assert_reads_equal_a_rebuild(rel)
+        assert db.add_facts("e", [(40, 41)]) == 1  # and one after the flush
+        assert_reads_equal_a_rebuild(rel)
 
 
 # ----------------------------------------------------------------------
@@ -228,6 +374,7 @@ def build_relation(arity, facts, layout):
     dictionary attached, every row added tuple-side.  ``pending``:
     every row columnar-only, as a columnar fixpoint leaves a derived
     relation.  ``mixed``: a tuple-side prefix, a columnar-only rest.
+    ``loaded``: filled by :meth:`Database.add_facts`, columnar-only too.
     """
     facts = sorted(facts, key=str)
     if layout == "plain" or arity == 0:
@@ -235,6 +382,10 @@ def build_relation(arity, facts, layout):
         for fact in facts:
             rel.add(fact)
         return rel
+    if layout == "loaded":
+        db = Database(TermDictionary())
+        db.add_facts("r", facts)
+        return db.relation("r", arity)
     dictionary = TermDictionary()
     rel = Relation("r", arity, dictionary)
     split = {"tuples": len(facts), "pending": 0, "mixed": len(facts) // 2}[layout]
@@ -257,7 +408,7 @@ def test_select_equals_the_match_loop(data):
     )
     pattern = data.draw(st.tuples(*[_pattern_arg] * arity), label="pattern")
     expected = match_loop(facts, pattern)
-    for layout in ("plain", "tuples", "pending", "mixed"):
+    for layout in ("plain", "tuples", "pending", "mixed", "loaded"):
         for once in (False, True):
             where = f"{layout}, once={once}"
             rel = build_relation(arity, facts, layout)
@@ -285,7 +436,7 @@ class TestSelect:
             raise AssertionError("match_term entered")
 
         monkeypatch.setattr(database_module, "match_term", boom)
-        for layout in ("plain", "tuples", "pending", "mixed"):
+        for layout in ("plain", "tuples", "pending", "mixed", "loaded"):
             for once in (False, True):
                 rel = build_relation(
                     2, {(a, b) for a in _GROUND[:5] for b in _GROUND[3:7]}, layout
@@ -471,7 +622,8 @@ def _facts(arity, max_size):
 
 
 @settings(max_examples=300, deadline=None)
-@given(arity=st.sampled_from([1, 2, 3]), layout=st.sampled_from(["tuples", "pending", "mixed"]),
+@given(arity=st.sampled_from([1, 2, 3]),
+       layout=st.sampled_from(["tuples", "pending", "mixed", "loaded"]),
        data=st.data())
 def test_copies_share_buckets_but_never_each_others_writes(arity, layout, data):
     """Whatever the sides of a ``copy()`` do afterwards — the copy, the

@@ -9,9 +9,10 @@ case:
 * **collections and seconds by generation**, split into those that ran
   *inside* an ``ask()`` and those that ran outside (load, teardown),
   from ``gc.callbacks``;
-* the **tracked-object census** (``len(gc.get_objects())``) after the
-  facts are loaded and after the first ask has returned: what every
-  full collection walks (the difference is the compiled entry and the
+* the **load seconds** of the case's facts (``DeductiveDatabase.facts``)
+  and the **tracked-object census** (``len(gc.get_objects())``) after
+  the load and after the first ask has returned: what every full
+  collection walks (the difference is the compiled entry and the
   indexes the ask built on the EDB, which persist; no overlay does);
 * for ``tc3_chain``, **µs per round** of the warm ask (best of five
   repeats of the case's last query): factoring makes rounds tiny, so
@@ -74,15 +75,17 @@ def main() -> int:
     print(f"src={args.src} seed={args.seed} size={args.size}")
     print(f"{'case':<12}{'facts':>7}{'asks':>5}{'ask_s':>8}"
           f"{'in: g0 g1 g2':>14}{'in_gc_s':>9}{'out: g0 g1 g2':>15}{'out_gc_s':>9}"
-          f"{'tracked@load':>13}{'@ask':>9}")
+          f"{'load_s':>8}{'tracked@load':>13}{'@ask':>9}")
     gc.callbacks.append(on_gc)
     try:
         for case in workloads.GENERATORS["ask_large"](args.seed, args.size):
             spent.clear()
             db = DeductiveDatabase()
             db.rules(case["text"])
+            begin = perf_counter()
             for predicate, rows in case["facts"].items():
                 db.facts(predicate, rows)
+            load_s = perf_counter() - begin
             facts = sum(len(rows) for rows in case["facts"].values())
             census = [len(gc.get_objects())]
             ask_s = 0.0
@@ -109,7 +112,7 @@ def main() -> int:
             (inside, in_s), (outside, out_s) = row(True), row(False)
             print(f"{case['name']:<12}{facts:>7}{len(case['queries']):>5}{ask_s:>8.3f}"
                   f"{inside:>14}{in_s:>9.3f}{outside:>15}{out_s:>9.3f}"
-                  f"{census[0]:>13}{census[1]:>9}")
+                  f"{load_s:>8.3f}{census[0]:>13}{census[1]:>9}")
             if rounds is not None:
                 print(f"tc3_chain warm ask: {rounds} rounds, best of 5 "
                       f"{best:.4f} s = {1e6 * best / rounds:.2f} us per round")
