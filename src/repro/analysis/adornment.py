@@ -117,12 +117,11 @@ def _reorder_body(
     genuinely multi-adornment program) the written order is kept.
     """
     body = list(rule.body)
+    if not any(lit.signature in idb for lit in body):
+        return body
     indices = list(range(len(body)))
     failed: Set[frozenset] = set()
     nodes = [0]
-
-    def adornment_matches(literal: Literal, bound: Set[Variable]) -> bool:
-        return adorn_literal(literal, bound) == target
 
     def search(remaining: List[int], bound: Set[Variable]) -> Optional[List[int]]:
         if not remaining:
@@ -139,7 +138,7 @@ def _reorder_body(
             # occurrences of the head's own predicate; other derived
             # literals may take any adornment.
             constrained = literal.signature == rule.head.signature
-            if constrained and not adornment_matches(literal, bound):
+            if constrained and adorn_literal(literal, bound) != target:
                 continue
             rest = [i for i in remaining if i != index]
             new_bound = bound | set(literal.iter_variables())
@@ -149,10 +148,10 @@ def _reorder_body(
         failed.add(key)
         return None
 
-    derived_count = sum(1 for lit in body if lit.signature in idb)
-    if derived_count == 0:
-        return body
-    order = search(indices, set(initial_bound))
+    try:
+        order = search(indices, set(initial_bound))
+    finally:
+        del search  # it refers to itself through its cell: a cycle
     if order is None:
         return body
     return [body[i] for i in order]

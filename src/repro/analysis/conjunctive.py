@@ -150,9 +150,11 @@ def find_homomorphism(
                 del mapping[var]
         return False
 
-    if search(0):
-        return dict(mapping)
-    return None
+    try:
+        found = search(0)
+    finally:
+        del search  # it refers to itself through its cell: a cycle
+    return dict(mapping) if found else None
 
 
 def cq_contained_in(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:

@@ -89,7 +89,8 @@ def _compile_kernel(plan: RulePlan):
     slot/constant probes, existence checks, slot stores and equality
     checks) works on ids alone.
 
-    An eligible plan compiles to ``(shape, consts, head_consts, entry)``.
+    An eligible plan compiles to ``(shape, consts, head_consts, entry,
+    kinds)``.
     ``shape`` is everything the batch function depends on and nothing
     more: per step ``(kind, post_ops, key)``, ``key`` being the probe
     key as slots with ``None`` for a constant, and the head likewise —
@@ -98,7 +99,8 @@ def _compile_kernel(plan: RulePlan):
     (:func:`kernel_function`).  The constants abstracted out of it sit
     beside it, per step and for the head, and are interned per call
     (the dictionary is a call-time input); ``entry`` is
-    :func:`_entry_step` of the shape.
+    :func:`_entry_step` of the shape and ``kinds`` its step kinds, the
+    tuple :func:`execute_columnar` dispatches its resolution on.
     """
     if not plan.head_fast:
         return False
@@ -127,7 +129,8 @@ def _compile_kernel(plan: RulePlan):
     head = tuple(p if tag == H_SLOT else None for tag, p in plan.head_ops)
     head_consts = tuple(p for tag, p in plan.head_ops if tag != H_SLOT)
     steps = tuple(steps)
-    return (steps, head), tuple(consts), head_consts, _entry_step(steps)
+    kinds = tuple(kind for kind, _, _ in steps)
+    return (steps, head), tuple(consts), head_consts, _entry_step(steps), kinds
 
 
 def _entry_step(steps) -> Optional[int]:
@@ -308,7 +311,7 @@ def columnar_capable(plan: RulePlan, db: Database, overrides) -> bool:
         if step.role is not None and overrides is not None:
             rel = overrides.get(step.role)
         if rel is None:
-            rel = db.get(step.name, step.arity)
+            rel = db.relations.get(step.sig)
         if rel is not None and (
             step.arity == 0
             or getattr(rel, "dictionary", None) is not dictionary
@@ -346,15 +349,16 @@ def execute_columnar(
             capable.add(plan)
 
     steps = plan.steps
-    intern = db.dictionary.intern
     counting = stats is not None
-    shape, consts, head_consts, entry = plan._columnar
+    shape, consts, head_consts, entry, kinds = plan._columnar
+    relations = db.relations
 
     # Per-step resolution, mirroring RulePlan.execute: the same early
     # returns and constant-key probes, in the same order — an empty
     # delta at the first step ends the call here.  Each generated step
     # gets one tuple, laid out as :data:`_RESOLVED` names it plus the
-    # step's interned key constants.
+    # step's interned key constants.  ``parent`` is the relation under
+    # a window: a view is empty when its bounds meet.
     resolved: List[tuple] = []
     rows: List[Row] = [()]
     span = None  # the entry scan's (cols, lo, hi) when its rows are not cached
@@ -363,15 +367,20 @@ def execute_columnar(
         if step.role is not None and overrides is not None:
             rel = overrides.get(step.role)
         if rel is None:
-            rel = db.get(step.name, step.arity)
+            rel = relations.get(step.sig)
             if rel is None:
                 return []
-        if len(rel) == 0:
+        if type(rel) is RelationView:
+            if rel.stop == rel.start:
+                return []
+            parent = rel.relation
+        elif not len(rel):
             return []
-        kind = shape[0][j][0]
+        else:
+            parent = rel
+        kind = kinds[j]
         if kind == S_SCAN:
-            if type(rel) is RelationView:
-                parent = rel.relation
+            if parent is not rel:
                 lo, hi = rel.start, rel.stop
                 if j == entry:
                     last = parent._last_rows
@@ -392,14 +401,11 @@ def execute_columnar(
         elif kind == S_PROBE:
             # The kernel reads bucket entries, not columns; the sync
             # stays for the pinned engine.database.column_syncs count.
-            if type(rel) is RelationView:
-                rel.relation.ensure_columns()
-            else:
-                rel.ensure_columns()
-            keys = consts[j] and [intern(term) for term in consts[j]]
+            parent.ensure_columns()
+            keys = consts[j] and [db.dictionary.intern(term) for term in consts[j]]
             resolved.append((rel.col_index(step.key_positions).get, *keys))
         elif kind == S_EXISTS:
-            keys = consts[j] and [intern(term) for term in consts[j]]
+            keys = consts[j] and [db.dictionary.intern(term) for term in consts[j]]
             resolved.append((rel.col_set(), *keys))
         else:
             # A constant key, fixed for the whole run: a ground literal's
@@ -407,7 +413,7 @@ def execute_columnar(
             # a bare id for one position either way.
             if counting:
                 stats.probes += 1
-            key = [intern(term) for term in consts[j]]
+            key = [db.dictionary.intern(term) for term in consts[j]]
             key = key[0] if len(key) == 1 else tuple(key)
             if kind == S_GROUND:
                 if key not in rel.col_set():
@@ -416,10 +422,7 @@ def execute_columnar(
             bucket = rel.col_index(step.key_positions).get(key)
             if bucket is None:
                 return []
-            if type(rel) is RelationView:  # synced for the count, as above
-                rel.relation.ensure_columns()
-            else:
-                rel.ensure_columns()
+            parent.ensure_columns()  # synced for the count, as above
             resolved.append((bucket,))
 
     if span is not None:
@@ -430,7 +433,7 @@ def execute_columnar(
     if run is None:
         run = plan._kernel = kernel_function(shape)
     rows, n = run(
-        rows, resolved, head_consts and [intern(term) for term in head_consts]
+        rows, resolved, head_consts and [db.dictionary.intern(t) for t in head_consts]
     )
     if counting:
         # One tuple-mode run(i) entry per partial row reaching each

@@ -42,7 +42,9 @@ model when asked (:func:`~repro.engine.provenance.derivation_tree`).
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union,
+)
 
 from repro.datalog.literals import Literal
 from repro.datalog.parser import parse_literal, parse_program, parse_query
@@ -54,11 +56,13 @@ from repro.engine.columnar import decode_rows, execute_columnar
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database, FactTuple, Relation
 from repro.engine.plan import ExistencePlan, PlanCache
-from repro.engine.provenance import DerivationTree, derivation_tree
 from repro.engine import faults
 from repro.engine.scheduler import ComponentRun, ComponentTask, SCCScheduler
 from repro.engine.seminaive import seminaive_eval
 from repro.engine.stats import EvalStats, MaintenanceError
+
+if TYPE_CHECKING:
+    from repro.engine.provenance import DerivationTree
 
 Signature = Tuple[str, int]
 FactKey = Tuple[str, int, FactTuple]
@@ -264,6 +268,10 @@ class IncrementalSession:
         EDB, read off the maintained database (no fixpoint runs; see
         :func:`~repro.engine.provenance.derivation_tree`, which says
         what it raises): what ``repro explain`` of that EDB prints."""
+        # Imported here: a maintained session that is never asked to
+        # explain (``repro recover``) does not load the search.
+        from repro.engine.provenance import derivation_tree
+
         goal = parse_literal(fact) if isinstance(fact, str) else fact
         return derivation_tree(self.program, self.database, self._edb, goal)
 

@@ -156,6 +156,7 @@ class LiteralStep:
     __slots__ = (
         "name",
         "arity",
+        "sig",
         "role",
         "key_positions",
         "key_builders",
@@ -179,6 +180,7 @@ class LiteralStep:
     ):
         self.name = name
         self.arity = arity
+        self.sig = (name, arity)  # the key of Database.relations
         self.role = role
         self.key_positions = key_positions
         self.key_builders = key_builders
@@ -429,7 +431,7 @@ class RulePlan:
             if role is not None and overrides is not None:
                 rel = overrides.get(role)
             if rel is None:
-                rel = db.get(step.name, step.arity)
+                rel = db.relations.get(step.sig)
                 if rel is None:
                     return
             if len(rel) == 0:
@@ -569,7 +571,10 @@ class RulePlan:
                 return
             run(nexti)  # _PASS
 
-        run(0)
+        try:
+            run(0)
+        finally:
+            del run  # it refers to itself through its cell: a cycle
 
     def __repr__(self) -> str:
         return f"RulePlan({self.rule}, order={self.order}, slots={self.num_slots})"

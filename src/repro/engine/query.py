@@ -157,7 +157,9 @@ class CompiledQuery:
         edb: Database,
         bridged: FrozenSet[Signature] = frozenset(),
     ):
-        self.compiler = compiler
+        # The compiler's knobs, not the compiler: its form cache holds
+        # this entry, and a reference back would make the pair a cycle.
+        self.config = compiler.config
         self.predicate = predicate
         self.arity = arity
         self.adornment = adornment
@@ -259,7 +261,7 @@ class CompiledQuery:
         return None if counting_diverges(result) else result
 
     def _make_scheduler(self, program: Program) -> SCCScheduler:
-        return SCCScheduler(program, self.compiler.config, cache=PlanCache())
+        return SCCScheduler(program, self.config, cache=PlanCache())
 
     # -- evaluation ---------------------------------------------------
 
@@ -328,7 +330,7 @@ class CompiledQuery:
         usefully exceed the EDB size (``total`` facts) on terminating
         data, so a small multiple of it bounds both dimensions.
         """
-        config = self.compiler.config
+        config = self.config
         iterations = config.max_iterations
         if iterations is None:
             iterations = max(100, 2 * total + 10)

@@ -82,24 +82,22 @@ def join_rule(
     for as long as the caller keeps ``facts`` unchanged — one naive
     round; without it the indexes live for this call only.
     """
-    if indexes is None:
-        indexes = {}
-    body = rule.body
+    _walk(facts, indexes if indexes is not None else {}, rule.body, on_match, 0, {})
 
-    def walk(i: int, bindings: Bindings) -> None:
-        if i == len(body):
-            on_match(bindings)
-            return
-        literal = body[i]
-        for fact in _candidates(facts, indexes, literal, bindings):
-            extended = dict(bindings)
-            if all(
-                match_term(pattern, value, extended)
-                for pattern, value in zip(literal.args, fact)
-            ):
-                walk(i + 1, extended)
 
-    walk(0, {})
+def _walk(facts, indexes, body, on_match, i: int, bindings: Bindings) -> None:
+    """Extend ``bindings`` over ``body[i:]``; :func:`join_rule`'s search."""
+    if i == len(body):
+        on_match(bindings)
+        return
+    literal = body[i]
+    for fact in _candidates(facts, indexes, literal, bindings):
+        extended = dict(bindings)
+        if all(
+            match_term(pattern, value, extended)
+            for pattern, value in zip(literal.args, fact)
+        ):
+            _walk(facts, indexes, body, on_match, i + 1, extended)
 
 
 def _candidates(facts: Facts, indexes: dict, literal: Literal, bindings: Bindings):

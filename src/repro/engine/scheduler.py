@@ -48,15 +48,7 @@ from repro.engine import faults
 from repro.engine.backends import ExecutorBackend, make_backend
 from repro.engine.columnar import decode_rows, execute_columnar
 from repro.engine.config import EngineConfig
-from repro.engine.database import (
-    Database,
-    FactTuple,
-    Relation,
-    RelationView,
-    Row,
-    rows_of,
-)
-from repro.engine.partition import run_partitioned
+from repro.engine.database import Database, Relation, RelationView, rows_of
 from repro.engine.plan import PlanCache, RoleSpec
 from repro.engine.stats import ComponentTimeout, EvalStats, NonTerminationError
 
@@ -302,167 +294,55 @@ def delta_variants(
     return variants
 
 
-def window_overrides(
-    binding: list,
-    views: Dict[Tuple[Signature, str], RelationView],
-    windows: Mapping[Signature, Relation],
-    delta_start: Mapping[Signature, int],
-    stop: Mapping[Signature, int],
-) -> Dict[int, RelationView]:
-    """A delta variant's override views by body position: *delta* is
-    the log slice ``[delta_start:stop]``, *old* the prefix before it.
-    A round builds each (signature, role) window once, into ``views``,
-    and its later variants share it (indexes too)."""
-    overrides = {}
-    for pos, role, sig in binding:
-        view = views.get((sig, role))
-        if view is None:
-            lo, hi = delta_start[sig], stop[sig]
-            if role != "delta":  # old: the log before it
-                lo, hi = 0, lo
-            view = views[sig, role] = RelationView(windows[sig], lo, hi)
-        overrides[pos] = view
-    return overrides
+#: What a firing's rows are, picked once per run (:meth:`ComponentRun._rows`).
+#:
+#: * ``ID_ROWS``: interned rows from the batch kernel — a unary head's
+#:   row is its bare id, any other an id tuple (:func:`rows_of`).  Dedup
+#:   is int-row set difference against the head's ``col_set()`` and
+#:   absorption a columnar bulk append: nothing is decoded during the
+#:   fixpoint.  A call the kernel declines falls back to the tuple
+#:   executor; in a fixpoint its facts are interned, so the round's delta
+#:   stays in the row world, while a single pass hands that batch to the
+#:   term side.
+#: * ``DECODED``: the kernel's rows decoded to term facts as they arrive
+#:   (a decline falls back to the tuple executor).  What a resumed run
+#:   keeps, and a single pass whose head cannot take row appends
+#:   (nullary, or on a foreign dictionary).
+#: * ``TERM_ROWS``: term facts of the tuple executor alone — a naive
+#:   recursive fixpoint, or heads that cannot take row appends.
+#:
+#: Term facts dedup and absorb on the term side (``rel.tuples``,
+#: ``rel.add``), so the head's whole-relation row set is never asked
+#: for: what a resumed run wants.
+ID_ROWS, DECODED, TERM_ROWS = 0, 1, 2
 
 
-class _TermRows:
-    """Rows are term tuples.
+def _absorb(rel: Relation, fresh: set, as_terms: bool, stats: EvalStats, budget=None):
+    """Add the novel ``fresh`` to ``rel``; ``budget`` (if any) is
+    checked after every fact.
 
-    The only representation a nullary / foreign-dictionary head
-    relation can absorb, and the one a naive recursive fixpoint keeps.
-    Without ``kernel`` every plan runs tuple-at-a-time
-    (:meth:`RulePlan.execute`); with it an eligible plan runs through
-    the batch kernel and its rows are decoded to terms as they arrive
-    (a decline falls back to the tuple executor and counts a
-    ``columnar_fallbacks``).  Dedup and absorption stay on the term
-    side — ``rel.tuples`` and ``rel.add`` — so the head's
-    whole-relation row set is never asked for: what a resumed run
-    wants (:meth:`ComponentRun.resume`).
+    Interned rows without a budget are bulk-appended, and the append
+    consumes ``fresh``: its table is freed before the head's row set
+    grows to take the rows.  Under a budget they are added row by row,
+    so the limit trips on the same count as term facts.
     """
-
-    __slots__ = ("db", "stats", "interned", "capable")
-
-    def __init__(self, db: Database, stats: EvalStats, kernel=False):
-        self.db = db
-        self.stats = stats
-        #: What a partitioned run is told to split and emit.
-        self.interned = kernel
-        #: Plans the kernel found capable in this run (execute_columnar).
-        self.capable: set = set()
-
-    def run(self, plan, overrides, rel: Relation):
-        """``(self, head facts)`` of one plan execution, duplicates kept."""
-        if self.interned:
-            rows = execute_columnar(
-                plan, self.db, overrides, self.stats, self.capable
-            )
-            if rows is not None:
-                return self, self.adopt(rows, rel)
-            self.stats.columnar_fallbacks += 1
-        emitted: List[FactTuple] = []
-        plan.execute(self.db, overrides, emitted.append, self.stats)
-        return self, emitted
-
-    def adopt(self, out, rel: Relation) -> list:
-        """What the kernel or a partitioned run emitted for ``rel``, as
-        term facts."""
-        if self.interned:
-            return decode_rows(self.db.dictionary.terms, out, rel.arity)
-        return out
-
-    def novel(self, rel: Relation, emitted) -> Set[FactTuple]:
-        fresh = set(emitted)
-        fresh -= rel.tuples
-        return fresh
-
-    def absorb(self, rel: Relation, fresh, budget=None) -> None:
-        """Add ``fresh``; ``budget`` (if any) is checked after every fact."""
-        stats = self.stats
+    if as_terms:
         for fact in fresh:
             rel.add(fact)
             stats.facts += 1
             if budget is not None:
                 budget(stats)
-
-
-class _InternedRows:
-    """Rows are interned rows, produced by the batch kernel: a unary
-    head's row is its bare id, any other an id tuple (:func:`rows_of`).
-
-    Dedup is int-row set difference against the head's column set and
-    absorption is a columnar bulk append: nothing is decoded back to
-    terms during the fixpoint.  A call the kernel declines (ineligible
-    plan, a source outside the run's dictionary) falls back to the
-    tuple executor — the counters are identical either way, and
-    ``columnar_fallbacks`` says how often it happened.
-
-    In a fixpoint the fallback's facts are interned, so the round's
-    delta stays in the row world.  A ``single_pass`` (non-recursive)
-    component has no next round to feed: there a fallback batch, and
-    the batch of a head that cannot take row appends (nullary, or on a
-    foreign dictionary), is handed to the term representation instead.
-    """
-
-    __slots__ = ("db", "stats", "terms", "single_pass", "capable")
-
-    interned = True
-
-    def __init__(self, db: Database, stats: EvalStats, single_pass: bool):
-        self.db = db
-        self.stats = stats
-        self.terms = _TermRows(db, stats)
-        self.single_pass = single_pass
-        self.capable: set = set()  # as _TermRows.capable
-
-    def run(self, plan, overrides, rel: Relation):
-        """``(representation, batch)`` of one plan execution."""
-        db = self.db
-        rows = execute_columnar(plan, db, overrides, self.stats, self.capable)
-        if rows is None:
-            self.stats.columnar_fallbacks += 1
-            batch = self.terms.run(plan, overrides, rel)
-            if self.single_pass:
-                return batch
-            intern = db.dictionary.intern
-            facts = batch[1]
-            ids = [[intern(term) for term in col] for col in zip(*facts)]
-            return self, list(rows_of(ids, 0, len(facts)))
-        if self.single_pass and (
-            rel.arity == 0 or rel.dictionary is not db.dictionary
-        ):
-            return self.terms, decode_rows(db.dictionary.terms, rows, rel.arity)
-        return self, rows
-
-    def adopt(self, out, rel: Relation) -> list:
-        """A partitioned run's emissions are already interned rows."""
-        return out
-
-    def novel(self, rel: Relation, emitted) -> Set[Row]:
-        # Narrowed in place: a round's rows are never held in two sets.
-        fresh = set(emitted)
-        fresh -= rel.col_set()
-        return fresh
-
-    def absorb(self, rel: Relation, fresh, budget=None) -> None:
-        """Bulk-append ``fresh`` — or, under a per-fact ``budget``, add
-        row by row so the limit trips on the same count as term rows.
-
-        The bulk append consumes ``fresh``: its table is freed before
-        the head's row set grows to take the rows.
-        """
-        stats = self.stats
-        if budget is None:
-            rows = list(fresh)
-            fresh.clear()
-            rel.append_rows(rows)
-            stats.facts += len(rows)
-            return
-        rows = list(fresh)
-        facts = decode_rows(self.db.dictionary.terms, rows, rel.arity)
-        for fact, row in zip(facts, rows):
-            rel.add_row(fact, row)
-            stats.facts += 1
-            budget(stats)
+        return
+    rows = list(fresh)
+    if budget is None:
+        fresh.clear()
+        rel.append_rows(rows)
+        stats.facts += len(rows)
+        return
+    for fact, row in zip(decode_rows(rel.dictionary.terms, rows, rel.arity), rows):
+        rel.add_row(fact, row)
+        stats.facts += 1
+        budget(stats)
 
 
 class ComponentRun:
@@ -547,9 +427,19 @@ class ComponentRun:
             )
 
     def begin_round(self, stats: EvalStats) -> None:
-        """Count one fixpoint round, guarding this component's budget."""
+        """Count one round of DRed's over-deletion frontier
+        (:mod:`repro.engine.incremental`) against this component's
+        budget; :meth:`_fixpoint` counts its own rounds the same way."""
         stats.iterations += 1
         self.rounds += 1
+        max_iterations = self.config.max_iterations
+        if (max_iterations is not None and self.rounds > max_iterations) or (
+            self._deadline is not None and time.monotonic() > self._deadline
+        ):
+            self._over_budget(stats)
+
+    def _over_budget(self, stats: EvalStats) -> None:
+        """Raise for a round past ``max_iterations`` or the deadline."""
         max_iterations = self.config.max_iterations
         if max_iterations is not None and self.rounds > max_iterations:
             raise NonTerminationError(
@@ -558,13 +448,12 @@ class ComponentRun:
                 stats.iterations,
                 self.fact_base + stats.facts,
             )
-        if self._deadline is not None and time.monotonic() > self._deadline:
-            raise ComponentTimeout(
-                f"component {sorted(self.task.sigs)} exceeded its "
-                f"{self.config.max_seconds:g}s wall-clock budget",
-                stats.iterations,
-                self.fact_base + stats.facts,
-            )
+        raise ComponentTimeout(
+            f"component {sorted(self.task.sigs)} exceeded its "
+            f"{self.config.max_seconds:g}s wall-clock budget",
+            stats.iterations,
+            self.fact_base + stats.facts,
+        )
 
     # -- entry point ------------------------------------------------------
 
@@ -575,7 +464,7 @@ class ComponentRun:
             # Per-component wall clock: the watchdog is armed at execute
             # time (not construction) so pool queueing doesn't count.
             self._deadline = time.monotonic() + self.config.max_seconds
-        self._fixpoint(db, stats, self._rows(db, stats))
+        self._fixpoint(db, stats, self._rows(db))
 
     def resume(
         self, db: Database, stats: EvalStats, since: Mapping[Signature, int]
@@ -604,17 +493,16 @@ class ComponentRun:
         almost the entire relation every round to dedupe a usually-tiny
         delta.
 
-        Rows are term rows fed by the batch kernel (:class:`_TermRows`
-        with ``kernel=True``): interned absorption dedups against
-        ``Relation.col_set()``, which the copy-on-write detach of a
-        maintenance batch does not carry, and rebuilding it would cost
-        the relation, not the delta.
+        Rows are the kernel's, decoded to term facts (``DECODED``):
+        interned absorption dedups against ``Relation.col_set()``, which
+        the copy-on-write detach of a maintenance batch does not carry,
+        and rebuilding it would cost the relation, not the delta.
         """
         faults.fire("component")
         db.ensure_dictionary()
-        self._fixpoint(db, stats, _TermRows(db, stats, kernel=True), since)
+        self._fixpoint(db, stats, DECODED, since)
 
-    def _rows(self, db: Database, stats: EvalStats):
+    def _rows(self, db: Database) -> int:
         """The row representation of this run, picked once.
 
         Interned rows need, in a fixpoint, every head relation of the
@@ -636,12 +524,12 @@ class ComponentRun:
                 sig[1] > 0 and db.relation(*sig).dictionary is dictionary
                 for sig in self.task.sigs
             ):
-                return _InternedRows(db, stats, single_pass=not recursive)
-        return _TermRows(db, stats)
+                return ID_ROWS
+        return TERM_ROWS
 
     # -- the fixpoint -------------------------------------------------------
 
-    def _fixpoint(self, db: Database, stats: EvalStats, rows, seeds=None) -> None:
+    def _fixpoint(self, db: Database, stats: EvalStats, rows: int, seeds=None) -> None:
         """Rounds of rule firings until a round derives nothing new.
 
         In semi-naive mode neither deltas nor "old" relations are ever
@@ -658,12 +546,21 @@ class ComponentRun:
         rules never read its heads, so each rule's batch is absorbed as
         it arrives, with the fact budget checked per fact.
 
-        ``seeds`` (:meth:`resume`) are log offsets for the first delta
-        to start at, in place of 0.  Seeded relations outside the
-        component are windowed like its own; they do not grow, so the
-        offset bump that ends a round empties their delta for good.
-        Partitioning engages only where a delta exists to split: the
-        semi-naive fixpoint of a recursive component or any resumed one.
+        ``rows`` is the run's row representation (:data:`ID_ROWS`,
+        :data:`DECODED` or :data:`TERM_ROWS`).  ``seeds`` (:meth:`resume`)
+        are log offsets for the first delta to start at, in place of 0.
+        Seeded relations outside the component are windowed like its
+        own; they do not grow, so the offset bump that ends a round
+        empties their delta for good.  Partitioning engages only where a
+        delta exists to split: the semi-naive fixpoint of a recursive
+        component or any resumed one.
+
+        Everything that is the same every round is prepared once, before
+        the first: each firing's rule, role specs and head relation, how
+        its rows run, and the window slots its variants bind.  A round
+        reads the window offsets, builds the views its firings bind and
+        makes the calls the pinned counts count — one ``PlanCache.plan``
+        and one kernel call per firing, even on an empty delta.
         """
         scc_set = self.task.sigs
         cache = self.cache
@@ -671,69 +568,105 @@ class ComponentRun:
         seminaive = self.mode == "seminaive"
         capped = self.config.max_facts is not None
         budget = self._check_facts if capped and not recursive else None
+        max_rounds = self.config.max_iterations
+        if max_rounds is None:
+            max_rounds = float("inf")
+        deadline = self._deadline
         rels: Dict[Signature, Relation] = {
             sig: db.relation(*sig) for sig in scc_set
         }
         # Facts present before the first round seed the delta (magic
-        # seeds and facts from earlier strata drive round one);
-        # delta_start marks the log offset where the current delta begins.
-        windows = rels
-        delta_start: Dict[Signature, int] = {sig: 0 for sig in scc_set}
+        # seeds and facts from earlier strata drive round one).  The
+        # windowed relations sit in numbered slots: wins[k] is one,
+        # lo[k] the log offset where its current delta begins and
+        # empty[k] the view every empty window of it shares.
         seeded = seeds is not None
+        windowed = seeded or (seminaive and recursive)
+        windows = rels if windowed else {}
         if seeded:
             read = {lit.signature for rule in self.task.rules for lit in rule.body}
             windows = {sig: db.relation(*sig) for sig in read if sig in seeds}
             windows.update(rels)
-            delta_start = {
-                sig: seeds.get(sig, len(rel)) for sig, rel in windows.items()
-            }
+        slot = {sig: k for k, sig in enumerate(windows)}
+        wins = list(windows.values())
+        lo = [seeds.get(sig, len(rel)) if seeded else 0 for sig, rel in windows.items()]
+        empty = [RelationView(rel, 0, 0) for rel in wins]
+        nviews = 2 * len(wins)  # a delta and an old view per window
 
-        # Per rule, the plans it fires in a round as (roles, binding)
-        # pairs.  A rule with recursive occurrences fires its delta
-        # variants every round.  Any other rule reads only full
-        # relations (_FULL): every round in naive mode, but only in the
-        # first round in semi-naive mode — its input never changes
-        # afterwards.  Each (rule, roles) pair is compiled once by the
-        # cache and re-fetched per round: the refetch is what the
-        # plan_cache_hits counter measures.  A seeded run
-        # fires delta variants only: a rule none of whose occurrences
-        # is windowed has nothing new to read.
+        # Per rule, the variants it fires in a round as (roles, binds)
+        # pairs, binds being (body position, window slot, view slot,
+        # delta?) per windowed occurrence.  A rule with recursive
+        # occurrences fires its delta variants every round.  Any other
+        # rule reads only full relations (_FULL): every round in naive
+        # mode, but only in the first round in semi-naive mode — its
+        # input never changes afterwards.  Each (rule, roles) pair is
+        # compiled once by the cache and re-fetched per round: the
+        # refetch is what the plan_cache_hits counter measures.  A
+        # seeded run fires delta variants only: a rule none of whose
+        # occurrences is windowed has nothing new to read.
         firings = []
-        windowed = seeded or (seminaive and recursive)
         nparts = self.config.partitions if windowed and seminaive else 1
+        if nparts > 1:
+            from repro.engine.partition import run_partitioned
         for rule in self.task.rules:
             variants = delta_variants(rule, scc_set, seeds) if windowed else None
-            if variants or not seeded:
-                firings.append(
-                    (rule, rule.head.signature, variants or _FULL,
-                     bool(variants) or not seminaive)
-                )
+            if not variants and seeded:
+                continue
+            sig = rule.head.signature
+            rel = rels[sig]
+            kind = rows
+            if not recursive and rows == ID_ROWS and (
+                rel.arity == 0 or rel.dictionary is not db.dictionary
+            ):
+                kind = DECODED
+            every_round = bool(variants) or not seminaive
+            variants = [
+                (roles, tuple(
+                    (pos, slot[at], 2 * slot[at] + (role == "old"), role == "delta")
+                    for pos, role, at in binding
+                ))
+                for roles, binding in variants or _FULL
+            ]
+            firings.append((rule, sig, rel, kind, variants, every_round))
 
+        capable: set = set()  # plans the kernel found capable (execute_columnar)
         first_round = True
         try:
             while True:
-                self.begin_round(stats)
+                stats.iterations += 1
+                self.rounds += 1
+                if self.rounds > max_rounds or (
+                    deadline is not None and time.monotonic() > deadline
+                ):
+                    self._over_budget(stats)
                 round_partitioned = False
                 if windowed:
-                    stop = {sig: len(rel) for sig, rel in windows.items()}
-                    views: Dict[Tuple[Signature, str], RelationView] = {}
+                    hi = list(map(len, wins))
+                    # The round's views, built when a firing binds them
+                    # and shared by its later firings (indexes too).
+                    views = [None] * nviews
                 new: Dict[Signature, set] = {}
 
-                for rule, sig, variants, every_round in firings:
+                for rule, sig, rel, kind, variants, every_round in firings:
                     if not (every_round or first_round):
                         continue
-                    rel = rels[sig]
-                    emitted: list = []
-                    batch_rows = rows
-                    for roles, binding in variants:
+                    emitted = None
+                    as_terms = kind != ID_ROWS
+                    for roles, binds in variants:
                         overrides = None
-                        if binding:
-                            delta_sig = binding[0][2]
-                            if seeded and stop[delta_sig] == delta_start[delta_sig]:
+                        if binds:
+                            if seeded and lo[binds[0][1]] == hi[binds[0][1]]:
                                 continue  # nothing new at this occurrence
-                            overrides = window_overrides(
-                                binding, views, windows, delta_start, stop
-                            )
+                            overrides = {}
+                            for pos, k, v, delta in binds:
+                                view = views[v]
+                                if view is None:
+                                    start, stop = (lo[k], hi[k]) if delta else (0, lo[k])
+                                    view = views[v] = (
+                                        RelationView(wins[k], start, stop)
+                                        if start < stop else empty[k]
+                                    )
+                                overrides[pos] = view
                         plan = cache.plan(rule, roles, stats)
                         out = None
                         if nparts > 1 and roles:
@@ -744,27 +677,43 @@ class ComponentRun:
                             # order.
                             out = run_partitioned(
                                 plan, db, overrides, roles[0][0], stats,
-                                rows.interned, nparts,
+                                kind != TERM_ROWS, nparts,
                             )
                             if out is not None:
                                 round_partitioned = True
-                                out = rows.adopt(out, rel)
+                        if out is None and kind != TERM_ROWS:
+                            out = execute_columnar(plan, db, overrides, stats, capable)
+                            if out is None:
+                                stats.columnar_fallbacks += 1
                         if out is None:
-                            batch_rows, out = rows.run(plan, overrides, rel)
-                        if emitted:
-                            emitted.extend(out)
-                        else:
+                            out = []
+                            plan.execute(db, overrides, out.append, stats)
+                            if kind == ID_ROWS:
+                                if recursive:
+                                    intern = db.dictionary.intern
+                                    ids = [[intern(t) for t in col] for col in zip(*out)]
+                                    out = list(rows_of(ids, 0, len(out)))
+                                else:
+                                    as_terms = True
+                        elif kind == DECODED:
+                            out = decode_rows(db.dictionary.terms, out, rel.arity)
+                        if emitted is None:
                             # The common single-variant case adopts the
                             # fresh list instead of copying it.
                             emitted = out
+                        else:
+                            emitted.extend(out)
                     if not emitted:
                         continue
                     stats.inferences += len(emitted)
-                    fresh = batch_rows.novel(rel, emitted)
+                    # Narrowed in place: a round's rows are never held
+                    # in two sets.
+                    fresh = set(emitted)
+                    fresh -= rel.tuples if as_terms else rel.col_set()
                     if not fresh:
                         continue
                     if not recursive:
-                        batch_rows.absorb(rel, fresh, budget)
+                        _absorb(rel, fresh, as_terms, stats, budget)
                     elif sig in new:
                         new[sig] |= fresh
                     else:
@@ -774,9 +723,9 @@ class ComponentRun:
                     stats.partition_rounds += 1
                 if windowed:
                     # Advance: delta becomes old (a log-offset bump).
-                    delta_start = stop
+                    lo = hi
                 for sig, fresh in new.items():
-                    rows.absorb(rels[sig], fresh)
+                    _absorb(rels[sig], fresh, rows != ID_ROWS, stats)
                     if capped:
                         self._check_facts(stats)
                 first_round = False
@@ -787,4 +736,3 @@ class ComponentRun:
             # stays cached on every head for as long as the database lives
             for rel in rels.values():
                 rel.release_delta_rows()
-

@@ -901,7 +901,11 @@ class TestImportHygiene:
     ``concurrent.futures`` (with ``socket``, ``tempfile``, ``logging``
     and ``subprocess`` behind them) are imported where an executor is
     created — only ``jobs > 1`` ever starts a pool; partitions run in
-    the process that evaluates their component.
+    the process that evaluates their component, and the partitioner is
+    imported by the first fixpoint that splits a delta.  A maintained
+    session imports the derivation search when it is first asked to
+    explain; the server imports it up front, since a request imports
+    nothing.
     All of it checked in fresh interpreters that write no bytecode, so
     every import is a compile, as in the benchmark's container.
     """
@@ -1067,7 +1071,8 @@ print("LOADED", *sorted(m for m in sys.modules if m.startswith("repro.")))
             loaded, "repro.core", "repro.transforms", "repro.session",
             "repro.workloads", "repro.engine.query",
             "repro.engine.server", "repro.engine.topdown",
-            "repro.engine.reference",
+            "repro.engine.reference", "repro.engine.partition",
+            "repro.engine.provenance",
         ) == []
         assert self.under(loaded, "repro.analysis") == [
             "repro.analysis", "repro.analysis.dependency",
@@ -1080,7 +1085,7 @@ print("LOADED", *sorted(m for m in sys.modules if m.startswith("repro.")))
             loaded, "repro.session", "repro.workloads",
             "repro.engine.query", "repro.engine.server", "repro.engine.topdown",
             "repro.engine.journal", "repro.engine.incremental",
-            "repro.engine.provenance",
+            "repro.engine.provenance", "repro.engine.partition",
         ) == []
 
     def test_query_imports_the_decision_with_the_compiler(
@@ -1098,7 +1103,7 @@ print("LOADED", *sorted(m for m in sys.modules if m.startswith("repro.")))
             loaded, "repro.session", "repro.workloads",
             "repro.engine.server", "repro.engine.topdown", "repro.engine.journal",
             "repro.engine.incremental", "repro.engine.provenance",
-            "repro.engine.reference",
+            "repro.engine.reference", "repro.engine.partition",
         ) == []
 
     def test_ask_imports_nothing(self):
@@ -1165,7 +1170,10 @@ def client():
                         break
                 assert reply.startswith("ok"), (line, reply)
         print("NEW", *sorted(set(sys.modules) - before), file=sys.__stdout__, flush=True)
-        for name in ("repro.engine.reference", "repro.engine.query", "repro.core.pipeline"):
+        for name in (
+            "repro.engine.reference", "repro.engine.query", "repro.core.pipeline",
+            "repro.engine.partition",  # partitions=1: never loaded
+        ):
             assert name not in sys.modules, name
         code = 0
     finally:

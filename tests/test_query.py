@@ -515,6 +515,22 @@ class TestAnAskFreesWhatItAllocates:
         assert made.constructed >= 3  # the overlay, its seed, query
         assert made.survivors() == []
 
+    def test_an_ask_leaves_no_cyclic_garbage(self, collector_off):
+        """Every corpus form, asked cold and then warm: the compiled
+        entries, plans and schedulers an ask builds die by reference
+        count with their compiler, so a collection finds nothing."""
+        forms = 0
+        for index, (name, program, program_forms) in enumerate(decision_corpus()):
+            facts, queries = corpus_instance(index, program, program_forms)
+            compiler = QueryCompiler(program)
+            edb = Database.from_dict(facts)
+            for query in queries + queries:
+                compiler.ask(query, edb)
+            del compiler, edb
+            assert gc.collect() == 0, name
+            forms += len(queries)
+        assert forms == 524
+
     @pytest.mark.parametrize("stage", ["original", "magic", "factored", "simplified"])
     def test_evaluated_stage_is_dead_when_evaluate_stage_returns(
         self, collector_off, storage, stage

@@ -664,6 +664,78 @@ def round_loop_edb(seed=11, n=24):
     )
 
 
+#: The mechanical calls ``perf/layers.py`` counts, as count_pinned_calls
+#: names them: plan lookups, kernel calls, column syncs.
+PINNED_CALLS = ("plan", "kernel", "sync")
+
+#: A recursive stratum with non-recursive ones above it: their rules
+#: absorb each batch as it arrives, fact by fact under a ``max_facts``.
+MECHANICAL_PROGRAMS = {
+    "bucket_first": ROUND_LOOP_PROGRAMS["bucket_first"],
+    "factored": ROUND_LOOP_PROGRAMS["factored"],
+    "tc3": ROUND_LOOP_PROGRAMS["tc3"],
+    "layered": (
+        "t(X, Y) :- e(X, Y).\nt(X, Y) :- e(X, W), t(W, Y).\n"
+        "reach(Y) :- t(0, Y).\npair(X, Y) :- reach(X), e(X, Y), reach(Y)."
+    ),
+}
+MECHANICAL_RUNS = ("seminaive", "resumed", "partitioned", "capped")
+
+#: ``max_facts`` for the capped run: below each program's derived facts,
+#: so the budget trips mid-run.
+MECHANICAL_CAPS = {"bucket_first": 600, "factored": 45, "tc3": 600, "layered": 700}
+
+#: (plan lookups, kernel calls, column syncs) per program and run,
+#: recorded on the commit before the round loop prepared its firings
+#: once per run, at ``jobs=1``.  A partitioned run's syncs are not
+#: pinned: they follow the hash split of each delta (an empty
+#: partition syncs nothing), which moves with ``PYTHONHASHSEED``.
+MECHANICAL_PINNED = {
+    ("bucket_first", "seminaive"): (32, 32, 184),
+    ("bucket_first", "resumed"): (32, 32, 157),
+    ("bucket_first", "partitioned"): (32, 32, None),
+    ("bucket_first", "capped"): (7, 7, 35),
+    ("factored", "seminaive"): (102, 102, 105),
+    ("factored", "resumed"): (47, 47, 96),
+    ("factored", "partitioned"): (102, 92, None),
+    ("factored", "capped"): (18, 18, 22),
+    ("layered", "seminaive"): (34, 34, 103),
+    ("layered", "resumed"): (35, 35, 108),
+    ("layered", "partitioned"): (34, 5, None),
+    ("layered", "capped"): (10, 10, 27),
+    ("tc3", "seminaive"): (29, 29, 67),
+    ("tc3", "resumed"): (23, 23, 68),
+    ("tc3", "partitioned"): (29, 5, None),
+    ("tc3", "capped"): (17, 17, 34),
+    ("layered", "chase"): (12, 2, 18),
+}
+
+
+def count_pinned_calls(monkeypatch):
+    """A counter of the calls in :data:`PINNED_CALLS` from here on."""
+    from collections import Counter
+
+    from repro.engine import scheduler
+    from repro.engine.plan import PlanCache
+
+    calls = Counter()
+
+    def counted(owner, attr, key):
+        method = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return method(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counted(PlanCache, "plan", "plan")
+    counted(scheduler, "execute_columnar", "kernel")
+    counted(Relation, "ensure_columns", "sync")
+    counted(Relation, "col_set", "sync")
+    return calls
+
+
 class TestRoundLoopMovedNoDeterminateOutput:
     """What a round allocates and which passes a kernel call skips are
     mechanics; the fixpoint and its counters are not."""
@@ -689,24 +761,68 @@ class TestRoundLoopMovedNoDeterminateOutput:
         assert self.counters(stats) == self.counters(tuple_stats)
         assert self.counters(stats) == ROUND_LOOP_PINNED[name]
 
-    @pytest.mark.parametrize("name", sorted(ROUND_LOOP_PROGRAMS))
-    def test_a_resumed_run_counts_what_it_counted(self, name):
-        program = parse_program(ROUND_LOOP_PROGRAMS[name])
-        whole = round_loop_edb()
+    @staticmethod
+    def arrived_later(program, whole):
+        """The model of ``whole`` without every third fact of its binary
+        relations, those facts added afterwards, and the log offsets
+        where they start: a resume's inputs."""
         first, later = whole.copy(), {}
         for sig in sorted(program.edb_signatures & {("e", 2), ("flat", 2), ("up", 2)}):
-            # every third fact of the binary relations arrives afterwards
             later[sig] = sorted(whole.relation(*sig).tuples, key=str)[::3]
             first.relation(*sig).remove_facts(later[sig])
-        ref, _ = naive_fixpoint_reference(program, whole)
-        db, _ = seminaive_eval(program, first, **self.KNOBS)
+        db, _ = seminaive_eval(program, first, jobs=1, partitions=1)
         since = {sig: len(db.relation(*sig)) for sig in later}
         for sig, facts in later.items():
             for fact in facts:
                 db.relation(*sig).add(fact)
+        return db, since
+
+    @pytest.mark.parametrize("name", sorted(ROUND_LOOP_PROGRAMS))
+    def test_a_resumed_run_counts_what_it_counted(self, name):
+        program = parse_program(ROUND_LOOP_PROGRAMS[name])
+        whole = round_loop_edb()
+        ref, _ = naive_fixpoint_reference(program, whole)
+        db, since = self.arrived_later(program, whole)
         stats, _ = resume_reached(program, db, since, **self.KNOBS)
         assert db == ref, f"{name}: resumed run diverged"
         assert self.counters(stats) == ROUND_LOOP_PINNED[name + "+resumed"]
+
+    @pytest.mark.parametrize(
+        "name, run",
+        [(name, run) for name in sorted(MECHANICAL_PROGRAMS) for run in MECHANICAL_RUNS],
+    )
+    def test_a_run_makes_the_pinned_calls_it_made(self, monkeypatch, name, run):
+        """``PlanCache.plan``, ``execute_columnar`` (as the scheduler
+        binds it) and ``Relation.ensure_columns`` + ``col_set``: the
+        calls ``perf/layers.py`` counts and ``perf/expected.json`` pins,
+        for every kind of run the one fixpoint loop serves."""
+        program = parse_program(MECHANICAL_PROGRAMS[name])
+        edb = round_loop_edb()
+        calls = count_pinned_calls(monkeypatch)
+        if run == "resumed":
+            db, since = self.arrived_later(program, edb)
+            calls.clear()
+            resume_reached(program, db, since, **self.KNOBS)
+        elif run == "capped":
+            with pytest.raises(NonTerminationError):
+                seminaive_eval(program, edb, **self.KNOBS, max_facts=MECHANICAL_CAPS[name])
+        else:
+            knobs = dict(self.KNOBS, partitions=2 if run == "partitioned" else 1)
+            seminaive_eval(program, edb, **knobs)
+        pinned = MECHANICAL_PINNED[name, run]
+        counted = [calls[k] for k in PINNED_CALLS]
+        assert tuple(c if p is not None else None for c, p in zip(counted, pinned)) == pinned
+
+    def test_the_naive_chase_makes_the_pinned_calls_it_made(self, monkeypatch):
+        from repro.analysis.uniform import chase_derives
+        from repro.datalog.parser import parse_rule
+
+        program = parse_program(MECHANICAL_PROGRAMS["layered"])
+        rule = parse_rule("pair(B, C) :- e(0, A), e(A, B), e(B, C), e(C, D), e(D, B).")
+        calls = count_pinned_calls(monkeypatch)
+        assert chase_derives(program, rule)
+        assert tuple(calls[k] for k in PINNED_CALLS) == MECHANICAL_PINNED["layered", "chase"]
+
 
 
 def same_generation_tree(depth):

@@ -16,9 +16,15 @@ as ``perf/rep.py`` does — program, then the EDB, then ``seminaive_eval``
   (``loop`` is the round loop between stages, ``setup`` what runs
   before the first round).
 
-The stages are found by wrapping the scheduler's row representations
-(``run``, ``novel``, ``absorb``) and ``ComponentRun.begin_round``; what
-the wrappers themselves keep is a label tuple per stage.  The table in
+The stages are found by wrapping what a round calls: the kernel
+(``execute_columnar`` as the scheduler binds it, and the tuple
+executor ``RulePlan.execute``) opens ``kernel``, its return opens
+``novel`` (the dedup that follows it), the head's appends
+(``Relation.append_rows``/``add_row``/``add``) open ``absorb``, and the
+next plan lookup (``PlanCache.plan``) or the end of an append returns
+to ``loop``.  The round is the running ``ComponentRun``'s count, read
+at each mark.  What the wrappers themselves keep is a label tuple per
+stage.  The table in
 ``docs/engine.md`` ("What a round holds") is this output.  ``--src``
 measures another checkout's ``src/`` (the parent commit, for the
 "before" column) on the same inputs.
@@ -37,7 +43,7 @@ import sys
 import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-STAGES = {"run": "kernel", "novel": "novel", "absorb": "absorb"}
+STAGES = ("kernel", "novel", "absorb")
 MB = 1 << 20
 
 
@@ -45,55 +51,72 @@ class PeakWatch:
     """The traced peak of each stretch of an evaluation, by label."""
 
     def __init__(self):
-        self.component, self.round = "-", 0
+        self.run = None  # the ComponentRun whose fixpoint is running
         self.label = ("-", 0, "setup")
         self.depth = 0
         self.stage_peaks = {}
         self.best = (0, self.label)
 
-    def mark(self, label):
-        """Close the stretch since the last mark; start one under ``label``."""
+    def mark(self, stage):
+        """Close the stretch since the last mark; start one of ``stage``."""
         _, peak = tracemalloc.get_traced_memory()
-        stage = self.label[2]
-        self.stage_peaks[stage] = max(self.stage_peaks.get(stage, 0), peak)
+        last = self.label[2]
+        self.stage_peaks[last] = max(self.stage_peaks.get(last, 0), peak)
         if peak > self.best[0]:
             self.best = (peak, self.label)
         tracemalloc.reset_peak()
-        self.label = label
+        run = self.run
+        if run is None:
+            self.label = ("-", 0, stage)
+        else:
+            component = ",".join(sorted(name for name, _ in run.task.sigs))
+            self.label = (component, run.rounds, stage)
 
-    def staged(self, stage, method):
+    def staged(self, stage, after, method):
+        """``method`` marking ``stage`` when called and ``after`` when
+        it returns."""
         def wrapper(*args, **kwargs):
-            if self.depth:  # a kernel decline falling back to the tuple executor
+            if self.depth:  # a call inside a staged one
                 return method(*args, **kwargs)
             self.depth += 1
-            self.mark((self.component, self.round, stage))
+            self.mark(stage)
             try:
                 return method(*args, **kwargs)
             finally:
                 self.depth -= 1
-                self.mark((self.component, self.round, "loop"))
+                self.mark(after)
 
         return wrapper
 
-    def rounds(self, begin_round):
-        def wrapper(run, stats):
-            begin_round(run, stats)
-            self.component = ",".join(sorted(name for name, _ in run.task.sigs))
-            self.round = run.rounds
+    def fixpoint(self, method):
+        def wrapper(run, *args, **kwargs):
+            self.run = run
+            try:
+                return method(run, *args, **kwargs)
+            finally:
+                self.run = None
 
         return wrapper
 
 
 def install(scheduler, watch):
-    """Wrap the stage methods; returns what to restore."""
+    """Wrap the stage entry points; returns what to restore."""
+    from repro.engine.database import Relation
+    from repro.engine.plan import PlanCache, RulePlan
+
     saved = []
-    for owner in (scheduler._InternedRows, scheduler._TermRows):
-        for attr, stage in STAGES.items():
-            saved.append((owner, attr, getattr(owner, attr)))
-            setattr(owner, attr, watch.staged(stage, getattr(owner, attr)))
-    run = scheduler.ComponentRun
-    saved.append((run, "begin_round", run.begin_round))
-    run.begin_round = watch.rounds(run.begin_round)
+
+    def wrap(owner, attr, wrapped):
+        saved.append((owner, attr, getattr(owner, attr)))
+        setattr(owner, attr, wrapped(getattr(owner, attr)))
+
+    wrap(scheduler, "execute_columnar",
+         lambda method: watch.staged("kernel", "novel", method))
+    wrap(RulePlan, "execute", lambda method: watch.staged("kernel", "novel", method))
+    for attr in ("append_rows", "add_row", "add"):
+        wrap(Relation, attr, lambda method: watch.staged("absorb", "loop", method))
+    wrap(PlanCache, "plan", lambda method: watch.staged("loop", "loop", method))
+    wrap(scheduler.ComponentRun, "_fixpoint", watch.fixpoint)
     return saved
 
 
@@ -125,7 +148,7 @@ def main() -> int:
         tracemalloc.start()
         try:
             db, stats = seminaive_eval(program, edb)
-            watch.mark(None)
+            watch.mark("done")
             final, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -133,7 +156,7 @@ def main() -> int:
                 setattr(owner, attr, method)
         peak, (component, round_, stage) = watch.best
         by_stage = "".join(
-            f"{watch.stage_peaks.get(s, 0) / MB:>8.1f}" for s in STAGES.values()
+            f"{watch.stage_peaks.get(s, 0) / MB:>8.1f}" for s in STAGES
         )
         print(f"{case['name']:<10}{stats.facts:>9}{final / MB:>10.1f}{peak / MB:>9.1f}"
               f"{(peak - final) / final:>7.3f}{by_stage}  "
