@@ -892,11 +892,13 @@ class Relation:
         survivors in their original order, so subsequent semi-naive
         maintenance passes keep slicing valid :meth:`view` windows.
 
-        Where the columns cover the log the doomed rows are found *by
-        id* — one pass comparing int rows, no term hashed outside the
-        doomed facts themselves — and log, columns and row set are
-        compacted at those positions; without complete columns the log
-        is searched by term.  Live tuple and int indexes are *repaired*,
+        Where the columns cover every row — pending ones included — the
+        doomed rows are found *by id*: each fact is looked up in the
+        dictionary, one pass compares int rows, and columns, row set,
+        the pending span and the logged prefix are compacted at those
+        positions.  Nothing is decoded: rows still pending stay pending,
+        and no term is built.  Without complete columns the log is
+        searched by term.  Live tuple and int indexes are *repaired*,
         not dropped: only the buckets the doomed facts project into are
         filtered (:func:`_drop_from_buckets`), and an int index's
         watermark loses the doomed rows below it.
@@ -904,22 +906,31 @@ class Relation:
         Must not be called while an evaluation holds views over this
         relation: view bounds are log offsets and compaction moves them.
         """
-        doomed = {fact for fact in facts if fact in self.tuples}
-        if not doomed:
-            return 0
-        self._tuples -= doomed
+        if self._pending_n and not self._pending_loaded:
+            self.ensure_columns()  # drain buffered rows into the columns
         log = self._logrows
         cols = self._cols
         covered = 0 if cols is None else len(cols[0])
-        if covered == len(log):
-            ident = self.dictionary.lookup
-            ids = [[ident(term) for term in col] for col in zip(*doomed)]
-            rows = set(rows_of(ids, 0, len(doomed)))
+        if cols is not None and covered == len(log) + self._pending_n:
+            lookup = self.dictionary.lookup
+            rows = set()
+            for fact in facts:
+                ids = tuple(map(lookup, fact))
+                if len(ids) == self.arity and None not in ids:
+                    rows.add(ids[0] if self.arity == 1 else ids)
             gone = [i for i, row in enumerate(rows_of(cols, 0, covered)) if row in rows]
+            doomed = [log[i] for i in gone[: bisect_left(gone, len(log))]]
         else:
             rows = None
-            gone = [i for i, fact in enumerate(log) if fact in doomed]
-        self._logrows = _without(log, gone)
+            present = {fact for fact in facts if fact in self._tuples}
+            gone = [i for i, fact in enumerate(log) if fact in present]
+            doomed = [log[i] for i in gone]
+        if not gone:
+            return 0
+        self._tuples.difference_update(doomed)
+        if doomed:
+            self._logrows = _without(log, gone[: len(doomed)])
+        self._pending_n -= len(gone) - len(doomed)
         # Row i of the columns still describes row i of the log: the
         # columnized prefix loses exactly its doomed rows.
         inside = gone[: bisect_left(gone, covered)]
@@ -927,7 +938,7 @@ class Relation:
             self._cols = [_without(col, inside) for col in cols]
         if rows is not None and self._colset is not None and self._colset_n == covered:
             self._colset -= rows
-            self._colset_n = len(self._logrows)
+            self._colset_n = covered - len(gone)
         else:
             self._colset = None
             self._colset_n = 0
@@ -942,7 +953,7 @@ class Relation:
         for positions, index in self._indexes.items():
             facts = _keyed_facts(doomed, positions)
             _drop_from_buckets(index, self._owned.get(positions), facts)
-        return len(doomed)
+        return len(gone)
 
     def view(self, start: int, stop: int) -> "RelationView":
         """A read-only view of insertions ``start:stop`` (log order).
@@ -1198,20 +1209,20 @@ class Database:
     def add_facts(self, predicate: str, tuples: Iterable[Sequence]) -> int:
         """Bulk load; returns the number of new facts.
 
-        Facts are interned here, a column at a time: each distinct
-        argument is interned into the database's dictionary once per
-        call, a plain value wrapped as a :class:`Constant` (``1``,
-        ``1.0`` and ``True`` stay three ids).  Each relation receives
-        its rows as ids (:meth:`Relation.load`); their term tuples are
-        decoded only if the tuple world reads them.  Same checks per
-        row as :meth:`add_fact`: a row that fails them (not iterable,
-        not ground, unhashable) raises, the rows before it land, and
-        none of its arguments is interned.
+        Facts are interned here, a column at a time.  A column of
+        ``int``/``str`` values mints its ids straight from the values
+        (:meth:`TermDictionary.mint`), building no term; any other
+        argument is interned once per call, a plain value wrapped as a
+        :class:`Constant` (``1``, ``1.0`` and ``True`` stay three ids).
+        Each relation receives its rows as ids (:meth:`Relation.load`);
+        their term tuples are decoded only if the tuple world reads
+        them.  Same checks per row as :meth:`add_fact`: a row that fails
+        them (not iterable, not ground, unhashable) raises, the rows
+        before it land, and none of its arguments is interned.
         """
         rows: List[Tuple] = []
         try:
-            for args in tuples:
-                rows.append(tuple(args))
+            rows.extend(map(tuple, tuples))
         finally:  # the rows before a failing one still land
             added = self._load_rows(predicate, rows)
         return added
@@ -1220,36 +1231,34 @@ class Database:
         """:meth:`add_facts` for argument tuples, run by run of one
         arity; raises the error of the first row no fact may hold once
         the rows before it are loaded."""
-        memo: Dict[object, int] = {}
+        # Non-text values only, keyed with their type: 1.0 and True are
+        # equal but two constants.
+        memo: Dict[Tuple[type, object], int] = {}
         added = 0
         for arity, run in groupby(rows, len):
             dictionary = self.ensure_dictionary()
             run = list(run)
             cols = [list(map(itemgetter(p), run)) for p in range(arity)]
+            text = [set(map(type, col)).issubset(TEXT_VALUE_TYPES) for col in cols]
             end, error = len(run), None
-            keys = []
-            for col in cols:
-                # A text value keys the memo as itself, any other with
-                # its type: 1, 1.0 and True are equal but three constants.
-                if set(map(type, col)).issubset(TEXT_VALUE_TYPES):
-                    keys.append(col)
-                    continue
-                keys.append([
-                    v if type(v) in TEXT_VALUE_TYPES else (type(v), v)
-                    for v in col
-                ])
-                bad = _first_unstorable(col, end)
-                if bad is not None:
-                    end, error = bad
+            for col, is_text in zip(cols, text):
+                if not is_text:
+                    bad = _first_unstorable(col, end)
+                    if bad is not None:
+                        end, error = bad
             ids = []
-            for col, col_keys in zip(cols, keys):
-                col, col_keys = col[:end], col_keys[:end]
-                for key, value in dict(zip(col_keys, col)).items():
+            for col, is_text in zip(cols, text):
+                col = col[:end]
+                if is_text:
+                    ids.append(dictionary.mint(col))
+                    continue
+                keys = [(type(v), v) for v in col]
+                for key, value in dict(zip(keys, col)).items():
                     if key not in memo:
                         if not isinstance(value, Term):
                             value = Constant(value)
                         memo[key] = dictionary.intern(value)
-                ids.append(list(map(memo.__getitem__, col_keys)))
+                ids.append(list(map(memo.__getitem__, keys)))
             if end:
                 rel = self.relation(predicate, arity)
                 if arity and rel.dictionary is dictionary:

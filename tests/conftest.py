@@ -8,6 +8,7 @@ import pytest
 
 from repro.datalog.literals import Literal
 from repro.datalog.program import Program
+from repro.datalog.terms import Constant
 from repro.engine.database import Database
 from repro.engine.reference import naive_fixpoint_reference
 from repro.datalog.unify import match
@@ -193,6 +194,25 @@ def encoded_rows(id_facts, arity):
     """``id_facts`` (one id tuple per fact) as a relation stores its rows:
     a unary relation's row is its bare id, any other row the id tuple."""
     return [fact[0] for fact in id_facts] if arity == 1 else list(id_facts)
+
+
+def counting_constants(monkeypatch):
+    """The values of every :class:`Constant` built from here on."""
+    built = []
+    init = Constant.__init__
+
+    def counted(self, value):
+        built.append(value)
+        init(self, value)
+
+    monkeypatch.setattr(Constant, "__init__", counted)
+    return built
+
+
+def own_ids(dictionary):
+    """The id objects ``dictionary`` holds, each keyed by itself: what
+    ``lookup`` hands out for every term it decodes."""
+    return {ident: ident for ident in map(dictionary.lookup, dictionary.terms)}
 
 
 def rebuilt_col_index(rows, positions, arity):

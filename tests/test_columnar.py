@@ -25,6 +25,7 @@ from repro.engine.seminaive import seminaive_eval
 
 from tests.conftest import (
     assert_storage_matches_rebuild,
+    own_ids,
     rebuilt_col_index,
     tuple_at_a_time,
 )
@@ -198,7 +199,7 @@ def test_unary_rows_are_the_dictionarys_own_ids():
     """Row set, view row set, delta rows and kernel output of a unary
     relation hold the dictionary's ids themselves, never a 1-tuple."""
     db, _ = seminaive_eval(REACH, reach_edb(400))
-    own = {ident: ident for ident in db.dictionary._ids.values()}
+    own = own_ids(db.dictionary)
     r = db.relation("r", 1)
     assert len(r) == 401
 
@@ -274,7 +275,7 @@ def test_binary_buckets_hold_the_dictionarys_own_ids():
     for i in range(400):  # ids past the small-int cache
         rel.add((Constant(f"v{i}"), Constant(f"v{(i * 7) % 400}")))
     rows = list(zip(*rel.ensure_columns()))
-    own = {ident: ident for ident in d._ids.values()}
+    own = own_ids(d)
     for positions in ((0,), (1,)):
         index = rel.col_index(positions)
         assert index == rebuilt_col_index(rows, positions, 2)

@@ -19,6 +19,7 @@ from repro.session import DeductiveDatabase
 from tests.conftest import (
     answer_values,
     assert_storage_matches_rebuild,
+    counting_constants,
     encoded_rows,
     rebuilt_col_index,
 )
@@ -206,22 +207,30 @@ class TestAddFacts:
 
     def test_a_load_interns_each_value_once_and_builds_no_term_tuple(self, monkeypatch):
         asked = []  # every term a dictionary was asked to intern
-        intern = TermDictionary.intern
+        minted = []  # every value column it was asked to mint ids for
+        intern, mint = TermDictionary.intern, TermDictionary.mint
         monkeypatch.setattr(
             TermDictionary, "intern",
             lambda self, term: asked.append(term) or intern(self, term),
         )
+        monkeypatch.setattr(
+            TermDictionary, "mint",
+            lambda self, col: minted.append(list(col)) or mint(self, col),
+        )
         db = Database()
-        # one memo spans the columns; 1, 1.0 and True are three values
+        # one memo spans the columns that are not all int/str; 1, 1.0
+        # and True are three values; an all-int column mints from its
+        # values in one call
         rows = [(i % 5, i % 3, i % 4) for i in range(30)] + [(1, 1.0, 7), (True, "a", 8)]
         assert db.add_facts("e", rows) == 32
-        values = [*range(5), 1.0, True, "a", 7, 8]
+        values = [*range(5), True, 1.0, "a"]
         assert sorted(map(repr, asked)) == sorted(repr(Constant(v)) for v in values)
-        assert len(db.dictionary) == len(values)
+        assert minted == [[row[2] for row in rows]]
+        # each value minted once, in first-occurrence order
+        assert db.dictionary.values == [*range(5), Constant(True), Constant(1.0), "a", 7, 8]
         rel = db.get("e", 3)
         assert not rel._tuples and not rel._logrows and rel._pending_n == 32
         assert rel.tuples == {tuple(map(Constant, row)) for row in rows}
-
 
 class TestLoadedRelation:
     """A relation filled by ``add_facts`` holds id columns only; every
@@ -271,6 +280,24 @@ class TestLoadedRelation:
         assert rel.remove_facts(self.facts([(3, 4), (50, 51)])) == 1
         assert db.remove_fact("e", (0, 1)) and not db.remove_fact("e", (0, 1))
         assert rel.tuples == self.facts(self.EDGES[1:3] + self.EDGES[4:])
+        assert_reads_equal_a_rebuild(rel)
+
+    def test_a_removal_finds_its_rows_by_id(self, monkeypatch):
+        # DRed's prune on a loaded relation: the doomed rows are found by
+        # id, and columns, row set, int indexes and the pending span
+        # shrink with no term or term tuple built.
+        db, rel = self.loaded()
+        rel.col_set()
+        rel.col_index((0,))
+        rel.col_index((1,))
+        doomed = self.facts([(3, 4), (50, 51), (19, 20)]) | {(Constant("3"), Constant(4))}
+        built = counting_constants(monkeypatch)
+        assert rel.remove_facts(doomed) == 2
+        assert built == []
+        assert not rel._logrows and not rel._tuples and rel._pending_n == 18
+        assert (Constant(3), Constant(4)) not in rel and (Constant(4), Constant(5)) in rel
+        assert rel.tuples == self.facts(self.EDGES[:3] + self.EDGES[4:19])
+        assert_storage_matches_rebuild(db)
         assert_reads_equal_a_rebuild(rel)
 
     def test_add_fact_after_a_load(self):

@@ -46,7 +46,7 @@ from repro.engine.reference import naive_fixpoint_reference
 from repro.engine.seminaive import seminaive_eval
 from repro.engine.stats import EvalStats
 
-from tests.conftest import tuple_at_a_time
+from tests.conftest import own_ids, tuple_at_a_time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -423,7 +423,7 @@ def test_ids_are_the_dictionarys_own_objects():
     db, _ = seminaive_eval(program, edb, max_iterations=None)
     d = db.dictionary
     assert len(d) > 300
-    own = {ident: ident for ident in d._ids.values()}
+    own = own_ids(d)
     t = db.relation("t", 2)
     assert len(t) == n * (n + 1) // 2
     for rel in (db.relation("e", 2), t):
@@ -455,7 +455,7 @@ def test_tuple_fallback_rows_join_the_list_columns():
     assert stats.columnar_fallbacks > 0
     for counter in ("facts", "inferences", "probes", "iterations"):
         assert getattr(stats, counter) == getattr(tuple_stats, counter), counter
-    own = {ident: ident for ident in db.dictionary._ids.values()}
+    own = own_ids(db.dictionary)
     r = db.relation("r", 1)
     assert all(v is own[v] for col in r.ensure_columns() for v in col)
 
@@ -474,16 +474,15 @@ def test_show_kernel_prints_order_shape_and_source():
 
 
 def test_pickled_columns_are_packed():
-    """A columnized relation ships 8 bytes an id: the parent commit
-    (``array('q')`` columns pickled as they were) produced 250017 bytes
-    for this relation."""
+    """A columnized relation ships 8 bytes an id, and its dictionary a
+    plain value per ``int`` constant: 189964 bytes for this relation."""
     d = TermDictionary()
     rel = Relation("r", 2, d)
     for i in range(10_000):
         rel.add((Constant(i), Constant((i * 7) % 10_000)))
     cols = rel.ensure_columns()
     size = len(pickle.dumps(rel))
-    assert abs(size - 250017) <= 0.05 * 250017, size
+    assert abs(size - 189964) <= 0.05 * 189964, size
     clone = pickle.loads(pickle.dumps(rel))
     assert [type(col) for col in clone._cols] == [list, list]
     assert clone._cols == cols and clone.tuples == rel.tuples
