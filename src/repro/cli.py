@@ -39,6 +39,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import fields
 from typing import List, Optional
 
 from repro.datalog.parser import parse_literal, parse_program, parse_query
@@ -167,23 +168,10 @@ def _print_stats(config: EngineConfig, stats) -> None:
     (``repro run --stats``)."""
     print(f"-- config: {config}", file=sys.stderr)
     print("-- stats:", file=sys.stderr)
-    rows = [
-        ("facts", stats.facts),
-        ("inferences", stats.inferences),
-        ("iterations", stats.iterations),
-        ("probes", stats.probes),
-        ("plans_compiled", stats.plans_compiled),
-        ("plan_cache_hits", stats.plan_cache_hits),
-        ("scc_count", stats.scc_count),
-        ("scc_parallel_batches", stats.scc_parallel_batches),
-        ("backend_fallbacks", stats.backend_fallbacks),
-        ("columnar_fallbacks", stats.columnar_fallbacks),
-        ("partition_rounds", stats.partition_rounds),
-        ("partition_skew", f"{stats.partition_skew:.2f}"),
-        ("seconds", f"{stats.seconds:.4f}"),
-    ]
-    for name, value in rows:
-        print(f"--   {name}: {value}", file=sys.stderr)
+    for counter in fields(stats):
+        value = getattr(stats, counter.name)
+        shown = f"{value:.4f}" if isinstance(value, float) else value
+        print(f"--   {counter.name}: {shown}", file=sys.stderr)
 
 
 def cmd_query(args) -> int:

@@ -100,7 +100,12 @@ def _tokenize(text: str) -> List[_Token]:
             if j >= n:
                 raise ParseError("unterminated quoted atom", line, col)
             tokens.append(_Token("qatom", "".join(buf), line, col))
-            col += j + 1 - i
+            last = text.rfind("\n", i, j)
+            if last < 0:
+                col += j + 1 - i
+            else:  # the atom holds a newline: restart the column after it
+                line += text.count("\n", i, j)
+                col = j + 1 - last
             i = j + 1
             continue
         if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):

@@ -3,9 +3,9 @@
 Every knob picks a *schedule* for the one evaluator the paper's cost
 model is stated for — semi-naive bottom-up evaluation of the
 SCC-stratified program — never a different fixpoint: for every valid
-:class:`EngineConfig` the derived database and the
-``facts``/``inferences``/``iterations`` counters are identical; only
-probe counts and wall time vary.
+:class:`EngineConfig` the derived database and the counters that
+:func:`repro.engine.stats.determinate` reads are identical; only the
+mechanical counters and wall time vary.
 
 The library's entry points (``seminaive_eval``, ``explain``,
 ``IncrementalSession``, ``QueryCompiler``, ``DeductiveDatabase``,

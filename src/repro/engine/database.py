@@ -166,8 +166,11 @@ def rows_of(cols, lo: int, hi: int):
 
 def columns_of(rows, arity: int):
     """The inverse of :func:`rows_of`: ``rows`` of an ``arity`` relation
-    as one sequence of ids per position."""
-    return (rows,) if arity == 1 else list(zip(*rows))
+    as one sequence of ids per position (one C-level pass per position:
+    ``zip(*rows)`` would make a tracked iterator per row)."""
+    if arity == 1:
+        return (rows,)
+    return [list(map(itemgetter(p), rows)) for p in range(arity)]
 
 
 def _col_entries(cols, positions: Tuple[int, ...], lo: int, hi: int):

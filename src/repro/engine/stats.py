@@ -12,7 +12,12 @@ The two quantities the paper reasons about are:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field, fields
+
+#: The kinds of pass :func:`determinate` reads: a from-scratch fixpoint,
+#: a compiled ask, a maintenance insert or delete, and a mixed batch.
+PASS_KINDS = ("evaluate", "ask", "insert", "delete", "batch")
 
 
 class NonTerminationError(RuntimeError):
@@ -85,9 +90,24 @@ class JournalError(RuntimeError):
     """
 
 
+def _counter(default=0, merge=operator.add, determined_by=()):
+    """One row of the counter table: how two runs' values merge, and
+    the kinds of pass (:data:`PASS_KINDS`) that determine the value."""
+    return field(
+        default=default,
+        metadata={"merge": merge, "determined_by": frozenset(determined_by)},
+    )
+
+
 @dataclass
 class EvalStats:
-    """Counters produced by one evaluator run.
+    """Counters produced by one evaluator run (the field list is the table).
+
+    A field is *determinate* for the kinds of pass its row names: every
+    valid :class:`~repro.engine.config.EngineConfig`, hash seed and
+    execution path gives it the same value, and :func:`determinate`
+    reads exactly those.  Every other field is mechanical: the schedule
+    may move it.
 
     Beyond the paper's two quantities, the compiled-plan engine
     attributes its speedup through three more counters: ``probes``
@@ -108,9 +128,8 @@ class EvalStats:
 
     Columnar execution adds ``columnar_fallbacks``: rule executions the
     batch kernel declined (ineligible plan, a source outside the run's
-    term dictionary) and the tuple executor ran instead.  The counters
-    above are identical either way; a non-zero value names a perf
-    cliff, not an error.
+    term dictionary) and the tuple executor ran instead; a non-zero
+    value names a perf cliff, not an error.
 
     Incremental view maintenance (:mod:`repro.engine.incremental`)
     adds ``incr_rounds`` (delta fixpoint rounds run by maintenance
@@ -134,29 +153,28 @@ class EvalStats:
     the evaluation.
     """
 
-    facts: int = 0
-    inferences: int = 0
-    iterations: int = 0
-    seconds: float = 0.0
-    probes: int = 0
-    plans_compiled: int = 0
-    plan_cache_hits: int = 0
-    replans: int = 0
-    scc_count: int = 0
-    scc_parallel_batches: int = 0
-    columnar_fallbacks: int = 0
-    incr_rounds: int = 0
-    rederived: int = 0
-    backend_fallbacks: int = 0
-    partition_rounds: int = 0
-    partition_skew: float = 0.0
+    facts: int = _counter(determined_by=PASS_KINDS)
+    inferences: int = _counter(determined_by=("evaluate", "ask", "insert"))
+    iterations: int = _counter(determined_by=("evaluate", "ask"))
+    seconds: float = _counter(0.0)
+    probes: int = _counter()
+    plans_compiled: int = _counter()
+    plan_cache_hits: int = _counter()
+    replans: int = _counter()
+    scc_count: int = _counter()
+    scc_parallel_batches: int = _counter()
+    columnar_fallbacks: int = _counter()
+    incr_rounds: int = _counter(determined_by=("insert",))
+    rederived: int = _counter(determined_by=("delete",))
+    backend_fallbacks: int = _counter()
+    partition_rounds: int = _counter()
+    partition_skew: float = _counter(0.0, max)
 
     def merge(self, other: "EvalStats") -> "EvalStats":
         """A new stats object accumulating ``self`` then ``other``.
 
-        Defined through :meth:`absorb` so the two accumulation paths
-        can never drift field-by-field — a counter added to the
-        dataclass only needs :meth:`absorb` taught once.
+        Defined through :meth:`absorb`, which merges each field by the
+        rule its row declares.
         """
         merged = EvalStats()
         merged.absorb(self)
@@ -171,23 +189,10 @@ class EvalStats:
         barrier in batch order, so the totals are identical to the
         sequential schedule.
         """
-        self.facts += other.facts
-        self.inferences += other.inferences
-        self.iterations += other.iterations
-        self.seconds += other.seconds
-        self.probes += other.probes
-        self.plans_compiled += other.plans_compiled
-        self.plan_cache_hits += other.plan_cache_hits
-        self.replans += other.replans
-        self.scc_count += other.scc_count
-        self.scc_parallel_batches += other.scc_parallel_batches
-        self.columnar_fallbacks += other.columnar_fallbacks
-        self.incr_rounds += other.incr_rounds
-        self.rederived += other.rederived
-        self.backend_fallbacks += other.backend_fallbacks
-        self.partition_rounds += other.partition_rounds
-        if other.partition_skew > self.partition_skew:
-            self.partition_skew = other.partition_skew
+        for counter in fields(self):
+            name = counter.name
+            merged = counter.metadata["merge"](getattr(self, name), getattr(other, name))
+            setattr(self, name, merged)
 
     def __str__(self) -> str:
         return (
@@ -197,3 +202,14 @@ class EvalStats:
             f"(+{self.plan_cache_hits} cached) "
             f"sccs={self.scc_count}"
         )
+
+
+def determinate(stats: EvalStats, kind: str) -> dict:
+    """The counters of ``stats`` that a pass of ``kind`` determines, by name."""
+    if kind not in PASS_KINDS:
+        raise ValueError(f"unknown pass kind {kind!r}; expected one of {PASS_KINDS}")
+    return {
+        counter.name: getattr(stats, counter.name)
+        for counter in fields(stats)
+        if kind in counter.metadata["determined_by"]
+    }

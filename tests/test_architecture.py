@@ -10,6 +10,7 @@ spell the names out.
 """
 
 import ast
+import inspect
 import os
 import re
 from pathlib import Path
@@ -322,6 +323,31 @@ def test_a_journal_batch_is_fact_text():
     (docs/incremental.md, "The write-ahead journal"): reading a journal
     runs no code, and there is one batch format, not two."""
     assert grep(r"pickle", "src/repro/engine/journal.py") == []
+
+
+def test_determinate_counters_are_declared_once():
+    """Which counters a kind of pass determines is the row of each
+    ``EvalStats`` field, read through ``engine/stats.py::determinate``
+    (docs/engine.md, "Configuration"): no test but the table's own
+    (``tests/test_stats.py``) restates a tuple of those counters' names
+    or attributes, and ``absorb`` and ``repro run --stats`` loop over
+    the table instead of naming fields."""
+    from repro.cli import _print_stats
+    from repro.engine.stats import EvalStats
+
+    table = EvalStats.__dataclass_fields__
+    named = "|".join(name for name, row in table.items() if row.metadata["determined_by"])
+    item = rf"(?:\b(?:\w+\.)+(?:{named})\b|[\"'](?:{named})[\"'])"
+    listed = re.compile(rf"{item}\s*,\s*{item}")  # across lines, too
+    assert [
+        f"{path}: {match.group()}"
+        for path in _files("tests")
+        if path.endswith(".py") and path not in (SELF, "tests/test_stats.py")
+        for match in listed.finditer((ROOT / path).read_text(encoding="utf-8"))
+    ] == []
+    for function in (EvalStats.absorb, _print_stats):
+        source = inspect.getsource(function)
+        assert not re.search(rf"\b(?:{'|'.join(table)})\b", source), function.__qualname__
 
 
 #: Bottom to top: a module may import from its own layer and the layers

@@ -22,6 +22,7 @@ from repro.engine.partition import _delta_rows
 from repro.engine.plan import RulePlan
 from repro.engine.reference import naive_fixpoint_reference
 from repro.engine.seminaive import seminaive_eval
+from repro.engine.stats import determinate
 
 from tests.conftest import (
     assert_storage_matches_rebuild,
@@ -259,8 +260,7 @@ def test_partitioned_unary_delta_equals_the_unpartitioned_run():
     split_db, split = seminaive_eval(REACH, edb, partitions=3)
     assert split.partition_rounds > 0
     assert split_db == db
-    for counter in ("facts", "inferences", "iterations"):
-        assert getattr(split, counter) == getattr(stats, counter), counter
+    assert determinate(split, "evaluate") == determinate(stats, "evaluate")
     assert_storage_matches_rebuild(split_db)
 
 
@@ -425,7 +425,7 @@ def test_empty_delta_round_terminates_identically():
     col_db, col_stats = seminaive_eval(TC, db, partitions=1)
     tuple_db, tuple_stats = tuple_at_a_time(TC, db)
     assert col_db == tuple_db
-    assert col_stats.iterations == tuple_stats.iterations
+    assert determinate(col_stats, "evaluate") == determinate(tuple_stats, "evaluate")
     assert col_stats.probes == tuple_stats.probes
     assert len(col_db.relation("t", 2)) == 8 * 9 // 2
 

@@ -9,7 +9,7 @@ from repro.datalog.literals import Literal
 from repro.datalog.parser import parse_literal, parse_program
 from repro.datalog.terms import Compound, Constant, Variable, make_list
 from repro.engine import database as database_module
-from repro.engine.database import Database, Relation, load_program_facts
+from repro.engine.database import Database, Relation, columns_of, load_program_facts, rows_of
 from repro.engine.intern import TermDictionary
 from repro.engine.reference import naive_fixpoint_reference
 from repro.engine.seminaive import seminaive_eval
@@ -81,6 +81,17 @@ class TestRelation:
         assert set(dup.lookup((0,), (Constant(2),))) == {
             (Constant(2), Constant(2)), (Constant(2), Constant(7)),
         }
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_rows_and_columns_are_inverse(arity, n):
+    """A unary row is its bare id, any other an id tuple; no rows are
+    still ``arity`` empty columns."""
+    cols = [list(range(p * 10, p * 10 + n)) for p in range(arity)]
+    rows = list(rows_of(cols, 0, n))
+    assert rows == (cols[0] if arity == 1 else list(zip(*cols)))
+    assert [list(col) for col in columns_of(rows, arity)] == cols
 
 
 class TestDatabase:

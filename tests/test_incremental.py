@@ -9,6 +9,7 @@ so this is both necessary and sufficient.
 """
 
 import random
+from copy import copy
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.engine.database import Database, Relation
 from repro.engine.incremental import IncrementalSession
 from repro.engine.reference import naive_fixpoint_reference
 from repro.engine.seminaive import seminaive_eval
+from repro.engine.stats import determinate
 from repro.session import DeductiveDatabase
 from repro.workloads.synthetic import churn_edb, churn_program, churn_script
 from tests.conftest import assert_trees_are_those_of
@@ -416,7 +418,7 @@ class TestApplyBatch:
             sig: set(rel.tuples)
             for sig, rel in session.edb.relations.items()
         }
-        stats_before = (session.stats.facts, session.stats.inferences)
+        stats_before = copy(session.stats)
         poison = [("e", (100 + i, 101 + i)) for i in range(20)]
         with pytest.raises(MaintenanceError) as exc_info:
             session.apply_batch(inserts=poison, deletes=[("e", (0, 1))])
@@ -430,7 +432,7 @@ class TestApplyBatch:
             sig: set(rel.tuples)
             for sig, rel in session.edb.relations.items()
         } == edb_before
-        assert (session.stats.facts, session.stats.inferences) == stats_before
+        assert session.stats == stats_before
         assert_trees_are_those_of(session, chain(5))
         # The session still works: the delete alone goes through.
         session.delete([("e", (0, 1))])
@@ -458,14 +460,14 @@ class TestFactBudget:
         grown = [("e", (i, i + 1)) for i in range(1, 30)]
         with pytest.raises(NonTerminationError):
             seminaive_eval(TC, chain(30), max_facts=20)  # 465 facts
-        facts_before = session.stats.facts
+        stats_before = copy(session.stats)
         with pytest.raises(MaintenanceError) as exc_info:
             session.insert(grown)
         assert exc_info.value.phase == "insert"
         assert isinstance(exc_info.value.__cause__, NonTerminationError)
         assert_matches_scratch(session, edb)
         assert session.edb == edb
-        assert session.stats.facts == facts_before
+        assert session.stats == stats_before
         # The session still answers, and takes a batch that fits: five
         # edges close to 15 facts, a sixth would make it 21.
         assert session.query("t(0, Y)") == {(1,)}
@@ -485,7 +487,7 @@ class TestFactBudget:
         session = IncrementalSession(TC, edb, max_facts=40)
         stats = session.delete([("e", (6, 7))])
         edb.remove_fact("e", (6, 7))
-        assert (stats.facts, stats.rederived) == (12, 12)
+        assert determinate(stats, "delete") == dict(facts=12, rederived=12)
         assert session.database == seminaive_eval(TC, edb, max_facts=40)[0]
         # ... as does one that recomputes the component from its base.
         doomed = [("e", (i, i + 1)) for i in range(1, 8)]
@@ -545,10 +547,10 @@ def pairs(pred, *rows):
 
 
 #: name -> (program, EDB and insert-only script, EDB and delete script,
-#: per insert pass (facts, inferences, incr_rounds) and its
-#: partition_rounds under partitions=2, per delete pass (facts,
-#: rederived)) — the counters a maintenance pass *determines*, recorded
-#: on the commit before maintenance moved onto the evaluator's driver.
+#: per insert pass the values of ``determinate(stats, "insert")`` and its
+#: partition_rounds under partitions=2, per delete pass those of
+#: ``determinate(stats, "delete")``) — recorded on the commit before
+#: maintenance moved onto the evaluator's driver.
 PINNED = {
     "tc": (
         TC,
@@ -624,16 +626,14 @@ class TestDeterminateCounters:
         knobs = dict(partitions=partitions)
         session = IncrementalSession(program, ins_edb(), **knobs)
         passes = [session.insert(batch) for batch in inserts]
-        assert [
-            (s.facts, s.inferences, s.incr_rounds) for s in passes
-        ] == on_insert
+        assert [tuple(determinate(s, "insert").values()) for s in passes] == on_insert
         assert [s.partition_rounds for s in passes] == (
             split if partitions == 2 else [0] * len(split)
         )
         assert all(s.iterations == 0 for s in passes)
         session = IncrementalSession(program, del_edb(), **knobs)
         passes = [session.delete(batch) for batch in deletes]
-        assert [(s.facts, s.rederived) for s in passes] == on_delete
+        assert [tuple(determinate(s, "delete").values()) for s in passes] == on_delete
 
     def test_component_boundaries_keep_their_order(self, monkeypatch):
         """One mixed batch crosses nine component boundaries — three

@@ -17,7 +17,7 @@ import zlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.datalog.parser import parse_program
+from repro.datalog.parser import ParseError, parse_program
 from repro.datalog.terms import Compound, Constant, make_list
 from repro.engine import faults
 from repro.engine.database import Database
@@ -33,6 +33,7 @@ from repro.engine.journal import (
     MAGIC,
     Journal,
     JournalError,
+    _fact_text,
     recover_session,
     replay_journal,
 )
@@ -382,6 +383,15 @@ class TestFactText:
             replay = replay_journal(path)
         assert not replay.torn
         assert replay.batches == normalized(batches)
+
+    @settings(max_examples=60, deadline=None)
+    @given(facts=_text_facts)
+    def test_an_error_after_the_text_sits_where_the_text_ends(self, facts):
+        """Quoted atoms may hold raw newlines; the lines after them count."""
+        text = _fact_text(facts).decode("utf-8")
+        with pytest.raises(ParseError) as raised:
+            parse_program(text + "\n$")
+        assert (raised.value.line, raised.value.column) == (text.count("\n") + 2, 1)
 
 
 class TestTornTail:

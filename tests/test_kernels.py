@@ -44,7 +44,7 @@ from repro.engine.intern import TermDictionary
 from repro.engine.plan import RulePlan
 from repro.engine.reference import naive_fixpoint_reference
 from repro.engine.seminaive import seminaive_eval
-from repro.engine.stats import EvalStats
+from repro.engine.stats import EvalStats, determinate
 
 from tests.conftest import own_ids, tuple_at_a_time
 
@@ -172,8 +172,8 @@ def test_probe_checks_a_repeated_variable_in_the_bucket_entry():
         tuple(map(Constant, pair)) for pair in [(1, 4), (4, 2), (2, 1)]
     }
     assert stats.columnar_fallbacks == 0
-    for counter in ("facts", "inferences", "probes", "iterations"):
-        assert getattr(stats, counter) == getattr(tuple_stats, counter), counter
+    assert determinate(stats, "evaluate") == determinate(tuple_stats, "evaluate")
+    assert stats.probes == tuple_stats.probes
 
 
 def test_step_kinds_are_all_reached():
@@ -309,8 +309,8 @@ def test_random_programs_count_alike_on_both_executors(case):
     db, stats = seminaive_eval(program, edb, partitions=1)
     tuple_db, tuple_stats = tuple_at_a_time(program, edb)
     assert db == tuple_db
-    for counter in ("facts", "inferences", "probes", "iterations"):
-        assert getattr(stats, counter) == getattr(tuple_stats, counter), counter
+    assert determinate(stats, "evaluate") == determinate(tuple_stats, "evaluate")
+    assert stats.probes == tuple_stats.probes
     assert stats.columnar_fallbacks == 0
 
 
@@ -453,8 +453,8 @@ def test_tuple_fallback_rows_join_the_list_columns():
     tuple_db, tuple_stats = tuple_at_a_time(program, edb)
     assert db == tuple_db and len(db.relation("r", 1)) == 4
     assert stats.columnar_fallbacks > 0
-    for counter in ("facts", "inferences", "probes", "iterations"):
-        assert getattr(stats, counter) == getattr(tuple_stats, counter), counter
+    assert determinate(stats, "evaluate") == determinate(tuple_stats, "evaluate")
+    assert stats.probes == tuple_stats.probes
     own = own_ids(db.dictionary)
     r = db.relation("r", 1)
     assert all(v is own[v] for col in r.ensure_columns() for v in col)

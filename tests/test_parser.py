@@ -81,6 +81,11 @@ class TestRuleParsing:
         with pytest.raises(ParseError):
             parse_rule("a. b")
 
+    def test_positions_after_a_quoted_atom_that_holds_a_newline(self):
+        with pytest.raises(ParseError) as raised:
+            parse_program("p('a\nb').\nq($).")
+        assert (raised.value.line, raised.value.column) == (3, 3)
+
     def test_comment_handling(self):
         program = parse_program("% comment\ne(1, 2). % inline\n")
         assert len(program) == 1

@@ -10,6 +10,8 @@ mirroring the backend knobs, the ``partition_rounds`` /
 ``repro run --stats`` report.
 """
 
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +20,7 @@ from repro.datalog.parser import parse_program
 from repro.engine.database import Database
 from repro.engine.partition import split_indices
 from repro.engine.seminaive import seminaive_eval
-from repro.engine.stats import EvalStats
+from repro.engine.stats import EvalStats, determinate
 
 
 class TestEvaluatorValidatesPartitions:
@@ -84,8 +86,7 @@ def _run_matrix(program, edb, **base):
     ref_db, ref_stats = seminaive_eval(program, edb, partitions=1, **base)
     part_db, part_stats = seminaive_eval(program, edb, partitions=3, **base)
     assert part_db == ref_db
-    for counter in ("facts", "inferences", "iterations"):
-        assert getattr(part_stats, counter) == getattr(ref_stats, counter)
+    assert determinate(part_stats, "evaluate") == determinate(ref_stats, "evaluate")
     return ref_stats, part_stats
 
 
@@ -193,19 +194,6 @@ class TestPartitionCounters:
         assert stats.partition_rounds == 0
         assert stats.partition_skew == 0.0
 
-    def test_absorb_sums_rounds_and_maxes_skew(self):
-        a = EvalStats()
-        a.partition_rounds, a.partition_skew = 3, 2.0
-        b = EvalStats()
-        b.partition_rounds, b.partition_skew = 4, 1.5
-        a.absorb(b)
-        assert a.partition_rounds == 7
-        assert a.partition_skew == 2.0
-        b.partition_skew = 2.5
-        a.absorb(b)
-        assert a.partition_rounds == 11
-        assert a.partition_skew == 2.5
-
     def test_counters_identical_across_partition_backends(self):
         # Two independent closures share a depth batch, so jobs=2 ships
         # both to pool workers, which partition like the parent does.
@@ -271,9 +259,8 @@ class TestPartitionsCLI:
         )
         assert code == 0
         err = capsys.readouterr().err
-        for name in ("facts", "inferences", "partition_rounds",
-                     "partition_skew"):
-            assert name in err
+        for counter in fields(EvalStats):
+            assert f"--   {counter.name}: " in err
         rounds = int(
             next(
                 line.split(":")[1]

@@ -15,7 +15,7 @@ from repro.engine.provenance import (
 from repro.engine.reference import naive_fixpoint_reference
 from repro.engine.seminaive import seminaive_eval
 from repro.engine.server import DatalogServer, handle_line
-from repro.engine.stats import NonTerminationError
+from repro.engine.stats import NonTerminationError, determinate
 from repro.workloads.graphs import chain_edb
 
 from tests.conftest import assert_derivations_sound, tuple_at_a_time
@@ -149,8 +149,8 @@ class TestDerivationSearch:
         # the kernel counts what the tuple executor counts
         db, tuple_stats = tuple_at_a_time(program, edb)
         assert db == model
-        for counter in ("facts", "inferences", "iterations", "probes"):
-            assert getattr(tuple_stats, counter) == getattr(stats, counter)
+        assert determinate(tuple_stats, "evaluate") == determinate(stats, "evaluate")
+        assert tuple_stats.probes == stats.probes
         session = IncrementalSession(program, edb)
         server = DatalogServer(IncrementalSession(program, edb))
         facts = derived_facts(model, edb)
